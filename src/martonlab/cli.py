@@ -29,7 +29,7 @@ from .analysis import (
 from .channels import InputDesign, channel_from_json
 from .coding import RateParams, select_band_exponents
 from .divergences import classical_i0, classical_i_infty
-from .errors import InfeasibleRates, ValidationError
+from .errors import InfeasibleRates, MartonlabError, ValidationError
 from .experiments import achieved_divergences, run_experiment
 from .prob import JointPmf
 
@@ -92,6 +92,12 @@ def _int_list(text: str) -> list:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         _fail_parse(f"cannot parse integer list {text!r}")
+
+
+def _seed(value: int) -> int:
+    if not 0 <= value < 2**64:
+        _fail_parse(f"seed must lie in [0, 2**64), got {value}")
+    return value
 
 
 def _output_dir(args) -> Path:
@@ -184,9 +190,9 @@ def _cmd_covering(args) -> int:
             if args.i_infty is None:
                 _fail_parse("--i-infty is required with --design")
             est = empirical_covering(design, args.i_infty, args.eps0, params,
-                                     args.trials, args.seed)
+                                     args.trials, _seed(args.seed))
         else:
-            est = synthetic_covering(params, args.trials, args.seed,
+            est = synthetic_covering(params, args.trials, _seed(args.seed),
                                      family=args.family)
     except ValidationError as e:
         raise _InfeasibleConfig(str(e))
@@ -267,13 +273,31 @@ def _require(cfg: dict, key: str, path: Path):
     return cfg[key]
 
 
+_NUMBER = (int, float)
+_KIND_NAMES = {int: "an integer", _NUMBER: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(cfg: dict, key: str, path: Path, kind, default=None):
+    """Config field ``key`` (required without a default), of JSON type ``kind``."""
+    value = _require(cfg, key, path) if default is None else cfg.get(key, default)
+    # JSON true/false arrive as bool, which Python counts as an int
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        _fail_parse(f"{path}: {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _int_pair(value, key: str, path: Path, auto: bool = False) -> list:
+    ok = (isinstance(value, list) and len(value) == 2
+          and all((isinstance(v, int) and not isinstance(v, bool)) or (auto and v == "auto")
+                  for v in value))
+    if not ok:
+        _fail_parse(f"{path}: {key!r} must be a pair of integers"
+                    + (", \"auto\" entries allowed" if auto else ""))
+    return value
+
+
 def _resolve_rates(rates, i0b, i0c, i_infty, eps_tilde):
     """Fixed integers pass through; 'auto' maximizes under the rate caps."""
-    if isinstance(rates, str):
-        rates = [rates, rates] if rates == "auto" else None
-    if (not isinstance(rates, (list, tuple)) or len(rates) != 2
-            or not all(isinstance(r, int) or r == "auto" for r in rates)):
-        raise _ParseFailure("'rates' must be [R1, R2] integers, \"auto\" entries allowed")
     ell = math.log2(1.0 / eps_tilde)
     cap1 = i0b - 5.0 * ell - 2.0
     cap2 = i0c - 5.0 * ell - 2.0
@@ -302,23 +326,28 @@ def _cmd_simulate(args) -> int:
         p = Path(value)
         return p if p.is_absolute() else base_dir / p
 
-    channel_file = respath(_require(cfg, "channel", cfg_path))
-    design_file = respath(_require(cfg, "design", cfg_path))
-    for key in _EPS_FIELDS:
-        _require(cfg, key, cfg_path)
-    eps = float(cfg["eps"])
-    eps0 = float(cfg["eps0"])
-    eps_tilde = float(cfg["eps_tilde"])
-    eps_infty = float(cfg["eps_infty"])
+    channel_file = respath(_typed(cfg, "channel", cfg_path, str))
+    design_file = respath(_typed(cfg, "design", cfg_path, str))
+    eps, eps0, eps_tilde, eps_infty = (
+        float(_typed(cfg, key, cfg_path, _NUMBER)) for key in _EPS_FIELDS)
+    # a nan eps would pass the theorem-mode budget check unseen
+    if not (math.isfinite(eps) and 0.0 < eps0 < 1.0 and 0.0 < eps_tilde < 1.0
+            and 0.0 <= eps_infty < 1.0):
+        _fail_parse(f"{cfg_path}: 'eps' must be finite, 'eps0' and 'eps_tilde' must lie "
+                    "in (0, 1), 'eps_infty' in [0, 1)")
     rates = _require(cfg, "rates", cfg_path)
-    trials = int(_require(cfg, "trials", cfg_path))
-    seed = int(args.seed) if args.seed is not None else int(_require(cfg, "seed", cfg_path))
-    n = int(cfg.get("n", 1))
-    resample = bool(cfg.get("resample_codebook", True))
-    i0_method = cfg.get("i0_method", "greedy")
-    mode = cfg.get("mode", "theorem")
+    rates = _int_pair([rates, rates] if rates == "auto" else rates, "rates", cfg_path, auto=True)
+    bands = _int_pair(cfg["bands"], "bands", cfg_path) if "bands" in cfg else None
+    trials = _typed(cfg, "trials", cfg_path, int)
+    seed = _seed(args.seed if args.seed is not None else _typed(cfg, "seed", cfg_path, int))
+    n = _typed(cfg, "n", cfg_path, int, 1)
+    resample = _typed(cfg, "resample_codebook", cfg_path, bool, True)
+    i0_method = _typed(cfg, "i0_method", cfg_path, str, "greedy")
+    mode = _typed(cfg, "mode", cfg_path, str, "theorem")
     if mode not in ("theorem", "free"):
         _fail_parse(f"{cfg_path}: 'mode' must be 'theorem' or 'free', got {mode!r}")
+    if "setting" in cfg:
+        _typed(cfg, "setting", cfg_path, str)
 
     try:
         channel = channel_from_json(_load_json_file(channel_file))
@@ -343,11 +372,7 @@ def _cmd_simulate(args) -> int:
         raise _InfeasibleConfig(str(e))
 
     R1, R2 = _resolve_rates(rates, i0b, i0c, i_infty, eps_tilde)
-    if "bands" in cfg:
-        bands = cfg["bands"]
-        if (not isinstance(bands, (list, tuple)) or len(bands) != 2
-                or not all(isinstance(b, int) for b in bands)):
-            _fail_parse(f"{cfg_path}: 'bands' must be [r1, r2] integers")
+    if bands is not None:
         r1, r2 = bands
     else:
         try:
@@ -480,7 +505,9 @@ def main(argv=None) -> int:
     except _ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except _InfeasibleConfig as e:
+    except (_InfeasibleConfig, MartonlabError) as e:
+        # a library error escaping a subcommand (say SupportOverflowError
+        # deep in a run) means the inputs are out of reach, not a violation
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -16,6 +16,7 @@ lazily without storing the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -254,10 +255,15 @@ class Codebook:
 
 
 def _sample_words(pmf_probs: np.ndarray, count: int, n: int, rng: SeededRng) -> np.ndarray:
+    # A symbol index is the number of cdf cut points at or below its
+    # uniform: searchsorted(cdf, u, side="right") with the last cut point
+    # taken as 1 > u, counted without a binary search.
     cdf = np.cumsum(pmf_probs)
-    cdf[-1] = 1.0
     u = rng.random((count, n))
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    words = np.zeros((count, n), dtype=np.int64)
+    for c in cdf[:-1]:
+        words += u >= c
+    return words
 
 
 def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1) -> Codebook:
@@ -314,9 +320,18 @@ class ClassicalSetEvaluator:
 class ClassicalThresholdEvaluator:
     """Blocklength-n acceptance probabilities for llr threshold sets.
 
-    alpha is the exact probability, via per-symbol convolution, that the
-    summed Bob-side llr of (u, Y) clears tau1 - DECODE_TOL when Y flows
-    through the channel driven by x = f(u, v) symbol-wise.
+    alpha is the exact probability, via convolution, that the summed
+    Bob-side llr of (u, Y) clears tau1 - DECODE_TOL when Y flows through
+    the channel driven by x = f(u, v) symbol-wise.
+
+    Both the llr and the channel act symbol by symbol, so alpha depends on
+    (u, x) only through its joint type: position t contributes the step
+    distribution of llr1[u_t, Y] with Y ~ p(y | x_t).  A pair (u, x)
+    occurring k times contributes that step's k-fold convolution, cached
+    per pair as a prefix table; the present pairs are convolved in
+    ascending pair order.  Every convolution merges atoms closer than
+    ``merge_tol`` into their probability-weighted mean and raises
+    SupportOverflowError past ``atom_cap`` atoms.
     """
 
     def __init__(self, channel, design: InputDesign, llr1: np.ndarray, llr2: np.ndarray,
@@ -335,6 +350,9 @@ class ClassicalThresholdEvaluator:
         self.tau2 = float(tau2)
         self.merge_tol = merge_tol
         self.atom_cap = atom_cap
+        self._sides = ((self.llr1, self.py, self.tau1), (self.llr2, self.pz, self.tau2))
+        # (side, u, x) -> [k-fold step distribution for k = 0, 1, ...]
+        self._powers = {}
 
     def x_of_pair(self, row_word: np.ndarray, col_word: np.ndarray) -> np.ndarray:
         x = self.fx[row_word, col_word]
@@ -342,33 +360,44 @@ class ClassicalThresholdEvaluator:
             raise ValidationError("input map undefined for a sampled pair")
         return x
 
-    def _tail_mass(self, word: np.ndarray, x: np.ndarray, llr: np.ndarray,
-                   trans: np.ndarray, tau: float) -> float:
-        values = np.zeros(1)
-        probs = np.ones(1)
-        for t in range(word.size):
-            step_v = llr[word[t]]
-            step_p = trans[x[t]]
-            keep = step_p > 0.0
-            values = (values[:, None] + step_v[None, keep]).ravel()
-            probs = (probs[:, None] * step_p[None, keep]).ravel()
-            order = np.argsort(values, kind="stable")
-            values, probs = values[order], probs[order]
-            group = np.ones(values.size, dtype=bool)
-            group[1:] = np.diff(values) > self.merge_tol
-            starts = np.flatnonzero(group)
-            probs_m = np.add.reduceat(probs, starts)
-            values_m = np.add.reduceat(values * probs, starts) / probs_m
-            values, probs = values_m, probs_m
-            if values.size > self.atom_cap:
-                raise SupportOverflowError(f"llr support exceeded {self.atom_cap} atoms")
+    def _convolve(self, a: tuple, b: tuple) -> tuple:
+        """(values, probs) of the sum of independent a and b, atoms merged."""
+        values = (a[0][:, None] + b[0][None, :]).ravel()
+        probs = (a[1][:, None] * b[1][None, :]).ravel()
+        order = np.argsort(values, kind="stable")
+        values, probs = values[order], probs[order]
+        group = np.ones(values.size, dtype=bool)
+        group[1:] = np.diff(values) > self.merge_tol
+        starts = np.flatnonzero(group)
+        probs_m = np.add.reduceat(probs, starts)
+        values_m = np.add.reduceat(values * probs, starts) / probs_m
+        if values_m.size > self.atom_cap:
+            raise SupportOverflowError(f"llr support exceeded {self.atom_cap} atoms")
+        return values_m, probs_m
+
+    def _power(self, side: int, u: int, x: int, k: int) -> tuple:
+        """k-fold convolution of the step distribution of the pair (u, x)."""
+        table = self._powers.setdefault((side, u, x), [(np.zeros(1), np.ones(1))])
+        if len(table) <= k:
+            llr, trans, _ = self._sides[side]
+            keep = trans[x] > 0.0
+            step = (llr[u][keep], trans[x][keep])
+            while len(table) <= k:
+                table.append(self._convolve(table[-1], step))
+        return table[k]
+
+    def _tail_mass(self, side: int, word: np.ndarray, x: np.ndarray) -> float:
+        llr, trans, tau = self._sides[side]
+        nx = trans.shape[0]
+        counts = np.bincount(word * nx + x, minlength=llr.shape[0] * nx)
+        parts = [self._power(side, *divmod(int(pair), nx), int(counts[pair]))
+                 for pair in np.flatnonzero(counts)]
+        values, probs = functools.reduce(self._convolve, parts)
         return float(probs[values >= tau - DECODE_TOL].sum())
 
     def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
         x = self.x_of_pair(row_word, col_word)
-        alpha = self._tail_mass(row_word, x, self.llr1, self.py, self.tau1)
-        beta = self._tail_mass(col_word, x, self.llr2, self.pz, self.tau2)
-        return alpha, beta
+        return self._tail_mass(0, row_word, x), self._tail_mass(1, col_word, x)
 
 
 class QuantumPairEvaluator:
@@ -491,7 +520,17 @@ class ThresholdMembership:
         self.tau = float(tau)
 
     def matches(self, words: np.ndarray, received: np.ndarray) -> np.ndarray:
-        scores = self.llr[words, received[None, :]].sum(axis=1)
+        # score = sum over letters a of one-hot(words == a) @ llr[a, received];
+        # 0 * inf is nan in a product, so positions where some letter scores
+        # non-finite are summed by lookup instead
+        col = self.llr[:, received]
+        bad = ~np.isfinite(col).all(axis=0)
+        finite = np.where(bad, 0.0, col)
+        scores = (words == 0) @ finite[0]
+        for a in range(1, finite.shape[0]):
+            scores += (words == a) @ finite[a]
+        if bad.any():
+            scores += self.llr[words[:, bad], received[bad]].sum(axis=1)
         return scores >= self.tau - DECODE_TOL
 
 

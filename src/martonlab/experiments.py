@@ -391,6 +391,9 @@ def run_experiment(channel, design: InputDesign, params: RateParams, trials: int
         raise ValidationError("trials must be positive")
     if n < 1:
         raise ValidationError("blocklength must be positive")
+    # mix64 reduces keys modulo 2^64, so a larger seed would replay another run
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
 

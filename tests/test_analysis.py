@@ -190,6 +190,11 @@ class TestSyntheticCovering:
         with pytest.raises(ValidationError):
             synthetic_covering(CoveringParams(8, 8, 0.1, 0.5), 100, seed=0, family="nope")
 
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            synthetic_covering(CoveringParams(8, 8, 0.1, 0.5), 100, seed=seed)
+
 
 class TestEmpiricalCovering:
     def test_all_cells_accepted_never_zero(self):

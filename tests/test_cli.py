@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from martonlab import cli
 from martonlab.channels import InputDesign, channel_from_json
 from martonlab.cli import OUTPUT_DIR_ENV, main
 from martonlab.divergences import classical_i0, classical_i_infty
+from martonlab.errors import ConvergenceError, SupportOverflowError
 from martonlab.experiments import achieved_divergences
 from martonlab.prob import JointPmf
 
@@ -322,6 +326,98 @@ class TestSimulate:
         assert doc["report"]["setting"] == "quantum"
         assert {e["name"] for e in doc["report"]["events"]} == {
             "e1", "e2", "e3", "message_error", "index_error"}
+
+
+def desk_config(tmp_path, **over):
+    desk = dict(trials=5, n=1, mode="free", eps0=0.1, eps_tilde=0.125, bands=[2, 2])
+    return simulate_config(tmp_path, **{**desk, **over})
+
+
+_JSON = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-2**70, 2**70),
+    "float": st.floats(),
+    "str": st.text(max_size=6),
+    "list": st.lists(st.integers(-3, 3), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def _json_except(*kinds):
+    return st.one_of(*(strat for kind, strat in _JSON.items() if kind not in kinds))
+
+
+# every typed simulate field with JSON values of a wrong type for it
+WRONG_TYPED = st.one_of(
+    *(st.tuples(st.just(k), _json_except("int", "float"))
+      for k in ("eps", "eps0", "eps_tilde", "eps_infty")),
+    *(st.tuples(st.just(k), _json_except("int")) for k in ("trials", "seed", "n")),
+    *(st.tuples(st.just(k), _json_except("str"))
+      for k in ("channel", "design", "i0_method", "mode", "setting")),
+    st.tuples(st.just("resample_codebook"), _json_except("bool")),
+    *(st.tuples(st.just(k), _json_except("list", "str")
+                | st.lists(_JSON["int"], max_size=4).filter(lambda v: len(v) != 2)
+                | st.lists(_json_except("int", "str"), min_size=2, max_size=2))
+      for k in ("rates", "bands")),
+)
+
+
+class TestConfigErrors:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=WRONG_TYPED)
+    def test_wrong_typed_field_is_parse_error(self, tmp_path, capsys, field):
+        key, value = field
+        cfg = desk_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("field", [("trials", "abc"), ("eps0", None), ("n", 1.0),
+                                       ("resample_codebook", "false"), ("rates", [1, True]),
+                                       ("eps_tilde", 0.0), ("eps0", 1.5), ("eps_infty", -0.1),
+                                       ("eps", float("nan"))])
+    def test_reported_cases_are_parse_errors(self, tmp_path, capsys, field):
+        cfg = desk_config(tmp_path, **dict([field]))
+        assert main(["simulate", "--config", cfg]) == 3
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(["eps", "eps0", "eps_tilde", "eps_infty"]),
+           value=st.floats(), mode=st.sampled_from(["free", "theorem"]))
+    def test_any_eps_value_exits_by_contract(self, tmp_path, capsys, key, value, mode):
+        cfg = desk_config(tmp_path, **{key: value, "mode": mode})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1])
+    def test_seed_outside_64_bits_is_parse_error(self, tmp_path, capsys, seed):
+        assert main(["simulate", "--config", desk_config(tmp_path, seed=seed)]) == 3
+        assert main(["simulate", "--config", desk_config(tmp_path),
+                     "--seed", str(seed)]) == 3
+        assert main(["covering", "--r", "8", "--s", "8", "--q", "0.1", "--alpha", "0.5",
+                     "--trials", "10", "--seed", str(seed)]) == 3
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = desk_config(tmp_path, seed=2**64 - 1)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "simulate_report.json").read_text())
+        assert doc["report"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("error", [SupportOverflowError, ConvergenceError])
+    def test_escaping_library_error_is_infeasible(self, tmp_path, outdir, capsys,
+                                                  monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("llr support exceeded 100000 atoms")
+
+        # stands in for the overflow of iid-curve at n=1024 on dsbs40_joint.json
+        monkeypatch.setattr(cli, "iid_convergence_curve", fail)
+        base = write_json(tmp_path / "j.json", DSBS40)
+        assert main(["iid-curve", "--base", base, "--eps", "0.05", "--n", "1024"]) == 2
+        assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert main(["simulate", "--config", desk_config(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
 
 
 class TestParserBehavior:

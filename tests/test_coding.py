@@ -18,6 +18,7 @@ from martonlab.coding import (
     RateParams,
     SetMembership,
     ThresholdMembership,
+    _sample_words,
     decode_cols,
     decode_pgm,
     decode_rows,
@@ -27,7 +28,7 @@ from martonlab.coding import (
     select_band_exponents,
 )
 from martonlab.divergences import classical_i_infty, llr_table
-from martonlab.errors import InfeasibleRates, ValidationError
+from martonlab.errors import InfeasibleRates, SupportOverflowError, ValidationError
 from martonlab.prob import JointPmf
 from martonlab.quantum import pretty_good_measurement
 from martonlab.rng import SeededRng
@@ -61,6 +62,58 @@ def bsc_pair_channel(p: float, q: float) -> ClassicalBroadcastChannel:
 
 def copy_pair_channel() -> ClassicalBroadcastChannel:
     return bsc_pair_channel(0.0, 0.0)
+
+
+def ternary_channel(rng: np.random.Generator) -> ClassicalBroadcastChannel:
+    """X = two bits; Y and Z ternary, each p(y | x) and p(z | x) with a zero."""
+    sides = []
+    for _ in range(2):
+        m = rng.random((4, 3)) + 0.05
+        m[np.arange(4), rng.integers(3, size=4)] = 0.0
+        sides.append(m / m.sum(axis=1, keepdims=True))
+    py, pz = sides
+    return ClassicalBroadcastChannel(("00", "01", "10", "11"), ("0", "1", "2"),
+                                     ("0", "1", "2"), py[:, :, None] * pz[:, None, :])
+
+
+# ---------------------------------------------------------------------------
+# former kernels, kept as oracles for the faster ones in coding.py
+
+
+def searchsorted_words(pmf_probs, count, n, rng):
+    """Word sampling by binary search over the cdf."""
+    cdf = np.cumsum(pmf_probs)
+    cdf[-1] = 1.0
+    u = rng.random((count, n))
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+def positionwise_tail_mass(word, x, llr, trans, tau, merge_tol=1e-12, atom_cap=100_000):
+    """Tail mass by one convolution step per position, in position order."""
+    values = np.zeros(1)
+    probs = np.ones(1)
+    for t in range(word.size):
+        step_v = llr[word[t]]
+        step_p = trans[x[t]]
+        keep = step_p > 0.0
+        values = (values[:, None] + step_v[None, keep]).ravel()
+        probs = (probs[:, None] * step_p[None, keep]).ravel()
+        order = np.argsort(values, kind="stable")
+        values, probs = values[order], probs[order]
+        group = np.ones(values.size, dtype=bool)
+        group[1:] = np.diff(values) > merge_tol
+        starts = np.flatnonzero(group)
+        probs_m = np.add.reduceat(probs, starts)
+        values_m = np.add.reduceat(values * probs, starts) / probs_m
+        values, probs = values_m, probs_m
+        if values.size > atom_cap:
+            raise SupportOverflowError(f"llr support exceeded {atom_cap} atoms")
+    return float(probs[values >= tau - DECODE_TOL].sum())
+
+
+def gather_sum_matches(llr, tau, words, received):
+    """Threshold membership by gathering and summing each row's llr values."""
+    return llr[words, received[None, :]].sum(axis=1) >= tau - DECODE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +277,18 @@ class TestCodebook:
         a = generate_codebook(design, small_params(), seed=7)
         b = generate_codebook(design, small_params(), seed=8)
         assert a.content_digest() != b.content_digest()
+
+    @pytest.mark.parametrize("pmf", [
+        [0.5, 0.5], [1.0], [0.3, 0.0, 0.7], [0.0, 0.2, 0.8], [0.2, 0.3, 0.5],
+        [0.1, 0.2, 0.3, 0.4], [0.25, 0.0, 0.0, 0.75], [0.4, 0.3, 0.3, 0.0], [0.1] * 10,
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_sampler_matches_searchsorted_oracle(self, pmf, seed):
+        pmf = np.asarray(pmf)
+        got = _sample_words(pmf, 300, 7, SeededRng(seed, 1))
+        want = searchsorted_words(pmf, 300, 7, SeededRng(seed, 1))
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
     def test_word_marginals(self):
         probs = np.array([[0.56, 0.14], [0.24, 0.06]])  # pu = (0.7, 0.3), pv = (0.8, 0.2)
@@ -422,6 +487,53 @@ class TestThresholdEvaluator:
         alpha, _ = ev.alpha_beta(u, v)
         assert alpha == pytest.approx(alpha_brute, abs=1e-12)
 
+    @staticmethod
+    def ternary_evaluator(rng, real_llr: bool, **kw):
+        ch = ternary_channel(rng)
+        design = pair_design(DSBS_45)
+        if real_llr:
+            uy, vz = build_classical_joints(ch, design)
+            llr1, llr2 = llr_table(uy), llr_table(vz)
+        else:
+            llr1, llr2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        tau1, tau2 = rng.uniform(-2.0, 2.0, size=2)
+        return ch, ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau1, tau2, **kw)
+
+    def test_tail_mass_matches_positionwise_oracle(self, np_rng):
+        for case in range(24):
+            ch, ev = self.ternary_evaluator(np_rng, real_llr=case % 2 == 0)
+            for _ in range(6):
+                n = int(np_rng.integers(1, 25))
+                u, v = np_rng.integers(2, size=n), np_rng.integers(2, size=n)
+                x = ev.x_of_pair(u, v)
+                alpha, beta = ev.alpha_beta(u, v)
+                want_a = positionwise_tail_mass(u, x, ev.llr1, ch.marginal_y(), ev.tau1)
+                want_b = positionwise_tail_mass(v, x, ev.llr2, ch.marginal_z(), ev.tau2)
+                assert abs(alpha - want_a) <= 1e-12
+                assert abs(beta - want_b) <= 1e-12
+
+    def test_position_order_does_not_matter(self, np_rng):
+        ch, ev = self.ternary_evaluator(np_rng, real_llr=False)
+        for _ in range(10):
+            u, v = np_rng.integers(2, size=30), np_rng.integers(2, size=30)
+            perm = np_rng.permutation(30)
+            got = ev.alpha_beta(u, v)
+            assert ev.alpha_beta(u[perm], v[perm]) == got
+            # the cached k-fold tables give what a fresh evaluator computes
+            fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), ev.llr1, ev.llr2,
+                                                ev.tau1, ev.tau2)
+            assert fresh.alpha_beta(u[perm], v[perm]) == got
+
+    def test_atom_cap_raises(self, np_rng):
+        ch, ev = self.ternary_evaluator(np_rng, real_llr=False, atom_cap=20)
+        # each of the four (u, x) pairs occurs three times
+        u, v = np.arange(12) % 2, np.arange(12) // 2 % 2
+        x = ev.x_of_pair(u, v)
+        with pytest.raises(SupportOverflowError):
+            positionwise_tail_mass(u, x, ev.llr1, ch.marginal_y(), ev.tau1, atom_cap=20)
+        with pytest.raises(SupportOverflowError):
+            ev.alpha_beta(u, v)
+
     def test_certain_set_gives_unit_mass(self):
         ch = copy_pair_channel()
         design = pair_design(np.array([[0.5, 0.0], [0.0, 0.5]]))
@@ -494,6 +606,27 @@ class TestClassicalDecoders:
         # slack: a threshold within DECODE_TOL above the score still matches
         assert ThresholdMembership(table, hit + 1e-7).matches(words, received)[0]
         assert not ThresholdMembership(table, hit + 1e-4).matches(words, received)[0]
+
+    @pytest.mark.parametrize("probs", [
+        [[0.5, 0.0], [0.0, 0.5]],                 # noiseless: -inf off the diagonal
+        [[0.4, 0.0, 0.1], [0.0, 0.4, 0.1]],       # erasure column finite, others not
+        [[0.3, 0.1, 0.1], [0.05, 0.25, 0.2]],     # all finite
+    ])
+    def test_threshold_membership_matches_gather_sum(self, np_rng, probs):
+        probs = np.asarray(probs)
+        table = llr_table(JointPmf(("0", "1"), tuple("012"[:probs.shape[1]]), probs))
+        words = np_rng.integers(2, size=(500, 12))
+        for _ in range(20):
+            received = np_rng.integers(probs.shape[1], size=12)
+            received[received < 2] = words[17][received < 2]
+            for tau in (np_rng.uniform(-6.0, 12.0), 12.0, -1e300):
+                got = ThresholdMembership(table, tau).matches(words, received)
+                assert np.array_equal(got, gather_sum_matches(table, tau, words, received))
+        if np.isneginf(table).any():
+            # a row with a -inf position never matches, however low the threshold
+            scores = table[words, received[None, :]].sum(axis=1)
+            assert not ThresholdMembership(table, -1e300).matches(words, received)[
+                np.isneginf(scores)].any()
 
     def test_set_membership_blocklength_guard(self):
         mem = SetMembership(np.eye(2, dtype=bool))

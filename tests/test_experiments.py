@@ -255,6 +255,18 @@ class TestHarnessValidation:
         with pytest.raises(ValidationError):
             run_experiment(ch, pair_design(DSBS_45), desk_params(), 10, seed=0, n=0)
 
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2^64 + 5 would otherwise replay seed 5 while reporting the larger seed
+        ch = bsc_pair_channel(0.1, 0.1)
+        with pytest.raises(ValidationError, match="seed"):
+            run_experiment(ch, pair_design(DSBS_45), desk_params(), 10, seed=seed)
+
+    def test_largest_seed_runs(self):
+        ch = bsc_pair_channel(0.1, 0.1)
+        report = run_experiment(ch, pair_design(DSBS_45), desk_params(), 5, seed=2**64 - 1)
+        assert report.seed == 2**64 - 1
+
 
 class TestReportShape:
     def test_json_and_csv(self):
