@@ -227,7 +227,11 @@ class CoveringBound:
 
 def covering_bound(p: CoveringParams) -> CoveringBound:
     """1/(alpha r s q) + (r+s)/(alpha^2 r s), clamped copy included."""
-    raw = 1.0 / (p.alpha * p.r * p.s * p.q) + (p.r + p.s) / (p.alpha**2 * p.r * p.s)
+    try:
+        raw = 1.0 / (p.alpha * p.r * p.s * p.q) + (p.r + p.s) / (p.alpha**2 * p.r * p.s)
+    except ZeroDivisionError:
+        # a denominator underflowed to zero: the bound is vacuous
+        raw = math.inf
     return CoveringBound(raw, min(1.0, raw))
 
 

@@ -11,6 +11,7 @@ channels serialize to JSON losslessly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,10 +157,23 @@ class CqBroadcastChannel:
         return self.states[self.x_index(x)]
 
     def rho_b(self, x: str) -> np.ndarray:
-        return partial_trace(self.state(x).matrix, (self.dim_b, self.dim_c), (0,))
+        """Reduced state on B for input ``x``; read-only, shared by all callers."""
+        return self._reduced[0][self.x_index(x)]
 
     def rho_c(self, x: str) -> np.ndarray:
-        return partial_trace(self.state(x).matrix, (self.dim_b, self.dim_c), (1,))
+        """Reduced state on C for input ``x``; read-only, shared by all callers."""
+        return self._reduced[1][self.x_index(x)]
+
+    @functools.cached_property
+    def _reduced(self) -> tuple:
+        # (B states, C states) in alphabet order, traced once per channel
+        out = []
+        for keep in ((0,), (1,)):
+            side = tuple(partial_trace(s.matrix, (self.dim_b, self.dim_c), keep) for s in self.states)
+            for rho in side:
+                rho.setflags(write=False)
+            out.append(side)
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {

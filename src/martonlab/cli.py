@@ -73,18 +73,28 @@ def _joint_from_file(path: Path) -> JointPmf:
         _fail_parse(f"{path}: {e}")
 
 
-def _power_float(text: str) -> float:
-    """Plain float or 'b^e' power syntax, e.g. '2^-10'."""
-    if "^" in text:
-        base_s, _, exp_s = text.partition("^")
-        try:
-            return float(base_s) ** float(exp_s)
-        except ValueError:
-            _fail_parse(f"cannot parse power expression {text!r}")
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: nan and infinities are malformed."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        _fail_parse(f"cannot parse number {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _power_float(text: str) -> float:
+    """Plain float or 'b^e' power syntax, e.g. '2^-10'; finite reals only."""
+    base_s, caret, exp_s = text.partition("^")
+    try:
+        value = float(base_s) ** float(exp_s) if caret else float(text)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        _fail_parse(f"cannot parse {'power expression' if caret else 'number'} {text!r}")
+    # a negative base to a fractional power gives a complex number
+    if not isinstance(value, float) or not math.isfinite(value):
+        _fail_parse(f"{text!r} is not a finite real number")
+    return value
 
 
 def _int_list(text: str) -> list:
@@ -107,8 +117,16 @@ def _output_dir(args) -> Path:
     return path
 
 
+def _dumps(doc: dict) -> str:
+    """The report as strict JSON, which has no nan or infinity."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise _InfeasibleConfig("a result is not finite: the inputs overflow double precision") from None
+
+
 def _emit(doc: dict, out_dir: Path, name: str) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _dumps(doc)
     (out_dir / name).write_text(text + "\n", encoding="utf-8")
     print(text)
 
@@ -131,7 +149,7 @@ def _cmd_divergence(args) -> int:
             res = classical_i0(joint, args.eps, method=args.method)
     except ValidationError as e:
         raise _InfeasibleConfig(str(e))
-    print(json.dumps(res.to_json(), indent=2, sort_keys=True))
+    print(_dumps(res.to_json()))
     return EXIT_OK
 
 
@@ -170,7 +188,7 @@ def _cmd_bands(args) -> int:
                 ">=" if "floor" in c["name"] else "<=")
             print(f"# {c['name']}: {c['lhs']} {rel} {c['rhs']:.6g} "
                   f"(slack {c['slack']:.6g})", file=sys.stderr)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
     return EXIT_OK
 
 
@@ -429,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divergence", help="evaluate a smooth divergence of a joint pmf")
     p.add_argument("--joint", required=True, help="JointPmf JSON file")
     p.add_argument("--kind", choices=("i0", "i-infty"), required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--method", default="greedy",
                    choices=("greedy", "exhaustive", "randomized"))
     p.set_defaults(func=_cmd_divergence)
@@ -437,10 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", help="select band exponents for given rates and budgets")
     p.add_argument("--R1", type=int, required=True)
     p.add_argument("--R2", type=int, required=True)
-    p.add_argument("--i0b", type=float, required=True)
-    p.add_argument("--i0c", type=float, required=True)
-    p.add_argument("--i-infty", dest="i_infty", type=float, required=True)
-    p.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)
+    p.add_argument("--i0b", type=_finite_float, required=True)
+    p.add_argument("--i0c", type=_finite_float, required=True)
+    p.add_argument("--i-infty", dest="i_infty", type=_finite_float, required=True)
+    p.add_argument("--eps-tilde", dest="eps_tilde", type=_finite_float, required=True)
     p.add_argument("--explain", action="store_true",
                    help="include per-constraint slack in the output")
     p.set_defaults(func=_cmd_bands)
@@ -462,19 +480,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="paired", choices=("paired", "independent"))
     p.add_argument("--design", default=None,
                    help="design JSON file: use the real rejection indicator")
-    p.add_argument("--i-infty", dest="i_infty", type=float, default=None)
-    p.add_argument("--eps0", type=float, default=0.01)
+    p.add_argument("--i-infty", dest="i_infty", type=_finite_float, default=None)
+    p.add_argument("--eps0", type=_finite_float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_covering)
 
     p = sub.add_parser("region", help="achievable regions and their comparison")
-    p.add_argument("--i0b", type=float, required=True)
-    p.add_argument("--i0c", type=float, required=True)
-    p.add_argument("--i-infty", dest="i_infty", type=float, required=True)
-    p.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)
-    p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--eps-infty", dest="eps_infty", type=float, default=0.25)
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--i0b", type=_finite_float, required=True)
+    p.add_argument("--i0c", type=_finite_float, required=True)
+    p.add_argument("--i-infty", dest="i_infty", type=_finite_float, required=True)
+    p.add_argument("--eps-tilde", dest="eps_tilde", type=_finite_float, required=True)
+    p.add_argument("--eps0", type=_finite_float, required=True)
+    p.add_argument("--eps-infty", dest="eps_infty", type=_finite_float, default=0.25)
+    p.add_argument("--gamma", type=_finite_float, default=0.05)
     p.add_argument("--setting", default="classical", choices=("classical", "quantum"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_region)
@@ -483,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="per-symbol JointPmf JSON file")
     p.add_argument("--base-uv", dest="base_uv", default=None,
                    help="separate pair joint for the max-divergence rate")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--n", required=True, help="comma-separated block sizes")
     p.add_argument("--method", default="randomized",
                    choices=("randomized", "thresholded"))

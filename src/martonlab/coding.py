@@ -152,6 +152,8 @@ def select_band_exponents(R1: int, R2: int, i0b: float, i0c: float, i_infty: flo
     if R1 < 0 or R2 < 0:
         raise ValidationError("message rates must be nonnegative")
     ell = math.log2(1.0 / eps_tilde)
+    if not all(math.isfinite(v) for v in (i0b, i0c, i_infty, ell)):
+        raise ValidationError("i0b, i0c, i_infty and log2(1/eps_tilde) must be finite")
     floor_r = _ceil_guarded(ell)
     target = _ceil_guarded(i_infty + 3 * ell)
     cap1 = int(math.floor(i0b - R1 - 4 * ell - 1 + _FEAS_TOL))
@@ -266,15 +268,20 @@ def _sample_words(pmf_probs: np.ndarray, count: int, n: int, rng: SeededRng) -> 
     return words
 
 
-def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1) -> Codebook:
-    """Sample a codebook: rows iid from p(u)^n, columns iid from p(v)^n."""
+def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1,
+                      *, log_ratio: np.ndarray | None = None) -> Codebook:
+    """Sample a codebook: rows iid from p(u)^n, columns iid from p(v)^n.
+
+    ``log_ratio`` is ``llr_table(design.joint)`` when the caller already
+    has it, as a run drawing one codebook per trial does.
+    """
     if params.n_rows > ROW_CAP or params.n_cols > ROW_CAP:
         raise ValidationError(f"codebook side exceeds {ROW_CAP} words")
     pu, pv = design.joint.marginals()
     base = SeededRng(seed, 0)
     rows = _sample_words(pu.probs, params.n_rows, n, base.derive(1))
     cols = _sample_words(pv.probs, params.n_cols, n, base.derive(2))
-    return Codebook(rows, cols, params, design, seed, n)
+    return Codebook(rows, cols, params, design, seed, n, log_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +566,55 @@ def decode_cols(codebook: Codebook, received: np.ndarray, membership) -> DecodeR
     return _classify(matched, codebook.col_band_of)
 
 
+def _frozen(arr) -> tuple:
+    """Hashable content of an array: dtype, shape and bytes."""
+    arr = np.ascontiguousarray(arr)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _thawed(key: tuple) -> np.ndarray:
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _pgm_table(tests_key: tuple, counts_key: tuple, rho_key: tuple) -> tuple:
+    """Per-label element probabilities q and the completion probability.
+
+    Keyed by content, not identity: the table depends only on the test
+    operators, the label-count vector and the state.  A run sees few
+    distinct count vectors (a qubit run of 200 trials on 2^6-2^8 words
+    per side needs 100-160 tables), so 256 entries hold a run's tables.
+    """
+    tests, counts, rho = _thawed(tests_key), _thawed(counts_key), _thawed(rho_key)
+    dim = tests.shape[1]
+    total = np.zeros((dim, dim), dtype=complex)
+    for u, c in enumerate(counts):
+        if c:
+            total += c * tests[u]
+    inv_sqrt, supp = pinv_sqrt(total)
+    q = np.empty(len(tests))
+    for u in range(len(tests)):
+        q[u] = real_trace(inv_sqrt @ tests[u] @ inv_sqrt, rho)
+    q.setflags(write=False)
+    return q, max(real_trace(np.eye(dim) - supp, rho), 0.0)
+
+
 def pgm_outcome_probabilities(words: np.ndarray, tests, state) -> np.ndarray:
     """Outcome probabilities of the pretty good measurement over one side.
 
     Word k's element is S^{-1/2} T_{word k} S^{-1/2} with S the sum over
     all words; the last entry is the completion outcome off the support
     of S.  Identical words share an element, so the computation runs per
-    alphabet label.
+    alphabet label, and the per-label table is cached by content.
     """
     if words.shape[1] != 1:
         raise ValidationError("measurement decoding is defined for blocklength 1")
     labels = words[:, 0]
-    dim = np.asarray(tests[0]).shape[0]
     counts = np.bincount(labels, minlength=len(tests))
-    total = np.zeros((dim, dim), dtype=complex)
-    for u, c in enumerate(counts):
-        if c:
-            total += c * np.asarray(tests[u])
-    inv_sqrt, supp = pinv_sqrt(total)
     rho = state.matrix if hasattr(state, "matrix") else np.asarray(state)
-    q = np.empty(len(tests))
-    for u in range(len(tests)):
-        q[u] = real_trace(inv_sqrt @ np.asarray(tests[u]) @ inv_sqrt, rho)
+    q, p_fail = _pgm_table(_frozen(np.asarray(tests)), _frozen(counts), _frozen(rho))
     probs = np.clip(q[labels], 0.0, None)
-    p_fail = max(real_trace(np.eye(dim) - supp, rho), 0.0)
     vec = np.concatenate([probs, [p_fail]])
     total_mass = float(vec.sum())
     if abs(total_mass - 1.0) > 1e-6:

@@ -434,7 +434,15 @@ def _merge_atoms(values, probs, tol):
     pm = np.add.reduceat(p, starts)
     vm = np.add.reduceat(p * v, starts)
     safe = pm > 0.0
-    vm = np.where(safe, vm / np.where(safe, pm, 1.0), v[starts])
+    lo = v[starts]
+    vm = np.where(safe, vm / np.where(safe, pm, 1.0), lo)
+    # A weighted mean of subnormal masses can land far outside its group,
+    # even out of order; pull such a value back into [first, last].  Values
+    # off by rounding alone (within tol) are kept as computed.
+    hi = v[np.append(starts[1:], v.size) - 1]
+    off = (vm < lo - tol) | (vm > hi + tol)
+    if off.any():
+        vm[off] = np.clip(vm[off], lo[off], hi[off])
     keep = pm > 0.0
     return vm[keep], pm[keep]
 

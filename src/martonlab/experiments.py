@@ -417,9 +417,11 @@ def run_experiment(channel, design: InputDesign, params: RateParams, trials: int
     except InfeasibleRates:
         theorem_valid = False
 
+    log_ratio = llr_table(design.joint)
     fixed_cb: Codebook | None = None
     if not resample_codebook:
-        fixed_cb = generate_codebook(design, params, mix64(seed, 0xC0DEB00C), n)
+        fixed_cb = generate_codebook(design, params, mix64(seed, 0xC0DEB00C), n,
+                                     log_ratio=log_ratio)
 
     if setting == "classical":
         names = ("e1", "e2b", "e2c", "e3b", "e3c", "message_error", "index_error")
@@ -432,7 +434,7 @@ def run_experiment(channel, design: InputDesign, params: RateParams, trials: int
     for t in range(trials):
         trial_key = mix64(seed, t)
         cb = fixed_cb if fixed_cb is not None else generate_codebook(
-            design, params, trial_key, n)
+            design, params, trial_key, n, log_ratio=log_ratio)
         msg_rng = SeededRng(trial_key, 101)
         u = msg_rng.random(2)
         m1 = min(int(u[0] * n_m1), n_m1 - 1)

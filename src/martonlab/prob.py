@@ -8,6 +8,7 @@ the default accepts only errors at the level of float rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -131,6 +132,11 @@ class JointPmf:
 
     def marginals(self) -> tuple:
         """Row and column marginal pmfs, renormalized exactly to 1."""
+        return self._marginals
+
+    @functools.cached_property
+    def _marginals(self) -> tuple:
+        # built once per instance: the joint and both Pmfs are immutable
         row = self.probs.sum(axis=1)
         col = self.probs.sum(axis=0)
         return (

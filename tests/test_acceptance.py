@@ -31,7 +31,7 @@ from martonlab.channels import (
 )
 from martonlab.coding import RateParams, generate_codebook, select_band_exponents
 from martonlab.divergences import classical_i0, classical_i_infty, quantum_i0_cq
-from martonlab.experiments import achieved_divergences, run_experiment
+from martonlab.experiments import achieved_divergences, json_digest, run_experiment
 from martonlab.prob import JointPmf
 from martonlab.quantum import hayashi_nagaoka_check
 from martonlab.rng import mix64
@@ -145,6 +145,28 @@ def test_criterion_2_quantum_event_bounds():
                     f"worst (rate - bound - 3sigma): e1 {worst['e1']:+.4f} "
                     f"e2 {worst['e2']:+.4f} e3 {worst['e3']:+.4f}")
     assert ok
+
+
+def test_qubit_runs_replay_golden_counts_and_report():
+    # cq runs pinned bit for bit: one resampling a codebook per trial, one
+    # with a fixed codebook, each compared by event counts and report digest
+    golden = json.loads((DATA / "golden_qubit_replay.json").read_text())
+    eps0, eps_infty, eps_tilde = 0.05, 0.25, 0.125
+    for run in golden["runs"]:
+        theta, tops, rho, r1, r2, override, seed = QUBIT_POINTS[run["point"]]
+        channel = _qubit_cq(theta, tops)
+        design = _pair_design([[0.25 + rho, 0.25 - rho], [0.25 - rho, 0.25 + rho]])
+        i0b, i0c, i_inf = achieved_divergences(channel, design, eps0, eps_infty)
+        params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=eps_tilde,
+                            eps0=eps0, eps_infty=eps_infty, i0b=i0b, i0c=i0c,
+                            i_infty=i_inf if override is None else override)
+        report = run_experiment(channel, design, params, run["trials"], seed,
+                                resample_codebook=run["resample_codebook"])
+        doc = report.to_json()
+        doc.pop("started_at")
+        doc.pop("wall_clock_s")
+        assert report.counts() == run["counts"]
+        assert json_digest(doc) == run["sha256"]
 
 
 COVERING_GRID = [

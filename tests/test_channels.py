@@ -104,6 +104,17 @@ class TestCqChannel:
         assert_allclose(ch.rho_c("0"), np.diag([0.8, 0.2]), atol=1e-12)
         assert_allclose(np.trace(ch.rho_b("1")), 1.0, atol=1e-12)
 
+    def test_reduced_states_are_shared_read_only_partial_traces(self):
+        ch = qubit_cq_channel()
+        for x in ch.x_alphabet:
+            rho = ch.state(x).matrix
+            for got, keep in ((ch.rho_b(x), (0,)), (ch.rho_c(x), (1,))):
+                assert np.array_equal(got, partial_trace(rho, (ch.dim_b, ch.dim_c), keep))
+                assert not got.flags.writeable
+            assert ch.rho_b(x) is ch.rho_b(x)
+        with pytest.raises(ValidationError):
+            ch.rho_b("nope")
+
     def test_state_dim_validation(self):
         with pytest.raises(ValidationError):
             CqBroadcastChannel(("0",), 2, 2, (DensityOperator(np.eye(2) / 2),))

@@ -426,3 +426,80 @@ class TestParserBehavior:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in output")
+
+
+def _float_text(lo, hi):
+    """Mostly values in [lo, hi], so that whole runs succeed, else any float text."""
+    hostile = (st.floats().map(repr)
+               | st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309", "-1e309", "-0.0"]))
+    return st.one_of([st.floats(lo, hi, exclude_min=True).map(repr)] * 4 + [hostile])
+
+
+_FLOAT_TEXT = _float_text(0.0, 64.0)
+_PROB_TEXT = _float_text(0.0, 0.3)
+_POWER_TEXT = _PROB_TEXT | st.tuples(_FLOAT_TEXT, _FLOAT_TEXT).map("^".join)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _argv(command, **flags):
+    return st.fixed_dictionaries(flags).map(
+        lambda d: [command] + [f"--{k.replace('_', '-')}={v}" for k, v in d.items()])
+
+
+# small codebook sides, trial counts and block sizes keep every run cheap
+NUMERIC_FLAG_ARGVS = (
+    _argv("region", i0b=_FLOAT_TEXT, i0c=_FLOAT_TEXT, i_infty=_FLOAT_TEXT,
+          eps_tilde=_PROB_TEXT, eps0=_PROB_TEXT, eps_infty=_PROB_TEXT, gamma=_PROB_TEXT)
+    | _argv("bands", R1=_ints(-2**70, 2**70) | _ints(-1, 8), R2=_ints(-1, 8),
+            i0b=_FLOAT_TEXT, i0c=_FLOAT_TEXT, i_infty=_float_text(0.0, 8.0),
+            eps_tilde=_float_text(0.0, 0.125))
+    | _argv("covering", r=_ints(-2, 64), s=_ints(-2, 64), q=_POWER_TEXT, alpha=_POWER_TEXT,
+            trials=_ints(-2, 30), seed=_ints(-2**65, 2**65))
+    | _argv("covering", r=_ints(1, 16), s=_ints(1, 16), q=_PROB_TEXT, alpha=_PROB_TEXT,
+            trials=_ints(1, 20), i_infty=_FLOAT_TEXT, eps0=_PROB_TEXT).map(
+                lambda argv: argv + ["--design", "{design}"])
+    | _argv("iid-curve", eps=_PROB_TEXT,
+            n=st.lists(st.integers(-1, 24), min_size=1, max_size=3).map(
+                lambda ns: ",".join(map(str, ns)))).map(lambda argv: argv + ["--base", "{joint}"])
+    | _argv("divergence", eps=_PROB_TEXT, kind=st.sampled_from(["i0", "i-infty"])).map(
+        lambda argv: argv + ["--joint", "{joint}"])
+)
+
+
+class TestNumericFlags:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=NUMERIC_FLAG_ARGVS)
+    def test_any_flag_value_exits_by_contract(self, tmp_path, outdir, capsys, argv):
+        files = {"joint": write_json(tmp_path / "j.json", DSBS40),
+                 "design": write_json(tmp_path / "d.json", design_doc(DSBS45))}
+        rc = main([a.format(**files) for a in argv])
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2, 3)
+        assert rc != 1 or argv[0] == "covering"
+        assert "Traceback" not in err
+        if rc in (2, 3):
+            assert "error: " in err
+        if out:
+            json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("argv", [
+        ["bands", "--R1", "1", "--R2", "1", "--i0b", "inf", "--i0c", "30",
+         "--i-infty", "2", "--eps-tilde", "0.0625"],
+        ["region", "--i0b", "nan", "--i0c", "25", "--i-infty", "2",
+         "--eps-tilde", "0.0625", "--eps0", "0.01"],
+        ["covering", "--r", "8", "--s", "8", "--q", "2^2000", "--alpha", "0.25",
+         "--trials", "10"],
+        ["covering", "--r", "8", "--s", "8", "--q", "-8^0.5", "--alpha", "0.25",
+         "--trials", "10"],
+    ])
+    def test_non_finite_or_complex_flag_is_parse_error(self, outdir, capsys, argv):
+        assert main(argv) == 3
+        assert "error: " in capsys.readouterr().err

@@ -30,7 +30,7 @@ from martonlab.coding import (
 from martonlab.divergences import classical_i_infty, llr_table
 from martonlab.errors import InfeasibleRates, SupportOverflowError, ValidationError
 from martonlab.prob import JointPmf
-from martonlab.quantum import pretty_good_measurement
+from martonlab.quantum import DensityOperator, pinv_sqrt, pretty_good_measurement, real_trace
 from martonlab.rng import SeededRng
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
@@ -114,6 +114,26 @@ def positionwise_tail_mass(word, x, llr, trans, tau, merge_tol=1e-12, atom_cap=1
 def gather_sum_matches(llr, tau, words, received):
     """Threshold membership by gathering and summing each row's llr values."""
     return llr[words, received[None, :]].sum(axis=1) >= tau - DECODE_TOL
+
+
+def uncached_pgm_probabilities(words, tests, state):
+    """PGM outcome probabilities with S^{-1/2} built afresh on every call."""
+    labels = words[:, 0]
+    dim = np.asarray(tests[0]).shape[0]
+    counts = np.bincount(labels, minlength=len(tests))
+    total = np.zeros((dim, dim), dtype=complex)
+    for u, c in enumerate(counts):
+        if c:
+            total += c * np.asarray(tests[u])
+    inv_sqrt, supp = pinv_sqrt(total)
+    rho = state.matrix if hasattr(state, "matrix") else np.asarray(state)
+    q = np.empty(len(tests))
+    for u in range(len(tests)):
+        q[u] = real_trace(inv_sqrt @ np.asarray(tests[u]) @ inv_sqrt, rho)
+    probs = np.clip(q[labels], 0.0, None)
+    p_fail = max(real_trace(np.eye(dim) - supp, rho), 0.0)
+    vec = np.concatenate([probs, [p_fail]])
+    return vec / float(vec.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -692,3 +712,46 @@ class TestPgmDecoder:
         with pytest.raises(ValidationError):
             pgm_outcome_probabilities(np.zeros((2, 3), dtype=np.int64),
                                       [np.eye(2)], np.diag([1.0, 0.0]))
+
+    def test_cached_tables_match_uncached_oracle(self, np_rng):
+        from tests.conftest import rand_psd, rand_state
+
+        for _ in range(40):
+            dim = int(np_rng.integers(2, 5))
+            n_labels = int(np_rng.integers(2, 5))
+            tests = [rand_psd(np_rng, dim, rank=int(np_rng.integers(1, dim + 1)))
+                     for _ in range(n_labels)]
+            tests = [t / (np.linalg.eigvalsh(t).max() + 0.1) for t in tests]
+            # label 0 never occurs in the codebook
+            words = np_rng.integers(1, n_labels, size=(int(np_rng.integers(1, 300)), 1))
+            states = [rand_state(np_rng, dim), DensityOperator(rand_state(np_rng, dim, rank=1))]
+            for state in states + states:  # the second pass reads cached tables
+                got = pgm_outcome_probabilities(words, tests, state)
+                assert np.array_equal(got, uncached_pgm_probabilities(words, tests, state))
+
+    def test_cached_completion_outcome_matches_oracle(self, np_rng):
+        # rank-one tests in dimension 3 leave S a kernel the state reaches
+        from tests.conftest import rand_psd, rand_state
+
+        tests = [rand_psd(np_rng, 3, rank=1) for _ in range(2)]
+        tests = [t / (np.linalg.eigvalsh(t).max() + 0.1) for t in tests]
+        words = np.array([[0], [1], [1], [0], [1]])
+        state = rand_state(np_rng, 3)
+        for _ in range(2):
+            got = pgm_outcome_probabilities(words, tests, state)
+            assert got[-1] > 0.01
+            assert np.array_equal(got, uncached_pgm_probabilities(words, tests, state))
+
+    def test_table_cache_keys_on_content(self):
+        # equal contents in new objects hit the cache; changed contents miss it
+        tests = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
+        words = np.array([[0], [1], [1], [0]])
+        state = np.diag([0.6, 0.4])
+        first = pgm_outcome_probabilities(words, tests, state)
+        again = pgm_outcome_probabilities(words.copy(), [t.copy() for t in tests], state.copy())
+        assert np.array_equal(first, again)
+        fewer = pgm_outcome_probabilities(words[:3], tests, state)
+        assert np.array_equal(fewer, uncached_pgm_probabilities(words[:3], tests, state))
+        other = pgm_outcome_probabilities(words, tests, np.diag([0.1, 0.9]))
+        assert np.array_equal(other, uncached_pgm_probabilities(words, tests, np.diag([0.1, 0.9])))
+        assert not np.array_equal(first, other)

@@ -306,6 +306,16 @@ class TestSpectra:
         res = spectrum_i_infty(s, 0.1)
         assert_allclose(verify_witness(res, spectrum=s), res.value, atol=1e-9)
 
+    def test_subnormal_masses_keep_atoms_ascending(self):
+        # at n=256 the smallest masses are subnormal; their weighted-mean
+        # values used to fall outside their merge groups, out of order
+        erasure = JointPmf(("0", "1"), ("0", "e", "1"),
+                           np.array([[0.425, 0.05, 0.025], [0.025, 0.05, 0.425]]))
+        s = iid_llr_spectrum(erasure, 256)
+        assert s.probs.min() < np.finfo(float).tiny
+        assert np.all(np.diff(s.values) > 0)
+        assert_allclose(s.mean(), 256 * mutual_information(erasure), rtol=1e-9)
+
     def test_spectrum_validation(self):
         with pytest.raises(ValidationError):
             LlrSpectrum(np.array([1.0, 0.5]), np.array([0.5, 0.5]))

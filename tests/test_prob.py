@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -76,7 +78,71 @@ class TestPmf:
             Pmf.from_json({"labels": ["a"]})
 
 
+def philox_oracle(master_seed: int, stream_id: int) -> np.random.Generator:
+    """The stream as its own Philox generator, as SeededRng once held it."""
+    return np.random.Generator(np.random.Philox(key=np.array([master_seed, stream_id], dtype=np.uint64)))
+
+
+def random_sizes(np_rng, count: int) -> list:
+    pick = [None, int(np_rng.integers(0, 9)), (int(np_rng.integers(1, 4)), int(np_rng.integers(0, 5)))]
+    return [pick[int(np_rng.integers(3))] for _ in range(count)]
+
+
 class TestSeededRng:
+    def test_matches_philox_oracle_under_interleaving(self, np_rng):
+        cdf = np.array([0.1, 0.35, 0.35, 0.8, 1.0])
+        edge = [(0, 0), (2**64 - 1, 2**64 - 1), (42, 0)]
+        for _ in range(100):
+            keys = edge + [(int(np_rng.integers(2**64, dtype=np.uint64)),
+                            int(np_rng.integers(2**64, dtype=np.uint64))) for _ in range(3)]
+            streams = [SeededRng(*k) for k in keys]
+            oracles = [philox_oracle(*k) for k in keys]
+            for size in random_sizes(np_rng, 12):
+                i = int(np_rng.integers(len(keys)))
+                if np_rng.random() < 0.5:
+                    got, want = streams[i].random(size), oracles[i].random(size)
+                else:
+                    got = streams[i].choice_index(cdf, size)
+                    want = np.searchsorted(cdf, oracles[i].random(size), side="right")
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+    def test_threads_on_distinct_streams_match_sequential_draws(self, np_rng):
+        # more threads than cores and a short switch interval, so draws
+        # interleave; a scratch generator shared across threads would mix states
+        keys = [(7, t) for t in range(6)]
+        plans = [random_sizes(np_rng, 300) for _ in keys]
+        oracles = [philox_oracle(*k) for k in keys]
+        want = [[o.random(size) for size in plan] for o, plan in zip(oracles, plans)]
+        got = [[] for _ in keys]
+
+        def work(t):
+            rng = SeededRng(*keys[t])
+            got[t].extend(rng.random(size) for size in plans[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(keys))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+    def test_choice_index_draws_without_calling_random(self, monkeypatch):
+        # instrumentation wrapping random() must not count choice_index's draws twice
+        def no_random(self, size=None):
+            raise AssertionError("choice_index drew through random()")
+
+        monkeypatch.setattr(SeededRng, "random", no_random)
+        assert SeededRng(3, 4).choice_index(np.array([0.5, 1.0]), 6).shape == (6,)
+
     def test_golden_sequences(self):
         assert_allclose(SeededRng(42, 0).random(10), GOLDEN_42_0, rtol=0, atol=0)
         assert_allclose(SeededRng(42, 1).random(4), GOLDEN_42_1, rtol=0, atol=0)
@@ -110,6 +176,9 @@ class TestJointPmf:
         pu, pv = j.marginals()
         assert_allclose(pu.probs, [0.4, 0.6])
         assert_allclose(pv.probs, [0.4, 0.4, 0.2])
+        # built once and shared: both pmfs are immutable
+        assert j.marginals() is j.marginals()
+        assert not pu.probs.flags.writeable
 
     def test_sampling_matches_cell_masses(self):
         j = JointPmf(("0", "1"), ("0", "1"), [[0.4, 0.1], [0.1, 0.4]])
