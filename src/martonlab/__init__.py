@@ -60,7 +60,7 @@ from .errors import (
     SupportOverflowError,
     ValidationError,
 )
-from .experiments import ExperimentReport, achieved_divergences, run_experiment
+from .experiments import ExperimentReport, Scheme, achieved_divergences, run_experiment
 from .prob import JointPmf, Pmf, mutual_information
 from .rng import SeededRng, mix64
 
@@ -90,6 +90,7 @@ __all__ = [
     "QuantumEventBounds",
     "RateParams",
     "RateRegion",
+    "Scheme",
     "SeededRng",
     "SupportOverflowError",
     "ValidationError",

@@ -236,8 +236,14 @@ class InputDesign:
         except KeyError:
             raise ValidationError(f"f undefined at ({u!r}, {v!r})") from None
 
-    def marginals(self):
-        return self.joint.marginals()
+    def x_indices(self, channel) -> np.ndarray:
+        """f as channel input indices over the (u, v) grid, -1 where f is undefined."""
+        out = np.full(self.joint.shape, -1, dtype=np.int64)
+        for i, u in enumerate(self.joint.row_labels):
+            for j, v in enumerate(self.joint.col_labels):
+                if (u, v) in self.f:
+                    out[i, j] = channel.x_index(self.f[(u, v)])
+        return out
 
     def to_json(self) -> dict:
         for u, v in self.f:
@@ -261,21 +267,10 @@ class InputDesign:
         return cls(JointPmf.from_json(data["uv"]), fmap)
 
 
-def _x_indices(design: InputDesign, channel) -> np.ndarray:
-    """f as an index matrix over the design's (u, v) grid; -1 off support."""
-    joint = design.joint
-    out = np.full(joint.shape, -1, dtype=np.int64)
-    for i, u in enumerate(joint.row_labels):
-        for j, v in enumerate(joint.col_labels):
-            if joint.probs[i, j] > 0.0 or (u, v) in design.f:
-                out[i, j] = channel.x_index(design.x_of(u, v))
-    return out
-
-
 def build_classical_joints(channel: ClassicalBroadcastChannel, design: InputDesign):
     """Joints p(u, y) and p(v, z) induced by a design on a classical channel."""
     joint = design.joint
-    fx = _x_indices(design, channel)
+    fx = design.x_indices(channel)
     py_x = channel.marginal_y()
     pz_x = channel.marginal_z()
     p_uy = np.zeros((joint.shape[0], py_x.shape[1]))
@@ -292,38 +287,37 @@ def build_classical_joints(channel: ClassicalBroadcastChannel, design: InputDesi
     )
 
 
+def _ensemble(channel: CqBroadcastChannel, design: InputDesign, side: int):
+    """One receiver's register pmf and conditional states, averaged over the other register.
+
+    Side 0 is Bob (register u, states on B), side 1 Charlie (register v, states on C).
+    """
+    probs = design.joint.probs
+    fx = design.x_indices(channel)
+    marginal = probs.sum(axis=1 - side)
+    if side:
+        probs, fx = probs.T, fx.T
+    reduced = channel.rho_c if side else channel.rho_b
+    rho = [reduced(x) for x in channel.x_alphabet]
+    dim = (channel.dim_b, channel.dim_c)[side]
+    states = []
+    for i in range(probs.shape[0]):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for j in range(probs.shape[1]):
+            if probs[i, j] > 0.0:
+                acc += probs[i, j] * rho[fx[i, j]]
+        states.append(acc / marginal[i] if marginal[i] > 0.0 else acc)
+    return marginal, states
+
+
 def bob_ensemble(channel: CqBroadcastChannel, design: InputDesign):
     """Register distribution p(u) and conditional B states, averaged over v."""
-    joint = design.joint
-    fx = _x_indices(design, channel)
-    pu = joint.probs.sum(axis=1)
-    rho_b = [channel.rho_b(x) for x in channel.x_alphabet]
-    db = channel.dim_b
-    states = []
-    for i in range(joint.shape[0]):
-        acc = np.zeros((db, db), dtype=complex)
-        for j in range(joint.shape[1]):
-            if joint.probs[i, j] > 0.0:
-                acc += joint.probs[i, j] * rho_b[fx[i, j]]
-        states.append(acc / pu[i] if pu[i] > 0.0 else acc)
-    return pu, states
+    return _ensemble(channel, design, 0)
 
 
 def charlie_ensemble(channel: CqBroadcastChannel, design: InputDesign):
     """Register distribution p(v) and conditional C states, averaged over u."""
-    joint = design.joint
-    fx = _x_indices(design, channel)
-    pv = joint.probs.sum(axis=0)
-    rho_c = [channel.rho_c(x) for x in channel.x_alphabet]
-    dc = channel.dim_c
-    states = []
-    for j in range(joint.shape[1]):
-        acc = np.zeros((dc, dc), dtype=complex)
-        for i in range(joint.shape[0]):
-            if joint.probs[i, j] > 0.0:
-                acc += joint.probs[i, j] * rho_c[fx[i, j]]
-        states.append(acc / pv[j] if pv[j] > 0.0 else acc)
-    return pv, states
+    return _ensemble(channel, design, 1)
 
 
 def build_joint_state(channel: CqBroadcastChannel, design: InputDesign, dim_cap: int = 4096):
@@ -337,7 +331,7 @@ def build_joint_state(channel: CqBroadcastChannel, design: InputDesign, dim_cap:
     total = nu * nv * db * dc
     if total > dim_cap:
         raise ValidationError(f"joint state dimension {total} exceeds cap {dim_cap}")
-    fx = _x_indices(design, channel)
+    fx = design.x_indices(channel)
     out = np.zeros((total, total), dtype=complex)
     block = db * dc
     for i in range(nu):

@@ -30,7 +30,7 @@ from .channels import InputDesign, channel_from_json
 from .coding import RateParams, select_band_exponents
 from .divergences import classical_i0, classical_i_infty
 from .errors import InfeasibleRates, MartonlabError, ValidationError
-from .experiments import achieved_divergences, run_experiment
+from .experiments import Scheme
 from .prob import JointPmf
 
 __all__ = ["main"]
@@ -81,6 +81,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _int64(text: str) -> int:
+    """argparse type of the rate and count flags: integers of magnitude below 2^63."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}") from None
+    if not -2**63 < value < 2**63:
+        raise argparse.ArgumentTypeError("must lie strictly between -2^63 and 2^63")
     return value
 
 
@@ -384,10 +395,10 @@ def _cmd_simulate(args) -> int:
                 f"budget consistency fails: required total {budget:.6f} exceeds eps = {eps}")
 
     try:
-        i0b, i0c, i_infty = achieved_divergences(
-            channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
+        scheme = Scheme(channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
     except ValidationError as e:
         raise _InfeasibleConfig(str(e))
+    i0b, i0c, i_infty = (scheme.achieved[k] for k in ("i0b", "i0c", "i_infty"))
 
     R1, R2 = _resolve_rates(rates, i0b, i0c, i_infty, eps_tilde)
     if bands is not None:
@@ -402,8 +413,7 @@ def _cmd_simulate(args) -> int:
         params = RateParams(R1=R1, R2=R2, r1=r1, r2=r2, eps_tilde=eps_tilde,
                             eps0=eps0, eps_infty=eps_infty, i0b=i0b, i0c=i0c,
                             i_infty=i_infty)
-        report = run_experiment(channel, design, params, trials, seed, n=n,
-                                resample_codebook=resample, i0_method=i0_method)
+        report = scheme.run(params, trials, seed, resample_codebook=resample)
     except (InfeasibleRates, ValidationError) as e:
         raise _InfeasibleConfig(str(e))
 
@@ -453,8 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("bands", help="select band exponents for given rates and budgets")
-    p.add_argument("--R1", type=int, required=True)
-    p.add_argument("--R2", type=int, required=True)
+    p.add_argument("--R1", type=_int64, required=True)
+    p.add_argument("--R2", type=_int64, required=True)
     p.add_argument("--i0b", type=_finite_float, required=True)
     p.add_argument("--i0c", type=_finite_float, required=True)
     p.add_argument("--i-infty", dest="i_infty", type=_finite_float, required=True)
@@ -471,11 +481,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("covering", help="covering-inequality Monte Carlo")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--r", type=_int64, required=True)
+    p.add_argument("--s", type=_int64, required=True)
     p.add_argument("--q", required=True, help="float or power syntax like 2^-10")
     p.add_argument("--alpha", required=True, help="float or power syntax")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int64, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="paired", choices=("paired", "independent"))
     p.add_argument("--design", default=None,

@@ -288,7 +288,20 @@ def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int
 # acceptance-probability evaluators
 
 
-class ClassicalSetEvaluator:
+class _PairEvaluator:
+    """The input map x = f(u, v) the evaluators apply symbol by symbol."""
+
+    def __init__(self, channel, design: InputDesign):
+        self.fx = design.x_indices(channel)
+
+    def x_of_pair(self, row_word: np.ndarray, col_word: np.ndarray) -> np.ndarray:
+        x = self.fx[row_word, col_word]
+        if np.any(x < 0):
+            raise ValidationError("input map undefined for a sampled pair")
+        return x
+
+
+class ClassicalSetEvaluator(_PairEvaluator):
     """Desk-scale acceptance tables from explicit decoding sets.
 
     ``a1_mask[u, y]`` flags membership of (u, y) in Bob's set; alpha of a
@@ -297,12 +310,8 @@ class ClassicalSetEvaluator:
     """
 
     def __init__(self, channel, design: InputDesign, a1_mask, a2_mask):
+        super().__init__(channel, design)
         joint = design.joint
-        self.fx = np.full(joint.shape, -1, dtype=np.int64)
-        for i, u in enumerate(joint.row_labels):
-            for j, v in enumerate(joint.col_labels):
-                if (u, v) in design.f:
-                    self.fx[i, j] = channel.x_index(design.f[(u, v)])
         a1 = np.asarray(a1_mask, dtype=bool)
         a2 = np.asarray(a2_mask, dtype=bool)
         py = channel.marginal_y()
@@ -313,18 +322,12 @@ class ClassicalSetEvaluator:
         self.alpha_table = a1.astype(float) @ py.T
         self.beta_table = a2.astype(float) @ pz.T
 
-    def x_of_pair(self, row_word: np.ndarray, col_word: np.ndarray) -> np.ndarray:
-        x = self.fx[row_word, col_word]
-        if np.any(x < 0):
-            raise ValidationError("input map undefined for a sampled pair")
-        return x
-
     def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
         x = self.x_of_pair(row_word, col_word)
         return float(self.alpha_table[row_word[0], x[0]]), float(self.beta_table[col_word[0], x[0]])
 
 
-class ClassicalThresholdEvaluator:
+class ClassicalThresholdEvaluator(_PairEvaluator):
     """Blocklength-n acceptance probabilities for llr threshold sets.
 
     alpha is the exact probability, via convolution, that the summed
@@ -343,12 +346,7 @@ class ClassicalThresholdEvaluator:
 
     def __init__(self, channel, design: InputDesign, llr1: np.ndarray, llr2: np.ndarray,
                  tau1: float, tau2: float, merge_tol: float = 1e-12, atom_cap: int = 100_000):
-        joint = design.joint
-        self.fx = np.full(joint.shape, -1, dtype=np.int64)
-        for i, u in enumerate(joint.row_labels):
-            for j, v in enumerate(joint.col_labels):
-                if (u, v) in design.f:
-                    self.fx[i, j] = channel.x_index(design.f[(u, v)])
+        super().__init__(channel, design)
         self.py = channel.marginal_y()
         self.pz = channel.marginal_z()
         self.llr1 = np.asarray(llr1, dtype=float)
@@ -360,12 +358,6 @@ class ClassicalThresholdEvaluator:
         self._sides = ((self.llr1, self.py, self.tau1), (self.llr2, self.pz, self.tau2))
         # (side, u, x) -> [k-fold step distribution for k = 0, 1, ...]
         self._powers = {}
-
-    def x_of_pair(self, row_word: np.ndarray, col_word: np.ndarray) -> np.ndarray:
-        x = self.fx[row_word, col_word]
-        if np.any(x < 0):
-            raise ValidationError("input map undefined for a sampled pair")
-        return x
 
     def _convolve(self, a: tuple, b: tuple) -> tuple:
         """(values, probs) of the sum of independent a and b, atoms merged."""
@@ -407,7 +399,7 @@ class ClassicalThresholdEvaluator:
         return self._tail_mass(0, row_word, x), self._tail_mass(1, col_word, x)
 
 
-class QuantumPairEvaluator:
+class QuantumPairEvaluator(_PairEvaluator):
     """Desk-scale acceptance tables Tr[test_u rho_b(x)] and Tr[test_v rho_c(x)].
 
     The per-label test operators come from the order-zero divergence
@@ -415,12 +407,8 @@ class QuantumPairEvaluator:
     """
 
     def __init__(self, channel, design: InputDesign, bob_tests, charlie_tests):
+        super().__init__(channel, design)
         joint = design.joint
-        self.fx = np.full(joint.shape, -1, dtype=np.int64)
-        for i, u in enumerate(joint.row_labels):
-            for j, v in enumerate(joint.col_labels):
-                if (u, v) in design.f:
-                    self.fx[i, j] = channel.x_index(design.f[(u, v)])
         nx = len(channel.x_alphabet)
         rho_b = [channel.rho_b(x) for x in channel.x_alphabet]
         rho_c = [channel.rho_c(x) for x in channel.x_alphabet]
@@ -432,12 +420,6 @@ class QuantumPairEvaluator:
         for v, test in enumerate(charlie_tests):
             for x in range(nx):
                 self.beta_table[v, x] = real_trace(test, rho_c[x])
-
-    def x_of_pair(self, row_word: np.ndarray, col_word: np.ndarray) -> np.ndarray:
-        x = self.fx[row_word, col_word]
-        if np.any(x < 0):
-            raise ValidationError("input map undefined for a sampled pair")
-        return x
 
     def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
         x = self.x_of_pair(row_word, col_word)

@@ -1,8 +1,8 @@
 """Monte Carlo trial harness comparing empirical event rates to the bounds.
 
-A run derives the decoding machinery (explicit sets, llr thresholds, or
-measurement test operators) from the channel and design at the smoothing
-parameters carried by RateParams, executes seeded trials, and aggregates
+A Scheme derives the decoding machinery (explicit sets, llr thresholds, or
+measurement test operators) once from the channel and design at a pair of
+smoothing parameters; its run executes seeded trials and aggregates
 per-event counts with Clopper-Pearson limits next to every applicable
 closed-form bound.
 """
@@ -13,7 +13,7 @@ import datetime
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .rng import SeededRng, mix64
 __all__ = [
     "EventStats",
     "ExperimentReport",
+    "Scheme",
     "achieved_divergences",
     "run_experiment",
     "json_digest",
@@ -138,26 +139,10 @@ class ExperimentReport:
         return {e.name: e.hits for e in self.events}
 
     def to_json(self) -> dict:
-        return {
-            "setting": self.setting,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "resample_codebook": self.resample_codebook,
-            "i0_method": self.i0_method,
-            "params": self.params,
-            "achieved": self.achieved,
-            "scheme": self.scheme,
-            "channel_digest": self.channel_digest,
-            "design_digest": self.design_digest,
-            "codebook_digest": self.codebook_digest,
-            "theorem_valid": self.theorem_valid,
-            "bounds": self.bounds,
-            "events": [e.to_json() for e in self.events],
-            "any_violation": self.any_violation,
-            "started_at": self.started_at,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        doc = asdict(self)
+        doc["events"] = [e.to_json() for e in self.events]
+        doc["any_violation"] = self.any_violation
+        return doc
 
     def to_csv_rows(self) -> list:
         rows = [("event", "hits", "trials", "rate", "lower95", "upper95",
@@ -170,12 +155,6 @@ class ExperimentReport:
         return rows
 
 
-def _params_json(params: RateParams) -> dict:
-    names = ("R1", "R2", "r1", "r2", "eps_tilde", "eps0", "eps_infty",
-             "i0b", "i0c", "i_infty")
-    return {k: getattr(params, k) for k in names}
-
-
 def _mask_from_cells(joint, cells) -> np.ndarray:
     mask = np.zeros(joint.shape, dtype=bool)
     for u, v in cells:
@@ -183,197 +162,233 @@ def _mask_from_cells(joint, cells) -> np.ndarray:
     return mask
 
 
-def _check_achieved(params: RateParams, i0b: float, i0c: float, i_infty: float) -> dict:
-    if params.i0b > i0b + _ACHIEVED_SLACK:
-        raise ValidationError(
-            f"params.i0b = {params.i0b} exceeds the achieved order-zero value {i0b:.6f}")
-    if params.i0c > i0c + _ACHIEVED_SLACK:
-        raise ValidationError(
-            f"params.i0c = {params.i0c} exceeds the achieved order-zero value {i0c:.6f}")
-    if params.i_infty < i_infty - _ACHIEVED_SLACK:
+def _check_achieved(params: RateParams, achieved: dict) -> None:
+    for name in ("i0b", "i0c"):
+        if getattr(params, name) > achieved[name] + _ACHIEVED_SLACK:
+            raise ValidationError(f"params.{name} = {getattr(params, name)} exceeds the "
+                                  f"achieved order-zero value {achieved[name]:.6f}")
+    if params.i_infty < achieved["i_infty"] - _ACHIEVED_SLACK:
         raise ValidationError(
             f"params.i_infty = {params.i_infty} is below the achieved max-divergence "
-            f"value {i_infty:.6f}; the rejection indicator would overshoot")
-    return {"i0b": i0b, "i0c": i0c, "i_infty": i_infty}
+            f"value {achieved['i_infty']:.6f}; the rejection indicator would overshoot")
+
+
+def _event_rows(setting, counts, trials, eb, params, theorem_valid):
+    """Each event's stats next to its bound, capped by the theorem's where that applies."""
+
+    def row(name, bound, bound_name, thm=None, thm_name=None):
+        if theorem_valid and thm is not None:
+            bound, bound_name = min(bound, thm), f"min({bound_name}, {thm_name})"
+        return _stats(name, counts[name], trials, min(1.0, bound), bound_name)
+
+    rows = [row("e1", eb.e1_formula, "e1 formula", eb.e1_theorem, "36*eps_tilde")]
+    if setting == "classical":
+        thm_name = "37*eps_tilde + 8*eps0"
+        rows += [row("e2b", eb.e2b, "4*eps0"), row("e2c", eb.e2c, "4*eps0"),
+                 row("e3b", eb.e3b_chain, "e3 chain", eb.e3_derived, "eps_tilde"),
+                 row("e3c", eb.e3c_chain, "e3 chain", eb.e3_derived, "eps_tilde")]
+    else:
+        thm_name = "40*eps_tilde + 16*eps0"
+        rows += [row("e2", eb.e2_chain, "e2 chain", eb.e2_theorem, "8*eps0 + 2*eps_tilde"),
+                 row("e3", eb.e3_chain, "e3 chain", eb.e3_theorem, "8*eps0 + 2*eps_tilde")]
+    thm = theorem_bounds(params.eps_tilde, params.eps0, setting)
+    for name in ("message_error", "index_error"):
+        rows.append(_stats(name, counts[name], trials, min(1.0, thm) if theorem_valid else None,
+                           thm_name if theorem_valid else None))
+    return rows
+
+
+class Scheme:
+    """The decoding machinery of one channel, design and smoothing pair, built once.
+
+    The smooth order-zero and max divergences and their witnesses fix the
+    decoders: explicit sets for single-letter classical runs, llr
+    thresholds for blocklength-n classical runs, Neyman-Pearson test
+    operators measured by the pretty good measurement for single-letter cq
+    runs.  ``achieved`` holds the divergence values they reach, so
+    RateParams built from them pass the consistency gate of ``run``;
+    ``describe`` is the report's ``scheme`` entry.
+    """
+
+    def __init__(self, channel, design: InputDesign, eps0: float, eps_infty: float,
+                 *, n: int = 1, i0_method: str = "greedy"):
+        if n < 1:
+            raise ValidationError("blocklength must be positive")
+        self.channel, self.design, self.n, self.i0_method = channel, design, n, i0_method
+        self.eps0, self.eps_infty = eps0, eps_infty
+        if isinstance(channel, CqBroadcastChannel):
+            if n != 1:
+                raise ValidationError("cq runs are single-letter; blocked states are out of reach")
+            self.setting = "quantum"
+            p_u, rho_bu = bob_ensemble(channel, design)
+            p_v, rho_cv = charlie_ensemble(channel, design)
+            res_b = quantum_i0_cq(p_u, rho_bu, eps0)
+            res_c = quantum_i0_cq(p_v, rho_cv, eps0)
+            self.bob_tests = np_test_blocks(
+                p_u, rho_bu, res_b.witness["lambda"], res_b.witness["boundary_weight"])
+            self.charlie_tests = np_test_blocks(
+                p_v, rho_cv, res_c.witness["lambda"], res_c.witness["boundary_weight"])
+            self.evaluator = QuantumPairEvaluator(channel, design, self.bob_tests,
+                                                  self.charlie_tests)
+            self.describe = {
+                "kind": "quantum-pgm",
+                "lambda_b": res_b.witness["lambda"],
+                "lambda_c": res_c.witness["lambda"],
+                "constraint_mass_b": res_b.witness["constraint_mass"],
+                "constraint_mass_c": res_c.witness["constraint_mass"],
+            }
+        elif isinstance(channel, ClassicalBroadcastChannel):
+            self.setting = "classical"
+            uy, vz = build_classical_joints(channel, design)
+            if n == 1:
+                res_b = classical_i0(uy, eps0, method=i0_method)
+                res_c = classical_i0(vz, eps0, method=i0_method)
+                if "cells" not in res_b.witness:
+                    raise ValidationError(
+                        f"i0 method {i0_method!r} does not produce a deterministic test set")
+                a1 = _mask_from_cells(uy, res_b.witness["cells"])
+                a2 = _mask_from_cells(vz, res_c.witness["cells"])
+                self.evaluator = ClassicalSetEvaluator(channel, design, a1, a2)
+                self.mem_b, self.mem_c = SetMembership(a1), SetMembership(a2)
+                self.describe = {"kind": "classical-set", "i0_method": i0_method}
+            else:
+                res_b = spectrum_i0(iid_llr_spectrum(uy, n), eps0, method="thresholded")
+                res_c = spectrum_i0(iid_llr_spectrum(vz, n), eps0, method="thresholded")
+                tau1, tau2 = res_b.witness["threshold"], res_c.witness["threshold"]
+                llr1, llr2 = llr_table(uy), llr_table(vz)
+                self.evaluator = ClassicalThresholdEvaluator(channel, design, llr1, llr2,
+                                                             tau1, tau2)
+                self.mem_b = ThresholdMembership(llr1, tau1)
+                self.mem_c = ThresholdMembership(llr2, tau2)
+                self.describe = {"kind": "classical-threshold", "tau1": tau1, "tau2": tau2}
+            self.describe.update(a1_mass=res_b.witness["mass"], a2_mass=res_c.witness["mass"])
+            self.sampler = ProductClassicalChannel(channel, n)
+        else:
+            raise ValidationError(f"unsupported channel type {type(channel).__name__}")
+        res_inf = (classical_i_infty(design.joint, eps_infty) if n == 1
+                   else classical_i_infty_iid(design.joint, n, eps_infty))
+        self.achieved = {"i0b": res_b.value, "i0c": res_c.value, "i_infty": res_inf.value}
+
+    def _transmit(self, x_word, rng):
+        if self.setting == "classical":
+            return self.sampler.sample_outputs(x_word, rng)
+        label = self.channel.x_alphabet[int(x_word[0])]
+        return self.channel.rho_b(label), self.channel.rho_c(label)
+
+    def _decode(self, codebook, rec_b, rec_c, rng_b, rng_c):
+        if self.setting == "classical":
+            return (decode_rows(codebook, rec_b, self.mem_b),
+                    decode_cols(codebook, rec_c, self.mem_c))
+        return (decode_pgm(codebook.rows, self.bob_tests, rec_b, codebook.row_band_of, rng_b),
+                decode_pgm(codebook.cols, self.charlie_tests, rec_c, codebook.col_band_of, rng_c))
+
+    def run(self, params: RateParams, trials: int, seed: int, *,
+            resample_codebook: bool = True) -> ExperimentReport:
+        """Run seeded coding trials and compare event rates against the bounds.
+
+        ``params`` must carry the scheme's eps0 and eps_infty, and divergence
+        values within its ``achieved``.  The default resamples a fresh codebook
+        every trial, matching the averaged-codebook analysis;
+        ``resample_codebook=False`` reuses one fixed codebook for the whole
+        run (the derandomized reading).
+        """
+        if trials < 1:
+            raise ValidationError("trials must be positive")
+        # mix64 reduces keys modulo 2^64, so a larger seed would replay another run
+        if not 0 <= seed < 2**64:
+            raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+        if params.eps0 != self.eps0 or params.eps_infty != self.eps_infty:
+            raise ValidationError(
+                f"params carry (eps0, eps_infty) = ({params.eps0}, {params.eps_infty}), "
+                f"the scheme was built for ({self.eps0}, {self.eps_infty})")
+        _check_achieved(params, self.achieved)
+        started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        t0 = time.monotonic()
+        setting, n = self.setting, self.n
+
+        try:
+            params.validate()
+            theorem_valid = True
+        except InfeasibleRates:
+            theorem_valid = False
+
+        log_ratio = llr_table(self.design.joint)
+        fixed_cb: Codebook | None = None
+        if not resample_codebook:
+            fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), n,
+                                         log_ratio=log_ratio)
+
+        if setting == "classical":
+            names = ("e1", "e2b", "e2c", "e3b", "e3c", "message_error", "index_error")
+        else:
+            names = ("e1", "e2", "e3", "message_error", "index_error")
+        counts = {name: 0 for name in names}
+
+        n_m1 = 1 << params.R1
+        n_m2 = 1 << params.R2
+        for t in range(trials):
+            trial_key = mix64(seed, t)
+            cb = fixed_cb if fixed_cb is not None else generate_codebook(
+                self.design, params, trial_key, n, log_ratio=log_ratio)
+            msg_rng = SeededRng(trial_key, 101)
+            u = msg_rng.random(2)
+            m1 = min(int(u[0] * n_m1), n_m1 - 1)
+            m2 = min(int(u[1] * n_m2), n_m2 - 1)
+            out = encode(cb, m1, m2, self.evaluator, params.eps0)
+            rec_b, rec_c = self._transmit(out.x_word, SeededRng(trial_key, 102))
+            res_b, res_c = self._decode(cb, rec_b, rec_c,
+                                        SeededRng(trial_key, 103), SeededRng(trial_key, 104))
+            if out.fallback:
+                counts["e1"] += 1
+            else:
+                if setting == "classical":
+                    in_b = bool(np.isin(out.row, res_b.matched))
+                    in_c = bool(np.isin(out.col, res_c.matched))
+                    counts["e2b"] += 0 if in_b else 1
+                    counts["e2c"] += 0 if in_c else 1
+                    counts["e3b"] += 1 if np.any(res_b.matched != out.row) else 0
+                    counts["e3c"] += 1 if np.any(res_c.matched != out.col) else 0
+                else:
+                    counts["e2"] += 0 if res_b.unique_match == out.row else 1
+                    counts["e3"] += 0 if res_c.unique_match == out.col else 1
+            msg_wrong = res_b.message != m1 or res_c.message != m2
+            idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
+            counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
+            counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
+
+        eb = event_bounds(params, setting)
+        events = _event_rows(setting, counts, trials, eb, params, theorem_valid)
+
+        return ExperimentReport(
+            setting=setting,
+            n=n,
+            trials=trials,
+            seed=seed,
+            resample_codebook=resample_codebook,
+            i0_method=self.i0_method,
+            params=asdict(params),
+            achieved=dict(self.achieved),
+            scheme=dict(self.describe),
+            channel_digest=json_digest(self.channel.to_json()),
+            design_digest=json_digest(self.design.to_json()),
+            codebook_digest=None if fixed_cb is None else fixed_cb.content_digest(),
+            theorem_valid=theorem_valid,
+            bounds=eb.to_json(),
+            events=tuple(events),
+            started_at=started,
+            wall_clock_s=time.monotonic() - t0,
+        )
 
 
 def achieved_divergences(channel, design: InputDesign, eps0: float, eps_infty: float,
                          *, n: int = 1, i0_method: str = "greedy"):
-    """(i0b, i0c, i_infty) the decoding schemes achieve for these inputs.
+    """(i0b, i0c, i_infty) the decoding scheme achieves for these inputs.
 
-    Uses the same divergence routines the scheme constructors run, so
-    RateParams built from these values always pass the consistency gate.
+    The values of ``Scheme(...).achieved``, so RateParams built from them
+    always pass the consistency gate.
     """
-    if isinstance(channel, CqBroadcastChannel):
-        if n != 1:
-            raise ValidationError("cq runs are single-letter; blocked states are out of reach")
-        p_u, rho_bu = bob_ensemble(channel, design)
-        p_v, rho_cv = charlie_ensemble(channel, design)
-        i0b = quantum_i0_cq(p_u, rho_bu, eps0).value
-        i0c = quantum_i0_cq(p_v, rho_cv, eps0).value
-        i_inf = classical_i_infty(design.joint, eps_infty).value
-    elif isinstance(channel, ClassicalBroadcastChannel):
-        uy, vz = build_classical_joints(channel, design)
-        if n == 1:
-            i0b = classical_i0(uy, eps0, method=i0_method).value
-            i0c = classical_i0(vz, eps0, method=i0_method).value
-            i_inf = classical_i_infty(design.joint, eps_infty).value
-        else:
-            i0b = spectrum_i0(iid_llr_spectrum(uy, n), eps0, method="thresholded").value
-            i0c = spectrum_i0(iid_llr_spectrum(vz, n), eps0, method="thresholded").value
-            i_inf = classical_i_infty_iid(design.joint, n, eps_infty).value
-    else:
-        raise ValidationError(f"unsupported channel type {type(channel).__name__}")
-    return i0b, i0c, i_inf
-
-
-class _ClassicalDeskScheme:
-    """Explicit-set machinery for single-letter classical runs."""
-
-    def __init__(self, channel, design, params, i0_method):
-        uy, vz = build_classical_joints(channel, design)
-        res_b = classical_i0(uy, params.eps0, method=i0_method)
-        res_c = classical_i0(vz, params.eps0, method=i0_method)
-        if "cells" not in res_b.witness:
-            raise ValidationError(
-                f"i0 method {i0_method!r} does not produce a deterministic test set")
-        res_inf = classical_i_infty(design.joint, params.eps_infty)
-        self.achieved = _check_achieved(params, res_b.value, res_c.value, res_inf.value)
-        a1 = _mask_from_cells(uy, res_b.witness["cells"])
-        a2 = _mask_from_cells(vz, res_c.witness["cells"])
-        self.evaluator = ClassicalSetEvaluator(channel, design, a1, a2)
-        self.mem_b = SetMembership(a1)
-        self.mem_c = SetMembership(a2)
-        self.sampler = ProductClassicalChannel(channel, 1)
-        self.describe = {
-            "kind": "classical-set",
-            "a1_mass": res_b.witness["mass"],
-            "a2_mass": res_c.witness["mass"],
-            "i0_method": i0_method,
-        }
-
-    def transmit(self, x_word, rng):
-        return self.sampler.sample_outputs(x_word, rng)
-
-    def decode(self, codebook, y_word, z_word, rng_b, rng_c):
-        return (decode_rows(codebook, y_word, self.mem_b),
-                decode_cols(codebook, z_word, self.mem_c))
-
-
-class _ClassicalBlockScheme:
-    """Threshold-set machinery for blocklength-n product runs."""
-
-    def __init__(self, channel, design, params, n):
-        uy, vz = build_classical_joints(channel, design)
-        spec_b = iid_llr_spectrum(uy, n)
-        spec_c = iid_llr_spectrum(vz, n)
-        res_b = spectrum_i0(spec_b, params.eps0, method="thresholded")
-        res_c = spectrum_i0(spec_c, params.eps0, method="thresholded")
-        res_inf = classical_i_infty_iid(design.joint, n, params.eps_infty)
-        self.achieved = _check_achieved(params, res_b.value, res_c.value, res_inf.value)
-        tau1 = res_b.witness["threshold"]
-        tau2 = res_c.witness["threshold"]
-        llr1, llr2 = llr_table(uy), llr_table(vz)
-        self.evaluator = ClassicalThresholdEvaluator(channel, design, llr1, llr2, tau1, tau2)
-        self.mem_b = ThresholdMembership(llr1, tau1)
-        self.mem_c = ThresholdMembership(llr2, tau2)
-        self.sampler = ProductClassicalChannel(channel, n)
-        self.describe = {
-            "kind": "classical-threshold",
-            "tau1": tau1,
-            "tau2": tau2,
-            "a1_mass": res_b.witness["mass"],
-            "a2_mass": res_c.witness["mass"],
-        }
-
-    def transmit(self, x_word, rng):
-        return self.sampler.sample_outputs(x_word, rng)
-
-    def decode(self, codebook, y_word, z_word, rng_b, rng_c):
-        return (decode_rows(codebook, y_word, self.mem_b),
-                decode_cols(codebook, z_word, self.mem_c))
-
-
-class _QuantumDeskScheme:
-    """Measurement machinery for single-letter cq runs."""
-
-    def __init__(self, channel, design, params):
-        p_u, rho_bu = bob_ensemble(channel, design)
-        p_v, rho_cv = charlie_ensemble(channel, design)
-        res_b = quantum_i0_cq(p_u, rho_bu, params.eps0)
-        res_c = quantum_i0_cq(p_v, rho_cv, params.eps0)
-        res_inf = classical_i_infty(design.joint, params.eps_infty)
-        self.achieved = _check_achieved(params, res_b.value, res_c.value, res_inf.value)
-        self.bob_tests = np_test_blocks(
-            p_u, rho_bu, res_b.witness["lambda"], res_b.witness["boundary_weight"])
-        self.charlie_tests = np_test_blocks(
-            p_v, rho_cv, res_c.witness["lambda"], res_c.witness["boundary_weight"])
-        self.evaluator = QuantumPairEvaluator(channel, design, self.bob_tests, self.charlie_tests)
-        self.channel = channel
-        self.describe = {
-            "kind": "quantum-pgm",
-            "lambda_b": res_b.witness["lambda"],
-            "lambda_c": res_c.witness["lambda"],
-            "constraint_mass_b": res_b.witness["constraint_mass"],
-            "constraint_mass_c": res_c.witness["constraint_mass"],
-        }
-
-    def transmit(self, x_word, rng):
-        label = self.channel.x_alphabet[int(x_word[0])]
-        return self.channel.rho_b(label), self.channel.rho_c(label)
-
-    def decode(self, codebook, state_b, state_c, rng_b, rng_c):
-        res_b = decode_pgm(codebook.rows, self.bob_tests, state_b,
-                           codebook.row_band_of, rng_b)
-        res_c = decode_pgm(codebook.cols, self.charlie_tests, state_c,
-                           codebook.col_band_of, rng_c)
-        return res_b, res_c
-
-
-def _classical_event_rows(counts, trials, eb, params, theorem_valid):
-    thm = theorem_bounds(params.eps_tilde, params.eps0, "classical")
-    e1_bound = min(eb.e1_formula, eb.e1_theorem) if theorem_valid else eb.e1_formula
-    e1_name = "min(e1 formula, 36*eps_tilde)" if theorem_valid else "e1 formula"
-    rows = [
-        _stats("e1", counts["e1"], trials, min(1.0, e1_bound), e1_name),
-        _stats("e2b", counts["e2b"], trials, min(1.0, eb.e2b), "4*eps0"),
-        _stats("e2c", counts["e2c"], trials, min(1.0, eb.e2c), "4*eps0"),
-        _stats("e3b", counts["e3b"], trials,
-               min(1.0, min(eb.e3b_chain, eb.e3_derived) if theorem_valid else eb.e3b_chain),
-               "min(e3 chain, eps_tilde)" if theorem_valid else "e3 chain"),
-        _stats("e3c", counts["e3c"], trials,
-               min(1.0, min(eb.e3c_chain, eb.e3_derived) if theorem_valid else eb.e3c_chain),
-               "min(e3 chain, eps_tilde)" if theorem_valid else "e3 chain"),
-        _stats("message_error", counts["message_error"], trials,
-               min(1.0, thm) if theorem_valid else None,
-               "37*eps_tilde + 8*eps0" if theorem_valid else None),
-        _stats("index_error", counts["index_error"], trials,
-               min(1.0, thm) if theorem_valid else None,
-               "37*eps_tilde + 8*eps0" if theorem_valid else None),
-    ]
-    return rows
-
-
-def _quantum_event_rows(counts, trials, eb, params, theorem_valid):
-    thm = theorem_bounds(params.eps_tilde, params.eps0, "quantum")
-    e1_bound = min(eb.e1_formula, eb.e1_theorem) if theorem_valid else eb.e1_formula
-    e1_name = "min(e1 formula, 36*eps_tilde)" if theorem_valid else "e1 formula"
-    rows = [
-        _stats("e1", counts["e1"], trials, min(1.0, e1_bound), e1_name),
-        _stats("e2", counts["e2"], trials,
-               min(1.0, min(eb.e2_chain, eb.e2_theorem) if theorem_valid else eb.e2_chain),
-               "min(e2 chain, 8*eps0 + 2*eps_tilde)" if theorem_valid else "e2 chain"),
-        _stats("e3", counts["e3"], trials,
-               min(1.0, min(eb.e3_chain, eb.e3_theorem) if theorem_valid else eb.e3_chain),
-               "min(e3 chain, 8*eps0 + 2*eps_tilde)" if theorem_valid else "e3 chain"),
-        _stats("message_error", counts["message_error"], trials,
-               min(1.0, thm) if theorem_valid else None,
-               "40*eps_tilde + 16*eps0" if theorem_valid else None),
-        _stats("index_error", counts["index_error"], trials,
-               min(1.0, thm) if theorem_valid else None,
-               "40*eps_tilde + 16*eps0" if theorem_valid else None),
-    ]
-    return rows
+    achieved = Scheme(channel, design, eps0, eps_infty, n=n, i0_method=i0_method).achieved
+    return achieved["i0b"], achieved["i0c"], achieved["i_infty"]
 
 
 def run_experiment(channel, design: InputDesign, params: RateParams, trials: int,
@@ -381,108 +396,9 @@ def run_experiment(channel, design: InputDesign, params: RateParams, trials: int
                    i0_method: str = "greedy") -> ExperimentReport:
     """Run seeded coding trials and compare event rates against the bounds.
 
-    The default resamples a fresh codebook every trial, matching the
-    averaged-codebook analysis; ``resample_codebook=False`` reuses one
-    fixed codebook for the whole run (the derandomized reading).  For
-    classical channels ``n > 1`` runs the blocklength-n product scheme
-    with threshold decoding; cq channels are single-letter only.
+    Builds the ``Scheme`` at the smoothing parameters of ``params`` and runs
+    it.  For classical channels ``n > 1`` runs the blocklength-n product
+    scheme with threshold decoding; cq channels are single-letter only.
     """
-    if trials < 1:
-        raise ValidationError("trials must be positive")
-    if n < 1:
-        raise ValidationError("blocklength must be positive")
-    # mix64 reduces keys modulo 2^64, so a larger seed would replay another run
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    t0 = time.monotonic()
-
-    if isinstance(channel, CqBroadcastChannel):
-        if n != 1:
-            raise ValidationError("cq runs are single-letter; blocked states are out of reach")
-        setting = "quantum"
-        scheme = _QuantumDeskScheme(channel, design, params)
-    elif isinstance(channel, ClassicalBroadcastChannel):
-        setting = "classical"
-        if n == 1:
-            scheme = _ClassicalDeskScheme(channel, design, params, i0_method)
-        else:
-            scheme = _ClassicalBlockScheme(channel, design, params, n)
-    else:
-        raise ValidationError(f"unsupported channel type {type(channel).__name__}")
-
-    try:
-        params.validate()
-        theorem_valid = True
-    except InfeasibleRates:
-        theorem_valid = False
-
-    log_ratio = llr_table(design.joint)
-    fixed_cb: Codebook | None = None
-    if not resample_codebook:
-        fixed_cb = generate_codebook(design, params, mix64(seed, 0xC0DEB00C), n,
-                                     log_ratio=log_ratio)
-
-    if setting == "classical":
-        names = ("e1", "e2b", "e2c", "e3b", "e3c", "message_error", "index_error")
-    else:
-        names = ("e1", "e2", "e3", "message_error", "index_error")
-    counts = {name: 0 for name in names}
-
-    n_m1 = 1 << params.R1
-    n_m2 = 1 << params.R2
-    for t in range(trials):
-        trial_key = mix64(seed, t)
-        cb = fixed_cb if fixed_cb is not None else generate_codebook(
-            design, params, trial_key, n, log_ratio=log_ratio)
-        msg_rng = SeededRng(trial_key, 101)
-        u = msg_rng.random(2)
-        m1 = min(int(u[0] * n_m1), n_m1 - 1)
-        m2 = min(int(u[1] * n_m2), n_m2 - 1)
-        out = encode(cb, m1, m2, scheme.evaluator, params.eps0)
-        rec_b, rec_c = scheme.transmit(out.x_word, SeededRng(trial_key, 102))
-        res_b, res_c = scheme.decode(cb, rec_b, rec_c,
-                                     SeededRng(trial_key, 103), SeededRng(trial_key, 104))
-        if out.fallback:
-            counts["e1"] += 1
-        else:
-            if setting == "classical":
-                in_b = bool(np.isin(out.row, res_b.matched))
-                in_c = bool(np.isin(out.col, res_c.matched))
-                counts["e2b"] += 0 if in_b else 1
-                counts["e2c"] += 0 if in_c else 1
-                counts["e3b"] += 1 if np.any(res_b.matched != out.row) else 0
-                counts["e3c"] += 1 if np.any(res_c.matched != out.col) else 0
-            else:
-                counts["e2"] += 0 if res_b.unique_match == out.row else 1
-                counts["e3"] += 0 if res_c.unique_match == out.col else 1
-        msg_wrong = res_b.message != m1 or res_c.message != m2
-        idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
-        counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
-        counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
-
-    eb = event_bounds(params, setting)
-    if setting == "classical":
-        events = _classical_event_rows(counts, trials, eb, params, theorem_valid)
-    else:
-        events = _quantum_event_rows(counts, trials, eb, params, theorem_valid)
-
-    return ExperimentReport(
-        setting=setting,
-        n=n,
-        trials=trials,
-        seed=seed,
-        resample_codebook=resample_codebook,
-        i0_method=i0_method,
-        params=_params_json(params),
-        achieved=scheme.achieved,
-        scheme=scheme.describe,
-        channel_digest=json_digest(channel.to_json()),
-        design_digest=json_digest(design.to_json()),
-        codebook_digest=None if fixed_cb is None else fixed_cb.content_digest(),
-        theorem_valid=theorem_valid,
-        bounds=eb.to_json(),
-        events=tuple(events),
-        started_at=started,
-        wall_clock_s=time.monotonic() - t0,
-    )
+    scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n, i0_method=i0_method)
+    return scheme.run(params, trials, seed, resample_codebook=resample_codebook)

@@ -29,12 +29,18 @@ from martonlab.channels import (
     CqBroadcastChannel,
     InputDesign,
 )
-from martonlab.coding import RateParams, generate_codebook, select_band_exponents
+from martonlab.coding import (
+    RateParams,
+    encode,
+    generate_codebook,
+    pgm_outcome_probabilities,
+    select_band_exponents,
+)
 from martonlab.divergences import classical_i0, classical_i_infty, quantum_i0_cq
-from martonlab.experiments import achieved_divergences, json_digest, run_experiment
+from martonlab.experiments import Scheme, achieved_divergences, json_digest, run_experiment
 from martonlab.prob import JointPmf
 from martonlab.quantum import hayashi_nagaoka_check
-from martonlab.rng import mix64
+from martonlab.rng import SeededRng, mix64
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,6 +151,39 @@ def test_criterion_2_quantum_event_bounds():
                     f"worst (rate - bound - 3sigma): e1 {worst['e1']:+.4f} "
                     f"e2 {worst['e2']:+.4f} e3 {worst['e3']:+.4f}")
     assert ok
+
+
+def test_qubit_e2_e3_counts_match_measurement_probabilities():
+    # Criterion 2's e2/e3 chain bounds exceed 1 at every point, so those
+    # comparisons cannot fail.  Here the counts meet their exact mean: given
+    # the encoded cell, a side misses the sent word with probability
+    # 1 - P(sent word) under the pretty good measurement.  600 trials, so
+    # that a decoder which never finds the sent word lies beyond 3 sigma.
+    theta, tops, rho, r1, r2, _, seed = QUBIT_POINTS[4]
+    trials, eps0 = 600, 0.05
+    channel = _qubit_cq(theta, tops)
+    design = _pair_design([[0.25 + rho, 0.25 - rho], [0.25 - rho, 0.25 + rho]])
+    scheme = Scheme(channel, design, eps0, 0.25)
+    params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=eps0,
+                        eps_infty=0.25, **scheme.achieved)
+    report = scheme.run(params, trials, seed)
+    mean, var = {"e2": 0.0, "e3": 0.0}, {"e2": 0.0, "e3": 0.0}
+    for t in range(trials):
+        key = mix64(seed, t)
+        cb = generate_codebook(design, params, key)
+        u = SeededRng(key, 101).random(2)
+        out = encode(cb, min(int(u[0] * 2), 1), min(int(u[1] * 2), 1), scheme.evaluator, eps0)
+        if out.fallback:
+            continue
+        label = channel.x_alphabet[int(out.x_word[0])]
+        for name, words, tests, state, sent in (
+                ("e2", cb.rows, scheme.bob_tests, channel.rho_b(label), out.row),
+                ("e3", cb.cols, scheme.charlie_tests, channel.rho_c(label), out.col)):
+            p = pgm_outcome_probabilities(words, tests, state)[sent]
+            mean[name] += 1.0 - p
+            var[name] += p * (1.0 - p)
+    for name in ("e2", "e3"):
+        assert abs(report.event(name).hits - mean[name]) <= 3.0 * math.sqrt(var[name]), name
 
 
 def test_qubit_runs_replay_golden_counts_and_report():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from martonlab import cli
+from martonlab import cli, experiments
 from martonlab.channels import InputDesign, channel_from_json
 from martonlab.cli import OUTPUT_DIR_ENV, main
 from martonlab.divergences import classical_i0, classical_i_infty
@@ -312,6 +312,25 @@ class TestSimulate:
         assert doc["config"]["bands"] == [3, 2]
         assert doc["report"]["params"]["r1"] == 3
 
+    def test_divergences_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = experiments.quantum_i0_cq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "quantum_i0_cq", counted)
+        write_json(tmp_path / "cq.json", qubit_cq_doc())
+        write_json(tmp_path / "design.json", design_doc())
+        cfg = write_json(tmp_path / "sim.json", {
+            "channel": "cq.json", "design": "design.json",
+            "eps": 0.9, "eps0": 0.05, "eps_tilde": 0.125, "eps_infty": 0.25,
+            "rates": [1, 1], "bands": [2, 2], "trials": 5, "seed": 9, "mode": "free"})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        # one order-zero divergence per receiver
+        assert len(calls) == 2
+
     def test_quantum_config(self, tmp_path, capsys):
         write_json(tmp_path / "cq.json", qubit_cq_doc())
         write_json(tmp_path / "design.json", design_doc())
@@ -415,7 +434,7 @@ class TestConfigErrors:
         base = write_json(tmp_path / "j.json", DSBS40)
         assert main(["iid-curve", "--base", base, "--eps", "0.05", "--n", "1024"]) == 2
         assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
-        monkeypatch.setattr(cli, "run_experiment", fail)
+        monkeypatch.setattr(cli.Scheme, "run", fail)
         assert main(["simulate", "--config", desk_config(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
 
@@ -503,3 +522,21 @@ class TestNumericFlags:
     def test_non_finite_or_complex_flag_is_parse_error(self, outdir, capsys, argv):
         assert main(argv) == 3
         assert "error: " in capsys.readouterr().err
+
+    # 2^63 and up is refused while parsing, before any array is sized from it
+    @pytest.mark.parametrize("argv", [
+        ["bands", "--R1", str(10**400), "--R2", "1", "--i0b", "30", "--i0c", "30",
+         "--i-infty", "2", "--eps-tilde", "0.0625"],
+        ["covering", "--r", str(10**400), "--s", "8", "--q", "0.1", "--alpha", "0.5",
+         "--trials", "10", "--family", "independent"],
+        ["covering", "--r", "8", "--s", "8", "--q", "0.1", "--alpha", "0.5",
+         "--trials", str(10**20)],
+        ["covering", "--r", "8", "--s", str(10**20), "--q", "0.1", "--alpha", "0.5",
+         "--trials", "10"],
+        ["bands", "--R1", "1", "--R2", str(-2**63), "--i0b", "30", "--i0c", "30",
+         "--i-infty", "2", "--eps-tilde", "0.0625"],
+    ])
+    def test_integer_flag_beyond_63_bits_is_parse_error(self, outdir, capsys, argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err

@@ -23,7 +23,13 @@ from martonlab.coding import (
 )
 from martonlab.divergences import classical_i0, quantum_i0_cq
 from martonlab.errors import ValidationError
-from martonlab.experiments import EventStats, json_digest, run_experiment
+from martonlab.experiments import (
+    EventStats,
+    Scheme,
+    achieved_divergences,
+    json_digest,
+    run_experiment,
+)
 from martonlab.prob import JointPmf
 from martonlab.rng import SeededRng, mix64
 
@@ -81,6 +87,31 @@ def block_params(**over):
                 eps_infty=0.25, i0b=25.0, i0c=25.0, i_infty=0.0)
     base.update(over)
     return RateParams(**base)
+
+
+class TestScheme:
+    @pytest.mark.parametrize("case", ["desk", "n=4", "qubit"])
+    def test_achieved_divergences_is_scheme_achieved(self, case):
+        channel, design, eps0, n = {
+            "desk": (bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 1),
+            "n=4": (bsc_pair_channel(0.05, 0.05), independent_design(), 0.05, 4),
+            "qubit": (qubit_cq_channel(), independent_design(), 0.05, 1),
+        }[case]
+        scheme = Scheme(channel, design, eps0, 0.25, n=n)
+        triple = achieved_divergences(channel, design, eps0, 0.25, n=n)
+        assert triple == (scheme.achieved["i0b"], scheme.achieved["i0c"],
+                          scheme.achieved["i_infty"])
+
+    @pytest.mark.parametrize("over", [{"eps0": 0.05}, {"eps_infty": 0.2}])
+    def test_run_rejects_other_smoothing(self, over):
+        scheme = Scheme(bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 0.25)
+        with pytest.raises(ValidationError, match="eps0, eps_infty"):
+            scheme.run(desk_params(**over), 10, seed=0)
+
+    def test_randomized_i0_has_no_test_set(self):
+        with pytest.raises(ValidationError, match="deterministic test set"):
+            achieved_divergences(bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 0.25,
+                                 i0_method="randomized")
 
 
 class TestDeskClassical:

@@ -1,0 +1,84 @@
+"""The benchmark's span tracer still finds the library names it patches.
+
+``perfbench/tracer.py`` wraps martonlab functions and evaluator methods by
+name.  A rename in the library would leave its counters at zero without an
+error, so each kind of run here must move the counters of its layer.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from martonlab import cli, experiments
+from martonlab.coding import RateParams
+from test_experiments import (
+    DSBS_45,
+    bsc_pair_channel,
+    desk_params,
+    independent_design,
+    pair_design,
+    qubit_cq_channel,
+)
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_params(channel, design, n=1):
+    achieved = experiments.Scheme(channel, design, 0.05, 0.25, n=n).achieved
+    return RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=1 / 8, eps0=0.05,
+                      eps_infty=0.25, **achieved)
+
+
+def desk_simulate(tmp_path):
+    channel = tmp_path / "channel.json"
+    design = tmp_path / "design.json"
+    channel.write_text(json.dumps(bsc_pair_channel(0.1, 0.1).to_json()))
+    design.write_text(json.dumps(pair_design(DSBS_45).to_json()))
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "channel": str(channel), "design": str(design), "eps": 1.0, "eps0": 0.1,
+        "eps_tilde": 0.125, "eps_infty": 0.25, "rates": [1, 1], "bands": [2, 2],
+        "trials": 10, "seed": 3, "n": 1, "mode": "free"}))
+    code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 0
+
+
+def test_tracer_counts_every_layer(tracer_module, tmp_path, capsys):
+    qubit, indep = qubit_cq_channel(), independent_design()
+    block = bsc_pair_channel(0.05, 0.05)
+    runs = [
+        ("desk", lambda: experiments.run_experiment(
+            bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), desk_params(), 20, seed=1),
+         "coding.decode_calls"),
+        ("n=4", lambda: experiments.run_experiment(
+            block, indep, small_params(block, indep, 4), 20, seed=2, n=4),
+         "coding.decode_calls"),
+        ("qubit", lambda: experiments.run_experiment(
+            qubit, indep, small_params(qubit, indep), 20, seed=3),
+         "coding.pgm_calls"),
+        ("simulate", lambda: desk_simulate(tmp_path), "coding.decode_calls"),
+    ]
+    original = experiments.run_experiment
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        for label, run, decode_counter in runs:
+            before = dict(tr.counters)
+            tr.begin_op()
+            run()
+            for counter in ("coding.alpha_beta_calls", decode_counter, "divergences.calls"):
+                assert tr.counters[counter] > before[counter], (label, counter)
+    finally:
+        tr.uninstall()
+    assert experiments.run_experiment is original
+    assert tr.metrics()["coding.alpha_beta_s"][0] > 0.0
