@@ -17,11 +17,7 @@ import numpy as np
 from scipy import special
 
 from .coding import RateParams
-from .divergences import (
-    classical_i0_iid,
-    classical_i_infty_iid,
-    llr_table,
-)
+from .divergences import iid_llr_spectra, llr_table, spectrum_i0, spectrum_i_infty
 from .errors import ValidationError
 from .prob import JointPmf, mutual_information
 from .rng import SeededRng
@@ -610,15 +606,17 @@ def iid_convergence_curve(base_uy: JointPmf, base_uv: JointPmf, eps: float,
 
     The first joint drives the order-zero rate toward its mutual
     information; the second drives the order-infinity rate toward its
-    own.  Both use the per-symbol llr spectrum, so n in the hundreds
-    stays cheap.
+    own.  Both use the per-symbol llr spectrum, built for all block
+    sizes in one pass per joint (one pass in all when both are the same
+    object), so n in the hundreds stays cheap.  Points keep the order of
+    ``n_list``.
     """
-    pts = []
-    for n in n_list:
-        if n < 1:
-            raise ValidationError("block sizes must be positive")
-        i0 = classical_i0_iid(base_uy, int(n), eps, method=method).value
-        ii = classical_i_infty_iid(base_uv, int(n), eps).value
-        pts.append(CurvePoint(int(n), i0 / n, ii / n))
-    return ConvergenceCurve(tuple(pts), mutual_information(base_uy),
-                            mutual_information(base_uv))
+    if not 0.0 <= eps < 1.0:  # before the spectra, which can take seconds
+        raise ValidationError(f"eps must lie in [0, 1), got {eps}")
+    n_list = list(n_list)
+    spectra_uy = iid_llr_spectra(base_uy, n_list)
+    spectra_uv = spectra_uy if base_uv is base_uy else iid_llr_spectra(base_uv, n_list)
+    pts = tuple(CurvePoint(int(n), spectrum_i0(s0, eps, method).value / n,
+                           spectrum_i_infty(s1, eps).value / n)
+                for n, s0, s1 in zip(n_list, spectra_uy, spectra_uv))
+    return ConvergenceCurve(pts, mutual_information(base_uy), mutual_information(base_uv))

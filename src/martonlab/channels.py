@@ -12,6 +12,7 @@ channels serialize to JSON losslessly.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,12 +349,10 @@ def build_joint_state(channel: CqBroadcastChannel, design: InputDesign, dim_cap:
 
 
 def _product_labels(labels, n: int) -> tuple:
-    single = all(len(x) == 1 for x in labels)
-    sep = "" if single else ","
-    out = list(labels)
-    for _ in range(n - 1):
-        out = [a + sep + b for a in out for b in labels]
-    return tuple(out)
+    """Labels of the n-letter words, in ``itertools.product`` order: letters
+    joined directly when all are one character, else by commas."""
+    sep = "" if all(len(x) == 1 for x in labels) else ","
+    return tuple(sep.join(word) for word in itertools.product(labels, repeat=n))
 
 
 def nfold(channel, n: int, cell_cap: int = NFOLD_CELL_CAP, dim_cap: int = NFOLD_DIM_CAP):
@@ -390,11 +389,8 @@ def nfold(channel, n: int, cell_cap: int = NFOLD_CELL_CAP, dim_cap: int = NFOLD_
         for _ in range(n):
             perm_dims += [channel.dim_b, channel.dim_c]
         order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        for lab in labels:
-            parts = lab.split(",") if "," in lab else list(lab)
-            mat = channel.states[channel.x_index(parts[0])].matrix
-            for p in parts[1:]:
-                mat = np.kron(mat, channel.states[channel.x_index(p)].matrix)
+        for word in itertools.product(channel.x_alphabet, repeat=n):
+            mat = functools.reduce(np.kron, (channel.states[channel.x_index(x)].matrix for x in word))
             tens = mat.reshape(perm_dims + perm_dims)
             tens = np.transpose(tens, order + [2 * n + o for o in order])
             states.append(DensityOperator(tens.reshape(db * dc, db * dc)))
@@ -416,17 +412,13 @@ def product_design(design: InputDesign, n: int, cell_cap: int = NFOLD_CELL_CAP) 
         out = np.kron(out, probs)
     rows = _product_labels(joint.row_labels, n)
     cols = _product_labels(joint.col_labels, n)
-    usep = "," if any(len(x) > 1 for x in joint.row_labels) else ""
-    vsep = "," if any(len(x) > 1 for x in joint.col_labels) else ""
     xsep = "," if any(len(x) > 1 for x in design.f.values()) else ""
     fmap = {}
     big = JointPmf(rows, cols, out, atol=1e-9)
-    for i, u in enumerate(rows):
-        for j, v in enumerate(cols):
+    for i, us in enumerate(itertools.product(joint.row_labels, repeat=n)):
+        for j, vs in enumerate(itertools.product(joint.col_labels, repeat=n)):
             if big.probs[i, j] > 0.0:
-                us = u.split(",") if usep else list(u)
-                vs = v.split(",") if vsep else list(v)
-                fmap[(u, v)] = xsep.join(design.x_of(a, b) for a, b in zip(us, vs))
+                fmap[(rows[i], cols[j])] = xsep.join(design.x_of(a, b) for a, b in zip(us, vs))
     return InputDesign(big, fmap)
 
 

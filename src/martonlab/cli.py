@@ -27,7 +27,7 @@ from .analysis import (
     verdu_region,
 )
 from .channels import InputDesign, channel_from_json
-from .coding import RateParams, select_band_exponents
+from .coding import RateParams, band_sum_target, select_band_exponents
 from .divergences import classical_i0, classical_i_infty
 from .errors import InfeasibleRates, MartonlabError, ValidationError
 from .experiments import Scheme
@@ -170,7 +170,7 @@ def _cmd_divergence(args) -> int:
 
 def _band_constraints(R1, R2, r1, r2, i0b, i0c, i_infty, eps_tilde):
     ell = math.log2(1.0 / eps_tilde)
-    target = math.ceil(i_infty + 3.0 * ell)
+    target = band_sum_target(i_infty, eps_tilde)
     return [
         {"name": "row budget", "lhs": R1 + r1, "rhs": i0b - 4 * ell - 1,
          "slack": i0b - 4 * ell - 1 - (R1 + r1)},
@@ -178,7 +178,7 @@ def _band_constraints(R1, R2, r1, r2, i0b, i0c, i_infty, eps_tilde):
          "slack": i0c - 4 * ell - 1 - (R2 + r2)},
         {"name": "row band floor", "lhs": r1, "rhs": ell, "slack": r1 - ell},
         {"name": "column band floor", "lhs": r2, "rhs": ell, "slack": r2 - ell},
-        {"name": "band sum", "lhs": r1 + r2, "rhs": target, "slack": 0},
+        {"name": "band sum", "lhs": r1 + r2, "rhs": target, "slack": target - (r1 + r2)},
     ]
 
 

@@ -23,15 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import InputDesign
-from .errors import InfeasibleRates, SupportOverflowError, ValidationError
+from .errors import InfeasibleRates, ValidationError
 from .prob import JointPmf
-from .divergences import llr_table
+from .divergences import convolve_atoms, llr_table
 from .quantum import pinv_sqrt, real_trace
 from .rng import SeededRng, mix64
 
 __all__ = [
     "RateParams",
     "select_band_exponents",
+    "band_sum_target",
     "Codebook",
     "generate_codebook",
     "EncodeOutcome",
@@ -59,6 +60,11 @@ _FEAS_TOL = 1e-9
 
 def _ceil_guarded(x: float) -> int:
     return int(math.ceil(x - _FEAS_TOL))
+
+
+def band_sum_target(i_infty: float, eps_tilde: float) -> int:
+    """The required r1 + r2: ceil(i_infty + 3 log2(1/eps_tilde)), float noise ignored."""
+    return _ceil_guarded(i_infty + 3 * math.log2(1.0 / eps_tilde))
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ class RateParams:
             raise InfeasibleRates(f"row band floor: r1 = {self.r1} is below log2(1/eps_tilde) = {ell:.6f}")
         if self.r2 < ell - _FEAS_TOL:
             raise InfeasibleRates(f"column band floor: r2 = {self.r2} is below log2(1/eps_tilde) = {ell:.6f}")
-        target = _ceil_guarded(self.i_infty + 3 * ell)
+        target = band_sum_target(self.i_infty, self.eps_tilde)
         if self.r1 + self.r2 != target:
             raise InfeasibleRates(
                 f"band sum: r1 + r2 = {self.r1 + self.r2} must equal "
@@ -155,7 +161,7 @@ def select_band_exponents(R1: int, R2: int, i0b: float, i0c: float, i_infty: flo
     if not all(math.isfinite(v) for v in (i0b, i0c, i_infty, ell)):
         raise ValidationError("i0b, i0c, i_infty and log2(1/eps_tilde) must be finite")
     floor_r = _ceil_guarded(ell)
-    target = _ceil_guarded(i_infty + 3 * ell)
+    target = band_sum_target(i_infty, eps_tilde)
     cap1 = int(math.floor(i0b - R1 - 4 * ell - 1 + _FEAS_TOL))
     cap2 = int(math.floor(i0c - R2 - 4 * ell - 1 + _FEAS_TOL))
     if cap1 < floor_r:
@@ -339,13 +345,13 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
     distribution of llr1[u_t, Y] with Y ~ p(y | x_t).  A pair (u, x)
     occurring k times contributes that step's k-fold convolution, cached
     per pair as a prefix table; the present pairs are convolved in
-    ascending pair order.  Every convolution merges atoms closer than
-    ``merge_tol`` into their probability-weighted mean and raises
-    SupportOverflowError past ``atom_cap`` atoms.
+    ascending pair order.  Every convolution is
+    :func:`~martonlab.divergences.convolve_atoms` at a 1e-12 bit merge
+    tolerance, raising SupportOverflowError past ``atom_cap`` atoms.
     """
 
     def __init__(self, channel, design: InputDesign, llr1: np.ndarray, llr2: np.ndarray,
-                 tau1: float, tau2: float, merge_tol: float = 1e-12, atom_cap: int = 100_000):
+                 tau1: float, tau2: float, atom_cap: int = 100_000):
         super().__init__(channel, design)
         self.py = channel.marginal_y()
         self.pz = channel.marginal_z()
@@ -353,26 +359,10 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
         self.llr2 = np.asarray(llr2, dtype=float)
         self.tau1 = float(tau1)
         self.tau2 = float(tau2)
-        self.merge_tol = merge_tol
-        self.atom_cap = atom_cap
+        self._sum = functools.partial(convolve_atoms, tol=1e-12, atom_cap=atom_cap)
         self._sides = ((self.llr1, self.py, self.tau1), (self.llr2, self.pz, self.tau2))
         # (side, u, x) -> [k-fold step distribution for k = 0, 1, ...]
         self._powers = {}
-
-    def _convolve(self, a: tuple, b: tuple) -> tuple:
-        """(values, probs) of the sum of independent a and b, atoms merged."""
-        values = (a[0][:, None] + b[0][None, :]).ravel()
-        probs = (a[1][:, None] * b[1][None, :]).ravel()
-        order = np.argsort(values, kind="stable")
-        values, probs = values[order], probs[order]
-        group = np.ones(values.size, dtype=bool)
-        group[1:] = np.diff(values) > self.merge_tol
-        starts = np.flatnonzero(group)
-        probs_m = np.add.reduceat(probs, starts)
-        values_m = np.add.reduceat(values * probs, starts) / probs_m
-        if values_m.size > self.atom_cap:
-            raise SupportOverflowError(f"llr support exceeded {self.atom_cap} atoms")
-        return values_m, probs_m
 
     def _power(self, side: int, u: int, x: int, k: int) -> tuple:
         """k-fold convolution of the step distribution of the pair (u, x)."""
@@ -382,7 +372,7 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
             keep = trans[x] > 0.0
             step = (llr[u][keep], trans[x][keep])
             while len(table) <= k:
-                table.append(self._convolve(table[-1], step))
+                table.append(self._sum(table[-1], step))
         return table[k]
 
     def _tail_mass(self, side: int, word: np.ndarray, x: np.ndarray) -> float:
@@ -391,7 +381,7 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
         counts = np.bincount(word * nx + x, minlength=llr.shape[0] * nx)
         parts = [self._power(side, *divmod(int(pair), nx), int(counts[pair]))
                  for pair in np.flatnonzero(counts)]
-        values, probs = functools.reduce(self._convolve, parts)
+        values, probs = functools.reduce(self._sum, parts)
         return float(probs[values >= tau - DECODE_TOL].sum())
 
     def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:

@@ -33,6 +33,7 @@ __all__ = [
     "np_test_blocks",
     "LlrSpectrum",
     "iid_llr_spectrum",
+    "iid_llr_spectra",
     "classical_i0_iid",
     "classical_i_infty_iid",
     "spectrum_i0",
@@ -48,6 +49,7 @@ MASS_TOL = 1e-12
 # meet-in-the-middle enumeration is exact but exponential; cap the cells
 EXHAUSTIVE_CELL_CAP = 24
 SPECTRUM_ATOM_CAP = 1_000_000
+_TINY = np.finfo(float).tiny
 _NP_MAX_ITER = 200
 _BOUNDARY_RTOL = 1e-9
 
@@ -425,48 +427,59 @@ class LlrSpectrum:
         return float(self.values @ self.probs)
 
 
-def _merge_atoms(values, probs, tol):
-    order = np.argsort(values, kind="stable")
-    v, p = values[order], probs[order]
+def convolve_atoms(a: tuple, b: tuple, tol: float, atom_cap: int) -> tuple:
+    """(values, probs) of the sum of independent atom distributions a and b.
+
+    The one place where atoms merge: sorted neighbours within ``tol`` merge
+    at their probability-weighted mean, or at their first value when the
+    merged mass is subnormal and the mean has lost its precision.
+    Zero-mass atoms are dropped.  Raises ``SupportOverflowError`` past
+    ``atom_cap`` atoms.
+    """
+    v = (a[0][:, None] + b[0][None, :]).ravel()
+    p = (a[1][:, None] * b[1][None, :]).ravel()
+    order = np.argsort(v, kind="stable")
+    v, p = v[order], p[order]
     new_group = np.ones(v.size, dtype=bool)
     new_group[1:] = np.diff(v) > tol
     starts = np.flatnonzero(new_group)
     pm = np.add.reduceat(p, starts)
-    vm = np.add.reduceat(p * v, starts)
-    safe = pm > 0.0
-    lo = v[starts]
-    vm = np.where(safe, vm / np.where(safe, pm, 1.0), lo)
-    # A weighted mean of subnormal masses can land far outside its group,
-    # even out of order; pull such a value back into [first, last].  Values
-    # off by rounding alone (within tol) are kept as computed.
-    hi = v[np.append(starts[1:], v.size) - 1]
-    off = (vm < lo - tol) | (vm > hi + tol)
-    if off.any():
-        vm[off] = np.clip(vm[off], lo[off], hi[off])
+    normal = pm >= _TINY
+    vm = np.where(normal, np.add.reduceat(p * v, starts) / np.where(normal, pm, 1.0), v[starts])
     keep = pm > 0.0
-    return vm[keep], pm[keep]
+    vm, pm = vm[keep], pm[keep]
+    if vm.size > atom_cap:
+        raise SupportOverflowError(f"llr support exceeded {atom_cap} atoms")
+    return vm, pm
+
+
+def iid_llr_spectra(base: JointPmf, ns, merge_tol: float = 1e-9,
+                    atom_cap: int = SPECTRUM_ATOM_CAP) -> list:
+    """Spectra of the summed log likelihood ratio over n iid copies, per n in ``ns``.
+
+    One ascending pass of convolutions, atoms merged at ``merge_tol`` bits,
+    builds every n; the spectra follow the order of ``ns``.  Raises
+    ``SupportOverflowError`` if the support grows past ``atom_cap``.
+    """
+    ns = [int(n) for n in ns]
+    if min(ns, default=1) < 1:
+        raise ValidationError(f"n must be a positive integer, got {min(ns)}")
+    pj, _, ratio, _, _ = _positive_cells(base)
+    # adding a point mass at 0 sorts and merges the single-letter atoms
+    step = convolve_atoms((np.log2(ratio), pj), (np.zeros(1), np.ones(1)), merge_tol, atom_cap)
+    atoms, done, built = step, 1, {}
+    for n in sorted(set(ns)):
+        for _ in range(n - done):
+            atoms = convolve_atoms(atoms, step, merge_tol, atom_cap)
+        done = n
+        built[n] = LlrSpectrum(atoms[0], atoms[1] / atoms[1].sum())
+    return [built[n] for n in ns]
 
 
 def iid_llr_spectrum(base: JointPmf, n: int, merge_tol: float = 1e-9,
                      atom_cap: int = SPECTRUM_ATOM_CAP) -> LlrSpectrum:
-    """Spectrum of the summed log likelihood ratio over n iid copies.
-
-    Built by repeated convolution with atom merging at ``merge_tol``
-    (bits), so the product distribution is never materialized.  Raises
-    ``SupportOverflowError`` if the support grows past ``atom_cap``.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n}")
-    pj, q, ratio, _, _ = _positive_cells(base)
-    v1, p1 = _merge_atoms(np.log2(ratio), pj, merge_tol)
-    v, p = v1, p1
-    for _ in range(int(n) - 1):
-        v = (v[:, None] + v1[None, :]).ravel()
-        p = (p[:, None] * p1[None, :]).ravel()
-        v, p = _merge_atoms(v, p, merge_tol)
-        if v.size > atom_cap:
-            raise SupportOverflowError(f"spectrum support exceeded {atom_cap} atoms")
-    return LlrSpectrum(v, p / p.sum())
+    """Spectrum of the summed log likelihood ratio over n iid copies."""
+    return iid_llr_spectra(base, [n], merge_tol, atom_cap)[0]
 
 
 def spectrum_i_infty(spectrum: LlrSpectrum, eps: float) -> DivergenceResult:
@@ -510,15 +523,14 @@ def spectrum_i0(spectrum: LlrSpectrum, eps: float, method: str = "randomized") -
     return DivergenceResult(float(-np.log2(beta)), eps, f"spectrum-{method}", witness)
 
 
-def classical_i0_iid(base: JointPmf, n: int, eps: float, method: str = "randomized",
-                     merge_tol: float = 1e-9) -> DivergenceResult:
+def classical_i0_iid(base: JointPmf, n: int, eps: float, method: str = "randomized") -> DivergenceResult:
     """Order-zero divergence of n iid copies of a base joint, via its spectrum."""
-    return spectrum_i0(iid_llr_spectrum(base, n, merge_tol), eps, method)
+    return spectrum_i0(iid_llr_spectrum(base, n), eps, method)
 
 
-def classical_i_infty_iid(base: JointPmf, n: int, eps: float, merge_tol: float = 1e-9) -> DivergenceResult:
+def classical_i_infty_iid(base: JointPmf, n: int, eps: float) -> DivergenceResult:
     """Smooth max divergence of n iid copies of a base joint, via its spectrum."""
-    return spectrum_i_infty(iid_llr_spectrum(base, n, merge_tol), eps)
+    return spectrum_i_infty(iid_llr_spectrum(base, n), eps)
 
 
 # ---------------------------------------------------------------------------

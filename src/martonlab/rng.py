@@ -11,9 +11,11 @@ order and across platforms.
 Streams do not own a bit generator.  Each thread keeps one scratch Philox
 generator; a draw loads the stream's saved Philox state into it, draws,
 and saves the advanced state back on the stream.  The draws are those of
-``Generator(Philox(key=(master_seed, stream_id)))``, without building a
-Philox per stream, which costs several times more than the few draws
-most streams make.
+``Generator(Philox(key=np.array([master_seed, stream_id], dtype=np.uint64)))``,
+without building a Philox per stream, which costs several times more
+than the few draws most streams make.  The key must be a uint64 array: a
+tuple or list key goes through float64, which rounds entries of 2^63
+and up.
 """
 
 from __future__ import annotations
@@ -101,7 +103,11 @@ class SeededRng:
         gen = _scratch_generator()
         bitgen = gen.bit_generator
         bitgen.state = self._state
-        u = gen.random(size)
+        try:
+            u = gen.random(size)
+        except (ValueError, MemoryError) as e:
+            # a size numpy refuses, or one memory cannot hold
+            raise ValidationError(f"cannot draw {size} uniforms: {e}") from e
         self._state = bitgen.state
         return u
 

@@ -208,6 +208,32 @@ def test_qubit_runs_replay_golden_counts_and_report():
         assert json_digest(doc) == run["sha256"]
 
 
+def test_classical_runs_replay_golden_counts_and_report():
+    # threshold-decoder runs at n=56 and two llr convergence curves, pinned
+    # bit for bit: their acceptance probabilities and rates all come from
+    # convolved llr spectra
+    golden = json.loads((DATA / "golden_classical_replay.json").read_text())
+    channel = _bsc_pair(0.01, 0.01)
+    design = _pair_design([[0.25, 0.25], [0.25, 0.25]])
+    n, eps0, eps_tilde, eps_infty = (golden[k] for k in ("n", "eps0", "eps_tilde", "eps_infty"))
+    i0b, i0c, i_inf = achieved_divergences(channel, design, eps0, eps_infty, n=n)
+    r1, r2 = select_band_exponents(1, 1, i0b, i0c, i_inf, eps_tilde)
+    params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=eps_tilde, eps0=eps0,
+                        eps_infty=eps_infty, i0b=i0b, i0c=i0c, i_infty=i_inf)
+    for run in golden["runs"]:
+        report = run_experiment(channel, design, params, run["trials"], run["seed"], n=n,
+                                resample_codebook=run["resample_codebook"])
+        doc = report.to_json()
+        doc.pop("started_at")
+        doc.pop("wall_clock_s")
+        assert report.counts() == run["counts"]
+        assert json_digest(doc) == run["sha256"]
+    for curve in golden["curves"]:
+        base = JointPmf.from_json(curve["joint"])
+        doc = iid_convergence_curve(base, base, golden["curve_eps"], golden["curve_n"]).to_json()
+        assert json_digest(doc) == curve["sha256"], curve["base"]
+
+
 COVERING_GRID = [
     (1024, 1024, 2.0 ** -10, 0.25, "paired", 20000),
     (1024, 1024, 2.0 ** -10, 0.25, "independent", 4000),

@@ -434,6 +434,25 @@ class TestConvergenceCurve:
         with pytest.raises(ValidationError):
             iid_convergence_curve(joint, joint, 0.05, [0])
 
+    def test_bad_eps_is_rejected_before_any_spectrum(self, monkeypatch):
+        monkeypatch.setattr(analysis, "iid_llr_spectra",
+                            lambda *args: pytest.fail("spectra built for a bad eps"))
+        with pytest.raises(ValidationError):
+            iid_convergence_curve(dsbs_joint(), dsbs_joint(), 1.5, [1, 400])
+
+    def test_points_keep_the_order_of_n(self):
+        # unsorted and repeated block sizes; one shared joint or two equal
+        # ones give the same points, each as its own single-n curve gives
+        joint = dsbs_joint()
+        twin = JointPmf(joint.row_labels, joint.col_labels, joint.probs)
+        ns = [16, 2, 8, 2, 1]
+        shared = iid_convergence_curve(joint, joint, 0.05, ns)
+        separate = iid_convergence_curve(joint, twin, 0.05, ns)
+        assert [p.n for p in shared.points] == ns
+        assert shared.to_json() == separate.to_json()
+        for n, p in zip(ns, shared.points):
+            assert p == iid_convergence_curve(joint, joint, 0.05, [n]).points[0]
+
 
 def _h2(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)

@@ -1,6 +1,7 @@
 """Channels, input designs, induced joints, and iid products."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,15 @@ class TestNfold:
     def test_quantum_dim_cap(self):
         with pytest.raises(ValidationError):
             nfold(qubit_cq_channel(), 6)
+
+    def test_quantum_one_fold_with_multi_character_inputs(self):
+        # labels '00'..'11' are letters, not two one-character letters
+        path = Path(__file__).resolve().parent.parent / "demos" / "data" / "qubit_channel.json"
+        ch = channel_from_json(json.loads(path.read_text()))
+        one = nfold(ch, 1)
+        assert one.x_alphabet == ch.x_alphabet
+        for a, b in zip(one.states, ch.states):
+            assert_allclose(a.matrix, b.matrix, atol=0)
 
     def test_product_design(self):
         d = uniform_pair_design()

@@ -128,6 +128,19 @@ class TestBands:
                          "column band floor", "band sum"]
         assert all("slack" in c for c in doc["constraints"])
 
+    def test_explain_band_sum_uses_the_guarded_target(self, capsys):
+        # i_infty + 3 log2(1/eps_tilde) = 12 + 1e-10: the selection treats it
+        # as 12, and so must the explanation
+        rc = main(["bands", "--R1", "1", "--R2", "1", "--i0b", "40", "--i0c", "40",
+                   "--i-infty", "3.0000000001", "--eps-tilde", "0.125", "--explain"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        band_sum = doc["constraints"][-1]
+        assert doc["r1"] + doc["r2"] == 12
+        assert (band_sum["lhs"], band_sum["rhs"], band_sum["slack"]) == (12, 12, 0)
+        assert "# band sum: 12 == 12 (slack 0)" in captured.err
+
     def test_infeasible_exit_code(self, capsys):
         rc = main(["bands", "--R1", "5", "--R2", "5", "--i0b", "12", "--i0c", "30",
                    "--i-infty", "2", "--eps-tilde", "0.0625"])
@@ -429,7 +442,8 @@ class TestConfigErrors:
         def fail(*args, **kwargs):
             raise error("llr support exceeded 100000 atoms")
 
-        # stands in for the overflow of iid-curve at n=1024 on dsbs40_joint.json
+        # stands in for a library error no input reaches cheaply, such as a
+        # spectrum past its atom cap; dsbs40 at n=1024 stays far below it
         monkeypatch.setattr(cli, "iid_convergence_curve", fail)
         base = write_json(tmp_path / "j.json", DSBS40)
         assert main(["iid-curve", "--base", base, "--eps", "0.05", "--n", "1024"]) == 2
@@ -540,3 +554,13 @@ class TestNumericFlags:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+
+    # 2^62 trials pass parsing; numpy refuses the draw before allocating
+    # anything.  Sizes that numpy accepts but memory cannot hold are not
+    # run: they would allocate.
+    @pytest.mark.parametrize("family", ["paired", "independent"])
+    def test_trials_numpy_refuses_is_infeasible(self, outdir, capsys, family):
+        assert main(["covering", "--r", "8", "--s", "8", "--q", "0.1", "--alpha", "0.5",
+                     "--trials", str(2**62), "--family", family]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot draw") and "Traceback" not in err

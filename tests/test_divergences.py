@@ -16,6 +16,7 @@ from martonlab.divergences import (
     classical_i0_iid,
     classical_i_infty,
     classical_i_infty_iid,
+    iid_llr_spectra,
     iid_llr_spectrum,
     np_test_blocks,
     quantum_i0,
@@ -32,6 +33,7 @@ DSBS_45 = JointPmf(("0", "1"), ("0", "1"), [[0.45, 0.05], [0.05, 0.45]])
 DSBS_40 = JointPmf(("0", "1"), ("0", "1"), [[0.40, 0.10], [0.10, 0.40]])
 CORRELATED = JointPmf(("0", "1"), ("0", "1"), [[0.5, 0.0], [0.0, 0.5]])
 INDEPENDENT = JointPmf(("0", "1"), ("0", "1"), np.outer([0.5, 0.5], [0.5, 0.5]))
+ERASURE = JointPmf(("0", "1"), ("0", "e", "1"), [[0.425, 0.05, 0.025], [0.025, 0.05, 0.425]])
 
 
 def joint_of(matrix) -> JointPmf:
@@ -309,12 +311,36 @@ class TestSpectra:
     def test_subnormal_masses_keep_atoms_ascending(self):
         # at n=256 the smallest masses are subnormal; their weighted-mean
         # values used to fall outside their merge groups, out of order
-        erasure = JointPmf(("0", "1"), ("0", "e", "1"),
-                           np.array([[0.425, 0.05, 0.025], [0.025, 0.05, 0.425]]))
-        s = iid_llr_spectrum(erasure, 256)
+        s = iid_llr_spectrum(ERASURE, 256)
         assert s.probs.min() < np.finfo(float).tiny
         assert np.all(np.diff(s.values) > 0)
-        assert_allclose(s.mean(), 256 * mutual_information(erasure), rtol=1e-9)
+        assert_allclose(s.mean(), 256 * mutual_information(ERASURE), rtol=1e-9)
+
+    def test_subnormal_masses_stay_on_the_lattice(self):
+        # a binary llr takes only the n + 1 values k a + (n - k) b; at
+        # n=1024 the smallest masses are subnormal, and a weighted mean of
+        # subnormal masses used to leave the lattice (3,099 atoms)
+        n = 1024
+        s = iid_llr_spectrum(DSBS_40, n)
+        a, b = math.log2(0.4 / 0.25), math.log2(0.1 / 0.25)
+        k = np.round((s.values - n * b) / (a - b))
+        assert s.probs.min() < np.finfo(float).tiny
+        assert len(s) <= n + 1
+        assert np.abs(s.values - (k * a + (n - k) * b)).max() <= 1e-9
+
+    def test_one_pass_spectra_match_single_spectra(self):
+        ns = [128, 1, 56, 56]
+        for base in (DSBS_40, ERASURE):
+            spectra = iid_llr_spectra(base, ns)
+            assert len(spectra) == len(ns)
+            for n, s in zip(ns, spectra):
+                one = iid_llr_spectrum(base, n)
+                assert s.values.tobytes() == one.values.tobytes()
+                assert s.probs.tobytes() == one.probs.tobytes()
+
+    def test_spectra_reject_nonpositive_n(self):
+        with pytest.raises(ValidationError):
+            iid_llr_spectra(DSBS_40, [4, 0])
 
     def test_spectrum_validation(self):
         with pytest.raises(ValidationError):
