@@ -43,7 +43,6 @@ from .coding import (
 from .divergences import (
     DivergenceResult,
     classical_i0,
-    classical_i0_iid,
     classical_i_infty,
     classical_i_infty_iid,
     iid_llr_spectrum,
@@ -97,7 +96,6 @@ __all__ = [
     "achieved_divergences",
     "channel_from_json",
     "classical_i0",
-    "classical_i0_iid",
     "classical_i_infty",
     "classical_i_infty_iid",
     "clopper_pearson_lower",

@@ -304,27 +304,18 @@ def synthetic_covering(p: CoveringParams, trials: int, seed: int,
     return _estimate(p, hits, trials)
 
 
-def empirical_covering(design, i_inf: float, eps0: float, p: CoveringParams,
-                       trials: int, seed: int, alpha_beta=None) -> CoveringEstimate:
+def empirical_covering(design, i_inf: float, p: CoveringParams, trials: int,
+                       seed: int) -> CoveringEstimate:
     """Estimate Pr{Z=0} for the real rejection indicator over an r x s band.
 
     Rows and columns are drawn iid from the design marginals and a cell
-    is accepted when its uniform clears min(1, ratio / 2^i_inf).  When
-    ``alpha_beta`` is given (a vectorized (u_idx, v_idx) -> (alpha,
-    beta) table pair lookup), cells additionally need both acceptance
-    probabilities above 1 - 4*eps0; otherwise the J and I indicators
-    coincide.  The bound is evaluated at the supplied CoveringParams.
+    is accepted when its uniform clears min(1, ratio / 2^i_inf).  The
+    bound is evaluated at the supplied CoveringParams.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
     joint = design.joint
-    table = llr_table(joint)
-    accept = np.exp2(np.minimum(table - i_inf, 0.0))
-    if alpha_beta is not None:
-        a_tab, b_tab = alpha_beta
-        thr = 1.0 - 4.0 * eps0
-        gate = (np.asarray(a_tab) > thr) & (np.asarray(b_tab) > thr)
-        accept = accept * gate
+    accept = np.exp2(np.minimum(llr_table(joint) - i_inf, 0.0))
     pu, pv = joint.marginals()
     rng = SeededRng(seed, 0)
     row_rng, col_rng, eta_rng = rng.derive(1), rng.derive(2), rng.derive(3)

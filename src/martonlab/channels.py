@@ -12,13 +12,12 @@ channels serialize to JSON losslessly.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NormalizationError, PositivityError, ValidationError
-from .prob import DEFAULT_ATOL, JointPmf, Pmf
+from .prob import DEFAULT_ATOL, JointPmf
 from .quantum import DensityOperator, matrix_from_json, matrix_to_json, partial_trace
 from .rng import SeededRng
 
@@ -28,18 +27,10 @@ __all__ = [
     "InputDesign",
     "ProductClassicalChannel",
     "build_classical_joints",
-    "build_joint_state",
     "bob_ensemble",
     "charlie_ensemble",
-    "nfold",
-    "product_design",
     "channel_from_json",
-    "NFOLD_CELL_CAP",
-    "NFOLD_DIM_CAP",
 ]
-
-NFOLD_CELL_CAP = 1_000_000
-NFOLD_DIM_CAP = 1024
 
 
 def _check_alphabet(labels, what: str) -> tuple:
@@ -88,23 +79,12 @@ class ClassicalBroadcastChannel:
         except ValueError:
             raise ValidationError(f"unknown input symbol {x!r}") from None
 
-    def joint_yz(self, x: str) -> JointPmf:
-        return JointPmf(self.y_alphabet, self.z_alphabet, self.probs[self.x_index(x)], self.atol)
-
     def marginal_y(self) -> np.ndarray:
         """p(y | x) as an (X, Y) matrix."""
         return self.probs.sum(axis=2)
 
     def marginal_z(self) -> np.ndarray:
         return self.probs.sum(axis=1)
-
-    def sample_output(self, x: str, rng: SeededRng):
-        """One (y, z) label pair drawn from p(y, z | x)."""
-        flat = np.cumsum(self.probs[self.x_index(x)].ravel())
-        flat[-1] = 1.0
-        idx = int(rng.choice_index(flat))
-        nz = len(self.z_alphabet)
-        return self.y_alphabet[idx // nz], self.z_alphabet[idx % nz]
 
     def to_json(self) -> dict:
         return {
@@ -153,9 +133,6 @@ class CqBroadcastChannel:
             return self.x_alphabet.index(x)
         except ValueError:
             raise ValidationError(f"unknown input symbol {x!r}") from None
-
-    def state(self, x: str) -> DensityOperator:
-        return self.states[self.x_index(x)]
 
     def rho_b(self, x: str) -> np.ndarray:
         """Reduced state on B for input ``x``; read-only, shared by all callers."""
@@ -230,12 +207,6 @@ class InputDesign:
                 if p[i, j] > 0.0 and (u, v) not in fmap:
                     raise ValidationError(f"f undefined on support cell ({u!r}, {v!r})")
         object.__setattr__(self, "f", fmap)
-
-    def x_of(self, u: str, v: str) -> str:
-        try:
-            return self.f[(u, v)]
-        except KeyError:
-            raise ValidationError(f"f undefined at ({u!r}, {v!r})") from None
 
     def x_indices(self, channel) -> np.ndarray:
         """f as channel input indices over the (u, v) grid, -1 where f is undefined."""
@@ -319,107 +290,6 @@ def bob_ensemble(channel: CqBroadcastChannel, design: InputDesign):
 def charlie_ensemble(channel: CqBroadcastChannel, design: InputDesign):
     """Register distribution p(v) and conditional C states, averaged over u."""
     return _ensemble(channel, design, 1)
-
-
-def build_joint_state(channel: CqBroadcastChannel, design: InputDesign, dim_cap: int = 4096):
-    """Classical-quantum state on U, V, B, C induced by a design.
-
-    Returns ``(state, dims)`` with dims ``(|U|, |V|, dim_b, dim_c)``.
-    """
-    joint = design.joint
-    nu, nv = joint.shape
-    db, dc = channel.dim_b, channel.dim_c
-    total = nu * nv * db * dc
-    if total > dim_cap:
-        raise ValidationError(f"joint state dimension {total} exceeds cap {dim_cap}")
-    fx = design.x_indices(channel)
-    out = np.zeros((total, total), dtype=complex)
-    block = db * dc
-    for i in range(nu):
-        for j in range(nv):
-            mass = joint.probs[i, j]
-            if mass > 0.0:
-                off = (i * nv + j) * block
-                out[off:off + block, off:off + block] = mass * channel.states[fx[i, j]].matrix
-    return DensityOperator(out), (nu, nv, db, dc)
-
-
-# ---------------------------------------------------------------------------
-# iid products
-
-
-def _product_labels(labels, n: int) -> tuple:
-    """Labels of the n-letter words, in ``itertools.product`` order: letters
-    joined directly when all are one character, else by commas."""
-    sep = "" if all(len(x) == 1 for x in labels) else ","
-    return tuple(sep.join(word) for word in itertools.product(labels, repeat=n))
-
-
-def nfold(channel, n: int, cell_cap: int = NFOLD_CELL_CAP, dim_cap: int = NFOLD_DIM_CAP):
-    """Dense n-fold product of a channel.
-
-    Materializes the full product alphabets, so it is guarded by caps;
-    use :class:`ProductClassicalChannel` for large blocklengths.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be positive, got {n}")
-    if isinstance(channel, ClassicalBroadcastChannel):
-        cells = (len(channel.x_alphabet) * len(channel.y_alphabet) * len(channel.z_alphabet)) ** n
-        if cells > cell_cap:
-            raise ValidationError(f"n-fold transition would hold {cells} cells, cap {cell_cap}")
-        probs = channel.probs
-        out = probs
-        for _ in range(n - 1):
-            out = np.einsum("xyz,abc->xaybzc", out.reshape(out.shape), probs).reshape(
-                out.shape[0] * probs.shape[0], out.shape[1] * probs.shape[1], out.shape[2] * probs.shape[2])
-        return ClassicalBroadcastChannel(
-            _product_labels(channel.x_alphabet, n),
-            _product_labels(channel.y_alphabet, n),
-            _product_labels(channel.z_alphabet, n),
-            out, atol=max(channel.atol, 1e-9))
-    if isinstance(channel, CqBroadcastChannel):
-        dim = (channel.dim_b * channel.dim_c) ** n
-        if dim > dim_cap:
-            raise ValidationError(f"n-fold state dimension {dim} exceeds cap {dim_cap}")
-        # B and C registers must stay contiguous: reorder (b1 c1 b2 c2) to (b1 b2 c1 c2)
-        labels = _product_labels(channel.x_alphabet, n)
-        db, dc = channel.dim_b ** n, channel.dim_c ** n
-        states = []
-        perm_dims = []
-        for _ in range(n):
-            perm_dims += [channel.dim_b, channel.dim_c]
-        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        for word in itertools.product(channel.x_alphabet, repeat=n):
-            mat = functools.reduce(np.kron, (channel.states[channel.x_index(x)].matrix for x in word))
-            tens = mat.reshape(perm_dims + perm_dims)
-            tens = np.transpose(tens, order + [2 * n + o for o in order])
-            states.append(DensityOperator(tens.reshape(db * dc, db * dc)))
-        return CqBroadcastChannel(labels, db, dc, tuple(states))
-    raise ValidationError(f"unsupported channel type {type(channel).__name__}")
-
-
-def product_design(design: InputDesign, n: int, cell_cap: int = NFOLD_CELL_CAP) -> InputDesign:
-    """Dense n-fold product of a design: iid joint, symbol-wise map."""
-    if n < 1:
-        raise ValidationError(f"n must be positive, got {n}")
-    joint = design.joint
-    cells = (joint.shape[0] * joint.shape[1]) ** n
-    if cells > cell_cap:
-        raise ValidationError(f"n-fold joint would hold {cells} cells, cap {cell_cap}")
-    probs = joint.probs
-    out = probs
-    for _ in range(n - 1):
-        out = np.kron(out, probs)
-    rows = _product_labels(joint.row_labels, n)
-    cols = _product_labels(joint.col_labels, n)
-    xsep = "," if any(len(x) > 1 for x in design.f.values()) else ""
-    fmap = {}
-    big = JointPmf(rows, cols, out, atol=1e-9)
-    for i, us in enumerate(itertools.product(joint.row_labels, repeat=n)):
-        for j, vs in enumerate(itertools.product(joint.col_labels, repeat=n)):
-            if big.probs[i, j] > 0.0:
-                fmap[(rows[i], cols[j])] = xsep.join(design.x_of(a, b) for a, b in zip(us, vs))
-    return InputDesign(big, fmap)
 
 
 class ProductClassicalChannel:

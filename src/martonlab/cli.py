@@ -27,8 +27,8 @@ from .analysis import (
     verdu_region,
 )
 from .channels import InputDesign, channel_from_json
-from .coding import RateParams, band_sum_target, select_band_exponents
-from .divergences import classical_i0, classical_i_infty
+from .coding import RateParams, band_constraints, select_band_exponents
+from .divergences import I0_METHODS, classical_i0, classical_i_infty
 from .errors import InfeasibleRates, MartonlabError, ValidationError
 from .experiments import Scheme
 from .prob import JointPmf
@@ -110,9 +110,12 @@ def _power_float(text: str) -> float:
 
 def _int_list(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         _fail_parse(f"cannot parse integer list {text!r}")
+    if not values:
+        _fail_parse(f"integer list {text!r} is empty")
+    return values
 
 
 def _seed(value: int) -> int:
@@ -168,20 +171,6 @@ def _cmd_divergence(args) -> int:
 # bands
 
 
-def _band_constraints(R1, R2, r1, r2, i0b, i0c, i_infty, eps_tilde):
-    ell = math.log2(1.0 / eps_tilde)
-    target = band_sum_target(i_infty, eps_tilde)
-    return [
-        {"name": "row budget", "lhs": R1 + r1, "rhs": i0b - 4 * ell - 1,
-         "slack": i0b - 4 * ell - 1 - (R1 + r1)},
-        {"name": "column budget", "lhs": R2 + r2, "rhs": i0c - 4 * ell - 1,
-         "slack": i0c - 4 * ell - 1 - (R2 + r2)},
-        {"name": "row band floor", "lhs": r1, "rhs": ell, "slack": r1 - ell},
-        {"name": "column band floor", "lhs": r2, "rhs": ell, "slack": r2 - ell},
-        {"name": "band sum", "lhs": r1 + r2, "rhs": target, "slack": target - (r1 + r2)},
-    ]
-
-
 def _cmd_bands(args) -> int:
     try:
         r1, r2 = select_band_exponents(args.R1, args.R2, args.i0b, args.i0c,
@@ -192,13 +181,12 @@ def _cmd_bands(args) -> int:
         raise _ParseFailure(str(e))
     doc = {"r1": r1, "r2": r2}
     if args.explain:
-        doc["constraints"] = _band_constraints(
+        constraints = band_constraints(
             args.R1, args.R2, r1, r2, args.i0b, args.i0c, args.i_infty, args.eps_tilde)
-        for c in doc["constraints"]:
-            rel = "==" if c["name"] == "band sum" else (
-                ">=" if "floor" in c["name"] else "<=")
-            print(f"# {c['name']}: {c['lhs']} {rel} {c['rhs']:.6g} "
-                  f"(slack {c['slack']:.6g})", file=sys.stderr)
+        doc["constraints"] = [c.to_json() for c in constraints]
+        for c in constraints:
+            print(f"# {c.name}: {c.lhs} {c.relation} {c.rhs:.6g} "
+                  f"(slack {c.slack:.6g})", file=sys.stderr)
     print(_dumps(doc))
     return EXIT_OK
 
@@ -218,8 +206,8 @@ def _cmd_covering(args) -> int:
             design = _design_from_file(Path(args.design))
             if args.i_infty is None:
                 _fail_parse("--i-infty is required with --design")
-            est = empirical_covering(design, args.i_infty, args.eps0, params,
-                                     args.trials, _seed(args.seed))
+            est = empirical_covering(design, args.i_infty, params, args.trials,
+                                     _seed(args.seed))
         else:
             est = synthetic_covering(params, args.trials, _seed(args.seed),
                                      family=args.family)
@@ -325,12 +313,9 @@ def _int_pair(value, key: str, path: Path, auto: bool = False) -> list:
     return value
 
 
-def _resolve_rates(rates, i0b, i0c, i_infty, eps_tilde):
-    """Fixed integers pass through; 'auto' maximizes under the rate caps."""
-    ell = math.log2(1.0 / eps_tilde)
-    cap1 = i0b - 5.0 * ell - 2.0
-    cap2 = i0c - 5.0 * ell - 2.0
-    cap_sum = i0b + i0c - i_infty - 11.0 * ell - 5.0
+def _resolve_rates(rates, region):
+    """Fixed integers pass through; 'auto' maximizes under the region's rate caps."""
+    cap1, cap2, cap_sum = region.r1_max, region.r2_max, region.sum_max
     R1, R2 = rates
     if R1 == "auto":
         budget = cap_sum - (0 if R2 == "auto" else R2)
@@ -372,6 +357,9 @@ def _cmd_simulate(args) -> int:
     n = _typed(cfg, "n", cfg_path, int, 1)
     resample = _typed(cfg, "resample_codebook", cfg_path, bool, True)
     i0_method = _typed(cfg, "i0_method", cfg_path, str, "greedy")
+    if i0_method not in I0_METHODS:
+        _fail_parse(f"{cfg_path}: 'i0_method' must be one of {', '.join(I0_METHODS)}, "
+                    f"got {i0_method!r}")
     mode = _typed(cfg, "mode", cfg_path, str, "theorem")
     if mode not in ("theorem", "free"):
         _fail_parse(f"{cfg_path}: 'mode' must be 'theorem' or 'free', got {mode!r}")
@@ -400,7 +388,8 @@ def _cmd_simulate(args) -> int:
         raise _InfeasibleConfig(str(e))
     i0b, i0c, i_infty = (scheme.achieved[k] for k in ("i0b", "i0c", "i_infty"))
 
-    R1, R2 = _resolve_rates(rates, i0b, i0c, i_infty, eps_tilde)
+    R1, R2 = _resolve_rates(
+        rates, marton_region(i0b, i0c, i_infty, eps_tilde, eps0, setting=setting))
     if bands is not None:
         r1, r2 = bands
     else:
@@ -458,8 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", required=True, help="JointPmf JSON file")
     p.add_argument("--kind", choices=("i0", "i-infty"), required=True)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.add_argument("--method", default="greedy",
-                   choices=("greedy", "exhaustive", "randomized"))
+    p.add_argument("--method", default="greedy", choices=I0_METHODS)
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("bands", help="select band exponents for given rates and budgets")
@@ -491,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default=None,
                    help="design JSON file: use the real rejection indicator")
     p.add_argument("--i-infty", dest="i_infty", type=_finite_float, default=None)
-    p.add_argument("--eps0", type=_finite_float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_covering)
 

@@ -33,6 +33,8 @@ __all__ = [
     "RateParams",
     "select_band_exponents",
     "band_sum_target",
+    "BandConstraint",
+    "band_constraints",
     "Codebook",
     "generate_codebook",
     "EncodeOutcome",
@@ -55,6 +57,8 @@ __all__ = [
 # decoder's float row sums and the exact convolution agree on membership
 DECODE_TOL = 1e-6
 ROW_CAP = 1 << 26
+# atom cap of the threshold evaluator's tail-mass convolutions
+THRESHOLD_ATOM_CAP = 100_000
 _FEAS_TOL = 1e-9
 
 
@@ -65,6 +69,58 @@ def _ceil_guarded(x: float) -> int:
 def band_sum_target(i_infty: float, eps_tilde: float) -> int:
     """The required r1 + r2: ceil(i_infty + 3 log2(1/eps_tilde)), float noise ignored."""
     return _ceil_guarded(i_infty + 3 * math.log2(1.0 / eps_tilde))
+
+
+_VERBS = {"<=": "exceeds", ">=": "is below", "==": "must equal"}
+
+
+@dataclass(frozen=True)
+class BandConstraint:
+    """One constraint ``lhs relation rhs`` on the rates and band exponents."""
+
+    name: str
+    lhs_text: str
+    relation: str
+    rhs_text: str
+    lhs: int
+    rhs: float
+
+    @property
+    def slack(self):
+        return self.lhs - self.rhs if self.relation == ">=" else self.rhs - self.lhs
+
+    @property
+    def violated(self) -> bool:
+        if self.relation == "<=":
+            return self.lhs > self.rhs + _FEAS_TOL
+        if self.relation == ">=":
+            return self.lhs < self.rhs - _FEAS_TOL
+        return self.lhs != self.rhs
+
+    def message(self) -> str:
+        rhs = self.rhs if self.relation == "==" else f"{self.rhs:.6f}"
+        return (f"{self.name}: {self.lhs_text} = {self.lhs} {_VERBS[self.relation]} "
+                f"{self.rhs_text} = {rhs}")
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
+
+
+def band_constraints(R1: int, R2: int, r1: int, r2: int, i0b: float, i0c: float,
+                     i_infty: float, eps_tilde: float) -> tuple:
+    """The five constraints the closed-form bounds place on rates and bands."""
+    ell = math.log2(1.0 / eps_tilde)
+    budget = "4 log2(1/eps_tilde) - 1"
+    return (
+        BandConstraint("row budget", "R1 + r1", "<=", f"i0b - {budget}",
+                       R1 + r1, i0b - 4 * ell - 1),
+        BandConstraint("column budget", "R2 + r2", "<=", f"i0c - {budget}",
+                       R2 + r2, i0c - 4 * ell - 1),
+        BandConstraint("row band floor", "r1", ">=", "log2(1/eps_tilde)", r1, ell),
+        BandConstraint("column band floor", "r2", ">=", "log2(1/eps_tilde)", r2, ell),
+        BandConstraint("band sum", "r1 + r2", "==", "ceil(i_infty + 3 log2(1/eps_tilde))",
+                       r1 + r2, band_sum_target(i_infty, eps_tilde)),
+    )
 
 
 @dataclass(frozen=True)
@@ -107,10 +163,6 @@ class RateParams:
             raise ValidationError(f"eps_infty must lie in [0, 1), got {self.eps_infty}")
 
     @property
-    def log_inv_eps(self) -> float:
-        return math.log2(1.0 / self.eps_tilde)
-
-    @property
     def n_rows(self) -> int:
         return 1 << (self.R1 + self.r1)
 
@@ -120,27 +172,13 @@ class RateParams:
 
     def validate(self) -> None:
         """Raise InfeasibleRates naming the first violated constraint."""
-        ell = self.log_inv_eps
         if self.eps_infty > 0.25 + _FEAS_TOL:
             raise InfeasibleRates(
                 f"thinning budget: eps_infty = {self.eps_infty} exceeds 1/4")
-        if self.R1 + self.r1 > self.i0b - 4 * ell - 1 + _FEAS_TOL:
-            raise InfeasibleRates(
-                f"row budget: R1 + r1 = {self.R1 + self.r1} exceeds "
-                f"i0b - 4 log2(1/eps_tilde) - 1 = {self.i0b - 4 * ell - 1:.6f}")
-        if self.R2 + self.r2 > self.i0c - 4 * ell - 1 + _FEAS_TOL:
-            raise InfeasibleRates(
-                f"column budget: R2 + r2 = {self.R2 + self.r2} exceeds "
-                f"i0c - 4 log2(1/eps_tilde) - 1 = {self.i0c - 4 * ell - 1:.6f}")
-        if self.r1 < ell - _FEAS_TOL:
-            raise InfeasibleRates(f"row band floor: r1 = {self.r1} is below log2(1/eps_tilde) = {ell:.6f}")
-        if self.r2 < ell - _FEAS_TOL:
-            raise InfeasibleRates(f"column band floor: r2 = {self.r2} is below log2(1/eps_tilde) = {ell:.6f}")
-        target = band_sum_target(self.i_infty, self.eps_tilde)
-        if self.r1 + self.r2 != target:
-            raise InfeasibleRates(
-                f"band sum: r1 + r2 = {self.r1 + self.r2} must equal "
-                f"ceil(i_infty + 3 log2(1/eps_tilde)) = {target}")
+        for c in band_constraints(self.R1, self.R2, self.r1, self.r2, self.i0b, self.i0c,
+                                  self.i_infty, self.eps_tilde):
+            if c.violated:
+                raise InfeasibleRates(c.message())
 
 
 def select_band_exponents(R1: int, R2: int, i0b: float, i0c: float, i_infty: float,
@@ -347,11 +385,11 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
     per pair as a prefix table; the present pairs are convolved in
     ascending pair order.  Every convolution is
     :func:`~martonlab.divergences.convolve_atoms` at a 1e-12 bit merge
-    tolerance, raising SupportOverflowError past ``atom_cap`` atoms.
+    tolerance, raising SupportOverflowError past ``THRESHOLD_ATOM_CAP`` atoms.
     """
 
     def __init__(self, channel, design: InputDesign, llr1: np.ndarray, llr2: np.ndarray,
-                 tau1: float, tau2: float, atom_cap: int = 100_000):
+                 tau1: float, tau2: float):
         super().__init__(channel, design)
         self.py = channel.marginal_y()
         self.pz = channel.marginal_z()
@@ -359,7 +397,7 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
         self.llr2 = np.asarray(llr2, dtype=float)
         self.tau1 = float(tau1)
         self.tau2 = float(tau2)
-        self._sum = functools.partial(convolve_atoms, tol=1e-12, atom_cap=atom_cap)
+        self._sum = functools.partial(convolve_atoms, tol=1e-12, atom_cap=THRESHOLD_ATOM_CAP)
         self._sides = ((self.llr1, self.py, self.tau1), (self.llr2, self.pz, self.tau2))
         # (side, u, x) -> [k-fold step distribution for k = 0, 1, ...]
         self._powers = {}

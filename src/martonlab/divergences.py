@@ -22,32 +22,34 @@ import numpy as np
 
 from .errors import ConvergenceError, SupportOverflowError, ValidationError
 from .prob import JointPmf
-from .quantum import HermitianOperator, real_trace
 
 __all__ = [
     "DivergenceResult",
     "classical_i_infty",
     "classical_i0",
-    "quantum_i0",
     "quantum_i0_cq",
     "np_test_blocks",
     "LlrSpectrum",
     "iid_llr_spectrum",
     "iid_llr_spectra",
-    "classical_i0_iid",
     "classical_i_infty_iid",
     "spectrum_i0",
     "spectrum_i_infty",
-    "verify_witness",
     "llr_table",
+    "I0_METHODS",
     "MASS_TOL",
     "EXHAUSTIVE_CELL_CAP",
     "SPECTRUM_ATOM_CAP",
 ]
 
+# the order-zero constructions of classical_i0
+I0_METHODS = ("greedy", "exhaustive", "randomized")
 MASS_TOL = 1e-12
 # meet-in-the-middle enumeration is exact but exponential; cap the cells
 EXHAUSTIVE_CELL_CAP = 24
+# llr spectra merge atoms closer than SPECTRUM_MERGE_TOL bits and stop
+# past SPECTRUM_ATOM_CAP atoms
+SPECTRUM_MERGE_TOL = 1e-9
 SPECTRUM_ATOM_CAP = 1_000_000
 _TINY = np.finfo(float).tiny
 _NP_MAX_ITER = 200
@@ -59,7 +61,7 @@ class DivergenceResult:
     """Value of a smooth divergence computation plus its witness.
 
     ``witness`` is a JSON-friendly dict whose ``kind`` key says how to
-    re-evaluate the objective; :func:`verify_witness` does exactly that.
+    re-evaluate the objective.
     """
 
     value: float
@@ -248,25 +250,6 @@ def classical_i0(joint: JointPmf, eps: float, method: str = "greedy") -> Diverge
 # classical-quantum order-zero divergence via a bisected Neyman-Pearson test
 
 
-def _cq_blocks(state, dims, block_tol):
-    arr = state.matrix if isinstance(state, HermitianOperator) else np.asarray(state, dtype=complex)
-    du, db = int(dims[0]), int(dims[1])
-    if arr.shape != (du * db, du * db):
-        raise ValidationError(f"state shape {arr.shape} does not match dims {dims}")
-    blocks = []
-    for u in range(du):
-        for u2 in range(du):
-            sub = arr[u * db:(u + 1) * db, u2 * db:(u2 + 1) * db]
-            if u == u2:
-                blocks.append(sub)
-            elif float(np.max(np.abs(sub), initial=0.0)) > block_tol:
-                raise ValidationError(
-                    f"register U is not classical: off-diagonal block ({u},{u2}) "
-                    f"has magnitude {np.max(np.abs(sub)):.3e}"
-                )
-    return blocks
-
-
 def _np_strict_alpha(p_u, rho_u, rho_avg, lam):
     total = 0.0
     for pu, r in zip(p_u, rho_u):
@@ -280,7 +263,7 @@ def _np_strict_alpha(p_u, rho_u, rho_avg, lam):
     return total
 
 
-def quantum_i0_cq(p_u, rho_u, eps: float, max_iter: int = _NP_MAX_ITER) -> DivergenceResult:
+def quantum_i0_cq(p_u, rho_u, eps: float) -> DivergenceResult:
     """Order-zero divergence of a cq state given as an ensemble.
 
     Parameters
@@ -309,12 +292,13 @@ def quantum_i0_cq(p_u, rho_u, eps: float, max_iter: int = _NP_MAX_ITER) -> Diver
         lo = hi
         hi *= 2.0
         iters += 1
-        if iters > max_iter:
+        if iters > _NP_MAX_ITER:
             raise ConvergenceError(f"test threshold still feasible after doubling to {hi}")
     while hi - lo > 1e-13 * max(1.0, hi):
         iters += 1
-        if iters > max_iter:
-            raise ConvergenceError(f"bisection did not localize the threshold in {max_iter} iterations")
+        if iters > _NP_MAX_ITER:
+            raise ConvergenceError(
+                f"bisection did not localize the threshold in {_NP_MAX_ITER} iterations")
         mid = 0.5 * (lo + hi)
         if _np_strict_alpha(p_u, rho_u, rho_avg, mid) >= target - MASS_TOL:
             lo = mid
@@ -355,21 +339,6 @@ def quantum_i0_cq(p_u, rho_u, eps: float, max_iter: int = _NP_MAX_ITER) -> Diver
         "constraint_mass": float(a + w * b),
     }
     return DivergenceResult(float(-np.log2(beta)), eps, "neyman-pearson", witness)
-
-
-def quantum_i0(state, dims, eps: float, block_tol: float = 1e-9) -> DivergenceResult:
-    """Order-zero divergence of a bipartite cq state against its marginal product.
-
-    ``state`` lives on U tensor B with ``dims = (dim_u, dim_b)``; the U
-    register must be classical (no coherence across its basis, checked
-    within ``block_tol``).
-    """
-    blocks = _cq_blocks(state, dims, block_tol)
-    p_u = np.array([real_trace(blk) for blk in blocks])
-    if float(p_u.min(initial=0.0)) < -block_tol:
-        raise ValidationError("negative register probabilities")
-    rho_u = [blk / pu if pu > 0.0 else np.zeros_like(blk) for blk, pu in zip(blocks, p_u)]
-    return quantum_i0_cq(np.clip(p_u, 0.0, None), rho_u, eps)
 
 
 def np_test_blocks(p_u, rho_u, lam: float, weight: float):
@@ -453,14 +422,14 @@ def convolve_atoms(a: tuple, b: tuple, tol: float, atom_cap: int) -> tuple:
     return vm, pm
 
 
-def iid_llr_spectra(base: JointPmf, ns, merge_tol: float = 1e-9,
-                    atom_cap: int = SPECTRUM_ATOM_CAP) -> list:
+def iid_llr_spectra(base: JointPmf, ns) -> list:
     """Spectra of the summed log likelihood ratio over n iid copies, per n in ``ns``.
 
-    One ascending pass of convolutions, atoms merged at ``merge_tol`` bits,
-    builds every n; the spectra follow the order of ``ns``.  Raises
-    ``SupportOverflowError`` if the support grows past ``atom_cap``.
+    One ascending pass of convolutions, atoms merged at ``SPECTRUM_MERGE_TOL``
+    bits, builds every n; the spectra follow the order of ``ns``.  Raises
+    ``SupportOverflowError`` if the support grows past ``SPECTRUM_ATOM_CAP``.
     """
+    merge_tol, atom_cap = SPECTRUM_MERGE_TOL, SPECTRUM_ATOM_CAP
     ns = [int(n) for n in ns]
     if min(ns, default=1) < 1:
         raise ValidationError(f"n must be a positive integer, got {min(ns)}")
@@ -476,10 +445,9 @@ def iid_llr_spectra(base: JointPmf, ns, merge_tol: float = 1e-9,
     return [built[n] for n in ns]
 
 
-def iid_llr_spectrum(base: JointPmf, n: int, merge_tol: float = 1e-9,
-                     atom_cap: int = SPECTRUM_ATOM_CAP) -> LlrSpectrum:
+def iid_llr_spectrum(base: JointPmf, n: int) -> LlrSpectrum:
     """Spectrum of the summed log likelihood ratio over n iid copies."""
-    return iid_llr_spectra(base, [n], merge_tol, atom_cap)[0]
+    return iid_llr_spectra(base, [n])[0]
 
 
 def spectrum_i_infty(spectrum: LlrSpectrum, eps: float) -> DivergenceResult:
@@ -523,88 +491,6 @@ def spectrum_i0(spectrum: LlrSpectrum, eps: float, method: str = "randomized") -
     return DivergenceResult(float(-np.log2(beta)), eps, f"spectrum-{method}", witness)
 
 
-def classical_i0_iid(base: JointPmf, n: int, eps: float, method: str = "randomized") -> DivergenceResult:
-    """Order-zero divergence of n iid copies of a base joint, via its spectrum."""
-    return spectrum_i0(iid_llr_spectrum(base, n), eps, method)
-
-
 def classical_i_infty_iid(base: JointPmf, n: int, eps: float) -> DivergenceResult:
     """Smooth max divergence of n iid copies of a base joint, via its spectrum."""
     return spectrum_i_infty(iid_llr_spectrum(base, n), eps)
-
-
-# ---------------------------------------------------------------------------
-# witness re-evaluation
-
-
-def _set_masses(joint: JointPmf, cells):
-    p = joint.probs
-    pu = p.sum(axis=1)
-    pv = p.sum(axis=0)
-    mass = prod = 0.0
-    worst = -np.inf
-    for u, v in cells:
-        i, j = joint.row_labels.index(u), joint.col_labels.index(v)
-        mass += float(p[i, j])
-        prod += float(pu[i] * pv[j])
-        if p[i, j] > 0:
-            worst = max(worst, float(np.log2(p[i, j] / (pu[i] * pv[j]))))
-    return mass, prod, worst
-
-
-def verify_witness(result: DivergenceResult, *, joint: JointPmf | None = None,
-                   ensemble=None, spectrum: LlrSpectrum | None = None) -> float:
-    """Recompute a result's objective from its witness alone.
-
-    Returns the re-evaluated value; raises if the witness is infeasible
-    for ``result.epsilon``.  Pass the object the result was computed
-    from: ``joint`` for classical results, ``ensemble=(p_u, rho_u)``
-    for cq results, ``spectrum`` for spectrum results.
-    """
-    wit = result.witness
-    kind = wit.get("kind")
-    slack = 1e-9
-    if kind in ("max-div-set", "min-div-set"):
-        mass, prod, worst = _set_masses(joint, wit["cells"])
-        if mass < 1.0 - result.epsilon - slack:
-            raise ValidationError(f"witness set keeps mass {mass}, needs {1.0 - result.epsilon}")
-        return worst if kind == "max-div-set" else float(-np.log2(prod))
-    if kind == "min-div-randomized":
-        m_full, q_full, _ = _set_masses(joint, wit["full_cells"])
-        m_bnd, q_bnd, _ = _set_masses(joint, wit["boundary_cells"])
-        w = wit["boundary_weight"]
-        if m_full + w * m_bnd < 1.0 - result.epsilon - slack:
-            raise ValidationError("randomized witness infeasible")
-        return float(-np.log2(q_full + w * q_bnd))
-    if kind == "np-test":
-        p_u, rho_u = ensemble
-        gammas = np_test_blocks(p_u, rho_u, wit["lambda"], wit["boundary_weight"])
-        rho_avg = sum(pu * np.asarray(r) for pu, r in zip(np.asarray(p_u, dtype=float), rho_u))
-        alpha = sum(pu * real_trace(g, r) for pu, g, r in zip(p_u, gammas, rho_u))
-        beta = sum(pu * real_trace(g, rho_avg) for pu, g in zip(p_u, gammas))
-        if alpha < 1.0 - result.epsilon - 1e-6:
-            raise ValidationError(f"test operator keeps mass {alpha}, needs {1.0 - result.epsilon}")
-        return float(-np.log2(beta))
-    if kind == "spectrum-threshold":
-        tau = wit["threshold"]
-        sel = spectrum.values >= tau - 1e-12
-        mass = float(spectrum.probs[sel].sum())
-        if wit["objective"] == "max":
-            low = spectrum.values <= tau + 1e-12
-            if float(spectrum.probs[low].sum()) < 1.0 - result.epsilon - slack:
-                raise ValidationError("threshold witness infeasible")
-            return float(tau)
-        if mass < 1.0 - result.epsilon - slack:
-            raise ValidationError("threshold witness infeasible")
-        return float(-np.log2(np.sum(spectrum.probs[sel] * np.exp2(-spectrum.values[sel]))))
-    if kind == "spectrum-randomized":
-        tau, w = wit["threshold"], wit["boundary_weight"]
-        above = spectrum.values > tau + 1e-12
-        at = np.abs(spectrum.values - tau) <= 1e-12
-        mass = float(spectrum.probs[above].sum() + w * spectrum.probs[at].sum())
-        if mass < 1.0 - result.epsilon - slack:
-            raise ValidationError("randomized spectrum witness infeasible")
-        beta = float(np.sum(spectrum.probs[above] * np.exp2(-spectrum.values[above]))
-                     + w * np.sum(spectrum.probs[at] * np.exp2(-spectrum.values[at])))
-        return float(-np.log2(beta))
-    raise ValidationError(f"unknown witness kind {kind!r}")

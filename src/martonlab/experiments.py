@@ -47,6 +47,7 @@ from .coding import (
     generate_codebook,
 )
 from .divergences import (
+    I0_METHODS,
     classical_i0,
     classical_i_infty,
     classical_i_infty_iid,
@@ -214,6 +215,9 @@ class Scheme:
                  *, n: int = 1, i0_method: str = "greedy"):
         if n < 1:
             raise ValidationError("blocklength must be positive")
+        if i0_method not in I0_METHODS:
+            raise ValidationError(
+                f"i0 method must be one of {', '.join(I0_METHODS)}, got {i0_method!r}")
         self.channel, self.design, self.n, self.i0_method = channel, design, n, i0_method
         self.eps0, self.eps_infty = eps0, eps_infty
         if isinstance(channel, CqBroadcastChannel):

@@ -7,14 +7,12 @@ the default accepts only errors at the level of float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import functools
-import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NormalizationError, PositivityError, ValidationError
-from .rng import SeededRng
 
 __all__ = ["Pmf", "JointPmf", "mutual_information", "DEFAULT_ATOL"]
 
@@ -63,39 +61,13 @@ class Pmf:
         object.__setattr__(self, "labels", _check_labels(self.labels, arr.size, "Pmf"))
         _check_mass(arr, self.atol, "Pmf")
 
-    @classmethod
-    def uniform(cls, labels) -> "Pmf":
-        labels = tuple(labels)
-        return cls(labels, np.full(len(labels), 1.0 / len(labels)))
-
     def __len__(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown label {label!r}") from None
-
-    def prob(self, label: str) -> float:
-        return float(self.probs[self.index(label)])
-
-    def support(self) -> tuple:
-        return tuple(l for l, p in zip(self.labels, self.probs) if p > 0.0)
 
     def cdf(self) -> np.ndarray:
         c = np.cumsum(self.probs)
         c[-1] = 1.0
         return c
-
-    def sample_indices(self, rng: SeededRng, size=None):
-        return rng.choice_index(self.cdf(), size)
-
-    def sample(self, rng: SeededRng, size=None):
-        idx = self.sample_indices(rng, size)
-        if size is None:
-            return self.labels[int(idx)]
-        return [self.labels[i] for i in np.atleast_1d(idx)]
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "probs": [float(p) for p in self.probs]}
@@ -143,19 +115,6 @@ class JointPmf:
             Pmf(self.row_labels, row / row.sum(), self.atol),
             Pmf(self.col_labels, col / col.sum(), self.atol),
         )
-
-    def sample_indices(self, rng: SeededRng, size=None):
-        flat = np.cumsum(self.probs.ravel())
-        flat[-1] = 1.0
-        idx = rng.choice_index(flat, size)
-        ncol = self.probs.shape[1]
-        return idx // ncol, idx % ncol
-
-    def sample(self, rng: SeededRng, size=None):
-        i, j = self.sample_indices(rng, size)
-        if size is None:
-            return self.row_labels[int(i)], self.col_labels[int(j)]
-        return [(self.row_labels[a], self.col_labels[b]) for a, b in zip(np.atleast_1d(i), np.atleast_1d(j))]
 
     def to_json(self) -> dict:
         return {

@@ -1,9 +1,9 @@
-"""Finite-dimensional operators, states, and measurements.
+"""Finite-dimensional operators and states.
 
 Plain numpy arrays do the arithmetic; thin frozen wrappers carry the
 validation (hermiticity, positivity, normalization) so invalid objects
-fail at construction instead of deep inside an experiment.  All
-tolerances are explicit parameters.
+fail at construction instead of deep inside an experiment.  The
+tolerances are the module constants below.
 """
 
 from __future__ import annotations
@@ -13,17 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HermiticityError, NormalizationError, PositivityError, ValidationError
-from .rng import SeededRng
 
 __all__ = [
     "HermitianOperator",
     "DensityOperator",
-    "Povm",
-    "tensor",
     "partial_trace",
-    "eig_hermitian",
-    "pretty_good_measurement",
-    "measure",
     "hayashi_nagaoka_check",
     "real_trace",
     "pinv_sqrt",
@@ -59,13 +53,12 @@ class HermitianOperator:
     """A validated Hermitian matrix."""
 
     matrix: np.ndarray
-    tol: float = HERMITICITY_TOL
 
     def __post_init__(self):
         arr = _square_complex(self.matrix)
         dev = float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
-        if dev > self.tol:
-            raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e} > {self.tol}")
+        if dev > HERMITICITY_TOL:
+            raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e} > {HERMITICITY_TOL}")
         arr = (arr + arr.conj().T) / 2.0
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -73,9 +66,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eig(self):
-        return eig_hermitian(self.matrix, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -85,32 +75,11 @@ class DensityOperator(HermitianOperator):
     def __post_init__(self):
         super().__post_init__()
         low = float(np.linalg.eigvalsh(self.matrix)[0])
-        if low < -self.tol:
-            raise PositivityError(f"state has eigenvalue {low:.3e} < -{self.tol}")
+        if low < -HERMITICITY_TOL:
+            raise PositivityError(f"state has eigenvalue {low:.3e} < -{HERMITICITY_TOL}")
         tr = real_trace(self.matrix)
-        if abs(tr - 1.0) > max(self.tol, 1e-10):
+        if abs(tr - 1.0) > HERMITICITY_TOL:
             raise NormalizationError(f"state trace {tr!r} differs from 1")
-
-    @classmethod
-    def pure(cls, vector) -> "DensityOperator":
-        v = np.asarray(vector, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-
-def tensor(*ops):
-    """Kronecker product of operators or arrays, left to right."""
-    if not ops:
-        raise ValidationError("tensor needs at least one operand")
-    mats = [op.matrix if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex) for op in ops]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    if all(isinstance(op, DensityOperator) for op in ops):
-        return DensityOperator(out)
-    if all(isinstance(op, HermitianOperator) for op in ops):
-        return HermitianOperator(out)
-    return out
 
 
 def partial_trace(op, dims, keep):
@@ -151,25 +120,11 @@ def partial_trace(op, dims, keep):
     return wrap(reduced) if wrap else reduced
 
 
-def eig_hermitian(matrix, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(values, vectors)`` with values sorted descending and
-    ``vectors[:, i]`` the eigenvector of ``values[i]``.
-    """
-    arr = _square_complex(matrix)
-    dev = float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
-    if dev > tol:
-        raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e} > {tol}")
-    vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def pinv_sqrt(matrix: np.ndarray, rcut: float = SUPPORT_RCUT):
+def pinv_sqrt(matrix: np.ndarray):
     """Pseudo-inverse square root and support projector of a PSD matrix."""
     vals, vecs = np.linalg.eigh(matrix)
     top = float(vals[-1]) if vals.size else 0.0
-    mask = vals > max(top, 0.0) * rcut
+    mask = vals > max(top, 0.0) * SUPPORT_RCUT
     if top <= 0.0:
         mask = np.zeros_like(vals, dtype=bool)
     inv = np.zeros_like(vals)
@@ -178,84 +133,7 @@ def pinv_sqrt(matrix: np.ndarray, rcut: float = SUPPORT_RCUT):
     return (v * inv) @ v.conj().T, (v * mask.astype(float)) @ v.conj().T
 
 
-class Povm:
-    """A positive operator valued measure.
-
-    Elements must be PSD and sum to the identity, both within ``tol``.
-    """
-
-    def __init__(self, elements, tol: float = POVM_TOL):
-        mats = []
-        for i, e in enumerate(elements):
-            arr = _square_complex(e.matrix if isinstance(e, HermitianOperator) else e)
-            arr = (arr + arr.conj().T) / 2.0
-            low = float(np.linalg.eigvalsh(arr)[0])
-            if low < -tol:
-                raise PositivityError(f"POVM element {i} has eigenvalue {low:.3e} < -{tol}")
-            arr.setflags(write=False)
-            mats.append(arr)
-        if not mats:
-            raise ValidationError("POVM needs at least one element")
-        total = np.sum(mats, axis=0)
-        dev = float(np.max(np.abs(total - np.eye(total.shape[0]))))
-        if dev > tol:
-            raise NormalizationError(f"POVM elements sum to identity only within {dev:.3e} > {tol}")
-        self.elements = tuple(mats)
-        self.tol = tol
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    def outcome_probabilities(self, state) -> np.ndarray:
-        """Born probabilities of each outcome on ``state``."""
-        rho = state.matrix if isinstance(state, HermitianOperator) else np.asarray(state, dtype=complex)
-        probs = np.array([real_trace(e, rho) for e in self.elements])
-        if float(probs.min()) < -1e-9:
-            raise PositivityError(f"outcome probability {probs.min():.3e} below -1e-9")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise NormalizationError(f"outcome probabilities sum to {total!r}, off by more than 1e-6")
-        return probs / total
-
-
-def pretty_good_measurement(operators, tol: float = POVM_TOL, rcut: float = SUPPORT_RCUT) -> Povm:
-    """Pretty good measurement built from PSD operators.
-
-    Element k is ``S^{-1/2} A_k S^{-1/2}`` with ``S`` the sum of all
-    operators and the inverse square root taken on the support of ``S``.
-    A completion element ``I - P_supp(S)`` is appended last, so the POVM
-    has ``len(operators) + 1`` outcomes and the last index means failure.
-    """
-    mats = []
-    for i, a in enumerate(operators):
-        arr = _square_complex(a.matrix if isinstance(a, HermitianOperator) else a)
-        low = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
-        if low < -tol:
-            raise PositivityError(f"operator {i} has eigenvalue {low:.3e} < -{tol}")
-        mats.append((arr + arr.conj().T) / 2.0)
-    if not mats:
-        raise ValidationError("pretty_good_measurement needs at least one operator")
-    s = np.sum(mats, axis=0)
-    inv_sqrt, supp = pinv_sqrt(s, rcut)
-    elements = [inv_sqrt @ a @ inv_sqrt for a in mats]
-    elements.append(np.eye(s.shape[0]) - supp)
-    return Povm(elements, tol=tol)
-
-
-def measure(state, povm: Povm, rng: SeededRng, size=None):
-    """Sample outcome indices of ``povm`` on ``state``."""
-    probs = povm.outcome_probabilities(state)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return rng.choice_index(cdf, size)
-
-
-def hayashi_nagaoka_check(s, t, rcut: float = SUPPORT_RCUT) -> float:
+def hayashi_nagaoka_check(s, t) -> float:
     """Smallest eigenvalue of the operator-inequality slack.
 
     For ``0 <= S <= I`` and ``T >= 0`` the inequality
@@ -276,7 +154,7 @@ def hayashi_nagaoka_check(s, t, rcut: float = SUPPORT_RCUT) -> float:
         raise ValidationError(f"S must satisfy 0 <= S <= I, eigenvalues span [{s_eigs[0]:.3e}, {s_eigs[-1]:.3e}]")
     if float(np.linalg.eigvalsh(t_arr)[0]) < -POVM_TOL:
         raise PositivityError("T must be positive semidefinite")
-    inv_sqrt, _ = pinv_sqrt(s_arr + t_arr, rcut)
+    inv_sqrt, _ = pinv_sqrt(s_arr + t_arr)
     pinched = inv_sqrt @ s_arr @ inv_sqrt
     slack = 2.0 * (eye - s_arr) + 4.0 * t_arr - (eye - pinched)
     return float(np.linalg.eigvalsh(slack)[0])

@@ -1,7 +1,23 @@
-"""Shared randomized-instance helpers."""
+"""Shared randomized-instance helpers and dense oracles.
+
+The oracles build what the library only ever computes implicitly: the
+pretty good measurement as explicit per-word elements, and the n-fold
+product channels and designs over materialized product alphabets.
+"""
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
+
+from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
+from martonlab.errors import ValidationError
+from martonlab.prob import JointPmf
+from martonlab.quantum import POVM_TOL, DensityOperator, pinv_sqrt, real_trace
+
+NFOLD_CELL_CAP = 1_000_000
+NFOLD_DIM_CAP = 1024
 
 
 def rand_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -26,6 +42,100 @@ def rand_joint(rng: np.random.Generator, rows: int, cols: int, zeros: int = 0) -
         flat = rng.choice(rows * cols, size=min(zeros, rows * cols - 1), replace=False)
         m.ravel()[flat] = 0.0
     return m / m.sum()
+
+
+def pretty_good_measurement(operators, state) -> np.ndarray:
+    """Outcome probabilities of the pretty good measurement built from ``operators``.
+
+    Element k is ``S^{-1/2} A_k S^{-1/2}`` with ``S`` the sum of all
+    operators and the inverse square root taken on the support of ``S``;
+    the completion ``I - P_supp(S)`` is the last outcome.  Asserts that the
+    operators are PSD and that the elements form a measurement.
+    """
+    mats = [np.asarray(a, dtype=complex) for a in operators]
+    assert mats, "the measurement needs at least one operator"
+    mats = [(a + a.conj().T) / 2.0 for a in mats]
+    for a in mats:
+        assert np.linalg.eigvalsh(a)[0] >= -POVM_TOL, "operator is not PSD"
+    s = np.sum(mats, axis=0)
+    inv_sqrt, supp = pinv_sqrt(s)
+    elements = [inv_sqrt @ a @ inv_sqrt for a in mats] + [np.eye(s.shape[0]) - supp]
+    for e in elements:
+        assert np.linalg.eigvalsh((e + e.conj().T) / 2.0)[0] >= -POVM_TOL, "element is not PSD"
+    assert np.abs(np.sum(elements, axis=0) - np.eye(s.shape[0])).max() <= POVM_TOL, \
+        "elements do not sum to the identity"
+    rho = state.matrix if hasattr(state, "matrix") else np.asarray(state, dtype=complex)
+    probs = np.array([real_trace(e, rho) for e in elements])
+    assert probs.min() >= -1e-9 and abs(probs.sum() - 1.0) <= 1e-6, "state is not normalized"
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def _product_labels(labels, n: int) -> tuple:
+    """Labels of the n-letter words, in ``itertools.product`` order: letters
+    joined directly when all are one character, else by commas."""
+    sep = "" if all(len(x) == 1 for x in labels) else ","
+    return tuple(sep.join(word) for word in itertools.product(labels, repeat=n))
+
+
+def nfold(channel, n: int, cell_cap: int = NFOLD_CELL_CAP, dim_cap: int = NFOLD_DIM_CAP):
+    """Dense n-fold product of a channel over the product alphabets, within caps."""
+    if n < 1:
+        raise ValidationError(f"n must be positive, got {n}")
+    if isinstance(channel, ClassicalBroadcastChannel):
+        cells = (len(channel.x_alphabet) * len(channel.y_alphabet) * len(channel.z_alphabet)) ** n
+        if cells > cell_cap:
+            raise ValidationError(f"n-fold transition would hold {cells} cells, cap {cell_cap}")
+        probs = channel.probs
+        out = probs
+        for _ in range(n - 1):
+            out = np.einsum("xyz,abc->xaybzc", out, probs).reshape(
+                out.shape[0] * probs.shape[0], out.shape[1] * probs.shape[1],
+                out.shape[2] * probs.shape[2])
+        return ClassicalBroadcastChannel(
+            _product_labels(channel.x_alphabet, n),
+            _product_labels(channel.y_alphabet, n),
+            _product_labels(channel.z_alphabet, n),
+            out, atol=max(channel.atol, 1e-9))
+    if isinstance(channel, CqBroadcastChannel):
+        dim = (channel.dim_b * channel.dim_c) ** n
+        if dim > dim_cap:
+            raise ValidationError(f"n-fold state dimension {dim} exceeds cap {dim_cap}")
+        # B and C registers must stay contiguous: reorder (b1 c1 b2 c2) to (b1 b2 c1 c2)
+        db, dc = channel.dim_b ** n, channel.dim_c ** n
+        perm_dims = [channel.dim_b, channel.dim_c] * n
+        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        states = []
+        for word in itertools.product(channel.x_alphabet, repeat=n):
+            mat = functools.reduce(np.kron, (channel.states[channel.x_index(x)].matrix for x in word))
+            tens = mat.reshape(perm_dims + perm_dims)
+            tens = np.transpose(tens, order + [2 * n + o for o in order])
+            states.append(DensityOperator(tens.reshape(db * dc, db * dc)))
+        return CqBroadcastChannel(_product_labels(channel.x_alphabet, n), db, dc, tuple(states))
+    raise ValidationError(f"unsupported channel type {type(channel).__name__}")
+
+
+def product_design(design: InputDesign, n: int, cell_cap: int = NFOLD_CELL_CAP) -> InputDesign:
+    """Dense n-fold product of a design: iid joint, symbol-wise map."""
+    if n < 1:
+        raise ValidationError(f"n must be positive, got {n}")
+    joint = design.joint
+    cells = (joint.shape[0] * joint.shape[1]) ** n
+    if cells > cell_cap:
+        raise ValidationError(f"n-fold joint would hold {cells} cells, cap {cell_cap}")
+    out = joint.probs
+    for _ in range(n - 1):
+        out = np.kron(out, joint.probs)
+    rows = _product_labels(joint.row_labels, n)
+    cols = _product_labels(joint.col_labels, n)
+    xsep = "," if any(len(x) > 1 for x in design.f.values()) else ""
+    big = JointPmf(rows, cols, out, atol=1e-9)
+    fmap = {}
+    for i, us in enumerate(itertools.product(joint.row_labels, repeat=n)):
+        for j, vs in enumerate(itertools.product(joint.col_labels, repeat=n)):
+            if big.probs[i, j] > 0.0:
+                fmap[(rows[i], cols[j])] = xsep.join(design.f[(a, b)] for a, b in zip(us, vs))
+    return InputDesign(big, fmap)
 
 
 @pytest.fixture

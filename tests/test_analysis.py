@@ -202,32 +202,23 @@ class TestEmpiricalCovering:
         joint = JointPmf(("0", "1"), ("0", "1"), np.full((2, 2), 0.25))
         design = InputDesign(joint, {(u, v): u + v for u in "01" for v in "01"})
         p = CoveringParams(4, 4, 1.0, 0.25)
-        est = empirical_covering(design, 0.0, 0.01, p, trials=200, seed=5)
+        est = empirical_covering(design, 0.0, p, trials=200, seed=5)
         assert est.hits == 0
 
     def test_correlated_band_respects_bound(self):
         design = InputDesign(dsbs_joint(), {(u, v): u + v for u in "01" for v in "01"})
         i_inf = classical_i_infty(dsbs_joint(), 0.25).value
         p = CoveringParams(64, 64, 2.0 ** (-i_inf), 0.25)
-        est = empirical_covering(design, i_inf, 0.01, p, trials=300, seed=17)
+        est = empirical_covering(design, i_inf, p, trials=300, seed=17)
         assert not est.violation
         assert est.estimate <= est.bound.value
-
-    def test_alpha_beta_gate(self):
-        # a gate that kills every cell forces Z = 0 in all trials
-        joint = JointPmf(("0", "1"), ("0", "1"), np.full((2, 2), 0.25))
-        design = InputDesign(joint, {(u, v): u + v for u in "01" for v in "01"})
-        dead = (np.zeros((2, 2)), np.zeros((2, 2)))
-        p = CoveringParams(4, 4, 1.0, 0.25)
-        est = empirical_covering(design, 0.0, 0.01, p, trials=50, seed=5, alpha_beta=dead)
-        assert est.hits == 50
 
     def test_deterministic(self):
         design = InputDesign(dsbs_joint(), {(u, v): u + v for u in "01" for v in "01"})
         i_inf = classical_i_infty(dsbs_joint(), 0.25).value
         p = CoveringParams(8, 8, 2.0 ** (-i_inf), 0.25)
-        a = empirical_covering(design, i_inf, 0.01, p, trials=200, seed=23)
-        b = empirical_covering(design, i_inf, 0.01, p, trials=200, seed=23)
+        a = empirical_covering(design, i_inf, p, trials=200, seed=23)
+        b = empirical_covering(design, i_inf, p, trials=200, seed=23)
         assert a.hits == b.hits
 
 

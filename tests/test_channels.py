@@ -15,14 +15,36 @@ from martonlab.channels import (
     ProductClassicalChannel,
     bob_ensemble,
     build_classical_joints,
-    build_joint_state,
     channel_from_json,
     charlie_ensemble,
-    nfold,
-    product_design,
 )
 from martonlab.errors import NormalizationError, ValidationError
 from martonlab.quantum import DensityOperator, partial_trace
+
+from conftest import nfold, product_design
+
+
+def build_joint_state(channel: CqBroadcastChannel, design: InputDesign, dim_cap: int = 4096):
+    """Classical-quantum state on U, V, B, C induced by a design.
+
+    Returns ``(state, dims)`` with dims ``(|U|, |V|, dim_b, dim_c)``.
+    """
+    joint = design.joint
+    nu, nv = joint.shape
+    db, dc = channel.dim_b, channel.dim_c
+    total = nu * nv * db * dc
+    if total > dim_cap:
+        raise ValidationError(f"joint state dimension {total} exceeds cap {dim_cap}")
+    fx = design.x_indices(channel)
+    out = np.zeros((total, total), dtype=complex)
+    block = db * dc
+    for i in range(nu):
+        for j in range(nv):
+            mass = joint.probs[i, j]
+            if mass > 0.0:
+                off = (i * nv + j) * block
+                out[off:off + block, off:off + block] = mass * channel.states[fx[i, j]].matrix
+    return DensityOperator(out), (nu, nv, db, dc)
 
 
 def bsc_pair_channel(p: float, q: float) -> ClassicalBroadcastChannel:
@@ -75,21 +97,22 @@ class TestClassicalChannel:
 
     def test_marginals_consistent_with_joint(self):
         ch = bsc_pair_channel(0.1, 0.2)
-        for xi, x in enumerate(ch.x_alphabet):
-            j = ch.joint_yz(x)
-            assert_allclose(j.probs.sum(axis=1), ch.marginal_y()[xi], atol=1e-12)
-            assert_allclose(j.probs.sum(axis=0), ch.marginal_z()[xi], atol=1e-12)
+        for xi in range(len(ch.x_alphabet)):
+            j = ch.probs[xi]
+            assert_allclose(j.sum(axis=1), ch.marginal_y()[xi], atol=1e-12)
+            assert_allclose(j.sum(axis=0), ch.marginal_z()[xi], atol=1e-12)
 
     def test_branches_are_independent(self):
         ch = bsc_pair_channel(0.1, 0.2)
-        j = ch.joint_yz("01").probs
+        j = ch.probs[ch.x_index("01")]
         assert_allclose(j, np.outer(j.sum(axis=1), j.sum(axis=0)), atol=1e-12)
 
     def test_sampling_frequencies(self):
         ch = bsc_pair_channel(0.3, 0.0)
-        rng = SeededRng(5)
-        hits = sum(ch.sample_output("00", rng)[0] == "1" for _ in range(20_000))
-        assert abs(hits / 20_000 - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 20_000)
+        y, z = ProductClassicalChannel(ch, 1).sample_outputs(
+            np.full(20_000, ch.x_index("00")), SeededRng(5))
+        assert abs(y.mean() - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 20_000)
+        assert not z.any()
 
     def test_json_round_trip(self):
         ch = bsc_pair_channel(0.05, 0.15)
@@ -107,8 +130,8 @@ class TestCqChannel:
 
     def test_reduced_states_are_shared_read_only_partial_traces(self):
         ch = qubit_cq_channel()
-        for x in ch.x_alphabet:
-            rho = ch.state(x).matrix
+        for x, state in zip(ch.x_alphabet, ch.states):
+            rho = state.matrix
             for got, keep in ((ch.rho_b(x), (0,)), (ch.rho_c(x), (1,))):
                 assert np.array_equal(got, partial_trace(rho, (ch.dim_b, ch.dim_c), keep))
                 assert not got.flags.writeable
@@ -124,8 +147,9 @@ class TestCqChannel:
         ch = qubit_cq_channel()
         back = channel_from_json(json.loads(json.dumps(ch.to_json())))
         assert isinstance(back, CqBroadcastChannel)
-        for x in ch.x_alphabet:
-            assert_allclose(back.state(x).matrix, ch.state(x).matrix, atol=1e-15)
+        assert back.x_alphabet == ch.x_alphabet
+        for a, b in zip(back.states, ch.states):
+            assert_allclose(a.matrix, b.matrix, atol=1e-15)
 
     def test_json_missing_state(self):
         data = qubit_cq_channel().to_json()
@@ -164,7 +188,7 @@ class TestInducedJoints:
         for i, u in enumerate(("0", "1")):
             for j, v in enumerate(("0", "1")):
                 mass = design.joint.probs[i, j]
-                yz = ch.joint_yz(design.x_of(u, v)).probs
+                yz = ch.probs[ch.x_index(design.f[(u, v)])]
                 for y in range(2):
                     for z in range(2):
                         p_uy[i, y] += mass * yz[y, z]
@@ -255,8 +279,8 @@ class TestNfold:
         big = product_design(d, 2)
         assert_allclose(big.joint.probs, np.full((4, 4), 0.0625), atol=1e-12)
         # symbol-wise: f(u1 u2, v1 v2) joins f(u1, v1) and f(u2, v2)
-        assert big.x_of("01", "10") == "01,10"
-        assert big.x_of("10", "01") == "10,01"
+        assert big.f[("01", "10")] == "01,10"
+        assert big.f[("10", "01")] == "10,01"
 
 
 class TestProductView:

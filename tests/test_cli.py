@@ -189,6 +189,14 @@ class TestCovering:
                    "--alpha", "0.25", "--trials", "10"])
         assert rc == 3
 
+    def test_eps0_flag_is_gone(self, tmp_path, outdir, capsys):
+        # the design-driven covering run has no acceptance gate for eps0 to set
+        f = write_json(tmp_path / "d.json", design_doc())
+        argv = ["covering", "--r", "4", "--s", "4", "--q", "0.1", "--alpha", "0.5",
+                "--trials", "10", "--design", f, "--i-infty", "1"]
+        assert main(argv) == 0
+        assert main(argv + ["--eps0", "1.5"]) == 3
+
 
 class TestRegion:
     def test_report_and_csv(self, outdir, capsys):
@@ -230,6 +238,12 @@ class TestIidCurve:
     def test_zero_block_size(self, tmp_path, outdir):
         f = write_json(tmp_path / "j.json", DSBS45)
         assert main(["iid-curve", "--base", f, "--eps", "0.05", "--n", "0,2"]) == 2
+
+    @pytest.mark.parametrize("n_list", ["", ",", " , "])
+    def test_empty_n_list_is_parse_error(self, tmp_path, outdir, capsys, n_list):
+        f = write_json(tmp_path / "j.json", DSBS45)
+        assert main(["iid-curve", "--base", f, "--eps", "0.05", "--n", n_list]) == 3
+        assert not (outdir / "iid_curve.json").exists()
 
 
 def simulate_config(tmp_path, **over):
@@ -343,6 +357,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         # one order-zero divergence per receiver
         assert len(calls) == 2
+
+    def test_unknown_i0_method_is_parse_error(self, tmp_path, capsys):
+        # the method is rejected where the run never reads it: n > 1 and cq
+        cfg = simulate_config(tmp_path, i0_method="bogus", trials=2)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert "i0_method" in capsys.readouterr().err
+        write_json(tmp_path / "cq.json", qubit_cq_doc())
+        cq_cfg = write_json(tmp_path / "cq_sim.json", {
+            "channel": "cq.json", "design": "design.json",
+            "eps": 0.9, "eps0": 0.05, "eps_tilde": 0.125, "eps_infty": 0.25,
+            "rates": [1, 1], "bands": [2, 2], "trials": 2, "seed": 9, "mode": "free",
+            "i0_method": "bogus"})
+        assert main(["simulate", "--config", cq_cfg, "--out", str(out)]) == 3
+        assert not (out / "simulate_report.json").exists()
 
     def test_quantum_config(self, tmp_path, capsys):
         write_json(tmp_path / "cq.json", qubit_cq_doc())

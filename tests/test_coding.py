@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from martonlab import coding
 from martonlab.channels import ClassicalBroadcastChannel, InputDesign, build_classical_joints
 from martonlab.coding import (
     DECODE_TOL,
@@ -30,7 +31,7 @@ from martonlab.coding import (
 from martonlab.divergences import classical_i_infty, llr_table
 from martonlab.errors import InfeasibleRates, SupportOverflowError, ValidationError
 from martonlab.prob import JointPmf
-from martonlab.quantum import DensityOperator, pinv_sqrt, pretty_good_measurement, real_trace
+from martonlab.quantum import DensityOperator, pinv_sqrt, real_trace
 from martonlab.rng import SeededRng
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
@@ -220,7 +221,6 @@ class TestRateParams:
         p = self.valid()
         assert p.n_rows == 1 << 13
         assert p.n_cols == 1 << 11
-        assert p.log_inv_eps == pytest.approx(4.0)
 
     def test_non_integer_band_rejected(self):
         with pytest.raises(ValidationError, match="integer"):
@@ -508,7 +508,7 @@ class TestThresholdEvaluator:
         assert alpha == pytest.approx(alpha_brute, abs=1e-12)
 
     @staticmethod
-    def ternary_evaluator(rng, real_llr: bool, **kw):
+    def ternary_evaluator(rng, real_llr: bool):
         ch = ternary_channel(rng)
         design = pair_design(DSBS_45)
         if real_llr:
@@ -517,7 +517,7 @@ class TestThresholdEvaluator:
         else:
             llr1, llr2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tau1, tau2 = rng.uniform(-2.0, 2.0, size=2)
-        return ch, ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau1, tau2, **kw)
+        return ch, ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau1, tau2)
 
     def test_tail_mass_matches_positionwise_oracle(self, np_rng):
         for case in range(24):
@@ -544,8 +544,9 @@ class TestThresholdEvaluator:
                                                 ev.tau1, ev.tau2)
             assert fresh.alpha_beta(u[perm], v[perm]) == got
 
-    def test_atom_cap_raises(self, np_rng):
-        ch, ev = self.ternary_evaluator(np_rng, real_llr=False, atom_cap=20)
+    def test_atom_cap_raises(self, np_rng, monkeypatch):
+        monkeypatch.setattr(coding, "THRESHOLD_ATOM_CAP", 20)
+        ch, ev = self.ternary_evaluator(np_rng, real_llr=False)
         # each of the four (u, x) pairs occurs three times
         u, v = np.arange(12) % 2, np.arange(12) // 2 % 2
         x = ev.x_of_pair(u, v)
@@ -679,14 +680,13 @@ class TestPgmDecoder:
 
     def test_matches_measurement_construction(self, np_rng):
         # same probabilities as building the per-word measurement explicitly
-        from tests.conftest import rand_psd, rand_state
+        from tests.conftest import pretty_good_measurement, rand_psd, rand_state
 
         labels = np.array([0, 2, 1, 1, 0, 2, 0, 1])
         tests = [rand_psd(np_rng, 3, rank=2) for _ in range(3)]
         tests = [t / (np.linalg.eigvalsh(t).max() + 0.1) for t in tests]
         state = rand_state(np_rng, 3)
-        povm = pretty_good_measurement([tests[u] for u in labels])
-        want = povm.outcome_probabilities(state)
+        want = pretty_good_measurement([tests[u] for u in labels], state)
         got = pgm_outcome_probabilities(labels[:, None], tests, state)
         assert got == pytest.approx(want, abs=1e-9)
 

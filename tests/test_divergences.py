@@ -9,23 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from martonlab import JointPmf, Pmf, mutual_information
+from martonlab import JointPmf, Pmf, divergences, mutual_information
 from martonlab.divergences import (
+    DivergenceResult,
     LlrSpectrum,
     classical_i0,
-    classical_i0_iid,
     classical_i_infty,
     classical_i_infty_iid,
     iid_llr_spectra,
     iid_llr_spectrum,
     np_test_blocks,
-    quantum_i0,
     quantum_i0_cq,
     spectrum_i0,
     spectrum_i_infty,
-    verify_witness,
 )
 from martonlab.errors import ConvergenceError, SupportOverflowError, ValidationError
+from martonlab.quantum import real_trace
 
 from conftest import rand_joint
 
@@ -82,6 +81,84 @@ def product_joint(base: JointPmf, n: int) -> JointPmf:
         rl = [a + b for a in rl for b in labels_r]
         cl = [a + b for a in cl for b in labels_c]
     return JointPmf(tuple(rl), tuple(cl), out)
+
+
+def classical_i0_iid(base: JointPmf, n: int, eps: float, method: str = "randomized"):
+    """Order-zero divergence of n iid copies of a base joint, via its spectrum."""
+    return spectrum_i0(iid_llr_spectrum(base, n), eps, method)
+
+
+def _set_masses(joint: JointPmf, cells):
+    p = joint.probs
+    pu = p.sum(axis=1)
+    pv = p.sum(axis=0)
+    mass = prod = 0.0
+    worst = -np.inf
+    for u, v in cells:
+        i, j = joint.row_labels.index(u), joint.col_labels.index(v)
+        mass += float(p[i, j])
+        prod += float(pu[i] * pv[j])
+        if p[i, j] > 0:
+            worst = max(worst, float(np.log2(p[i, j] / (pu[i] * pv[j]))))
+    return mass, prod, worst
+
+
+def verify_witness(result: DivergenceResult, *, joint: JointPmf | None = None,
+                   ensemble=None, spectrum: LlrSpectrum | None = None) -> float:
+    """Recompute a result's objective from its witness alone.
+
+    Returns the re-evaluated value; raises if the witness is infeasible
+    for ``result.epsilon``.  Pass the object the result was computed
+    from: ``joint`` for classical results, ``ensemble=(p_u, rho_u)``
+    for cq results, ``spectrum`` for spectrum results.
+    """
+    wit = result.witness
+    kind = wit.get("kind")
+    slack = 1e-9
+    if kind in ("max-div-set", "min-div-set"):
+        mass, prod, worst = _set_masses(joint, wit["cells"])
+        if mass < 1.0 - result.epsilon - slack:
+            raise ValidationError(f"witness set keeps mass {mass}, needs {1.0 - result.epsilon}")
+        return worst if kind == "max-div-set" else float(-np.log2(prod))
+    if kind == "min-div-randomized":
+        m_full, q_full, _ = _set_masses(joint, wit["full_cells"])
+        m_bnd, q_bnd, _ = _set_masses(joint, wit["boundary_cells"])
+        w = wit["boundary_weight"]
+        if m_full + w * m_bnd < 1.0 - result.epsilon - slack:
+            raise ValidationError("randomized witness infeasible")
+        return float(-np.log2(q_full + w * q_bnd))
+    if kind == "np-test":
+        p_u, rho_u = ensemble
+        gammas = np_test_blocks(p_u, rho_u, wit["lambda"], wit["boundary_weight"])
+        rho_avg = sum(pu * np.asarray(r) for pu, r in zip(np.asarray(p_u, dtype=float), rho_u))
+        alpha = sum(pu * real_trace(g, r) for pu, g, r in zip(p_u, gammas, rho_u))
+        beta = sum(pu * real_trace(g, rho_avg) for pu, g in zip(p_u, gammas))
+        if alpha < 1.0 - result.epsilon - 1e-6:
+            raise ValidationError(f"test operator keeps mass {alpha}, needs {1.0 - result.epsilon}")
+        return float(-np.log2(beta))
+    if kind == "spectrum-threshold":
+        tau = wit["threshold"]
+        sel = spectrum.values >= tau - 1e-12
+        mass = float(spectrum.probs[sel].sum())
+        if wit["objective"] == "max":
+            low = spectrum.values <= tau + 1e-12
+            if float(spectrum.probs[low].sum()) < 1.0 - result.epsilon - slack:
+                raise ValidationError("threshold witness infeasible")
+            return float(tau)
+        if mass < 1.0 - result.epsilon - slack:
+            raise ValidationError("threshold witness infeasible")
+        return float(-np.log2(np.sum(spectrum.probs[sel] * np.exp2(-spectrum.values[sel]))))
+    if kind == "spectrum-randomized":
+        tau, w = wit["threshold"], wit["boundary_weight"]
+        above = spectrum.values > tau + 1e-12
+        at = np.abs(spectrum.values - tau) <= 1e-12
+        mass = float(spectrum.probs[above].sum() + w * spectrum.probs[at].sum())
+        if mass < 1.0 - result.epsilon - slack:
+            raise ValidationError("randomized spectrum witness infeasible")
+        beta = float(np.sum(spectrum.probs[above] * np.exp2(-spectrum.values[above]))
+                     + w * np.sum(spectrum.probs[at] * np.exp2(-spectrum.values[at])))
+        return float(-np.log2(beta))
+    raise ValidationError(f"unknown witness kind {kind!r}")
 
 
 def diag_embedding(joint: JointPmf):
@@ -198,8 +275,7 @@ class TestQuantumI0:
             assert_allclose(res.value, -math.log2(1 - eps), atol=1e-9)
 
     def test_correlated_embedding_plug_in(self):
-        state = np.diag([0.5, 0.0, 0.0, 0.5])
-        res = quantum_i0(state, (2, 2), 0.0)
+        res = quantum_i0_cq([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0.0)
         assert_allclose(res.value, 1.0, atol=1e-9)
 
     def test_diagonal_embeddings_match_classical_randomized(self, np_rng):
@@ -211,19 +287,11 @@ class TestQuantumI0:
             c = classical_i0(j, eps, "randomized")
             assert_allclose(q.value, c.value, atol=1e-9)
 
-    def test_nonclassical_register_rejected(self):
-        state = np.full((4, 4), 0.25)  # coherent across U
-        with pytest.raises(ValidationError):
-            quantum_i0(state, (2, 2), 0.1)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            quantum_i0(np.eye(4) / 4, (2, 3), 0.1)
-
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
         pu, states = diag_embedding(DSBS_45)
+        monkeypatch.setattr(divergences, "_NP_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            quantum_i0_cq(pu, states, 0.1, max_iter=2)
+            quantum_i0_cq(pu, states, 0.1)
 
     def test_witness_closure(self, np_rng):
         j = joint_of(rand_joint(np_rng, 3, 3))
@@ -260,10 +328,12 @@ class TestSpectra:
         s = iid_llr_spectrum(DSBS_45, 32)
         assert len(s) == 33
 
-    def test_atom_cap_enforced(self, np_rng):
+    def test_atom_cap_enforced(self, np_rng, monkeypatch):
         j = joint_of(rand_joint(np_rng, 3, 3))
+        monkeypatch.setattr(divergences, "SPECTRUM_MERGE_TOL", 0.0)
+        monkeypatch.setattr(divergences, "SPECTRUM_ATOM_CAP", 2000)
         with pytest.raises(SupportOverflowError):
-            iid_llr_spectrum(j, 40, merge_tol=0.0, atom_cap=2000)
+            iid_llr_spectrum(j, 40)
 
     def test_n1_consistency_with_direct_methods(self, np_rng):
         for _ in range(10):

@@ -272,6 +272,13 @@ class TestQuantumDesk:
 
 
 class TestHarnessValidation:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unknown_i0_method_rejected(self, n):
+        channels = [bsc_pair_channel(0.1, 0.1)] + ([qubit_cq_channel()] if n == 1 else [])
+        for ch in channels:
+            with pytest.raises(ValidationError, match="i0 method"):
+                Scheme(ch, independent_design(), 0.05, 0.25, n=n, i0_method="bogus")
+
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValidationError, match="unsupported channel"):
             run_experiment(object(), independent_design(), desk_params(), 10, seed=0)

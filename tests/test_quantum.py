@@ -1,4 +1,8 @@
-"""Operators, partial traces, measurements, and the operator-inequality check."""
+"""Operators, partial traces, measurements, and the operator-inequality check.
+
+The measurement tests run the library's pretty good measurement,
+``coding.pgm_outcome_probabilities`` and ``coding.decode_pgm``.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
 from martonlab import SeededRng
+from martonlab.coding import decode_pgm, pgm_outcome_probabilities
 from martonlab.errors import (
     HermiticityError,
     NormalizationError,
@@ -15,21 +20,17 @@ from martonlab.errors import (
 from martonlab.quantum import (
     DensityOperator,
     HermitianOperator,
-    Povm,
-    eig_hermitian,
     hayashi_nagaoka_check,
     matrix_from_json,
     matrix_to_json,
-    measure,
     partial_trace,
-    pretty_good_measurement,
+    pinv_sqrt,
     real_trace,
-    tensor,
 )
 
-from conftest import rand_hermitian, rand_psd, rand_state
+from conftest import pretty_good_measurement, rand_hermitian, rand_psd, rand_state
 
-BELL = DensityOperator.pure([1, 0, 0, 1])
+BELL = DensityOperator(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -49,25 +50,15 @@ class TestWrappers:
             DensityOperator(np.diag([1.5, -0.5]))
 
     def test_pure_state_normalizes(self):
-        rho = DensityOperator.pure([3, 4])
+        v = np.array([3.0, 4.0])
+        with pytest.raises(NormalizationError):
+            DensityOperator(np.outer(v, v))
+        rho = DensityOperator(np.outer(v, v) / 25.0)
         assert_allclose(real_trace(rho.matrix), 1.0, atol=1e-14)
         assert_allclose(rho.matrix[0, 0], 9 / 25, atol=1e-14)
 
 
 class TestTensorAndPartialTrace:
-    def test_identity_tensor(self):
-        assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_trace_multiplicative(self, np_rng):
-        a = rand_psd(np_rng, 3)
-        b = rand_psd(np_rng, 4)
-        assert_allclose(np.trace(tensor(a, b)), np.trace(a) * np.trace(b), rtol=1e-12)
-
-    def test_state_tensor_keeps_type(self):
-        out = tensor(DensityOperator(np.eye(2) / 2), BELL)
-        assert isinstance(out, DensityOperator)
-        assert out.dim == 8
-
     def test_bell_marginals_are_maximally_mixed(self):
         for keep in ((0,), (1,)):
             red = partial_trace(BELL, (2, 2), keep)
@@ -98,89 +89,86 @@ class TestTensorAndPartialTrace:
 
 
 class TestEig:
-    def test_pauli_x(self):
-        vals, vecs = eig_hermitian(PAULI_X)
-        assert_allclose(vals, [1.0, -1.0], atol=1e-14)
-        assert_allclose(PAULI_X @ vecs[:, 0], vecs[:, 0], atol=1e-14)
-
     def test_reconstruction(self, np_rng):
-        m = rand_hermitian(np_rng, 8)
-        vals, vecs = eig_hermitian(m)
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert_allclose((vecs * vals) @ vecs.conj().T, m, atol=1e-11)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            eig_hermitian([[0, 1], [0, 0]])
+        # the pseudo-inverse square root from the eigendecomposition of a
+        # rank-deficient PSD matrix rebuilds the matrix and its support projector
+        m = rand_psd(np_rng, 6, rank=4)
+        inv_sqrt, supp = pinv_sqrt(m)
+        assert_allclose(m @ inv_sqrt @ inv_sqrt @ m, m, atol=1e-10)
+        assert_allclose(inv_sqrt @ m @ inv_sqrt, supp, atol=1e-10)
+        assert_allclose(supp @ supp, supp, atol=1e-12)
+        assert_allclose(np.sort(np.linalg.eigvalsh(supp)), [0, 0, 1, 1, 1, 1], atol=1e-10)
 
 
 class TestPovmAndPgm:
-    def test_povm_validation(self):
-        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        with pytest.raises(NormalizationError):
-            Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
-        with pytest.raises(PositivityError):
-            Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
-
     def test_pgm_orthogonal_projectors_unchanged(self):
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
-        povm = pretty_good_measurement([p0, p1])
-        assert len(povm) == 3
-        assert_allclose(povm.elements[0], p0, atol=1e-12)
-        assert_allclose(povm.elements[1], p1, atol=1e-12)
-        assert_allclose(povm.elements[2], np.zeros((2, 2)), atol=1e-12)
+        words = np.array([[0], [1]])
+        assert_allclose(pgm_outcome_probabilities(words, [p0, p1], p0), [1, 0, 0], atol=1e-12)
+        assert_allclose(pgm_outcome_probabilities(words, [p0, p1], p1), [0, 1, 0], atol=1e-12)
 
     def test_pgm_single_operator_gives_support_projector(self, np_rng):
         a = rand_psd(np_rng, 4, rank=2)
-        povm = pretty_good_measurement([a])
-        vals = np.linalg.eigvalsh(povm.elements[0])
-        # eigenvalues of a support projector are 0 or 1
-        assert_allclose(np.sort(vals), [0, 0, 1, 1], atol=1e-10)
-        assert_allclose(povm.elements[0] + povm.elements[1], np.eye(4), atol=1e-10)
+        vals, vecs = np.linalg.eigh(a)
+        supp = vecs[:, 2:] @ vecs[:, 2:].conj().T
+        rho = rand_state(np_rng, 4)
+        inside = real_trace(supp, rho)
+        got = pgm_outcome_probabilities(np.array([[0]]), [a], rho)
+        assert_allclose(got, [inside, 1.0 - inside], atol=1e-10)
 
     def test_pgm_random_sets_are_valid_povms(self, np_rng):
         for _ in range(25):
             dim = int(np_rng.integers(2, 6))
             k = int(np_rng.integers(1, 5))
             ops = [rand_psd(np_rng, dim, rank=int(np_rng.integers(1, dim + 1))) for _ in range(k)]
-            povm = pretty_good_measurement(ops)  # Povm.__init__ enforces validity
-            assert len(povm) == k + 1
+            words = np_rng.integers(k, size=(int(np_rng.integers(1, 7)), 1))
+            state = rand_state(np_rng, dim)
+            # the oracle asserts that its per-word elements form a POVM
+            want = pretty_good_measurement([ops[u] for u in words[:, 0]], state)
+            got = pgm_outcome_probabilities(words, ops, state)
+            assert got.shape == (words.shape[0] + 1,)
+            assert_allclose(got, want, atol=1e-9)
 
     def test_pgm_rank_deficient_sum(self):
         # operators confined to a 2-dim subspace of a 3-dim space
         a = np.diag([0.3, 0.7, 0.0])
         b = np.diag([0.5, 0.1, 0.0])
-        povm = pretty_good_measurement([a, b])
-        assert_allclose(povm.elements[2], np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+        words = np.array([[0], [1]])
+        assert_allclose(pgm_outcome_probabilities(words, [a, b], np.diag([0.0, 0.0, 1.0])),
+                        [0.0, 0.0, 1.0], atol=1e-12)
+        assert pgm_outcome_probabilities(words, [a, b], np.diag([0.5, 0.5, 0.0]))[2] < 1e-12
 
     def test_pgm_rejects_negative_operator(self):
-        with pytest.raises(PositivityError):
-            pretty_good_measurement([np.diag([1.0, -0.2])])
+        with pytest.raises(AssertionError):
+            pretty_good_measurement([np.diag([1.0, -0.2])], np.eye(2) / 2)
 
 
 class TestMeasure:
+    TESTS = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
+    WORDS = np.array([[0], [1], [2]])
+
     def test_deterministic_outcome(self):
-        povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        rho = DensityOperator(np.diag([1.0, 0.0]))
-        out = measure(rho, povm, SeededRng(3), size=50)
-        assert np.all(out == 0)
+        rng = SeededRng(3)
+        rho = np.diag([1.0, 0.0, 0.0])
+        for _ in range(50):
+            assert decode_pgm(self.WORDS, self.TESTS, rho, lambda k: k, rng).unique_match == 0
 
     def test_frequencies_match_born_rule(self):
-        povm = Povm([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
         rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
-        n = 100_000
-        out = measure(rho, povm, SeededRng(11), size=n)
+        n = 20_000
+        rng = SeededRng(11)
+        out = [decode_pgm(self.WORDS, self.TESTS, rho, lambda k: k, rng).unique_match
+               for _ in range(n)]
         counts = np.bincount(out, minlength=3)
         # chi-square goodness of fit at the 1e-3 level
         stat, pval = chisquare(counts, n * np.array([0.5, 0.3, 0.2]))
         assert pval > 1e-3
 
     def test_probability_sum_enforced(self):
-        povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        bad = np.diag([2.0, 0.0])  # trace 2, not a state; bypass wrapper on purpose
-        with pytest.raises(NormalizationError):
-            povm.outcome_probabilities(bad)
+        bad = np.diag([2.0, 0.0, 0.0])  # trace 2, not a state; bypass the wrapper on purpose
+        with pytest.raises(ValidationError):
+            pgm_outcome_probabilities(self.WORDS, self.TESTS, bad)
 
 
 class TestHayashiNagaoka:

@@ -1,0 +1,72 @@
+"""The library surface is what the command line, the demos, the benchmark
+and the library itself use.
+
+Every name a ``src/martonlab`` module exports through ``__all__`` must be
+used somewhere outside ``tests/``: in a Python or shell file, other than
+its own definition, its ``__all__`` entry and its re-export in the
+package ``__init__``.  Code that only tests call belongs in ``tests/``.
+"""
+
+import importlib
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "martonlab"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# checked by the acceptance suite as one of the paper's claims
+EXCEPTIONS = {"hayashi_nagaoka_check"}
+
+
+def _source_files() -> list:
+    """The Python and shell files of the library, the demos and the benchmark."""
+    paths = [p for top in ("src", "demos", "perfbench") for p in (ROOT / top).rglob("*")]
+    paths += list(ROOT.glob("*"))
+    return sorted(p for p in paths if p.suffix in (".py", ".sh") and p.is_file()
+                  and p != PACKAGE / "__init__.py")
+
+
+def _uses(path: Path) -> list:
+    """Identifiers a file uses; definitions, strings and comments do not count."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".sh":
+        return re.findall(r"\w+", text)
+    skip = (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT)
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline) if t.type not in skip]
+    names = []
+    for i, tok in enumerate(toks):
+        if tok.type != tokenize.NAME:
+            continue
+        prev = toks[i - 1].string if i else ""
+        nxt = toks[i + 1].string if i + 1 < len(toks) else ""
+        defines = prev in ("def", "class") or (tok.start[1] == 0 and nxt in ("=", ":"))
+        if not defines:
+            names.append(tok.string)
+    return names
+
+
+@pytest.fixture(scope="module")
+def used() -> set:
+    out = set()
+    for path in _source_files():
+        out.update(_uses(path))
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_used_outside_tests(module, used):
+    exported = importlib.import_module(f"martonlab.{module}").__all__
+    unused = sorted(set(exported) - used - EXCEPTIONS)
+    assert not unused, f"martonlab.{module} exports names only tests use: {unused}"
+
+
+def test_scan_sees_the_callers():
+    # the scan reaches the command line, the demos and the benchmark
+    files = {p.relative_to(ROOT).as_posix() for p in _source_files()}
+    assert {"src/martonlab/cli.py", "demos/07_cli_tour.sh", "perfbench/workloads.py"} <= files
+    assert not any(f.startswith("tests/") for f in files)
