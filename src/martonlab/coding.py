@@ -36,9 +36,12 @@ __all__ = [
     "BandConstraint",
     "band_constraints",
     "Codebook",
+    "codebook_bytes",
     "generate_codebook",
+    "codebook_block",
     "EncodeOutcome",
     "encode",
+    "encode_block",
     "DecodeResult",
     "SetMembership",
     "ThresholdMembership",
@@ -50,13 +53,15 @@ __all__ = [
     "ClassicalThresholdEvaluator",
     "QuantumPairEvaluator",
     "DECODE_TOL",
-    "ROW_CAP",
+    "CODEBOOK_BYTE_BUDGET",
 ]
 
 # slack used when comparing llr sums against a threshold, so that the
 # decoder's float row sums and the exact convolution agree on membership
 DECODE_TOL = 1e-6
-ROW_CAP = 1 << 26
+# bytes the uniforms of one codebook may take; a block of trials draws at
+# most this many bytes of codebook uniforms too
+CODEBOOK_BYTE_BUDGET = 1 << 26
 # atom cap of the threshold evaluator's tail-mass convolutions
 THRESHOLD_ATOM_CAP = 100_000
 _FEAS_TOL = 1e-9
@@ -68,7 +73,12 @@ def _ceil_guarded(x: float) -> int:
 
 def band_sum_target(i_infty: float, eps_tilde: float) -> int:
     """The required r1 + r2: ceil(i_infty + 3 log2(1/eps_tilde)), float noise ignored."""
-    return _ceil_guarded(i_infty + 3 * math.log2(1.0 / eps_tilde))
+    target = i_infty + 3 * math.log2(1.0 / eps_tilde)
+    if not math.isfinite(target):
+        # a subnormal eps_tilde overflows 1/eps_tilde
+        raise InfeasibleRates(f"band sum: i_infty + 3 log2(1/eps_tilde) = {target} "
+                              f"is not finite (eps_tilde = {eps_tilde})")
+    return _ceil_guarded(target)
 
 
 _VERBS = {"<=": "exceeds", ">=": "is below", "==": "must equal"}
@@ -279,13 +289,12 @@ class Codebook:
 
     def eta(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Rejection uniforms of row k, columns [l0, l1), replayable."""
-        stream = SeededRng(mix64(self.seed, 3), k)
-        return stream.random(l1)[l0:]
+        return _eta(mix64(self.seed, 3), k, l0, l1)
 
     def acceptance(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Acceptance probabilities min(1, ratio / 2^i_infty) for a row slice."""
-        s = self.log_ratio[self.rows[k][None, :], self.cols[l0:l1]].sum(axis=1)
-        return np.exp2(np.minimum(s - self.params.i_infty, 0.0))
+        return _acceptance(self.log_ratio, self.rows[k][None, :], self.cols[l0:l1],
+                           self.params.i_infty)
 
     def indicator(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Rejection indicator of row k over columns [l0, l1)."""
@@ -300,16 +309,47 @@ class Codebook:
         return h.hexdigest()
 
 
-def _sample_words(pmf_probs: np.ndarray, count: int, n: int, rng: SeededRng) -> np.ndarray:
+def _eta(stream_key: int, k: int, l0: int, l1: int) -> np.ndarray:
+    """Rejection uniforms of row k, columns [l0, l1), of the codebook whose
+    rejection streams hang off ``stream_key`` = mix64(codebook seed, 3)."""
+    return SeededRng(stream_key, k).random(l1)[l0:]
+
+
+def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndarray,
+                i_infty: float) -> np.ndarray:
+    """min(1, ratio / 2^i_infty) of word pairs; the words broadcast against
+    each other over all but their last (letter) axis."""
+    s = log_ratio[row_words, col_words].sum(axis=-1)
+    return np.exp2(np.minimum(s - i_infty, 0.0))
+
+
+def _symbols(pmf_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     # A symbol index is the number of cdf cut points at or below its
     # uniform: searchsorted(cdf, u, side="right") with the last cut point
     # taken as 1 > u, counted without a binary search.
-    cdf = np.cumsum(pmf_probs)
-    u = rng.random((count, n))
-    words = np.zeros((count, n), dtype=np.int64)
-    for c in cdf[:-1]:
+    words = np.zeros(u.shape, dtype=np.int64)
+    for c in np.cumsum(pmf_probs)[:-1]:
         words += u >= c
     return words
+
+
+def _sample_words(pmf_probs: np.ndarray, count: int, n: int, rng: SeededRng) -> np.ndarray:
+    return _symbols(pmf_probs, rng.random((count, n)))
+
+
+def codebook_bytes(params: RateParams, n: int) -> int:
+    """Bytes of the uniforms one codebook draws; ValidationError over
+    ``CODEBOOK_BYTE_BUDGET``.  Absurd exponents are refused before the
+    word counts 2^(R+r) are formed."""
+    if max(params.R1 + params.r1, params.R2 + params.r2) + (8 * n).bit_length() > 62:
+        need = "at least 2^62"
+    else:
+        size = (params.n_rows + params.n_cols) * n * 8
+        if size <= CODEBOOK_BYTE_BUDGET:
+            return size
+        need = str(size)
+    raise ValidationError(f"codebook uniforms take {need} bytes, which exceeds the "
+                          f"budget of {CODEBOOK_BYTE_BUDGET} bytes")
 
 
 def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1,
@@ -319,13 +359,29 @@ def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int
     ``log_ratio`` is ``llr_table(design.joint)`` when the caller already
     has it, as a run drawing one codebook per trial does.
     """
-    if params.n_rows > ROW_CAP or params.n_cols > ROW_CAP:
-        raise ValidationError(f"codebook side exceeds {ROW_CAP} words")
+    codebook_bytes(params, n)
     pu, pv = design.joint.marginals()
     base = SeededRng(seed, 0)
     rows = _sample_words(pu.probs, params.n_rows, n, base.derive(1))
     cols = _sample_words(pv.probs, params.n_cols, n, base.derive(2))
     return Codebook(rows, cols, params, design, seed, n, log_ratio)
+
+
+def codebook_block(design: InputDesign, params: RateParams, seeds, n: int = 1) -> tuple:
+    """Row and column words of one codebook per seed, shaped (seeds, count, n).
+
+    Entry j holds the words ``generate_codebook(design, params, seeds[j], n)``
+    samples, from the same streams; all uniforms map to symbols at once.
+    """
+    pu, pv = design.joint.marginals()
+    u_rows = np.empty((len(seeds), params.n_rows, n))
+    u_cols = np.empty((len(seeds), params.n_cols, n))
+    for j, seed in enumerate(seeds):
+        # the streams SeededRng(seed, 0).derive(1) and .derive(2)
+        key = mix64(seed, 0)
+        u_rows[j] = SeededRng(key, 1).random((params.n_rows, n))
+        u_cols[j] = SeededRng(key, 2).random((params.n_cols, n))
+    return _symbols(pu.probs, u_rows), _symbols(pv.probs, u_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +396,7 @@ class _PairEvaluator:
 
     def x_of_pair(self, row_word: np.ndarray, col_word: np.ndarray) -> np.ndarray:
         x = self.fx[row_word, col_word]
-        if np.any(x < 0):
+        if (x < 0).any():
             raise ValidationError("input map undefined for a sampled pair")
         return x
 
@@ -496,6 +552,51 @@ def encode(codebook: Codebook, m1: int, m2: int, evaluator, eps0: float) -> Enco
     return EncodeOutcome(None, None, x, True, scanned, 0.0, 0.0)
 
 
+def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: np.ndarray,
+                 params: RateParams, log_ratio: np.ndarray, evaluator, eps0: float) -> tuple:
+    """``encode`` for a block of trials, one row offset at a time.
+
+    Trial j encodes (m1[j], m2[j]) into the codebook with words ``rows[j]``,
+    ``cols[j]`` (shaped (trials, count, n)) and seed ``seeds[j]``.  Each
+    step draws the rejection uniforms of one row of every trial still
+    searching, from that row's own stream, and tests the trial's surviving
+    cells in column order, so each trial picks the cell ``encode`` picks.
+    Returns (row, col, x): the chosen indices, -1 where the trial falls
+    back, and the input words, all first symbols there.
+    """
+    thr = 1.0 - 4.0 * float(eps0)
+    w1, w2 = 1 << params.r1, 1 << params.r2
+    k0, l0 = m1 * w1, m2 * w2
+    eta_keys = [mix64(seed, 3) for seed in seeds]
+    row = np.full(len(seeds), -1, dtype=np.int64)
+    col = np.full(len(seeds), -1, dtype=np.int64)
+    x = np.zeros((len(seeds), rows.shape[2]), dtype=np.int64)
+    searching = np.arange(len(seeds))
+    for i in range(w1):
+        if searching.size == 0:
+            break
+        k = k0[searching] + i
+        l = l0[searching, None] + np.arange(w2)
+        row_words = rows[searching, k]
+        col_words = cols[searching[:, None], l]
+        eta = np.array([_eta(eta_keys[j], int(kj), int(lj), int(lj) + w2)
+                        for j, kj, lj in zip(searching, k, l[:, 0])])
+        alive = eta <= _acceptance(log_ratio, row_words[:, None, :], col_words,
+                                   params.i_infty)
+        found = []
+        for s in np.flatnonzero(alive.any(axis=1)):
+            for off in np.flatnonzero(alive[s]):
+                alpha, beta = evaluator.alpha_beta(row_words[s], col_words[s, off])
+                if alpha > thr and beta > thr:
+                    j = searching[s]
+                    row[j], col[j] = k[s], l[s, off]
+                    x[j] = evaluator.x_of_pair(row_words[s], col_words[s, off])
+                    found.append(s)
+                    break
+        searching = np.delete(searching, found)
+    return row, col, x
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -588,26 +689,37 @@ def _thawed(key: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _pgm_table(tests_key: tuple, counts_key: tuple, rho_key: tuple) -> tuple:
-    """Per-label element probabilities q and the completion probability.
+def _pgm_elements(tests_key: tuple, counts_key: tuple) -> tuple:
+    """Per-label elements S^{-1/2} T_u S^{-1/2} and the completion I - P_supp(S).
 
-    Keyed by content, not identity: the table depends only on the test
-    operators, the label-count vector and the state.  A run sees few
-    distinct count vectors (a qubit run of 200 trials on 2^6-2^8 words
-    per side needs 100-160 tables), so 256 entries hold a run's tables.
+    S is the sum of the words' test operators.  Keyed by the test operators
+    and the label-count vector, so the states of all channel inputs share
+    one eigendecomposition of S.
     """
-    tests, counts, rho = _thawed(tests_key), _thawed(counts_key), _thawed(rho_key)
+    tests, counts = _thawed(tests_key), _thawed(counts_key)
     dim = tests.shape[1]
     total = np.zeros((dim, dim), dtype=complex)
     for u, c in enumerate(counts):
         if c:
             total += c * tests[u]
     inv_sqrt, supp = pinv_sqrt(total)
-    q = np.empty(len(tests))
-    for u in range(len(tests)):
-        q[u] = real_trace(inv_sqrt @ tests[u] @ inv_sqrt, rho)
+    return [inv_sqrt @ t @ inv_sqrt for t in tests], np.eye(dim) - supp
+
+
+@functools.lru_cache(maxsize=256)
+def _pgm_table(tests_key: tuple, counts_key: tuple, rho_key: tuple) -> tuple:
+    """Per-label element probabilities q, clipped at 0, and the completion probability.
+
+    Keyed by content, not identity: the table depends only on the test
+    operators, the label-count vector and the state.  A run sees few
+    distinct count vectors (a qubit run of 200 trials on 2^6-2^8 words
+    per side needs 100-160 tables), so 256 entries hold a run's tables.
+    """
+    elements, completion = _pgm_elements(tests_key, counts_key)
+    rho = _thawed(rho_key)
+    q = np.clip([real_trace(e, rho) for e in elements], 0.0, None)
     q.setflags(write=False)
-    return q, max(real_trace(np.eye(dim) - supp, rho), 0.0)
+    return q, max(real_trace(completion, rho), 0.0)
 
 
 def pgm_outcome_probabilities(words: np.ndarray, tests, state) -> np.ndarray:
@@ -624,8 +736,9 @@ def pgm_outcome_probabilities(words: np.ndarray, tests, state) -> np.ndarray:
     counts = np.bincount(labels, minlength=len(tests))
     rho = state.matrix if hasattr(state, "matrix") else np.asarray(state)
     q, p_fail = _pgm_table(_frozen(np.asarray(tests)), _frozen(counts), _frozen(rho))
-    probs = np.clip(q[labels], 0.0, None)
-    vec = np.concatenate([probs, [p_fail]])
+    vec = np.empty(labels.size + 1)
+    np.take(q, labels, out=vec[:-1])
+    vec[-1] = p_fail
     total_mass = float(vec.sum())
     if abs(total_mass - 1.0) > 1e-6:
         raise ValidationError(f"measurement probabilities sum to {total_mass!r}")

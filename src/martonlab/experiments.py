@@ -4,7 +4,10 @@ A Scheme derives the decoding machinery (explicit sets, llr thresholds, or
 measurement test operators) once from the channel and design at a pair of
 smoothing parameters; its run executes seeded trials and aggregates
 per-event counts with Clopper-Pearson limits next to every applicable
-closed-form bound.
+closed-form bound.  Classical trials run one at a time; cq trials run in
+blocks, with codebooks, messages and the encoder's rejection scan held as
+arrays over the block.  Every draw comes from a stream keyed by its trial,
+so both schedules give the same counts for a seed.
 """
 
 from __future__ import annotations
@@ -35,15 +38,19 @@ from .channels import (
 from .coding import (
     ClassicalSetEvaluator,
     ClassicalThresholdEvaluator,
+    CODEBOOK_BYTE_BUDGET,
     Codebook,
     QuantumPairEvaluator,
     RateParams,
     SetMembership,
     ThresholdMembership,
+    codebook_block,
+    codebook_bytes,
     decode_cols,
     decode_pgm,
     decode_rows,
     encode,
+    encode_block,
     generate_codebook,
 )
 from .divergences import (
@@ -209,6 +216,12 @@ class Scheme:
     runs.  ``achieved`` holds the divergence values they reach, so
     RateParams built from them pass the consistency gate of ``run``;
     ``describe`` is the report's ``scheme`` entry.
+
+    ``run`` plays classical trials one by one.  cq trials go in blocks of
+    as many trials as fit ``CODEBOOK_BYTE_BUDGET`` bytes of codebook
+    uniforms: the block's codebooks and messages are drawn as arrays,
+    ``encode_block`` scans all its trials one row offset at a time, and
+    each trial is then measured with ``decode_pgm``.
     """
 
     def __init__(self, channel, design: InputDesign, eps0: float, eps_infty: float,
@@ -228,10 +241,11 @@ class Scheme:
             p_v, rho_cv = charlie_ensemble(channel, design)
             res_b = quantum_i0_cq(p_u, rho_bu, eps0)
             res_c = quantum_i0_cq(p_v, rho_cv, eps0)
-            self.bob_tests = np_test_blocks(
-                p_u, rho_bu, res_b.witness["lambda"], res_b.witness["boundary_weight"])
-            self.charlie_tests = np_test_blocks(
-                p_v, rho_cv, res_c.witness["lambda"], res_c.witness["boundary_weight"])
+            # stacked, so that each decode keys its PGM tables without a copy
+            self.bob_tests = np.array(np_test_blocks(
+                p_u, rho_bu, res_b.witness["lambda"], res_b.witness["boundary_weight"]))
+            self.charlie_tests = np.array(np_test_blocks(
+                p_v, rho_cv, res_c.witness["lambda"], res_c.witness["boundary_weight"]))
             self.evaluator = QuantumPairEvaluator(channel, design, self.bob_tests,
                                                   self.charlie_tests)
             self.describe = {
@@ -273,18 +287,76 @@ class Scheme:
                    else classical_i_infty_iid(design.joint, n, eps_infty))
         self.achieved = {"i0b": res_b.value, "i0c": res_c.value, "i_infty": res_inf.value}
 
-    def _transmit(self, x_word, rng):
-        if self.setting == "classical":
-            return self.sampler.sample_outputs(x_word, rng)
-        label = self.channel.x_alphabet[int(x_word[0])]
-        return self.channel.rho_b(label), self.channel.rho_c(label)
+    def _classical_counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
+        counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
+                                "index_error"), 0)
+        n_m1, n_m2 = 1 << params.R1, 1 << params.R2
+        for t in range(trials):
+            trial_key = mix64(seed, t)
+            cb = fixed_cb if fixed_cb is not None else generate_codebook(
+                self.design, params, trial_key, self.n, log_ratio=log_ratio)
+            u = SeededRng(trial_key, 101).random(2)
+            m1 = min(int(u[0] * n_m1), n_m1 - 1)
+            m2 = min(int(u[1] * n_m2), n_m2 - 1)
+            out = encode(cb, m1, m2, self.evaluator, params.eps0)
+            rec_b, rec_c = self.sampler.sample_outputs(out.x_word, SeededRng(trial_key, 102))
+            res_b = decode_rows(cb, rec_b, self.mem_b)
+            res_c = decode_cols(cb, rec_c, self.mem_c)
+            if out.fallback:
+                counts["e1"] += 1
+            else:
+                counts["e2b"] += 0 if np.isin(out.row, res_b.matched) else 1
+                counts["e2c"] += 0 if np.isin(out.col, res_c.matched) else 1
+                counts["e3b"] += 1 if np.any(res_b.matched != out.row) else 0
+                counts["e3c"] += 1 if np.any(res_c.matched != out.col) else 0
+            msg_wrong = res_b.message != m1 or res_c.message != m2
+            idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
+            counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
+            counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
+        return counts
 
-    def _decode(self, codebook, rec_b, rec_c, rng_b, rng_c):
-        if self.setting == "classical":
-            return (decode_rows(codebook, rec_b, self.mem_b),
-                    decode_cols(codebook, rec_c, self.mem_c))
-        return (decode_pgm(codebook.rows, self.bob_tests, rec_b, codebook.row_band_of, rng_b),
-                decode_pgm(codebook.cols, self.charlie_tests, rec_c, codebook.col_band_of, rng_c))
+    def _cq_counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
+        n_m1, n_m2 = 1 << params.R1, 1 << params.R2
+        rho_b = [self.channel.rho_b(x) for x in self.channel.x_alphabet]
+        rho_c = [self.channel.rho_c(x) for x in self.channel.x_alphabet]
+        row_band_of = lambda k: k >> params.r1  # noqa: E731
+        col_band_of = lambda l: l >> params.r2  # noqa: E731
+        block = max(1, CODEBOOK_BYTE_BUDGET // codebook_bytes(params, self.n))
+        hits = np.zeros(5, dtype=np.int64)
+        for start in range(0, trials, block):
+            keys = [mix64(seed, t) for t in range(start, min(trials, start + block))]
+            if fixed_cb is None:
+                rows, cols = codebook_block(self.design, params, keys, self.n)
+                cb_seeds = keys
+            else:
+                rows = np.broadcast_to(fixed_cb.rows, (len(keys),) + fixed_cb.rows.shape)
+                cols = np.broadcast_to(fixed_cb.cols, (len(keys),) + fixed_cb.cols.shape)
+                cb_seeds = [fixed_cb.seed] * len(keys)
+            u = np.array([SeededRng(key, 101).random(2) for key in keys])
+            m1 = np.minimum((u[:, 0] * n_m1).astype(np.int64), n_m1 - 1)
+            m2 = np.minimum((u[:, 1] * n_m2).astype(np.int64), n_m2 - 1)
+            row, col, x = encode_block(rows, cols, cb_seeds, m1, m2, params, log_ratio,
+                                       self.evaluator, params.eps0)
+            # decoded message and unique match per side; -1 stands for none
+            got = np.full((4, len(keys)), -1, dtype=np.int64)
+            for j, key in enumerate(keys):
+                sent = int(x[j, 0])
+                res_b = decode_pgm(rows[j], self.bob_tests, rho_b[sent], row_band_of,
+                                   SeededRng(key, 103))
+                res_c = decode_pgm(cols[j], self.charlie_tests, rho_c[sent], col_band_of,
+                                   SeededRng(key, 104))
+                for i, value in enumerate((res_b.message, res_b.unique_match,
+                                           res_c.message, res_c.unique_match)):
+                    if value is not None:
+                        got[i, j] = value
+            fallback = row < 0
+            miss_b, miss_c = got[1] != row, got[3] != col
+            hits += [fallback.sum(),
+                     (miss_b & ~fallback).sum(),
+                     (miss_c & ~fallback).sum(),
+                     (fallback | (got[0] != m1) | (got[2] != m2)).sum(),
+                     (fallback | miss_b | miss_c).sum()]
+        return dict(zip(("e1", "e2", "e3", "message_error", "index_error"), hits.tolist()))
 
     def run(self, params: RateParams, trials: int, seed: int, *,
             resample_codebook: bool = True) -> ExperimentReport:
@@ -306,9 +378,10 @@ class Scheme:
                 f"params carry (eps0, eps_infty) = ({params.eps0}, {params.eps_infty}), "
                 f"the scheme was built for ({self.eps0}, {self.eps_infty})")
         _check_achieved(params, self.achieved)
+        codebook_bytes(params, self.n)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         t0 = time.monotonic()
-        setting, n = self.setting, self.n
+        setting = self.setting
 
         try:
             params.validate()
@@ -319,53 +392,17 @@ class Scheme:
         log_ratio = llr_table(self.design.joint)
         fixed_cb: Codebook | None = None
         if not resample_codebook:
-            fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), n,
+            fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n,
                                          log_ratio=log_ratio)
-
-        if setting == "classical":
-            names = ("e1", "e2b", "e2c", "e3b", "e3c", "message_error", "index_error")
-        else:
-            names = ("e1", "e2", "e3", "message_error", "index_error")
-        counts = {name: 0 for name in names}
-
-        n_m1 = 1 << params.R1
-        n_m2 = 1 << params.R2
-        for t in range(trials):
-            trial_key = mix64(seed, t)
-            cb = fixed_cb if fixed_cb is not None else generate_codebook(
-                self.design, params, trial_key, n, log_ratio=log_ratio)
-            msg_rng = SeededRng(trial_key, 101)
-            u = msg_rng.random(2)
-            m1 = min(int(u[0] * n_m1), n_m1 - 1)
-            m2 = min(int(u[1] * n_m2), n_m2 - 1)
-            out = encode(cb, m1, m2, self.evaluator, params.eps0)
-            rec_b, rec_c = self._transmit(out.x_word, SeededRng(trial_key, 102))
-            res_b, res_c = self._decode(cb, rec_b, rec_c,
-                                        SeededRng(trial_key, 103), SeededRng(trial_key, 104))
-            if out.fallback:
-                counts["e1"] += 1
-            else:
-                if setting == "classical":
-                    in_b = bool(np.isin(out.row, res_b.matched))
-                    in_c = bool(np.isin(out.col, res_c.matched))
-                    counts["e2b"] += 0 if in_b else 1
-                    counts["e2c"] += 0 if in_c else 1
-                    counts["e3b"] += 1 if np.any(res_b.matched != out.row) else 0
-                    counts["e3c"] += 1 if np.any(res_c.matched != out.col) else 0
-                else:
-                    counts["e2"] += 0 if res_b.unique_match == out.row else 1
-                    counts["e3"] += 0 if res_c.unique_match == out.col else 1
-            msg_wrong = res_b.message != m1 or res_c.message != m2
-            idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
-            counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
-            counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
+        count = self._classical_counts if setting == "classical" else self._cq_counts
+        counts = count(params, trials, seed, fixed_cb, log_ratio)
 
         eb = event_bounds(params, setting)
         events = _event_rows(setting, counts, trials, eb, params, theorem_valid)
 
         return ExperimentReport(
             setting=setting,
-            n=n,
+            n=self.n,
             trials=trials,
             seed=seed,
             resample_codebook=resample_codebook,

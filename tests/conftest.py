@@ -2,7 +2,9 @@
 
 The oracles build what the library only ever computes implicitly: the
 pretty good measurement as explicit per-word elements, and the n-fold
-product channels and designs over materialized product alphabets.
+product channels and designs over materialized product alphabets.  The
+per-trial cq loop is the schedule ``Scheme.run`` replaced with blocks of
+trials; it draws the same streams one trial at a time.
 """
 
 import functools
@@ -12,9 +14,11 @@ import numpy as np
 import pytest
 
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
+from martonlab.coding import decode_pgm, encode, generate_codebook
 from martonlab.errors import ValidationError
 from martonlab.prob import JointPmf
 from martonlab.quantum import POVM_TOL, DensityOperator, pinv_sqrt, real_trace
+from martonlab.rng import SeededRng, mix64
 
 NFOLD_CELL_CAP = 1_000_000
 NFOLD_DIM_CAP = 1024
@@ -137,6 +141,41 @@ def product_design(design: InputDesign, n: int, cell_cap: int = NFOLD_CELL_CAP) 
                 fmap[(rows[i], cols[j])] = xsep.join(design.f[(a, b)] for a, b in zip(us, vs))
     return InputDesign(big, fmap)
 
+
+
+def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ratio) -> dict:
+    """Event counts of a cq run, one trial after another.
+
+    A drop-in for ``Scheme._cq_counts``: trial t draws its codebook with
+    ``generate_codebook`` (seed mix64(seed, t)), its messages from stream
+    101, encodes with ``encode`` and measures each side with ``decode_pgm``
+    on streams 103 and 104.
+    """
+    counts = dict.fromkeys(("e1", "e2", "e3", "message_error", "index_error"), 0)
+    n_m1, n_m2 = 1 << params.R1, 1 << params.R2
+    for t in range(trials):
+        trial_key = mix64(seed, t)
+        cb = fixed_cb if fixed_cb is not None else generate_codebook(
+            scheme.design, params, trial_key, scheme.n, log_ratio=log_ratio)
+        u = SeededRng(trial_key, 101).random(2)
+        m1 = min(int(u[0] * n_m1), n_m1 - 1)
+        m2 = min(int(u[1] * n_m2), n_m2 - 1)
+        out = encode(cb, m1, m2, scheme.evaluator, params.eps0)
+        label = scheme.channel.x_alphabet[int(out.x_word[0])]
+        res_b = decode_pgm(cb.rows, scheme.bob_tests, scheme.channel.rho_b(label),
+                           cb.row_band_of, SeededRng(trial_key, 103))
+        res_c = decode_pgm(cb.cols, scheme.charlie_tests, scheme.channel.rho_c(label),
+                           cb.col_band_of, SeededRng(trial_key, 104))
+        if out.fallback:
+            counts["e1"] += 1
+        else:
+            counts["e2"] += 0 if res_b.unique_match == out.row else 1
+            counts["e3"] += 0 if res_c.unique_match == out.col else 1
+        msg_wrong = res_b.message != m1 or res_c.message != m2
+        idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
+        counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
+        counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
+    return counts
 
 @pytest.fixture
 def np_rng() -> np.random.Generator:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from martonlab import cli, experiments
@@ -388,6 +388,17 @@ class TestSimulate:
         assert {e["name"] for e in doc["report"]["events"]} == {
             "e1", "e2", "e3", "message_error", "index_error"}
 
+    def test_codebook_over_budget_exits_2(self, tmp_path, outdir, capsys, monkeypatch):
+        # refused from the band exponents alone: nothing is drawn or allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew from a stream")
+        monkeypatch.setattr(experiments.SeededRng, "random", refuse)
+        cfg = simulate_config(tmp_path, trials=5, n=1, mode="free", eps0=0.1,
+                              eps_tilde=0.125, bands=[30, 2])
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the budget" in err and "Traceback" not in err
+
 
 def desk_config(tmp_path, **over):
     desk = dict(trials=5, n=1, mode="free", eps0=0.1, eps_tilde=0.125, bands=[2, 2])
@@ -446,6 +457,9 @@ class TestConfigErrors:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(key=st.sampled_from(["eps", "eps0", "eps_tilde", "eps_infty"]),
            value=st.floats(), mode=st.sampled_from(["free", "theorem"]))
+    # a subnormal eps_tilde, whose 1/eps_tilde overflows
+    @example(key="eps_tilde", value=2.225073858507203e-309, mode="free")
+    @example(key="eps_tilde", value=2.225073858507203e-309, mode="theorem")
     def test_any_eps_value_exits_by_contract(self, tmp_path, capsys, key, value, mode):
         cfg = desk_config(tmp_path, **{key: value, "mode": mode})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1, 2, 3)

@@ -1,10 +1,14 @@
 """Trial harness: determinism, event accounting, and bound attachment."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import cq_counts_per_trial
+from test_acceptance import QUBIT_POINTS, _pair_design, _qubit_cq
+from martonlab import coding, experiments
 from martonlab.channels import (
     ClassicalBroadcastChannel,
     CqBroadcastChannel,
@@ -21,7 +25,7 @@ from martonlab.coding import (
     encode,
     generate_codebook,
 )
-from martonlab.divergences import classical_i0, quantum_i0_cq
+from martonlab.divergences import classical_i0, llr_table, quantum_i0_cq
 from martonlab.errors import ValidationError
 from martonlab.experiments import (
     EventStats,
@@ -269,6 +273,124 @@ class TestQuantumDesk:
         params = desk_params(i0b=0.2, i0c=0.2, i_infty=0.0)
         with pytest.raises(ValidationError, match="single-letter"):
             run_experiment(ch, independent_design(), params, 10, seed=0, n=2)
+
+
+def _scrubbed_digest(report) -> str:
+    doc = report.to_json()
+    doc.pop("started_at")
+    doc.pop("wall_clock_s")
+    return json_digest(doc)
+
+
+def _qubit_point(index):
+    theta, tops, rho, r1, r2, override, seed = QUBIT_POINTS[index]
+    channel = _qubit_cq(theta, tops)
+    design = _pair_design([[0.25 + rho, 0.25 - rho], [0.25 - rho, 0.25 + rho]])
+    scheme = Scheme(channel, design, 0.05, 0.25)
+    achieved = dict(scheme.achieved)
+    if override is not None:
+        achieved["i_infty"] = override
+    return scheme, r1, r2, achieved, seed
+
+
+class TestCqBlocks:
+    """Blocked cq trials against the per-trial loop of ``conftest``."""
+
+    @pytest.mark.parametrize("point", range(10))
+    def test_blocks_match_per_trial_loop(self, point, monkeypatch):
+        scheme, r1, r2, achieved, seed = _qubit_point(point)
+        for resample in (True, False):
+            for run_seed in (seed, 7):
+                for R1, R2 in ((0, 0), (0, 2), (2, 0)):
+                    params = RateParams(R1=R1, R2=R2, r1=r1, r2=r2, eps_tilde=0.125,
+                                        eps0=0.05, eps_infty=0.25, **achieved)
+                    for trials in (1, 37):
+                        got = scheme.run(params, trials, run_seed,
+                                         resample_codebook=resample)
+                        with monkeypatch.context() as m:
+                            m.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+                            want = scheme.run(params, trials, run_seed,
+                                              resample_codebook=resample)
+                        case = (resample, run_seed, R1, R2, trials)
+                        assert got.counts() == want.counts(), case
+                        assert _scrubbed_digest(got) == _scrubbed_digest(want), case
+
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_run_over_several_blocks(self, resample, monkeypatch):
+        # the point with override i_infty = 8 scans many rows per trial
+        scheme, r1, r2, achieved, seed = _qubit_point(8)
+        params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **achieved)
+        blocks = []
+        monkeypatch.setattr(experiments, "CODEBOOK_BYTE_BUDGET",
+                            7 * coding.codebook_bytes(params, 1))
+        monkeypatch.setattr(experiments, "encode_block",
+                            lambda *a, **k: blocks.append(len(a[2])) or
+                            coding.encode_block(*a, **k))
+        got = scheme.run(params, 37, seed, resample_codebook=resample)
+        assert blocks == [7] * 5 + [2]
+        monkeypatch.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+        want = scheme.run(params, 37, seed, resample_codebook=resample)
+        assert got.counts() == want.counts()
+        assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
+    @pytest.mark.parametrize("joint", [np.full((2, 2), 0.25), DSBS_45])
+    def test_encode_block_matches_encode_at_n_6(self, joint):
+        # word arrays of any blocklength, with the llr-threshold evaluator
+        design, n = pair_design(joint), 6
+        scheme = Scheme(bsc_pair_channel(0.05, 0.05), design, 0.05, 0.25, n=n)
+        params = RateParams(R1=1, R2=1, r1=4, r2=3, eps_tilde=1 / 8, eps0=0.05,
+                            eps_infty=0.25, **scheme.achieved)
+        keys = [mix64(3, t) for t in range(40)]
+        m1, m2 = np.arange(40) % 2, np.arange(40) // 2 % 2
+        rows, cols = coding.codebook_block(design, params, keys, n)
+        row, col, x = coding.encode_block(rows, cols, keys, m1, m2, params,
+                                          llr_table(design.joint), scheme.evaluator, 0.05)
+        for j, key in enumerate(keys):
+            cb = generate_codebook(design, params, key, n)
+            assert np.array_equal(cb.rows, rows[j]) and np.array_equal(cb.cols, cols[j])
+            out = encode(cb, int(m1[j]), int(m2[j]), scheme.evaluator, 0.05)
+            assert (row[j], col[j]) == ((-1, -1) if out.fallback else (out.row, out.col))
+            assert np.array_equal(x[j], out.x_word)
+
+
+class TestCodebookBudget:
+    """A codebook over the byte budget stops the run before anything is drawn."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew from a stream")
+        for name in ("random", "choice_index"):
+            monkeypatch.setattr(SeededRng, name, refuse)
+
+    @pytest.mark.parametrize("r1", [22, 70])
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_cq_run_over_budget(self, no_draws, r1, resample):
+        ch = qubit_cq_channel()
+        scheme = Scheme(ch, independent_design(), 0.05, 0.25)
+        params = RateParams(R1=1, R2=1, r1=r1, r2=2, eps_tilde=1 / 8, eps0=0.05,
+                            eps_infty=0.25, **scheme.achieved)
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            scheme.run(params, 10, seed=1, resample_codebook=resample)
+
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_classical_run_over_budget(self, no_draws, resample):
+        ch = bsc_pair_channel(0.05, 0.05)
+        params = block_params(i0b=13.5, i0c=13.5, r1=20, r2=4, eps0=0.05)
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            run_experiment(ch, independent_design(), params, 10, seed=1, n=25,
+                           resample_codebook=resample)
+
+    def test_budget_edge(self):
+        # 2^23 row words and 2^3 column words of one letter: just over 2^26 bytes
+        params = RateParams(R1=1, R2=1, r1=22, r2=2, eps_tilde=1 / 8, eps0=0.05,
+                            eps_infty=0.25, i0b=1.0, i0c=1.0, i_infty=0.0)
+        assert coding.CODEBOOK_BYTE_BUDGET == 1 << 26
+        with pytest.raises(ValidationError, match="67108928 bytes"):
+            coding.codebook_bytes(params, 1)
+        assert coding.codebook_bytes(dataclasses.replace(params, r1=21), 1) == (
+            2**22 + 2**3) * 8
 
 
 class TestHarnessValidation:

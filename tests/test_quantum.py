@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
-from martonlab import SeededRng
+from martonlab import SeededRng, coding
 from martonlab.coding import decode_pgm, pgm_outcome_probabilities
 from martonlab.errors import (
     HermiticityError,
@@ -100,6 +100,25 @@ class TestEig:
         assert_allclose(np.sort(np.linalg.eigvalsh(supp)), [0, 0, 1, 1, 1, 1], atol=1e-10)
 
 
+
+def pgm_per_state(words, tests, rho):
+    """The PGM probabilities with S^{-1/2} computed afresh for each state."""
+    tests = np.asarray(tests)
+    labels = words[:, 0]
+    counts = np.bincount(labels, minlength=len(tests))
+    dim = tests.shape[1]
+    total = np.zeros((dim, dim), dtype=complex)
+    for u, c in enumerate(counts):
+        if c:
+            total += c * tests[u]
+    inv_sqrt, supp = pinv_sqrt(total)
+    q = np.empty(len(tests))
+    for u in range(len(tests)):
+        q[u] = real_trace(inv_sqrt @ tests[u] @ inv_sqrt, rho)
+    p_fail = max(real_trace(np.eye(dim) - supp, rho), 0.0)
+    vec = np.concatenate([np.clip(q[labels], 0.0, None), [p_fail]])
+    return vec / float(vec.sum())
+
 class TestPovmAndPgm:
     def test_pgm_orthogonal_projectors_unchanged(self):
         p0 = np.diag([1.0, 0.0])
@@ -138,6 +157,23 @@ class TestPovmAndPgm:
         assert_allclose(pgm_outcome_probabilities(words, [a, b], np.diag([0.0, 0.0, 1.0])),
                         [0.0, 0.0, 1.0], atol=1e-12)
         assert pgm_outcome_probabilities(words, [a, b], np.diag([0.5, 0.5, 0.0]))[2] < 1e-12
+
+    def test_pgm_one_eigendecomposition_for_all_states(self, np_rng, monkeypatch):
+        # S^{-1/2} depends on the tests and the label counts only, so the
+        # four states of a two-qubit-input channel share one pinv_sqrt; the
+        # probabilities equal the per-state formula bit for bit
+        tests = [rand_psd(np_rng, 2, rank=1), rand_psd(np_rng, 2)]
+        tests = [t / np.linalg.eigvalsh(t)[-1] for t in tests]
+        words = np_rng.integers(2, size=(64, 1))
+        states = [rand_state(np_rng, 2) for _ in range(4)]
+        calls = []
+        monkeypatch.setattr(coding, "pinv_sqrt", lambda m: calls.append(1) or pinv_sqrt(m))
+        coding._pgm_elements.cache_clear()
+        coding._pgm_table.cache_clear()
+        for rho in states:
+            assert np.array_equal(pgm_outcome_probabilities(words, tests, rho),
+                                  pgm_per_state(words, tests, rho))
+        assert len(calls) == 1
 
     def test_pgm_rejects_negative_operator(self):
         with pytest.raises(AssertionError):
