@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
+from . import coding
 from .coding import RateParams
 from .divergences import iid_llr_spectra, llr_table, spectrum_i0, spectrum_i_infty
 from .errors import ValidationError
@@ -270,6 +271,14 @@ def _estimate(params: CoveringParams, hits: int, trials: int) -> CoveringEstimat
                             violation=lower > bound.value)
 
 
+def _check_uniforms(what: str, count: int) -> None:
+    """ValidationError when ``count`` uniforms, 8 bytes each, exceed
+    ``coding.CODEBOOK_BYTE_BUDGET``."""
+    if 8 * count > coding.CODEBOOK_BYTE_BUDGET:
+        raise ValidationError(f"{what} take {8 * count} bytes, which exceeds the budget "
+                              f"of {coding.CODEBOOK_BYTE_BUDGET} bytes")
+
+
 def synthetic_covering(p: CoveringParams, trials: int, seed: int,
                        family: str = "paired") -> CoveringEstimate:
     """Simulate Pr{Z=0} for indicator arrays with the assumed moments.
@@ -280,7 +289,10 @@ def synthetic_covering(p: CoveringParams, trials: int, seed: int,
     2*alpha*q; the mean is again alpha*q and same-row/column second
     moments stay below q^2.  Either way the trial outcome Z=0 is drawn
     from its exact conditional probability given the row and column
-    variables, so huge bands never materialize a full cell array.
+    variables, so huge bands never materialize a full cell array.  The
+    paired family draws its row and column bits in trial chunks of at most
+    ``coding.CODEBOOK_BYTE_BUDGET`` bytes of uniforms; ValidationError if
+    one trial's bits exceed it.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
@@ -292,13 +304,20 @@ def synthetic_covering(p: CoveringParams, trials: int, seed: int,
     elif family == "paired":
         if 2.0 * cell > 1.0:
             raise ValidationError("paired family needs alpha * q <= 1/2")
-        u = rng.derive(1).random((trials, p.r)) < 0.5
-        v = rng.derive(2).random((trials, p.s)) < 0.5
-        ones_u = u.sum(axis=1)
-        ones_v = v.sum(axis=1)
-        matches = ones_u * ones_v + (p.r - ones_u) * (p.s - ones_v)
-        p_zero = (1.0 - 2.0 * cell) ** matches
-        hits = int(np.count_nonzero(rng.derive(3).random(trials) < p_zero))
+        _check_uniforms("the row and column uniforms of one trial", p.r + p.s)
+        row_rng, col_rng = rng.derive(1), rng.derive(2)
+        z_draws = rng.derive(3).random(trials)
+        # trial chunks within the byte budget; each stream continues where
+        # the previous chunk stopped, so the bits are those of one big draw
+        chunk = coding.CODEBOOK_BYTE_BUDGET // (8 * (p.r + p.s))
+        hits = 0
+        for start in range(0, trials, chunk):
+            size = min(chunk, trials - start)
+            ones_u = (row_rng.random((size, p.r)) < 0.5).sum(axis=1)
+            ones_v = (col_rng.random((size, p.s)) < 0.5).sum(axis=1)
+            matches = ones_u * ones_v + (p.r - ones_u) * (p.s - ones_v)
+            p_zero = (1.0 - 2.0 * cell) ** matches
+            hits += int(np.count_nonzero(z_draws[start:start + size] < p_zero))
     else:
         raise ValidationError(f"unknown synthetic family {family!r}")
     return _estimate(p, hits, trials)
@@ -310,10 +329,13 @@ def empirical_covering(design, i_inf: float, p: CoveringParams, trials: int,
 
     Rows and columns are drawn iid from the design marginals and a cell
     is accepted when its uniform clears min(1, ratio / 2^i_inf).  The
-    bound is evaluated at the supplied CoveringParams.
+    bound is evaluated at the supplied CoveringParams.  ValidationError,
+    before any draw, if one trial's r x s uniforms exceed
+    ``coding.CODEBOOK_BYTE_BUDGET`` bytes.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
+    _check_uniforms("the rejection uniforms of one r x s band", p.r * p.s)
     joint = design.joint
     accept = np.exp2(np.minimum(llr_table(joint) - i_inf, 0.0))
     pu, pv = joint.marginals()

@@ -62,6 +62,9 @@ DECODE_TOL = 1e-6
 # bytes the uniforms of one codebook may take; a block of trials draws at
 # most this many bytes of codebook uniforms too
 CODEBOOK_BYTE_BUDGET = 1 << 26
+# letter counts up to 2^24 are exact in float32, the type of the threshold
+# decoder's one-hot product; a codebook within budget has n < 2^22
+_EXACT_COUNT_LIMIT = 1 << 24
 # atom cap of the threshold evaluator's tail-mass convolutions
 THRESHOLD_ATOM_CAP = 100_000
 _FEAS_TOL = 1e-9
@@ -235,8 +238,10 @@ class Codebook:
     """Sampled words plus the lazily evaluated rejection indicator.
 
     ``rows[k]`` and ``cols[l]`` are per-symbol index words of length n
-    into the design's row and column alphabets.  Message m1 owns the row
-    band [m1 * 2^r1, (m1+1) * 2^r1); columns likewise with r2.
+    into the design's row and column alphabets; sampled words come in the
+    smallest unsigned type that holds the alphabet, and any integer type
+    works.  Message m1 owns the row band [m1 * 2^r1, (m1+1) * 2^r1);
+    columns likewise with r2.
     """
 
     rows: np.ndarray
@@ -326,8 +331,10 @@ def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndar
 def _symbols(pmf_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     # A symbol index is the number of cdf cut points at or below its
     # uniform: searchsorted(cdf, u, side="right") with the last cut point
-    # taken as 1 > u, counted without a binary search.
-    words = np.zeros(u.shape, dtype=np.int64)
+    # taken as 1 > u, counted without a binary search.  Words are held in
+    # the smallest unsigned type that holds the alphabet (uint8 up to 256
+    # letters), an eighth of the bytes of int64 words.
+    words = np.zeros(u.shape, dtype=np.min_scalar_type(len(pmf_probs) - 1))
     for c in np.cumsum(pmf_probs)[:-1]:
         words += u >= c
     return words
@@ -472,7 +479,9 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
     def _tail_mass(self, side: int, word: np.ndarray, x: np.ndarray) -> float:
         llr, trans, tau = self._sides[side]
         nx = trans.shape[0]
-        counts = np.bincount(word * nx + x, minlength=llr.shape[0] * nx)
+        # raveled in intp: word * nx would wrap in a compact word type
+        pairs = np.ravel_multi_index((word, x), (llr.shape[0], nx))
+        counts = np.bincount(pairs, minlength=llr.shape[0] * nx)
         parts = [self._power(side, *divmod(int(pair), nx), int(counts[pair]))
                  for pair in np.flatnonzero(counts)]
         values, probs = functools.reduce(self._sum, parts)
@@ -631,24 +640,46 @@ class SetMembership:
 
 
 class ThresholdMembership:
-    """Summed-llr decoder test: word matches iff its score clears tau."""
+    """Summed-llr decoder test: word matches iff its score clears tau.
+
+    A row's score depends on the row only through its type against the
+    received word: the counts N[a, b] of positions holding word letter a
+    where letter b was received.  Rows are scored as the sum of
+    N[a, b] * llr[a, b] in a fixed (a, b) order, so membership does not
+    depend on a BLAS summation order.
+    """
 
     def __init__(self, llr: np.ndarray, tau: float):
         self.llr = np.asarray(llr, dtype=float)
         self.tau = float(tau)
 
     def matches(self, words: np.ndarray, received: np.ndarray) -> np.ndarray:
-        # score = sum over letters a of one-hot(words == a) @ llr[a, received];
-        # 0 * inf is nan in a product, so positions where some letter scores
-        # non-finite are summed by lookup instead
-        col = self.llr[:, received]
-        bad = ~np.isfinite(col).all(axis=0)
-        finite = np.where(bad, 0.0, col)
-        scores = (words == 0) @ finite[0]
-        for a in range(1, finite.shape[0]):
-            scores += (words == a) @ finite[a]
-        if bad.any():
-            scores += self.llr[words[:, bad], received[bad]].sum(axis=1)
+        (count, n), (na, nb) = words.shape, self.llr.shape
+        if n >= _EXACT_COUNT_LIMIT:
+            raise ValidationError(f"threshold decoding counts letters in float32, "
+                                  f"exact below {_EXACT_COUNT_LIMIT} positions, got {n}")
+        # 0 * inf is nan in a product, so positions whose received letter
+        # scores non-finite for some word letter are summed by lookup instead
+        finite = np.isfinite(self.llr).all(axis=0)
+        good = finite[received]
+        onehot = np.zeros((n, nb), dtype=np.float32)
+        onehot[good, received[good]] = 1.0
+        # one one-hot product gives the counts of letters 1..na-1; letter 0
+        # holds the rest of each received letter's positions.  The letters
+        # take a type that holds them and the words, so that neither wraps.
+        letters = np.arange(1, na, dtype=np.promote_types(words.dtype,
+                                                          np.min_scalar_type(na - 1)))
+        hits = (words[:, None, :] == letters[:, None]).astype(np.float32)
+        types = np.empty((count, na, nb))
+        types[:, 1:] = (hits.reshape(count * (na - 1), n) @ onehot).reshape(count, na - 1, nb)
+        types[:, 0] = onehot.sum(axis=0) - types[:, 1:].sum(axis=1)
+        scores = np.zeros(count)
+        scored = np.flatnonzero(finite)
+        for a in range(na):
+            for b in scored:
+                scores += types[:, a, b] * self.llr[a, b]
+        if not good.all():
+            scores += self.llr[words[:, ~good], received[~good]].sum(axis=1)
         return scores >= self.tau - DECODE_TOL
 
 

@@ -392,9 +392,6 @@ class LlrSpectrum:
     def __len__(self) -> int:
         return self.values.size
 
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
 
 def convolve_atoms(a: tuple, b: tuple, tol: float, atom_cap: int) -> tuple:
     """(values, probs) of the sum of independent atom distributions a and b.

@@ -137,15 +137,6 @@ class ExperimentReport:
     def any_violation(self) -> bool:
         return any(e.violation for e in self.events)
 
-    def event(self, name: str) -> EventStats:
-        for e in self.events:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def counts(self) -> dict:
-        return {e.name: e.hits for e in self.events}
-
     def to_json(self) -> dict:
         doc = asdict(self)
         doc["events"] = [e.to_json() for e in self.events]

@@ -4,7 +4,8 @@ The oracles build what the library only ever computes implicitly: the
 pretty good measurement as explicit per-word elements, and the n-fold
 product channels and designs over materialized product alphabets.  The
 per-trial cq loop is the schedule ``Scheme.run`` replaced with blocks of
-trials; it draws the same streams one trial at a time.
+trials; it draws the same streams one trial at a time.  The gemv row
+scorer is the threshold decoder that type-count scoring replaced.
 """
 
 import functools
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
-from martonlab.coding import decode_pgm, encode, generate_codebook
+from martonlab.coding import DECODE_TOL, decode_pgm, encode, generate_codebook
 from martonlab.errors import ValidationError
 from martonlab.prob import JointPmf
 from martonlab.quantum import POVM_TOL, DensityOperator, pinv_sqrt, real_trace
@@ -176,6 +177,50 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ra
         counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
         counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
     return counts
+
+
+def gemv_threshold_matches(llr, tau: float, words, received):
+    """Threshold membership by one matrix-vector product per word letter.
+
+    The row scorer ``ThresholdMembership.matches`` replaced: a row's score
+    is the sum over letters a of one-hot(words == a) @ llr[a, received],
+    summed in BLAS order; positions where some letter scores non-finite
+    are summed by lookup, since 0 * inf is nan in a product.
+    """
+    col = llr[:, received]
+    bad = ~np.isfinite(col).all(axis=0)
+    finite = np.where(bad, 0.0, col)
+    scores = (words == 0) @ finite[0]
+    for a in range(1, finite.shape[0]):
+        scores += (words == a) @ finite[a]
+    if bad.any():
+        scores += llr[words[:, bad], received[bad]].sum(axis=1)
+    return scores >= tau - DECODE_TOL
+
+
+def event_of(report, name: str):
+    """The report's ``EventStats`` of event ``name``; KeyError if it has none."""
+    return {e.name: e for e in report.events}[name]
+
+
+def event_counts(report) -> dict:
+    """Hits per event name of a report."""
+    return {e.name: e.hits for e in report.events}
+
+
+def spectrum_mean(spectrum) -> float:
+    """Mean of an ``LlrSpectrum``."""
+    return float(spectrum.values @ spectrum.probs)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Every draw from a ``SeededRng`` fails: a test that passes allocated nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew from a stream")
+    for name in ("random", "choice_index"):
+        monkeypatch.setattr(SeededRng, name, refuse)
+
 
 @pytest.fixture
 def np_rng() -> np.random.Generator:

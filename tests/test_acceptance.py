@@ -15,7 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import ACCEPTANCE_LINES, rand_joint, rand_psd, rand_hermitian
+from conftest import (
+    ACCEPTANCE_LINES,
+    event_counts,
+    event_of,
+    rand_hermitian,
+    rand_joint,
+    rand_psd,
+)
 from martonlab import cli
 from martonlab.analysis import (
     CoveringParams,
@@ -100,7 +107,7 @@ def test_criterion_1_classical_end_to_end():
                         eps_infty=0.25, i0b=i0b, i0c=i0c, i_infty=i_inf)
     params.validate()
     report = run_experiment(channel, design, params, 2000, 20260819, n=n)
-    ev = report.event("message_error")
+    ev = event_of(report, "message_error")
     elapsed = time.monotonic() - t0
     ok = (48 <= n <= 64 and i_inf == 0.0 and report.theorem_valid
           and ev.upper95 <= budget and not report.any_violation and elapsed <= 600.0)
@@ -143,7 +150,7 @@ def test_criterion_2_quantum_event_bounds():
         eb = event_bounds(params, "quantum")
         for name, chain in (("e1", eb.e1_formula), ("e2", eb.e2_chain), ("e3", eb.e3_chain)):
             bound = min(1.0, chain)
-            rate = report.event(name).rate
+            rate = event_of(report, name).rate
             excess = rate - bound - 3.0 * _binom_sigma(bound, trials)
             worst[name] = max(worst[name], excess)
     ok = all(v <= 1e-12 for v in worst.values())
@@ -183,7 +190,7 @@ def test_qubit_e2_e3_counts_match_measurement_probabilities():
             mean[name] += 1.0 - p
             var[name] += p * (1.0 - p)
     for name in ("e2", "e3"):
-        assert abs(report.event(name).hits - mean[name]) <= 3.0 * math.sqrt(var[name]), name
+        assert abs(event_of(report, name).hits - mean[name]) <= 3.0 * math.sqrt(var[name]), name
 
 
 def test_qubit_runs_replay_golden_counts_and_report():
@@ -204,7 +211,7 @@ def test_qubit_runs_replay_golden_counts_and_report():
         doc = report.to_json()
         doc.pop("started_at")
         doc.pop("wall_clock_s")
-        assert report.counts() == run["counts"]
+        assert event_counts(report) == run["counts"]
         assert json_digest(doc) == run["sha256"]
 
 
@@ -226,7 +233,7 @@ def test_classical_runs_replay_golden_counts_and_report():
         doc = report.to_json()
         doc.pop("started_at")
         doc.pop("wall_clock_s")
-        assert report.counts() == run["counts"]
+        assert event_counts(report) == run["counts"]
         assert json_digest(doc) == run["sha256"]
     for curve in golden["curves"]:
         base = JointPmf.from_json(curve["joint"])

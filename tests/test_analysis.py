@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from martonlab import analysis
+from martonlab import analysis, coding
 from martonlab.analysis import (
     ConvergenceCurve,
     CoveringParams,
@@ -29,6 +29,7 @@ from martonlab.coding import RateParams, select_band_exponents
 from martonlab.divergences import classical_i0, classical_i_infty
 from martonlab.errors import ValidationError
 from martonlab.prob import JointPmf
+from martonlab.rng import SeededRng
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
 
@@ -194,6 +195,44 @@ class TestSyntheticCovering:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             synthetic_covering(CoveringParams(8, 8, 0.1, 0.5), 100, seed=seed)
+
+
+class TestCoveringBudget:
+    """Covering runs draw within ``coding.CODEBOOK_BYTE_BUDGET`` bytes of uniforms."""
+
+    @pytest.mark.parametrize("trials", [1, 3, 50])
+    def test_paired_chunks_give_the_same_hits(self, monkeypatch, trials):
+        # Pr{Z=0 | bits} = 2^-matches, so the hits follow the bits closely
+        p = CoveringParams(2, 2, 0.5, 0.5)
+        whole = synthetic_covering(p, trials, seed=4, family="paired")
+        sizes = []
+        draw = SeededRng.random
+
+        def spy(self, size=None):
+            sizes.append(size)
+            return draw(self, size)
+
+        monkeypatch.setattr(SeededRng, "random", spy)
+        # three trials' row and column uniforms
+        monkeypatch.setattr(coding, "CODEBOOK_BYTE_BUDGET", 3 * 8 * (2 + 2))
+        assert synthetic_covering(p, trials, seed=4, family="paired") == whole
+        assert max(math.prod(s) for s in sizes if isinstance(s, tuple)) <= 3 * 2
+
+    def test_paired_trial_over_budget(self, no_draws):
+        p = CoveringParams(coding.CODEBOOK_BYTE_BUDGET // 8, 1, 2.0**-30, 0.5)
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            synthetic_covering(p, 10, seed=0, family="paired")
+
+    def test_empirical_band_over_budget(self, no_draws):
+        design = InputDesign(dsbs_joint(), {(u, v): u + v for u in "01" for v in "01"})
+        p = CoveringParams(4096, 4096, 0.5, 0.25)
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            empirical_covering(design, 1.0, p, trials=1, seed=0)
+        # the grid of one trial at the budget itself is drawn
+        budget = coding.CODEBOOK_BYTE_BUDGET // 8
+        with pytest.raises(AssertionError, match="drew"):
+            empirical_covering(design, 1.0, CoveringParams(budget // 8, 8, 0.5, 0.25),
+                               trials=1, seed=0)
 
 
 class TestEmpiricalCovering:

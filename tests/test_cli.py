@@ -189,6 +189,18 @@ class TestCovering:
                    "--alpha", "0.25", "--trials", "10"])
         assert rc == 3
 
+    @pytest.mark.parametrize("design", [True, False])
+    def test_band_over_budget_exits_2(self, tmp_path, outdir, capsys, no_draws, design):
+        argv = ["covering", "--q", "2^-30", "--alpha", "0.5", "--trials", "10"]
+        if design:
+            argv += ["--r", "4096", "--s", "4096", "--i-infty", "1",
+                     "--design", write_json(tmp_path / "d.json", design_doc())]
+        else:
+            argv += ["--r", str(2**23), "--s", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the budget" in err and "Traceback" not in err
+
     def test_eps0_flag_is_gone(self, tmp_path, outdir, capsys):
         # the design-driven covering run has no acceptance gate for eps0 to set
         f = write_json(tmp_path / "d.json", design_doc())

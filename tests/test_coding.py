@@ -8,7 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from martonlab import coding
-from martonlab.channels import ClassicalBroadcastChannel, InputDesign, build_classical_joints
+from martonlab.channels import (
+    ClassicalBroadcastChannel,
+    InputDesign,
+    ProductClassicalChannel,
+    build_classical_joints,
+)
 from martonlab.coding import (
     DECODE_TOL,
     ClassicalSetEvaluator,
@@ -28,7 +33,8 @@ from martonlab.coding import (
     pgm_outcome_probabilities,
     select_band_exponents,
 )
-from martonlab.divergences import classical_i_infty, llr_table
+from conftest import gemv_threshold_matches, rand_joint
+from martonlab.divergences import classical_i_infty, iid_llr_spectrum, llr_table, spectrum_i0
 from martonlab.errors import InfeasibleRates, SupportOverflowError, ValidationError
 from martonlab.prob import JointPmf
 from martonlab.quantum import DensityOperator, pinv_sqrt, real_trace
@@ -307,7 +313,7 @@ class TestCodebook:
         pmf = np.asarray(pmf)
         got = _sample_words(pmf, 300, 7, SeededRng(seed, 1))
         want = searchsorted_words(pmf, 300, 7, SeededRng(seed, 1))
-        assert got.dtype == want.dtype == np.int64
+        assert want.dtype == np.int64 and got.dtype == np.uint8
         assert np.array_equal(got, want)
 
     def test_word_marginals(self):
@@ -649,10 +655,91 @@ class TestClassicalDecoders:
             assert not ThresholdMembership(table, -1e300).matches(words, received)[
                 np.isneginf(scores)].any()
 
+    @pytest.mark.parametrize("nb", [2, 3, 4, 5])
+    @pytest.mark.parametrize("na", [2, 3, 4, 5])
+    def test_type_count_scores_match_gemv_oracle(self, na, nb):
+        rng = np.random.default_rng(100 * na + nb)
+        # fewer zero cells than letters leave every row and column some mass
+        probs = rand_joint(rng, na, nb, zeros=min(na, nb) - 1)
+        joint = JointPmf(tuple("01234"[:na]), tuple("01234"[:nb]), probs)
+        table = llr_table(joint)
+        assert np.isneginf(table).any()
+        n = 3
+        spectrum = iid_llr_spectrum(joint, n)
+        taus = list(spectrum.values) + [
+            spectrum_i0(spectrum, eps0, method="thresholded").witness["threshold"]
+            for eps0 in (0.01, 0.05, 0.2)]
+        for _ in range(3):
+            received = rng.integers(nb, size=n)
+            # rows drawn given the received letters score on the spectrum's
+            # atoms; uniform rows also hit the -inf cells
+            given = np.array([[rng.choice(na, p=probs[:, b] / probs[:, b].sum())
+                               for b in received] for _ in range(24)])
+            words = np.vstack([given, rng.integers(na, size=(24, n))]).astype(np.uint8)
+            for tau in taus:
+                got = ThresholdMembership(table, tau).matches(words, received)
+                assert np.array_equal(got, gemv_threshold_matches(table, tau, words, received))
+
+    def test_threshold_membership_wide_table_and_long_words(self):
+        # 300 word letters do not wrap against uint8 words
+        table = np.zeros((300, 2))
+        table[0, 0], table[44, 0] = 1.0, -5.0
+        words = np.array([[0, 0], [44, 0], [1, 1]], dtype=np.uint8)
+        got = ThresholdMembership(table, 1.5).matches(words, np.array([0, 0]))
+        assert list(got) == [True, False, False]
+        # float32 letter counts are exact only below 2^24 positions
+        long_words = np.zeros((0, 1 << 24), dtype=np.uint8)
+        with pytest.raises(ValidationError, match="exact below"):
+            ThresholdMembership(table, 0.0).matches(long_words, np.broadcast_to(0, (1 << 24,)))
+
     def test_set_membership_blocklength_guard(self):
         mem = SetMembership(np.eye(2, dtype=bool))
         with pytest.raises(ValidationError):
             mem.matches(np.zeros((4, 2), dtype=np.int64), np.array([0, 0]))
+
+
+class TestCompactWords:
+    """Sampled words come in uint8; every consumer gives what the same words
+    give in int64, also where (u, x) pair keys (|U| - 1) * |X| >= 256
+    overflow uint8."""
+
+    def test_wide_alphabet_matches_int64_words(self):
+        rng = np.random.default_rng(5)
+        us = tuple(f"u{i}" for i in range(80))
+        joint = JointPmf(us, ("0", "1"), rng.dirichlet(np.ones(160)).reshape(80, 2))
+        design = InputDesign(joint, {(u, v): f"{i % 2}{v}"
+                                     for i, u in enumerate(us) for v in "01"})
+        ch = ternary_channel(rng)
+        assert len(us) * len(ch.x_alphabet) == 320
+        uy, vz = build_classical_joints(ch, design)
+        llr1, llr2 = llr_table(uy), llr_table(vz)
+        n, tau = 8, 1.0
+        params = small_params(i_infty=0.0, eps0=0.1)
+        cb = generate_codebook(design, params, seed=3, n=n)
+        assert cb.rows.dtype == cb.cols.dtype == np.uint8 and cb.rows.max() >= 64
+        wide = Codebook(cb.rows.astype(np.int64), cb.cols.astype(np.int64), params, design,
+                        cb.seed, n)
+        # separate evaluators, so that neither reads the other's cached tables
+        ev, ev_wide = (ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau, tau)
+                       for _ in range(2))
+        for k in range(cb.n_rows):
+            for l in range(cb.n_cols):
+                assert ev.alpha_beta(cb.rows[k], cb.cols[l]) == ev_wide.alpha_beta(
+                    wide.rows[k], wide.cols[l])
+        sampler = ProductClassicalChannel(ch, n)
+        mem_b, mem_c = ThresholdMembership(llr1, tau), ThresholdMembership(llr2, tau)
+        for m1 in range(2):
+            for m2 in range(2):
+                out = encode(cb, m1, m2, ev, params.eps0)
+                want = encode(wide, m1, m2, ev_wide, params.eps0)
+                assert (out.row, out.col, out.fallback, out.scanned, out.alpha, out.beta) == (
+                    want.row, want.col, want.fallback, want.scanned, want.alpha, want.beta)
+                assert np.array_equal(out.x_word, want.x_word)
+                rec_b, rec_c = sampler.sample_outputs(out.x_word, SeededRng(m1, m2))
+                assert np.array_equal(decode_rows(cb, rec_b, mem_b).matched,
+                                      decode_rows(wide, rec_b, mem_b).matched)
+                assert np.array_equal(decode_cols(cb, rec_c, mem_c).matched,
+                                      decode_cols(wide, rec_c, mem_c).matched)
 
 
 class TestPgmDecoder:

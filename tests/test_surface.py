@@ -4,10 +4,12 @@ and the library itself use.
 Every name a ``src/martonlab`` module exports through ``__all__`` must be
 used somewhere outside ``tests/``: in a Python or shell file, other than
 its own definition, its ``__all__`` entry and its re-export in the
-package ``__init__``.  Code that only tests call belongs in ``tests/``.
+package ``__init__``.  So must every public method and property of an
+exported class.  Code that only tests call belongs in ``tests/``.
 """
 
 import importlib
+import inspect
 import io
 import re
 import tokenize
@@ -63,6 +65,24 @@ def test_every_exported_name_is_used_outside_tests(module, used):
     exported = importlib.import_module(f"martonlab.{module}").__all__
     unused = sorted(set(exported) - used - EXCEPTIONS)
     assert not unused, f"martonlab.{module} exports names only tests use: {unused}"
+
+
+def _public_methods(cls) -> set:
+    """Public methods and properties a martonlab class defines or inherits
+    from a martonlab base; dataclass fields are data, not methods."""
+    kinds = (property, classmethod, staticmethod)
+    return {name for klass in cls.__mro__ if klass.__module__.startswith("martonlab")
+            for name, value in vars(klass).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_is_used_outside_tests(module, used):
+    mod = importlib.import_module(f"martonlab.{module}")
+    unused = sorted(f"{name}.{attr}" for name in mod.__all__
+                    if inspect.isclass(cls := getattr(mod, name))
+                    for attr in _public_methods(cls) - used)
+    assert not unused, f"martonlab.{module} classes have methods only tests use: {unused}"
 
 
 def test_scan_sees_the_callers():
