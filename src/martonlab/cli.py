@@ -383,7 +383,7 @@ def _cmd_simulate(args) -> int:
                 f"budget consistency fails: required total {budget:.6f} exceeds eps = {eps}")
 
     try:
-        scheme = Scheme(channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
+        scheme = Scheme.shared(channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
     except ValidationError as e:
         raise _InfeasibleConfig(str(e))
     i0b, i0c, i_infty = (scheme.achieved[k] for k in ("i0b", "i0c", "i_infty"))

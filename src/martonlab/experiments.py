@@ -7,12 +7,15 @@ per-event counts with Clopper-Pearson limits next to every applicable
 closed-form bound.  Classical trials run one at a time; cq trials run in
 blocks, with codebooks, messages and the encoder's rejection scan held as
 arrays over the block.  Every draw comes from a stream keyed by its trial,
-so both schedules give the same counts for a seed.
+so both schedules give the same counts for a seed.  ``Scheme.shared`` keeps
+the last 32 Schemes built, keyed by content, so a sweep that returns to a
+channel, design and smoothing pair reuses its machinery.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 import time
@@ -154,6 +157,28 @@ class ExperimentReport:
         return rows
 
 
+def _digests(channel, design: InputDesign) -> tuple:
+    """Content digests of the channel and the design, for supported channels only."""
+    if not isinstance(channel, (ClassicalBroadcastChannel, CqBroadcastChannel)):
+        raise ValidationError(f"unsupported channel type {type(channel).__name__}")
+    return json_digest(channel.to_json()), json_digest(design.to_json())
+
+
+class _ByContent:
+    """A channel or design that hashes and compares by its content digest."""
+
+    __slots__ = ("value", "digest")
+
+    def __init__(self, value, digest: str):
+        self.value, self.digest = value, digest
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __eq__(self, other) -> bool:
+        return self.digest == other.digest
+
+
 def _mask_from_cells(joint, cells) -> np.ndarray:
     mask = np.zeros(joint.shape, dtype=bool)
     for u, v in cells:
@@ -213,6 +238,10 @@ class Scheme:
     uniforms: the block's codebooks and messages are drawn as arrays,
     ``encode_block`` scans all its trials one row offset at a time, and
     each trial is then measured with ``decode_pgm``.
+
+    A Scheme holds no state between runs except the threshold evaluator's
+    convolution powers, which depend only on the Scheme, so one Scheme may
+    serve many runs, also in several threads at once.
     """
 
     def __init__(self, channel, design: InputDesign, eps0: float, eps_infty: float,
@@ -222,6 +251,7 @@ class Scheme:
         if i0_method not in I0_METHODS:
             raise ValidationError(
                 f"i0 method must be one of {', '.join(I0_METHODS)}, got {i0_method!r}")
+        self.channel_digest, self.design_digest = _digests(channel, design)
         self.channel, self.design, self.n, self.i0_method = channel, design, n, i0_method
         self.eps0, self.eps_infty = eps0, eps_infty
         if isinstance(channel, CqBroadcastChannel):
@@ -272,11 +302,24 @@ class Scheme:
                 self.describe = {"kind": "classical-threshold", "tau1": tau1, "tau2": tau2}
             self.describe.update(a1_mass=res_b.witness["mass"], a2_mass=res_c.witness["mass"])
             self.sampler = ProductClassicalChannel(channel, n)
-        else:
-            raise ValidationError(f"unsupported channel type {type(channel).__name__}")
         res_inf = (classical_i_infty(design.joint, eps_infty) if n == 1
                    else classical_i_infty_iid(design.joint, n, eps_infty))
         self.achieved = {"i0b": res_b.value, "i0c": res_c.value, "i_infty": res_inf.value}
+
+    @classmethod
+    def shared(cls, channel, design: InputDesign, eps0: float, eps_infty: float,
+               *, n: int = 1, i0_method: str = "greedy") -> "Scheme":
+        """The Scheme of these inputs, reused while it is among the last 32 used.
+
+        Inputs match by content: channel and design by the digests of their
+        JSON, then eps0, eps_infty, n and the i0 method.  A build that raises
+        is not kept.  Every draw of ``run`` comes from its seed, so a reused
+        Scheme reports what a fresh one would.
+        """
+        channel_digest, design_digest = _digests(channel, design)
+        return _shared_scheme(_ByContent(channel, channel_digest),
+                              _ByContent(design, design_digest),
+                              eps0, eps_infty, n, i0_method)
 
     def _classical_counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
         counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
@@ -401,8 +444,8 @@ class Scheme:
             params=asdict(params),
             achieved=dict(self.achieved),
             scheme=dict(self.describe),
-            channel_digest=json_digest(self.channel.to_json()),
-            design_digest=json_digest(self.design.to_json()),
+            channel_digest=self.channel_digest,
+            design_digest=self.design_digest,
             codebook_digest=None if fixed_cb is None else fixed_cb.content_digest(),
             theorem_valid=theorem_valid,
             bounds=eb.to_json(),
@@ -412,14 +455,21 @@ class Scheme:
         )
 
 
+@functools.lru_cache(maxsize=32)
+def _shared_scheme(channel: _ByContent, design: _ByContent, eps0, eps_infty, n, i0_method):
+    return Scheme(channel.value, design.value, eps0, eps_infty, n=n, i0_method=i0_method)
+
+
 def achieved_divergences(channel, design: InputDesign, eps0: float, eps_infty: float,
                          *, n: int = 1, i0_method: str = "greedy"):
     """(i0b, i0c, i_infty) the decoding scheme achieves for these inputs.
 
-    The values of ``Scheme(...).achieved``, so RateParams built from them
-    always pass the consistency gate.
+    The values of ``Scheme.shared(...).achieved``, so RateParams built from
+    them always pass the consistency gate, and a run of the same inputs
+    reuses that Scheme.
     """
-    achieved = Scheme(channel, design, eps0, eps_infty, n=n, i0_method=i0_method).achieved
+    achieved = Scheme.shared(channel, design, eps0, eps_infty, n=n,
+                             i0_method=i0_method).achieved
     return achieved["i0b"], achieved["i0c"], achieved["i_infty"]
 
 
@@ -428,9 +478,12 @@ def run_experiment(channel, design: InputDesign, params: RateParams, trials: int
                    i0_method: str = "greedy") -> ExperimentReport:
     """Run seeded coding trials and compare event rates against the bounds.
 
-    Builds the ``Scheme`` at the smoothing parameters of ``params`` and runs
-    it.  For classical channels ``n > 1`` runs the blocklength-n product
-    scheme with threshold decoding; cq channels are single-letter only.
+    Runs the ``Scheme.shared`` of these inputs at the smoothing parameters
+    of ``params``: the Scheme an earlier call with equal content built, or a
+    new one.  For classical channels ``n > 1`` runs the blocklength-n
+    product scheme with threshold decoding; cq channels are single-letter
+    only.
     """
-    scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n, i0_method=i0_method)
+    scheme = Scheme.shared(channel, design, params.eps0, params.eps_infty, n=n,
+                           i0_method=i0_method)
     return scheme.run(params, trials, seed, resample_codebook=resample_codebook)

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from martonlab import experiments
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
 from martonlab.coding import DECODE_TOL, decode_pgm, encode, generate_codebook
 from martonlab.errors import ValidationError
@@ -220,6 +221,13 @@ def no_draws(monkeypatch):
         raise AssertionError("drew from a stream")
     for name in ("random", "choice_index"):
         monkeypatch.setattr(SeededRng, name, refuse)
+
+
+@pytest.fixture(autouse=True)
+def fresh_schemes():
+    """Each test starts with no shared Scheme, so what it counts does not
+    depend on which tests ran before it."""
+    experiments._shared_scheme.cache_clear()
 
 
 @pytest.fixture

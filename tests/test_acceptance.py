@@ -23,7 +23,7 @@ from conftest import (
     rand_joint,
     rand_psd,
 )
-from martonlab import cli
+from martonlab import cli, experiments
 from martonlab.analysis import (
     CoveringParams,
     covering_bound,
@@ -193,9 +193,10 @@ def test_qubit_e2_e3_counts_match_measurement_probabilities():
         assert abs(event_of(report, name).hits - mean[name]) <= 3.0 * math.sqrt(var[name]), name
 
 
-def test_qubit_runs_replay_golden_counts_and_report():
+def _replay_qubit_golden(warm_seed=None):
     # cq runs pinned bit for bit: one resampling a codebook per trial, one
-    # with a fixed codebook, each compared by event counts and report digest
+    # with a fixed codebook, each compared by event counts and report digest;
+    # with a warm seed, a run of the same content goes first
     golden = json.loads((DATA / "golden_qubit_replay.json").read_text())
     eps0, eps_infty, eps_tilde = 0.05, 0.25, 0.125
     for run in golden["runs"]:
@@ -206,8 +207,9 @@ def test_qubit_runs_replay_golden_counts_and_report():
         params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=eps_tilde,
                             eps0=eps0, eps_infty=eps_infty, i0b=i0b, i0c=i0c,
                             i_infty=i_inf if override is None else override)
-        report = run_experiment(channel, design, params, run["trials"], seed,
-                                resample_codebook=run["resample_codebook"])
+        for run_seed in ([] if warm_seed is None else [warm_seed]) + [seed]:
+            report = run_experiment(channel, design, params, run["trials"], run_seed,
+                                    resample_codebook=run["resample_codebook"])
         doc = report.to_json()
         doc.pop("started_at")
         doc.pop("wall_clock_s")
@@ -215,10 +217,15 @@ def test_qubit_runs_replay_golden_counts_and_report():
         assert json_digest(doc) == run["sha256"]
 
 
-def test_classical_runs_replay_golden_counts_and_report():
+def test_qubit_runs_replay_golden_counts_and_report():
+    _replay_qubit_golden()
+
+
+def _replay_classical_golden(warm_seed=None):
     # threshold-decoder runs at n=56 and two llr convergence curves, pinned
     # bit for bit: their acceptance probabilities and rates all come from
-    # convolved llr spectra
+    # convolved llr spectra; with a warm seed, a run of the same content
+    # goes first
     golden = json.loads((DATA / "golden_classical_replay.json").read_text())
     channel = _bsc_pair(0.01, 0.01)
     design = _pair_design([[0.25, 0.25], [0.25, 0.25]])
@@ -228,8 +235,9 @@ def test_classical_runs_replay_golden_counts_and_report():
     params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=eps_tilde, eps0=eps0,
                         eps_infty=eps_infty, i0b=i0b, i0c=i0c, i_infty=i_inf)
     for run in golden["runs"]:
-        report = run_experiment(channel, design, params, run["trials"], run["seed"], n=n,
-                                resample_codebook=run["resample_codebook"])
+        for run_seed in ([] if warm_seed is None else [warm_seed]) + [run["seed"]]:
+            report = run_experiment(channel, design, params, run["trials"], run_seed, n=n,
+                                    resample_codebook=run["resample_codebook"])
         doc = report.to_json()
         doc.pop("started_at")
         doc.pop("wall_clock_s")
@@ -239,6 +247,16 @@ def test_classical_runs_replay_golden_counts_and_report():
         base = JointPmf.from_json(curve["joint"])
         doc = iid_convergence_curve(base, base, golden["curve_eps"], golden["curve_n"]).to_json()
         assert json_digest(doc) == curve["sha256"], curve["base"]
+
+
+def test_classical_runs_replay_golden_counts_and_report():
+    _replay_classical_golden()
+
+
+def test_goldens_replay_after_warm_runs():
+    # a warm Scheme, PGM table and threshold power cache give the cold bytes
+    _replay_qubit_golden(warm_seed=77)
+    _replay_classical_golden(warm_seed=77)
 
 
 COVERING_GRID = [
@@ -465,3 +483,21 @@ def test_criterion_8_simulate_replay_matches_golden(tmp_path, monkeypatch, capsy
     _verdict(8, ok, f"replayed seed reproduces event counts {counts} "
                     f"and byte-identical report (timestamps excluded)")
     assert ok
+
+
+def test_simulate_golden_replays_after_warm_run(tmp_path, capsys):
+    # the desk config at another seed builds the Scheme the golden run reuses
+    cfg = json.loads((DATA / "config_desk.json").read_text())
+    cfg.update(channel=str(DATA / cfg["channel"]), design=str(DATA / cfg["design"]),
+               seed=cfg["seed"] + 1)
+    warm = tmp_path / "warm.json"
+    warm.write_text(json.dumps(cfg))
+    for config, out in ((warm, tmp_path / "warm"), (DATA / "config_desk.json", tmp_path / "gold")):
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert experiments._shared_scheme.cache_info()[:2] == (1, 1)  # (hits, misses)
+    doc = json.loads((tmp_path / "gold" / "simulate_report.json").read_text())
+    doc["report"].pop("started_at")
+    doc["report"].pop("wall_clock_s")
+    golden = json.loads((DATA / "golden_simulate.json").read_text())
+    assert json.dumps(doc, indent=2, sort_keys=True) == json.dumps(golden, indent=2, sort_keys=True)

@@ -1,14 +1,18 @@
 """Trial harness: determinism, event accounting, and bound attachment."""
 
 import dataclasses
+import itertools
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import cq_counts_per_trial, event_counts, event_of
 from test_acceptance import QUBIT_POINTS, _pair_design, _qubit_cq
-from martonlab import coding, experiments
+from martonlab import cli, coding, experiments
 from martonlab.channels import (
     ClassicalBroadcastChannel,
     CqBroadcastChannel,
@@ -93,16 +97,26 @@ def block_params(**over):
     return RateParams(**base)
 
 
+def _case(case):
+    """New channel and design objects of a set, threshold or PGM scheme case,
+    its blocklength and rate parameters at the achieved divergences."""
+    channel, design, eps0, n = {
+        "desk": (bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 1),
+        "n=4": (bsc_pair_channel(0.05, 0.05), independent_design(), 0.05, 4),
+        "qubit": (qubit_cq_channel(), independent_design(), 0.05, 1),
+    }[case]
+    achieved = Scheme(channel, design, eps0, 0.25, n=n).achieved
+    params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=1 / 8, eps0=eps0, eps_infty=0.25,
+                        **achieved)
+    return channel, design, n, params
+
+
 class TestScheme:
     @pytest.mark.parametrize("case", ["desk", "n=4", "qubit"])
     def test_achieved_divergences_is_scheme_achieved(self, case):
-        channel, design, eps0, n = {
-            "desk": (bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 1),
-            "n=4": (bsc_pair_channel(0.05, 0.05), independent_design(), 0.05, 4),
-            "qubit": (qubit_cq_channel(), independent_design(), 0.05, 1),
-        }[case]
-        scheme = Scheme(channel, design, eps0, 0.25, n=n)
-        triple = achieved_divergences(channel, design, eps0, 0.25, n=n)
+        channel, design, n, params = _case(case)
+        scheme = Scheme(channel, design, params.eps0, 0.25, n=n)
+        triple = achieved_divergences(channel, design, params.eps0, 0.25, n=n)
         assert triple == (scheme.achieved["i0b"], scheme.achieved["i0c"],
                           scheme.achieved["i_infty"])
 
@@ -116,6 +130,144 @@ class TestScheme:
         with pytest.raises(ValidationError, match="deterministic test set"):
             achieved_divergences(bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 0.25,
                                  i0_method="randomized")
+
+
+class TestSharedScheme:
+    """``Scheme.shared``: reuse by content, bounded, never of a failed build."""
+
+    @pytest.mark.parametrize("resample", [True, False])
+    @pytest.mark.parametrize("case", ["desk", "n=4", "qubit"])
+    def test_warm_run_equals_fresh_scheme(self, case, resample):
+        channel, design, n, params = _case(case)
+        run_experiment(channel, design, params, 20, seed=1, n=n, resample_codebook=resample)
+        # distinct objects of equal content reuse the Scheme of the first run
+        channel, design, _, _ = _case(case)
+        warm = run_experiment(channel, design, params, 20, seed=2, n=n,
+                              resample_codebook=resample)
+        assert experiments._shared_scheme.cache_info()[:2] == (1, 1)  # (hits, misses)
+        fresh = Scheme(channel, design, params.eps0, params.eps_infty, n=n).run(
+            params, 20, seed=2, resample_codebook=resample)
+        assert _scrubbed_digest(warm) == _scrubbed_digest(fresh)
+
+    def test_each_key_part_builds_a_new_scheme(self):
+        base = dict(channel=bsc_pair_channel(0.1, 0.1), design=pair_design(DSBS_45),
+                    eps0=0.1, eps_infty=0.25, n=1, i0_method="greedy")
+        swapped = InputDesign(pair_design(DSBS_45).joint,
+                              {(u, v): v + u for u in "01" for v in "01"})
+        changes = [{"eps0": 0.05}, {"eps_infty": 0.2}, {"n": 2}, {"i0_method": "exhaustive"},
+                   {"channel": bsc_pair_channel(0.1, 0.12)}, {"design": swapped}]
+
+        def shared(**change):
+            args = {**base, **change}
+            return Scheme.shared(args.pop("channel"), args.pop("design"), args.pop("eps0"),
+                                 args.pop("eps_infty"), **args)
+
+        first = shared()
+        schemes = [first] + [shared(**change) for change in changes]
+        assert len(set(map(id, schemes))) == 1 + len(changes)
+        assert shared(channel=bsc_pair_channel(0.1, 0.1), design=pair_design(DSBS_45)) is first
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        calls = []
+        original = experiments.classical_i0
+        monkeypatch.setattr(experiments, "classical_i0",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="deterministic test set"):
+                achieved_divergences(bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1,
+                                     0.25, i0_method="randomized")
+        assert len(calls) == 4  # both attempts built both sides
+        assert experiments._shared_scheme.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self):
+        channel, design = bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45)
+        info = experiments._shared_scheme.cache_info
+        oldest = Scheme.shared(channel, design, 0.1, 0.25)
+        for k in range(1, 40):
+            Scheme.shared(channel, design, 0.1 + k / 1000, 0.25)
+            assert info().currsize == min(k + 1, info().maxsize)
+        assert info().maxsize == 32
+        assert Scheme.shared(channel, design, 0.1, 0.25) is not oldest
+
+    def test_second_simulate_computes_no_divergence(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = experiments.quantum_i0_cq
+        monkeypatch.setattr(experiments, "quantum_i0_cq",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        (tmp_path / "cq.json").write_text(json.dumps(qubit_cq_channel().to_json()))
+        (tmp_path / "design.json").write_text(json.dumps(independent_design().to_json()))
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "channel": "cq.json", "design": "design.json", "eps": 0.9, "eps0": 0.05,
+            "eps_tilde": 0.125, "eps_infty": 0.25, "rates": [1, 1], "bands": [2, 2],
+            "trials": 5, "seed": 9, "mode": "free"}))
+        reports, counted = [], []
+        for run in ("first", "second"):
+            assert cli.main(["simulate", "--config", str(config), "--out",
+                             str(tmp_path / run)]) == 0
+            counted.append(len(calls))
+            doc = json.loads((tmp_path / run / "simulate_report.json").read_text())
+            doc["report"].pop("started_at")
+            doc["report"].pop("wall_clock_s")
+            reports.append(doc)
+        capsys.readouterr()
+        assert counted == [2, 2]
+        assert reports[0] == reports[1]
+
+    def test_two_threads_share_a_threshold_scheme(self):
+        channel, design, n, params = _case("n=4")
+        fresh = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
+        want = _scrubbed_digest(fresh.run(params, 10, seed=5))
+        words = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
+        pairs = [(row, col) for row in words for col in words]
+        want_ab = [fresh.evaluator.alpha_beta(row, col) for row, col in pairs]
+
+        def run_pair() -> list:
+            got, start = [None, None], threading.Barrier(2, timeout=60)
+
+            def work(i):
+                start.wait()
+                got[i] = run_experiment(channel, design, params, 10, seed=5, n=n)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # the convolution powers fill in a run's first trials, so each
+            # round starts both threads on a new Scheme with none
+            for _ in range(10):
+                experiments._shared_scheme.cache_clear()
+                shared = Scheme.shared(channel, design, params.eps0, params.eps_infty, n=n)
+                assert [_scrubbed_digest(r) for r in run_pair()] == [want] * 2
+                assert [shared.evaluator.alpha_beta(row, col) for row, col in pairs] == want_ab
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sweep_pgm_tables_stay_cached(self):
+        # the tables are keyed by content, so clearing them changes no result
+        tables, elements = coding._pgm_table, coding._pgm_elements
+        tables.cache_clear()
+        elements.cache_clear()
+
+        def sweep():
+            for point in range(10):
+                scheme, r1, r2, achieved, seed = _qubit_point(point)
+                params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
+                                    eps_infty=0.25, **achieved)
+                scheme.run(params, 40, seed)
+            return tables.cache_info().misses, elements.cache_info().misses
+
+        first = sweep()
+        # more tables than a 256-entry cache holds
+        assert first[0] > 256
+        assert sweep() == first
 
 
 class TestDeskClassical:
