@@ -12,6 +12,8 @@ channels serialize to JSON losslessly.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,24 @@ __all__ = [
     "bob_ensemble",
     "charlie_ensemble",
     "channel_from_json",
+    "json_digest",
 ]
+
+
+def json_digest(payload) -> str:
+    """Canonical sha256 of a JSON-serializable object."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class _Digested:
+    """A frozen object whose content digest is computed once."""
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """``json_digest`` of ``to_json()``; the object is frozen and its
+        arrays are read-only, so the first value holds for its lifetime."""
+        return json_digest(self.to_json())
 
 
 def _check_alphabet(labels, what: str) -> tuple:
@@ -45,7 +64,7 @@ def _check_alphabet(labels, what: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class ClassicalBroadcastChannel:
+class ClassicalBroadcastChannel(_Digested):
     """One sender, two receivers, transition p(y, z | x)."""
 
     x_alphabet: tuple
@@ -105,7 +124,7 @@ class ClassicalBroadcastChannel:
 
 
 @dataclass(frozen=True)
-class CqBroadcastChannel:
+class CqBroadcastChannel(_Digested):
     """One classical input, a bipartite quantum state on B tensor C per symbol."""
 
     x_alphabet: tuple
@@ -187,7 +206,7 @@ def channel_from_json(data: dict):
 
 
 @dataclass(frozen=True)
-class InputDesign:
+class InputDesign(_Digested):
     """Auxiliary joint p(u, v) and deterministic input map f(u, v)."""
 
     joint: JointPmf

@@ -26,7 +26,7 @@ from .analysis import (
     theorem_bounds,
     verdu_region,
 )
-from .channels import InputDesign, channel_from_json
+from .channels import CqBroadcastChannel, InputDesign, channel_from_json
 from .coding import RateParams, band_constraints, select_band_exponents
 from .divergences import I0_METHODS, classical_i0, classical_i_infty
 from .errors import InfeasibleRates, MartonlabError, ValidationError
@@ -372,7 +372,7 @@ def _cmd_simulate(args) -> int:
         _fail_parse(f"{channel_file}: {e}")
     design = _design_from_file(design_file)
 
-    setting = "quantum" if channel.to_json()["type"] == "cq" else "classical"
+    setting = "quantum" if isinstance(channel, CqBroadcastChannel) else "classical"
     if "setting" in cfg and cfg["setting"] != setting:
         raise _InfeasibleConfig(
             f"config says setting {cfg['setting']!r} but the channel file is {setting}")

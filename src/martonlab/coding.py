@@ -620,17 +620,15 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
 class DecodeResult:
     """Band answer plus everything needed to classify error events.
 
-    ``message`` is None only when a measurement's failure outcome fired.
-    ``matched`` holds every matching word index (classical decoders);
-    ``ambiguous`` flags matches in more than one band.
+    ``matched`` holds every matching word index; ``ambiguous`` flags
+    matches in more than one band.
     """
 
-    message: int | None
+    message: int
     matched: np.ndarray
     unique_match: int | None
     no_match: bool
     ambiguous: bool
-    failed: bool = False
 
 
 class SetMembership:
@@ -763,40 +761,72 @@ def _pgm_table(tests_key: tuple, counts_key: tuple, rho_key: tuple) -> tuple:
     return q, max(real_trace(completion, rho), 0.0)
 
 
-def pgm_outcome_probabilities(words: np.ndarray, tests, state) -> np.ndarray:
-    """Outcome probabilities of the pretty good measurement over one side.
+def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.ndarray:
+    """Outcome probabilities of the pretty good measurement, one row per trial.
 
-    Word k's element is S^{-1/2} T_{word k} S^{-1/2} with S the sum over
-    all words; the last entry is the completion outcome off the support
-    of S.  Identical words share an element, so the computation runs per
-    alphabet label, and the per-label table is cached by content.
+    Row j measures ``states[sent[j]]`` against one codebook side whose
+    words carry the alphabet labels ``labels[j]`` (a (trials, words)
+    array).  Word k's element is S^{-1/2} T_{labels[j, k]} S^{-1/2} with S
+    the sum of the row's test operators; the last entry is the completion
+    outcome off the support of S.  Identical words share an element, so
+    the tables run per alphabet label, one per distinct (label counts,
+    sent input) of the block, cached by content.  Each row is divided by
+    its total, which must lie within 1e-6 of 1.
     """
-    if words.shape[1] != 1:
-        raise ValidationError("measurement decoding is defined for blocklength 1")
-    labels = words[:, 0]
-    counts = np.bincount(labels, minlength=len(tests))
-    rho = state.matrix if hasattr(state, "matrix") else np.asarray(state)
-    q, p_fail = _pgm_table(_frozen(np.asarray(tests)), _frozen(counts), _frozen(rho))
-    vec = np.empty(labels.size + 1)
-    np.take(q, labels, out=vec[:-1])
-    vec[-1] = p_fail
-    total_mass = float(vec.sum())
-    if abs(total_mass - 1.0) > 1e-6:
-        raise ValidationError(f"measurement probabilities sum to {total_mass!r}")
-    return vec / total_mass
+    labels = np.asarray(labels)
+    tests = np.asarray(tests)
+    if labels.ndim != 2:
+        raise ValidationError("measurement decoding is defined for blocklength 1: "
+                              f"labels must be a (trials, words) array, got shape {labels.shape}")
+    trials, words = labels.shape
+    n_labels = len(tests)
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_labels:
+        raise ValidationError(f"labels must lie in [0, {n_labels})")
+    sent = np.asarray(sent, dtype=np.int64)
+    # label counts of every trial at once: trial j counts into bins
+    # [j * n_labels, (j + 1) * n_labels)
+    offsets = np.arange(trials, dtype=np.int64)[:, None] * n_labels
+    counts = np.bincount((labels + offsets).ravel(),
+                         minlength=trials * n_labels).reshape(trials, n_labels)
+    _, first, inverse = np.unique(np.column_stack([counts, sent]), axis=0,
+                                 return_index=True, return_inverse=True)
+    tests_key = _frozen(tests)
+    rho_keys = {}
+    q = np.empty((len(first), n_labels))
+    p_fail = np.empty(len(first))
+    for i, j in enumerate(first):
+        x = int(sent[j])
+        if x not in rho_keys:
+            rho = states[x]
+            rho_keys[x] = _frozen(rho.matrix if hasattr(rho, "matrix") else np.asarray(rho))
+        q[i], p_fail[i] = _pgm_table(tests_key, _frozen(counts[j]), rho_keys[x])
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as (trials, 1)
+    vec = np.empty((trials, words + 1))
+    vec[:, :-1] = q[inverse[:, None], labels]
+    vec[:, -1] = p_fail[inverse]
+    total = vec.sum(axis=1)
+    bad = np.abs(total - 1.0) > 1e-6
+    if bad.any():
+        raise ValidationError(
+            f"measurement probabilities sum to {float(total[np.argmax(bad)])!r}")
+    vec /= total[:, None]
+    return vec
 
 
-def decode_pgm(words: np.ndarray, tests, state, band_of, rng: SeededRng) -> DecodeResult:
-    """Pretty-good-measurement decoder over one codebook side.
+def decode_pgm(labels: np.ndarray, tests, states, sent, uniforms) -> np.ndarray:
+    """Pretty-good-measurement decoder over one codebook side, a block of trials.
 
-    ``words`` is the (count, 1) word array of that side; ``tests`` maps
-    each alphabet label to its test operator.  The measurement's
-    completion outcome decodes to no message at all (``failed``).
+    Trial j measures ``states[sent[j]]`` with the measurement that
+    ``pgm_outcome_probabilities`` builds from ``labels[j]`` and ``tests``
+    (the test operator of each alphabet label), and ``uniforms[j]`` picks
+    the outcome from the row's cumulative probabilities.  Returns the
+    outcome of each trial: the index of the decoded word, or the word
+    count ``labels.shape[1]`` where the completion outcome fired, which
+    decodes to no message.
     """
-    vec = pgm_outcome_probabilities(words, tests, state)
-    cdf = np.cumsum(vec)
-    cdf[-1] = 1.0
-    outcome = int(rng.choice_index(cdf))
-    if outcome == words.shape[0]:
-        return DecodeResult(None, np.empty(0, dtype=np.int64), None, True, False, failed=True)
-    return DecodeResult(band_of(outcome), np.array([outcome]), outcome, False, False)
+    cdf = pgm_outcome_probabilities(labels, tests, states, sent)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf[:, -1] = 1.0
+    # the number of cut points at or below u: searchsorted(cdf, u, "right")
+    # on a row whose cut points before the last ascend and whose last is 1 > u
+    return (cdf <= np.asarray(uniforms)[:, None]).sum(axis=1)

@@ -5,19 +5,18 @@ measurement test operators) once from the channel and design at a pair of
 smoothing parameters; its run executes seeded trials and aggregates
 per-event counts with Clopper-Pearson limits next to every applicable
 closed-form bound.  Classical trials run one at a time; cq trials run in
-blocks, with codebooks, messages and the encoder's rejection scan held as
-arrays over the block.  Every draw comes from a stream keyed by its trial,
-so both schedules give the same counts for a seed.  ``Scheme.shared`` keeps
-the last 32 Schemes built, keyed by content, so a sweep that returns to a
-channel, design and smoothing pair reuses its machinery.
+blocks, with codebooks, messages, the encoder's rejection scan and the
+pretty good measurement held as arrays over the block.  Every draw comes
+from a stream keyed by its trial, so both schedules give the same counts
+for a seed.  ``Scheme.shared`` keeps the last 32 Schemes built, keyed by
+content, so a sweep that returns to a channel, design and smoothing pair
+reuses its machinery.
 """
 
 from __future__ import annotations
 
 import datetime
 import functools
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass
 
@@ -76,16 +75,9 @@ __all__ = [
     "Scheme",
     "achieved_divergences",
     "run_experiment",
-    "json_digest",
 ]
 
 _ACHIEVED_SLACK = 1e-6
-
-
-def json_digest(payload) -> str:
-    """Canonical sha256 of a JSON-serializable object."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ def _digests(channel, design: InputDesign) -> tuple:
     """Content digests of the channel and the design, for supported channels only."""
     if not isinstance(channel, (ClassicalBroadcastChannel, CqBroadcastChannel)):
         raise ValidationError(f"unsupported channel type {type(channel).__name__}")
-    return json_digest(channel.to_json()), json_digest(design.to_json())
+    return channel.digest, design.digest
 
 
 class _ByContent:
@@ -237,7 +229,9 @@ class Scheme:
     as many trials as fit ``CODEBOOK_BYTE_BUDGET`` bytes of codebook
     uniforms: the block's codebooks and messages are drawn as arrays,
     ``encode_block`` scans all its trials one row offset at a time, and
-    each trial is then measured with ``decode_pgm``.
+    ``decode_pgm`` measures each side of the whole block in one pass,
+    picking each trial's outcome with one uniform from that trial's own
+    stream.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers, which depend only on the Scheme, so one Scheme may
@@ -353,8 +347,6 @@ class Scheme:
         n_m1, n_m2 = 1 << params.R1, 1 << params.R2
         rho_b = [self.channel.rho_b(x) for x in self.channel.x_alphabet]
         rho_c = [self.channel.rho_c(x) for x in self.channel.x_alphabet]
-        row_band_of = lambda k: k >> params.r1  # noqa: E731
-        col_band_of = lambda l: l >> params.r2  # noqa: E731
         block = max(1, CODEBOOK_BYTE_BUDGET // codebook_bytes(params, self.n))
         hits = np.zeros(5, dtype=np.int64)
         for start in range(0, trials, block):
@@ -371,24 +363,19 @@ class Scheme:
             m2 = np.minimum((u[:, 1] * n_m2).astype(np.int64), n_m2 - 1)
             row, col, x = encode_block(rows, cols, cb_seeds, m1, m2, params, log_ratio,
                                        self.evaluator, params.eps0)
-            # decoded message and unique match per side; -1 stands for none
-            got = np.full((4, len(keys)), -1, dtype=np.int64)
-            for j, key in enumerate(keys):
-                sent = int(x[j, 0])
-                res_b = decode_pgm(rows[j], self.bob_tests, rho_b[sent], row_band_of,
-                                   SeededRng(key, 103))
-                res_c = decode_pgm(cols[j], self.charlie_tests, rho_c[sent], col_band_of,
-                                   SeededRng(key, 104))
-                for i, value in enumerate((res_b.message, res_b.unique_match,
-                                           res_c.message, res_c.unique_match)):
-                    if value is not None:
-                        got[i, j] = value
+            # the decoded word per side; the completion outcome is the word
+            # count, which lies in no message's band and is no word
+            got_b = decode_pgm(rows[:, :, 0], self.bob_tests, rho_b, x[:, 0],
+                               [SeededRng(key, 103).random() for key in keys])
+            got_c = decode_pgm(cols[:, :, 0], self.charlie_tests, rho_c, x[:, 0],
+                               [SeededRng(key, 104).random() for key in keys])
             fallback = row < 0
-            miss_b, miss_c = got[1] != row, got[3] != col
+            miss_b, miss_c = got_b != row, got_c != col
+            msg_wrong = (got_b >> params.r1 != m1) | (got_c >> params.r2 != m2)
             hits += [fallback.sum(),
                      (miss_b & ~fallback).sum(),
                      (miss_c & ~fallback).sum(),
-                     (fallback | (got[0] != m1) | (got[2] != m2)).sum(),
+                     (fallback | msg_wrong).sum(),
                      (fallback | miss_b | miss_c).sum()]
         return dict(zip(("e1", "e2", "e3", "message_error", "index_error"), hits.tolist()))
 

@@ -8,14 +8,17 @@ Draws from one stream never depend on how many values another stream has
 produced, which keeps large experiments reproducible under any access
 order and across platforms.
 
-Streams do not own a bit generator.  Each thread keeps one scratch Philox
-generator; a draw loads the stream's saved Philox state into it, draws,
-and saves the advanced state back on the stream.  The draws are those of
+Streams do not own a bit generator, nor a saved Philox state.  A stream
+holds its key and the number of 64-bit outputs drawn from it so far.
+Each thread keeps one scratch Philox generator; a draw sets its counter
+to drawn // 4 with an empty buffer, discards drawn % 4 outputs, draws,
+and adds the number of values drawn (one output per double).  The draws
+are those of
 ``Generator(Philox(key=np.array([master_seed, stream_id], dtype=np.uint64)))``,
 without building a Philox per stream, which costs several times more
-than the few draws most streams make.  The key must be a uint64 array: a
-tuple or list key goes through float64, which rounds entries of 2^63
-and up.
+than the few draws most streams make, and without reading the advanced
+state back.  The key must be a uint64 array: a tuple or list key goes
+through float64, which rounds entries of 2^63 and up.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # one scratch generator per thread, so concurrent draws from distinct
-# streams never share a Philox state; every draw loads its stream's state
-# first, so nothing carries over from one stream to the next
+# streams never share a Philox state; every draw sets its stream's key and
+# counter first, so nothing carries over from one stream to the next
 _scratch = threading.local()
 
 
@@ -72,12 +75,13 @@ class SeededRng:
     Notes
     -----
     The stream is numpy's Philox with the pair as its key.  The instance
-    holds no generator, only the stream's Philox state: a draw loads that
-    state into the calling thread's scratch generator and saves the
-    advanced state back.  The instance is stateful (draws advance the
-    saved state) but the stream's origin is fully determined by the key,
-    so two instances built with the same pair produce identical
-    sequences.  One instance must not draw from two threads at once.
+    holds no generator and no Philox state, only the key and the number of
+    64-bit outputs drawn so far: a draw rebuilds the position from that
+    count in the calling thread's scratch generator.  The instance is
+    stateful (draws advance the count) but the stream's origin is fully
+    determined by the key, so two instances built with the same pair
+    produce identical sequences.  One instance must not draw from two
+    threads at once.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
@@ -88,27 +92,32 @@ class SeededRng:
                 raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
-        # Philox state at counter 0 with the stream's key; the state setter
-        # copies each entry into the generator, so plain ints will do
-        self._state = {
+        self._drawn = 0
+
+    def _random(self, size):
+        gen = _scratch_generator()
+        bitgen = gen.bit_generator
+        # the state setter copies each entry into the generator, so plain
+        # ints will do; Philox steps its counter before filling the buffer,
+        # so counter drawn // 4 and an empty buffer resume at output
+        # 4 * (drawn // 4), and the discarded outputs bring it to drawn
+        bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self.master_seed, self.stream_id)},
+            "state": {"counter": (self._drawn >> 2, 0, 0, 0),
+                      "key": (self.master_seed, self.stream_id)},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-
-    def _random(self, size):
-        gen = _scratch_generator()
-        bitgen = gen.bit_generator
-        bitgen.state = self._state
+        if self._drawn & 3:
+            bitgen.random_raw(self._drawn & 3)
         try:
             u = gen.random(size)
         except (ValueError, MemoryError) as e:
             # a size numpy refuses, or one memory cannot hold
             raise ValidationError(f"cannot draw {size} uniforms: {e}") from e
-        self._state = bitgen.state
+        self._drawn += 1 if size is None else u.size
         return u
 
     def random(self, size=None):

@@ -4,8 +4,9 @@ The oracles build what the library only ever computes implicitly: the
 pretty good measurement as explicit per-word elements, and the n-fold
 product channels and designs over materialized product alphabets.  The
 per-trial cq loop is the schedule ``Scheme.run`` replaced with blocks of
-trials; it draws the same streams one trial at a time.  The gemv row
-scorer is the threshold decoder that type-count scoring replaced.
+trials; it draws the same streams one trial at a time and measures each
+trial with the per-trial PGM decoder, which builds S^{-1/2} afresh.  The
+gemv row scorer is the threshold decoder that type-count scoring replaced.
 """
 
 import functools
@@ -16,7 +17,12 @@ import pytest
 
 from martonlab import experiments
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
-from martonlab.coding import DECODE_TOL, decode_pgm, encode, generate_codebook
+from martonlab.coding import (
+    DECODE_TOL,
+    encode,
+    generate_codebook,
+    pgm_outcome_probabilities,
+)
 from martonlab.errors import ValidationError
 from martonlab.prob import JointPmf
 from martonlab.quantum import POVM_TOL, DensityOperator, pinv_sqrt, real_trace
@@ -145,13 +151,53 @@ def product_design(design: InputDesign, n: int, cell_cap: int = NFOLD_CELL_CAP) 
 
 
 
+def pgm_one_trial(words, tests, state) -> np.ndarray:
+    """``coding.pgm_outcome_probabilities`` of one trial: the (count, 1)
+    words of one codebook side measured in ``state``."""
+    return pgm_outcome_probabilities(np.asarray(words)[:, 0][None], tests, [state], [0])[0]
+
+
+def uncached_pgm_probabilities(words, tests, state):
+    """PGM outcome probabilities with S^{-1/2} built afresh on every call."""
+    labels = words[:, 0]
+    dim = np.asarray(tests[0]).shape[0]
+    counts = np.bincount(labels, minlength=len(tests))
+    total = np.zeros((dim, dim), dtype=complex)
+    for u, c in enumerate(counts):
+        if c:
+            total += c * np.asarray(tests[u])
+    inv_sqrt, supp = pinv_sqrt(total)
+    rho = state.matrix if hasattr(state, "matrix") else np.asarray(state)
+    q = np.empty(len(tests))
+    for u in range(len(tests)):
+        q[u] = real_trace(inv_sqrt @ np.asarray(tests[u]) @ inv_sqrt, rho)
+    probs = np.clip(q[labels], 0.0, None)
+    p_fail = max(real_trace(np.eye(dim) - supp, rho), 0.0)
+    vec = np.concatenate([probs, [p_fail]])
+    return vec / float(vec.sum())
+
+
+def decode_pgm_per_trial(words, tests, state, u: float) -> int:
+    """The pretty good measurement of one trial: the index of the decoded
+    word, or ``len(words)`` for the completion outcome.
+
+    The decoder ``coding.decode_pgm`` replaced with one pass per block:
+    probabilities from ``uncached_pgm_probabilities``, and a binary search
+    for the uniform ``u`` in their cumulative sums, the last set to 1.
+    """
+    cdf = np.cumsum(uncached_pgm_probabilities(words, tests, state))
+    cdf[-1] = 1.0
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
 def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ratio) -> dict:
     """Event counts of a cq run, one trial after another.
 
     A drop-in for ``Scheme._cq_counts``: trial t draws its codebook with
     ``generate_codebook`` (seed mix64(seed, t)), its messages from stream
-    101, encodes with ``encode`` and measures each side with ``decode_pgm``
-    on streams 103 and 104.
+    101, encodes with ``encode`` and measures each side with
+    ``decode_pgm_per_trial`` on streams 103 and 104.  A side whose
+    completion outcome fires decodes to no message and matches no word.
     """
     counts = dict.fromkeys(("e1", "e2", "e3", "message_error", "index_error"), 0)
     n_m1, n_m2 = 1 << params.R1, 1 << params.R2
@@ -164,17 +210,20 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ra
         m2 = min(int(u[1] * n_m2), n_m2 - 1)
         out = encode(cb, m1, m2, scheme.evaluator, params.eps0)
         label = scheme.channel.x_alphabet[int(out.x_word[0])]
-        res_b = decode_pgm(cb.rows, scheme.bob_tests, scheme.channel.rho_b(label),
-                           cb.row_band_of, SeededRng(trial_key, 103))
-        res_c = decode_pgm(cb.cols, scheme.charlie_tests, scheme.channel.rho_c(label),
-                           cb.col_band_of, SeededRng(trial_key, 104))
+        got_b = decode_pgm_per_trial(cb.rows, scheme.bob_tests, scheme.channel.rho_b(label),
+                                     SeededRng(trial_key, 103).random())
+        got_c = decode_pgm_per_trial(cb.cols, scheme.charlie_tests, scheme.channel.rho_c(label),
+                                     SeededRng(trial_key, 104).random())
+        match_b = None if got_b == cb.n_rows else got_b
+        match_c = None if got_c == cb.n_cols else got_c
         if out.fallback:
             counts["e1"] += 1
         else:
-            counts["e2"] += 0 if res_b.unique_match == out.row else 1
-            counts["e3"] += 0 if res_c.unique_match == out.col else 1
-        msg_wrong = res_b.message != m1 or res_c.message != m2
-        idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
+            counts["e2"] += 0 if match_b == out.row else 1
+            counts["e3"] += 0 if match_c == out.col else 1
+        msg_wrong = (match_b is None or cb.row_band_of(match_b) != m1
+                     or match_c is None or cb.col_band_of(match_c) != m2)
+        idx_wrong = match_b != out.row or match_c != out.col
         counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
         counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
     return counts

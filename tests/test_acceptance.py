@@ -19,6 +19,7 @@ from conftest import (
     ACCEPTANCE_LINES,
     event_counts,
     event_of,
+    pgm_one_trial,
     rand_hermitian,
     rand_joint,
     rand_psd,
@@ -35,16 +36,16 @@ from martonlab.channels import (
     ClassicalBroadcastChannel,
     CqBroadcastChannel,
     InputDesign,
+    json_digest,
 )
 from martonlab.coding import (
     RateParams,
     encode,
     generate_codebook,
-    pgm_outcome_probabilities,
     select_band_exponents,
 )
 from martonlab.divergences import classical_i0, classical_i_infty, quantum_i0_cq
-from martonlab.experiments import Scheme, achieved_divergences, json_digest, run_experiment
+from martonlab.experiments import Scheme, achieved_divergences, run_experiment
 from martonlab.prob import JointPmf
 from martonlab.quantum import hayashi_nagaoka_check
 from martonlab.rng import SeededRng, mix64
@@ -186,7 +187,7 @@ def test_qubit_e2_e3_counts_match_measurement_probabilities():
         for name, words, tests, state, sent in (
                 ("e2", cb.rows, scheme.bob_tests, channel.rho_b(label), out.row),
                 ("e3", cb.cols, scheme.charlie_tests, channel.rho_c(label), out.col)):
-            p = pgm_outcome_probabilities(words, tests, state)[sent]
+            p = pgm_one_trial(words, tests, state)[sent]
             mean[name] += 1.0 - p
             var[name] += p * (1.0 - p)
     for name in ("e2", "e3"):

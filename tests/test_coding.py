@@ -19,7 +19,6 @@ from martonlab.coding import (
     ClassicalSetEvaluator,
     ClassicalThresholdEvaluator,
     Codebook,
-    DecodeResult,
     QuantumPairEvaluator,
     RateParams,
     SetMembership,
@@ -33,11 +32,16 @@ from martonlab.coding import (
     pgm_outcome_probabilities,
     select_band_exponents,
 )
-from conftest import gemv_threshold_matches, rand_joint
+from conftest import (
+    gemv_threshold_matches,
+    pgm_one_trial,
+    rand_joint,
+    uncached_pgm_probabilities,
+)
 from martonlab.divergences import classical_i_infty, iid_llr_spectrum, llr_table, spectrum_i0
 from martonlab.errors import InfeasibleRates, SupportOverflowError, ValidationError
 from martonlab.prob import JointPmf
-from martonlab.quantum import DensityOperator, pinv_sqrt, real_trace
+from martonlab.quantum import DensityOperator
 from martonlab.rng import SeededRng
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
@@ -121,26 +125,6 @@ def positionwise_tail_mass(word, x, llr, trans, tau, merge_tol=1e-12, atom_cap=1
 def gather_sum_matches(llr, tau, words, received):
     """Threshold membership by gathering and summing each row's llr values."""
     return llr[words, received[None, :]].sum(axis=1) >= tau - DECODE_TOL
-
-
-def uncached_pgm_probabilities(words, tests, state):
-    """PGM outcome probabilities with S^{-1/2} built afresh on every call."""
-    labels = words[:, 0]
-    dim = np.asarray(tests[0]).shape[0]
-    counts = np.bincount(labels, minlength=len(tests))
-    total = np.zeros((dim, dim), dtype=complex)
-    for u, c in enumerate(counts):
-        if c:
-            total += c * np.asarray(tests[u])
-    inv_sqrt, supp = pinv_sqrt(total)
-    rho = state.matrix if hasattr(state, "matrix") else np.asarray(state)
-    q = np.empty(len(tests))
-    for u in range(len(tests)):
-        q[u] = real_trace(inv_sqrt @ np.asarray(tests[u]) @ inv_sqrt, rho)
-    probs = np.clip(q[labels], 0.0, None)
-    p_fail = max(real_trace(np.eye(dim) - supp, rho), 0.0)
-    vec = np.concatenate([probs, [p_fail]])
-    return vec / float(vec.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +575,7 @@ class TestClassicalDecoders:
         res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
         assert res.message == 1
         assert res.unique_match == 6
-        assert not res.ambiguous and not res.no_match and not res.failed
+        assert not res.ambiguous and not res.no_match
 
     def test_no_match_defaults_to_zero(self):
         cb = handmade_codebook([0] * 8, [0] * 8)
@@ -746,11 +730,11 @@ class TestPgmDecoder:
     def test_orthogonal_tests_identify_label(self):
         tests = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         words = np.array([[0], [1], [0], [1]])
-        vec = pgm_outcome_probabilities(words, tests, np.diag([1.0, 0.0]))
+        vec = pgm_one_trial(words, tests, np.diag([1.0, 0.0]))
         assert vec == pytest.approx([0.5, 0.0, 0.5, 0.0, 0.0])
-        res = decode_pgm(words, tests, np.diag([1.0, 0.0]), lambda k: k >> 1, SeededRng(3, 9))
-        assert res.message is not None
-        assert words[res.unique_match, 0] == 0
+        (got,) = decode_pgm(words.T, tests, [np.diag([1.0, 0.0])], [0], [SeededRng(3, 9).random()])
+        assert got < len(words)
+        assert words[got, 0] == 0
 
     def test_diagonal_oracle(self):
         rng = np.random.default_rng(77)
@@ -762,7 +746,7 @@ class TestPgmDecoder:
         s_diag = sum(counts[u] * np.diag(tests[u]) for u in range(3))
         q = np.array([float(np.sum(np.diag(tests[u]) * state_d / s_diag)) for u in range(3)])
         want = np.concatenate([q[labels], [0.0]])
-        got = pgm_outcome_probabilities(labels[:, None], tests, np.diag(state_d))
+        got = pgm_one_trial(labels[:, None], tests, np.diag(state_d))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_matches_measurement_construction(self, np_rng):
@@ -774,31 +758,32 @@ class TestPgmDecoder:
         tests = [t / (np.linalg.eigvalsh(t).max() + 0.1) for t in tests]
         state = rand_state(np_rng, 3)
         want = pretty_good_measurement([tests[u] for u in labels], state)
-        got = pgm_outcome_probabilities(labels[:, None], tests, state)
+        got = pgm_one_trial(labels[:, None], tests, state)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_completion_outcome_fails(self):
         tests = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
         words = np.array([[0], [1]])
         state = np.diag([0.0, 0.0, 1.0])
-        vec = pgm_outcome_probabilities(words, tests, state)
+        vec = pgm_one_trial(words, tests, state)
         assert vec == pytest.approx([0.0, 0.0, 1.0])
-        res = decode_pgm(words, tests, state, lambda k: k, SeededRng(1, 1))
-        assert res.failed
-        assert res.message is None
+        # the outcome past the last word is the completion: no message
+        (got,) = decode_pgm(words.T, tests, [state], [0], [SeededRng(1, 1).random()])
+        assert got == len(words)
 
     def test_deterministic_given_stream(self):
         tests = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
         words = np.array([[0], [1], [1], [0]])
         state = np.diag([0.6, 0.4])
-        a = decode_pgm(words, tests, state, lambda k: k >> 1, SeededRng(42, 5))
-        b = decode_pgm(words, tests, state, lambda k: k >> 1, SeededRng(42, 5))
-        assert a.unique_match == b.unique_match
+        a = decode_pgm(words.T, tests, [state], [0], [SeededRng(42, 5).random()])
+        b = decode_pgm(words.T, tests, [state], [0], [SeededRng(42, 5).random()])
+        assert np.array_equal(a, b)
 
     def test_blocklength_guard(self):
+        # a block of one trial whose two words have three letters each
         with pytest.raises(ValidationError):
-            pgm_outcome_probabilities(np.zeros((2, 3), dtype=np.int64),
-                                      [np.eye(2)], np.diag([1.0, 0.0]))
+            pgm_outcome_probabilities(np.zeros((1, 2, 3), dtype=np.int64),
+                                      [np.eye(2)], [np.diag([1.0, 0.0])], [0])
 
     def test_cached_tables_match_uncached_oracle(self, np_rng):
         from tests.conftest import rand_psd, rand_state
@@ -813,7 +798,7 @@ class TestPgmDecoder:
             words = np_rng.integers(1, n_labels, size=(int(np_rng.integers(1, 300)), 1))
             states = [rand_state(np_rng, dim), DensityOperator(rand_state(np_rng, dim, rank=1))]
             for state in states + states:  # the second pass reads cached tables
-                got = pgm_outcome_probabilities(words, tests, state)
+                got = pgm_one_trial(words, tests, state)
                 assert np.array_equal(got, uncached_pgm_probabilities(words, tests, state))
 
     def test_cached_completion_outcome_matches_oracle(self, np_rng):
@@ -825,7 +810,7 @@ class TestPgmDecoder:
         words = np.array([[0], [1], [1], [0], [1]])
         state = rand_state(np_rng, 3)
         for _ in range(2):
-            got = pgm_outcome_probabilities(words, tests, state)
+            got = pgm_one_trial(words, tests, state)
             assert got[-1] > 0.01
             assert np.array_equal(got, uncached_pgm_probabilities(words, tests, state))
 
@@ -834,11 +819,11 @@ class TestPgmDecoder:
         tests = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
         words = np.array([[0], [1], [1], [0]])
         state = np.diag([0.6, 0.4])
-        first = pgm_outcome_probabilities(words, tests, state)
-        again = pgm_outcome_probabilities(words.copy(), [t.copy() for t in tests], state.copy())
+        first = pgm_one_trial(words, tests, state)
+        again = pgm_one_trial(words.copy(), [t.copy() for t in tests], state.copy())
         assert np.array_equal(first, again)
-        fewer = pgm_outcome_probabilities(words[:3], tests, state)
+        fewer = pgm_one_trial(words[:3], tests, state)
         assert np.array_equal(fewer, uncached_pgm_probabilities(words[:3], tests, state))
-        other = pgm_outcome_probabilities(words, tests, np.diag([0.1, 0.9]))
+        other = pgm_one_trial(words, tests, np.diag([0.1, 0.9]))
         assert np.array_equal(other, uncached_pgm_probabilities(words, tests, np.diag([0.1, 0.9])))
         assert not np.array_equal(first, other)

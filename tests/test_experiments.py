@@ -10,7 +10,13 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import cq_counts_per_trial, event_counts, event_of
+from conftest import (
+    cq_counts_per_trial,
+    decode_pgm_per_trial,
+    event_counts,
+    event_of,
+    uncached_pgm_probabilities,
+)
 from test_acceptance import QUBIT_POINTS, _pair_design, _qubit_cq
 from martonlab import cli, coding, experiments
 from martonlab.channels import (
@@ -19,6 +25,7 @@ from martonlab.channels import (
     InputDesign,
     ProductClassicalChannel,
     build_classical_joints,
+    json_digest,
 )
 from martonlab.coding import (
     ClassicalSetEvaluator,
@@ -35,7 +42,6 @@ from martonlab.experiments import (
     EventStats,
     Scheme,
     achieved_divergences,
-    json_digest,
     run_experiment,
 )
 from martonlab.prob import JointPmf
@@ -178,6 +184,17 @@ class TestSharedScheme:
                                      0.25, i0_method="randomized")
         assert len(calls) == 4  # both attempts built both sides
         assert experiments._shared_scheme.cache_info().currsize == 0
+
+    def test_content_digests_are_computed_once(self, monkeypatch):
+        calls = []
+        for cls in (CqBroadcastChannel, InputDesign):
+            monkeypatch.setattr(cls, "to_json", lambda self, f=cls.to_json: calls.append(
+                type(self)) or f(self))
+        channel, design = qubit_cq_channel(), independent_design()
+        for _ in range(3):
+            Scheme.shared(channel, design, 0.05, 0.25)
+        assert experiments._shared_scheme.cache_info()[:2] == (2, 1)  # (hits, misses)
+        assert calls == [CqBroadcastChannel, InputDesign]
 
     def test_cache_is_bounded(self):
         channel, design = bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45)
@@ -445,20 +462,45 @@ def _qubit_point(index):
     return scheme, r1, r2, achieved, seed
 
 
+def _recording_decoder(calls: list):
+    """``coding.decode_pgm`` that keeps each call's arguments and outcomes."""
+    def decode(labels, tests, states, sent, uniforms):
+        out = coding.decode_pgm(labels, tests, states, sent, uniforms)
+        calls.append((np.array(labels), tests, states, np.array(sent), np.array(uniforms), out))
+        return out
+    return decode
+
+
+def _assert_decodes_match_oracle(calls: list) -> None:
+    """Each recorded block against the per-trial PGM of ``conftest``: the
+    probability rows are equal bit for bit and every outcome is the same."""
+    for labels, tests, states, sent, uniforms, out in calls:
+        rows = coding.pgm_outcome_probabilities(labels, tests, states, sent)
+        assert rows.shape == (len(labels), labels.shape[1] + 1)
+        for j, state in enumerate(states[x] for x in sent):
+            words = labels[j][:, None]
+            assert np.array_equal(rows[j], uncached_pgm_probabilities(words, tests, state))
+            assert out[j] == decode_pgm_per_trial(words, tests, state, uniforms[j])
+
+
 class TestCqBlocks:
     """Blocked cq trials against the per-trial loop of ``conftest``."""
 
     @pytest.mark.parametrize("point", range(10))
     def test_blocks_match_per_trial_loop(self, point, monkeypatch):
         scheme, r1, r2, achieved, seed = _qubit_point(point)
+        calls = []
+        monkeypatch.setattr(experiments, "decode_pgm", _recording_decoder(calls))
         for resample in (True, False):
             for run_seed in (seed, 7):
                 for R1, R2 in ((0, 0), (0, 2), (2, 0)):
                     params = RateParams(R1=R1, R2=R2, r1=r1, r2=r2, eps_tilde=0.125,
                                         eps0=0.05, eps_infty=0.25, **achieved)
                     for trials in (1, 37):
+                        calls.clear()
                         got = scheme.run(params, trials, run_seed,
                                          resample_codebook=resample)
+                        _assert_decodes_match_oracle(calls)
                         with monkeypatch.context() as m:
                             m.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
                             want = scheme.run(params, trials, run_seed,
@@ -485,6 +527,51 @@ class TestCqBlocks:
         want = scheme.run(params, 37, seed, resample_codebook=resample)
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
+    @pytest.mark.parametrize("block, trials", [(1, 13), (7, 37), (200, 437)])
+    def test_decoder_blocks_match_per_trial_decoder(self, block, trials, monkeypatch):
+        scheme, r1, r2, achieved, seed = _qubit_point(3)
+        params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **achieved)
+        monkeypatch.setattr(experiments, "CODEBOOK_BYTE_BUDGET",
+                            block * coding.codebook_bytes(params, 1))
+        calls = []
+        monkeypatch.setattr(experiments, "decode_pgm", _recording_decoder(calls))
+        got = scheme.run(params, trials, seed)
+        sizes = [min(block, trials - start) for start in range(0, trials, block)]
+        # one call per side and block, Bob's first
+        assert [len(call[0]) for call in calls] == [size for size in sizes for _ in "bc"]
+        _assert_decodes_match_oracle(calls)
+        monkeypatch.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+        want = scheme.run(params, trials, seed)
+        assert event_counts(got) == event_counts(want)
+        assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
+    def test_completion_outcome_is_a_message_error(self, monkeypatch):
+        # Bob's tests all on |0>: S has no support on |1>, so a state with
+        # weight there sometimes ends in the completion outcome
+        scheme, r1, r2, achieved, seed = _qubit_point(2)
+        params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **achieved)
+        calls = []
+        monkeypatch.setattr(experiments, "decode_pgm", _recording_decoder(calls))
+        on_zero = np.array([np.diag([1.0, 0.0])] * len(scheme.bob_tests), dtype=complex)
+        monkeypatch.setattr(scheme, "bob_tests", on_zero)
+        got = scheme.run(params, 200, seed)
+        _assert_decodes_match_oracle(calls)
+        fired = calls[0][5] == params.n_rows
+        assert 0 < fired.sum() < 200
+        with monkeypatch.context() as m:
+            m.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+            assert event_counts(scheme.run(params, 200, seed)) == event_counts(got)
+        # with no support at all the completion fires in every trial, and
+        # every trial errs in its message and in its index
+        monkeypatch.setattr(scheme, "bob_tests", np.zeros_like(on_zero))
+        calls.clear()
+        counts = event_counts(scheme.run(params, 200, seed))
+        assert np.all(calls[0][5] == params.n_rows)
+        assert counts["message_error"] == counts["index_error"] == 200
+        assert counts["e2"] == 200 - counts["e1"]
 
     @pytest.mark.parametrize("joint", [np.full((2, 2), 0.25), DSBS_45])
     def test_encode_block_matches_encode_at_n_6(self, joint):

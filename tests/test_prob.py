@@ -100,6 +100,23 @@ class TestSeededRng:
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
 
+    def test_resumes_at_every_draw_count_mod_4(self):
+        # Philox yields four outputs per counter step; these sizes start draws
+        # at each residue of the outputs already drawn, on two interleaved
+        # streams whose keys reach 2^63 and up
+        keys = [(2**63, 2**64 - 1), (2**64 - 2, 2**63 + 5)]
+        streams = [SeededRng(*k) for k in keys]
+        oracles = [philox_oracle(*k) for k in keys]
+        residues, drawn = set(), 0
+        for size in [None, 0, 3, (2, 3), 1, 5, None, (3, 1), 0, 7, 2, None]:
+            for stream, oracle in zip(streams, oracles):
+                got, want = stream.random(size), oracle.random(size)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+            residues.add(drawn % 4)
+            drawn += 1 if size is None else int(np.prod(size))
+        assert residues == {0, 1, 2, 3}
+
     def test_threads_on_distinct_streams_match_sequential_draws(self, np_rng):
         # more threads than cores and a short switch interval, so draws
         # interleave; a scratch generator shared across threads would mix states

@@ -1,7 +1,8 @@
 """Operators, partial traces, measurements, and the operator-inequality check.
 
 The measurement tests run the library's pretty good measurement,
-``coding.pgm_outcome_probabilities`` and ``coding.decode_pgm``.
+``coding.pgm_outcome_probabilities`` (one trial at a time through
+``conftest.pgm_one_trial``) and ``coding.decode_pgm``.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import chisquare
 
 from martonlab import SeededRng, coding
-from martonlab.coding import decode_pgm, pgm_outcome_probabilities
+from martonlab.coding import decode_pgm
 from martonlab.errors import (
     HermiticityError,
     NormalizationError,
@@ -28,7 +29,14 @@ from martonlab.quantum import (
     real_trace,
 )
 
-from conftest import pretty_good_measurement, rand_hermitian, rand_psd, rand_state
+from conftest import (
+    pgm_one_trial,
+    pretty_good_measurement,
+    rand_hermitian,
+    rand_psd,
+    rand_state,
+    uncached_pgm_probabilities,
+)
 
 BELL = DensityOperator(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,31 +109,13 @@ class TestEig:
 
 
 
-def pgm_per_state(words, tests, rho):
-    """The PGM probabilities with S^{-1/2} computed afresh for each state."""
-    tests = np.asarray(tests)
-    labels = words[:, 0]
-    counts = np.bincount(labels, minlength=len(tests))
-    dim = tests.shape[1]
-    total = np.zeros((dim, dim), dtype=complex)
-    for u, c in enumerate(counts):
-        if c:
-            total += c * tests[u]
-    inv_sqrt, supp = pinv_sqrt(total)
-    q = np.empty(len(tests))
-    for u in range(len(tests)):
-        q[u] = real_trace(inv_sqrt @ tests[u] @ inv_sqrt, rho)
-    p_fail = max(real_trace(np.eye(dim) - supp, rho), 0.0)
-    vec = np.concatenate([np.clip(q[labels], 0.0, None), [p_fail]])
-    return vec / float(vec.sum())
-
 class TestPovmAndPgm:
     def test_pgm_orthogonal_projectors_unchanged(self):
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
         words = np.array([[0], [1]])
-        assert_allclose(pgm_outcome_probabilities(words, [p0, p1], p0), [1, 0, 0], atol=1e-12)
-        assert_allclose(pgm_outcome_probabilities(words, [p0, p1], p1), [0, 1, 0], atol=1e-12)
+        assert_allclose(pgm_one_trial(words, [p0, p1], p0), [1, 0, 0], atol=1e-12)
+        assert_allclose(pgm_one_trial(words, [p0, p1], p1), [0, 1, 0], atol=1e-12)
 
     def test_pgm_single_operator_gives_support_projector(self, np_rng):
         a = rand_psd(np_rng, 4, rank=2)
@@ -133,7 +123,7 @@ class TestPovmAndPgm:
         supp = vecs[:, 2:] @ vecs[:, 2:].conj().T
         rho = rand_state(np_rng, 4)
         inside = real_trace(supp, rho)
-        got = pgm_outcome_probabilities(np.array([[0]]), [a], rho)
+        got = pgm_one_trial(np.array([[0]]), [a], rho)
         assert_allclose(got, [inside, 1.0 - inside], atol=1e-10)
 
     def test_pgm_random_sets_are_valid_povms(self, np_rng):
@@ -145,7 +135,7 @@ class TestPovmAndPgm:
             state = rand_state(np_rng, dim)
             # the oracle asserts that its per-word elements form a POVM
             want = pretty_good_measurement([ops[u] for u in words[:, 0]], state)
-            got = pgm_outcome_probabilities(words, ops, state)
+            got = pgm_one_trial(words, ops, state)
             assert got.shape == (words.shape[0] + 1,)
             assert_allclose(got, want, atol=1e-9)
 
@@ -154,9 +144,9 @@ class TestPovmAndPgm:
         a = np.diag([0.3, 0.7, 0.0])
         b = np.diag([0.5, 0.1, 0.0])
         words = np.array([[0], [1]])
-        assert_allclose(pgm_outcome_probabilities(words, [a, b], np.diag([0.0, 0.0, 1.0])),
+        assert_allclose(pgm_one_trial(words, [a, b], np.diag([0.0, 0.0, 1.0])),
                         [0.0, 0.0, 1.0], atol=1e-12)
-        assert pgm_outcome_probabilities(words, [a, b], np.diag([0.5, 0.5, 0.0]))[2] < 1e-12
+        assert pgm_one_trial(words, [a, b], np.diag([0.5, 0.5, 0.0]))[2] < 1e-12
 
     def test_pgm_one_eigendecomposition_for_all_states(self, np_rng, monkeypatch):
         # S^{-1/2} depends on the tests and the label counts only, so the
@@ -171,8 +161,8 @@ class TestPovmAndPgm:
         coding._pgm_elements.cache_clear()
         coding._pgm_table.cache_clear()
         for rho in states:
-            assert np.array_equal(pgm_outcome_probabilities(words, tests, rho),
-                                  pgm_per_state(words, tests, rho))
+            assert np.array_equal(pgm_one_trial(words, tests, rho),
+                                  uncached_pgm_probabilities(words, tests, rho))
         assert len(calls) == 1
 
     def test_pgm_rejects_negative_operator(self):
@@ -187,15 +177,16 @@ class TestMeasure:
     def test_deterministic_outcome(self):
         rng = SeededRng(3)
         rho = np.diag([1.0, 0.0, 0.0])
-        for _ in range(50):
-            assert decode_pgm(self.WORDS, self.TESTS, rho, lambda k: k, rng).unique_match == 0
+        got = decode_pgm(np.tile(self.WORDS.T, (50, 1)), self.TESTS, [rho], np.zeros(50, int),
+                         rng.random(50))
+        assert np.array_equal(got, np.zeros(50))
 
     def test_frequencies_match_born_rule(self):
         rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
         n = 20_000
         rng = SeededRng(11)
-        out = [decode_pgm(self.WORDS, self.TESTS, rho, lambda k: k, rng).unique_match
-               for _ in range(n)]
+        out = decode_pgm(np.tile(self.WORDS.T, (n, 1)), self.TESTS, [rho], np.zeros(n, int),
+                         rng.random(n))
         counts = np.bincount(out, minlength=3)
         # chi-square goodness of fit at the 1e-3 level
         stat, pval = chisquare(counts, n * np.array([0.5, 0.3, 0.2]))
@@ -204,7 +195,7 @@ class TestMeasure:
     def test_probability_sum_enforced(self):
         bad = np.diag([2.0, 0.0, 0.0])  # trace 2, not a state; bypass the wrapper on purpose
         with pytest.raises(ValidationError):
-            pgm_outcome_probabilities(self.WORDS, self.TESTS, bad)
+            pgm_one_trial(self.WORDS, self.TESTS, bad)
 
 
 class TestHayashiNagaoka:
