@@ -408,6 +408,22 @@ class _PairEvaluator:
         return x
 
 
+def _table_alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
+    """alpha = alpha_table[u, f(u, v)] and beta = beta_table[v, f(u, v)] of
+    single-letter cells.
+
+    ``row_word`` and ``col_word`` are 1-D arrays of letters, one per cell.
+    One cell, as ``encode`` passes the words of a blocklength-1 cell, gives
+    floats; several cells give arrays.  Each table evaluator binds this as
+    its own ``alpha_beta``, since perfbench's tracer patches each class's.
+    """
+    x = self.x_of_pair(row_word, col_word)
+    alpha, beta = self.alpha_table[row_word, x], self.beta_table[col_word, x]
+    if alpha.size == 1:
+        return alpha.item(), beta.item()
+    return alpha, beta
+
+
 class ClassicalSetEvaluator(_PairEvaluator):
     """Desk-scale acceptance tables from explicit decoding sets.
 
@@ -429,9 +445,7 @@ class ClassicalSetEvaluator(_PairEvaluator):
         self.alpha_table = a1.astype(float) @ py.T
         self.beta_table = a2.astype(float) @ pz.T
 
-    def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
-        x = self.x_of_pair(row_word, col_word)
-        return float(self.alpha_table[row_word[0], x[0]]), float(self.beta_table[col_word[0], x[0]])
+    alpha_beta = _table_alpha_beta
 
 
 class ClassicalThresholdEvaluator(_PairEvaluator):
@@ -520,9 +534,7 @@ class QuantumPairEvaluator(_PairEvaluator):
             for x in range(nx):
                 self.beta_table[v, x] = real_trace(test, rho_c[x])
 
-    def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
-        x = self.x_of_pair(row_word, col_word)
-        return float(self.alpha_table[row_word[0], x[0]]), float(self.beta_table[col_word[0], x[0]])
+    alpha_beta = _table_alpha_beta
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +586,15 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     Trial j encodes (m1[j], m2[j]) into the codebook with words ``rows[j]``,
     ``cols[j]`` (shaped (trials, count, n)) and seed ``seeds[j]``.  Each
     step draws the rejection uniforms of one row of every trial still
-    searching, from that row's own stream, and tests the trial's surviving
-    cells in column order, so each trial picks the cell ``encode`` picks.
-    Returns (row, col, x): the chosen indices, -1 where the trial falls
-    back, and the input words, all first symbols there.
+    searching, from that row's own stream.  With a single-letter table
+    evaluator (explicit sets, cq tests) the step then looks up alpha and
+    beta of all surviving cells in one ``alpha_beta`` call, and each trial
+    takes its first passing column.  The llr-threshold evaluator, whose
+    tail masses cost far more than a lookup, tests each trial's surviving
+    cells in column order up to the first pass.  Either way each trial
+    picks the cell ``encode`` picks, and the block raises where ``encode``
+    would.  Returns (row, col, x): the chosen indices, -1 where the trial
+    falls back, and the input words, all first symbols there.
     """
     thr = 1.0 - 4.0 * float(eps0)
     w1, w2 = 1 << params.r1, 1 << params.r2
@@ -586,6 +603,8 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     row = np.full(len(seeds), -1, dtype=np.int64)
     col = np.full(len(seeds), -1, dtype=np.int64)
     x = np.zeros((len(seeds), rows.shape[2]), dtype=np.int64)
+    first_pass = (_first_pass_by_cell if isinstance(evaluator, ClassicalThresholdEvaluator)
+                  else _first_pass_by_table)
     searching = np.arange(len(seeds))
     for i in range(w1):
         if searching.size == 0:
@@ -598,18 +617,52 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
                         for j, kj, lj in zip(searching, k, l[:, 0])])
         alive = eta <= _acceptance(log_ratio, row_words[:, None, :], col_words,
                                    params.i_infty)
-        found = []
-        for s in np.flatnonzero(alive.any(axis=1)):
-            for off in np.flatnonzero(alive[s]):
-                alpha, beta = evaluator.alpha_beta(row_words[s], col_words[s, off])
-                if alpha > thr and beta > thr:
-                    j = searching[s]
-                    row[j], col[j] = k[s], l[s, off]
-                    x[j] = evaluator.x_of_pair(row_words[s], col_words[s, off])
-                    found.append(s)
-                    break
+        found, off = first_pass(evaluator, row_words, col_words, alive, thr)
+        j = searching[found]
+        row[j], col[j] = k[found], l[found, off]
+        # a passing cell went through alpha_beta, so its input is defined
+        x[j] = evaluator.fx[row_words[found], col_words[found, off]]
         searching = np.delete(searching, found)
     return row, col, x
+
+
+def _first_pass_by_cell(evaluator, row_words, col_words, alive, thr) -> tuple:
+    """The searching trials (positions in the step's arrays) whose row has a
+    surviving cell that clears ``thr``, and the first such column offset;
+    surviving cells are tested in column order, each with its own
+    ``alpha_beta`` call, up to the first pass."""
+    found, offs = [], []
+    for s in np.flatnonzero(alive.any(axis=1)):
+        for off in np.flatnonzero(alive[s]):
+            alpha, beta = evaluator.alpha_beta(row_words[s], col_words[s, off])
+            if alpha > thr and beta > thr:
+                found.append(s)
+                offs.append(off)
+                break
+    return np.array(found, dtype=np.intp), np.array(offs, dtype=np.intp)
+
+
+def _first_pass_by_table(evaluator, row_words, col_words, alive, thr) -> tuple:
+    """``_first_pass_by_cell`` for single-letter table evaluators: all the
+    step's surviving cells with a defined input are looked up in one
+    ``alpha_beta`` call, and each trial takes the first passing column.
+
+    ``encode`` raises at a surviving cell whose pair has no input when it
+    comes before the row's first pass, so that is when this raises too.
+    No cell without an input is looked up.
+    """
+    u, v = row_words[:, 0], col_words[:, :, 0]
+    defined = evaluator.fx[u[:, None], v] >= 0
+    ok = np.zeros_like(alive)
+    s, c = np.nonzero(alive & defined)
+    if s.size:
+        alpha, beta = evaluator.alpha_beta(u[s], v[s, c])
+        ok[s, c] = (alpha > thr) & (beta > thr)
+    undefined = alive & ~defined
+    if (undefined & ~np.logical_or.accumulate(ok, axis=1)).any():
+        raise ValidationError("input map undefined for a sampled pair")
+    found = np.flatnonzero(ok.any(axis=1))
+    return found, ok[found].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -228,10 +228,11 @@ class Scheme:
     ``run`` plays classical trials one by one.  cq trials go in blocks of
     as many trials as fit ``CODEBOOK_BYTE_BUDGET`` bytes of codebook
     uniforms: the block's codebooks and messages are drawn as arrays,
-    ``encode_block`` scans all its trials one row offset at a time, and
-    ``decode_pgm`` measures each side of the whole block in one pass,
-    picking each trial's outcome with one uniform from that trial's own
-    stream.
+    ``encode_block`` scans all its trials one row offset at a time, with
+    one lookup in the cq evaluator's tables for each offset's surviving
+    cells, and ``decode_pgm`` measures each side of the whole block in one
+    pass, picking each trial's outcome with one uniform from that trial's
+    own stream.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers, which depend only on the Scheme, so one Scheme may

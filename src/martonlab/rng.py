@@ -19,6 +19,11 @@ without building a Philox per stream, which costs several times more
 than the few draws most streams make, and without reading the advanced
 state back.  The key must be a uint64 array: a tuple or list key goes
 through float64, which rounds entries of 2^63 and up.
+
+Opening a stream costs one type-and-range check for the in-range Python
+ints that ``mix64`` and the harness produce, and a draw reaches its
+thread's scratch generator with one attribute lookup, so what a short
+stream costs is mostly numpy's state setter and the draw itself.
 """
 
 from __future__ import annotations
@@ -34,17 +39,18 @@ __all__ = ["mix64", "SeededRng"]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# one scratch generator per thread, so concurrent draws from distinct
-# streams never share a Philox state; every draw sets its stream's key and
-# counter first, so nothing carries over from one stream to the next
-_scratch = threading.local()
+
+class _Scratch(threading.local):
+    """One scratch generator per thread, so concurrent draws from distinct
+    streams never share a Philox state; every draw sets its stream's key and
+    counter first, so nothing carries over from one stream to the next.
+    A thread's first access builds its generator."""
+
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.Philox(key=0))
 
 
-def _scratch_generator() -> np.random.Generator:
-    gen = getattr(_scratch, "generator", None)
-    if gen is None:
-        gen = _scratch.generator = np.random.Generator(np.random.Philox(key=0))
-    return gen
+_scratch = _Scratch()
 
 
 def mix64(a: int, b: int = 0) -> int:
@@ -59,6 +65,14 @@ def mix64(a: int, b: int = 0) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _checked_key(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an int, got {type(value).__name__}")
+    if not 0 <= int(value) < 2**64:
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
+    return int(value)
 
 
 class SeededRng:
@@ -82,20 +96,24 @@ class SeededRng:
     determined by the key, so two instances built with the same pair
     produce identical sequences.  One instance must not draw from two
     threads at once.
+
+    Keys that are Python ints in range pass one fast check.  Any other key
+    goes through the full validation: numpy integers and bools are taken
+    as their int value, and anything else, or a value outside
+    ``[0, 2**64)``, raises ValidationError naming the argument.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        for name, value in (("master_seed", master_seed), ("stream_id", stream_id)):
-            if not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an int, got {type(value).__name__}")
-            if not 0 <= int(value) < 2**64:
-                raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
+        if (type(master_seed) is int and type(stream_id) is int
+                and 0 <= master_seed <= _MASK64 and 0 <= stream_id <= _MASK64):
+            self.master_seed, self.stream_id = master_seed, stream_id
+        else:
+            self.master_seed = _checked_key("master_seed", master_seed)
+            self.stream_id = _checked_key("stream_id", stream_id)
         self._drawn = 0
 
     def _random(self, size):
-        gen = _scratch_generator()
+        gen = _scratch.generator
         bitgen = gen.bit_generator
         # the state setter copies each entry into the generator, so plain
         # ints will do; Philox steps its counter before filling the buffer,

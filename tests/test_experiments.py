@@ -593,6 +593,120 @@ class TestCqBlocks:
             assert np.array_equal(x[j], out.x_word)
 
 
+def _partial_design():
+    """A design whose map is undefined on its zero-mass pair (0, 1)."""
+    joint = JointPmf(("0", "1"), ("0", "1"), np.array([[0.5, 0.0], [0.25, 0.25]]))
+    return InputDesign(joint, {("0", "0"): "00", ("1", "0"): "10", ("1", "1"): "11"})
+
+
+def _encode_per_trial(codebooks, m1, m2, evaluator, eps0):
+    """``encode`` on each trial's codebook, as ``encode_block`` returns it:
+    (row, col, x), with -1 where a trial falls back."""
+    outs = [encode(cb, int(a), int(b), evaluator, eps0) for cb, a, b in zip(codebooks, m1, m2)]
+    row = [-1 if out.fallback else out.row for out in outs]
+    col = [-1 if out.fallback else out.col for out in outs]
+    return np.array(row), np.array(col), np.array([out.x_word for out in outs])
+
+
+class TestEncodeBlockTables:
+    """The table evaluators' one-lookup-per-offset scan against per-trial ``encode``."""
+
+    @staticmethod
+    def _case(kind):
+        if kind == "set":
+            # the desk config: explicit sets at n = 1
+            scheme = Scheme(bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 0.25)
+            return scheme, desk_params()
+        scheme, r1, r2, achieved, _ = _qubit_point(3)
+        return scheme, RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
+                                  eps_infty=0.25, **achieved)
+
+    @staticmethod
+    def _block(design, params, keys, resample, log_ratio):
+        """Word arrays, seeds and per-trial codebooks of a block."""
+        if resample:
+            rows, cols = coding.codebook_block(design, params, keys)
+            codebooks = [generate_codebook(design, params, key, log_ratio=log_ratio)
+                         for key in keys]
+            return rows, cols, keys, codebooks
+        cb = generate_codebook(design, params, mix64(keys[0], 0xC0DEB00C), log_ratio=log_ratio)
+        rows = np.broadcast_to(cb.rows, (len(keys),) + cb.rows.shape)
+        cols = np.broadcast_to(cb.cols, (len(keys),) + cb.cols.shape)
+        return rows, cols, [cb.seed] * len(keys), [cb] * len(keys)
+
+    @pytest.mark.parametrize("kind", ["set", "quantum"])
+    @pytest.mark.parametrize("resample", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, 200])
+    def test_matches_encode(self, kind, resample, block):
+        scheme, params = self._case(kind)
+        design, log_ratio = scheme.design, llr_table(scheme.design.joint)
+        keys = [mix64(block, t) for t in range(block)]
+        picks = np.random.default_rng(block)
+        m1 = picks.integers(1 << params.R1, size=block)
+        m2 = picks.integers(1 << params.R2, size=block)
+        rows, cols, seeds, codebooks = self._block(design, params, keys, resample, log_ratio)
+        got = coding.encode_block(rows, cols, seeds, m1, m2, params, log_ratio,
+                                  scheme.evaluator, params.eps0)
+        want = _encode_per_trial(codebooks, m1, m2, scheme.evaluator, params.eps0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert g.dtype == np.int64
+
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_undefined_pair_run_matches_per_trial_loop(self, resample, monkeypatch):
+        scheme = Scheme(qubit_cq_channel(), _partial_design(), 0.05, 0.25)
+        assert (scheme.evaluator.fx < 0).any()
+        params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **scheme.achieved)
+        got = scheme.run(params, 200, 4, resample_codebook=resample)
+        monkeypatch.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+        want = scheme.run(params, 200, 4, resample_codebook=resample)
+        assert event_counts(got) == event_counts(want)
+        assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
+    def test_undefined_pair_raises_where_encode_does(self):
+        # with every llr at 0 and i_infty 0 every cell survives, so cells of
+        # the undefined pair are reached: encode raises when one comes
+        # before the first passing cell of its trial, and only then
+        design = _partial_design()
+        scheme = Scheme(qubit_cq_channel(), design, 0.05, 0.25)
+        params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **dict(scheme.achieved, i_infty=0.0))
+        zero = np.zeros((2, 2))
+        keys = [mix64(5, t) for t in range(40)]
+        m1, m2 = np.arange(40) % 2, np.arange(40) // 2 % 2
+        rows, cols, seeds, codebooks = self._block(design, params, keys, True, zero)
+        message = "input map undefined for a sampled pair"
+        fx, outcomes = scheme.evaluator.fx, []
+        for j in range(40):
+            one = slice(j, j + 1)
+            args = (rows[one], cols[one], seeds[one], m1[one], m2[one], params, zero,
+                    scheme.evaluator, 0.05)
+            try:
+                want = _encode_per_trial(codebooks[one], m1[one], m2[one], scheme.evaluator, 0.05)
+            except ValidationError as e:
+                assert str(e) == message
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    coding.encode_block(*args)
+                outcomes.append("raised")
+                continue
+            got = coding.encode_block(*args)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            # the block also looks up the cells after a trial's first pass,
+            # and one of them may have an undefined pair
+            k, l = int(got[0][0]), int(got[1][0])
+            if k < 0:
+                outcomes.append("fell back")
+                continue
+            rest = cols[j, l + 1:(int(m2[j]) + 1) << params.r2, 0]
+            outcomes.append("undefined after" if (fx[rows[j, k, 0], rest] < 0).any() else "found")
+        assert {"raised", "undefined after"} <= set(outcomes)
+        # the whole block raises as soon as one trial would
+        with pytest.raises(ValidationError, match="undefined"):
+            coding.encode_block(rows, cols, seeds, m1, m2, params, zero, scheme.evaluator, 0.05)
+
+
 class TestCodebookBudget:
     """A codebook over the byte budget stops the run before anything is drawn."""
 

@@ -179,6 +179,32 @@ class TestSeededRng:
         with pytest.raises(ValidationError):
             SeededRng(2**64)
 
+    # in-range Python ints take the constructor's fast check; everything else
+    # goes through the full validation, which accepts numpy integers and bools
+    @pytest.mark.parametrize("value, want", [
+        (0, 0), (2**64 - 1, 2**64 - 1), (np.uint64(2**64 - 1), 2**64 - 1),
+        (np.int64(5), 5), (True, 1)])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_accepted_keys(self, value, want, position):
+        args, key = [7, 7], [7, 7]
+        args[position], key[position] = value, want
+        rng = SeededRng(*args)
+        assert (rng.master_seed, rng.stream_id) == tuple(key)
+        assert type(rng.master_seed) is int and type(rng.stream_id) is int
+        assert np.array_equal(rng.random(6), philox_oracle(*key).random(6))
+
+    @pytest.mark.parametrize("value, message", [
+        (-1, "must lie in [0, 2**64), got -1"),
+        (2**64, "must lie in [0, 2**64), got 18446744073709551616"),
+        (1.0, "must be an int, got float"),
+        ("1", "must be an int, got str")])
+    def test_rejected_keys(self, value, message):
+        for name, args in (("master_seed", (value, 7)), ("stream_id", (7, value)),
+                           ("master_seed", (value, value))):
+            with pytest.raises(ValidationError) as err:
+                SeededRng(*args)
+            assert str(err.value) == f"{name} {message}"
+
 
 class TestJointPmf:
     def test_marginals_sum_rows_and_cols(self):
