@@ -59,14 +59,17 @@ __all__ = [
 # slack used when comparing llr sums against a threshold, so that the
 # decoder's float row sums and the exact convolution agree on membership
 DECODE_TOL = 1e-6
-# bytes the uniforms of one codebook may take; a block of trials draws at
-# most this many bytes of codebook uniforms too
+# bytes the 64-bit outputs of one codebook may take; a block of trials holds
+# at most this many bytes of codebook outputs too
 CODEBOOK_BYTE_BUDGET = 1 << 26
 # letter counts up to 2^24 are exact in float32, the type of the threshold
 # decoder's one-hot product; a codebook within budget has n < 2^22
 _EXACT_COUNT_LIMIT = 1 << 24
 # atom cap of the threshold evaluator's tail-mass convolutions
 THRESHOLD_ATOM_CAP = 100_000
+# joint types whose tail masses one threshold evaluator keeps, about 215
+# bytes each; criterion 1's inputs at n = 56 meet about 3,900 in 6,400 trials
+_TAIL_MEMO_CAP = 1 << 15
 _FEAS_TOL = 1e-9
 
 
@@ -316,8 +319,10 @@ class Codebook:
 
 def _eta(stream_key: int, k: int, l0: int, l1: int) -> np.ndarray:
     """Rejection uniforms of row k, columns [l0, l1), of the codebook whose
-    rejection streams hang off ``stream_key`` = mix64(codebook seed, 3)."""
-    return SeededRng(stream_key, k).random(l1)[l0:]
+    rejection streams hang off ``stream_key`` = mix64(codebook seed, 3).
+    Column l's uniform is output l of the row's stream; the draw starts at
+    output l0."""
+    return SeededRng(stream_key, k).skip(l0).random(l1 - l0)
 
 
 def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndarray,
@@ -328,24 +333,50 @@ def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndar
     return np.exp2(np.minimum(s - i_infty, 0.0))
 
 
-def _symbols(pmf_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # A symbol index is the number of cdf cut points at or below its
-    # uniform: searchsorted(cdf, u, side="right") with the last cut point
-    # taken as 1 > u, counted without a binary search.  Words are held in
+# Philox outputs that generate_codebook maps to symbols at a time
+_RAW_CHUNK = 1 << 15
+
+
+def _raw_cuts(pmf_probs: np.ndarray) -> np.ndarray:
+    """Cut points of the symbol map on raw Philox outputs.
+
+    ``SeededRng.random`` maps output r to u = (r >> 11) * 2^-53, and a
+    symbol is the number of cdf entries c before the last with u >= c,
+    as searchsorted(cdf, u, side="right") counts them.  u >= c holds
+    exactly when r >= ceil(c * 2^53) << 11.  A cut with
+    ceil(c * 2^53) >= 2^53 lies above every u < 1 and is dropped.
+    """
+    scaled = np.ceil(np.cumsum(pmf_probs)[:-1] * 2.0**53)
+    return scaled[scaled < 2.0**53].astype(np.uint64) << np.uint64(11)
+
+
+def _raw_symbols(cuts: np.ndarray, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the number of ``cuts`` at or below each output of ``raw``."""
+    out.fill(0)
+    for c in cuts:
+        out += raw >= c
+    return out
+
+
+def _word_type(pmf_probs: np.ndarray) -> np.dtype:
     # the smallest unsigned type that holds the alphabet (uint8 up to 256
-    # letters), an eighth of the bytes of int64 words.
-    words = np.zeros(u.shape, dtype=np.min_scalar_type(len(pmf_probs) - 1))
-    for c in np.cumsum(pmf_probs)[:-1]:
-        words += u >= c
-    return words
+    # letters), an eighth of the bytes of int64 words
+    return np.min_scalar_type(len(pmf_probs) - 1)
 
 
 def _sample_words(pmf_probs: np.ndarray, count: int, n: int, rng: SeededRng) -> np.ndarray:
-    return _symbols(pmf_probs, rng.random((count, n)))
+    """``count`` words of n letters iid from the pmf, from the stream's next
+    count * n outputs, mapped _RAW_CHUNK outputs at a time."""
+    cuts = _raw_cuts(pmf_probs)
+    words = np.empty(count * n, dtype=_word_type(pmf_probs))
+    for start in range(0, words.size, _RAW_CHUNK):
+        chunk = words[start:start + _RAW_CHUNK]
+        _raw_symbols(cuts, rng.raw(chunk.size), chunk)
+    return words.reshape(count, n)
 
 
 def codebook_bytes(params: RateParams, n: int) -> int:
-    """Bytes of the uniforms one codebook draws; ValidationError over
+    """Bytes of the 64-bit outputs one codebook draws; ValidationError over
     ``CODEBOOK_BYTE_BUDGET``.  Absurd exponents are refused before the
     word counts 2^(R+r) are formed."""
     if max(params.R1 + params.r1, params.R2 + params.r2) + (8 * n).bit_length() > 62:
@@ -363,6 +394,11 @@ def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int
                       *, log_ratio: np.ndarray | None = None) -> Codebook:
     """Sample a codebook: rows iid from p(u)^n, columns iid from p(v)^n.
 
+    Each side's words come from its stream's raw 64-bit outputs, one per
+    letter, mapped to symbols 2^15 outputs at a time straight into the
+    compact word array; the symbols are those of the uniforms ``random``
+    would give, and no codebook of floats is built.
+
     ``log_ratio`` is ``llr_table(design.joint)`` when the caller already
     has it, as a run drawing one codebook per trial does.
     """
@@ -378,17 +414,21 @@ def codebook_block(design: InputDesign, params: RateParams, seeds, n: int = 1) -
     """Row and column words of one codebook per seed, shaped (seeds, count, n).
 
     Entry j holds the words ``generate_codebook(design, params, seeds[j], n)``
-    samples, from the same streams; all uniforms map to symbols at once.
+    samples, from the same streams.  Each stream's raw outputs go into one
+    uint64 array per side, and the whole block maps to symbols at once, so
+    the per-seed Python work is two draws.
     """
     pu, pv = design.joint.marginals()
-    u_rows = np.empty((len(seeds), params.n_rows, n))
-    u_cols = np.empty((len(seeds), params.n_cols, n))
-    for j, seed in enumerate(seeds):
-        # the streams SeededRng(seed, 0).derive(1) and .derive(2)
-        key = mix64(seed, 0)
-        u_rows[j] = SeededRng(key, 1).random((params.n_rows, n))
-        u_cols[j] = SeededRng(key, 2).random((params.n_cols, n))
-    return _symbols(pu.probs, u_rows), _symbols(pv.probs, u_cols)
+    # the streams SeededRng(seed, 0).derive(1) and .derive(2) hang off these keys
+    keys = [mix64(seed, 0) for seed in seeds]
+    sides = []
+    for pmf, count, stream in ((pu.probs, params.n_rows, 1), (pv.probs, params.n_cols, 2)):
+        raw = np.empty((len(seeds), count * n), dtype=np.uint64)
+        for j, key in enumerate(keys):
+            raw[j] = SeededRng(key, stream).raw(count * n)
+        words = _raw_symbols(_raw_cuts(pmf), raw, np.empty(raw.shape, dtype=_word_type(pmf)))
+        sides.append(words.reshape(len(seeds), count, n))
+    return tuple(sides)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +518,8 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
         self._sides = ((self.llr1, self.py, self.tau1), (self.llr2, self.pz, self.tau2))
         # (side, u, x) -> (k-fold step distribution for k = 0, 1, ...)
         self._powers = {}
+        # (side, pair-count bytes) -> tail mass
+        self._tails = {}
 
     def _power(self, side: int, u: int, x: int, k: int) -> tuple:
         """k-fold convolution of the step distribution of the pair (u, x).
@@ -497,15 +539,28 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
         return table[k]
 
     def _tail_mass(self, side: int, word: np.ndarray, x: np.ndarray) -> float:
+        """Tail mass of one side of a cell, memoized by the cell's joint type.
+
+        The mass depends only on the side and the pair counts, so a memo hit
+        returns the float a fresh evaluation would.  Like the powers, each
+        mass is published with one assignment, and the memo stops growing at
+        ``_TAIL_MEMO_CAP`` joint types.
+        """
         llr, trans, tau = self._sides[side]
         nx = trans.shape[0]
         # raveled in intp: word * nx would wrap in a compact word type
         pairs = np.ravel_multi_index((word, x), (llr.shape[0], nx))
         counts = np.bincount(pairs, minlength=llr.shape[0] * nx)
-        parts = [self._power(side, *divmod(int(pair), nx), int(counts[pair]))
-                 for pair in np.flatnonzero(counts)]
-        values, probs = functools.reduce(self._sum, parts)
-        return float(probs[values >= tau - DECODE_TOL].sum())
+        key = (side, counts.tobytes())
+        mass = self._tails.get(key)
+        if mass is None:
+            parts = [self._power(side, *divmod(int(pair), nx), int(counts[pair]))
+                     for pair in np.flatnonzero(counts)]
+            values, probs = functools.reduce(self._sum, parts)
+            mass = float(probs[values >= tau - DECODE_TOL].sum())
+            if len(self._tails) < _TAIL_MEMO_CAP:
+                self._tails[key] = mass
+        return mass
 
     def alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
         x = self.x_of_pair(row_word, col_word)
@@ -727,14 +782,19 @@ class ThresholdMembership:
         letters = np.arange(1, na, dtype=np.promote_types(words.dtype,
                                                           np.min_scalar_type(na - 1)))
         hits = (words[:, None, :] == letters[:, None]).astype(np.float32)
-        types = np.empty((count, na, nb))
-        types[:, 1:] = (hits.reshape(count * (na - 1), n) @ onehot).reshape(count, na - 1, nb)
-        types[:, 0] = onehot.sum(axis=0) - types[:, 1:].sum(axis=1)
+        # types[a, b] holds N[a, b] of every row, contiguous, and letter 0's
+        # counts are exact integer differences, in any order
+        types = np.empty((na, nb, count))
+        types[1:] = (hits.reshape(count * (na - 1), n) @ onehot).reshape(
+            count, na - 1, nb).transpose(1, 2, 0)
+        types[0] = onehot.sum(axis=0)[:, None]
+        for a in range(1, na):
+            types[0] -= types[a]
         scores = np.zeros(count)
         scored = np.flatnonzero(finite)
         for a in range(na):
             for b in scored:
-                scores += types[:, a, b] * self.llr[a, b]
+                scores += types[a, b] * self.llr[a, b]
         if not good.all():
             scores += self.llr[words[:, ~good], received[~good]].sum(axis=1)
         return scores >= self.tau - DECODE_TOL

@@ -227,7 +227,7 @@ class Scheme:
 
     ``run`` plays classical trials one by one.  cq trials go in blocks of
     as many trials as fit ``CODEBOOK_BYTE_BUDGET`` bytes of codebook
-    uniforms: the block's codebooks and messages are drawn as arrays,
+    outputs: the block's codebooks and messages are drawn as arrays,
     ``encode_block`` scans all its trials one row offset at a time, with
     one lookup in the cq evaluator's tables for each offset's surviving
     cells, and ``decode_pgm`` measures each side of the whole block in one
@@ -235,8 +235,9 @@ class Scheme:
     own stream.
 
     A Scheme holds no state between runs except the threshold evaluator's
-    convolution powers, which depend only on the Scheme, so one Scheme may
-    serve many runs, also in several threads at once.
+    convolution powers and the tail masses it memoizes by joint type, which
+    depend only on the Scheme, so one Scheme may serve many runs, also in
+    several threads at once.
     """
 
     def __init__(self, channel, design: InputDesign, eps0: float, eps_infty: float,

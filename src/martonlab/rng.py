@@ -12,8 +12,11 @@ Streams do not own a bit generator, nor a saved Philox state.  A stream
 holds its key and the number of 64-bit outputs drawn from it so far.
 Each thread keeps one scratch Philox generator; a draw sets its counter
 to drawn // 4 with an empty buffer, discards drawn % 4 outputs, draws,
-and adds the number of values drawn (one output per double).  The draws
-are those of
+and adds the number of outputs drawn.  A double takes one output r and
+is (r >> 11) * 2^-53, so ``random`` and ``raw`` advance a stream alike,
+and ``raw`` hands out the outputs themselves, for callers that compare
+them with integer cut points instead of building doubles.  ``skip``
+moves the next draw past outputs nobody reads.  The draws are those of
 ``Generator(Philox(key=np.array([master_seed, stream_id], dtype=np.uint64)))``,
 without building a Philox per stream, which costs several times more
 than the few draws most streams make, and without reading the advanced
@@ -112,7 +115,8 @@ class SeededRng:
             self.stream_id = _checked_key("stream_id", stream_id)
         self._drawn = 0
 
-    def _random(self, size):
+    def _seek(self):
+        """The calling thread's scratch generator, at this stream's next output."""
         gen = _scratch.generator
         bitgen = gen.bit_generator
         # the state setter copies each entry into the generator, so plain
@@ -130,6 +134,10 @@ class SeededRng:
         }
         if self._drawn & 3:
             bitgen.random_raw(self._drawn & 3)
+        return gen
+
+    def _random(self, size):
+        gen = self._seek()
         try:
             u = gen.random(size)
         except (ValueError, MemoryError) as e:
@@ -137,6 +145,25 @@ class SeededRng:
             raise ValidationError(f"cannot draw {size} uniforms: {e}") from e
         self._drawn += 1 if size is None else u.size
         return u
+
+    def raw(self, size: int) -> np.ndarray:
+        """The stream's next ``size`` 64-bit outputs, as uint64.
+
+        ``random`` maps output r to the double (r >> 11) * 2^-53, so the
+        outputs are the uniforms ``random(size)`` would give, before the map.
+        """
+        bitgen = self._seek().bit_generator
+        try:
+            r = bitgen.random_raw(size)
+        except (ValueError, MemoryError) as e:
+            raise ValidationError(f"cannot draw {size} outputs: {e}") from e
+        self._drawn += r.size
+        return r
+
+    def skip(self, count: int) -> "SeededRng":
+        """Advance the stream past its next ``count`` outputs without drawing them."""
+        self._drawn += count
+        return self
 
     def random(self, size=None):
         """Uniform doubles in [0, 1)."""

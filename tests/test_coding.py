@@ -23,7 +23,10 @@ from martonlab.coding import (
     RateParams,
     SetMembership,
     ThresholdMembership,
+    _raw_cuts,
+    _raw_symbols,
     _sample_words,
+    codebook_block,
     decode_cols,
     decode_pgm,
     decode_rows,
@@ -300,6 +303,65 @@ class TestCodebook:
         assert want.dtype == np.int64 and got.dtype == np.uint8
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("count, n", [(4681, 7), (4096, 8), (10923, 3), (8192, 56)])
+    @pytest.mark.parametrize("resume", [0, 1, 2, 3])
+    def test_raw_sampler_matches_searchsorted_across_chunks(self, count, n, resume):
+        # count * n is 2^15 - 1, 2^15 and 2^15 + 1 outputs, then a criterion-1
+        # row side; streams resume at each draw count mod 4
+        for pmf in (np.array([0.5, 0.5]), np.array([0.2, 0.0, 0.3, 0.5])):
+            got_rng, want_rng = SeededRng(2**63 + 3, 1), SeededRng(2**63 + 3, 1)
+            got_rng.random(resume)
+            want_rng.random(resume)
+            got = _sample_words(pmf, count, n, got_rng)
+            assert got.shape == (count, n) and got.dtype == np.uint8
+            assert np.array_equal(got, searchsorted_words(pmf, count, n, want_rng))
+            # both streams drew count * n outputs
+            assert np.array_equal(got_rng.random(3), want_rng.random(3))
+
+    @pytest.mark.parametrize("pmf", [
+        [0.5, 0.5], [0.25, 0.25, 0.5], [0.0, 0.0, 0.25, 0.75], [0.0, 0.5, 0.0, 0.5],
+        [0.3, 0.7], [0.1, 0.2, 0.7], [0.7, 0.3, 1e-17], [0.5, 0.5 + 2**-52, 1e-17],
+    ])
+    def test_raw_symbols_on_and_next_to_cut_points(self, pmf):
+        # uniforms on each cdf entry that is a multiple of 2^-53, on both
+        # sides of each that is not (0.3 and 0.1 lie halfway between two),
+        # one step of 2^-53 either side, and the ends of [0, 1); each with
+        # the lowest and highest of the 11 output bits that random() drops
+        pmf = np.asarray(pmf)
+        cdf = np.cumsum(pmf)
+        on = np.rint(cdf[:-1] * 2**53)
+        m = np.concatenate([on - 1, on, on + 1, [0, 2**53 - 1]])
+        m = m[(m >= 0) & (m < 2**53)].astype(np.uint64)
+        raw = ((m << 11)[:, None] | np.array([0, 2047], dtype=np.uint64)).ravel()
+        got = _raw_symbols(_raw_cuts(pmf), raw, np.empty(raw.size, dtype=np.uint8))
+        cdf[-1] = 1.0
+        assert np.array_equal(got, np.searchsorted(cdf, (raw >> 11) * 2**-53, side="right"))
+
+    @pytest.mark.parametrize("pmf", [[0.7, 0.3, 1e-17], [0.5, 0.5 + 2**-52, 1e-17]])
+    def test_raw_cuts_past_one_are_dropped(self, pmf):
+        # the cdf reaches 1 (or passes it) before its last entry, so no
+        # uniform in [0, 1) reaches the last letter
+        pmf = np.asarray(pmf)
+        assert np.cumsum(pmf)[-2] >= 1.0
+        assert _raw_cuts(pmf).size == 1
+        words = _sample_words(pmf, 4096, 8, SeededRng(11, 1))
+        assert words.max() == 1
+        assert np.array_equal(words, searchsorted_words(pmf, 4096, 8, SeededRng(11, 1)))
+
+    def test_block_entries_straddling_a_chunk_match_generate_codebook(self):
+        # 2^10 rows of 40 letters are 40,960 outputs, past one 2^15 chunk
+        probs = np.array([[0.56, 0.14], [0.24, 0.06]])
+        design = InputDesign(dsbs_joint(probs), {(u, v): u + v for u in "01" for v in "01"})
+        params = small_params(R1=2, r1=8)
+        n, seeds = 40, [3, 2**64 - 1, 17]
+        assert params.n_rows * n > coding._RAW_CHUNK
+        rows, cols = codebook_block(design, params, seeds, n)
+        assert rows.shape == (3, params.n_rows, n) and cols.shape == (3, params.n_cols, n)
+        assert rows.dtype == cols.dtype == np.uint8
+        for j, seed in enumerate(seeds):
+            cb = generate_codebook(design, params, seed, n)
+            assert np.array_equal(rows[j], cb.rows) and np.array_equal(cols[j], cb.cols)
+
     def test_word_marginals(self):
         probs = np.array([[0.56, 0.14], [0.24, 0.06]])  # pu = (0.7, 0.3), pv = (0.8, 0.2)
         design = InputDesign(dsbs_joint(probs), {(u, v): u + v for u in "01" for v in "01"})
@@ -533,6 +595,43 @@ class TestThresholdEvaluator:
             fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), ev.llr1, ev.llr2,
                                                 ev.tau1, ev.tau2)
             assert fresh.alpha_beta(u[perm], v[perm]) == got
+
+    def test_memoized_tail_masses_match_positionwise_oracle(self, np_rng):
+        # each cell comes back, permuted and as it was, so most calls after
+        # its first find its joint type in the memo
+        ch, ev = self.ternary_evaluator(np_rng, real_llr=False)
+        py, pz = ch.marginal_y(), ch.marginal_z()
+        cells = []
+        for _ in range(8):
+            u, v = np_rng.integers(2, size=12), np_rng.integers(2, size=12)
+            perm = np_rng.permutation(12)
+            cells += [(u, v), (u[perm], v[perm]), (u, v)]
+        for u, v in cells:
+            x = ev.x_of_pair(u, v)
+            alpha, beta = ev.alpha_beta(u, v)
+            assert abs(alpha - positionwise_tail_mass(u, x, ev.llr1, py, ev.tau1)) <= 1e-12
+            assert abs(beta - positionwise_tail_mass(v, x, ev.llr2, pz, ev.tau2)) <= 1e-12
+        assert len(ev._tails) <= 2 * 8
+        # a hit returns the float a fresh evaluator computes
+        fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), ev.llr1, ev.llr2,
+                                            ev.tau1, ev.tau2)
+        for u, v in cells:
+            assert ev.alpha_beta(u, v) == fresh.alpha_beta(u, v)
+
+    def test_sides_do_not_share_memoized_masses(self):
+        # equal row and column words have equal pair counts on both sides,
+        # but the sides score them with different llr tables
+        ch = bsc_pair_channel(0.1, 0.2)
+        design = pair_design(DSBS_45)
+        uy, vz = build_classical_joints(ch, design)
+        ev = ClassicalThresholdEvaluator(ch, design, llr_table(uy), llr_table(vz), 1.5, 1.5)
+        for word in (np.array([0, 1, 1, 0, 1]), np.array([1, 1, 1, 0, 0, 0])):
+            x = ev.x_of_pair(word, word)
+            want_a = positionwise_tail_mass(word, x, ev.llr1, ch.marginal_y(), ev.tau1)
+            want_b = positionwise_tail_mass(word, x, ev.llr2, ch.marginal_z(), ev.tau2)
+            assert abs(want_a - want_b) > 1e-3
+            alpha, beta = ev.alpha_beta(word, word)
+            assert abs(alpha - want_a) <= 1e-12 and abs(beta - want_b) <= 1e-12
 
     def test_atom_cap_raises(self, np_rng, monkeypatch):
         monkeypatch.setattr(coding, "THRESHOLD_ATOM_CAP", 20)

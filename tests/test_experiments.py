@@ -257,8 +257,8 @@ class TestSharedScheme:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # the convolution powers fill in a run's first trials, so each
-            # round starts both threads on a new Scheme with none
+            # the convolution powers and tail masses fill in a run's first
+            # trials, so each round starts both threads on a new Scheme with none
             for _ in range(10):
                 experiments._shared_scheme.cache_clear()
                 shared = Scheme.shared(channel, design, params.eps0, params.eps_infty, n=n)

@@ -145,6 +145,29 @@ class TestSeededRng:
             assert len(g) == len(w)
             assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
+    def test_raw_outputs_map_to_random(self):
+        # the codebook sampler reads symbols off raw outputs: it relies on
+        # numpy's random() being (raw >> 11) * 2^-53 bit for bit, at every
+        # draw count mod 4 and at keys of 2^63 and up
+        keys = [(0, 0), (42, 1), (2**63, 2**64 - 1), (2**64 - 2, 2**63 + 5)]
+        for key in keys:
+            raws, floats, oracle = SeededRng(*key), SeededRng(*key), philox_oracle(*key)
+            for size in [1, 3, 2, 5, 1000, 7, 4, 1 << 15]:
+                raw = raws.raw(size)
+                assert raw.dtype == np.uint64
+                assert np.array_equal(raw, oracle.bit_generator.random_raw(size))
+                got = (raw >> 11) * 2**-53
+                want = floats.random(size)
+                assert got.dtype == want.dtype == np.float64
+                assert np.array_equal(got, want)
+
+    def test_skip_starts_the_next_draw_past_the_skipped_outputs(self):
+        for skipped in range(9):
+            full = SeededRng(2**63 + 1, 9).random(skipped + 10)
+            rng = SeededRng(2**63 + 1, 9).skip(skipped)
+            assert np.array_equal(rng.random(4), full[skipped:skipped + 4])
+            assert np.array_equal(rng.raw(6) >> 11, (full[skipped + 4:] * 2**53).astype(np.uint64))
+
     def test_choice_index_draws_without_calling_random(self, monkeypatch):
         # instrumentation wrapping random() must not count choice_index's draws twice
         def no_random(self, size=None):
