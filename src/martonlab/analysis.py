@@ -14,7 +14,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from . import coding
 from .coding import RateParams
@@ -148,6 +147,123 @@ def _rounded_root(trials: int, k: int, level: float, start: float) -> float:
     return _double(hi)
 
 
+_LN2 = math.log(2.0)
+
+
+def _scaled_pow(x: float, m: int) -> tuple[float, int]:
+    """x**m for 0 < x < 1 as (f, e) with x**m = f * 2**e, free of underflow."""
+    f, e = math.frexp(x)
+    acc, acc_e = 1.0, e * m
+    while m > 0:
+        step = min(m, 1000)  # f >= 1/2, so f**step stays a normal double
+        acc, de = math.frexp(acc * f**step)
+        acc_e += de
+        m -= step
+    return acc, acc_e
+
+
+def _log_tail_ratio(trials: int, k: int, upper: bool, p: float, comb: tuple,
+                    target: tuple) -> tuple:
+    """(log(T / target), T over its boundary term) in floats, where T is
+    Pr{Binomial(trials, p) >= k} if ``upper``, else Pr{... <= k - 1}.
+
+    ``comb`` is (f, e) with C(trials, boundary) = f * 2**e, and ``target``
+    is (f, e) likewise.  Scaled powers keep the binary exponents exact, so
+    the log ratio is accurate to a few ulps of T, even where T and the
+    target lie far below the smallest double.
+    """
+    q = 1.0 - p
+    q_lo = (1.0 - q) - p  # q + q_lo == 1 - p exactly
+    b = k if upper else k - 1
+    pf, pe = _scaled_pow(p, b)
+    qf, qe = _scaled_pow(q, trials - b)
+    # (q + q_lo)**m == q**m * (1 + q_lo / q)**m
+    head = comb[0] * pf * qf * math.exp((trials - b) * math.log1p(q_lo / q))
+    ratio = p / q if upper else q / p
+    if ((trials - b) / (b + 1) if upper else b / (trials - b + 1)) * ratio >= 1.0:
+        # the terms rise away from the boundary, so the side holds a mode of
+        # the binomial and hence a median (the two lie within 1 of each
+        # other): T >= 1/2 >= target
+        return math.inf, math.inf
+    # the terms over the boundary term fall from 1, summed while they count
+    total = term = 1.0
+    if upper:
+        for j in range(b, trials):
+            term *= (trials - j) / (j + 1) * ratio
+            total += term
+            if term < 1e-17 * total:
+                break
+    else:
+        for j in range(b, 0, -1):
+            term *= j / (trials - j + 1) * ratio
+            total += term
+            if term < 1e-17 * total:
+                break
+    return (math.log(head * total / target[0])
+            + (comb[1] + pe + qe - target[1]) * _LN2, total)
+
+
+def _start(trials: int, k: int, level: float) -> float:
+    """A double within about an ulp of the p with Pr{Binomial(trials, p) >= k}
+    = level, for ``_rounded_root`` to start from, in floats.
+
+    k = 1 and k = trials have closed forms.  Otherwise Halley's method runs
+    on log(T / target), where T is the tail whose target is exact: ``level``
+    itself when below 1/2, else 1 - level.  It starts from the Beta quantile
+    approximation of Abramowitz & Stegun 26.5.22 and keeps a bracket; after
+    eight steps, or at a point outside the bracket, it bisects the
+    bracket's bit patterns instead, so it ends for any input.  The rounding
+    error of the last step tells on which side of the returned double the
+    estimate lies: the double returned is the one just below it, so that
+    the root most likely lies between it and the next double up, where the
+    search needs two tail sums.
+    """
+    if level == 1.0:
+        return 1.0
+    if k == 1:
+        return -math.expm1(math.log1p(-level) / trials)
+    if k == trials:
+        return math.exp(math.log(level) / trials)
+    # sum the smaller tail, or at level 1/2 the one with fewer terms
+    upper = level < 0.5 or (level == 0.5 and trials - k + 1 < k)
+    target = level if upper else 1.0 - level
+    c = math.comb(trials, k if upper else k - 1)
+    comb = (c / (1 << c.bit_length()), c.bit_length())
+    a, b = k, trials - k + 1  # the limit is the level quantile of Beta(a, b)
+    t = math.sqrt(-2.0 * math.log(target))
+    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+    z = z if upper else -z  # the normal deviate of level
+    al = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = (z * math.sqrt(al + h) / h
+         - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+    p = a / (a + b * math.exp(min(max(2.0 * w, -700.0), 700.0)))
+    target = math.frexp(target)
+    lo, hi = 0.0, 1.0  # brackets the root
+    steps = 0
+    while True:
+        if not lo < p < hi:
+            p = _double((_bits(lo) + _bits(hi)) // 2)
+            if not lo < p < hi:  # lo and hi are adjacent doubles
+                return p
+        g, total = _log_tail_ratio(trials, k, upper, p, comb, target)
+        if (g < 0) == upper:  # the upper tail rises with p, the lower one falls
+            lo = p
+        else:
+            hi = p
+        q = 1.0 - p
+        g1 = k / (p * total) if upper else -(trials - k + 1) / (q * total)
+        g2 = g1 * ((k - 1) / p - (trials - k) / q) - g1 * g1
+        denom = 2.0 * g1 * g1 - g * g2
+        step = 2.0 * g * g1 / denom if denom else math.nan
+        new = p - step
+        if new == p or abs(step) <= 1e-9 * min(p, q):
+            # converged: the next step would be rounding noise
+            return new if (p - new) - step >= 0.0 else math.nextafter(new, 0.0)
+        steps += 1
+        p = new if steps <= 8 else math.nan
+
+
 def _check_binomial(hits: int, trials: int, confidence: float) -> None:
     if not 0 <= hits <= trials or trials <= 0:
         raise ValidationError(f"need 0 <= hits <= trials, got {hits}/{trials}")
@@ -161,13 +277,13 @@ def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> f
     The limit is the p at which Pr{Binomial(trials, p) >= hits + 1} equals
     ``confidence`` (the double as given), i.e. the ``confidence`` quantile
     of Beta(hits + 1, trials - hits).  It is returned correctly rounded to
-    the nearest double, so it does not depend on the scipy build.
+    the nearest double, in pure Python, so it is the same on every platform.
     """
     _check_binomial(hits, trials, confidence)
     if hits == trials:
         return 1.0
-    start = special.betaincinv(hits + 1, trials - hits, confidence)
-    return _rounded_root(trials, hits + 1, confidence, start)
+    k = hits + 1
+    return _rounded_root(trials, k, confidence, _start(trials, k, confidence))
 
 
 def clopper_pearson_lower(hits: int, trials: int, confidence: float = 0.95) -> float:
@@ -176,14 +292,13 @@ def clopper_pearson_lower(hits: int, trials: int, confidence: float = 0.95) -> f
     The limit is the p at which Pr{Binomial(trials, p) >= hits} equals
     ``1.0 - confidence`` (computed as a double), i.e. that quantile of
     Beta(hits, trials - hits + 1).  It is returned correctly rounded to the
-    nearest double, so it does not depend on the scipy build.
+    nearest double, in pure Python, so it is the same on every platform.
     """
     _check_binomial(hits, trials, confidence)
     if hits == 0:
         return 0.0
     level = 1.0 - confidence
-    start = special.betaincinv(hits, trials - hits + 1, level)
-    return _rounded_root(trials, hits, level, start)
+    return _rounded_root(trials, hits, level, _start(trials, hits, level))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ lazily without storing the grid.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -309,11 +310,9 @@ class Codebook:
         return self.eta(k, l0, l1) <= self.acceptance(k, l0, l1)
 
     def content_digest(self) -> str:
-        import hashlib
-
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.rows, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(self.cols, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(self.rows, dtype=np.int64))
+        h.update(np.ascontiguousarray(self.cols, dtype=np.int64))
         return h.hexdigest()
 
 
@@ -420,7 +419,7 @@ def codebook_block(design: InputDesign, params: RateParams, seeds, n: int = 1) -
     """
     pu, pv = design.joint.marginals()
     # the streams SeededRng(seed, 0).derive(1) and .derive(2) hang off these keys
-    keys = [mix64(seed, 0) for seed in seeds]
+    keys = mix64(np.asarray(seeds, dtype=np.uint64), 0).tolist()
     sides = []
     for pmf, count, stream in ((pu.probs, params.n_rows, 1), (pv.probs, params.n_cols, 2)):
         raw = np.empty((len(seeds), count * n), dtype=np.uint64)
@@ -654,7 +653,7 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     thr = 1.0 - 4.0 * float(eps0)
     w1, w2 = 1 << params.r1, 1 << params.r2
     k0, l0 = m1 * w1, m2 * w2
-    eta_keys = [mix64(seed, 3) for seed in seeds]
+    eta_keys = mix64(np.asarray(seeds, dtype=np.uint64), 3).tolist()
     row = np.full(len(seeds), -1, dtype=np.int64)
     col = np.full(len(seeds), -1, dtype=np.int64)
     x = np.zeros((len(seeds), rows.shape[2]), dtype=np.int64)

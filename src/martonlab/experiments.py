@@ -352,7 +352,8 @@ class Scheme:
         block = max(1, CODEBOOK_BYTE_BUDGET // codebook_bytes(params, self.n))
         hits = np.zeros(5, dtype=np.int64)
         for start in range(0, trials, block):
-            keys = [mix64(seed, t) for t in range(start, min(trials, start + block))]
+            keys = mix64(seed, np.arange(start, min(trials, start + block),
+                                         dtype=np.uint64)).tolist()
             if fixed_cb is None:
                 rows, cols = codebook_block(self.design, params, keys, self.n)
                 cb_seeds = keys

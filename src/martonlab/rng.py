@@ -56,14 +56,26 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def mix64(a: int, b: int = 0) -> int:
+def mix64(a, b=0):
     """Mix two nonnegative ints into one well-spread 64-bit value.
 
     Splitmix64 finalizer applied to ``a`` xor a Weyl multiple of ``b``.
     Used to derive child stream keys; collisions between distinct (a, b)
     pairs are as unlikely as 64-bit hash collisions.
+
+    Either argument may be a uint64 array of one or more dimensions (the
+    other then broadcasts against it as a uint64).  The same arithmetic
+    then runs elementwise, since uint64 wraps modulo 2^64 exactly as the
+    masks do, and a uint64 array comes back; its ``tolist()`` gives the
+    Python ints that ``SeededRng`` opens fastest.
     """
-    z = (int(a) ^ ((int(b) + 1) * _GOLDEN)) & _MASK64
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        # broadcast first: numpy scalars would warn where arrays wrap silently
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
+                                   np.asarray(b, dtype=np.uint64))
+    else:
+        a, b = int(a), int(b)
+    z = (a ^ ((b + 1) * _GOLDEN)) & _MASK64
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -104,6 +104,89 @@ class TestClopperPearson:
         for start in (0.0, 1e-300, 0.5, 1.0, math.nan):
             assert analysis._rounded_root(50, 4, 1.0 - 0.95, start) == want
 
+    def test_grid_limits_match_the_search_started_by_scipy(self, limit_grid):
+        special = pytest.importorskip("scipy.special")
+        for trials, hits, confidence, upper, limit, _ in limit_grid:
+            k, level = (hits + 1, confidence) if upper else (hits, 1.0 - confidence)
+            start = special.betaincinv(k, trials - k + 1, level)
+            assert limit == analysis._rounded_root(trials, k, level, start), \
+                (trials, hits, confidence, upper)
+
+    def test_grid_limits_stay_within_their_tail_sum_budget(self, limit_grid):
+        # two sums are the least any search needs: the signs at the
+        # midpoints on either side of the answer
+        sums = [s for *_, s in limit_grid]
+        assert min(sums) == 2
+        assert sum(sums) / len(sums) <= 2.25
+        assert max(sums) <= 8
+
+    @pytest.mark.parametrize("trials", [16, 20, 50, 200])
+    def test_limits_at_every_hit_count_take_about_two_tail_sums(self, monkeypatch, trials):
+        # every limit at the trial counts the Monte Carlo runs use
+        sums = _count_tail_sums(monkeypatch)
+        limits = 0
+        for hits in range(trials + 1):
+            limits += (hits < trials) + (hits > 0)
+            clopper_pearson_upper(hits, trials)
+            clopper_pearson_lower(hits, trials)
+        assert len(sums) / limits <= 2.1
+
+    @pytest.mark.parametrize("trials", [2, 3, 10, 200, 5000])
+    def test_start_is_a_probability_at_extreme_levels(self, trials):
+        levels = (5e-324, 1e-300, 2.0**-53, 1e-6, 0.5, 1.0 - 2.0**-53, 1.0)
+        for k in sorted({1, 2, trials // 2, trials - 1, trials}):
+            for level in levels:
+                assert 0.0 <= analysis._start(trials, k, level) <= 1.0, (k, level)
+
+    @pytest.mark.parametrize("hits,trials", [(2, 10), (50, 100), (998, 1000), (1, 300)])
+    def test_extreme_confidences_reach_the_limit_in_few_tail_sums(self, monkeypatch,
+                                                                  hits, trials):
+        for confidence in (5e-324, 1e-300, 1e-6, 1.0 - 2.0**-53):
+            for k, level in ((hits + 1, confidence), (hits, 1.0 - confidence)):
+                want = analysis._rounded_root(trials, k, level, 0.5)
+                with monkeypatch.context() as m:
+                    sums = _count_tail_sums(m)
+                    got = analysis._rounded_root(trials, k, level,
+                                                 analysis._start(trials, k, level))
+                assert got == want, (k, level)
+                assert len(sums) <= 4, (k, level)
+
+
+# trial counts 1-1000 and every 16th up to 5000, hits 0, 1, trials - 1 and
+# trials, three confidences, upper and lower limits
+GRID_TRIALS = [*range(1, 1001), *range(1016, 5001, 16)]
+GRID_CONFIDENCES = (0.5, 0.95, 0.999999)
+
+
+def _count_tail_sums(monkeypatch) -> list:
+    """Patch ``analysis._tail_sign`` to log its calls; return the log."""
+    calls = []
+    tail_sign = analysis._tail_sign
+    monkeypatch.setattr(analysis, "_tail_sign",
+                        lambda *args: calls.append(args) or tail_sign(*args))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def limit_grid():
+    """(trials, hits, confidence, upper, limit, tail sums) of every grid limit
+    that takes a search (all but the upper at hits = trials and the lower
+    at hits = 0)."""
+    out = []
+    with pytest.MonkeyPatch.context() as m:
+        sums = _count_tail_sums(m)
+        for trials in GRID_TRIALS:
+            for hits in sorted({0, 1, trials - 1, trials}):
+                for confidence in GRID_CONFIDENCES:
+                    for upper in (True, False):
+                        if hits == (trials if upper else 0):
+                            continue
+                        before = len(sums)
+                        limit = (clopper_pearson_upper if upper else clopper_pearson_lower)(
+                            hits, trials, confidence)
+                        out.append((trials, hits, confidence, upper, limit, len(sums) - before))
+    return out
+
 
 def _exact_limit(trials, k, level):
     """Double nearest the p with Pr{Binomial(trials, p) >= k} = level.

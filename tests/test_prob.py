@@ -18,6 +18,7 @@ from martonlab import (
     PositivityError,
     SeededRng,
     ValidationError,
+    mix64,
     mutual_information,
 )
 
@@ -227,6 +228,25 @@ class TestSeededRng:
             with pytest.raises(ValidationError) as err:
                 SeededRng(*args)
             assert str(err.value) == f"{name} {message}"
+
+
+class TestMix64:
+    EDGE = [0, 1, 3, 2**32, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 2, 2**64 - 1]
+
+    def test_arrays_mix_as_the_scalars_do(self, np_rng):
+        values = self.EDGE + [int(v) for v in np_rng.integers(2**64, size=24, dtype=np.uint64)]
+        arr = np.array(values, dtype=np.uint64)
+        for b in self.EDGE + values[-3:]:
+            got = mix64(arr, b)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [mix64(a, b) for a in values]
+            assert mix64(b, arr).tolist() == [mix64(b, a) for a in values]
+        assert mix64(arr, arr[::-1]).tolist() == [mix64(a, b) for a, b in zip(values, values[::-1])]
+        grid = mix64(arr[:, None], arr[None, :3])
+        assert grid.shape == (len(values), 3)
+        assert grid.tolist() == [[mix64(a, b) for b in values[:3]] for a in values]
+        # tolist() hands SeededRng the Python ints its fast path takes
+        assert all(type(key) is int for key in mix64(7, arr).tolist())
 
 
 class TestJointPmf:

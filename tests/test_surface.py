@@ -6,12 +6,18 @@ used somewhere outside ``tests/``: in a Python or shell file, other than
 its own definition, its ``__all__`` entry and its re-export in the
 package ``__init__``.  So must every public method and property of an
 exported class.  Code that only tests call belongs in ``tests/``.
+
+numpy is the library's only runtime dependency: scipy serves the tests
+alone.
 """
 
 import importlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -90,3 +96,18 @@ def test_scan_sees_the_callers():
     files = {p.relative_to(ROOT).as_posix() for p in _source_files()}
     assert {"src/martonlab/cli.py", "demos/07_cli_tour.sh", "perfbench/workloads.py"} <= files
     assert not any(f.startswith("tests/") for f in files)
+
+
+def test_library_imports_no_scipy():
+    sources = [p.name for p in PACKAGE.glob("*.py")
+               if re.search(r"^\s*(import|from)\s+scipy\b", p.read_text(encoding="utf-8"), re.M)]
+    assert not sources
+    # a fresh interpreter, so modules the tests imported do not count
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, martonlab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
