@@ -7,6 +7,7 @@ whose estimates come with Clopper-Pearson confidence limits.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -271,6 +272,13 @@ def _check_binomial(hits: int, trials: int, confidence: float) -> None:
         raise ValidationError(f"confidence must lie in (0, 1), got {confidence}")
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _limit(trials: int, k: int, level: float) -> float:
+    """``_rounded_root`` from ``_start``, memoized: trial counts repeat from
+    run to run, and the limit depends on nothing else."""
+    return _rounded_root(trials, k, level, _start(trials, k, level))
+
+
 def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> float:
     """One-sided upper confidence limit for a binomial proportion.
 
@@ -278,12 +286,13 @@ def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> f
     ``confidence`` (the double as given), i.e. the ``confidence`` quantile
     of Beta(hits + 1, trials - hits).  It is returned correctly rounded to
     the nearest double, in pure Python, so it is the same on every platform.
+    The arguments are checked on every call; the search is memoized by
+    (trials, hits + 1, confidence) in a private 4096-entry LRU cache.
     """
     _check_binomial(hits, trials, confidence)
     if hits == trials:
         return 1.0
-    k = hits + 1
-    return _rounded_root(trials, k, confidence, _start(trials, k, confidence))
+    return _limit(trials, hits + 1, confidence)
 
 
 def clopper_pearson_lower(hits: int, trials: int, confidence: float = 0.95) -> float:
@@ -293,12 +302,14 @@ def clopper_pearson_lower(hits: int, trials: int, confidence: float = 0.95) -> f
     ``1.0 - confidence`` (computed as a double), i.e. that quantile of
     Beta(hits, trials - hits + 1).  It is returned correctly rounded to the
     nearest double, in pure Python, so it is the same on every platform.
+    The arguments are checked on every call; the search is memoized by
+    (trials, hits, 1.0 - confidence) in the private LRU cache that the
+    upper limit uses.
     """
     _check_binomial(hits, trials, confidence)
     if hits == 0:
         return 0.0
-    level = 1.0 - confidence
-    return _rounded_root(trials, hits, level, _start(trials, hits, level))
+    return _limit(trials, hits, 1.0 - confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +405,9 @@ def _check_uniforms(what: str, count: int) -> None:
                               f"of {coding.CODEBOOK_BYTE_BUDGET} bytes")
 
 
+_HALF_RAW = np.uint64(1 << 63)
+
+
 def synthetic_covering(p: CoveringParams, trials: int, seed: int,
                        family: str = "paired") -> CoveringEstimate:
     """Simulate Pr{Z=0} for indicator arrays with the assumed moments.
@@ -405,9 +419,11 @@ def synthetic_covering(p: CoveringParams, trials: int, seed: int,
     moments stay below q^2.  Either way the trial outcome Z=0 is drawn
     from its exact conditional probability given the row and column
     variables, so huge bands never materialize a full cell array.  The
-    paired family draws its row and column bits in trial chunks of at most
-    ``coding.CODEBOOK_BYTE_BUDGET`` bytes of uniforms; ValidationError if
-    one trial's bits exceed it.
+    paired family reads its row and column bits off raw 64-bit stream
+    outputs (below 2^63 exactly when the uniform ``random`` would make of
+    the output is below 1/2), in trial chunks of at most
+    ``coding.CODEBOOK_BYTE_BUDGET`` bytes; ValidationError if one trial's
+    bits exceed it.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
@@ -428,8 +444,8 @@ def synthetic_covering(p: CoveringParams, trials: int, seed: int,
         hits = 0
         for start in range(0, trials, chunk):
             size = min(chunk, trials - start)
-            ones_u = (row_rng.random((size, p.r)) < 0.5).sum(axis=1)
-            ones_v = (col_rng.random((size, p.s)) < 0.5).sum(axis=1)
+            ones_u = (row_rng.raw((size, p.r)) < _HALF_RAW).sum(axis=1)
+            ones_v = (col_rng.raw((size, p.s)) < _HALF_RAW).sum(axis=1)
             matches = ones_u * ones_v + (p.r - ones_u) * (p.s - ones_v)
             p_zero = (1.0 - 2.0 * cell) ** matches
             hits += int(np.count_nonzero(z_draws[start:start + size] < p_zero))
@@ -735,15 +751,14 @@ def iid_convergence_curve(base_uy: JointPmf, base_uv: JointPmf, eps: float,
     The first joint drives the order-zero rate toward its mutual
     information; the second drives the order-infinity rate toward its
     own.  Both use the per-symbol llr spectrum, built for all block
-    sizes in one pass per joint (one pass in all when both are the same
-    object), so n in the hundreds stays cheap.  Points keep the order of
-    ``n_list``.
+    sizes in one pass per joint, so n in the hundreds stays cheap.  Points
+    keep the order of ``n_list``.
     """
     if not 0.0 <= eps < 1.0:  # before the spectra, which can take seconds
         raise ValidationError(f"eps must lie in [0, 1), got {eps}")
     n_list = list(n_list)
     spectra_uy = iid_llr_spectra(base_uy, n_list)
-    spectra_uv = spectra_uy if base_uv is base_uy else iid_llr_spectra(base_uv, n_list)
+    spectra_uv = iid_llr_spectra(base_uv, n_list)
     pts = tuple(CurvePoint(int(n), spectrum_i0(s0, eps, method).value / n,
                            spectrum_i_infty(s1, eps).value / n)
                 for n, s0, s1 in zip(n_list, spectra_uy, spectra_uv))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -436,7 +437,9 @@ def _cmd_simulate(args) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="martonlab",
         description="Smooth divergences, band selection, and coding experiments "

@@ -16,6 +16,8 @@ All values are in bits.  Feasibility thresholds of the form
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,26 +421,79 @@ def convolve_atoms(a: tuple, b: tuple, tol: float, atom_cap: int) -> tuple:
     return vm, pm
 
 
+class _SpectraMemo:
+    """Results of ``iid_llr_spectra`` by key, least recently used first,
+    holding at most ``SPECTRUM_ATOM_CAP`` atoms in all.  A lock guards the
+    entries, so threads may share the memo; callers build spectra outside it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # key -> (spectra by n, atoms)
+        self._atoms = 0
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, spectra: dict) -> None:
+        atoms = sum(len(s) for s in spectra.values())
+        budget = SPECTRUM_ATOM_CAP
+        if atoms > budget:
+            return
+        with self._lock:
+            if key in self._entries:
+                return
+            while self._atoms + atoms > budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self._atoms -= dropped
+            self._entries[key] = (spectra, atoms)
+            self._atoms += atoms
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._atoms = 0
+
+
+_spectra_memo = _SpectraMemo()
+
+
 def iid_llr_spectra(base: JointPmf, ns) -> list:
     """Spectra of the summed log likelihood ratio over n iid copies, per n in ``ns``.
 
     One ascending pass of convolutions, atoms merged at ``SPECTRUM_MERGE_TOL``
     bits, builds every n; the spectra follow the order of ``ns``.  Raises
     ``SupportOverflowError`` if the support grows past ``SPECTRUM_ATOM_CAP``.
+    The spectra are pure in the joint's probabilities and the set of n, so
+    a private memo keyed by the probability array's shape and bytes and by
+    the sorted set of n returns the same read-only spectra to a repeat call,
+    whatever the joint's labels.  It keeps the most recently used results
+    up to ``SPECTRUM_ATOM_CAP`` atoms in all, and never a larger one.
     """
     merge_tol, atom_cap = SPECTRUM_MERGE_TOL, SPECTRUM_ATOM_CAP
     ns = [int(n) for n in ns]
     if min(ns, default=1) < 1:
         raise ValidationError(f"n must be a positive integer, got {min(ns)}")
-    pj, _, ratio, _, _ = _positive_cells(base)
-    # adding a point mass at 0 sorts and merges the single-letter atoms
-    step = convolve_atoms((np.log2(ratio), pj), (np.zeros(1), np.ones(1)), merge_tol, atom_cap)
-    atoms, done, built = step, 1, {}
-    for n in sorted(set(ns)):
-        for _ in range(n - done):
-            atoms = convolve_atoms(atoms, step, merge_tol, atom_cap)
-        done = n
-        built[n] = LlrSpectrum(atoms[0], atoms[1] / atoms[1].sum())
+    probs = base.probs
+    key = (probs.shape, probs.tobytes(), tuple(sorted(set(ns))))
+    built = _spectra_memo.get(key)
+    if built is None:
+        pj, _, ratio, _, _ = _positive_cells(base)
+        # adding a point mass at 0 sorts and merges the single-letter atoms
+        step = convolve_atoms((np.log2(ratio), pj), (np.zeros(1), np.ones(1)), merge_tol,
+                              atom_cap)
+        atoms, done, built = step, 1, {}
+        for n in key[2]:
+            for _ in range(n - done):
+                atoms = convolve_atoms(atoms, step, merge_tol, atom_cap)
+            done = n
+            built[n] = LlrSpectrum(atoms[0], atoms[1] / atoms[1].sum())
+        _spectra_memo.put(key, built)
     return [built[n] for n in ns]
 
 

@@ -158,8 +158,8 @@ class SeededRng:
         self._drawn += 1 if size is None else u.size
         return u
 
-    def raw(self, size: int) -> np.ndarray:
-        """The stream's next ``size`` 64-bit outputs, as uint64.
+    def raw(self, size) -> np.ndarray:
+        """The stream's next ``size`` (a count or a shape) 64-bit outputs, as uint64.
 
         ``random`` maps output r to the double (r >> 11) * 2^-53, so the
         outputs are the uniforms ``random(size)`` would give, before the map.

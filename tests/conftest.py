@@ -11,11 +11,11 @@ gemv row scorer is the threshold decoder that type-count scoring replaced.
 
 import functools
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from martonlab import experiments
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
 from martonlab.coding import (
     DECODE_TOL,
@@ -268,15 +268,28 @@ def no_draws(monkeypatch):
     """Every draw from a ``SeededRng`` fails: a test that passes allocated nothing."""
     def refuse(*args, **kwargs):
         raise AssertionError("drew from a stream")
-    for name in ("random", "choice_index"):
+    for name in ("random", "choice_index", "raw"):
         monkeypatch.setattr(SeededRng, name, refuse)
 
 
+def clear_library_memos() -> None:
+    """Empty every memo of the library: each ``cache_clear`` found on the
+    attributes of the loaded ``martonlab`` modules, which covers the
+    ``lru_cache`` functions and the llr-spectra memo."""
+    for name, module in list(sys.modules.items()):
+        if name == "martonlab" or name.startswith("martonlab."):
+            for value in list(vars(module).values()):
+                clear = getattr(value, "cache_clear", None)
+                if callable(clear) and not isinstance(value, type):
+                    clear()
+
+
 @pytest.fixture(autouse=True)
-def fresh_schemes():
-    """Each test starts with no shared Scheme, so what it counts does not
-    depend on which tests ran before it."""
-    experiments._shared_scheme.cache_clear()
+def fresh_memos():
+    """Each test starts with empty library memos (shared Schemes, PGM tables,
+    llr spectra, confidence limits, the CLI parser), so what it counts does
+    not depend on which tests ran before it."""
+    clear_library_memos()
 
 
 @pytest.fixture

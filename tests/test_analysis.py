@@ -90,6 +90,7 @@ class TestClopperPearson:
 
     def test_exact_fallback_gives_same_limits(self, monkeypatch):
         # too few decimal digits to decide the sign: every tail goes exact
+        analysis._limit.cache_clear()
         calls = []
         exact = analysis._tail_sign_exact
         monkeypatch.setattr(analysis, "_TAIL_DIGITS", 16)
@@ -123,6 +124,7 @@ class TestClopperPearson:
     @pytest.mark.parametrize("trials", [16, 20, 50, 200])
     def test_limits_at_every_hit_count_take_about_two_tail_sums(self, monkeypatch, trials):
         # every limit at the trial counts the Monte Carlo runs use
+        analysis._limit.cache_clear()
         sums = _count_tail_sums(monkeypatch)
         limits = 0
         for hits in range(trials + 1):
@@ -130,6 +132,31 @@ class TestClopperPearson:
             clopper_pearson_upper(hits, trials)
             clopper_pearson_lower(hits, trials)
         assert len(sums) / limits <= 2.1
+
+    def test_memoized_limits_equal_the_search(self):
+        def search(trials, k, level):
+            return analysis._rounded_root(trials, k, level, analysis._start(trials, k, level))
+
+        for _ in range(2):  # the second pass reads the memo
+            for trials in range(1, 25):
+                for hits in range(trials + 1):
+                    for c in (0.5, 0.95, 0.999):
+                        if hits < trials:
+                            assert clopper_pearson_upper(hits, trials, c) == search(
+                                trials, hits + 1, c)
+                        if hits > 0:
+                            assert clopper_pearson_lower(hits, trials, c) == search(
+                                trials, hits, 1.0 - c)
+        assert analysis._limit.cache_info().hits > 0
+
+    def test_bad_arguments_raise_after_a_good_call(self):
+        assert clopper_pearson_upper(3, 10) == clopper_pearson_upper(3, 10)
+        assert clopper_pearson_lower(3, 10) == clopper_pearson_lower(3, 10)
+        for hits, trials, confidence in ((-1, 10, 0.95), (11, 10, 0.95), (3, 0, 0.95),
+                                         (3, 10, 1.5), (3, 10, 0.0)):
+            for limit in (clopper_pearson_upper, clopper_pearson_lower):
+                with pytest.raises(ValidationError):
+                    limit(hits, trials, confidence)
 
     @pytest.mark.parametrize("trials", [2, 3, 10, 200, 5000])
     def test_start_is_a_probability_at_extreme_levels(self, trials):
@@ -181,6 +208,9 @@ def limit_grid():
                     for upper in (True, False):
                         if hits == (trials if upper else 0):
                             continue
+                        # at confidence 1/2 the upper limit at hits and the
+                        # lower one at hits + 1 are one search: count each
+                        analysis._limit.cache_clear()
                         before = len(sums)
                         limit = (clopper_pearson_upper if upper else clopper_pearson_lower)(
                             hits, trials, confidence)
@@ -280,6 +310,38 @@ class TestSyntheticCovering:
             synthetic_covering(CoveringParams(8, 8, 0.1, 0.5), 100, seed=seed)
 
 
+def float_paired_hits(p: CoveringParams, trials: int, seed: int) -> int:
+    """Hits of ``synthetic_covering``'s paired family with its bits taken as
+    ``random() < 0.5``, in one draw per stream."""
+    rng = SeededRng(seed, 0)
+    ones_u = (rng.derive(1).random((trials, p.r)) < 0.5).sum(axis=1)
+    ones_v = (rng.derive(2).random((trials, p.s)) < 0.5).sum(axis=1)
+    matches = ones_u * ones_v + (p.r - ones_u) * (p.s - ones_v)
+    p_zero = (1.0 - 2.0 * p.alpha * p.q) ** matches
+    return int(np.count_nonzero(rng.derive(3).random(trials) < p_zero))
+
+
+class TestPairedBits:
+    """The paired family's bits from raw outputs are those of the uniforms."""
+
+    # Pr{Z=0 | bits} lies near 1/2 and moves with the match count, so the
+    # hits follow the bits
+    PARAMS = CoveringParams(24, 40, 2.0**-10, 0.75)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1])
+    def test_raw_bits_give_the_hits_of_the_uniforms(self, seed):
+        hits = synthetic_covering(self.PARAMS, 400, seed=seed).hits
+        assert 0 < hits < 400
+        assert hits == float_paired_hits(self.PARAMS, 400, seed)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_across_trial_chunks(self, monkeypatch, seed):
+        p = self.PARAMS
+        # seven trials' bits per chunk: 400 trials end mid-chunk
+        monkeypatch.setattr(coding, "CODEBOOK_BYTE_BUDGET", 7 * 8 * (p.r + p.s))
+        assert synthetic_covering(p, 400, seed=seed).hits == float_paired_hits(p, 400, seed)
+
+
 class TestCoveringBudget:
     """Covering runs draw within ``coding.CODEBOOK_BYTE_BUDGET`` bytes of uniforms."""
 
@@ -289,13 +351,16 @@ class TestCoveringBudget:
         p = CoveringParams(2, 2, 0.5, 0.5)
         whole = synthetic_covering(p, trials, seed=4, family="paired")
         sizes = []
-        draw = SeededRng.random
 
-        def spy(self, size=None):
-            sizes.append(size)
-            return draw(self, size)
+        def spy(draw):
+            def sized(self, size=None):
+                sizes.append(size)
+                return draw(self, size)
+            return sized
 
-        monkeypatch.setattr(SeededRng, "random", spy)
+        # the bits come from raw outputs, the outcomes from uniforms
+        for name in ("random", "raw"):
+            monkeypatch.setattr(SeededRng, name, spy(getattr(SeededRng, name)))
         # three trials' row and column uniforms
         monkeypatch.setattr(coding, "CODEBOOK_BYTE_BUDGET", 3 * 8 * (2 + 2))
         assert synthetic_covering(p, trials, seed=4, family="paired") == whole

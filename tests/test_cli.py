@@ -515,6 +515,20 @@ class TestParserBehavior:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 3
 
+    def test_parser_is_reused_across_calls(self, capsys):
+        bands = ["bands", "--R1", "5", "--R2", "5", "--i0c", "30", "--i-infty", "2",
+                 "--eps-tilde", "0.0625", "--i0b"]
+        # argparse exits 2 on a bad flag, which the command maps to 3
+        assert main(bands + ["30", "--R3", "1"]) == 3
+        assert "unrecognized arguments: --R3" in capsys.readouterr().err
+        assert main(bands + ["12"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(bands + ["30"]) == 0
+        assert json.loads(capsys.readouterr().out)["r1"] == 8
+        assert main(["--help"]) == 0
+        assert "usage: martonlab" in capsys.readouterr().out
+        assert cli._build_parser.cache_info().misses == 1
+
 
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name} in output")

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -417,6 +419,99 @@ class TestSpectra:
             LlrSpectrum(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
         with pytest.raises(ValidationError):
             LlrSpectrum(np.array([0.5, 1.0]), np.array([0.5, 0.6]))
+
+
+def same_bits(a: LlrSpectrum, b: LlrSpectrum) -> bool:
+    return (a.values.tobytes() == b.values.tobytes()
+            and a.probs.tobytes() == b.probs.tobytes())
+
+
+class TestSpectraMemo:
+    """``iid_llr_spectra`` returns a repeat call's spectra from its memo."""
+
+    CURVE_N = [1, 2, 4, 8, 16, 32, 64, 128]
+
+    @pytest.mark.parametrize("base,ns", [(ERASURE, CURVE_N), (DSBS_40, [1024])],
+                             ids=["erasure-128", "dsbs40-1024"])
+    def test_memoized_spectra_equal_a_fresh_build(self, base, ns):
+        first = iid_llr_spectra(base, ns)
+        # the same set of n in another order is the same entry
+        again = iid_llr_spectra(base, ns[::-1])[::-1]
+        assert all(a is b for a, b in zip(first, again))
+        divergences._spectra_memo.cache_clear()
+        fresh = iid_llr_spectra(base, ns)
+        assert all(a is not b and same_bits(a, b) for a, b in zip(first, fresh))
+
+    def test_entries_are_keyed_by_probabilities_not_labels(self):
+        relabelled = JointPmf(("a", "b"), ("x", "y"), DSBS_40.probs)
+        assert iid_llr_spectrum(DSBS_40, 8) is iid_llr_spectrum(relabelled, 8)
+        other = JointPmf(("a", "b"), ("x", "y"), [[0.40, 0.10], [0.10, 0.40 + 1e-15]])
+        s = iid_llr_spectrum(other, 8)
+        assert s is not iid_llr_spectrum(DSBS_40, 8)
+        assert not same_bits(s, iid_llr_spectrum(DSBS_40, 8))
+
+    def test_returned_arrays_are_read_only(self):
+        s = iid_llr_spectra(ERASURE, [3, 5])[1]
+        assert iid_llr_spectra(ERASURE, [3, 5])[1] is s
+        for arr in (s.values, s.probs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_memo_holds_at_most_the_atom_budget(self, monkeypatch):
+        # DSBS_45 has n + 1 atoms at n: small results, a 20-atom budget
+        monkeypatch.setattr(divergences, "SPECTRUM_ATOM_CAP", 20)
+        small = iid_llr_spectra(DSBS_45, [1, 2, 3])  # 9 atoms
+        assert iid_llr_spectra(DSBS_45, [1, 2, 3])[0] is small[0]
+        big = iid_llr_spectra(DSBS_45, range(1, 9))  # 44 atoms, each n at most 9
+        again = iid_llr_spectra(DSBS_45, range(1, 9))
+        assert all(a is not b and same_bits(a, b) for a, b in zip(big, again))
+        assert iid_llr_spectra(DSBS_45, [1, 2, 3])[0] is small[0]
+        mid = iid_llr_spectra(DSBS_45, [4, 5])  # 11 atoms: 20 in all, both kept
+        assert iid_llr_spectra(DSBS_45, [1, 2, 3])[0] is small[0]
+        assert iid_llr_spectra(DSBS_45, [4, 5])[0] is mid[0]
+        # 7 more atoms drop the least recently used entry, [1, 2, 3]
+        iid_llr_spectrum(DSBS_45, 6)
+        assert iid_llr_spectra(DSBS_45, [4, 5])[0] is mid[0]
+        assert iid_llr_spectra(DSBS_45, [1, 2, 3])[0] is not small[0]
+
+    def test_threads_building_distinct_bases_get_correct_spectra(self, monkeypatch):
+        # more threads than cores, switching often, and a budget below the
+        # bases' atoms, so the threads also evict each other's entries
+        monkeypatch.setattr(divergences, "SPECTRUM_ATOM_CAP", 300)
+        jobs = [(ERASURE, [[1, 2, 4, 8, 16], [3, 5, 7], [16]]),
+                (DSBS_40, [[1, 2, 4, 8, 16, 32, 64], [9, 10], [64, 1]]),
+                (DSBS_45, [[100], [1, 50], [7, 8, 9]]),
+                (CORRELATED, [[1, 2, 3], [200]])]
+        want = [[iid_llr_spectra(base, ns) for ns in sets] for base, sets in jobs]
+        divergences._spectra_memo.cache_clear()
+        start = threading.Barrier(len(jobs))
+        wrong = []
+
+        def work(base, sets, expected):
+            start.wait(timeout=60)
+            for _ in range(40):
+                for ns, spectra in zip(sets, expected):
+                    if not all(map(same_bits, iid_llr_spectra(base, ns), spectra)):
+                        wrong.append(ns)
+
+        threads = [threading.Thread(target=work, args=(base, sets, expected))
+                   for (base, sets), expected in zip(jobs, want)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        # the atom count survived the concurrent updates
+        memo = divergences._spectra_memo
+        held = sum(atoms for _, atoms in memo._entries.values())
+        assert memo._atoms == held <= 300
 
 
 @settings(max_examples=60, deadline=None)

@@ -98,6 +98,25 @@ def test_scan_sees_the_callers():
     assert not any(f.startswith("tests/") for f in files)
 
 
+def test_every_lru_cache_is_bounded():
+    # in the source: every lru_cache names an integer maxsize, and no
+    # functools.cache (an unbounded one) is used
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"functools\.cache\b|@cache\b|import[^\n]*\bcache\b", text), \
+            path.name
+        for match in re.finditer(r"lru_cache\b(\(\s*maxsize\s*=\s*(\d[\d_]*)\b)?", text):
+            assert match.group(2), f"{path.name}: unbounded {match.group(0)!r}"
+    # at run time: every cache a module holds reports a finite maxsize
+    caches = 0
+    for module in MODULES:
+        for name, value in vars(importlib.import_module(f"martonlab.{module}")).items():
+            if hasattr(value, "cache_parameters"):
+                caches += 1
+                assert value.cache_parameters()["maxsize"] is not None, f"{module}.{name}"
+    assert caches
+
+
 def test_library_imports_no_scipy():
     sources = [p.name for p in PACKAGE.glob("*.py")
                if re.search(r"^\s*(import|from)\s+scipy\b", p.read_text(encoding="utf-8"), re.M)]
