@@ -7,7 +7,7 @@ min(1, ratio / 2^i_infty) where ratio is the joint-to-product likelihood
 ratio of the cell's words.  Messages own contiguous bands of rows and
 columns; the encoder scans its band pair for the first surviving cell
 whose acceptance probabilities clear 1 - 4 eps0, and decoders report the
-band of the best-matching row (or column).
+matching rows (or columns), or the pretty good measurement's outcome.
 
 Everything is deterministic given the codebook seed: words and rejection
 uniforms come from counter-based streams, so any cell can be recomputed
@@ -40,7 +40,6 @@ __all__ = [
     "codebook_bytes",
     "generate_codebook",
     "codebook_block",
-    "EncodeOutcome",
     "encode",
     "encode_block",
     "DecodeResult",
@@ -60,8 +59,7 @@ __all__ = [
 # slack used when comparing llr sums against a threshold, so that the
 # decoder's float row sums and the exact convolution agree on membership
 DECODE_TOL = 1e-6
-# bytes the 64-bit outputs of one codebook may take; a block of trials holds
-# at most this many bytes of codebook outputs too
+# bytes the 64-bit outputs of one codebook may take
 CODEBOOK_BYTE_BUDGET = 1 << 26
 # letter counts up to 2^24 are exact in float32, the type of the threshold
 # decoder's one-hot product; a codebook within budget has n < 2^22
@@ -290,12 +288,6 @@ class Codebook:
             raise ValidationError(f"message m2 = {m2} outside [0, 2^{self.params.R2})")
         return range(m2 * width, (m2 + 1) * width)
 
-    def row_band_of(self, k: int) -> int:
-        return k >> self.params.r1
-
-    def col_band_of(self, l: int) -> int:
-        return l >> self.params.r2
-
     def eta(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Rejection uniforms of row k, columns [l0, l1), replayable."""
         return _eta(mix64(self.seed, 3), k, l0, l1)
@@ -332,7 +324,7 @@ def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndar
     return np.exp2(np.minimum(s - i_infty, 0.0))
 
 
-# Philox outputs that generate_codebook maps to symbols at a time
+# Philox outputs that codebook_block maps to symbols at a time
 _RAW_CHUNK = 1 << 15
 
 
@@ -363,15 +355,31 @@ def _word_type(pmf_probs: np.ndarray) -> np.dtype:
     return np.min_scalar_type(len(pmf_probs) - 1)
 
 
-def _sample_words(pmf_probs: np.ndarray, count: int, n: int, rng: SeededRng) -> np.ndarray:
-    """``count`` words of n letters iid from the pmf, from the stream's next
-    count * n outputs, mapped _RAW_CHUNK outputs at a time."""
+def _side_words(pmf_probs: np.ndarray, count: int, n: int, streams) -> np.ndarray:
+    """``count`` words of n letters iid from the pmf per stream, shaped
+    (streams, count, n), from each stream's next count * n outputs.
+
+    The outputs map to symbols at most _RAW_CHUNK at a time, straight into
+    the compact word array: one piece holds the sides of several streams
+    when a side is small, and a large side takes several pieces.
+    """
     cuts = _raw_cuts(pmf_probs)
-    words = np.empty(count * n, dtype=_word_type(pmf_probs))
-    for start in range(0, words.size, _RAW_CHUNK):
-        chunk = words[start:start + _RAW_CHUNK]
-        _raw_symbols(cuts, rng.raw(chunk.size), chunk)
-    return words.reshape(count, n)
+    size = count * n
+    words = np.empty((len(streams), size), dtype=_word_type(pmf_probs))
+    if size <= _RAW_CHUNK:
+        per = _RAW_CHUNK // size
+        raw = np.empty((min(per, len(streams)), size), dtype=np.uint64)
+        for j in range(0, len(streams), per):
+            group = streams[j:j + per]
+            for i, stream in enumerate(group):
+                raw[i] = stream.raw(size)
+            _raw_symbols(cuts, raw[:len(group)], words[j:j + len(group)])
+    else:
+        for stream, word in zip(streams, words):
+            for start in range(0, size, _RAW_CHUNK):
+                piece = word[start:start + _RAW_CHUNK]
+                _raw_symbols(cuts, stream.raw(piece.size), piece)
+    return words.reshape(len(streams), count, n)
 
 
 def codebook_bytes(params: RateParams, n: int) -> int:
@@ -389,45 +397,32 @@ def codebook_bytes(params: RateParams, n: int) -> int:
                           f"budget of {CODEBOOK_BYTE_BUDGET} bytes")
 
 
-def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1,
-                      *, log_ratio: np.ndarray | None = None) -> Codebook:
-    """Sample a codebook: rows iid from p(u)^n, columns iid from p(v)^n.
-
-    Each side's words come from its stream's raw 64-bit outputs, one per
-    letter, mapped to symbols 2^15 outputs at a time straight into the
-    compact word array; the symbols are those of the uniforms ``random``
-    would give, and no codebook of floats is built.
-
-    ``log_ratio`` is ``llr_table(design.joint)`` when the caller already
-    has it, as a run drawing one codebook per trial does.
-    """
-    codebook_bytes(params, n)
-    pu, pv = design.joint.marginals()
-    base = SeededRng(seed, 0)
-    rows = _sample_words(pu.probs, params.n_rows, n, base.derive(1))
-    cols = _sample_words(pv.probs, params.n_cols, n, base.derive(2))
-    return Codebook(rows, cols, params, design, seed, n, log_ratio)
-
-
 def codebook_block(design: InputDesign, params: RateParams, seeds, n: int = 1) -> tuple:
     """Row and column words of one codebook per seed, shaped (seeds, count, n).
 
-    Entry j holds the words ``generate_codebook(design, params, seeds[j], n)``
-    samples, from the same streams.  Each stream's raw outputs go into one
-    uint64 array per side, and the whole block maps to symbols at once, so
-    the per-seed Python work is two draws.
+    Entry j holds rows iid from p(u)^n and columns iid from p(v)^n, from
+    the raw 64-bit outputs of the streams SeededRng(seeds[j], 0).derive(1)
+    and .derive(2), one per letter.  The symbols are those of the uniforms
+    ``random`` would give, and no codebook of floats is built.
+    ValidationError over the byte budget of ``codebook_bytes``.
     """
+    codebook_bytes(params, n)
     pu, pv = design.joint.marginals()
-    # the streams SeededRng(seed, 0).derive(1) and .derive(2) hang off these keys
     keys = mix64(np.asarray(seeds, dtype=np.uint64), 0).tolist()
-    sides = []
-    for pmf, count, stream in ((pu.probs, params.n_rows, 1), (pv.probs, params.n_cols, 2)):
-        raw = np.empty((len(seeds), count * n), dtype=np.uint64)
-        for j, key in enumerate(keys):
-            raw[j] = SeededRng(key, stream).raw(count * n)
-        words = _raw_symbols(_raw_cuts(pmf), raw, np.empty(raw.shape, dtype=_word_type(pmf)))
-        sides.append(words.reshape(len(seeds), count, n))
-    return tuple(sides)
+    return tuple(_side_words(pmf, count, n, [SeededRng(key, stream) for key in keys])
+                 for pmf, count, stream in ((pu.probs, params.n_rows, 1),
+                                            (pv.probs, params.n_cols, 2)))
+
+
+def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1,
+                      *, log_ratio: np.ndarray | None = None) -> Codebook:
+    """The codebook of one seed: ``codebook_block`` of that seed alone.
+
+    ``log_ratio`` is ``llr_table(design.joint)`` when the caller already
+    has it.
+    """
+    rows, cols = codebook_block(design, params, [seed], n)
+    return Codebook(rows[0], cols[0], params, design, seed, n, log_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +447,11 @@ def _table_alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple
     single-letter cells.
 
     ``row_word`` and ``col_word`` are 1-D arrays of letters, one per cell.
-    One cell, as ``encode`` passes the words of a blocklength-1 cell, gives
-    floats; several cells give arrays.  Each table evaluator binds this as
-    its own ``alpha_beta``, since perfbench's tracer patches each class's.
+    Each table evaluator binds this as its own ``alpha_beta``, since
+    perfbench's tracer patches each class's.
     """
     x = self.x_of_pair(row_word, col_word)
-    alpha, beta = self.alpha_table[row_word, x], self.beta_table[col_word, x]
-    if alpha.size == 1:
-        return alpha.item(), beta.item()
-    return alpha, beta
+    return self.alpha_table[row_word, x], self.beta_table[col_word, x]
 
 
 class ClassicalSetEvaluator(_PairEvaluator):
@@ -595,60 +586,37 @@ class QuantumPairEvaluator(_PairEvaluator):
 # encoding
 
 
-@dataclass(frozen=True)
-class EncodeOutcome:
-    """Chosen cell, channel input word, and scan statistics."""
-
-    row: int | None
-    col: int | None
-    x_word: np.ndarray
-    fallback: bool
-    scanned: int
-    alpha: float
-    beta: float
-
-
-def encode(codebook: Codebook, m1: int, m2: int, evaluator, eps0: float) -> EncodeOutcome:
-    """Pick the first surviving cell of the band pair that clears 1 - 4 eps0.
-
-    Cells are scanned in lexicographic (row, column) order.  If no cell
-    both survives rejection and has alpha, beta above the threshold, the
-    outcome falls back to the all-first-symbol input word.
-    """
-    thr = 1.0 - 4.0 * float(eps0)
-    band1 = codebook.row_band(m1)
-    band2 = codebook.col_band(m2)
-    l0, l1 = band2.start, band2.stop
-    scanned = 0
-    for k in band1:
-        alive = np.flatnonzero(codebook.indicator(k, l0, l1))
-        scanned += l1 - l0
-        for off in alive:
-            l = l0 + int(off)
-            alpha, beta = evaluator.alpha_beta(codebook.rows[k], codebook.cols[l])
-            if alpha > thr and beta > thr:
-                x = evaluator.x_of_pair(codebook.rows[k], codebook.cols[l])
-                return EncodeOutcome(k, l, x, False, scanned, alpha, beta)
-    x = np.zeros(codebook.n, dtype=np.int64)
-    return EncodeOutcome(None, None, x, True, scanned, 0.0, 0.0)
+def encode(codebook: Codebook, m1: int, m2: int, evaluator, eps0: float) -> tuple:
+    """``encode_block`` of one trial: (row, col, x) of (m1, m2) in
+    ``codebook``, with row and col -1 where it falls back."""
+    # ValidationError for a message out of range
+    codebook.row_band(m1)
+    codebook.col_band(m2)
+    row, col, x = encode_block(codebook.rows[None], codebook.cols[None], [codebook.seed],
+                               np.array([m1]), np.array([m2]), codebook.params,
+                               codebook.log_ratio, evaluator, eps0)
+    return int(row[0]), int(col[0]), x[0]
 
 
 def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: np.ndarray,
                  params: RateParams, log_ratio: np.ndarray, evaluator, eps0: float) -> tuple:
-    """``encode`` for a block of trials, one row offset at a time.
+    """Encode a block of trials, one row offset at a time.
 
     Trial j encodes (m1[j], m2[j]) into the codebook with words ``rows[j]``,
-    ``cols[j]`` (shaped (trials, count, n)) and seed ``seeds[j]``.  Each
-    step draws the rejection uniforms of one row of every trial still
-    searching, from that row's own stream.  With a single-letter table
-    evaluator (explicit sets, cq tests) the step then looks up alpha and
-    beta of all surviving cells in one ``alpha_beta`` call, and each trial
-    takes its first passing column.  The llr-threshold evaluator, whose
-    tail masses cost far more than a lookup, tests each trial's surviving
-    cells in column order up to the first pass.  Either way each trial
-    picks the cell ``encode`` picks, and the block raises where ``encode``
-    would.  Returns (row, col, x): the chosen indices, -1 where the trial
-    falls back, and the input words, all first symbols there.
+    ``cols[j]`` (shaped (trials, count, n)) and seed ``seeds[j]``: it picks
+    the first cell of its band pair, in (row, column) order, that survives
+    rejection and whose alpha and beta clear 1 - 4 eps0, and falls back to
+    the all-first-symbol input word when there is none.  Each step draws
+    the rejection uniforms of one row of every trial still searching, from
+    that row's own stream.  With a single-letter table evaluator (explicit
+    sets, cq tests) the step then looks up alpha and beta of all surviving
+    cells in one ``alpha_beta`` call, and each trial takes its first
+    passing column.  The llr-threshold evaluator, whose tail masses cost
+    far more than a lookup, tests each trial's surviving cells in column
+    order up to the first pass.  A surviving cell whose pair has no input
+    raises when it comes before its trial's first pass.  Returns (row, col,
+    x): the chosen indices, -1 where the trial falls back, and the input
+    words, all first symbols there.
     """
     thr = 1.0 - 4.0 * float(eps0)
     w1, w2 = 1 << params.r1, 1 << params.r2
@@ -701,9 +669,8 @@ def _first_pass_by_table(evaluator, row_words, col_words, alive, thr) -> tuple:
     step's surviving cells with a defined input are looked up in one
     ``alpha_beta`` call, and each trial takes the first passing column.
 
-    ``encode`` raises at a surviving cell whose pair has no input when it
-    comes before the row's first pass, so that is when this raises too.
-    No cell without an input is looked up.
+    A surviving cell whose pair has no input raises when it comes before
+    its row's first pass, and no cell without an input is looked up.
     """
     u, v = row_words[:, 0], col_words[:, :, 0]
     defined = evaluator.fx[u[:, None], v] >= 0
@@ -725,17 +692,9 @@ def _first_pass_by_table(evaluator, row_words, col_words, alive, thr) -> tuple:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Band answer plus everything needed to classify error events.
+    """The index of every word that matches the received word, ascending."""
 
-    ``matched`` holds every matching word index; ``ambiguous`` flags
-    matches in more than one band.
-    """
-
-    message: int
     matched: np.ndarray
-    unique_match: int | None
-    no_match: bool
-    ambiguous: bool
 
 
 class SetMembership:
@@ -799,29 +758,14 @@ class ThresholdMembership:
         return scores >= self.tau - DECODE_TOL
 
 
-def _classify(matched: np.ndarray, band_of) -> DecodeResult:
-    if matched.size == 0:
-        return DecodeResult(0, matched, None, True, False)
-    bands = {band_of(int(k)) for k in matched}
-    return DecodeResult(
-        band_of(int(matched[0])),
-        matched,
-        int(matched[0]) if matched.size == 1 else None,
-        False,
-        len(bands) > 1,
-    )
-
-
 def decode_rows(codebook: Codebook, received: np.ndarray, membership) -> DecodeResult:
-    """Bob's band decoder: smallest band holding a matching row (default 0)."""
-    matched = np.flatnonzero(membership.matches(codebook.rows, np.asarray(received)))
-    return _classify(matched, codebook.row_band_of)
+    """Bob's decoder: the rows of ``codebook`` that match ``received``."""
+    return DecodeResult(np.flatnonzero(membership.matches(codebook.rows, np.asarray(received))))
 
 
 def decode_cols(codebook: Codebook, received: np.ndarray, membership) -> DecodeResult:
-    """Charlie's band decoder: smallest band holding a matching column."""
-    matched = np.flatnonzero(membership.matches(codebook.cols, np.asarray(received)))
-    return _classify(matched, codebook.col_band_of)
+    """Charlie's decoder: the columns of ``codebook`` that match ``received``."""
+    return DecodeResult(np.flatnonzero(membership.matches(codebook.cols, np.asarray(received))))
 
 
 def _frozen(arr) -> tuple:

@@ -4,11 +4,11 @@ A Scheme derives the decoding machinery (explicit sets, llr thresholds, or
 measurement test operators) once from the channel and design at a pair of
 smoothing parameters; its run executes seeded trials and aggregates
 per-event counts with Clopper-Pearson limits next to every applicable
-closed-form bound.  Classical trials run one at a time; cq trials run in
-blocks, with codebooks, messages, the encoder's rejection scan and the
-pretty good measurement held as arrays over the block.  Every draw comes
-from a stream keyed by its trial, so both schedules give the same counts
-for a seed.  ``Scheme.shared`` keeps the last 32 Schemes built, keyed by
+closed-form bound.  Trials of both settings run in blocks, with codebooks,
+messages and the encoder's rejection scan held as arrays over the block;
+only decoding depends on the setting.  Every draw comes from a stream
+keyed by its trial, so the counts of a seed do not depend on the block
+size.  ``Scheme.shared`` keeps the last 32 Schemes built, keyed by
 content, so a sweep that returns to a channel, design and smoothing pair
 reuses its machinery.
 """
@@ -40,18 +40,15 @@ from .channels import (
 from .coding import (
     ClassicalSetEvaluator,
     ClassicalThresholdEvaluator,
-    CODEBOOK_BYTE_BUDGET,
     Codebook,
     QuantumPairEvaluator,
     RateParams,
     SetMembership,
     ThresholdMembership,
     codebook_block,
-    codebook_bytes,
     decode_cols,
     decode_pgm,
     decode_rows,
-    encode,
     encode_block,
     generate_codebook,
 )
@@ -78,6 +75,14 @@ __all__ = [
 ]
 
 _ACHIEVED_SLACK = 1e-6
+# codebook letters one block of trials holds, a byte each in uint8 words.
+# Criterion 1's codebooks at n = 56 hold 487,424 letters, so a block there
+# is two trials.  Forty of its 16-trial runs peak at 42.8 MB of RSS in
+# blocks of two, 44.7 MB in blocks of four and 49.1 MB in blocks of 16,
+# against 42.2 MB one trial at a time.  Encoding the 16 trials takes 5.4,
+# 4.1, 3.4 and 2.9 ms in blocks of 1, 2, 4 and 16, of a run's 60 to 100 ms
+# (2-vCPU VM, Python 3.11, numpy 2.4).
+_BLOCK_LETTERS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -225,14 +230,15 @@ class Scheme:
     RateParams built from them pass the consistency gate of ``run``;
     ``describe`` is the report's ``scheme`` entry.
 
-    ``run`` plays classical trials one by one.  cq trials go in blocks of
-    as many trials as fit ``CODEBOOK_BYTE_BUDGET`` bytes of codebook
-    outputs: the block's codebooks and messages are drawn as arrays,
-    ``encode_block`` scans all its trials one row offset at a time, with
-    one lookup in the cq evaluator's tables for each offset's surviving
-    cells, and ``decode_pgm`` measures each side of the whole block in one
-    pass, picking each trial's outcome with one uniform from that trial's
-    own stream.
+    ``run`` plays trials in blocks of as many trials as fit
+    ``_BLOCK_LETTERS`` codebook letters: the block's codebooks and
+    messages are drawn as arrays, and ``encode_block`` scans all its trials
+    one row offset at a time.  A classical trial then sends its input word
+    through the channel and decodes each side by set or threshold
+    membership; ``decode_pgm`` measures each side of a whole cq block in
+    one pass, picking each trial's outcome with one uniform from that
+    trial's own stream.  The events of the block are then counted from the
+    decoded words of each side.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers and the tail masses it memoizes by joint type, which
@@ -317,40 +323,12 @@ class Scheme:
                               _ByContent(design, design_digest),
                               eps0, eps_infty, n, i0_method)
 
-    def _classical_counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
-        counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
-                                "index_error"), 0)
+    def _counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
+        classical = self.setting == "classical"
         n_m1, n_m2 = 1 << params.R1, 1 << params.R2
-        for t in range(trials):
-            trial_key = mix64(seed, t)
-            cb = fixed_cb if fixed_cb is not None else generate_codebook(
-                self.design, params, trial_key, self.n, log_ratio=log_ratio)
-            u = SeededRng(trial_key, 101).random(2)
-            m1 = min(int(u[0] * n_m1), n_m1 - 1)
-            m2 = min(int(u[1] * n_m2), n_m2 - 1)
-            out = encode(cb, m1, m2, self.evaluator, params.eps0)
-            rec_b, rec_c = self.sampler.sample_outputs(out.x_word, SeededRng(trial_key, 102))
-            res_b = decode_rows(cb, rec_b, self.mem_b)
-            res_c = decode_cols(cb, rec_c, self.mem_c)
-            if out.fallback:
-                counts["e1"] += 1
-            else:
-                counts["e2b"] += 0 if np.isin(out.row, res_b.matched) else 1
-                counts["e2c"] += 0 if np.isin(out.col, res_c.matched) else 1
-                counts["e3b"] += 1 if np.any(res_b.matched != out.row) else 0
-                counts["e3c"] += 1 if np.any(res_c.matched != out.col) else 0
-            msg_wrong = res_b.message != m1 or res_c.message != m2
-            idx_wrong = res_b.unique_match != out.row or res_c.unique_match != out.col
-            counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
-            counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
-        return counts
-
-    def _cq_counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
-        n_m1, n_m2 = 1 << params.R1, 1 << params.R2
-        rho_b = [self.channel.rho_b(x) for x in self.channel.x_alphabet]
-        rho_c = [self.channel.rho_c(x) for x in self.channel.x_alphabet]
-        block = max(1, CODEBOOK_BYTE_BUDGET // codebook_bytes(params, self.n))
-        hits = np.zeros(5, dtype=np.int64)
+        block = max(1, _BLOCK_LETTERS // ((params.n_rows + params.n_cols) * self.n))
+        names = ("e1", "e2b", "e2c", "e3b", "e3c") if classical else ("e1", "e2", "e3")
+        hits = np.zeros(len(names) + 2, dtype=np.int64)
         for start in range(0, trials, block):
             keys = mix64(seed, np.arange(start, min(trials, start + block),
                                          dtype=np.uint64)).tolist()
@@ -366,21 +344,54 @@ class Scheme:
             m2 = np.minimum((u[:, 1] * n_m2).astype(np.int64), n_m2 - 1)
             row, col, x = encode_block(rows, cols, cb_seeds, m1, m2, params, log_ratio,
                                        self.evaluator, params.eps0)
-            # the decoded word per side; the completion outcome is the word
-            # count, which lies in no message's band and is no word
-            got_b = decode_pgm(rows[:, :, 0], self.bob_tests, rho_b, x[:, 0],
-                               [SeededRng(key, 103).random() for key in keys])
-            got_c = decode_pgm(cols[:, :, 0], self.charlie_tests, rho_c, x[:, 0],
-                               [SeededRng(key, 104).random() for key in keys])
-            fallback = row < 0
-            miss_b, miss_c = got_b != row, got_c != col
-            msg_wrong = (got_b >> params.r1 != m1) | (got_c >> params.r2 != m2)
-            hits += [fallback.sum(),
-                     (miss_b & ~fallback).sum(),
-                     (miss_c & ~fallback).sum(),
-                     (fallback | msg_wrong).sum(),
-                     (fallback | miss_b | miss_c).sum()]
-        return dict(zip(("e1", "e2", "e3", "message_error", "index_error"), hits.tolist()))
+            sent = np.stack([row, col])
+            if classical:
+                first, count, hit = self._decode_classical(params, rows, cols, keys, fixed_cb,
+                                                           log_ratio, x, sent)
+            else:
+                first, count, hit = self._decode_cq(params, rows, cols, keys, x, sent)
+            hits += _event_hits(classical, params, m1, m2, sent, first, count, hit)
+            # freed before the next block's words are drawn, which then reuse
+            # this memory instead of heap pages returned to the system
+            del rows, cols
+        return dict(zip(names + ("message_error", "index_error"), hits.tolist()))
+
+    def _decode_classical(self, params, rows, cols, keys, fixed_cb, log_ratio, x, sent):
+        """Each trial's outputs through the channel, decoded by membership.
+
+        Returns (first, count, hit), shaped (side, trial): the first
+        matching word, or word 0 where none matches, so that no match
+        decodes to message 0; the number of matches; and whether the sent
+        word is among them.
+        """
+        first = np.zeros(sent.shape, dtype=np.int64)
+        count = np.zeros(sent.shape, dtype=np.int64)
+        hit = np.zeros(sent.shape, dtype=bool)
+        for j, key in enumerate(keys):
+            cb = fixed_cb or Codebook(rows[j], cols[j], params, self.design, key, self.n,
+                                      log_ratio)
+            received = self.sampler.sample_outputs(x[j], SeededRng(key, 102))
+            for side, decode, mem in ((0, decode_rows, self.mem_b), (1, decode_cols, self.mem_c)):
+                matched = decode(cb, received[side], mem).matched
+                first[side, j] = matched[0] if matched.size else 0
+                count[side, j] = matched.size
+                hit[side, j] = sent[side, j] in matched
+        return first, count, hit
+
+    def _decode_cq(self, params, rows, cols, keys, x, sent):
+        """Both sides of the block measured, as ``_decode_classical`` returns them.
+
+        The measurement picks one word, or the completion outcome: the word
+        count, which lies in no message's band and matches no word.
+        """
+        first = np.stack([
+            decode_pgm(words[:, :, 0], tests, [state(label) for label in self.channel.x_alphabet],
+                       x[:, 0], [SeededRng(key, stream).random() for key in keys])
+            for words, tests, state, stream in (
+                (rows, self.bob_tests, self.channel.rho_b, 103),
+                (cols, self.charlie_tests, self.channel.rho_c, 104))])
+        count = (first < np.array([[params.n_rows], [params.n_cols]])).astype(np.int64)
+        return first, count, first == sent
 
     def run(self, params: RateParams, trials: int, seed: int, *,
             resample_codebook: bool = True) -> ExperimentReport:
@@ -402,7 +413,6 @@ class Scheme:
                 f"params carry (eps0, eps_infty) = ({params.eps0}, {params.eps_infty}), "
                 f"the scheme was built for ({self.eps0}, {self.eps_infty})")
         _check_achieved(params, self.achieved)
-        codebook_bytes(params, self.n)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         t0 = time.monotonic()
         setting = self.setting
@@ -418,8 +428,7 @@ class Scheme:
         if not resample_codebook:
             fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n,
                                          log_ratio=log_ratio)
-        count = self._classical_counts if setting == "classical" else self._cq_counts
-        counts = count(params, trials, seed, fixed_cb, log_ratio)
+        counts = self._counts(params, trials, seed, fixed_cb, log_ratio)
 
         eb = event_bounds(params, setting)
         events = _event_rows(setting, counts, trials, eb, params, theorem_valid)
@@ -443,6 +452,26 @@ class Scheme:
             started_at=started,
             wall_clock_s=time.monotonic() - t0,
         )
+
+
+def _event_hits(classical, params, m1, m2, sent, first, count, hit) -> list:
+    """Hits of each event in a block: e1, then e2b, e2c, e3b, e3c
+    (classical) or e2, e3 (cq), then message and index errors.
+
+    ``sent`` holds each trial's encoded row and column, -1 where it fell
+    back.  A side misses when the sent word is not among its matches, and a
+    classical side confuses when another word is.  A side decodes to the
+    band of ``first``, and to the index ``first`` where it is the only match.
+    """
+    fallback = sent[0] < 0
+    missed = ~hit & ~fallback
+    msg_wrong = (first[0] >> params.r1 != m1) | (first[1] >> params.r2 != m2)
+    idx_wrong = ((count != 1) | (first != sent)).any(axis=0)
+    events = [fallback, missed[0], missed[1]]
+    if classical:
+        events += list((count > hit) & ~fallback)
+    events += [fallback | msg_wrong, fallback | idx_wrong]
+    return [int(e.sum()) for e in events]
 
 
 @functools.lru_cache(maxsize=32)

@@ -3,15 +3,18 @@
 The oracles build what the library only ever computes implicitly: the
 pretty good measurement as explicit per-word elements, and the n-fold
 product channels and designs over materialized product alphabets.  The
-per-trial cq loop is the schedule ``Scheme.run`` replaced with blocks of
-trials; it draws the same streams one trial at a time and measures each
-trial with the per-trial PGM decoder, which builds S^{-1/2} afresh.  The
-gemv row scorer is the threshold decoder that type-count scoring replaced.
+per-trial classical and cq loops are the schedules ``Scheme.run`` replaced
+with blocks of trials; they draw the same streams one trial at a time,
+encode with the cell-by-cell scan ``encode_block`` replaced, and classify
+each trial's events on their own.  The cq loop measures each trial with
+the per-trial PGM decoder, which builds S^{-1/2} afresh.  The gemv row
+scorer is the threshold decoder that type-count scoring replaced.
 """
 
 import functools
 import itertools
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ import pytest
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
 from martonlab.coding import (
     DECODE_TOL,
-    encode,
+    decode_cols,
+    decode_rows,
     generate_codebook,
     pgm_outcome_probabilities,
 )
@@ -190,25 +194,111 @@ def decode_pgm_per_trial(words, tests, state, u: float) -> int:
     return int(np.searchsorted(cdf, u, side="right"))
 
 
+@dataclass(frozen=True)
+class EncodeOutcome:
+    """Chosen cell, channel input word, and scan statistics."""
+
+    row: int | None
+    col: int | None
+    x_word: np.ndarray
+    fallback: bool
+    scanned: int
+    alpha: float
+    beta: float
+
+
+def encode_per_trial(codebook, m1: int, m2: int, evaluator, eps0: float) -> EncodeOutcome:
+    """Pick the first surviving cell of the band pair that clears 1 - 4 eps0.
+
+    The encoder ``coding.encode_block`` replaced: cells are scanned one by
+    one in lexicographic (row, column) order, with the rejection indicator
+    of ``Codebook.indicator`` and one ``alpha_beta`` call per surviving
+    cell up to the first pass.  If no cell both survives rejection and has
+    alpha, beta above the threshold, the outcome falls back to the
+    all-first-symbol input word.
+    """
+    thr = 1.0 - 4.0 * float(eps0)
+    band1 = codebook.row_band(m1)
+    band2 = codebook.col_band(m2)
+    l0, l1 = band2.start, band2.stop
+    scanned = 0
+    for k in band1:
+        alive = np.flatnonzero(codebook.indicator(k, l0, l1))
+        scanned += l1 - l0
+        for off in alive:
+            l = l0 + int(off)
+            # a table evaluator gives one-cell arrays, the threshold one floats
+            alpha, beta = (np.asarray(v).item() for v in
+                           evaluator.alpha_beta(codebook.rows[k], codebook.cols[l]))
+            if alpha > thr and beta > thr:
+                x = evaluator.x_of_pair(codebook.rows[k], codebook.cols[l])
+                return EncodeOutcome(k, l, x, False, scanned, alpha, beta)
+    x = np.zeros(codebook.n, dtype=np.int64)
+    return EncodeOutcome(None, None, x, True, scanned, 0.0, 0.0)
+
+
+def draw_trial(scheme, params, t: int, seed: int, fixed_cb, log_ratio) -> tuple:
+    """Trial t's key, codebook, messages and encoding, drawn on their own."""
+    trial_key = mix64(seed, t)
+    cb = fixed_cb if fixed_cb is not None else generate_codebook(
+        scheme.design, params, trial_key, scheme.n, log_ratio=log_ratio)
+    n_m1, n_m2 = 1 << params.R1, 1 << params.R2
+    u = SeededRng(trial_key, 101).random(2)
+    m1 = min(int(u[0] * n_m1), n_m1 - 1)
+    m2 = min(int(u[1] * n_m2), n_m2 - 1)
+    return trial_key, cb, m1, m2, encode_per_trial(cb, m1, m2, scheme.evaluator, params.eps0)
+
+
+def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb,
+                               log_ratio) -> dict:
+    """Event counts of a classical run, one trial after another.
+
+    A drop-in for ``Scheme._counts`` of a classical Scheme: trial t draws
+    its codebook with ``generate_codebook`` (seed mix64(seed, t)), its
+    messages from stream 101, encodes with ``encode_per_trial``, sends the
+    input word through the channel on stream 102 and decodes each side
+    with ``decode_rows`` / ``decode_cols``.  A side decodes to the band of
+    its first match, or to message 0 when nothing matches, and to an index
+    only when exactly one word matches.
+    """
+    counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
+                            "index_error"), 0)
+    for t in range(trials):
+        trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb, log_ratio)
+        rec_b, rec_c = scheme.sampler.sample_outputs(out.x_word, SeededRng(trial_key, 102))
+        match_b = decode_rows(cb, rec_b, scheme.mem_b).matched
+        match_c = decode_cols(cb, rec_c, scheme.mem_c).matched
+        if out.fallback:
+            counts["e1"] += 1
+        else:
+            counts["e2b"] += 0 if out.row in match_b.tolist() else 1
+            counts["e2c"] += 0 if out.col in match_c.tolist() else 1
+            counts["e3b"] += 1 if any(k != out.row for k in match_b.tolist()) else 0
+            counts["e3c"] += 1 if any(l != out.col for l in match_c.tolist()) else 0
+        message_b = int(match_b[0]) >> params.r1 if match_b.size else 0
+        message_c = int(match_c[0]) >> params.r2 if match_c.size else 0
+        unique_b = int(match_b[0]) if match_b.size == 1 else None
+        unique_c = int(match_c[0]) if match_c.size == 1 else None
+        msg_wrong = message_b != m1 or message_c != m2
+        idx_wrong = unique_b != out.row or unique_c != out.col
+        counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
+        counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
+    return counts
+
+
 def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ratio) -> dict:
     """Event counts of a cq run, one trial after another.
 
-    A drop-in for ``Scheme._cq_counts``: trial t draws its codebook with
-    ``generate_codebook`` (seed mix64(seed, t)), its messages from stream
-    101, encodes with ``encode`` and measures each side with
-    ``decode_pgm_per_trial`` on streams 103 and 104.  A side whose
-    completion outcome fires decodes to no message and matches no word.
+    A drop-in for ``Scheme._counts`` of a cq Scheme: trial t draws its
+    codebook with ``generate_codebook`` (seed mix64(seed, t)), its messages
+    from stream 101, encodes with ``encode_per_trial`` and measures each
+    side with ``decode_pgm_per_trial`` on streams 103 and 104.  A side
+    whose completion outcome fires decodes to no message and matches no
+    word.
     """
     counts = dict.fromkeys(("e1", "e2", "e3", "message_error", "index_error"), 0)
-    n_m1, n_m2 = 1 << params.R1, 1 << params.R2
     for t in range(trials):
-        trial_key = mix64(seed, t)
-        cb = fixed_cb if fixed_cb is not None else generate_codebook(
-            scheme.design, params, trial_key, scheme.n, log_ratio=log_ratio)
-        u = SeededRng(trial_key, 101).random(2)
-        m1 = min(int(u[0] * n_m1), n_m1 - 1)
-        m2 = min(int(u[1] * n_m2), n_m2 - 1)
-        out = encode(cb, m1, m2, scheme.evaluator, params.eps0)
+        trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb, log_ratio)
         label = scheme.channel.x_alphabet[int(out.x_word[0])]
         got_b = decode_pgm_per_trial(cb.rows, scheme.bob_tests, scheme.channel.rho_b(label),
                                      SeededRng(trial_key, 103).random())
@@ -221,8 +311,8 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ra
         else:
             counts["e2"] += 0 if match_b == out.row else 1
             counts["e3"] += 0 if match_c == out.col else 1
-        msg_wrong = (match_b is None or cb.row_band_of(match_b) != m1
-                     or match_c is None or cb.col_band_of(match_c) != m2)
+        msg_wrong = (match_b is None or match_b >> params.r1 != m1
+                     or match_c is None or match_c >> params.r2 != m2)
         idx_wrong = match_b != out.row or match_c != out.col
         counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
         counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0

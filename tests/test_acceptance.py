@@ -17,6 +17,7 @@ import numpy as np
 
 from conftest import (
     ACCEPTANCE_LINES,
+    encode_per_trial,
     event_counts,
     event_of,
     pgm_one_trial,
@@ -40,7 +41,6 @@ from martonlab.channels import (
 )
 from martonlab.coding import (
     RateParams,
-    encode,
     generate_codebook,
     select_band_exponents,
 )
@@ -180,7 +180,8 @@ def test_qubit_e2_e3_counts_match_measurement_probabilities():
         key = mix64(seed, t)
         cb = generate_codebook(design, params, key)
         u = SeededRng(key, 101).random(2)
-        out = encode(cb, min(int(u[0] * 2), 1), min(int(u[1] * 2), 1), scheme.evaluator, eps0)
+        out = encode_per_trial(cb, min(int(u[0] * 2), 1), min(int(u[1] * 2), 1),
+                               scheme.evaluator, eps0)
         if out.fallback:
             continue
         label = channel.x_alphabet[int(out.x_word[0])]

@@ -25,7 +25,7 @@ from martonlab.coding import (
     ThresholdMembership,
     _raw_cuts,
     _raw_symbols,
-    _sample_words,
+    _side_words,
     codebook_block,
     decode_cols,
     decode_pgm,
@@ -36,6 +36,7 @@ from martonlab.coding import (
     select_band_exponents,
 )
 from conftest import (
+    encode_per_trial,
     gemv_threshold_matches,
     pgm_one_trial,
     rand_joint,
@@ -298,7 +299,7 @@ class TestCodebook:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_sampler_matches_searchsorted_oracle(self, pmf, seed):
         pmf = np.asarray(pmf)
-        got = _sample_words(pmf, 300, 7, SeededRng(seed, 1))
+        (got,) = _side_words(pmf, 300, 7, [SeededRng(seed, 1)])
         want = searchsorted_words(pmf, 300, 7, SeededRng(seed, 1))
         assert want.dtype == np.int64 and got.dtype == np.uint8
         assert np.array_equal(got, want)
@@ -307,16 +308,19 @@ class TestCodebook:
     @pytest.mark.parametrize("resume", [0, 1, 2, 3])
     def test_raw_sampler_matches_searchsorted_across_chunks(self, count, n, resume):
         # count * n is 2^15 - 1, 2^15 and 2^15 + 1 outputs, then a criterion-1
-        # row side; streams resume at each draw count mod 4
+        # row side.  The first stream resumes at each draw count mod 4; the
+        # sides of three streams share chunks, or split at other offsets
         for pmf in (np.array([0.5, 0.5]), np.array([0.2, 0.0, 0.3, 0.5])):
-            got_rng, want_rng = SeededRng(2**63 + 3, 1), SeededRng(2**63 + 3, 1)
-            got_rng.random(resume)
-            want_rng.random(resume)
-            got = _sample_words(pmf, count, n, got_rng)
-            assert got.shape == (count, n) and got.dtype == np.uint8
-            assert np.array_equal(got, searchsorted_words(pmf, count, n, want_rng))
-            # both streams drew count * n outputs
-            assert np.array_equal(got_rng.random(3), want_rng.random(3))
+            got_rngs = [SeededRng(2**63 + 3, s) for s in range(3)]
+            want_rngs = [SeededRng(2**63 + 3, s) for s in range(3)]
+            got_rngs[0].random(resume)
+            want_rngs[0].random(resume)
+            got = _side_words(pmf, count, n, got_rngs)
+            assert got.shape == (3, count, n) and got.dtype == np.uint8
+            for words, got_rng, want_rng in zip(got, got_rngs, want_rngs):
+                assert np.array_equal(words, searchsorted_words(pmf, count, n, want_rng))
+                # both streams drew count * n outputs
+                assert np.array_equal(got_rng.random(3), want_rng.random(3))
 
     @pytest.mark.parametrize("pmf", [
         [0.5, 0.5], [0.25, 0.25, 0.5], [0.0, 0.0, 0.25, 0.75], [0.0, 0.5, 0.0, 0.5],
@@ -344,7 +348,7 @@ class TestCodebook:
         pmf = np.asarray(pmf)
         assert np.cumsum(pmf)[-2] >= 1.0
         assert _raw_cuts(pmf).size == 1
-        words = _sample_words(pmf, 4096, 8, SeededRng(11, 1))
+        (words,) = _side_words(pmf, 4096, 8, [SeededRng(11, 1)])
         assert words.max() == 1
         assert np.array_equal(words, searchsorted_words(pmf, 4096, 8, SeededRng(11, 1)))
 
@@ -358,9 +362,15 @@ class TestCodebook:
         rows, cols = codebook_block(design, params, seeds, n)
         assert rows.shape == (3, params.n_rows, n) and cols.shape == (3, params.n_cols, n)
         assert rows.dtype == cols.dtype == np.uint8
+        pu, pv = design.joint.marginals()
         for j, seed in enumerate(seeds):
             cb = generate_codebook(design, params, seed, n)
             assert np.array_equal(rows[j], cb.rows) and np.array_equal(cols[j], cb.cols)
+            base = SeededRng(seed, 0)
+            assert np.array_equal(rows[j], searchsorted_words(pu.probs, params.n_rows, n,
+                                                              base.derive(1)))
+            assert np.array_equal(cols[j], searchsorted_words(pv.probs, params.n_cols, n,
+                                                              base.derive(2)))
 
     def test_word_marginals(self):
         probs = np.array([[0.56, 0.14], [0.24, 0.06]])  # pu = (0.7, 0.3), pv = (0.8, 0.2)
@@ -417,11 +427,11 @@ class TestCodebook:
             assert len(band) == 1 << cb.params.r1
             seen.extend(band)
             for k in band:
-                assert cb.row_band_of(k) == m1
+                assert k >> cb.params.r1 == m1
         assert seen == list(range(cb.n_rows))
         for m2 in range(1 << cb.params.R2):
             for l in cb.col_band(m2):
-                assert cb.col_band_of(l) == m2
+                assert l >> cb.params.r2 == m2
 
     def test_message_range_checked(self):
         cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=7)
@@ -429,6 +439,11 @@ class TestCodebook:
             cb.row_band(2)
         with pytest.raises(ValidationError):
             cb.col_band(-1)
+        ev = ClassicalSetEvaluator(copy_pair_channel(), cb.design, np.eye(2, dtype=bool),
+                                   np.eye(2, dtype=bool))
+        for m1, m2 in ((2, 0), (0, -1)):
+            with pytest.raises(ValidationError, match="outside"):
+                encode(cb, m1, m2, ev, 0.01)
 
     def test_shape_mismatch_rejected(self):
         design = pair_design(DSBS_45)
@@ -467,6 +482,14 @@ class TestCodebook:
 
 
 class TestEncode:
+    """The cell-by-cell scan of ``conftest``, and ``encode`` against it."""
+
+    @staticmethod
+    def assert_encode_agrees(cb, m1, m2, ev, eps0, out):
+        row, col, x = encode(cb, m1, m2, ev, eps0)
+        assert (row, col) == ((-1, -1) if out.fallback else (out.row, out.col))
+        assert np.array_equal(x, out.x_word)
+
     def correlated_setup(self):
         probs = np.array([[0.5, 0.0], [0.0, 0.5]])
         joint = dsbs_joint(probs)
@@ -479,7 +502,8 @@ class TestEncode:
     def test_noiseless_success(self):
         design, params, ch, ev = self.correlated_setup()
         cb = generate_codebook(design, params, seed=11)
-        out = encode(cb, 1, 0, ev, 0.01)
+        out = encode_per_trial(cb, 1, 0, ev, 0.01)
+        self.assert_encode_agrees(cb, 1, 0, ev, 0.01, out)
         assert not out.fallback
         assert out.row in cb.row_band(1) and out.col in cb.col_band(0)
         assert out.alpha == 1.0 and out.beta == 1.0
@@ -492,7 +516,8 @@ class TestEncode:
         design, params, ch, ev = self.correlated_setup()
         dead = small_params(r1=2, r2=2, i0b=5.0, i0c=5.0, i_infty=60.0)
         cb = generate_codebook(design, dead, seed=11)
-        out = encode(cb, 0, 1, ev, 0.01)
+        out = encode_per_trial(cb, 0, 1, ev, 0.01)
+        self.assert_encode_agrees(cb, 0, 1, ev, 0.01, out)
         assert out.fallback
         assert out.row is None and out.col is None
         assert out.scanned == 16
@@ -503,7 +528,8 @@ class TestEncode:
         design, params, ch, _ = self.correlated_setup()
         cb = generate_codebook(design, params, seed=11)
         low = ClassicalSetEvaluator(ch, design, np.zeros((2, 2), bool), np.eye(2, dtype=bool))
-        out = encode(cb, 1, 0, low, 0.01)
+        out = encode_per_trial(cb, 1, 0, low, 0.01)
+        self.assert_encode_agrees(cb, 1, 0, low, 0.01, out)
         assert out.fallback
 
     def test_matches_scalar_rescan(self):
@@ -518,9 +544,10 @@ class TestEncode:
             cb = generate_codebook(design, params, seed=seed)
             for m1 in (0, 1):
                 for m2 in (0, 1):
-                    got = encode(cb, m1, m2, ev, 0.05)
+                    got = encode_per_trial(cb, m1, m2, ev, 0.05)
                     want = self.rescan(cb, m1, m2, ev, 0.05, table)
                     assert (got.row, got.col, got.fallback) == want
+                    self.assert_encode_agrees(cb, m1, m2, ev, 0.05, got)
 
     @staticmethod
     def rescan(cb, m1, m2, ev, eps0, table):
@@ -669,41 +696,37 @@ def handmade_codebook(row_words, col_words, r1=2, r2=2, n=1):
 
 
 class TestClassicalDecoders:
+    """The decoders return every matching word; how a run reads a band and
+    an index from them is checked in ``test_experiments``'s
+    ``TestEventClassification``."""
+
     def test_unique_match(self):
         cb = handmade_codebook([0, 0, 0, 0, 0, 0, 1, 0], [0] * 8)
         res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
-        assert res.message == 1
-        assert res.unique_match == 6
-        assert not res.ambiguous and not res.no_match
+        assert res.matched.tolist() == [6]
 
     def test_no_match_defaults_to_zero(self):
+        # no word matches: the run reads message 0 from the empty match
         cb = handmade_codebook([0] * 8, [0] * 8)
         res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
-        assert res.message == 0
-        assert res.no_match
         assert res.matched.size == 0
-        assert res.unique_match is None
 
     def test_smallest_band_wins_and_ambiguity_flagged(self):
+        # matches in two bands come in ascending order, the smallest band first
         cb = handmade_codebook([0, 1, 0, 0, 0, 0, 1, 0], [0] * 8)
         res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
-        assert res.message == 0
-        assert res.ambiguous
-        assert list(res.matched) == [1, 6]
-        assert res.unique_match is None
+        assert res.matched.tolist() == [1, 6]
 
     def test_same_band_multiple_matches_not_ambiguous(self):
         cb = handmade_codebook([1, 1, 0, 0, 0, 0, 0, 0], [0] * 8)
         res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
-        assert res.message == 0
-        assert not res.ambiguous
-        assert list(res.matched) == [0, 1]
+        assert res.matched.tolist() == [0, 1]
 
     def test_column_decoder_uses_col_bands(self):
         cb = handmade_codebook([0] * 8, [0, 0, 0, 0, 0, 1, 0, 0])
         res = decode_cols(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
-        assert res.message == 1
-        assert res.unique_match == 5
+        assert res.matched.tolist() == [5]
+        assert decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool))).matched.size == 0
 
     def test_threshold_membership_scores(self):
         joint = dsbs_joint(DSBS_45)
@@ -813,12 +836,10 @@ class TestCompactWords:
         mem_b, mem_c = ThresholdMembership(llr1, tau), ThresholdMembership(llr2, tau)
         for m1 in range(2):
             for m2 in range(2):
-                out = encode(cb, m1, m2, ev, params.eps0)
+                row, col, x = encode(cb, m1, m2, ev, params.eps0)
                 want = encode(wide, m1, m2, ev_wide, params.eps0)
-                assert (out.row, out.col, out.fallback, out.scanned, out.alpha, out.beta) == (
-                    want.row, want.col, want.fallback, want.scanned, want.alpha, want.beta)
-                assert np.array_equal(out.x_word, want.x_word)
-                rec_b, rec_c = sampler.sample_outputs(out.x_word, SeededRng(m1, m2))
+                assert (row, col) == want[:2] and np.array_equal(x, want[2])
+                rec_b, rec_c = sampler.sample_outputs(x, SeededRng(m1, m2))
                 assert np.array_equal(decode_rows(cb, rec_b, mem_b).matched,
                                       decode_rows(wide, rec_b, mem_b).matched)
                 assert np.array_equal(decode_cols(cb, rec_c, mem_c).matched,

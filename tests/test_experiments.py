@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    classical_counts_per_trial,
     cq_counts_per_trial,
     decode_pgm_per_trial,
+    draw_trial,
+    encode_per_trial,
     event_counts,
     event_of,
     uncached_pgm_probabilities,
@@ -33,7 +36,6 @@ from martonlab.coding import (
     SetMembership,
     decode_cols,
     decode_rows,
-    encode,
     generate_codebook,
 )
 from martonlab.divergences import classical_i0, llr_table, quantum_i0_cq
@@ -323,19 +325,23 @@ class TestDeskClassical:
             u = SeededRng(key, 101).random(2)
             m1 = min(int(u[0] * 2), 1)
             m2 = min(int(u[1] * 2), 1)
-            out = encode(cb, m1, m2, evaluator, params.eps0)
+            out = encode_per_trial(cb, m1, m2, evaluator, params.eps0)
             y, z = sampler.sample_outputs(out.x_word, SeededRng(key, 102))
-            rb = decode_rows(cb, y, mem_b)
-            rc = decode_cols(cb, z, mem_c)
+            rb = decode_rows(cb, y, mem_b).matched
+            rc = decode_cols(cb, z, mem_c).matched
             if out.fallback:
                 counts["e1"] += 1
             else:
-                counts["e2b"] += 0 if np.isin(out.row, rb.matched) else 1
-                counts["e2c"] += 0 if np.isin(out.col, rc.matched) else 1
-                counts["e3b"] += 1 if np.any(rb.matched != out.row) else 0
-                counts["e3c"] += 1 if np.any(rc.matched != out.col) else 0
-            msg_wrong = rb.message != m1 or rc.message != m2
-            idx_wrong = rb.unique_match != out.row or rc.unique_match != out.col
+                counts["e2b"] += 0 if np.isin(out.row, rb) else 1
+                counts["e2c"] += 0 if np.isin(out.col, rc) else 1
+                counts["e3b"] += 1 if np.any(rb != out.row) else 0
+                counts["e3c"] += 1 if np.any(rc != out.col) else 0
+            # a side decodes to the band of its first match, or to message 0
+            # without one, and to an index only where one word matches
+            msg_b = rb[0] >> params.r1 if rb.size else 0
+            msg_c = rc[0] >> params.r2 if rc.size else 0
+            msg_wrong = msg_b != m1 or msg_c != m2
+            idx_wrong = rb.tolist() != [out.row] or rc.tolist() != [out.col]
             counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
             counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
         assert counts == event_counts(report)
@@ -502,7 +508,7 @@ class TestCqBlocks:
                                          resample_codebook=resample)
                         _assert_decodes_match_oracle(calls)
                         with monkeypatch.context() as m:
-                            m.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+                            m.setattr(Scheme, "_counts", cq_counts_per_trial)
                             want = scheme.run(params, trials, run_seed,
                                               resample_codebook=resample)
                         case = (resample, run_seed, R1, R2, trials)
@@ -516,14 +522,13 @@ class TestCqBlocks:
         params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
                             eps_infty=0.25, **achieved)
         blocks = []
-        monkeypatch.setattr(experiments, "CODEBOOK_BYTE_BUDGET",
-                            7 * coding.codebook_bytes(params, 1))
+        monkeypatch.setattr(experiments, "_BLOCK_LETTERS", 7 * (params.n_rows + params.n_cols))
         monkeypatch.setattr(experiments, "encode_block",
                             lambda *a, **k: blocks.append(len(a[2])) or
                             coding.encode_block(*a, **k))
         got = scheme.run(params, 37, seed, resample_codebook=resample)
         assert blocks == [7] * 5 + [2]
-        monkeypatch.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+        monkeypatch.setattr(Scheme, "_counts", cq_counts_per_trial)
         want = scheme.run(params, 37, seed, resample_codebook=resample)
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)
@@ -533,8 +538,8 @@ class TestCqBlocks:
         scheme, r1, r2, achieved, seed = _qubit_point(3)
         params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
                             eps_infty=0.25, **achieved)
-        monkeypatch.setattr(experiments, "CODEBOOK_BYTE_BUDGET",
-                            block * coding.codebook_bytes(params, 1))
+        monkeypatch.setattr(experiments, "_BLOCK_LETTERS",
+                            block * (params.n_rows + params.n_cols))
         calls = []
         monkeypatch.setattr(experiments, "decode_pgm", _recording_decoder(calls))
         got = scheme.run(params, trials, seed)
@@ -542,7 +547,7 @@ class TestCqBlocks:
         # one call per side and block, Bob's first
         assert [len(call[0]) for call in calls] == [size for size in sizes for _ in "bc"]
         _assert_decodes_match_oracle(calls)
-        monkeypatch.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+        monkeypatch.setattr(Scheme, "_counts", cq_counts_per_trial)
         want = scheme.run(params, trials, seed)
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)
@@ -562,7 +567,7 @@ class TestCqBlocks:
         fired = calls[0][5] == params.n_rows
         assert 0 < fired.sum() < 200
         with monkeypatch.context() as m:
-            m.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+            m.setattr(Scheme, "_counts", cq_counts_per_trial)
             assert event_counts(scheme.run(params, 200, seed)) == event_counts(got)
         # with no support at all the completion fires in every trial, and
         # every trial errs in its message and in its index
@@ -588,9 +593,109 @@ class TestCqBlocks:
         for j, key in enumerate(keys):
             cb = generate_codebook(design, params, key, n)
             assert np.array_equal(cb.rows, rows[j]) and np.array_equal(cb.cols, cols[j])
-            out = encode(cb, int(m1[j]), int(m2[j]), scheme.evaluator, 0.05)
+            out = encode_per_trial(cb, int(m1[j]), int(m2[j]), scheme.evaluator, 0.05)
             assert (row[j], col[j]) == ((-1, -1) if out.fallback else (out.row, out.col))
             assert np.array_equal(x[j], out.x_word)
+
+
+class TestClassicalBlocks:
+    """Blocked classical trials against the per-trial loop of ``conftest``."""
+
+    @pytest.mark.parametrize("case", ["desk", "n=4"])
+    @pytest.mark.parametrize("resample", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, 37])
+    def test_blocks_match_per_trial_loop(self, case, resample, block, monkeypatch):
+        # desk: explicit sets at n = 1; n=4: llr thresholds
+        channel, design, n, params = _case(case)
+        scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
+        monkeypatch.setattr(experiments, "_BLOCK_LETTERS",
+                            block * (params.n_rows + params.n_cols) * n)
+        blocks = []
+        monkeypatch.setattr(experiments, "encode_block",
+                            lambda *a, **k: blocks.append(len(a[2])) or
+                            coding.encode_block(*a, **k))
+        got = scheme.run(params, 37, 11, resample_codebook=resample)
+        assert blocks == [min(block, 37 - start) for start in range(0, 37, block)]
+        assert sum(event_counts(got).values()) > 0
+        monkeypatch.setattr(Scheme, "_counts", classical_counts_per_trial)
+        want = scheme.run(params, 37, 11, resample_codebook=resample)
+        assert event_counts(got) == event_counts(want)
+        assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
+    def test_no_match_decodes_to_message_0(self, monkeypatch):
+        # Bob's set is empty, so no row ever matches and Bob decodes message 0
+        channel, design, n, params = _case("desk")
+        scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
+        monkeypatch.setattr(scheme, "mem_b", SetMembership(np.zeros_like(scheme.mem_b.mask)))
+        got = event_counts(scheme.run(params, 200, 5))
+        assert got["e2b"] == 200 - got["e1"] and got["index_error"] == 200
+        # right where m1 = 0 and all else goes well
+        assert 0 < got["message_error"] < 200
+        monkeypatch.setattr(Scheme, "_counts", classical_counts_per_trial)
+        assert event_counts(scheme.run(params, 200, 5)) == got
+
+    def test_threshold_scan_stops_at_first_pass(self, monkeypatch):
+        # under independent inputs every cell survives rejection, so a scan
+        # that went past a trial's first passing cell would ask for more
+        channel, design, n, params = _case("n=4")
+        scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
+        asked = []
+        original = coding.ClassicalThresholdEvaluator.alpha_beta
+
+        def counting(ev, row_word, col_word):
+            asked.append((row_word.tobytes(), col_word.tobytes()))
+            return original(ev, row_word, col_word)
+
+        monkeypatch.setattr(coding.ClassicalThresholdEvaluator, "alpha_beta", counting)
+        scheme.run(params, 40, 3)
+        got, asked[:] = sorted(asked), []
+        log_ratio = llr_table(design.joint)
+        classical_counts_per_trial(scheme, params, 40, 3, None, log_ratio)
+        assert got == sorted(asked)
+        scanned = sum(draw_trial(scheme, params, t, 3, None, log_ratio)[4].scanned
+                      for t in range(40))
+        assert len(got) < scanned
+
+
+class TestEventClassification:
+    """Each setting's decoded words read as that setting's decoder means them.
+
+    Two trials per case, with 2^3 words per side in two bands of four: the
+    first sends messages (0, 0) as cell (1, 2), the second (1, 0) as (5, 2).
+    """
+
+    params = desk_params(r1=2, r2=2)
+    m1, m2 = np.array([0, 1]), np.array([0, 0])
+    sent = np.array([[1, 5], [2, 2]])
+
+    def hits(self, classical, first, count):
+        first, count = np.array(first), np.array(count)
+        hit = np.array([[self.sent[s, j] in range(first[s, j], first[s, j] + count[s, j])
+                         for j in range(2)] for s in range(2)])
+        return experiments._event_hits(classical, self.params, self.m1, self.m2, self.sent,
+                                       first, count, hit)
+
+    def test_classical_no_match_decodes_to_message_0(self):
+        # no row matches in either trial: message 0 is right in the first only
+        assert self.hits(True, [[0, 0], [2, 2]], [[0, 0], [1, 1]]) == [0, 2, 0, 0, 0, 1, 2]
+
+    def test_cq_completion_decodes_to_no_message(self):
+        # the completion outcome 8 lies in no message's band
+        assert self.hits(False, [[8, 8], [2, 2]], [[0, 0], [1, 1]]) == [0, 2, 0, 2, 2]
+
+    def test_first_match_gives_band_and_only_match_gives_index(self):
+        # rows 1 and 2 match in the first trial: its message is right, its
+        # index is not, and row 2 is a confusion; the second decodes rows 4-6
+        assert self.hits(True, [[1, 4], [2, 2]], [[2, 3], [1, 1]]) == [0, 0, 0, 2, 0, 0, 2]
+        assert self.hits(False, [[1, 5], [2, 3]], [[1, 1], [1, 1]]) == [0, 0, 1, 0, 1]
+
+    def test_fallback_counts_e1_and_both_errors(self):
+        sent = self.sent.copy()
+        sent[:, 1] = -1
+        hits = experiments._event_hits(True, self.params, self.m1, self.m2, sent,
+                                       np.array([[1, 0], [2, 0]]), np.ones((2, 2), dtype=int),
+                                       np.array([[True, False], [True, False]]))
+        assert hits == [1, 0, 0, 0, 0, 1, 1]
 
 
 def _partial_design():
@@ -600,9 +705,10 @@ def _partial_design():
 
 
 def _encode_per_trial(codebooks, m1, m2, evaluator, eps0):
-    """``encode`` on each trial's codebook, as ``encode_block`` returns it:
-    (row, col, x), with -1 where a trial falls back."""
-    outs = [encode(cb, int(a), int(b), evaluator, eps0) for cb, a, b in zip(codebooks, m1, m2)]
+    """``encode_per_trial`` on each trial's codebook, as ``encode_block``
+    returns it: (row, col, x), with -1 where a trial falls back."""
+    outs = [encode_per_trial(cb, int(a), int(b), evaluator, eps0)
+            for cb, a, b in zip(codebooks, m1, m2)]
     row = [-1 if out.fallback else out.row for out in outs]
     col = [-1 if out.fallback else out.col for out in outs]
     return np.array(row), np.array(col), np.array([out.x_word for out in outs])
@@ -659,7 +765,7 @@ class TestEncodeBlockTables:
         params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=0.125, eps0=0.05,
                             eps_infty=0.25, **scheme.achieved)
         got = scheme.run(params, 200, 4, resample_codebook=resample)
-        monkeypatch.setattr(Scheme, "_cq_counts", cq_counts_per_trial)
+        monkeypatch.setattr(Scheme, "_counts", cq_counts_per_trial)
         want = scheme.run(params, 200, 4, resample_codebook=resample)
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)

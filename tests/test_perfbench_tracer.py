@@ -1,8 +1,17 @@
 """The benchmark's span tracer still finds the library names it patches.
 
 ``perfbench/tracer.py`` wraps martonlab functions and evaluator methods by
-name.  A rename in the library would leave its counters at zero without an
-error, so each kind of run here must move the counters of its layer.
+name: the functions ``generate_codebook``, ``encode``, ``decode_rows``,
+``decode_cols`` and ``decode_pgm`` of ``martonlab.coding``, the method
+``Codebook.indicator``, ``alpha_beta`` of ``ClassicalSetEvaluator``,
+``ClassicalThresholdEvaluator`` and ``QuantumPairEvaluator`` (each class's
+own), ``SeededRng.__init__``, ``random`` and ``choice_index``, and the
+public functions of the other layers.  It reads ``fx`` of the evaluators,
+``.rows`` / ``.cols`` of the first argument of ``decode_rows`` /
+``decode_cols`` and ``.matched`` of what they return.  A removed name makes
+``Tracer.install`` raise; a name that stays but is no longer called leaves
+its counters at zero without an error, so each kind of run here must move
+the counters of its layer.
 """
 
 import importlib.util
