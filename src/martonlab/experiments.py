@@ -64,7 +64,7 @@ from .divergences import (
     spectrum_i0,
 )
 from .errors import InfeasibleRates, ValidationError
-from .rng import SeededRng, mix64
+from .rng import SeededRng, first_uniforms, mix64
 
 __all__ = [
     "EventStats",
@@ -238,7 +238,10 @@ class Scheme:
     membership; ``decode_pgm`` measures each side of a whole cq block in
     one pass, picking each trial's outcome with one uniform from that
     trial's own stream.  The events of the block are then counted from the
-    decoded words of each side.
+    decoded words of each side.  The short streams of a block, each
+    trial's messages and, for cq, its two outcome uniforms, are drawn once
+    for the block by ``first_uniforms``, which computes them in one Philox
+    array pass for large blocks: the draws of ``SeededRng``, bit for bit.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers and the tail masses it memoizes by joint type, which
@@ -339,9 +342,10 @@ class Scheme:
                 rows = np.broadcast_to(fixed_cb.rows, (len(keys),) + fixed_cb.rows.shape)
                 cols = np.broadcast_to(fixed_cb.cols, (len(keys),) + fixed_cb.cols.shape)
                 cb_seeds = [fixed_cb.seed] * len(keys)
-            u = np.array([SeededRng(key, 101).random(2) for key in keys])
-            m1 = np.minimum((u[:, 0] * n_m1).astype(np.int64), n_m1 - 1)
-            m2 = np.minimum((u[:, 1] * n_m2).astype(np.int64), n_m2 - 1)
+            # messages from stream 101; a cq trial's PGM outcomes from 103 and 104
+            u = first_uniforms(keys, (101,) if classical else (101, 103, 104), 2)
+            m1 = np.minimum((u[:, 0, 0] * n_m1).astype(np.int64), n_m1 - 1)
+            m2 = np.minimum((u[:, 0, 1] * n_m2).astype(np.int64), n_m2 - 1)
             row, col, x = encode_block(rows, cols, cb_seeds, m1, m2, params, log_ratio,
                                        self.evaluator, params.eps0)
             sent = np.stack([row, col])
@@ -349,7 +353,7 @@ class Scheme:
                 first, count, hit = self._decode_classical(params, rows, cols, keys, fixed_cb,
                                                            log_ratio, x, sent)
             else:
-                first, count, hit = self._decode_cq(params, rows, cols, keys, x, sent)
+                first, count, hit = self._decode_cq(params, rows, cols, x, sent, u[:, 1:, 0])
             hits += _event_hits(classical, params, m1, m2, sent, first, count, hit)
             # freed before the next block's words are drawn, which then reuse
             # this memory instead of heap pages returned to the system
@@ -378,18 +382,21 @@ class Scheme:
                 hit[side, j] = sent[side, j] in matched
         return first, count, hit
 
-    def _decode_cq(self, params, rows, cols, keys, x, sent):
+    def _decode_cq(self, params, rows, cols, x, sent, uniforms):
         """Both sides of the block measured, as ``_decode_classical`` returns them.
 
-        The measurement picks one word, or the completion outcome: the word
-        count, which lies in no message's band and matches no word.
+        ``uniforms`` holds each trial's first uniform of streams 103 (Bob)
+        and 104 (Charlie), drawn once for the block by ``_counts``, and
+        picks the trial's outcome on each side.  The measurement picks one
+        word, or the completion outcome: the word count, which lies in no
+        message's band and matches no word.
         """
         first = np.stack([
             decode_pgm(words[:, :, 0], tests, [state(label) for label in self.channel.x_alphabet],
-                       x[:, 0], [SeededRng(key, stream).random() for key in keys])
-            for words, tests, state, stream in (
-                (rows, self.bob_tests, self.channel.rho_b, 103),
-                (cols, self.charlie_tests, self.channel.rho_c, 104))])
+                       x[:, 0], side_uniforms)
+            for words, tests, state, side_uniforms in (
+                (rows, self.bob_tests, self.channel.rho_b, uniforms[:, 0]),
+                (cols, self.charlie_tests, self.channel.rho_c, uniforms[:, 1]))])
         count = (first < np.array([[params.n_rows], [params.n_cols]])).astype(np.int64)
         return first, count, first == sent
 

@@ -27,6 +27,13 @@ Opening a stream costs one type-and-range check for the in-range Python
 ints that ``mix64`` and the harness produce, and a draw reaches its
 thread's scratch generator with one attribute lookup, so what a short
 stream costs is mostly numpy's state setter and the draw itself.
+
+``first_uniforms`` gives the first few uniforms of many streams at once.
+From ``_ARRAY_PASS_STREAMS`` streams up it skips the scratch generator:
+Philox4x64-10 is a function of (key, counter), so ``_philox_blocks``
+computes the outputs of all the streams in one pass of uint64 array
+arithmetic, bit for bit the outputs ``SeededRng`` draws.  Below that,
+and for long streams, the scratch generator is faster.
 """
 
 from __future__ import annotations
@@ -37,10 +44,13 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["mix64", "SeededRng"]
+__all__ = ["mix64", "SeededRng", "first_uniforms"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(v) for v in (1, 11, 27, 30, 31))
+_U_GOLDEN, _U_MIX1, _U_MIX2 = (np.uint64(v) for v in (_GOLDEN, _MIX1, _MIX2))
 
 
 class _Scratch(threading.local):
@@ -54,6 +64,21 @@ class _Scratch(threading.local):
 
 
 _scratch = _Scratch()
+
+# Philox4x64-10: the multipliers of counter words 0 and 2, and the Weyl
+# increments of key words 0 and 1, as (2, 1) columns over both lanes
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LO32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LO32, _PHILOX_MUL >> _U32
+# streams at and above which first_uniforms computes its draws in one array
+# pass.  The pass has a fixed cost of about 0.3 ms: two uniforms from each
+# of 16 streams take 326 us in it against 85 us through SeededRng, from 64
+# streams 339 against 328 us, from 128 streams 371 against 667 us, and from
+# 600 streams 0.54 against 3.2 ms (medians of 5 rotated timeit batches,
+# 2-vCPU VM, numpy 2.4).
+_ARRAY_PASS_STREAMS = 128
 
 
 def mix64(a, b=0):
@@ -70,15 +95,19 @@ def mix64(a, b=0):
     Python ints that ``SeededRng`` opens fastest.
     """
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        # broadcast first: numpy scalars would warn where arrays wrap silently
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
-                                   np.asarray(b, dtype=np.uint64))
-    else:
-        a, b = int(a), int(b)
+        # uint64 constants, since numpy converts a Python int on every use.
+        # b + 1 is a numpy scalar where b is 0-d, and a scalar's * warns where
+        # the ufunc wraps silently; after a ^ every operand is an array
+        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+        z = (a ^ np.multiply(b + _U1, _U_GOLDEN)) + _U_GOLDEN
+        z = (z ^ (z >> _U30)) * _U_MIX1
+        z = (z ^ (z >> _U27)) * _U_MIX2
+        return z ^ (z >> _U31)
+    a, b = int(a), int(b)
     z = (a ^ ((b + 1) * _GOLDEN)) & _MASK64
     z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
@@ -191,3 +220,64 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(master_seed={self.master_seed}, stream_id={self.stream_id})"
+
+
+def _philox_blocks(key0, key1, first_block: int, count: int) -> np.ndarray:
+    """Output blocks ``first_block`` to ``first_block + count - 1`` of many streams.
+
+    Row i holds the 4 * count 64-bit outputs from output
+    4 * first_block on of the stream with Philox key (key0[i], key1[i]),
+    the outputs ``SeededRng(key0[i], key1[i]).skip(4 * first_block).raw(4 * count)``
+    draws.  Block j is Philox4x64-10 at counter (j + 1, 0, 0, 0), since
+    numpy steps the counter before it fills its buffer.  Every stream's
+    rounds run at once on uint64 arrays, which wrap modulo 2^64, with the
+    high words of the 64 x 64 -> 128-bit products built from 32-bit halves.
+    No generator and no shared state is involved.
+    """
+    # lane 0 holds counter word 0 and key word 0, lane 1 counter word 2 and
+    # key word 1; column i * count + j is block first_block + j of stream i
+    key = np.repeat(np.array([key0, key1], dtype=np.uint64), count, axis=1)
+    round_keys = key + np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None, None] * _PHILOX_BUMP
+    mul = np.zeros_like(key)
+    mul[0] = np.tile(np.arange(first_block + 1, first_block + count + 1, dtype=np.uint64),
+                     len(key0))
+    xor = np.zeros_like(key)  # counter words 1 and 3
+    for keys in round_keys:
+        mul_lo, hi = mul & _LO32, mul >> _U32
+        # the high word of mul * _PHILOX_MUL, from its four 32-bit partial products
+        mid = mul_lo * _PHILOX_MUL_HI
+        mid += (mul_lo * _PHILOX_MUL_LO) >> _U32
+        carry = hi * _PHILOX_MUL_LO
+        carry += mid & _LO32
+        carry >>= _U32
+        mid >>= _U32
+        hi *= _PHILOX_MUL_HI
+        hi += mid
+        hi += carry
+        # each lane's high word meets the other lane's words
+        hi = hi[::-1]
+        hi ^= xor
+        hi ^= keys
+        mul, xor = hi, (mul * _PHILOX_MUL)[::-1]
+    return np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1).reshape(len(key0), 4 * count)
+
+
+def first_uniforms(keys, stream_ids, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of stream (key, id) for each key and stream id.
+
+    Shaped (keys, stream ids, count): entry [j, s] is
+    ``SeededRng(keys[j], stream_ids[s]).random(count)``, bit for bit.  With
+    ``_ARRAY_PASS_STREAMS`` streams or more, one ``_philox_blocks`` pass
+    computes them all; fewer streams open one ``SeededRng`` each.  Meant for
+    short draws: at 128 outputs a stream the pass is no faster than
+    ``SeededRng``, at 256 it is 1.5 times as slow.  Keys and ids must lie in
+    [0, 2^64).
+    """
+    if len(keys) * len(stream_ids) < _ARRAY_PASS_STREAMS:
+        return np.array([[SeededRng(key, sid).random(count) for sid in stream_ids]
+                         for key in keys])
+    raw = _philox_blocks(np.repeat(np.asarray(keys, dtype=np.uint64), len(stream_ids)),
+                         np.tile(np.asarray(stream_ids, dtype=np.uint64), len(keys)),
+                         0, -(-count // 4))[:, :count]
+    # numpy's double of output r: (r >> 11) * 2^-53
+    return ((raw >> _U11) * 2.0**-53).reshape(len(keys), len(stream_ids), count)

@@ -47,7 +47,7 @@ from martonlab.experiments import (
     run_experiment,
 )
 from martonlab.prob import JointPmf
-from martonlab.rng import SeededRng, mix64
+from martonlab.rng import _ARRAY_PASS_STREAMS, SeededRng, mix64
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
 
@@ -533,7 +533,11 @@ class TestCqBlocks:
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)
 
-    @pytest.mark.parametrize("block, trials", [(1, 13), (7, 37), (200, 437)])
+    # a cq trial has three short streams (101, 103, 104); the last case is the
+    # smallest block at first_uniforms' cut-over, then a one-trial block below it
+    @pytest.mark.parametrize("block, trials", [
+        (1, 13), (7, 37), (200, 437),
+        (-(-_ARRAY_PASS_STREAMS // 3), -(-_ARRAY_PASS_STREAMS // 3) + 1)])
     def test_decoder_blocks_match_per_trial_decoder(self, block, trials, monkeypatch):
         scheme, r1, r2, achieved, seed = _qubit_point(3)
         params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,

@@ -21,6 +21,7 @@ from martonlab import (
     mix64,
     mutual_information,
 )
+from martonlab.rng import _ARRAY_PASS_STREAMS, _philox_blocks, first_uniforms
 
 # Frozen first draws of the (42, 0) and (42, 1) streams.  These pin the
 # counter-based generator choice: any change to the bit generator or the
@@ -228,6 +229,44 @@ class TestSeededRng:
             with pytest.raises(ValidationError) as err:
                 SeededRng(*args)
             assert str(err.value) == f"{name} {message}"
+
+
+class TestPhiloxArrayPass:
+    KEYS = [0, 2**63, 2**63 + 5, 2**64 - 1]
+    IDS = [0, 101, 2**64 - 1]
+
+    @pytest.mark.parametrize("first_block", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("count", [1, 2, 7, 32])
+    def test_blocks_are_the_outputs_seeded_rng_draws(self, first_block, count, np_rng):
+        # every key against every stream id, so each lane meets edge values
+        extra = [int(v) for v in np_rng.integers(2**64, size=4, dtype=np.uint64)]
+        pairs = [(k, s) for k in self.KEYS + extra for s in self.IDS]
+        key0 = np.array([k for k, _ in pairs], dtype=np.uint64)
+        key1 = np.array([s for _, s in pairs], dtype=np.uint64)
+        got = _philox_blocks(key0, key1, first_block, count)
+        assert got.dtype == np.uint64 and got.shape == (len(pairs), 4 * count)
+        for row, (k, s) in zip(got, pairs):
+            assert np.array_equal(row, SeededRng(k, s).skip(4 * first_block).raw(4 * count))
+
+    @pytest.mark.parametrize("streams", [_ARRAY_PASS_STREAMS - 1, _ARRAY_PASS_STREAMS])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_first_uniforms_on_both_sides_of_the_cut_over(self, streams, count, monkeypatch):
+        # two stream ids per key where the streams divide evenly, else one
+        ids = (101, 2**64 - 1) if streams % 2 == 0 else (103,)
+        keys = (self.KEYS + mix64(9, np.arange(streams, dtype=np.uint64)).tolist())[
+            :streams // len(ids)]
+        opened = []
+        init = SeededRng.__init__
+        monkeypatch.setattr(SeededRng, "__init__",
+                            lambda self, *key: opened.append(key) or init(self, *key))
+        got = first_uniforms(keys, ids, count)
+        # one stream per key and id below the cut-over, none in the array pass
+        assert len(opened) == (streams if streams < _ARRAY_PASS_STREAMS else 0)
+        monkeypatch.undo()
+        assert got.shape == (len(keys), len(ids), count)
+        for j, k in enumerate(keys):
+            for s, sid in enumerate(ids):
+                assert np.array_equal(got[j, s], SeededRng(k, sid).random(count))
 
 
 class TestMix64:
