@@ -32,7 +32,7 @@ def main():
         print(f"  {method:<11} {res.value:.6f}")
 
     # same distribution, but the conditionals stored as diagonal matrices
-    p_u = joint.marginals()[0].probs
+    p_u = joint.marginals()[0]
     cond = joint.probs / p_u[:, None]
     states = [np.diag(cond[u]).astype(complex) for u in range(2)]
     qres = quantum_i0_cq(p_u, states, 0.25)

@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .experiments import ExperimentReport, Scheme, achieved_divergences, run_experiment
-from .prob import JointPmf, Pmf, mutual_information
+from .prob import JointPmf, mutual_information
 from .rng import SeededRng, mix64
 
 __version__ = "0.1.0"
@@ -83,7 +83,6 @@ __all__ = [
     "JointPmf",
     "MartonlabError",
     "NormalizationError",
-    "Pmf",
     "PositivityError",
     "ProductClassicalChannel",
     "QuantumEventBounds",

@@ -472,7 +472,8 @@ def empirical_covering(design, i_inf: float, p: CoveringParams, trials: int,
     pu, pv = joint.marginals()
     rng = SeededRng(seed, 0)
     row_rng, col_rng, eta_rng = rng.derive(1), rng.derive(2), rng.derive(3)
-    cdf_u, cdf_v = pu.cdf(), pv.cdf()
+    cdf_u, cdf_v = np.cumsum(pu), np.cumsum(pv)
+    cdf_u[-1] = cdf_v[-1] = 1.0
     hits = 0
     for _ in range(trials):
         rows = row_rng.choice_index(cdf_u, p.r)

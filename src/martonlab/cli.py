@@ -30,7 +30,7 @@ from .analysis import (
 from .channels import CqBroadcastChannel, InputDesign, channel_from_json
 from .coding import RateParams, band_constraints, select_band_exponents
 from .divergences import I0_METHODS, classical_i0, classical_i_infty
-from .errors import InfeasibleRates, MartonlabError, ValidationError
+from .errors import MartonlabError, ValidationError
 from .experiments import Scheme
 from .prob import JointPmf
 
@@ -66,10 +66,11 @@ def _load_json_file(path: Path):
         _fail_parse(f"{path}: invalid JSON ({e})")
 
 
-def _joint_from_file(path: Path) -> JointPmf:
+def _parsed_file(path: Path, parse):
+    """``parse`` of the JSON in ``path``; its ValidationError is a parse failure."""
     data = _load_json_file(path)
     try:
-        return JointPmf.from_json(data)
+        return parse(data)
     except ValidationError as e:
         _fail_parse(f"{path}: {e}")
 
@@ -156,14 +157,11 @@ def _write_csv(rows, out_dir: Path, name: str) -> None:
 
 
 def _cmd_divergence(args) -> int:
-    joint = _joint_from_file(Path(args.joint))
-    try:
-        if args.kind == "i-infty":
-            res = classical_i_infty(joint, args.eps)
-        else:
-            res = classical_i0(joint, args.eps, method=args.method)
-    except ValidationError as e:
-        raise _InfeasibleConfig(str(e))
+    joint = _parsed_file(Path(args.joint), JointPmf.from_json)
+    if args.kind == "i-infty":
+        res = classical_i_infty(joint, args.eps)
+    else:
+        res = classical_i0(joint, args.eps, method=args.method)
     print(_dumps(res.to_json()))
     return EXIT_OK
 
@@ -176,8 +174,6 @@ def _cmd_bands(args) -> int:
     try:
         r1, r2 = select_band_exponents(args.R1, args.R2, args.i0b, args.i0c,
                                        args.i_infty, args.eps_tilde)
-    except InfeasibleRates as e:
-        raise _InfeasibleConfig(str(e))
     except ValidationError as e:
         raise _ParseFailure(str(e))
     doc = {"r1": r1, "r2": r2}
@@ -202,18 +198,13 @@ def _cmd_covering(args) -> int:
                                 _power_float(args.alpha))
     except ValidationError as e:
         raise _ParseFailure(str(e))
-    try:
-        if args.design:
-            design = _design_from_file(Path(args.design))
-            if args.i_infty is None:
-                _fail_parse("--i-infty is required with --design")
-            est = empirical_covering(design, args.i_infty, params, args.trials,
-                                     _seed(args.seed))
-        else:
-            est = synthetic_covering(params, args.trials, _seed(args.seed),
-                                     family=args.family)
-    except ValidationError as e:
-        raise _InfeasibleConfig(str(e))
+    if args.design:
+        design = _parsed_file(Path(args.design), InputDesign.from_json)
+        if args.i_infty is None:
+            _fail_parse("--i-infty is required with --design")
+        est = empirical_covering(design, args.i_infty, params, args.trials, _seed(args.seed))
+    else:
+        est = synthetic_covering(params, args.trials, _seed(args.seed), family=args.family)
     _emit(est.to_json(), _output_dir(args), "covering.json")
     return EXIT_VIOLATION if est.violation else EXIT_OK
 
@@ -256,14 +247,10 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_iid_curve(args) -> int:
-    base = _joint_from_file(Path(args.base))
-    base_uv = _joint_from_file(Path(args.base_uv)) if args.base_uv else base
-    n_list = _int_list(args.n)
-    try:
-        curve = iid_convergence_curve(base, base_uv, args.eps, n_list,
-                                      method=args.method)
-    except ValidationError as e:
-        raise _InfeasibleConfig(str(e))
+    base = _parsed_file(Path(args.base), JointPmf.from_json)
+    base_uv = _parsed_file(Path(args.base_uv), JointPmf.from_json) if args.base_uv else base
+    curve = iid_convergence_curve(base, base_uv, args.eps, _int_list(args.n),
+                                  method=args.method)
     out = _output_dir(args)
     _emit(curve.to_json(), out, "iid_curve.json")
     _write_csv(curve.to_csv_rows(), out, "iid_curve.csv")
@@ -275,14 +262,6 @@ def _cmd_iid_curve(args) -> int:
 
 
 _EPS_FIELDS = ("eps", "eps0", "eps_tilde", "eps_infty")
-
-
-def _design_from_file(path: Path) -> InputDesign:
-    data = _load_json_file(path)
-    try:
-        return InputDesign.from_json(data)
-    except ValidationError as e:
-        _fail_parse(f"{path}: {e}")
 
 
 def _require(cfg: dict, key: str, path: Path):
@@ -314,15 +293,22 @@ def _int_pair(value, key: str, path: Path, auto: bool = False) -> list:
     return value
 
 
+def _floor_cap(name: str, cap: float) -> int:
+    # an order-zero divergence past double precision leaves no finite cap
+    if not math.isfinite(cap):
+        raise _InfeasibleConfig(f"the rate cap on 'auto' {name} is {cap}, not a finite number")
+    return math.floor(cap)
+
+
 def _resolve_rates(rates, region):
     """Fixed integers pass through; 'auto' maximizes under the region's rate caps."""
     cap1, cap2, cap_sum = region.r1_max, region.r2_max, region.sum_max
     R1, R2 = rates
     if R1 == "auto":
         budget = cap_sum - (0 if R2 == "auto" else R2)
-        R1 = math.floor(min(cap1, budget))
+        R1 = _floor_cap("R1", min(cap1, budget))
     if R2 == "auto":
-        R2 = math.floor(min(cap2, cap_sum - R1))
+        R2 = _floor_cap("R2", min(cap2, cap_sum - R1))
     if R1 < 0 or R2 < 0:
         raise _InfeasibleConfig(
             f"rate caps ({cap1:.4f}, {cap2:.4f}, sum {cap_sum:.4f}) admit no "
@@ -367,11 +353,8 @@ def _cmd_simulate(args) -> int:
     if "setting" in cfg:
         _typed(cfg, "setting", cfg_path, str)
 
-    try:
-        channel = channel_from_json(_load_json_file(channel_file))
-    except ValidationError as e:
-        _fail_parse(f"{channel_file}: {e}")
-    design = _design_from_file(design_file)
+    channel = _parsed_file(channel_file, channel_from_json)
+    design = _parsed_file(design_file, InputDesign.from_json)
 
     setting = "quantum" if isinstance(channel, CqBroadcastChannel) else "classical"
     if "setting" in cfg and cfg["setting"] != setting:
@@ -383,10 +366,7 @@ def _cmd_simulate(args) -> int:
             raise _InfeasibleConfig(
                 f"budget consistency fails: required total {budget:.6f} exceeds eps = {eps}")
 
-    try:
-        scheme = Scheme.shared(channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
-    except ValidationError as e:
-        raise _InfeasibleConfig(str(e))
+    scheme = Scheme.shared(channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
     i0b, i0c, i_infty = (scheme.achieved[k] for k in ("i0b", "i0c", "i_infty"))
 
     R1, R2 = _resolve_rates(
@@ -394,18 +374,11 @@ def _cmd_simulate(args) -> int:
     if bands is not None:
         r1, r2 = bands
     else:
-        try:
-            r1, r2 = select_band_exponents(R1, R2, i0b, i0c, i_infty, eps_tilde)
-        except (InfeasibleRates, ValidationError) as e:
-            raise _InfeasibleConfig(str(e))
+        r1, r2 = select_band_exponents(R1, R2, i0b, i0c, i_infty, eps_tilde)
 
-    try:
-        params = RateParams(R1=R1, R2=R2, r1=r1, r2=r2, eps_tilde=eps_tilde,
-                            eps0=eps0, eps_infty=eps_infty, i0b=i0b, i0c=i0c,
-                            i_infty=i_infty)
-        report = scheme.run(params, trials, seed, resample_codebook=resample)
-    except (InfeasibleRates, ValidationError) as e:
-        raise _InfeasibleConfig(str(e))
+    params = RateParams(R1=R1, R2=R2, r1=r1, r2=r2, eps_tilde=eps_tilde, eps0=eps0,
+                        eps_infty=eps_infty, i0b=i0b, i0c=i0c, i_infty=i_infty)
+    report = scheme.run(params, trials, seed, resample_codebook=resample)
 
     # embed the file references as written so reports replay across checkouts
     resolved = {
@@ -524,8 +497,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (_InfeasibleConfig, MartonlabError) as e:
-        # a library error escaping a subcommand (say SupportOverflowError
-        # deep in a run) means the inputs are out of reach, not a violation
+        # the one place a library error maps to an exit code: escaping a
+        # subcommand, it means the inputs are out of reach, not a violation
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

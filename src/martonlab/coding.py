@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,11 +252,8 @@ class Codebook:
     design: InputDesign
     seed: int
     n: int = 1
-    log_ratio: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.log_ratio is None:
-            object.__setattr__(self, "log_ratio", llr_table(self.design.joint))
         rows = np.asarray(self.rows)
         cols = np.asarray(self.cols)
         if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != self.n or cols.shape[1] != self.n:
@@ -267,6 +264,11 @@ class Codebook:
                 f"params ({self.params.n_rows}, {self.params.n_cols})")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+
+    @functools.cached_property
+    def log_ratio(self) -> np.ndarray:
+        """``llr_table`` of the design's joint, computed on first use."""
+        return llr_table(self.design.joint)
 
     @property
     def n_rows(self) -> int:
@@ -409,20 +411,14 @@ def codebook_block(design: InputDesign, params: RateParams, seeds, n: int = 1) -
     codebook_bytes(params, n)
     pu, pv = design.joint.marginals()
     keys = mix64(np.asarray(seeds, dtype=np.uint64), 0).tolist()
-    return tuple(_side_words(pmf, count, n, [SeededRng(key, stream) for key in keys])
-                 for pmf, count, stream in ((pu.probs, params.n_rows, 1),
-                                            (pv.probs, params.n_cols, 2)))
+    return tuple(_side_words(probs, count, n, [SeededRng(key, stream) for key in keys])
+                 for probs, count, stream in ((pu, params.n_rows, 1), (pv, params.n_cols, 2)))
 
 
-def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1,
-                      *, log_ratio: np.ndarray | None = None) -> Codebook:
-    """The codebook of one seed: ``codebook_block`` of that seed alone.
-
-    ``log_ratio`` is ``llr_table(design.joint)`` when the caller already
-    has it.
-    """
+def generate_codebook(design: InputDesign, params: RateParams, seed: int, n: int = 1) -> Codebook:
+    """The codebook of one seed: ``codebook_block`` of that seed alone."""
     rows, cols = codebook_block(design, params, [seed], n)
-    return Codebook(rows[0], cols[0], params, design, seed, n, log_ratio)
+    return Codebook(rows[0], cols[0], params, design, seed, n)
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ class Scheme:
             sent = np.stack([row, col])
             if classical:
                 first, count, hit = self._decode_classical(params, rows, cols, keys, fixed_cb,
-                                                           log_ratio, x, sent)
+                                                           x, sent)
             else:
                 first, count, hit = self._decode_cq(params, rows, cols, x, sent, u[:, 1:, 0])
             hits += _event_hits(classical, params, m1, m2, sent, first, count, hit)
@@ -360,7 +360,7 @@ class Scheme:
             del rows, cols
         return dict(zip(names + ("message_error", "index_error"), hits.tolist()))
 
-    def _decode_classical(self, params, rows, cols, keys, fixed_cb, log_ratio, x, sent):
+    def _decode_classical(self, params, rows, cols, keys, fixed_cb, x, sent):
         """Each trial's outputs through the channel, decoded by membership.
 
         Returns (first, count, hit), shaped (side, trial): the first
@@ -372,8 +372,7 @@ class Scheme:
         count = np.zeros(sent.shape, dtype=np.int64)
         hit = np.zeros(sent.shape, dtype=bool)
         for j, key in enumerate(keys):
-            cb = fixed_cb or Codebook(rows[j], cols[j], params, self.design, key, self.n,
-                                      log_ratio)
+            cb = fixed_cb or Codebook(rows[j], cols[j], params, self.design, key, self.n)
             received = self.sampler.sample_outputs(x[j], SeededRng(key, 102))
             for side, decode, mem in ((0, decode_rows, self.mem_b), (1, decode_cols, self.mem_c)):
                 matched = decode(cb, received[side], mem).matched
@@ -433,8 +432,7 @@ class Scheme:
         log_ratio = llr_table(self.design.joint)
         fixed_cb: Codebook | None = None
         if not resample_codebook:
-            fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n,
-                                         log_ratio=log_ratio)
+            fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n)
         counts = self._counts(params, trials, seed, fixed_cb, log_ratio)
 
         eb = event_bounds(params, setting)

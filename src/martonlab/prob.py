@@ -1,8 +1,9 @@
-"""Finite probability mass functions over labelled alphabets.
+"""Joint probability mass functions on two finite alphabets.
 
-Labels are strings throughout so every object round-trips through JSON
-unchanged.  Validation tolerances are explicit constructor parameters;
-the default accepts only errors at the level of float rounding.
+A joint's labels are strings so it round-trips through JSON unchanged;
+its marginals are plain read-only arrays.  Validation tolerances are
+explicit constructor parameters; the default accepts only errors at the
+level of float rounding.
 """
 
 from __future__ import annotations
@@ -14,18 +15,9 @@ import numpy as np
 
 from .errors import NormalizationError, PositivityError, ValidationError
 
-__all__ = ["Pmf", "JointPmf", "mutual_information", "DEFAULT_ATOL"]
+__all__ = ["JointPmf", "mutual_information", "DEFAULT_ATOL"]
 
 DEFAULT_ATOL = 1e-12
-
-
-def _as_prob_array(probs, ndim: int) -> np.ndarray:
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != ndim:
-        raise ValidationError(f"probabilities must be {ndim}-dimensional, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_labels(labels, count: int, what: str) -> tuple:
@@ -48,38 +40,6 @@ def _check_mass(arr: np.ndarray, atol: float, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Pmf:
-    """Probability mass function on a finite labelled alphabet."""
-
-    labels: tuple
-    probs: np.ndarray
-    atol: float = DEFAULT_ATOL
-
-    def __post_init__(self):
-        arr = _as_prob_array(self.probs, 1)
-        object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "labels", _check_labels(self.labels, arr.size, "Pmf"))
-        _check_mass(arr, self.atol, "Pmf")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def cdf(self) -> np.ndarray:
-        c = np.cumsum(self.probs)
-        c[-1] = 1.0
-        return c
-
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "probs": [float(p) for p in self.probs]}
-
-    @classmethod
-    def from_json(cls, data: dict, atol: float = DEFAULT_ATOL) -> "Pmf":
-        if not isinstance(data, dict) or "labels" not in data or "probs" not in data:
-            raise ValidationError("Pmf JSON must be an object with 'labels' and 'probs'")
-        return cls(tuple(data["labels"]), np.asarray(data["probs"], dtype=float), atol)
-
-
-@dataclass(frozen=True)
 class JointPmf:
     """Joint distribution on a product of two labelled alphabets.
 
@@ -92,7 +52,10 @@ class JointPmf:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, 2)
+        arr = np.asarray(self.probs, dtype=float).copy()
+        if arr.ndim != 2:
+            raise ValidationError(f"probabilities must be 2-dimensional, got shape {arr.shape}")
+        arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "row_labels", _check_labels(self.row_labels, arr.shape[0], "JointPmf rows"))
         object.__setattr__(self, "col_labels", _check_labels(self.col_labels, arr.shape[1], "JointPmf cols"))
@@ -103,18 +66,20 @@ class JointPmf:
         return self.probs.shape
 
     def marginals(self) -> tuple:
-        """Row and column marginal pmfs, renormalized exactly to 1."""
+        """Row and column marginals as read-only arrays, renormalized exactly to 1."""
         return self._marginals
 
     @functools.cached_property
     def _marginals(self) -> tuple:
-        # built once per instance: the joint and both Pmfs are immutable
-        row = self.probs.sum(axis=1)
-        col = self.probs.sum(axis=0)
-        return (
-            Pmf(self.row_labels, row / row.sum(), self.atol),
-            Pmf(self.col_labels, col / col.sum(), self.atol),
-        )
+        # built once per instance: the joint and both arrays are immutable
+        out = []
+        for axis, what in ((1, "JointPmf rows marginal"), (0, "JointPmf cols marginal")):
+            total = self.probs.sum(axis=axis)
+            arr = total / total.sum()
+            _check_mass(arr, self.atol, what)
+            arr.setflags(write=False)
+            out.append(arr)
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {

@@ -1,9 +1,9 @@
 """Finite-dimensional operators and states.
 
-Plain numpy arrays do the arithmetic; thin frozen wrappers carry the
-validation (hermiticity, positivity, normalization) so invalid objects
-fail at construction instead of deep inside an experiment.  The
-tolerances are the module constants below.
+Plain numpy arrays do the arithmetic.  ``DensityOperator`` is the one
+validated type: it checks a state's hermiticity, positivity and trace at
+construction, so an invalid state fails there instead of deep inside an
+experiment.  The tolerances are the module constants below.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import HermiticityError, NormalizationError, PositivityError, ValidationError
 
 __all__ = [
-    "HermitianOperator",
     "DensityOperator",
     "partial_trace",
     "hayashi_nagaoka_check",
@@ -49,8 +48,8 @@ def real_trace(a, b=None) -> float:
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """A validated Hermitian matrix."""
+class DensityOperator:
+    """A validated quantum state: Hermitian, PSD, unit trace."""
 
     matrix: np.ndarray
 
@@ -62,24 +61,16 @@ class HermitianOperator:
         arr = (arr + arr.conj().T) / 2.0
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
+        low = float(np.linalg.eigvalsh(arr)[0])
+        if low < -HERMITICITY_TOL:
+            raise PositivityError(f"state has eigenvalue {low:.3e} < -{HERMITICITY_TOL}")
+        tr = real_trace(arr)
+        if abs(tr - 1.0) > HERMITICITY_TOL:
+            raise NormalizationError(f"state trace {tr!r} differs from 1")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class DensityOperator(HermitianOperator):
-    """A validated quantum state: Hermitian, PSD, unit trace."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        low = float(np.linalg.eigvalsh(self.matrix)[0])
-        if low < -HERMITICITY_TOL:
-            raise PositivityError(f"state has eigenvalue {low:.3e} < -{HERMITICITY_TOL}")
-        tr = real_trace(self.matrix)
-        if abs(tr - 1.0) > HERMITICITY_TOL:
-            raise NormalizationError(f"state trace {tr!r} differs from 1")
 
 
 def partial_trace(op, dims, keep):
@@ -87,7 +78,7 @@ def partial_trace(op, dims, keep):
 
     Parameters
     ----------
-    op : array or HermitianOperator
+    op : array
         Operator on the tensor product of subsystems with dimensions ``dims``.
     dims : sequence of int
         Subsystem dimensions, in tensor order.
@@ -96,10 +87,9 @@ def partial_trace(op, dims, keep):
 
     Returns
     -------
-    Same kind as the input (array in, array out; state in, state out).
+    The reduced operator on the kept subsystems, an array.
     """
-    wrap = type(op) if isinstance(op, HermitianOperator) else None
-    arr = op.matrix if wrap else np.asarray(op, dtype=complex)
+    arr = np.asarray(op, dtype=complex)
     dims = tuple(int(d) for d in dims)
     keep = tuple(int(k) for k in keep)
     n = len(dims)
@@ -116,8 +106,7 @@ def partial_trace(op, dims, keep):
     out_axes = [i for i in keep] + [i + n for i in keep]
     reduced = np.einsum(tens, row + col, out_axes)
     kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    reduced = reduced.reshape(kept_dim, kept_dim)
-    return wrap(reduced) if wrap else reduced
+    return reduced.reshape(kept_dim, kept_dim)
 
 
 def pinv_sqrt(matrix: np.ndarray):
@@ -142,8 +131,8 @@ def hayashi_nagaoka_check(s, t) -> float:
     minimum eigenvalue of ``2(I-S) + 4T - (I - (S+T)^{-1/2} S (S+T)^{-1/2})``,
     which should only be negative at the level of rounding error.
     """
-    s_arr = _square_complex(s.matrix if isinstance(s, HermitianOperator) else s)
-    t_arr = _square_complex(t.matrix if isinstance(t, HermitianOperator) else t)
+    s_arr = _square_complex(s)
+    t_arr = _square_complex(t)
     if s_arr.shape != t_arr.shape:
         raise ValidationError("S and T must have the same shape")
     s_arr = (s_arr + s_arr.conj().T) / 2.0
@@ -162,7 +151,7 @@ def hayashi_nagaoka_check(s, t) -> float:
 
 def matrix_to_json(matrix) -> dict:
     """Serialize a complex matrix as nested [re, im] pairs."""
-    arr = _square_complex(matrix.matrix if isinstance(matrix, HermitianOperator) else matrix)
+    arr = _square_complex(matrix)
     return {
         "dim": arr.shape[0],
         "entries": [[[float(z.real), float(z.imag)] for z in row] for row in arr],

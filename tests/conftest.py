@@ -237,11 +237,11 @@ def encode_per_trial(codebook, m1: int, m2: int, evaluator, eps0: float) -> Enco
     return EncodeOutcome(None, None, x, True, scanned, 0.0, 0.0)
 
 
-def draw_trial(scheme, params, t: int, seed: int, fixed_cb, log_ratio) -> tuple:
+def draw_trial(scheme, params, t: int, seed: int, fixed_cb) -> tuple:
     """Trial t's key, codebook, messages and encoding, drawn on their own."""
     trial_key = mix64(seed, t)
     cb = fixed_cb if fixed_cb is not None else generate_codebook(
-        scheme.design, params, trial_key, scheme.n, log_ratio=log_ratio)
+        scheme.design, params, trial_key, scheme.n)
     n_m1, n_m2 = 1 << params.R1, 1 << params.R2
     u = SeededRng(trial_key, 101).random(2)
     m1 = min(int(u[0] * n_m1), n_m1 - 1)
@@ -259,12 +259,13 @@ def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb,
     input word through the channel on stream 102 and decodes each side
     with ``decode_rows`` / ``decode_cols``.  A side decodes to the band of
     its first match, or to message 0 when nothing matches, and to an index
-    only when exactly one word matches.
+    only when exactly one word matches.  ``log_ratio`` goes unused: each
+    codebook computes its own table.
     """
     counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
                             "index_error"), 0)
     for t in range(trials):
-        trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb, log_ratio)
+        trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb)
         rec_b, rec_c = scheme.sampler.sample_outputs(out.x_word, SeededRng(trial_key, 102))
         match_b = decode_rows(cb, rec_b, scheme.mem_b).matched
         match_c = decode_cols(cb, rec_c, scheme.mem_c).matched
@@ -294,11 +295,11 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ra
     from stream 101, encodes with ``encode_per_trial`` and measures each
     side with ``decode_pgm_per_trial`` on streams 103 and 104.  A side
     whose completion outcome fires decodes to no message and matches no
-    word.
+    word.  ``log_ratio`` goes unused, as in ``classical_counts_per_trial``.
     """
     counts = dict.fromkeys(("e1", "e2", "e3", "message_error", "index_error"), 0)
     for t in range(trials):
-        trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb, log_ratio)
+        trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb)
         label = scheme.channel.x_alphabet[int(out.x_word[0])]
         got_b = decode_pgm_per_trial(cb.rows, scheme.bob_tests, scheme.channel.rho_b(label),
                                      SeededRng(trial_key, 103).random())

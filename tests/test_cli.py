@@ -12,7 +12,12 @@ from martonlab import cli, experiments
 from martonlab.channels import InputDesign, channel_from_json
 from martonlab.cli import OUTPUT_DIR_ENV, main
 from martonlab.divergences import classical_i0, classical_i_infty
-from martonlab.errors import ConvergenceError, SupportOverflowError
+from martonlab.errors import (
+    ConvergenceError,
+    InfeasibleRates,
+    SupportOverflowError,
+    ValidationError,
+)
 from martonlab.experiments import achieved_divergences
 from martonlab.prob import JointPmf
 
@@ -300,6 +305,8 @@ class TestSimulate:
         assert doc["config"]["seed"] == 777
         assert doc["report"]["seed"] == 777
 
+    # the order-zero divergences of the noiseless case below underflow beta
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log2:RuntimeWarning")
     def test_auto_rates(self, tmp_path, capsys):
         cfg = simulate_config(tmp_path, rates="auto", trials=3)
         out = tmp_path / "o"
@@ -313,6 +320,16 @@ class TestSimulate:
                                  i0b + i0c - i_inf - 11 * ell - 5))
         assert doc["config"]["rates"][0] == want_r1
         assert doc["config"]["rates"][1] >= 0
+        # through a noiseless pair at n = 1100 the order-zero divergences
+        # overflow to inf, which leaves an 'auto' rate no finite cap
+        write_json(tmp_path / "noiseless.json", bsc_pair_doc(0.0, 0.0))
+        for rates, name in (("auto", "R1"), (["auto", 1], "R1"), ([1, "auto"], "R2")):
+            cfg = simulate_config(tmp_path, channel="noiseless.json", rates=rates, n=1100,
+                                  eps0=0.05, eps_tilde=0.125, mode="free", trials=1)
+            capsys.readouterr()
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: the rate cap on 'auto' {name} is inf, not a finite number\n")
 
     def test_budget_inconsistency_is_infeasible(self, tmp_path, capsys):
         cfg = simulate_config(tmp_path, eps=0.40)
@@ -491,21 +508,46 @@ class TestConfigErrors:
         doc = json.loads((out / "simulate_report.json").read_text())
         assert doc["report"]["seed"] == 2**64 - 1
 
-    @pytest.mark.parametrize("error", [SupportOverflowError, ConvergenceError])
+    @pytest.mark.parametrize("error", [SupportOverflowError, ConvergenceError,
+                                       ValidationError, InfeasibleRates])
     def test_escaping_library_error_is_infeasible(self, tmp_path, outdir, capsys,
                                                   monkeypatch, error):
         def fail(*args, **kwargs):
             raise error("llr support exceeded 100000 atoms")
 
+        def exits(argv, code=2):
+            assert main(argv) == code
+            assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
+
         # stands in for a library error no input reaches cheaply, such as a
         # spectrum past its atom cap; dsbs40 at n=1024 stays far below it
-        monkeypatch.setattr(cli, "iid_convergence_curve", fail)
         base = write_json(tmp_path / "j.json", DSBS40)
-        assert main(["iid-curve", "--base", base, "--eps", "0.05", "--n", "1024"]) == 2
-        assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
-        monkeypatch.setattr(cli.Scheme, "run", fail)
-        assert main(["simulate", "--config", desk_config(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: llr support exceeded 100000 atoms\n"
+        design = write_json(tmp_path / "d.json", design_doc())
+        covering = ["covering", "--r", "8", "--s", "8", "--q", "0.1", "--alpha", "0.5",
+                    "--trials", "10"]
+        desk = desk_config(tmp_path)
+        # without bands the simulate config selects them
+        (tmp_path / "auto_bands").mkdir()
+        no_bands = simulate_config(tmp_path / "auto_bands", trials=5, n=1, mode="free",
+                                   eps0=0.1, eps_tilde=0.125)
+        for owner, name, argv in (
+                (cli, "classical_i0", ["divergence", "--joint", base, "--kind", "i0",
+                                       "--eps", "0.05"]),
+                (cli, "synthetic_covering", covering),
+                (cli, "empirical_covering", covering + ["--design", design, "--i-infty", "1"]),
+                (cli, "iid_convergence_curve", ["iid-curve", "--base", base, "--eps", "0.05",
+                                                "--n", "1024"]),
+                (cli.Scheme, "shared", ["simulate", "--config", desk]),
+                (cli, "select_band_exponents", ["simulate", "--config", no_bands]),
+                (cli.Scheme, "run", ["simulate", "--config", desk])):
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, fail)
+                exits(argv)
+        # bands reads a ValidationError as malformed flags
+        monkeypatch.setattr(cli, "select_band_exponents", fail)
+        exits(["bands", "--R1", "5", "--R2", "5", "--i0b", "30", "--i0c", "30",
+               "--i-infty", "2", "--eps-tilde", "0.0625"],
+              3 if error is ValidationError else 2)
 
 
 class TestParserBehavior:

@@ -367,9 +367,9 @@ class TestCodebook:
             cb = generate_codebook(design, params, seed, n)
             assert np.array_equal(rows[j], cb.rows) and np.array_equal(cols[j], cb.cols)
             base = SeededRng(seed, 0)
-            assert np.array_equal(rows[j], searchsorted_words(pu.probs, params.n_rows, n,
+            assert np.array_equal(rows[j], searchsorted_words(pu, params.n_rows, n,
                                                               base.derive(1)))
-            assert np.array_equal(cols[j], searchsorted_words(pv.probs, params.n_cols, n,
+            assert np.array_equal(cols[j], searchsorted_words(pv, params.n_cols, n,
                                                               base.derive(2)))
 
     def test_word_marginals(self):
@@ -473,7 +473,7 @@ class TestCodebook:
         table = llr_table(joint)
         pu, pv = joint.marginals()
         accept = np.exp2(np.minimum(table - i_inf, 0.0))
-        mean = float(pu.probs @ accept @ pv.probs)
+        mean = float(pu @ accept @ pv)
         assert mean >= 2.0 ** (-i_inf - 2.0) - 1e-12
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from martonlab import JointPmf, Pmf, divergences, mutual_information
+from martonlab import JointPmf, divergences, mutual_information
 from martonlab.divergences import (
     DivergenceResult,
     LlrSpectrum,

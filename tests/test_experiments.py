@@ -653,10 +653,9 @@ class TestClassicalBlocks:
         monkeypatch.setattr(coding.ClassicalThresholdEvaluator, "alpha_beta", counting)
         scheme.run(params, 40, 3)
         got, asked[:] = sorted(asked), []
-        log_ratio = llr_table(design.joint)
-        classical_counts_per_trial(scheme, params, 40, 3, None, log_ratio)
+        classical_counts_per_trial(scheme, params, 40, 3, None, llr_table(design.joint))
         assert got == sorted(asked)
-        scanned = sum(draw_trial(scheme, params, t, 3, None, log_ratio)[4].scanned
+        scanned = sum(draw_trial(scheme, params, t, 3, None)[4].scanned
                       for t in range(40))
         assert len(got) < scanned
 
@@ -732,14 +731,13 @@ class TestEncodeBlockTables:
                                   eps_infty=0.25, **achieved)
 
     @staticmethod
-    def _block(design, params, keys, resample, log_ratio):
+    def _block(design, params, keys, resample):
         """Word arrays, seeds and per-trial codebooks of a block."""
         if resample:
             rows, cols = coding.codebook_block(design, params, keys)
-            codebooks = [generate_codebook(design, params, key, log_ratio=log_ratio)
-                         for key in keys]
+            codebooks = [generate_codebook(design, params, key) for key in keys]
             return rows, cols, keys, codebooks
-        cb = generate_codebook(design, params, mix64(keys[0], 0xC0DEB00C), log_ratio=log_ratio)
+        cb = generate_codebook(design, params, mix64(keys[0], 0xC0DEB00C))
         rows = np.broadcast_to(cb.rows, (len(keys),) + cb.rows.shape)
         cols = np.broadcast_to(cb.cols, (len(keys),) + cb.cols.shape)
         return rows, cols, [cb.seed] * len(keys), [cb] * len(keys)
@@ -754,7 +752,7 @@ class TestEncodeBlockTables:
         picks = np.random.default_rng(block)
         m1 = picks.integers(1 << params.R1, size=block)
         m2 = picks.integers(1 << params.R2, size=block)
-        rows, cols, seeds, codebooks = self._block(design, params, keys, resample, log_ratio)
+        rows, cols, seeds, codebooks = self._block(design, params, keys, resample)
         got = coding.encode_block(rows, cols, seeds, m1, m2, params, log_ratio,
                                   scheme.evaluator, params.eps0)
         want = _encode_per_trial(codebooks, m1, m2, scheme.evaluator, params.eps0)
@@ -774,7 +772,7 @@ class TestEncodeBlockTables:
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)
 
-    def test_undefined_pair_raises_where_encode_does(self):
+    def test_undefined_pair_raises_where_encode_does(self, monkeypatch):
         # with every llr at 0 and i_infty 0 every cell survives, so cells of
         # the undefined pair are reached: encode raises when one comes
         # before the first passing cell of its trial, and only then
@@ -783,9 +781,11 @@ class TestEncodeBlockTables:
         params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=0.125, eps0=0.05,
                             eps_infty=0.25, **dict(scheme.achieved, i_infty=0.0))
         zero = np.zeros((2, 2))
+        # the table each per-trial codebook computes on first use
+        monkeypatch.setattr(coding, "llr_table", lambda joint: zero)
         keys = [mix64(5, t) for t in range(40)]
         m1, m2 = np.arange(40) % 2, np.arange(40) // 2 % 2
-        rows, cols, seeds, codebooks = self._block(design, params, keys, True, zero)
+        rows, cols, seeds, codebooks = self._block(design, params, keys, True)
         message = "input map undefined for a sampled pair"
         fx, outcomes = scheme.evaluator.fx, []
         for j in range(40):

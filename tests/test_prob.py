@@ -1,4 +1,4 @@
-"""Pmfs, joint pmfs, mutual information, and seeded streams."""
+"""Joint pmfs, mutual information, and seeded streams."""
 
 import json
 import math
@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from martonlab import (
     JointPmf,
     NormalizationError,
-    Pmf,
     PositivityError,
     SeededRng,
     ValidationError,
@@ -36,41 +35,36 @@ GOLDEN_42_1 = [0.443746921343274, 0.8163920951010332, 0.5090261862073765, 0.3876
 
 
 class TestPmf:
+    """Mass checks of the library's one pmf type, ``JointPmf``, and
+    sampling from a plain cdf array."""
+
     def test_validates_mass(self):
         with pytest.raises(NormalizationError):
-            Pmf(("a", "b"), [0.5, 0.6])
+            JointPmf(("a", "b"), ("x",), [[0.5], [0.6]])
         with pytest.raises(PositivityError):
-            Pmf(("a", "b"), [1.2, -0.2])
+            JointPmf(("a", "b"), ("x",), [[1.2], [-0.2]])
         with pytest.raises(ValidationError):
-            Pmf(("a", "a"), [0.5, 0.5])
+            JointPmf(("a", "a"), ("x",), [[0.5], [0.5]])
+        with pytest.raises(ValidationError):
+            JointPmf(("a",), ("x", "x"), [[0.5, 0.5]])
 
     def test_tolerance_is_configurable(self):
-        probs = [0.5 + 1e-9, 0.5]
+        probs = [[0.5 + 1e-9, 0.5]]
         with pytest.raises(NormalizationError):
-            Pmf(("a", "b"), probs)
-        ok = Pmf(("a", "b"), probs, atol=1e-8)
-        assert ok.probs[0] > 0.5
+            JointPmf(("a",), ("x", "y"), probs)
+        ok = JointPmf(("a",), ("x", "y"), probs, atol=1e-8)
+        assert ok.probs[0, 0] > 0.5
 
     def test_point_mass_sampling(self):
-        p = Pmf(("only", "never"), [1.0, 0.0])
-        assert np.array_equal(SeededRng(7).choice_index(p.cdf(), 5), np.zeros(5))
+        cdf = np.cumsum([1.0, 0.0])
+        assert np.array_equal(SeededRng(7).choice_index(cdf, 5), np.zeros(5))
 
     def test_uniform_frequencies_within_3_sigma(self):
         n = 100_000
-        p = Pmf(("a", "b", "c", "d"), np.full(4, 0.25))
-        idx = SeededRng(123).choice_index(p.cdf(), n)
+        idx = SeededRng(123).choice_index(np.cumsum(np.full(4, 0.25)), n)
         counts = np.bincount(idx, minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n * 0.25) < 3 * sigma)
-
-    def test_json_round_trip(self):
-        p = Pmf(("a", "b", "c"), [0.2, 0.3, 0.5])
-        blob = json.dumps(p.to_json())
-        q = Pmf.from_json(json.loads(blob))
-        assert q.labels == p.labels
-        assert_allclose(q.probs, p.probs)
-        with pytest.raises(ValidationError):
-            Pmf.from_json({"labels": ["a"]})
 
 
 def philox_oracle(master_seed: int, stream_id: int) -> np.random.Generator:
@@ -292,17 +286,20 @@ class TestJointPmf:
     def test_marginals_sum_rows_and_cols(self):
         j = JointPmf(("0", "1"), ("a", "b", "c"), [[0.1, 0.2, 0.1], [0.3, 0.2, 0.1]])
         pu, pv = j.marginals()
-        assert_allclose(pu.probs, [0.4, 0.6])
-        assert_allclose(pv.probs, [0.4, 0.4, 0.2])
-        # built once and shared: both pmfs are immutable
+        assert_allclose(pu, [0.4, 0.6])
+        assert_allclose(pv, [0.4, 0.4, 0.2])
+        # built once and shared: both arrays are immutable
         assert j.marginals() is j.marginals()
-        assert not pu.probs.flags.writeable
+        assert not pu.flags.writeable and not pv.flags.writeable
+        # each cell lies within atol, but a row marginal sums two of them
+        dip = JointPmf(("a", "b"), ("x", "y"), [[-0.6e-12, -0.6e-12], [0.5, 0.5 + 1.2e-12]])
+        with pytest.raises(PositivityError, match="JointPmf rows marginal: negative"):
+            dip.marginals()
 
     def test_sampling_matches_cell_masses(self):
         # a cell index is drawn from the flattened joint's cdf
         j = JointPmf(("0", "1"), ("0", "1"), [[0.4, 0.1], [0.1, 0.4]])
-        flat = Pmf(("00", "01", "10", "11"), j.probs.ravel())
-        cells = SeededRng(31).choice_index(flat.cdf(), 200_000)
+        cells = SeededRng(31).choice_index(np.cumsum(j.probs.ravel()), 200_000)
         freq = np.bincount(cells, minlength=4) / 200_000
         assert_allclose(freq, [0.4, 0.1, 0.1, 0.4], atol=0.005)
 
