@@ -44,7 +44,6 @@ from .divergences import (
     DivergenceResult,
     classical_i0,
     classical_i_infty,
-    classical_i_infty_iid,
     iid_llr_spectrum,
     quantum_i0_cq,
     spectrum_i0,
@@ -96,7 +95,6 @@ __all__ = [
     "channel_from_json",
     "classical_i0",
     "classical_i_infty",
-    "classical_i_infty_iid",
     "clopper_pearson_lower",
     "clopper_pearson_upper",
     "covering_bound",

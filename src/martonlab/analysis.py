@@ -50,6 +50,10 @@ __all__ = [
 # confidence limits
 
 
+# the level of every limit: the report's lower95/upper95 and exit code 1's
+# "violated at 95% confidence"
+_CONFIDENCE = 0.95
+
 # Working precision of the decimal tail sums.  Their rounding error stays
 # below (trials + 2) * 10**(10 - _TAIL_DIGITS), a wide margin over the
 # ~10 * trials roundings they make, and far below what half an ulp of a
@@ -265,11 +269,9 @@ def _start(trials: int, k: int, level: float) -> float:
         p = new if steps <= 8 else math.nan
 
 
-def _check_binomial(hits: int, trials: int, confidence: float) -> None:
+def _check_binomial(hits: int, trials: int) -> None:
     if not 0 <= hits <= trials or trials <= 0:
         raise ValidationError(f"need 0 <= hits <= trials, got {hits}/{trials}")
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(f"confidence must lie in (0, 1), got {confidence}")
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -279,37 +281,37 @@ def _limit(trials: int, k: int, level: float) -> float:
     return _rounded_root(trials, k, level, _start(trials, k, level))
 
 
-def clopper_pearson_upper(hits: int, trials: int, confidence: float = 0.95) -> float:
-    """One-sided upper confidence limit for a binomial proportion.
+def clopper_pearson_upper(hits: int, trials: int) -> float:
+    """One-sided 95% upper confidence limit for a binomial proportion.
 
     The limit is the p at which Pr{Binomial(trials, p) >= hits + 1} equals
-    ``confidence`` (the double as given), i.e. the ``confidence`` quantile
-    of Beta(hits + 1, trials - hits).  It is returned correctly rounded to
-    the nearest double, in pure Python, so it is the same on every platform.
-    The arguments are checked on every call; the search is memoized by
-    (trials, hits + 1, confidence) in a private 4096-entry LRU cache.
+    0.95, i.e. the 0.95 quantile of Beta(hits + 1, trials - hits).  It is
+    returned correctly rounded to the nearest double, in pure Python, so it
+    is the same on every platform.  The arguments are checked on every
+    call; the search is memoized by (trials, hits + 1, 0.95) in a private
+    4096-entry LRU cache.
     """
-    _check_binomial(hits, trials, confidence)
+    _check_binomial(hits, trials)
     if hits == trials:
         return 1.0
-    return _limit(trials, hits + 1, confidence)
+    return _limit(trials, hits + 1, _CONFIDENCE)
 
 
-def clopper_pearson_lower(hits: int, trials: int, confidence: float = 0.95) -> float:
-    """One-sided lower confidence limit for a binomial proportion.
+def clopper_pearson_lower(hits: int, trials: int) -> float:
+    """One-sided 95% lower confidence limit for a binomial proportion.
 
     The limit is the p at which Pr{Binomial(trials, p) >= hits} equals
-    ``1.0 - confidence`` (computed as a double), i.e. that quantile of
+    ``1.0 - 0.95`` (computed as a double), i.e. that quantile of
     Beta(hits, trials - hits + 1).  It is returned correctly rounded to the
     nearest double, in pure Python, so it is the same on every platform.
     The arguments are checked on every call; the search is memoized by
-    (trials, hits, 1.0 - confidence) in the private LRU cache that the
-    upper limit uses.
+    (trials, hits, 1.0 - 0.95) in the private LRU cache that the upper
+    limit uses.
     """
-    _check_binomial(hits, trials, confidence)
+    _check_binomial(hits, trials)
     if hits == 0:
         return 0.0
-    return _limit(trials, hits, 1.0 - confidence)
+    return _limit(trials, hits, 1.0 - _CONFIDENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +638,10 @@ class RateRegion:
                 out.append(p)
         return out
 
-    def contains_point(self, R1: float, R2: float, tol: float = 1e-9) -> bool:
+    def contains_point(self, R1: float, R2: float) -> bool:
+        # slack on every cap, so that a vertex of one region computed along
+        # another path still counts as inside it
+        tol = 1e-9
         if self.empty:
             return False
         if R1 < -tol or R2 < -tol:
@@ -700,13 +705,13 @@ def verdu_region(i0b: float, i0c: float, i_infty: float, eps0: float,
     )
 
 
-def region_contains(outer: RateRegion, inner: RateRegion, tol: float = 1e-9) -> bool:
+def region_contains(outer: RateRegion, inner: RateRegion) -> bool:
     """True when every vertex of the inner region lies in the outer one."""
     if inner.empty:
         return True
     if outer.empty:
         return False
-    return all(outer.contains_point(x, y, tol) for x, y in inner.vertices)
+    return all(outer.contains_point(x, y) for x, y in inner.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ class ClassicalBroadcastChannel(_Digested):
     y_alphabet: tuple
     z_alphabet: tuple
     probs: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         object.__setattr__(self, "x_alphabet", _check_alphabet(self.x_alphabet, "X"))
@@ -81,10 +80,10 @@ class ClassicalBroadcastChannel(_Digested):
         shape = (len(self.x_alphabet), len(self.y_alphabet), len(self.z_alphabet))
         if arr.shape != shape:
             raise ValidationError(f"transition shape {arr.shape} does not match alphabets {shape}")
-        if float(arr.min(initial=0.0)) < -self.atol:
+        if float(arr.min(initial=0.0)) < -DEFAULT_ATOL:
             raise PositivityError(f"negative transition probability {arr.min():.3e}")
         sums = arr.sum(axis=(1, 2))
-        bad = np.abs(sums - 1.0) > self.atol
+        bad = np.abs(sums - 1.0) > DEFAULT_ATOL
         if np.any(bad):
             x = self.x_alphabet[int(np.argmax(bad))]
             raise NormalizationError(f"p(y,z|x={x}) sums to {sums[np.argmax(bad)]!r}")
@@ -115,12 +114,12 @@ class ClassicalBroadcastChannel(_Digested):
         }
 
     @classmethod
-    def from_json(cls, data: dict, atol: float = DEFAULT_ATOL) -> "ClassicalBroadcastChannel":
+    def from_json(cls, data: dict) -> "ClassicalBroadcastChannel":
         needed = {"x_alphabet", "y_alphabet", "z_alphabet", "p"}
         if not isinstance(data, dict) or not needed.issubset(data):
             raise ValidationError("classical channel JSON needs x/y/z alphabets and 'p'")
         return cls(tuple(data["x_alphabet"]), tuple(data["y_alphabet"]), tuple(data["z_alphabet"]),
-                   np.asarray(data["p"], dtype=float), atol)
+                   np.asarray(data["p"], dtype=float))
 
 
 @dataclass(frozen=True)

@@ -849,8 +849,7 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
     for i, j in enumerate(first):
         x = int(sent[j])
         if x not in rho_keys:
-            rho = states[x]
-            rho_keys[x] = _frozen(rho.matrix if hasattr(rho, "matrix") else np.asarray(rho))
+            rho_keys[x] = _frozen(np.asarray(states[x]))
         q[i], p_fail[i] = _pgm_table(tests_key, _frozen(counts[j]), rho_keys[x])
     inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as (trials, 1)
     vec = np.empty((trials, words + 1))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,9 @@ __all__ = [
     "classical_i_infty",
     "classical_i0",
     "quantum_i0_cq",
-    "np_test_blocks",
     "LlrSpectrum",
     "iid_llr_spectrum",
     "iid_llr_spectra",
-    "classical_i_infty_iid",
     "spectrum_i0",
     "spectrum_i_infty",
     "llr_table",
@@ -63,13 +61,16 @@ class DivergenceResult:
     """Value of a smooth divergence computation plus its witness.
 
     ``witness`` is a JSON-friendly dict whose ``kind`` key says how to
-    re-evaluate the objective.
+    re-evaluate the objective.  A Neyman-Pearson result also carries its
+    test operators, stacked by register value in a read-only array, as
+    ``operators``; they stay out of comparisons and of ``to_json``.
     """
 
     value: float
     epsilon: float
     method: str
     witness: dict
+    operators: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -98,6 +99,13 @@ def _positive_cells(joint: JointPmf):
     return pj, q, pj / q, rows, cols
 
 
+def _first_reaching(masses: np.ndarray, target: float) -> tuple:
+    """Cumulative sums of ``masses`` and the first index at which they reach
+    ``target`` within ``MASS_TOL``, or the last index if none does."""
+    cum = np.cumsum(masses)
+    return cum, min(int(np.searchsorted(cum, target - MASS_TOL)), masses.size - 1)
+
+
 def _cell_labels(joint: JointPmf, rows, cols) -> list:
     return [[joint.row_labels[i], joint.col_labels[j]] for i, j in zip(rows, cols)]
 
@@ -124,10 +132,7 @@ def classical_i_infty(joint: JointPmf, eps: float) -> DivergenceResult:
     eps = _check_eps(eps)
     pj, q, ratio, rows, cols = _positive_cells(joint)
     order = np.argsort(ratio, kind="stable")
-    cum = np.cumsum(pj[order])
-    k = int(np.searchsorted(cum, 1.0 - eps - MASS_TOL))
-    if k >= order.size:
-        k = order.size - 1
+    cum, k = _first_reaching(pj[order], 1.0 - eps)
     chosen = order[: k + 1]
     value = float(np.log2(ratio[order[k]]))
     witness = {
@@ -136,16 +141,6 @@ def classical_i_infty(joint: JointPmf, eps: float) -> DivergenceResult:
         "mass": float(cum[k]),
     }
     return DivergenceResult(value, eps, "lower-set", witness)
-
-
-def _greedy_i0(pj, q, ratio, target):
-    order = np.argsort(-ratio, kind="stable")
-    cum = np.cumsum(pj[order])
-    k = int(np.searchsorted(cum, target - MASS_TOL))
-    if k >= order.size:
-        k = order.size - 1
-    chosen = order[: k + 1]
-    return chosen, float(q[chosen].sum()), float(cum[k])
 
 
 def _subset_sums(w: np.ndarray) -> np.ndarray:
@@ -184,25 +179,6 @@ def _exhaustive_i0(pj, q, target):
     return chosen, float(total[a_best]), float(pj[chosen].sum())
 
 
-def _randomized_threshold(pj, ratio, target):
-    """Descending-ratio prefix plus fractional weight on the tied boundary."""
-    order = np.argsort(-ratio, kind="stable")
-    cum = np.cumsum(pj[order])
-    k = int(np.searchsorted(cum, target - MASS_TOL))
-    if k >= order.size:
-        k = order.size - 1
-    thr = ratio[order[k]]
-    sorted_ratio = ratio[order]
-    boundary = np.abs(sorted_ratio - thr) <= _BOUNDARY_RTOL * max(abs(thr), 1e-300)
-    first_b = int(np.argmax(boundary))
-    full = order[:first_b]
-    bnd = order[boundary]
-    p_full = float(pj[full].sum())
-    p_bnd = float(pj[bnd].sum())
-    w = 0.0 if p_bnd <= 0.0 else min(max((target - p_full) / p_bnd, 0.0), 1.0)
-    return full, bnd, thr, w
-
-
 def classical_i0(joint: JointPmf, eps: float, method: str = "greedy") -> DivergenceResult:
     """Smooth order-zero divergence of a joint pmf against its marginal product.
 
@@ -223,9 +199,14 @@ def classical_i0(joint: JointPmf, eps: float, method: str = "greedy") -> Diverge
     eps = _check_eps(eps)
     pj, q, ratio, rows, cols = _positive_cells(joint)
     target = 1.0 - eps
+    # greedy and randomized both read the descending-ratio prefix
+    order = np.argsort(-ratio, kind="stable")
+    cum, k = _first_reaching(pj[order], target)
     if method == "greedy":
-        chosen, beta, mass = _greedy_i0(pj, q, ratio, target)
-        witness = {"kind": "min-div-set", "cells": _cell_labels(joint, rows[chosen], cols[chosen]), "mass": mass}
+        chosen = order[: k + 1]
+        beta = float(q[chosen].sum())
+        witness = {"kind": "min-div-set", "cells": _cell_labels(joint, rows[chosen], cols[chosen]),
+                   "mass": float(cum[k])}
     elif method == "exhaustive":
         if pj.size > EXHAUSTIVE_CELL_CAP:
             raise ValidationError(
@@ -234,7 +215,15 @@ def classical_i0(joint: JointPmf, eps: float, method: str = "greedy") -> Diverge
         chosen, beta, mass = _exhaustive_i0(pj, q, target)
         witness = {"kind": "min-div-set", "cells": _cell_labels(joint, rows[chosen], cols[chosen]), "mass": mass}
     elif method == "randomized":
-        full, bnd, thr, w = _randomized_threshold(pj, ratio, target)
+        # the prefix before the cells tied at the boundary ratio, plus
+        # fractional weight on those cells
+        thr = ratio[order[k]]
+        boundary = np.abs(ratio[order] - thr) <= _BOUNDARY_RTOL * max(abs(thr), 1e-300)
+        full = order[: int(np.argmax(boundary))]
+        bnd = order[boundary]
+        p_full = float(pj[full].sum())
+        p_bnd = float(pj[bnd].sum())
+        w = 0.0 if p_bnd <= 0.0 else min(max((target - p_full) / p_bnd, 0.0), 1.0)
         beta = float(q[full].sum() + w * q[bnd].sum())
         witness = {
             "kind": "min-div-randomized",
@@ -252,6 +241,11 @@ def classical_i0(joint: JointPmf, eps: float, method: str = "greedy") -> Diverge
 # classical-quantum order-zero divergence via a bisected Neyman-Pearson test
 
 
+def _expectation(v: np.ndarray, m: np.ndarray) -> float:
+    """Tr[V^dagger m V]: the mass of ``m`` in the span of the columns of V."""
+    return float(np.einsum("ij,jk,ki->", v.conj().T, m, v).real)
+
+
 def _np_strict_alpha(p_u, rho_u, rho_avg, lam):
     total = 0.0
     for pu, r in zip(p_u, rho_u):
@@ -260,8 +254,7 @@ def _np_strict_alpha(p_u, rho_u, rho_avg, lam):
         vals, vecs = np.linalg.eigh(r - lam * rho_avg)
         pos = vals > 0.0
         if np.any(pos):
-            v = vecs[:, pos]
-            total += pu * float(np.einsum("ij,jk,ki->", v.conj().T, r, v).real)
+            total += pu * _expectation(vecs[:, pos], r)
     return total
 
 
@@ -279,7 +272,11 @@ def quantum_i0_cq(p_u, rho_u, eps: float) -> DivergenceResult:
 
     The Neyman-Pearson test maximizing retained state mass for a given
     marginal-product mass is block diagonal, so the bisection runs per
-    conditional state against the average state.
+    conditional state against the average state.  Block u of the test,
+    returned in ``operators[u]``, is the projector onto the strictly
+    positive eigenspace of ``rho_u - lambda * rho_avg`` plus the boundary
+    weight times the projector onto its boundary eigenspace; blocks with
+    zero register mass are zero.
     """
     eps = _check_eps(eps)
     p_u = np.asarray(p_u, dtype=float)
@@ -308,25 +305,24 @@ def quantum_i0_cq(p_u, rho_u, eps: float) -> DivergenceResult:
             hi = mid
 
     lam = 0.5 * (lo + hi)
+    # one eigendecomposition per block at the final lambda gives the strict
+    # and boundary masses, beta and the test operators; an empty eigenspace
+    # adds an exact 0.0
     a = b = beta_a = beta_b = 0.0
     avg_norm = float(np.linalg.norm(rho_avg, 2))
-    for pu, r in zip(p_u, rho_u):
+    splits = {}
+    for u, (pu, r) in enumerate(zip(p_u, rho_u)):
         if pu <= 0.0:
             continue
         vals, vecs = np.linalg.eigh(r - lam * rho_avg)
         btol = _BOUNDARY_RTOL * max(float(np.linalg.norm(r, 2)), lam * avg_norm, 1e-300)
         pos = vals > btol
         bnd = np.abs(vals) <= btol
-        for mask, acc_r, acc_s in ((pos, "a", "beta_a"), (bnd, "b", "beta_b")):
-            if not np.any(mask):
-                continue
-            v = vecs[:, mask]
-            ra = pu * float(np.einsum("ij,jk,ki->", v.conj().T, r, v).real)
-            sa = pu * float(np.einsum("ij,jk,ki->", v.conj().T, rho_avg, v).real)
-            if acc_r == "a":
-                a, beta_a = a + ra, beta_a + sa
-            else:
-                b, beta_b = b + ra, beta_b + sa
+        splits[u] = vecs, pos, bnd
+        a += pu * _expectation(vecs[:, pos], r)
+        beta_a += pu * _expectation(vecs[:, pos], rho_avg)
+        b += pu * _expectation(vecs[:, bnd], r)
+        beta_b += pu * _expectation(vecs[:, bnd], rho_avg)
     if a > target + 1e-9 or a + b < target - 1e-9:
         raise ConvergenceError(
             f"boundary eigenspace does not bracket the mass constraint: "
@@ -334,36 +330,17 @@ def quantum_i0_cq(p_u, rho_u, eps: float) -> DivergenceResult:
         )
     w = 0.0 if b <= 0.0 else min(max((target - a) / b, 0.0), 1.0)
     beta = beta_a + w * beta_b
+    operators = np.zeros((len(rho_u),) + rho_avg.shape, dtype=complex)
+    for u, (vecs, pos, bnd) in splits.items():
+        operators[u] = (vecs * (np.where(pos, 1.0, 0.0) + np.where(bnd, w, 0.0))) @ vecs.conj().T
+    operators.setflags(write=False)
     witness = {
         "kind": "np-test",
         "lambda": float(lam),
         "boundary_weight": float(w),
         "constraint_mass": float(a + w * b),
     }
-    return DivergenceResult(float(-np.log2(beta)), eps, "neyman-pearson", witness)
-
-
-def np_test_blocks(p_u, rho_u, lam: float, weight: float):
-    """Per-block test operators for a Neyman-Pearson witness.
-
-    Block u is the projector onto the strictly positive eigenspace of
-    ``rho_u - lam * rho_avg`` plus ``weight`` times the projector onto
-    its boundary eigenspace.  Blocks with zero register mass are zero.
-    """
-    p_u = np.asarray(p_u, dtype=float)
-    rho_u = [np.asarray(r, dtype=complex) for r in rho_u]
-    rho_avg = sum(pu * r for pu, r in zip(p_u, rho_u))
-    avg_norm = float(np.linalg.norm(rho_avg, 2))
-    out = []
-    for pu, r in zip(p_u, rho_u):
-        if pu <= 0.0:
-            out.append(np.zeros_like(rho_avg))
-            continue
-        vals, vecs = np.linalg.eigh(r - lam * rho_avg)
-        btol = _BOUNDARY_RTOL * max(float(np.linalg.norm(r, 2)), lam * avg_norm, 1e-300)
-        coeff = np.where(vals > btol, 1.0, 0.0) + np.where(np.abs(vals) <= btol, weight, 0.0)
-        out.append((vecs * coeff) @ vecs.conj().T)
-    return out
+    return DivergenceResult(float(-np.log2(beta)), eps, "neyman-pearson", witness, operators)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +482,7 @@ def iid_llr_spectrum(base: JointPmf, n: int) -> LlrSpectrum:
 def spectrum_i_infty(spectrum: LlrSpectrum, eps: float) -> DivergenceResult:
     """Smooth max divergence evaluated on an llr spectrum."""
     eps = _check_eps(eps)
-    cum = np.cumsum(spectrum.probs)
-    k = int(np.searchsorted(cum, 1.0 - eps - MASS_TOL))
-    k = min(k, len(spectrum) - 1)
+    cum, k = _first_reaching(spectrum.probs, 1.0 - eps)
     witness = {"kind": "spectrum-threshold", "objective": "max", "threshold": float(spectrum.values[k]),
                "mass": float(cum[k])}
     return DivergenceResult(float(spectrum.values[k]), eps, "spectrum-lower-set", witness)
@@ -525,9 +500,7 @@ def spectrum_i0(spectrum: LlrSpectrum, eps: float, method: str = "randomized") -
     v = spectrum.values[::-1]
     p = spectrum.probs[::-1]
     q = p * np.exp2(-v)
-    cum = np.cumsum(p)
-    k = int(np.searchsorted(cum, target - MASS_TOL))
-    k = min(k, v.size - 1)
+    cum, k = _first_reaching(p, target)
     if method == "randomized":
         p_full = float(cum[k - 1]) if k > 0 else 0.0
         w = 0.0 if p[k] <= 0.0 else min(max((target - p_full) / float(p[k]), 0.0), 1.0)
@@ -541,8 +514,3 @@ def spectrum_i0(spectrum: LlrSpectrum, eps: float, method: str = "randomized") -
     else:
         raise ValidationError(f"unknown method {method!r}")
     return DivergenceResult(float(-np.log2(beta)), eps, f"spectrum-{method}", witness)
-
-
-def classical_i_infty_iid(base: JointPmf, n: int, eps: float) -> DivergenceResult:
-    """Smooth max divergence of n iid copies of a base joint, via its spectrum."""
-    return spectrum_i_infty(iid_llr_spectrum(base, n), eps)

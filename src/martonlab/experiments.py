@@ -56,12 +56,11 @@ from .divergences import (
     I0_METHODS,
     classical_i0,
     classical_i_infty,
-    classical_i_infty_iid,
     iid_llr_spectrum,
     llr_table,
-    np_test_blocks,
     quantum_i0_cq,
     spectrum_i0,
+    spectrum_i_infty,
 )
 from .errors import InfeasibleRates, ValidationError
 from .rng import SeededRng, first_uniforms, mix64
@@ -268,10 +267,7 @@ class Scheme:
             res_b = quantum_i0_cq(p_u, rho_bu, eps0)
             res_c = quantum_i0_cq(p_v, rho_cv, eps0)
             # stacked, so that each decode keys its PGM tables without a copy
-            self.bob_tests = np.array(np_test_blocks(
-                p_u, rho_bu, res_b.witness["lambda"], res_b.witness["boundary_weight"]))
-            self.charlie_tests = np.array(np_test_blocks(
-                p_v, rho_cv, res_c.witness["lambda"], res_c.witness["boundary_weight"]))
+            self.bob_tests, self.charlie_tests = res_b.operators, res_c.operators
             self.evaluator = QuantumPairEvaluator(channel, design, self.bob_tests,
                                                   self.charlie_tests)
             self.describe = {
@@ -308,7 +304,7 @@ class Scheme:
             self.describe.update(a1_mass=res_b.witness["mass"], a2_mass=res_c.witness["mass"])
             self.sampler = ProductClassicalChannel(channel, n)
         res_inf = (classical_i_infty(design.joint, eps_infty) if n == 1
-                   else classical_i_infty_iid(design.joint, n, eps_infty))
+                   else spectrum_i_infty(iid_llr_spectrum(design.joint, n), eps_infty))
         self.achieved = {"i0b": res_b.value, "i0c": res_c.value, "i_infty": res_inf.value}
 
     @classmethod

@@ -89,11 +89,11 @@ class JointPmf:
         }
 
     @classmethod
-    def from_json(cls, data: dict, atol: float = DEFAULT_ATOL) -> "JointPmf":
+    def from_json(cls, data: dict) -> "JointPmf":
         needed = {"row_labels", "col_labels", "probs"}
         if not isinstance(data, dict) or not needed.issubset(data):
             raise ValidationError("JointPmf JSON must be an object with 'row_labels', 'col_labels', 'probs'")
-        return cls(tuple(data["row_labels"]), tuple(data["col_labels"]), np.asarray(data["probs"], dtype=float), atol)
+        return cls(tuple(data["row_labels"]), tuple(data["col_labels"]), np.asarray(data["probs"], dtype=float))
 
 
 def mutual_information(joint: JointPmf) -> float:

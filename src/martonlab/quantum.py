@@ -17,17 +17,14 @@ from .errors import HermiticityError, NormalizationError, PositivityError, Valid
 __all__ = [
     "DensityOperator",
     "partial_trace",
-    "hayashi_nagaoka_check",
     "real_trace",
     "pinv_sqrt",
     "matrix_to_json",
     "matrix_from_json",
     "HERMITICITY_TOL",
-    "POVM_TOL",
 ]
 
 HERMITICITY_TOL = 1e-10
-POVM_TOL = 1e-9
 # relative eigenvalue cutoff below which a direction counts as outside the support
 SUPPORT_RCUT = 1e-12
 
@@ -120,33 +117,6 @@ def pinv_sqrt(matrix: np.ndarray):
     inv[mask] = vals[mask] ** -0.5
     v = vecs
     return (v * inv) @ v.conj().T, (v * mask.astype(float)) @ v.conj().T
-
-
-def hayashi_nagaoka_check(s, t) -> float:
-    """Smallest eigenvalue of the operator-inequality slack.
-
-    For ``0 <= S <= I`` and ``T >= 0`` the inequality
-    ``I - (S+T)^{-1/2} S (S+T)^{-1/2} <= 2(I-S) + 4T`` holds, with the
-    inverse square root taken on the support of ``S+T``.  Returns the
-    minimum eigenvalue of ``2(I-S) + 4T - (I - (S+T)^{-1/2} S (S+T)^{-1/2})``,
-    which should only be negative at the level of rounding error.
-    """
-    s_arr = _square_complex(s)
-    t_arr = _square_complex(t)
-    if s_arr.shape != t_arr.shape:
-        raise ValidationError("S and T must have the same shape")
-    s_arr = (s_arr + s_arr.conj().T) / 2.0
-    t_arr = (t_arr + t_arr.conj().T) / 2.0
-    eye = np.eye(s_arr.shape[0])
-    s_eigs = np.linalg.eigvalsh(s_arr)
-    if float(s_eigs[0]) < -POVM_TOL or float(s_eigs[-1]) > 1.0 + POVM_TOL:
-        raise ValidationError(f"S must satisfy 0 <= S <= I, eigenvalues span [{s_eigs[0]:.3e}, {s_eigs[-1]:.3e}]")
-    if float(np.linalg.eigvalsh(t_arr)[0]) < -POVM_TOL:
-        raise PositivityError("T must be positive semidefinite")
-    inv_sqrt, _ = pinv_sqrt(s_arr + t_arr)
-    pinched = inv_sqrt @ s_arr @ inv_sqrt
-    slack = 2.0 * (eye - s_arr) + 4.0 * t_arr - (eye - pinched)
-    return float(np.linalg.eigvalsh(slack)[0])
 
 
 def matrix_to_json(matrix) -> dict:

@@ -1,8 +1,10 @@
 """Shared randomized-instance helpers and dense oracles.
 
 The oracles build what the library only ever computes implicitly: the
-pretty good measurement as explicit per-word elements, and the n-fold
-product channels and designs over materialized product alphabets.  The
+pretty good measurement as explicit per-word elements, the Neyman-Pearson
+test blocks rebuilt from a witness alone, the slack of the Hayashi-Nagaoka
+operator inequality behind the measurement's error analysis, and the
+n-fold product channels and designs over materialized product alphabets.  The
 per-trial classical and cq loops are the schedules ``Scheme.run`` replaced
 with blocks of trials; they draw the same streams one trial at a time,
 encode with the cell-by-cell scan ``encode_block`` replaced, and classify
@@ -27,13 +29,15 @@ from martonlab.coding import (
     generate_codebook,
     pgm_outcome_probabilities,
 )
-from martonlab.errors import ValidationError
+from martonlab.divergences import _BOUNDARY_RTOL
+from martonlab.errors import PositivityError, ValidationError
 from martonlab.prob import JointPmf
-from martonlab.quantum import POVM_TOL, DensityOperator, pinv_sqrt, real_trace
+from martonlab.quantum import DensityOperator, _square_complex, pinv_sqrt, real_trace
 from martonlab.rng import SeededRng, mix64
 
 NFOLD_CELL_CAP = 1_000_000
 NFOLD_DIM_CAP = 1024
+POVM_TOL = 1e-9
 
 
 def rand_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -87,6 +91,58 @@ def pretty_good_measurement(operators, state) -> np.ndarray:
     return probs / probs.sum()
 
 
+def np_test_blocks(p_u, rho_u, lam: float, weight: float):
+    """Per-block test operators for a Neyman-Pearson witness.
+
+    Block u is the projector onto the strictly positive eigenspace of
+    ``rho_u - lam * rho_avg`` plus ``weight`` times the projector onto
+    its boundary eigenspace.  Blocks with zero register mass are zero.
+    Rebuilt from the witness alone, they are what ``quantum_i0_cq``
+    returns as its operators, bit for bit.
+    """
+    p_u = np.asarray(p_u, dtype=float)
+    rho_u = [np.asarray(r, dtype=complex) for r in rho_u]
+    rho_avg = sum(pu * r for pu, r in zip(p_u, rho_u))
+    avg_norm = float(np.linalg.norm(rho_avg, 2))
+    out = []
+    for pu, r in zip(p_u, rho_u):
+        if pu <= 0.0:
+            out.append(np.zeros_like(rho_avg))
+            continue
+        vals, vecs = np.linalg.eigh(r - lam * rho_avg)
+        btol = _BOUNDARY_RTOL * max(float(np.linalg.norm(r, 2)), lam * avg_norm, 1e-300)
+        coeff = np.where(vals > btol, 1.0, 0.0) + np.where(np.abs(vals) <= btol, weight, 0.0)
+        out.append((vecs * coeff) @ vecs.conj().T)
+    return out
+
+
+def hayashi_nagaoka_check(s, t) -> float:
+    """Smallest eigenvalue of the operator-inequality slack.
+
+    For ``0 <= S <= I`` and ``T >= 0`` the inequality
+    ``I - (S+T)^{-1/2} S (S+T)^{-1/2} <= 2(I-S) + 4T`` holds, with the
+    inverse square root taken on the support of ``S+T``.  Returns the
+    minimum eigenvalue of ``2(I-S) + 4T - (I - (S+T)^{-1/2} S (S+T)^{-1/2})``,
+    which should only be negative at the level of rounding error.
+    """
+    s_arr = _square_complex(s)
+    t_arr = _square_complex(t)
+    if s_arr.shape != t_arr.shape:
+        raise ValidationError("S and T must have the same shape")
+    s_arr = (s_arr + s_arr.conj().T) / 2.0
+    t_arr = (t_arr + t_arr.conj().T) / 2.0
+    eye = np.eye(s_arr.shape[0])
+    s_eigs = np.linalg.eigvalsh(s_arr)
+    if float(s_eigs[0]) < -POVM_TOL or float(s_eigs[-1]) > 1.0 + POVM_TOL:
+        raise ValidationError(f"S must satisfy 0 <= S <= I, eigenvalues span [{s_eigs[0]:.3e}, {s_eigs[-1]:.3e}]")
+    if float(np.linalg.eigvalsh(t_arr)[0]) < -POVM_TOL:
+        raise PositivityError("T must be positive semidefinite")
+    inv_sqrt, _ = pinv_sqrt(s_arr + t_arr)
+    pinched = inv_sqrt @ s_arr @ inv_sqrt
+    slack = 2.0 * (eye - s_arr) + 4.0 * t_arr - (eye - pinched)
+    return float(np.linalg.eigvalsh(slack)[0])
+
+
 def _product_labels(labels, n: int) -> tuple:
     """Labels of the n-letter words, in ``itertools.product`` order: letters
     joined directly when all are one character, else by commas."""
@@ -112,7 +168,7 @@ def nfold(channel, n: int, cell_cap: int = NFOLD_CELL_CAP, dim_cap: int = NFOLD_
             _product_labels(channel.x_alphabet, n),
             _product_labels(channel.y_alphabet, n),
             _product_labels(channel.z_alphabet, n),
-            out, atol=max(channel.atol, 1e-9))
+            out)
     if isinstance(channel, CqBroadcastChannel):
         dim = (channel.dim_b * channel.dim_c) ** n
         if dim > dim_cap:

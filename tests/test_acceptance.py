@@ -20,6 +20,7 @@ from conftest import (
     encode_per_trial,
     event_counts,
     event_of,
+    hayashi_nagaoka_check,
     pgm_one_trial,
     rand_hermitian,
     rand_joint,
@@ -47,7 +48,6 @@ from martonlab.coding import (
 from martonlab.divergences import classical_i0, classical_i_infty, quantum_i0_cq
 from martonlab.experiments import Scheme, achieved_divergences, run_experiment
 from martonlab.prob import JointPmf
-from martonlab.quantum import hayashi_nagaoka_check
 from martonlab.rng import SeededRng, mix64
 
 DATA = Path(__file__).parent / "data"

@@ -63,12 +63,6 @@ class TestClopperPearson:
         with pytest.raises(ValidationError):
             clopper_pearson_lower(11, 10)
 
-    def test_confidence_validation(self):
-        with pytest.raises(ValidationError):
-            clopper_pearson_upper(3, 10, confidence=1.5)
-        with pytest.raises(ValidationError):
-            clopper_pearson_lower(3, 10, confidence=0.0)
-
     # (hits, trials): every count in the golden report, hits near trials,
     # and a spread of interior and one-trial cases
     EXACT_CASES = [(0, 50), (4, 50), (5, 50), (35, 50), (50, 50), (48, 50), (49, 50),
@@ -142,21 +136,26 @@ class TestClopperPearson:
                 for hits in range(trials + 1):
                     for c in (0.5, 0.95, 0.999):
                         if hits < trials:
-                            assert clopper_pearson_upper(hits, trials, c) == search(
+                            assert analysis._limit(trials, hits + 1, c) == search(
                                 trials, hits + 1, c)
                         if hits > 0:
-                            assert clopper_pearson_lower(hits, trials, c) == search(
+                            assert analysis._limit(trials, hits, 1.0 - c) == search(
                                 trials, hits, 1.0 - c)
+                    if hits < trials:
+                        assert clopper_pearson_upper(hits, trials) == search(
+                            trials, hits + 1, 0.95)
+                    if hits > 0:
+                        assert clopper_pearson_lower(hits, trials) == search(
+                            trials, hits, 1.0 - 0.95)
         assert analysis._limit.cache_info().hits > 0
 
     def test_bad_arguments_raise_after_a_good_call(self):
         assert clopper_pearson_upper(3, 10) == clopper_pearson_upper(3, 10)
         assert clopper_pearson_lower(3, 10) == clopper_pearson_lower(3, 10)
-        for hits, trials, confidence in ((-1, 10, 0.95), (11, 10, 0.95), (3, 0, 0.95),
-                                         (3, 10, 1.5), (3, 10, 0.0)):
+        for hits, trials in ((-1, 10), (11, 10), (3, 0)):
             for limit in (clopper_pearson_upper, clopper_pearson_lower):
                 with pytest.raises(ValidationError):
-                    limit(hits, trials, confidence)
+                    limit(hits, trials)
 
     @pytest.mark.parametrize("trials", [2, 3, 10, 200, 5000])
     def test_start_is_a_probability_at_extreme_levels(self, trials):
@@ -212,8 +211,8 @@ def limit_grid():
                         # lower one at hits + 1 are one search: count each
                         analysis._limit.cache_clear()
                         before = len(sums)
-                        limit = (clopper_pearson_upper if upper else clopper_pearson_lower)(
-                            hits, trials, confidence)
+                        limit = (analysis._limit(trials, hits + 1, confidence) if upper
+                                 else analysis._limit(trials, hits, 1.0 - confidence))
                         out.append((trials, hits, confidence, upper, limit, len(sums) - before))
     return out
 

@@ -916,7 +916,7 @@ class TestPgmDecoder:
             tests = [t / (np.linalg.eigvalsh(t).max() + 0.1) for t in tests]
             # label 0 never occurs in the codebook
             words = np_rng.integers(1, n_labels, size=(int(np_rng.integers(1, 300)), 1))
-            states = [rand_state(np_rng, dim), DensityOperator(rand_state(np_rng, dim, rank=1))]
+            states = [rand_state(np_rng, dim), DensityOperator(rand_state(np_rng, dim, rank=1)).matrix]
             for state in states + states:  # the second pass reads cached tables
                 got = pgm_one_trial(words, tests, state)
                 assert np.array_equal(got, uncached_pgm_probabilities(words, tests, state))

@@ -17,10 +17,8 @@ from martonlab.divergences import (
     LlrSpectrum,
     classical_i0,
     classical_i_infty,
-    classical_i_infty_iid,
     iid_llr_spectra,
     iid_llr_spectrum,
-    np_test_blocks,
     quantum_i0_cq,
     spectrum_i0,
     spectrum_i_infty,
@@ -28,7 +26,7 @@ from martonlab.divergences import (
 from martonlab.errors import ConvergenceError, SupportOverflowError, ValidationError
 from martonlab.quantum import real_trace
 
-from conftest import rand_joint, spectrum_mean
+from conftest import np_test_blocks, rand_joint, rand_state, spectrum_mean
 
 DSBS_45 = JointPmf(("0", "1"), ("0", "1"), [[0.45, 0.05], [0.05, 0.45]])
 DSBS_40 = JointPmf(("0", "1"), ("0", "1"), [[0.40, 0.10], [0.10, 0.40]])
@@ -305,9 +303,39 @@ class TestQuantumI0:
         j = joint_of(rand_joint(np_rng, 3, 3))
         pu, states = diag_embedding(j)
         res = quantum_i0_cq(pu, states, 0.15)
-        for g in np_test_blocks(pu, states, res.witness["lambda"], res.witness["boundary_weight"]):
+        for g in res.operators:
             vals = np.linalg.eigvalsh(g)
             assert vals[0] >= -1e-10 and vals[-1] <= 1 + 1e-10
+
+    def test_operators_are_the_witness_test_blocks(self, np_rng):
+        # random ensembles of 2-4 states in dimension 2-4, one with a
+        # register value of zero mass, and identical states, whose whole
+        # spectrum is the boundary
+        cases = []
+        for i in range(30):
+            k, dim = int(np_rng.integers(2, 5)), int(np_rng.integers(2, 5))
+            pu = np_rng.random(k) + 0.05
+            if i % 3 == 1:
+                pu[int(np_rng.integers(k))] = 0.0
+            cases.append((pu / pu.sum(), [rand_state(np_rng, dim) for _ in range(k)]))
+        same = rand_state(np_rng, 3)
+        cases.append((np.array([0.2, 0.3, 0.5]), [same] * 3))
+        weights = []
+        for pu, states in cases:
+            for eps in (0.0, 0.1, 0.3):
+                res = quantum_i0_cq(pu, states, eps)
+                wit = res.witness
+                want = np_test_blocks(pu, states, wit["lambda"], wit["boundary_weight"])
+                assert np.array_equal(res.operators, np.array(want))
+                assert not res.operators.flags.writeable
+                weights.append(wit["boundary_weight"])
+                for u in np.flatnonzero(pu == 0.0):
+                    assert not res.operators[u].any()
+        # the identical states put fractional weight on their boundary
+        assert 0.0 < weights[-1] < 1.0
+        # the operators stay out of comparisons, the repr and the JSON
+        assert res == DivergenceResult(res.value, res.epsilon, res.method, res.witness)
+        assert "operators" not in repr(res) and "operators" not in res.to_json()
 
 
 class TestSpectra:
@@ -343,7 +371,7 @@ class TestSpectra:
             eps = float(np_rng.uniform(0.05, 0.4))
             assert_allclose(classical_i0_iid(j, 1, eps).value,
                             classical_i0(j, eps, "randomized").value, atol=1e-9)
-            assert_allclose(classical_i_infty_iid(j, 1, eps).value,
+            assert_allclose(spectrum_i_infty(iid_llr_spectrum(j, 1), eps).value,
                             classical_i_infty(j, eps).value, atol=1e-9)
 
     def test_n2_matches_explicit_product(self, np_rng):
@@ -353,7 +381,7 @@ class TestSpectra:
             eps = float(np_rng.uniform(0.05, 0.4))
             assert_allclose(classical_i0_iid(j, 2, eps).value,
                             classical_i0(big, eps, "randomized").value, atol=1e-9)
-            assert_allclose(classical_i_infty_iid(j, 2, eps).value,
+            assert_allclose(spectrum_i_infty(iid_llr_spectrum(j, 2), eps).value,
                             classical_i_infty(big, eps).value, atol=1e-9)
 
     def test_thresholded_below_randomized(self, np_rng):

@@ -1,5 +1,8 @@
 """Operators, partial traces, measurements, and the operator-inequality check.
 
+The check, ``conftest.hayashi_nagaoka_check``, is an oracle of the test
+suite: no decoder calls it, and acceptance criterion 7 sweeps it.
+
 The measurement tests run the library's pretty good measurement,
 ``coding.pgm_outcome_probabilities`` (one trial at a time through
 ``conftest.pgm_one_trial``) and ``coding.decode_pgm``.
@@ -20,7 +23,6 @@ from martonlab.errors import (
 )
 from martonlab.quantum import (
     DensityOperator,
-    hayashi_nagaoka_check,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -29,6 +31,7 @@ from martonlab.quantum import (
 )
 
 from conftest import (
+    hayashi_nagaoka_check,
     pgm_one_trial,
     pretty_good_measurement,
     rand_hermitian,
@@ -182,7 +185,7 @@ class TestMeasure:
         assert np.array_equal(got, np.zeros(50))
 
     def test_frequencies_match_born_rule(self):
-        rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
+        rho = DensityOperator(np.diag([0.5, 0.3, 0.2])).matrix
         n = 20_000
         rng = SeededRng(11)
         out = decode_pgm(np.tile(self.WORDS.T, (n, 1)), self.TESTS, [rho], np.zeros(n, int),

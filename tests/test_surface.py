@@ -27,9 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "martonlab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-# checked by the acceptance suite as one of the paper's claims
-EXCEPTIONS = {"hayashi_nagaoka_check"}
-
 
 def _source_files() -> list:
     """The Python and shell files of the library, the demos and the benchmark."""
@@ -69,7 +66,7 @@ def used() -> set:
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_is_used_outside_tests(module, used):
     exported = importlib.import_module(f"martonlab.{module}").__all__
-    unused = sorted(set(exported) - used - EXCEPTIONS)
+    unused = sorted(set(exported) - used)
     assert not unused, f"martonlab.{module} exports names only tests use: {unused}"
 
 
