@@ -8,12 +8,9 @@ classical and classical-quantum broadcast channels.
 """
 
 from .analysis import (
-    ClassicalEventBounds,
     ConvergenceCurve,
-    CoveringBound,
     CoveringEstimate,
     CoveringParams,
-    QuantumEventBounds,
     RateRegion,
     clopper_pearson_lower,
     clopper_pearson_upper,
@@ -66,11 +63,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassicalBroadcastChannel",
-    "ClassicalEventBounds",
     "Codebook",
     "ConvergenceCurve",
     "ConvergenceError",
-    "CoveringBound",
     "CoveringEstimate",
     "CoveringParams",
     "CqBroadcastChannel",
@@ -84,7 +79,6 @@ __all__ = [
     "NormalizationError",
     "PositivityError",
     "ProductClassicalChannel",
-    "QuantumEventBounds",
     "RateParams",
     "RateRegion",
     "Scheme",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -25,7 +26,6 @@ from .rng import SeededRng
 
 __all__ = [
     "CoveringParams",
-    "CoveringBound",
     "CoveringEstimate",
     "covering_bound",
     "synthetic_covering",
@@ -33,8 +33,6 @@ __all__ = [
     "clopper_pearson_upper",
     "clopper_pearson_lower",
     "theorem_bounds",
-    "ClassicalEventBounds",
-    "QuantumEventBounds",
     "event_bounds",
     "RateRegion",
     "marton_region",
@@ -269,12 +267,19 @@ def _start(trials: int, k: int, level: float) -> float:
         p = new if steps <= 8 else math.nan
 
 
-def _check_binomial(hits: int, trials: int) -> None:
+def _check_binomial(hits: int, trials: int) -> tuple[int, int]:
+    """The counts as Python ints, so that the search and the memo see one
+    type whatever integer type (numpy's too) the caller counts in."""
+    try:
+        hits, trials = operator.index(hits), operator.index(trials)
+    except TypeError:
+        raise ValidationError(f"counts must be integers, got {hits!r}/{trials!r}") from None
     if not 0 <= hits <= trials or trials <= 0:
         raise ValidationError(f"need 0 <= hits <= trials, got {hits}/{trials}")
+    return hits, trials
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
+@functools.lru_cache(maxsize=4096)
 def _limit(trials: int, k: int, level: float) -> float:
     """``_rounded_root`` from ``_start``, memoized: trial counts repeat from
     run to run, and the limit depends on nothing else."""
@@ -291,7 +296,7 @@ def clopper_pearson_upper(hits: int, trials: int) -> float:
     call; the search is memoized by (trials, hits + 1, 0.95) in a private
     4096-entry LRU cache.
     """
-    _check_binomial(hits, trials)
+    hits, trials = _check_binomial(hits, trials)
     if hits == trials:
         return 1.0
     return _limit(trials, hits + 1, _CONFIDENCE)
@@ -308,7 +313,7 @@ def clopper_pearson_lower(hits: int, trials: int) -> float:
     (trials, hits, 1.0 - 0.95) in the private LRU cache that the upper
     limit uses.
     """
-    _check_binomial(hits, trials)
+    hits, trials = _check_binomial(hits, trials)
     if hits == 0:
         return 0.0
     return _limit(trials, hits, 1.0 - _CONFIDENCE)
@@ -338,31 +343,23 @@ class CoveringParams:
             raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class CoveringBound:
-    """Chebyshev bound on the no-accepted-pair probability.
-
-    ``raw`` is the formula value, which can exceed 1 (vacuous regime);
-    ``value`` is the raw value clamped into [0, 1] for reporting.
-    """
-
-    raw: float
-    value: float
-
-
-def covering_bound(p: CoveringParams) -> CoveringBound:
-    """1/(alpha r s q) + (r+s)/(alpha^2 r s), clamped copy included."""
+def covering_bound(p: CoveringParams) -> float:
+    """1/(alpha r s q) + (r+s)/(alpha^2 r s), unclamped: above 1 the bound is
+    vacuous, and inf when a denominator underflows."""
     try:
-        raw = 1.0 / (p.alpha * p.r * p.s * p.q) + (p.r + p.s) / (p.alpha**2 * p.r * p.s)
+        return 1.0 / (p.alpha * p.r * p.s * p.q) + (p.r + p.s) / (p.alpha**2 * p.r * p.s)
     except ZeroDivisionError:
         # a denominator underflowed to zero: the bound is vacuous
-        raw = math.inf
-    return CoveringBound(raw, min(1.0, raw))
+        return math.inf
 
 
 @dataclass(frozen=True)
 class CoveringEstimate:
-    """Monte Carlo estimate of Pr{no accepted pair} against the bound."""
+    """Monte Carlo estimate of Pr{no accepted pair} against the bound.
+
+    ``bound_raw`` is ``covering_bound`` of the params, which can exceed 1;
+    ``bound`` clamps it into [0, 1] for reporting.
+    """
 
     params: CoveringParams
     trials: int
@@ -370,8 +367,12 @@ class CoveringEstimate:
     estimate: float
     upper95: float
     lower95: float
-    bound: CoveringBound
+    bound_raw: float
     violation: bool
+
+    @property
+    def bound(self) -> float:
+        return min(1.0, self.bound_raw)
 
     def to_json(self) -> dict:
         return {
@@ -384,8 +385,8 @@ class CoveringEstimate:
             "estimate": self.estimate,
             "upper95": self.upper95,
             "lower95": self.lower95,
-            "bound_raw": self.bound.raw,
-            "bound": self.bound.value,
+            "bound_raw": self.bound_raw,
+            "bound": self.bound,
             "violation": self.violation,
         }
 
@@ -396,7 +397,7 @@ def _estimate(params: CoveringParams, hits: int, trials: int) -> CoveringEstimat
     lower = clopper_pearson_lower(hits, trials)
     upper = clopper_pearson_upper(hits, trials)
     return CoveringEstimate(params, trials, hits, est, upper, lower, bound,
-                            violation=lower > bound.value)
+                            violation=lower > min(1.0, bound))
 
 
 def _check_uniforms(what: str, count: int) -> None:
@@ -501,97 +502,41 @@ def theorem_bounds(eps_tilde: float, eps0: float, setting: str) -> float:
     raise ValidationError(f"unknown setting {setting!r}")
 
 
-def _e1_terms(r1: int, r2: int, i_infty: float) -> float:
-    return 2.0 ** (-r1 - r2 + i_infty + 2) + 2.0 ** (-r1 + 4) + 2.0 ** (-r2 + 4)
+def event_bounds(params: RateParams, setting: str) -> dict:
+    """Every per-event bound for the given parameters: the report's ``bounds``.
 
-
-@dataclass(frozen=True)
-class QuantumEventBounds:
-    """Per-event bounds for the measurement-decoder scheme.
-
-    The chain values hold for any parameters.  The theorem forms assume
-    band exponents meeting the constraints with real-valued equality;
-    rounding the band sum up to an integer can push a chain as high as
-    twice its theorem form, so violation checks compare against chains.
-    ``e1_claim_literal`` evaluates the doubled first band exponent
-    exactly as displayed in the one claim that differs from the
-    derivation; it is exposed for comparison, never used in checks.
+    Chain values hold for any parameters.  Theorem forms assume band
+    exponents meeting the constraints with real-valued equality; rounding
+    the band sum up to an integer can push a chain as high as twice its
+    theorem form, so violation checks compare against chains.
+    ``e1_claim_literal`` evaluates the doubled first band exponent exactly
+    as displayed in the one claim that differs from the derivation; it is
+    reported for comparison, never used in checks.  The classical e2 bounds
+    are parameter-free.  For its confusion events the claimed constant
+    ``e3_claimed`` is eps_tilde/2, while the displayed derivation supports
+    ``e3_derived`` = eps_tilde with integer band sums; checks use the
+    derived (weaker) one.
     """
-
-    e1_formula: float
-    e1_claim_literal: float
-    e1_theorem: float
-    e2_chain: float
-    e2_theorem: float
-    e3_chain: float
-    e3_theorem: float
-    total_theorem: float
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-
-@dataclass(frozen=True)
-class ClassicalEventBounds:
-    """Per-event bounds for the explicit-set decoder scheme.
-
-    e2 bounds are parameter-free.  For the confusion events the claimed
-    constant is eps_tilde/2 while the displayed derivation supports
-    eps_tilde with integer band sums; both are reported and checks use
-    the derived (weaker) one.
-    """
-
-    e1_formula: float
-    e1_claim_literal: float
-    e1_theorem: float
-    e2b: float
-    e2c: float
-    e3b_chain: float
-    e3c_chain: float
-    e3_derived: float
-    e3_claimed: float
-    total_theorem: float
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-
-def event_bounds(params: RateParams, setting: str):
-    """Evaluate every per-event bound for the given parameters."""
-    r1, r2 = params.r1, params.r2
-    e1 = _e1_terms(r1, r2, params.i_infty)
-    e1_lit = 2.0 ** (-r1 - r1 + params.i_infty + 2) + 2.0 ** (-r1 + 4) + 2.0 ** (-r2 + 4)
-    e1_thm = 36.0 * params.eps_tilde
+    p, r1, r2 = params, params.r1, params.r2
+    total = theorem_bounds(p.eps_tilde, p.eps0, setting)  # rejects an unknown setting
+    out = dict(
+        e1_formula=2.0 ** (-r1 - r2 + p.i_infty + 2) + 2.0 ** (-r1 + 4) + 2.0 ** (-r2 + 4),
+        e1_claim_literal=2.0 ** (-r1 - r1 + p.i_infty + 2) + 2.0 ** (-r1 + 4) + 2.0 ** (-r2 + 4),
+        e1_theorem=36.0 * p.eps_tilde,
+    )
     if setting == "quantum":
-        e2 = 8.0 * params.eps0 + 2.0 ** (params.R1 + 2 * r1 + r2 + 2 - params.i_infty - params.i0b)
-        e3 = 8.0 * params.eps0 + 2.0 ** (params.R2 + 2 * r2 + r1 + 2 - params.i_infty - params.i0c)
-        e_thm = 8.0 * params.eps0 + 2.0 * params.eps_tilde
-        return QuantumEventBounds(
-            e1_formula=e1,
-            e1_claim_literal=e1_lit,
-            e1_theorem=e1_thm,
-            e2_chain=e2,
-            e2_theorem=e_thm,
-            e3_chain=e3,
-            e3_theorem=e_thm,
-            total_theorem=theorem_bounds(params.eps_tilde, params.eps0, "quantum"),
-        )
-    if setting == "classical":
-        e3b = 2.0 ** (2 * r1 + r2 + params.R1 - params.i_infty - params.i0b)
-        e3c = 2.0 ** (r1 + 2 * r2 + params.R2 - params.i_infty - params.i0c)
-        return ClassicalEventBounds(
-            e1_formula=e1,
-            e1_claim_literal=e1_lit,
-            e1_theorem=e1_thm,
-            e2b=4.0 * params.eps0,
-            e2c=4.0 * params.eps0,
-            e3b_chain=e3b,
-            e3c_chain=e3c,
-            e3_derived=params.eps_tilde,
-            e3_claimed=params.eps_tilde / 2.0,
-            total_theorem=theorem_bounds(params.eps_tilde, params.eps0, "classical"),
-        )
-    raise ValidationError(f"unknown setting {setting!r}")
+        e_thm = 8.0 * p.eps0 + 2.0 * p.eps_tilde
+        out.update(e2_chain=8.0 * p.eps0 + 2.0 ** (p.R1 + 2 * r1 + r2 + 2 - p.i_infty - p.i0b),
+                   e2_theorem=e_thm,
+                   e3_chain=8.0 * p.eps0 + 2.0 ** (p.R2 + 2 * r2 + r1 + 2 - p.i_infty - p.i0c),
+                   e3_theorem=e_thm)
+    else:
+        out.update(e2b=4.0 * p.eps0, e2c=4.0 * p.eps0,
+                   e3b_chain=2.0 ** (2 * r1 + r2 + p.R1 - p.i_infty - p.i0b),
+                   e3c_chain=2.0 ** (r1 + 2 * r2 + p.R2 - p.i_infty - p.i0c),
+                   e3_derived=p.eps_tilde, e3_claimed=p.eps_tilde / 2.0)
+    out["total_theorem"] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "bob_ensemble",
     "charlie_ensemble",
     "channel_from_json",
-    "json_digest",
 ]
 
 

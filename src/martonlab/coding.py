@@ -33,11 +33,9 @@ from .rng import SeededRng, mix64
 __all__ = [
     "RateParams",
     "select_band_exponents",
-    "band_sum_target",
     "BandConstraint",
     "band_constraints",
     "Codebook",
-    "codebook_bytes",
     "generate_codebook",
     "codebook_block",
     "encode",
@@ -47,12 +45,10 @@ __all__ = [
     "ThresholdMembership",
     "decode_rows",
     "decode_cols",
-    "pgm_outcome_probabilities",
     "decode_pgm",
     "ClassicalSetEvaluator",
     "ClassicalThresholdEvaluator",
     "QuantumPairEvaluator",
-    "DECODE_TOL",
     "CODEBOOK_BYTE_BUDGET",
 ]
 

@@ -37,9 +37,6 @@ __all__ = [
     "spectrum_i_infty",
     "llr_table",
     "I0_METHODS",
-    "MASS_TOL",
-    "EXHAUSTIVE_CELL_CAP",
-    "SPECTRUM_ATOM_CAP",
 ]
 
 # the order-zero constructions of classical_i0

@@ -26,7 +26,6 @@ from .analysis import (
     clopper_pearson_lower,
     clopper_pearson_upper,
     event_bounds,
-    theorem_bounds,
 )
 from .channels import (
     ClassicalBroadcastChannel,
@@ -193,7 +192,7 @@ def _check_achieved(params: RateParams, achieved: dict) -> None:
             f"value {achieved['i_infty']:.6f}; the rejection indicator would overshoot")
 
 
-def _event_rows(setting, counts, trials, eb, params, theorem_valid):
+def _event_rows(setting, counts, trials, bounds, theorem_valid):
     """Each event's stats next to its bound, capped by the theorem's where that applies."""
 
     def row(name, bound, bound_name, thm=None, thm_name=None):
@@ -201,17 +200,18 @@ def _event_rows(setting, counts, trials, eb, params, theorem_valid):
             bound, bound_name = min(bound, thm), f"min({bound_name}, {thm_name})"
         return _stats(name, counts[name], trials, min(1.0, bound), bound_name)
 
-    rows = [row("e1", eb.e1_formula, "e1 formula", eb.e1_theorem, "36*eps_tilde")]
+    b = bounds
+    rows = [row("e1", b["e1_formula"], "e1 formula", b["e1_theorem"], "36*eps_tilde")]
     if setting == "classical":
         thm_name = "37*eps_tilde + 8*eps0"
-        rows += [row("e2b", eb.e2b, "4*eps0"), row("e2c", eb.e2c, "4*eps0"),
-                 row("e3b", eb.e3b_chain, "e3 chain", eb.e3_derived, "eps_tilde"),
-                 row("e3c", eb.e3c_chain, "e3 chain", eb.e3_derived, "eps_tilde")]
+        rows += [row("e2b", b["e2b"], "4*eps0"), row("e2c", b["e2c"], "4*eps0"),
+                 row("e3b", b["e3b_chain"], "e3 chain", b["e3_derived"], "eps_tilde"),
+                 row("e3c", b["e3c_chain"], "e3 chain", b["e3_derived"], "eps_tilde")]
     else:
         thm_name = "40*eps_tilde + 16*eps0"
-        rows += [row("e2", eb.e2_chain, "e2 chain", eb.e2_theorem, "8*eps0 + 2*eps_tilde"),
-                 row("e3", eb.e3_chain, "e3 chain", eb.e3_theorem, "8*eps0 + 2*eps_tilde")]
-    thm = theorem_bounds(params.eps_tilde, params.eps0, setting)
+        rows += [row("e2", b["e2_chain"], "e2 chain", b["e2_theorem"], "8*eps0 + 2*eps_tilde"),
+                 row("e3", b["e3_chain"], "e3 chain", b["e3_theorem"], "8*eps0 + 2*eps_tilde")]
+    thm = b["total_theorem"]
     for name in ("message_error", "index_error"):
         rows.append(_stats(name, counts[name], trials, min(1.0, thm) if theorem_valid else None,
                            thm_name if theorem_valid else None))
@@ -431,8 +431,8 @@ class Scheme:
             fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n)
         counts = self._counts(params, trials, seed, fixed_cb, log_ratio)
 
-        eb = event_bounds(params, setting)
-        events = _event_rows(setting, counts, trials, eb, params, theorem_valid)
+        bounds = event_bounds(params, setting)
+        events = _event_rows(setting, counts, trials, bounds, theorem_valid)
 
         return ExperimentReport(
             setting=setting,
@@ -448,7 +448,7 @@ class Scheme:
             design_digest=self.design_digest,
             codebook_digest=None if fixed_cb is None else fixed_cb.content_digest(),
             theorem_valid=theorem_valid,
-            bounds=eb.to_json(),
+            bounds=bounds,
             events=tuple(events),
             started_at=started,
             wall_clock_s=time.monotonic() - t0,

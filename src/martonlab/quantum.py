@@ -21,7 +21,6 @@ __all__ = [
     "pinv_sqrt",
     "matrix_to_json",
     "matrix_from_json",
-    "HERMITICITY_TOL",
 ]
 
 HERMITICITY_TOL = 1e-10

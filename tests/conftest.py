@@ -2,7 +2,8 @@
 
 The oracles build what the library only ever computes implicitly: the
 pretty good measurement as explicit per-word elements, the Neyman-Pearson
-test blocks rebuilt from a witness alone, the slack of the Hayashi-Nagaoka
+test blocks rebuilt from a witness alone, the linear-programming dual of
+the classical order-zero test, the slack of the Hayashi-Nagaoka
 operator inequality behind the measurement's error analysis, and the
 n-fold product channels and designs over materialized product alphabets.  The
 per-trial classical and cq loops are the schedules ``Scheme.run`` replaced
@@ -114,6 +115,27 @@ def np_test_blocks(p_u, rho_u, lam: float, weight: float):
         coeff = np.where(vals > btol, 1.0, 0.0) + np.where(np.abs(vals) <= btol, weight, 0.0)
         out.append((vecs * coeff) @ vecs.conj().T)
     return out
+
+
+def lp_dual_beta(p, q, eps: float) -> float:
+    """The dual of the linear program behind the order-zero divergence.
+
+    The primal is the least q-mass of a test 0 <= T <= 1 that keeps p-mass
+    1 - eps, over cells or spectrum atoms.  For every mu >= 0, weak duality
+    bounds it below by mu (1 - eps) - sum (mu p - q)_+; that concave,
+    piecewise-linear function of mu peaks at a breakpoint mu = q/p, and its
+    peak equals the primal optimum.  Atoms with p = 0 add nothing.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    keep = p > 0.0
+    p, q = p[keep], q[keep]
+    order = np.argsort(q / p, kind="stable")
+    p, q = p[order], q[order]
+    mu = q / p
+    # (mu p_i - q_i)_+ is positive only for the atoms whose q/p lies below mu
+    below_p = np.concatenate(([0.0], np.cumsum(p)[:-1]))
+    below_q = np.concatenate(([0.0], np.cumsum(q)[:-1]))
+    return float(np.max(mu * (1.0 - eps) - (mu * below_p - below_q)))
 
 
 def hayashi_nagaoka_check(s, t) -> float:

@@ -149,8 +149,8 @@ def test_criterion_2_quantum_event_bounds():
                             i0b=i0b, i0c=i0c, i_infty=i_used)
         report = run_experiment(channel, design, params, trials, seed)
         eb = event_bounds(params, "quantum")
-        for name, chain in (("e1", eb.e1_formula), ("e2", eb.e2_chain), ("e3", eb.e3_chain)):
-            bound = min(1.0, chain)
+        for name, key in (("e1", "e1_formula"), ("e2", "e2_chain"), ("e3", "e3_chain")):
+            bound = min(1.0, eb[key])
             rate = event_of(report, name).rate
             excess = rate - bound - 3.0 * _binom_sigma(bound, trials)
             worst[name] = max(worst[name], excess)
@@ -285,10 +285,11 @@ def test_criterion_3_covering_grid():
         p = CoveringParams(r=r, s=s, q=q, alpha=alpha)
         cb = covering_bound(p)
         if (r, s, q, alpha) == (1024, 1024, 2.0 ** -10, 0.25):
-            assert cb.raw == 0.03515625
+            assert cb == 0.03515625
             reference_seen = True
         est = synthetic_covering(p, trials, seed=mix64(30, idx), family=family)
-        worst = max(worst, est.estimate - cb.value - 3.0 * _binom_sigma(cb.value, trials))
+        bound = min(1.0, cb)
+        worst = max(worst, est.estimate - bound - 3.0 * _binom_sigma(bound, trials))
     ok = reference_seen and worst <= 1e-12 and len(COVERING_GRID) >= 12
     _verdict(3, ok, f"{len(COVERING_GRID)} (r,s,q,alpha) combinations, "
                     f"worst (miss rate - bound - 3sigma) {worst:+.5f}; "

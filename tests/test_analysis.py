@@ -62,6 +62,19 @@ class TestClopperPearson:
             clopper_pearson_upper(-1, 10)
         with pytest.raises(ValidationError):
             clopper_pearson_lower(11, 10)
+        with pytest.raises(ValidationError):
+            clopper_pearson_upper(4.0, 50)
+        with pytest.raises(ValidationError):
+            clopper_pearson_lower(4, 50.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_counts_give_the_python_int_limits(self, dtype):
+        # every branch: the search at hits 0 and 4, and the closed ends
+        for hits in (0, 4, 50):
+            want = (clopper_pearson_upper(hits, 50), clopper_pearson_lower(hits, 50))
+            got = (clopper_pearson_upper(dtype(hits), dtype(50)),
+                   clopper_pearson_lower(dtype(hits), dtype(50)))
+            assert got == want and all(type(x) is float for x in got)
 
     # (hits, trials): every count in the golden report, hits near trials,
     # and a spread of interior and one-trial cases
@@ -242,17 +255,21 @@ def _exact_limit(trials, k, level):
 class TestCoveringBound:
     def test_reference_point(self):
         b = covering_bound(CoveringParams(1024, 1024, 2.0**-10, 0.25))
-        assert b.raw == pytest.approx(1 / 256 + 1 / 32, abs=1e-15)
-        assert b.value == b.raw
+        assert b == pytest.approx(1 / 256 + 1 / 32, abs=1e-15)
+        assert b <= 1.0  # not vacuous: the reported bound is the raw one
 
     def test_vacuous_point_keeps_raw(self):
-        b = covering_bound(CoveringParams(2, 2, 1.0, 1.0))
-        assert b.raw == pytest.approx(1.25)
-        assert b.value == 1.0
+        p = CoveringParams(2, 2, 1.0, 1.0)
+        b = covering_bound(p)
+        assert b == pytest.approx(1.25)
+        # the estimate reports the raw bound and its clamp into [0, 1]
+        est = synthetic_covering(p, 10, seed=1, family="independent")
+        assert est.bound_raw == b and est.bound == 1.0
+        assert est.to_json()["bound_raw"] == b and est.to_json()["bound"] == 1.0
 
     def test_doubling_r_shrinks_bound(self):
-        p1 = covering_bound(CoveringParams(16, 64, 0.01, 0.25)).raw
-        p2 = covering_bound(CoveringParams(32, 64, 0.01, 0.25)).raw
+        p1 = covering_bound(CoveringParams(16, 64, 0.01, 0.25))
+        p2 = covering_bound(CoveringParams(32, 64, 0.01, 0.25))
         assert p2 < p1
 
     def test_param_validation(self):
@@ -278,7 +295,7 @@ class TestSyntheticCovering:
     def test_paired_respects_bound(self):
         p = CoveringParams(1024, 1024, 2.0**-10, 0.25)
         est = synthetic_covering(p, 5000, seed=11, family="paired")
-        assert est.estimate <= est.bound.value
+        assert est.estimate <= est.bound
         assert not est.violation
 
     def test_deterministic(self):
@@ -397,7 +414,7 @@ class TestEmpiricalCovering:
         p = CoveringParams(64, 64, 2.0 ** (-i_inf), 0.25)
         est = empirical_covering(design, i_inf, p, trials=300, seed=17)
         assert not est.violation
-        assert est.estimate <= est.bound.value
+        assert est.estimate <= est.bound
 
     def test_deterministic(self):
         design = InputDesign(dsbs_joint(), {(u, v): u + v for u in "01" for v in "01"})
@@ -436,42 +453,49 @@ class TestEventBounds:
     def test_e1_formula_example(self):
         params = reference_params(r1=8, r2=8, i_infty=0.0, i0b=60.0, i0c=60.0)
         eb = event_bounds(params, "classical")
-        assert eb.e1_formula == pytest.approx(2**-14 + 2**-4 + 2**-4, abs=1e-15)
-        assert eb.e1_formula == pytest.approx(0.12506103515625, abs=1e-12)
+        assert eb["e1_formula"] == pytest.approx(2**-14 + 2**-4 + 2**-4, abs=1e-15)
+        assert eb["e1_formula"] == pytest.approx(0.12506103515625, abs=1e-12)
 
     def test_e1_theorem_value(self):
         eb = event_bounds(reference_params(), "classical")
-        assert eb.e1_theorem == pytest.approx(36 / 16)
+        assert eb["e1_theorem"] == pytest.approx(36 / 16)
 
     def test_claim_literal_differs_only_for_unequal_bands(self):
         sym = event_bounds(reference_params(r1=7, r2=7), "classical")
-        assert sym.e1_claim_literal == pytest.approx(sym.e1_formula, abs=1e-15)
+        assert sym["e1_claim_literal"] == pytest.approx(sym["e1_formula"], abs=1e-15)
         asym = event_bounds(reference_params(), "classical")
-        assert asym.e1_claim_literal != pytest.approx(asym.e1_formula)
+        assert asym["e1_claim_literal"] != pytest.approx(asym["e1_formula"])
 
     def test_quantum_chain_formula(self):
         params = reference_params()
         eb = event_bounds(params, "quantum")
         want = 8 * 0.01 + 2.0 ** (5 + 16 + 6 + 2 - 2.0 - 30.0)
-        assert eb.e2_chain == pytest.approx(want, abs=1e-15)
+        assert eb["e2_chain"] == pytest.approx(want, abs=1e-15)
         want3 = 8 * 0.01 + 2.0 ** (5 + 12 + 8 + 2 - 2.0 - 30.0)
-        assert eb.e3_chain == pytest.approx(want3, abs=1e-15)
+        assert eb["e3_chain"] == pytest.approx(want3, abs=1e-15)
 
     def test_quantum_chain_vanishes_with_budget(self):
         eb = event_bounds(reference_params(i0b=10000.0), "quantum")
-        assert eb.e2_chain == pytest.approx(8 * 0.01, abs=1e-12)
+        assert eb["e2_chain"] == pytest.approx(8 * 0.01, abs=1e-12)
 
     def test_classical_side_bounds(self):
         eb = event_bounds(reference_params(), "classical")
-        assert eb.e2b == eb.e2c == pytest.approx(0.04)
-        assert eb.e3b_chain == pytest.approx(2.0 ** (16 + 6 + 5 - 2.0 - 30.0), abs=1e-15)
-        assert eb.e3_derived == pytest.approx(1 / 16)
-        assert eb.e3_claimed == pytest.approx(1 / 32)
-        assert eb.total_theorem == pytest.approx(37 / 16 + 0.08)
+        assert eb["e2b"] == eb["e2c"] == pytest.approx(0.04)
+        assert eb["e3b_chain"] == pytest.approx(2.0 ** (16 + 6 + 5 - 2.0 - 30.0), abs=1e-15)
+        assert eb["e3_derived"] == pytest.approx(1 / 16)
+        assert eb["e3_claimed"] == pytest.approx(1 / 32)
+        assert eb["total_theorem"] == pytest.approx(37 / 16 + 0.08)
 
     def test_unknown_setting(self):
         with pytest.raises(ValidationError):
             event_bounds(reference_params(), "analog")
+
+    def test_keys_in_report_order(self):
+        head, tail = ["e1_formula", "e1_claim_literal", "e1_theorem"], ["total_theorem"]
+        assert list(event_bounds(reference_params(), "quantum")) == head + [
+            "e2_chain", "e2_theorem", "e3_chain", "e3_theorem"] + tail
+        assert list(event_bounds(reference_params(), "classical")) == head + [
+            "e2b", "e2c", "e3b_chain", "e3c_chain", "e3_derived", "e3_claimed"] + tail
 
     @given(
         ell=st.floats(3.0, 7.0),
@@ -495,14 +519,14 @@ class TestEventBounds:
                             eps0=0.01, eps_infty=0.25, i0b=i0b, i0c=i0c, i_infty=i_infty)
         params.validate()
         qb = event_bounds(params, "quantum")
-        assert qb.e1_formula <= qb.e1_theorem + 1e-9
+        assert qb["e1_formula"] <= qb["e1_theorem"] + 1e-9
         # integer band sums can cost the measurement chains one doubling
         # over the real-valued form, so the safe cap is 4 eps_tilde
-        assert qb.e2_chain <= 8 * 0.01 + 4 * eps_tilde + 1e-9
-        assert qb.e3_chain <= 8 * 0.01 + 4 * eps_tilde + 1e-9
+        assert qb["e2_chain"] <= 8 * 0.01 + 4 * eps_tilde + 1e-9
+        assert qb["e3_chain"] <= 8 * 0.01 + 4 * eps_tilde + 1e-9
         cb = event_bounds(params, "classical")
-        assert cb.e3b_chain <= cb.e3_derived + 1e-9
-        assert cb.e3c_chain <= cb.e3_derived + 1e-9
+        assert cb["e3b_chain"] <= cb["e3_derived"] + 1e-9
+        assert cb["e3c_chain"] <= cb["e3_derived"] + 1e-9
 
 
 class TestRateRegions:

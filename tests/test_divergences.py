@@ -26,7 +26,7 @@ from martonlab.divergences import (
 from martonlab.errors import ConvergenceError, SupportOverflowError, ValidationError
 from martonlab.quantum import real_trace
 
-from conftest import np_test_blocks, rand_joint, rand_state, spectrum_mean
+from conftest import lp_dual_beta, np_test_blocks, rand_joint, rand_state, spectrum_mean
 
 DSBS_45 = JointPmf(("0", "1"), ("0", "1"), [[0.45, 0.05], [0.05, 0.45]])
 DSBS_40 = JointPmf(("0", "1"), ("0", "1"), [[0.40, 0.10], [0.10, 0.40]])
@@ -265,6 +265,32 @@ class TestClassicalI0:
         for method in ("greedy", "exhaustive", "randomized"):
             res = classical_i0(j, 0.2, method)
             assert_allclose(verify_witness(res, joint=j), res.value, atol=1e-9)
+
+
+class TestLpDual:
+    """Every classical and spectrum order-zero beta against the LP dual: the
+    Neyman-Pearson tests attain it, and no deterministic test beats it."""
+
+    def test_betas_meet_the_dual(self, np_rng):
+        for _ in range(300):
+            shape = tuple(int(x) for x in np_rng.integers(2, 5, size=2))
+            j = joint_of(rand_joint(np_rng, *shape, zeros=int(np_rng.integers(0, 3))))
+            eps = float(np_rng.uniform(0.01, 0.5))
+            pu, pv = j.marginals()
+            dual = lp_dual_beta(j.probs, np.outer(pu, pv), eps)
+            betas = {m: 2.0 ** -classical_i0(j, eps, m).value
+                     for m in ("greedy", "exhaustive", "randomized")}
+            for n in range(1, 5):
+                spec = iid_llr_spectrum(j, n)
+                spec_dual = lp_dual_beta(spec.probs, spec.probs * np.exp2(-spec.values), eps)
+                assert 2.0 ** -spectrum_i0(spec, eps, "randomized").value == pytest.approx(
+                    spec_dual, rel=1e-12, abs=0.0)
+                assert 2.0 ** -spectrum_i0(spec, eps, "thresholded").value >= spec_dual * (
+                    1.0 - 1e-12)
+                if n == 1:
+                    assert spec_dual == pytest.approx(dual, rel=1e-12, abs=0.0)
+            assert betas["randomized"] == pytest.approx(dual, rel=1e-12, abs=0.0)
+            assert min(betas["greedy"], betas["exhaustive"]) >= dual * (1.0 - 1e-12)
 
 
 class TestQuantumI0:

@@ -38,6 +38,7 @@ from martonlab.coding import (
     decode_rows,
     generate_codebook,
 )
+from martonlab.analysis import event_bounds
 from martonlab.divergences import classical_i0, llr_table, quantum_i0_cq
 from martonlab.errors import ValidationError
 from martonlab.experiments import (
@@ -699,6 +700,39 @@ class TestEventClassification:
                                        np.array([[1, 0], [2, 0]]), np.ones((2, 2), dtype=int),
                                        np.array([[True, False], [True, False]]))
         assert hits == [1, 0, 0, 0, 0, 1, 1]
+
+
+class TestEventRows:
+    """Quantum event rows with and without the theorem's caps.  No qubit run
+    reaches ``theorem_valid``, since a qubit's i0b lies far below the band
+    budget, so the capped rows are pinned here; the expected values were
+    recorded before the bounds became a dict."""
+
+    # chains: e1 2^-13 + 2^-2 + 2^-6, e2 8*eps0 + 2^(25 - 1 - 40), e3 8*eps0 + 2^(29 - 1 - 30)
+    params = RateParams(R1=1, R2=1, r1=6, r2=10, eps_tilde=2.0**-8, eps0=0.01,
+                        eps_infty=0.25, i0b=40.0, i0c=30.0, i_infty=1.0)
+    counts = {"e1": 1, "e2": 2, "e3": 20, "message_error": 40, "index_error": 5}
+
+    def rows(self, theorem_valid):
+        bounds = event_bounds(self.params, "quantum")
+        rows = experiments._event_rows("quantum", self.counts, 50, bounds, theorem_valid)
+        return [(r.name, r.bound, r.bound_name, r.violation) for r in rows]
+
+    def test_theorem_forms_cap_the_chains(self):
+        assert self.rows(True) == [
+            ("e1", 0.140625, "min(e1 formula, 36*eps_tilde)", False),
+            ("e2", 0.0800152587890625, "min(e2 chain, 8*eps0 + 2*eps_tilde)", False),
+            ("e3", 0.0878125, "min(e3 chain, 8*eps0 + 2*eps_tilde)", True),
+            ("message_error", 0.31625000000000003, "40*eps_tilde + 16*eps0", True),
+            ("index_error", 0.31625000000000003, "40*eps_tilde + 16*eps0", False)]
+
+    def test_chains_alone_without_the_theorem(self):
+        assert self.rows(False) == [
+            ("e1", 0.2657470703125, "e1 formula", False),
+            ("e2", 0.0800152587890625, "e2 chain", False),
+            ("e3", 0.33, "e3 chain", False),
+            ("message_error", None, None, False),
+            ("index_error", None, None, False)]
 
 
 def _partial_design():
