@@ -326,10 +326,15 @@ class ProductClassicalChannel:
         self._cdf[:, -1] = 1.0
         self._nz = len(base.z_alphabet)
 
-    def sample_outputs(self, x_indices: np.ndarray, rng: SeededRng):
-        """Per-symbol (y, z) index arrays for one block of inputs."""
+    def sample_outputs(self, x_indices: np.ndarray, rng):
+        """Per-symbol (y, z) index arrays for inputs of any shape.
+
+        ``rng`` is the SeededRng whose next uniforms drive the outputs, one
+        per input symbol, or those uniforms, shaped like ``x_indices``: a
+        block of trials passes each trial's own draws that way.
+        """
         x_indices = np.asarray(x_indices)
-        u = rng.random(x_indices.shape)
+        u = rng.random(x_indices.shape) if isinstance(rng, SeededRng) else np.asarray(rng)
         flat = np.empty(x_indices.shape, dtype=np.int64)
         for xi in np.unique(x_indices):
             mask = x_indices == xi

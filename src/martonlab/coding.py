@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -248,6 +248,8 @@ class Codebook:
     design: InputDesign
     seed: int
     n: int = 1
+    # (side, letter count) -> letter_indicators of that side's words
+    _indicators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows)
@@ -298,6 +300,15 @@ class Codebook:
     def indicator(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Rejection indicator of row k over columns [l0, l1)."""
         return self.eta(k, l0, l1) <= self.acceptance(k, l0, l1)
+
+    def letter_indicators(self, side: str, letters: int) -> np.ndarray:
+        """``letter_indicators`` of the words of ``side`` ("rows" or "cols"),
+        built on first use and kept as long as the codebook."""
+        key = (side, letters)
+        got = self._indicators.get(key)
+        if got is None:
+            got = self._indicators[key] = letter_indicators(getattr(self, side), letters)
+        return got
 
     def content_digest(self) -> str:
         h = hashlib.sha256()
@@ -684,9 +695,15 @@ def _first_pass_by_table(evaluator, row_words, col_words, alive, thr) -> tuple:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """The index of every word that matches the received word, ascending."""
+    """The index of every word that matches the received word, ascending.
+
+    For a (trials, n) block of received words, ``matched`` runs trial by
+    trial, ascending within each trial, and ``trial`` holds the trial of
+    each of its entries; it is None for a single received word.
+    """
 
     matched: np.ndarray
+    trial: np.ndarray | None = None
 
 
 class SetMembership:
@@ -696,9 +713,24 @@ class SetMembership:
         self.mask = np.asarray(mask, dtype=bool)
 
     def matches(self, words: np.ndarray, received: np.ndarray) -> np.ndarray:
+        """Membership of each word against ``received``: a (count,) array for
+        one received word, (trials, count) for a (trials, 1) block."""
         if words.shape[1] != 1:
             raise ValidationError("explicit-set membership is defined for blocklength 1")
-        return self.mask[words[:, 0], received[0]]
+        return self.mask[words[:, 0], received[..., 0, None]]
+
+
+def letter_indicators(words: np.ndarray, letters: int) -> np.ndarray:
+    """Float32 flags of word letters 1..letters-1, shaped (count * (letters - 1), n).
+
+    Row k * (letters - 1) + a - 1 flags the positions where word k holds
+    letter a.  The letters take a type that holds them and the words, so
+    that neither wraps.
+    """
+    values = np.arange(1, letters, dtype=np.promote_types(words.dtype,
+                                                          np.min_scalar_type(letters - 1)))
+    return (words[:, None, :] == values[:, None]).astype(np.float32).reshape(
+        -1, words.shape[1])
 
 
 class ThresholdMembership:
@@ -706,58 +738,82 @@ class ThresholdMembership:
 
     A row's score depends on the row only through its type against the
     received word: the counts N[a, b] of positions holding word letter a
-    where letter b was received.  Rows are scored as the sum of
-    N[a, b] * llr[a, b] in a fixed (a, b) order, so membership does not
-    depend on a BLAS summation order.
+    where letter b was received.  The counts of letters 1..|A|-1 come from
+    one float32 product of the words' ``letter_indicators`` with the
+    one-hot received letters of a whole block of received words; they are
+    exact integers, so no BLAS summation order changes them, and letter
+    0's counts are the rest of each received letter's positions.  Rows are
+    scored as the sum of N[a, b] * llr[a, b] in a fixed (a, b) order, so
+    each score is the same float for any block and any BLAS.
     """
 
     def __init__(self, llr: np.ndarray, tau: float):
         self.llr = np.asarray(llr, dtype=float)
         self.tau = float(tau)
+        # 0 * inf is nan in a product, so positions whose received letter
+        # scores non-finite for some word letter are summed by lookup instead
+        self.finite = np.isfinite(self.llr).all(axis=0)
+        self.scored = np.flatnonzero(self.finite)
 
-    def matches(self, words: np.ndarray, received: np.ndarray) -> np.ndarray:
-        (count, n), (na, nb) = words.shape, self.llr.shape
+    def matches(self, words: np.ndarray, received: np.ndarray,
+                indicators: np.ndarray | None = None) -> np.ndarray:
+        """Membership of each word against ``received``: a (count,) array for
+        one received word, (trials, count) for a (trials, n) block.
+        ``indicators`` are the words' ``letter_indicators`` at this table's
+        letter count, built here when not given."""
+        (count, n), na = words.shape, self.llr.shape[0]
         if n >= _EXACT_COUNT_LIMIT:
             raise ValidationError(f"threshold decoding counts letters in float32, "
                                   f"exact below {_EXACT_COUNT_LIMIT} positions, got {n}")
-        # 0 * inf is nan in a product, so positions whose received letter
-        # scores non-finite for some word letter are summed by lookup instead
-        finite = np.isfinite(self.llr).all(axis=0)
-        good = finite[received]
-        onehot = np.zeros((n, nb), dtype=np.float32)
-        onehot[good, received[good]] = 1.0
-        # one one-hot product gives the counts of letters 1..na-1; letter 0
-        # holds the rest of each received letter's positions.  The letters
-        # take a type that holds them and the words, so that neither wraps.
-        letters = np.arange(1, na, dtype=np.promote_types(words.dtype,
-                                                          np.min_scalar_type(na - 1)))
-        hits = (words[:, None, :] == letters[:, None]).astype(np.float32)
-        # types[a, b] holds N[a, b] of every row, contiguous, and letter 0's
-        # counts are exact integer differences, in any order
-        types = np.empty((na, nb, count))
-        types[1:] = (hits.reshape(count * (na - 1), n) @ onehot).reshape(
-            count, na - 1, nb).transpose(1, 2, 0)
-        types[0] = onehot.sum(axis=0)[:, None]
+        if indicators is None:
+            indicators = letter_indicators(words, na)
+        block = np.atleast_2d(received)
+        trials, scored = block.shape[0], self.scored
+        # onehot[i, t, s] flags received letter scored[s] at position i of trial t
+        onehot = (block.T[:, :, None] == scored).astype(np.float32).reshape(n, -1)
+        # types[a, s, t] holds N[a, scored[s]] of every row against trial t,
+        # contiguous, and letter 0's counts are exact integer differences
+        types = np.empty((na, scored.size, trials, count))
+        types[1:] = (indicators @ onehot).reshape(count, na - 1, trials, scored.size).transpose(
+            1, 3, 2, 0)
+        types[0] = onehot.sum(axis=0).reshape(trials, scored.size).T[:, :, None]
         for a in range(1, na):
             types[0] -= types[a]
-        scores = np.zeros(count)
-        scored = np.flatnonzero(finite)
+        scores = np.zeros((trials, count))
         for a in range(na):
-            for b in scored:
-                scores += types[a, b] * self.llr[a, b]
-        if not good.all():
-            scores += self.llr[words[:, ~good], received[~good]].sum(axis=1)
-        return scores >= self.tau - DECODE_TOL
+            for s, b in enumerate(scored):
+                scores += types[a, s] * self.llr[a, b]
+        bad = ~self.finite[block]
+        for t in np.flatnonzero(bad.any(axis=1)):
+            scores[t] += self.llr[words[:, bad[t]], block[t, bad[t]]].sum(axis=1)
+        hits = scores >= self.tau - DECODE_TOL
+        return hits if received.ndim > 1 else hits[0]
+
+
+def _decode(codebook: Codebook, side: str, received, membership) -> DecodeResult:
+    received = np.asarray(received)
+    words = getattr(codebook, side)
+    if isinstance(membership, ThresholdMembership):
+        hits = membership.matches(words, received,
+                                  codebook.letter_indicators(side, membership.llr.shape[0]))
+    else:
+        hits = membership.matches(words, received)
+    if received.ndim == 1:
+        return DecodeResult(np.flatnonzero(hits))
+    trial, matched = np.nonzero(hits)
+    return DecodeResult(matched, trial)
 
 
 def decode_rows(codebook: Codebook, received: np.ndarray, membership) -> DecodeResult:
-    """Bob's decoder: the rows of ``codebook`` that match ``received``."""
-    return DecodeResult(np.flatnonzero(membership.matches(codebook.rows, np.asarray(received))))
+    """Bob's decoder: the rows of ``codebook`` that match ``received``, one
+    received word or a (trials, n) block of them."""
+    return _decode(codebook, "rows", received, membership)
 
 
 def decode_cols(codebook: Codebook, received: np.ndarray, membership) -> DecodeResult:
-    """Charlie's decoder: the columns of ``codebook`` that match ``received``."""
-    return DecodeResult(np.flatnonzero(membership.matches(codebook.cols, np.asarray(received))))
+    """Charlie's decoder: the columns of ``codebook`` that match ``received``,
+    one received word or a (trials, n) block of them."""
+    return _decode(codebook, "cols", received, membership)
 
 
 def _frozen(arr) -> tuple:

@@ -62,7 +62,7 @@ from .divergences import (
     spectrum_i_infty,
 )
 from .errors import InfeasibleRates, ValidationError
-from .rng import SeededRng, first_uniforms, mix64
+from .rng import first_uniforms, mix64
 
 __all__ = [
     "EventStats",
@@ -232,15 +232,18 @@ class Scheme:
     ``run`` plays trials in blocks of as many trials as fit
     ``_BLOCK_LETTERS`` codebook letters: the block's codebooks and
     messages are drawn as arrays, and ``encode_block`` scans all its trials
-    one row offset at a time.  A classical trial then sends its input word
-    through the channel and decodes each side by set or threshold
-    membership; ``decode_pgm`` measures each side of a whole cq block in
-    one pass, picking each trial's outcome with one uniform from that
-    trial's own stream.  The events of the block are then counted from the
-    decoded words of each side.  The short streams of a block, each
-    trial's messages and, for cq, its two outcome uniforms, are drawn once
-    for the block by ``first_uniforms``, which computes them in one Philox
-    array pass for large blocks: the draws of ``SeededRng``, bit for bit.
+    one row offset at a time.  A classical block then sends every trial's
+    input word through the channel at once and decodes each side by set or
+    threshold membership: a fixed codebook decodes the whole block in one
+    call per side, and fresh codebooks one trial at a time.
+    ``decode_pgm`` measures each side of a whole cq block in one pass,
+    picking each trial's outcome with one uniform from that trial's own
+    stream.  The events of the block are then counted from the decoded
+    words of each side.  The streams of a block, each trial's messages,
+    its channel uniforms for classical runs and its two outcome uniforms
+    for cq, are drawn once for the block by ``first_uniforms``, which
+    computes short ones in one Philox array pass for large blocks: the
+    draws of ``SeededRng``, bit for bit.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers and the tail masses it memoizes by joint type, which
@@ -357,24 +360,45 @@ class Scheme:
         return dict(zip(names + ("message_error", "index_error"), hits.tolist()))
 
     def _decode_classical(self, params, rows, cols, keys, fixed_cb, x, sent):
-        """Each trial's outputs through the channel, decoded by membership.
+        """The block's outputs through the channel, decoded by membership.
+
+        Trial j's outputs come from the first n uniforms of its stream 102,
+        drawn for the whole block by ``first_uniforms`` and mapped through
+        the channel once per input letter over the block.  A fixed codebook
+        decodes each side of the whole block in one ``decode_rows`` /
+        ``decode_cols`` call, with letter indicators it builds once for the
+        run.  A fresh codebook decodes its own trial, and its indicators go
+        with it.
 
         Returns (first, count, hit), shaped (side, trial): the first
         matching word, or word 0 where none matches, so that no match
         decodes to message 0; the number of matches; and whether the sent
         word is among them.
         """
+        trials = len(keys)
+        received = self.sampler.sample_outputs(x, first_uniforms(keys, (102,), self.n)[:, 0])
+        sides = ((decode_rows, self.mem_b), (decode_cols, self.mem_c))
+        if fixed_cb is not None:
+            found = [decode(fixed_cb, words, mem) for (decode, mem), words in zip(sides, received)]
+            found = [(res.trial, res.matched) for res in found]
+        else:
+            per_trial = ([], [])
+            for j, key in enumerate(keys):
+                cb = Codebook(rows[j], cols[j], params, self.design, key, self.n)
+                for side, ((decode, mem), words) in enumerate(zip(sides, received)):
+                    per_trial[side].append(decode(cb, words[j], mem).matched)
+            found = [(np.repeat(np.arange(trials), [m.size for m in matched]),
+                      np.concatenate(matched)) for matched in per_trial]
         first = np.zeros(sent.shape, dtype=np.int64)
         count = np.zeros(sent.shape, dtype=np.int64)
         hit = np.zeros(sent.shape, dtype=bool)
-        for j, key in enumerate(keys):
-            cb = fixed_cb or Codebook(rows[j], cols[j], params, self.design, key, self.n)
-            received = self.sampler.sample_outputs(x[j], SeededRng(key, 102))
-            for side, decode, mem in ((0, decode_rows, self.mem_b), (1, decode_cols, self.mem_c)):
-                matched = decode(cb, received[side], mem).matched
-                first[side, j] = matched[0] if matched.size else 0
-                count[side, j] = matched.size
-                hit[side, j] = sent[side, j] in matched
+        for side, (trial, matched) in enumerate(found):
+            # matches run trial by trial, so a trial's first sits after the
+            # matches of the trials before it
+            count[side] = np.bincount(trial, minlength=trials)
+            some = count[side] > 0
+            first[side, some] = matched[(np.cumsum(count[side]) - count[side])[some]]
+            hit[side] = np.bincount(trial[matched == sent[side, trial]], minlength=trials) > 0
         return first, count, hit
 
     def _decode_cq(self, params, rows, cols, x, sent, uniforms):
@@ -427,8 +451,12 @@ class Scheme:
 
         log_ratio = llr_table(self.design.joint)
         fixed_cb: Codebook | None = None
+        codebook_digest = None
         if not resample_codebook:
             fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n)
+            # digested before the run builds its letter indicators, so that
+            # the digest's int64 copy of the words never coexists with them
+            codebook_digest = fixed_cb.content_digest()
         counts = self._counts(params, trials, seed, fixed_cb, log_ratio)
 
         bounds = event_bounds(params, setting)
@@ -446,7 +474,7 @@ class Scheme:
             scheme=dict(self.describe),
             channel_digest=self.channel_digest,
             design_digest=self.design_digest,
-            codebook_digest=None if fixed_cb is None else fixed_cb.content_digest(),
+            codebook_digest=codebook_digest,
             theorem_valid=theorem_valid,
             bounds=bounds,
             events=tuple(events),

@@ -28,8 +28,8 @@ ints that ``mix64`` and the harness produce, and a draw reaches its
 thread's scratch generator with one attribute lookup, so what a short
 stream costs is mostly numpy's state setter and the draw itself.
 
-``first_uniforms`` gives the first few uniforms of many streams at once.
-From ``_ARRAY_PASS_STREAMS`` streams up it skips the scratch generator:
+``first_uniforms`` gives the first uniforms of many streams at once.
+From ``_ARRAY_PASS_STREAMS`` short streams up it skips the scratch generator:
 Philox4x64-10 is a function of (key, counter), so ``_philox_blocks``
 computes the outputs of all the streams in one pass of uint64 array
 arithmetic, bit for bit the outputs ``SeededRng`` draws.  Below that,
@@ -79,6 +79,10 @@ _PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LO32, _PHILOX_MUL >> _U32
 # 600 streams 0.54 against 3.2 ms (medians of 5 rotated timeit batches,
 # 2-vCPU VM, numpy 2.4).
 _ARRAY_PASS_STREAMS = 128
+# draws a stream from which first_uniforms opens each stream instead: at 128
+# outputs a stream the pass is no faster than SeededRng, at 256 it is 1.5
+# times as slow
+_ARRAY_PASS_COUNT = 128
 
 
 def mix64(a, b=0):
@@ -267,13 +271,12 @@ def first_uniforms(keys, stream_ids, count: int) -> np.ndarray:
 
     Shaped (keys, stream ids, count): entry [j, s] is
     ``SeededRng(keys[j], stream_ids[s]).random(count)``, bit for bit.  With
-    ``_ARRAY_PASS_STREAMS`` streams or more, one ``_philox_blocks`` pass
-    computes them all; fewer streams open one ``SeededRng`` each.  Meant for
-    short draws: at 128 outputs a stream the pass is no faster than
-    ``SeededRng``, at 256 it is 1.5 times as slow.  Keys and ids must lie in
-    [0, 2^64).
+    ``_ARRAY_PASS_STREAMS`` streams or more and fewer than
+    ``_ARRAY_PASS_COUNT`` draws a stream, one ``_philox_blocks`` pass
+    computes them all; otherwise each stream is opened as a ``SeededRng``.
+    Keys and ids must lie in [0, 2^64).
     """
-    if len(keys) * len(stream_ids) < _ARRAY_PASS_STREAMS:
+    if len(keys) * len(stream_ids) < _ARRAY_PASS_STREAMS or count >= _ARRAY_PASS_COUNT:
         return np.array([[SeededRng(key, sid).random(count) for sid in stream_ids]
                          for key in keys])
     raw = _philox_blocks(np.repeat(np.asarray(keys, dtype=np.uint64), len(stream_ids)),

@@ -20,6 +20,7 @@ from martonlab.errors import (
 )
 from martonlab.experiments import achieved_divergences
 from martonlab.prob import JointPmf
+from martonlab.rng import SeededRng
 
 DSBS40 = {"row_labels": ["0", "1"], "col_labels": ["0", "1"],
           "probs": [[0.40, 0.10], [0.10, 0.40]]}
@@ -421,7 +422,7 @@ class TestSimulate:
         # refused from the band exponents alone: nothing is drawn or allocated
         def refuse(*args, **kwargs):
             raise AssertionError("drew from a stream")
-        monkeypatch.setattr(experiments.SeededRng, "random", refuse)
+        monkeypatch.setattr(SeededRng, "random", refuse)
         cfg = simulate_config(tmp_path, trials=5, n=1, mode="free", eps0=0.1,
                               eps_tilde=0.125, bands=[30, 2])
         assert main(["simulate", "--config", cfg]) == 2

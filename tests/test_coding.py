@@ -804,6 +804,85 @@ class TestClassicalDecoders:
             mem.matches(np.zeros((4, 2), dtype=np.int64), np.array([0, 0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockDecoders:
+    """``decode_rows`` / ``decode_cols`` of a (trials, n) block of received
+    words give each word's own matches, trial by trial, and those are the
+    oracles' matches.  Warnings are errors: a product that formed 0 * inf
+    would warn."""
+
+    @staticmethod
+    def codebook(rows, cols, n):
+        params = small_params(R1=int(math.log2(len(rows))) - 2,
+                              R2=int(math.log2(len(cols))) - 2, r1=2, r2=2)
+        return Codebook(rows, cols, params, pair_design(DSBS_45), seed=0, n=n)
+
+    @staticmethod
+    def assert_block_matches(cb, block, mem, *oracles):
+        for decode, words in ((decode_rows, cb.rows), (decode_cols, cb.cols)):
+            got = decode(cb, block, mem)
+            per_word = [decode(cb, word, mem) for word in block]
+            assert all(res.trial is None for res in per_word)
+            per_word = [res.matched for res in per_word]
+            assert np.array_equal(got.matched, np.concatenate(per_word))
+            assert np.array_equal(got.trial, np.repeat(np.arange(len(block)),
+                                                       [m.size for m in per_word]))
+            for word, want in zip(block, per_word):
+                for oracle in oracles:
+                    assert np.array_equal(want, np.flatnonzero(oracle(words, word)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("na, nb", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_threshold_blocks_match_oracles(self, na, nb, dtype):
+        rng = np.random.default_rng(10 * na + nb)
+        probs = rand_joint(rng, na, nb, zeros=min(na, nb) - 1)
+        joint = JointPmf(tuple("0123"[:na]), tuple("0123"[:nb]), probs)
+        table = llr_table(joint)
+        n = 3
+        spectrum = iid_llr_spectrum(joint, n)
+        taus = list(spectrum.values) + [
+            spectrum_i0(spectrum, eps0, method="thresholded").witness["threshold"]
+            for eps0 in (0.01, 0.2)] + [-1e300]
+        rows = rng.integers(na, size=(64, n)).astype(dtype)
+        cols = rng.integers(na, size=(32, n)).astype(dtype)
+        cb = self.codebook(rows, cols, n)
+        for trials in (1, 9):
+            block = rng.integers(nb, size=(trials, n))
+            for tau in taus:
+                self.assert_block_matches(
+                    cb, block, ThresholdMembership(table, tau),
+                    lambda words, word: gemv_threshold_matches(table, tau, words, word),
+                    lambda words, word: gather_sum_matches(table, tau, words, word))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_wide_table_with_inf_column(self, dtype):
+        # 300 word letters do not wrap against uint8 words, and received
+        # letter 1 scores -inf for word letter 7, so it is looked up
+        rng = np.random.default_rng(300)
+        table = rng.normal(size=(300, 3))
+        table[7, 1] = -np.inf
+        letters = 256 if dtype == np.uint8 else 300
+        rows = rng.integers(letters, size=(16, 2)).astype(dtype)
+        rows[:4, 0] = 7
+        cols = rng.integers(letters, size=(8, 2)).astype(dtype)
+        cb = self.codebook(rows, cols, 2)
+        block = rng.integers(3, size=(6, 2))
+        block[0] = 1
+        for tau in (-1.0, 0.0, 1.5, -1e300):
+            self.assert_block_matches(
+                cb, block, ThresholdMembership(table, tau),
+                lambda words, word: gather_sum_matches(table, tau, words, word))
+
+    def test_set_blocks_match_mask_gather(self):
+        rng = np.random.default_rng(4)
+        cb = self.codebook(rng.integers(3, size=(16, 1)), rng.integers(3, size=(8, 1)), 1)
+        for _ in range(10):
+            mask = rng.random((3, 4)) < 0.5
+            block = rng.integers(4, size=(7, 1))
+            self.assert_block_matches(cb, block, SetMembership(mask),
+                                      lambda words, word: mask[words[:, 0], word[0]])
+
+
 class TestCompactWords:
     """Sampled words come in uint8; every consumer gives what the same words
     give in int64, also where (u, x) pair keys (|U| - 1) * |X| >= 256

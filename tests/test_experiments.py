@@ -74,6 +74,20 @@ def bsc_pair_channel(p: float, q: float) -> ClassicalBroadcastChannel:
     return ClassicalBroadcastChannel(xs, ("0", "1"), ("0", "1"), probs)
 
 
+def erasure_bsc_channel(e: float, q: float) -> ClassicalBroadcastChannel:
+    """X = two bits; Bob sees bit one erased with probability e, Charlie bit
+    two through BSC(q).  Bob's llr table is -inf where the received bit
+    contradicts the word letter."""
+    xs = ("00", "01", "10", "11")
+    probs = np.zeros((4, 3, 2))
+    for i, x in enumerate(xs):
+        for z in range(2):
+            pz = (1 - q) if z == int(x[1]) else q
+            probs[i, 2 * int(x[0]), z] = (1 - e) * pz
+            probs[i, 1, z] = e * pz
+    return ClassicalBroadcastChannel(xs, ("0", "e", "1"), ("0", "1"), probs)
+
+
 def qubit_cq_channel(theta: float = 0.35) -> CqBroadcastChannel:
     c, s = math.cos(theta), math.sin(theta)
     kb = {
@@ -112,6 +126,7 @@ def _case(case):
     channel, design, eps0, n = {
         "desk": (bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 1),
         "n=4": (bsc_pair_channel(0.05, 0.05), independent_design(), 0.05, 4),
+        "n=4 -inf": (erasure_bsc_channel(0.1, 0.05), independent_design(), 0.05, 4),
         "qubit": (qubit_cq_channel(), independent_design(), 0.05, 1),
     }[case]
     achieved = Scheme(channel, design, eps0, 0.25, n=n).achieved
@@ -606,11 +621,12 @@ class TestCqBlocks:
 class TestClassicalBlocks:
     """Blocked classical trials against the per-trial loop of ``conftest``."""
 
-    @pytest.mark.parametrize("case", ["desk", "n=4"])
+    @pytest.mark.parametrize("case", ["desk", "n=4", "n=4 -inf"])
     @pytest.mark.parametrize("resample", [True, False])
     @pytest.mark.parametrize("block", [1, 7, 37])
     def test_blocks_match_per_trial_loop(self, case, resample, block, monkeypatch):
-        # desk: explicit sets at n = 1; n=4: llr thresholds
+        # desk: explicit sets at n = 1; n=4: llr thresholds, with -inf cells
+        # in Bob's table for "n=4 -inf"
         channel, design, n, params = _case(case)
         scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
         monkeypatch.setattr(experiments, "_BLOCK_LETTERS",
@@ -626,6 +642,21 @@ class TestClassicalBlocks:
         want = scheme.run(params, 37, 11, resample_codebook=resample)
         assert event_counts(got) == event_counts(want)
         assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_letter_indicators_built_once_per_codebook(self, resample, monkeypatch):
+        # a fixed codebook builds each side's indicators once for the run,
+        # a fresh one once for its own trial
+        channel, design, n, params = _case("n=4")
+        scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
+        monkeypatch.setattr(experiments, "_BLOCK_LETTERS", 7 * (params.n_rows + params.n_cols) * n)
+        built = []
+        original = coding.letter_indicators
+        monkeypatch.setattr(coding, "letter_indicators",
+                            lambda words, letters: built.append(len(words)) or
+                            original(words, letters))
+        scheme.run(params, 37, 11, resample_codebook=resample)
+        assert built == [params.n_rows, params.n_cols] * (37 if resample else 1)
 
     def test_no_match_decodes_to_message_0(self, monkeypatch):
         # Bob's set is empty, so no row ever matches and Bob decodes message 0

@@ -8,7 +8,10 @@ name: the functions ``generate_codebook``, ``encode``, ``decode_rows``,
 own), ``SeededRng.__init__``, ``random`` and ``choice_index``, and the
 public functions of the other layers.  It reads ``fx`` of the evaluators,
 ``.rows`` / ``.cols`` of the first argument of ``decode_rows`` /
-``decode_cols`` and ``.matched`` of what they return.  A removed name makes
+``decode_cols`` and ``.matched`` of what they return: the indices of the
+matched words, which for a block of received words hold the matches of
+every trial, trial by trial, so one call counts the words it scored once
+however many trials it decodes.  A removed name makes
 ``Tracer.install`` raise; a name that stays but is no longer called leaves
 its counters at zero without an error, so each kind of run here must move
 the counters of its layer.

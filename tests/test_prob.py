@@ -20,7 +20,7 @@ from martonlab import (
     mix64,
     mutual_information,
 )
-from martonlab.rng import _ARRAY_PASS_STREAMS, _philox_blocks, first_uniforms
+from martonlab.rng import _ARRAY_PASS_COUNT, _ARRAY_PASS_STREAMS, _philox_blocks, first_uniforms
 
 # Frozen first draws of the (42, 0) and (42, 1) streams.  These pin the
 # counter-based generator choice: any change to the bit generator or the
@@ -261,6 +261,19 @@ class TestPhiloxArrayPass:
         for j, k in enumerate(keys):
             for s, sid in enumerate(ids):
                 assert np.array_equal(got[j, s], SeededRng(k, sid).random(count))
+
+    @pytest.mark.parametrize("count", [_ARRAY_PASS_COUNT - 1, _ARRAY_PASS_COUNT])
+    def test_long_draws_open_their_streams(self, count, monkeypatch):
+        keys = mix64(5, np.arange(_ARRAY_PASS_STREAMS, dtype=np.uint64)).tolist()
+        opened = []
+        init = SeededRng.__init__
+        monkeypatch.setattr(SeededRng, "__init__",
+                            lambda self, *key: opened.append(key) or init(self, *key))
+        got = first_uniforms(keys, (102,), count)
+        assert len(opened) == (0 if count < _ARRAY_PASS_COUNT else len(keys))
+        monkeypatch.undo()
+        for j in (0, len(keys) - 1):
+            assert np.array_equal(got[j, 0], SeededRng(keys[j], 102).random(count))
 
 
 class TestMix64:
