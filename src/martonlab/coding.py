@@ -65,6 +65,9 @@ THRESHOLD_ATOM_CAP = 100_000
 # joint types whose tail masses one threshold evaluator keeps, about 215
 # bytes each; criterion 1's inputs at n = 56 meet about 3,900 in 6,400 trials
 _TAIL_MEMO_CAP = 1 << 15
+# letters Codebook.content_digest widens to int64 at a time: a 128 KB slice
+# in place of a copy of the whole codebook, 3.9 MB at criterion 1's n = 56
+_DIGEST_LETTERS = 1 << 14
 _FEAS_TOL = 1e-9
 
 
@@ -311,9 +314,13 @@ class Codebook:
         return got
 
     def content_digest(self) -> str:
+        """sha256 of the rows, then the columns, as C-ordered int64 letters,
+        widened ``_DIGEST_LETTERS`` letters at a time."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.rows, dtype=np.int64))
-        h.update(np.ascontiguousarray(self.cols, dtype=np.int64))
+        for words in (self.rows, self.cols):
+            letters = words.reshape(-1)
+            for start in range(0, letters.size, _DIGEST_LETTERS):
+                h.update(letters[start:start + _DIGEST_LETTERS].astype(np.int64))
         return h.hexdigest()
 
 

@@ -73,13 +73,20 @@ __all__ = [
 ]
 
 _ACHIEVED_SLACK = 1e-6
-# codebook letters one block of trials holds, a byte each in uint8 words.
-# Criterion 1's codebooks at n = 56 hold 487,424 letters, so a block there
-# is two trials.  Forty of its 16-trial runs peak at 42.8 MB of RSS in
-# blocks of two, 44.7 MB in blocks of four and 49.1 MB in blocks of 16,
-# against 42.2 MB one trial at a time.  Encoding the 16 trials takes 5.4,
-# 4.1, 3.4 and 2.9 ms in blocks of 1, 2, 4 and 16, of a run's 60 to 100 ms
-# (2-vCPU VM, Python 3.11, numpy 2.4).
+# codebook letters one block of fresh-codebook trials holds, a byte each in
+# uint8 words.  Criterion 1's codebooks at n = 56 hold 487,424 letters, so a
+# block there is two trials.  Forty of its 16-trial runs peak at 42.8 MB of
+# RSS in blocks of two, 44.7 MB in blocks of four and 49.1 MB in blocks of
+# 16, against 42.2 MB one trial at a time.  Encoding the 16 trials takes
+# 5.4, 4.1, 3.4 and 2.9 ms in blocks of 1, 2, 4 and 16, of a run's 60 to
+# 100 ms.  A fixed codebook's trials share its words, so its blocks are
+# sized by the decoder's scratch instead, a few float64s per word and trial:
+# _BLOCK_LETTERS / 16 words of the larger side over the block's trials.
+# The demo n = 56 config (8,192 + 512 words, 20 trials) then runs blocks of
+# 8.  Over 12 alternated rounds of 10 CLI calls, a round's median call
+# takes (median) 24.8, 19.2, 17.9 and 21.0 ms in blocks of 2, 4, 8 and 16;
+# 200 calls in one process peak at 45.7 MB of RSS in blocks of 4 and
+# 47.6 MB in blocks of 8 (2-vCPU VM, Python 3.11, numpy 2.4).
 _BLOCK_LETTERS = 1 << 20
 
 
@@ -229,13 +236,19 @@ class Scheme:
     RateParams built from them pass the consistency gate of ``run``;
     ``describe`` is the report's ``scheme`` entry.
 
-    ``run`` plays trials in blocks of as many trials as fit
-    ``_BLOCK_LETTERS`` codebook letters: the block's codebooks and
-    messages are drawn as arrays, and ``encode_block`` scans all its trials
-    one row offset at a time.  A classical block then sends every trial's
-    input word through the channel at once and decodes each side by set or
-    threshold membership: a fixed codebook decodes the whole block in one
-    call per side, and fresh codebooks one trial at a time.
+    ``run`` plays trials in blocks.  Under fresh codebooks a block holds as
+    many trials as fit ``_BLOCK_LETTERS`` codebook letters: the block's
+    codebooks and messages are drawn as arrays, and ``encode_block`` scans
+    all its trials one row offset at a time.  A fixed codebook's trials
+    share its words, and each trial's encoding depends on its message pair
+    alone, so a run encodes each distinct pair once, when a block first
+    draws it, and gathers every trial's input word from those; its blocks
+    hold ``_BLOCK_LETTERS`` / 16 words of the larger side over their
+    trials, which bounds the decoders' scratch.  A classical block then
+    sends every trial's input word through the channel at once and decodes
+    each side by set or threshold membership: a fixed codebook decodes the
+    whole block in one call per side, and fresh codebooks one trial at a
+    time.
     ``decode_pgm`` measures each side of a whole cq block in one pass,
     picking each trial's outcome with one uniform from that trial's own
     stream.  The events of the block are then counted from the decoded
@@ -328,7 +341,11 @@ class Scheme:
     def _counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
         classical = self.setting == "classical"
         n_m1, n_m2 = 1 << params.R1, 1 << params.R2
-        block = max(1, _BLOCK_LETTERS // ((params.n_rows + params.n_cols) * self.n))
+        if fixed_cb is None:
+            block = max(1, _BLOCK_LETTERS // ((params.n_rows + params.n_cols) * self.n))
+        else:
+            block = max(1, (_BLOCK_LETTERS >> 4) // max(params.n_rows, params.n_cols))
+            encode_pairs = _PairEncodings(fixed_cb, log_ratio, self.evaluator)
         names = ("e1", "e2b", "e2c", "e3b", "e3c") if classical else ("e1", "e2", "e3")
         hits = np.zeros(len(names) + 2, dtype=np.int64)
         for start in range(0, trials, block):
@@ -336,17 +353,18 @@ class Scheme:
                                          dtype=np.uint64)).tolist()
             if fixed_cb is None:
                 rows, cols = codebook_block(self.design, params, keys, self.n)
-                cb_seeds = keys
             else:
                 rows = np.broadcast_to(fixed_cb.rows, (len(keys),) + fixed_cb.rows.shape)
                 cols = np.broadcast_to(fixed_cb.cols, (len(keys),) + fixed_cb.cols.shape)
-                cb_seeds = [fixed_cb.seed] * len(keys)
             # messages from stream 101; a cq trial's PGM outcomes from 103 and 104
             u = first_uniforms(keys, (101,) if classical else (101, 103, 104), 2)
             m1 = np.minimum((u[:, 0, 0] * n_m1).astype(np.int64), n_m1 - 1)
             m2 = np.minimum((u[:, 0, 1] * n_m2).astype(np.int64), n_m2 - 1)
-            row, col, x = encode_block(rows, cols, cb_seeds, m1, m2, params, log_ratio,
-                                       self.evaluator, params.eps0)
+            if fixed_cb is None:
+                row, col, x = encode_block(rows, cols, keys, m1, m2, params, log_ratio,
+                                           self.evaluator, params.eps0)
+            else:
+                row, col, x = encode_pairs(m1, m2)
             sent = np.stack([row, col])
             if classical:
                 first, count, hit = self._decode_classical(params, rows, cols, keys, fixed_cb,
@@ -367,8 +385,9 @@ class Scheme:
         the channel once per input letter over the block.  A fixed codebook
         decodes each side of the whole block in one ``decode_rows`` /
         ``decode_cols`` call, with letter indicators it builds once for the
-        run.  A fresh codebook decodes its own trial, and its indicators go
-        with it.
+        run; the threshold decoder's type counts and scores grow as trials
+        times words, which is what a fixed codebook's block size bounds.  A
+        fresh codebook decodes its own trial, and its indicators go with it.
 
         Returns (first, count, hit), shaped (side, trial): the first
         matching word, or word 0 where none matches, so that no match
@@ -454,8 +473,6 @@ class Scheme:
         codebook_digest = None
         if not resample_codebook:
             fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n)
-            # digested before the run builds its letter indicators, so that
-            # the digest's int64 copy of the words never coexists with them
             codebook_digest = fixed_cb.content_digest()
         counts = self._counts(params, trials, seed, fixed_cb, log_ratio)
 
@@ -481,6 +498,42 @@ class Scheme:
             started_at=started,
             wall_clock_s=time.monotonic() - t0,
         )
+
+
+class _PairEncodings:
+    """``encode_block`` over one fixed codebook, each message pair encoded once a run.
+
+    Every trial of a fixed codebook scans the same words with the same
+    rejection streams, (mix64(codebook seed, 3), row), so its (row, col, x)
+    depends on its messages alone.  A call encodes the distinct pairs of
+    its trials that no earlier call has met, over the codebook broadcast
+    to those pairs, and gathers every trial's encoding from the pairs met
+    so far.
+    """
+
+    def __init__(self, codebook: Codebook, log_ratio, evaluator):
+        self.codebook, self.n_m2 = codebook, 1 << codebook.params.R2
+        self.args = (codebook.params, log_ratio, evaluator, codebook.params.eps0)
+        # the codes m1 * 2^R2 + m2 met so far, ascending, and their (row, col, x)
+        self.codes = np.empty(0, dtype=np.int64)
+        self.encoded = (self.codes, self.codes, np.empty((0, codebook.n), dtype=np.int64))
+
+    def __call__(self, m1: np.ndarray, m2: np.ndarray) -> tuple:
+        codes = m1 * self.n_m2 + m2
+        new = np.setdiff1d(codes, self.codes)
+        if new.size:
+            cb, shape = self.codebook, (new.size,)
+            got = encode_block(np.broadcast_to(cb.rows, shape + cb.rows.shape),
+                               np.broadcast_to(cb.cols, shape + cb.cols.shape),
+                               [cb.seed] * new.size, new // self.n_m2, new % self.n_m2,
+                               *self.args)
+            merged = np.concatenate([self.codes, new])
+            order = np.argsort(merged)
+            self.codes = merged[order]
+            self.encoded = tuple(np.concatenate([old, add])[order]
+                                 for old, add in zip(self.encoded, got))
+        at = np.searchsorted(self.codes, codes)
+        return tuple(part[at] for part in self.encoded)
 
 
 def _event_hits(classical, params, m1, m2, sent, first, count, hit) -> list:

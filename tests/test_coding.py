@@ -1,5 +1,6 @@
 """Band-exponent selection, codebook sampling, encoding, and decoding."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -291,6 +292,21 @@ class TestCodebook:
         a = generate_codebook(design, small_params(), seed=7)
         b = generate_codebook(design, small_params(), seed=8)
         assert a.content_digest() != b.content_digest()
+
+    @pytest.mark.parametrize("slice_letters", [None, 5])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_digest_in_slices_is_the_one_piece_sha256(self, n, slice_letters, monkeypatch):
+        # 2^12 words a side: 4,096, 12,288 and 28,672 letters, a part of
+        # one default slice, 0.75 and 1.75 slices; slices of 5 letters
+        # leave a remainder on every side
+        if slice_letters is not None:
+            monkeypatch.setattr(coding, "_DIGEST_LETTERS", slice_letters)
+        params = small_params(r1=11, r2=11)
+        words = np.random.default_rng(n).integers(0, 2, size=(2, params.n_rows, n), dtype=np.uint8)
+        cb = Codebook(words[0], words[1], params, pair_design(DSBS_45), 7, n)
+        one_piece = hashlib.sha256(words[0].astype(np.int64).tobytes()
+                                   + words[1].astype(np.int64).tobytes())
+        assert cb.content_digest() == one_piece.hexdigest()
 
     @pytest.mark.parametrize("pmf", [
         [0.5, 0.5], [1.0], [0.3, 0.0, 0.7], [0.0, 0.2, 0.8], [0.2, 0.3, 0.5],

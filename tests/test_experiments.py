@@ -505,6 +505,43 @@ def _assert_decodes_match_oracle(calls: list) -> None:
             assert out[j] == decode_pgm_per_trial(words, tests, state, uniforms[j])
 
 
+def _fixed_block(params) -> int:
+    """Trials per block of a fixed-codebook run: ``_BLOCK_LETTERS`` / 16
+    decoded words of the codebook's larger side."""
+    return max(1, (experiments._BLOCK_LETTERS >> 4) // max(params.n_rows, params.n_cols))
+
+
+def _messages(params, trials: int, seed: int) -> list:
+    """Each trial's (m1, m2), from its stream 101 as ``draw_trial`` draws them."""
+    n_m1, n_m2 = 1 << params.R1, 1 << params.R2
+    pairs = []
+    for t in range(trials):
+        u = SeededRng(mix64(seed, t), 101).random(2)
+        pairs.append((min(int(u[0] * n_m1), n_m1 - 1), min(int(u[1] * n_m2), n_m2 - 1)))
+    return pairs
+
+
+def _recording_encoder(calls: list, monkeypatch) -> None:
+    """Keep the (m1, m2) pairs of each ``encode_block`` call of a run."""
+    def encode(*args):
+        calls.append(list(zip(args[3].tolist(), args[4].tolist())))
+        return coding.encode_block(*args)
+    monkeypatch.setattr(experiments, "encode_block", encode)
+
+
+def _assert_new_pairs_only(calls: list, pairs: list, block: int) -> None:
+    """A fixed-codebook run encodes, block by block, the distinct pairs
+    that no earlier block drew, each once."""
+    want, seen = [], set()
+    for start in range(0, len(pairs), block):
+        new = set(pairs[start:start + block]) - seen
+        seen |= new
+        if new:
+            want.append(new)
+    assert [set(call) for call in calls] == want
+    assert all(len(call) == len(set(call)) for call in calls)
+
+
 class TestCqBlocks:
     """Blocked cq trials against the per-trial loop of ``conftest``."""
 
@@ -537,13 +574,15 @@ class TestCqBlocks:
         scheme, r1, r2, achieved, seed = _qubit_point(8)
         params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
                             eps_infty=0.25, **achieved)
-        blocks = []
+        calls = []
         monkeypatch.setattr(experiments, "_BLOCK_LETTERS", 7 * (params.n_rows + params.n_cols))
-        monkeypatch.setattr(experiments, "encode_block",
-                            lambda *a, **k: blocks.append(len(a[2])) or
-                            coding.encode_block(*a, **k))
+        _recording_encoder(calls, monkeypatch)
         got = scheme.run(params, 37, seed, resample_codebook=resample)
-        assert blocks == [7] * 5 + [2]
+        if resample:
+            assert [len(call) for call in calls] == [7] * 5 + [2]
+        else:
+            assert 37 // _fixed_block(params) > 1
+            _assert_new_pairs_only(calls, _messages(params, 37, seed), _fixed_block(params))
         monkeypatch.setattr(Scheme, "_counts", cq_counts_per_trial)
         want = scheme.run(params, 37, seed, resample_codebook=resample)
         assert event_counts(got) == event_counts(want)
@@ -631,12 +670,16 @@ class TestClassicalBlocks:
         scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
         monkeypatch.setattr(experiments, "_BLOCK_LETTERS",
                             block * (params.n_rows + params.n_cols) * n)
-        blocks = []
-        monkeypatch.setattr(experiments, "encode_block",
-                            lambda *a, **k: blocks.append(len(a[2])) or
-                            coding.encode_block(*a, **k))
+        calls = []
+        _recording_encoder(calls, monkeypatch)
         got = scheme.run(params, 37, 11, resample_codebook=resample)
-        assert blocks == [min(block, 37 - start) for start in range(0, 37, block)]
+        if resample:
+            assert [len(call) for call in calls] == [min(block, 37 - start)
+                                                     for start in range(0, 37, block)]
+        else:
+            # a fixed codebook's blocks follow its own rule: 1, 3 and 18
+            # trials (n = 4), 1, 1 and 4 (desk)
+            _assert_new_pairs_only(calls, _messages(params, 37, 11), _fixed_block(params))
         assert sum(event_counts(got).values()) > 0
         monkeypatch.setattr(Scheme, "_counts", classical_counts_per_trial)
         want = scheme.run(params, 37, 11, resample_codebook=resample)
@@ -657,6 +700,31 @@ class TestClassicalBlocks:
                             original(words, letters))
         scheme.run(params, 37, 11, resample_codebook=resample)
         assert built == [params.n_rows, params.n_cols] * (37 if resample else 1)
+
+    @pytest.mark.parametrize("r1, letters", [(2, "patched"), (12, "default")])
+    def test_fixed_codebook_decode_blocks_within_the_cap(self, r1, letters, monkeypatch):
+        # n = 4 threshold decoding; patched to three trials' worth of words,
+        # and at the default, where 2^13 rows give blocks of 8 trials
+        channel, design, n, params = _case("n=4")
+        params = dataclasses.replace(params, r1=r1)
+        scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
+        if letters == "patched":
+            monkeypatch.setattr(experiments, "_BLOCK_LETTERS",
+                                16 * 3 * max(params.n_rows, params.n_cols))
+        cap = _fixed_block(params)
+        assert cap == {"patched": 3, "default": 8}[letters]
+        sizes = {"rows": [], "cols": []}
+        for side, decode in (("rows", decode_rows), ("cols", decode_cols)):
+            monkeypatch.setattr(experiments, f"decode_{side}",
+                                lambda cb, received, mem, side=side, decode=decode:
+                                sizes[side].append(len(received)) or decode(cb, received, mem))
+        got = scheme.run(params, 37, 11, resample_codebook=False)
+        for side_sizes in sizes.values():
+            assert len(side_sizes) > 1 and max(side_sizes) <= cap and sum(side_sizes) == 37
+        monkeypatch.setattr(Scheme, "_counts", classical_counts_per_trial)
+        want = scheme.run(params, 37, 11, resample_codebook=False)
+        assert event_counts(got) == event_counts(want)
+        assert _scrubbed_digest(got) == _scrubbed_digest(want)
 
     def test_no_match_decodes_to_message_0(self, monkeypatch):
         # Bob's set is empty, so no row ever matches and Bob decodes message 0
@@ -880,6 +948,52 @@ class TestEncodeBlockTables:
         # the whole block raises as soon as one trial would
         with pytest.raises(ValidationError, match="undefined"):
             coding.encode_block(rows, cols, seeds, m1, m2, params, zero, scheme.evaluator, 0.05)
+
+
+    def test_fixed_codebook_runs_raise_and_fall_back_by_pair(self, monkeypatch):
+        # whole runs in the set-up above: every llr at 0, so the cells of the
+        # undefined pair survive rejection as often as any other.  A run keeps
+        # i_infty at its achieved value, whose rejections, with two words per
+        # band, leave some band pairs without a passing cell
+        design = _partial_design()
+        scheme = Scheme(qubit_cq_channel(), design, 0.05, 0.25)
+        params = RateParams(R1=1, R2=1, r1=1, r2=1, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **scheme.achieved)
+        zero = np.zeros((2, 2))
+        monkeypatch.setattr(coding, "llr_table", lambda joint: zero)
+        monkeypatch.setattr(experiments, "llr_table", lambda joint: zero)
+        message = "input map undefined for a sampled pair"
+        outcomes = set()
+        for seed in (0, 1, 51):
+            cb = generate_codebook(design, params, mix64(seed, 0xC0DEB00C))
+            drawn = _messages(params, 40, seed)
+            # each drawn pair's fallback flag in the run's codebook, None where it raises
+            fallback = {}
+            for pair in set(drawn):
+                try:
+                    fallback[pair] = encode_per_trial(cb, *pair, scheme.evaluator, 0.05).fallback
+                except ValidationError as e:
+                    assert str(e) == message
+                    fallback[pair] = None
+            if None in fallback.values():
+                for counts in (None, cq_counts_per_trial):
+                    with monkeypatch.context() as m:
+                        if counts is not None:
+                            m.setattr(Scheme, "_counts", counts)
+                        with pytest.raises(ValidationError, match=f"^{message}$"):
+                            scheme.run(params, 40, seed, resample_codebook=False)
+                outcomes.add("raised")
+                continue
+            got = scheme.run(params, 40, seed, resample_codebook=False)
+            with monkeypatch.context() as m:
+                m.setattr(Scheme, "_counts", cq_counts_per_trial)
+                want = scheme.run(params, 40, seed, resample_codebook=False)
+            assert event_counts(got) == event_counts(want)
+            assert _scrubbed_digest(got) == _scrubbed_digest(want)
+            # e1 counts every trial that draws a pair which falls back
+            assert event_counts(got)["e1"] == sum(fallback[pair] for pair in drawn)
+            outcomes.add("fell back" if any(fallback.values()) else "found")
+        assert outcomes == {"raised", "fell back", "found"}
 
 
 class TestCodebookBudget:
