@@ -21,7 +21,6 @@ import numpy as np
 from .errors import NormalizationError, PositivityError, ValidationError
 from .prob import DEFAULT_ATOL, JointPmf
 from .quantum import DensityOperator, matrix_from_json, matrix_to_json, partial_trace
-from .rng import SeededRng
 
 __all__ = [
     "ClassicalBroadcastChannel",
@@ -326,15 +325,11 @@ class ProductClassicalChannel:
         self._cdf[:, -1] = 1.0
         self._nz = len(base.z_alphabet)
 
-    def sample_outputs(self, x_indices: np.ndarray, rng):
-        """Per-symbol (y, z) index arrays for inputs of any shape.
-
-        ``rng`` is the SeededRng whose next uniforms drive the outputs, one
-        per input symbol, or those uniforms, shaped like ``x_indices``: a
-        block of trials passes each trial's own draws that way.
-        """
+    def sample_outputs(self, x_indices: np.ndarray, uniforms: np.ndarray):
+        """Per-symbol (y, z) index arrays for inputs of any shape, driven by
+        ``uniforms``, one per input symbol and shaped like ``x_indices``."""
         x_indices = np.asarray(x_indices)
-        u = rng.random(x_indices.shape) if isinstance(rng, SeededRng) else np.asarray(rng)
+        u = np.asarray(uniforms)
         flat = np.empty(x_indices.shape, dtype=np.int64)
         for xi in np.unique(x_indices):
             mask = x_indices == xi

@@ -58,7 +58,7 @@ DECODE_TOL = 1e-6
 # bytes the 64-bit outputs of one codebook may take
 CODEBOOK_BYTE_BUDGET = 1 << 26
 # letter counts up to 2^24 are exact in float32, the type of the threshold
-# decoder's one-hot product; a codebook within budget has n < 2^22
+# decoder's one-hot product and type counts; a codebook within budget has n < 2^22
 _EXACT_COUNT_LIMIT = 1 << 24
 # atom cap of the threshold evaluator's tail-mass convolutions
 THRESHOLD_ATOM_CAP = 100_000
@@ -279,30 +279,10 @@ class Codebook:
     def n_cols(self) -> int:
         return self.cols.shape[0]
 
-    def row_band(self, m1: int) -> range:
-        width = 1 << self.params.r1
-        if not 0 <= m1 < (1 << self.params.R1):
-            raise ValidationError(f"message m1 = {m1} outside [0, 2^{self.params.R1})")
-        return range(m1 * width, (m1 + 1) * width)
-
-    def col_band(self, m2: int) -> range:
-        width = 1 << self.params.r2
-        if not 0 <= m2 < (1 << self.params.R2):
-            raise ValidationError(f"message m2 = {m2} outside [0, 2^{self.params.R2})")
-        return range(m2 * width, (m2 + 1) * width)
-
-    def eta(self, k: int, l0: int, l1: int) -> np.ndarray:
-        """Rejection uniforms of row k, columns [l0, l1), replayable."""
-        return _eta(mix64(self.seed, 3), k, l0, l1)
-
-    def acceptance(self, k: int, l0: int, l1: int) -> np.ndarray:
-        """Acceptance probabilities min(1, ratio / 2^i_infty) for a row slice."""
-        return _acceptance(self.log_ratio, self.rows[k][None, :], self.cols[l0:l1],
-                           self.params.i_infty)
-
     def indicator(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Rejection indicator of row k over columns [l0, l1)."""
-        return self.eta(k, l0, l1) <= self.acceptance(k, l0, l1)
+        return _eta(mix64(self.seed, 3), k, l0, l1) <= _acceptance(
+            self.log_ratio, self.rows[k][None, :], self.cols[l0:l1], self.params.i_infty)
 
     def letter_indicators(self, side: str, letters: int) -> np.ndarray:
         """``letter_indicators`` of the words of ``side`` ("rows" or "cols"),
@@ -599,9 +579,9 @@ class QuantumPairEvaluator(_PairEvaluator):
 def encode(codebook: Codebook, m1: int, m2: int, evaluator, eps0: float) -> tuple:
     """``encode_block`` of one trial: (row, col, x) of (m1, m2) in
     ``codebook``, with row and col -1 where it falls back."""
-    # ValidationError for a message out of range
-    codebook.row_band(m1)
-    codebook.col_band(m2)
+    for name, m, R in (("m1", m1, codebook.params.R1), ("m2", m2, codebook.params.R2)):
+        if not 0 <= m < (1 << R):
+            raise ValidationError(f"message {name} = {m} outside [0, 2^{R})")
     row, col, x = encode_block(codebook.rows[None], codebook.cols[None], [codebook.seed],
                                np.array([m1]), np.array([m2]), codebook.params,
                                codebook.log_ratio, evaluator, eps0)
@@ -702,15 +682,12 @@ def _first_pass_by_table(evaluator, row_words, col_words, alive, thr) -> tuple:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """The index of every word that matches the received word, ascending.
-
-    For a (trials, n) block of received words, ``matched`` runs trial by
-    trial, ascending within each trial, and ``trial`` holds the trial of
-    each of its entries; it is None for a single received word.
-    """
+    """The words that match each received word of a (trials, n) block:
+    ``matched`` runs trial by trial, ascending within each trial, and
+    ``trial`` holds the trial of each of its entries."""
 
     matched: np.ndarray
-    trial: np.ndarray | None = None
+    trial: np.ndarray
 
 
 class SetMembership:
@@ -720,11 +697,11 @@ class SetMembership:
         self.mask = np.asarray(mask, dtype=bool)
 
     def matches(self, words: np.ndarray, received: np.ndarray) -> np.ndarray:
-        """Membership of each word against ``received``: a (count,) array for
-        one received word, (trials, count) for a (trials, 1) block."""
+        """Membership of each word against each received word of a (trials, 1)
+        block, shaped (trials, count)."""
         if words.shape[1] != 1:
             raise ValidationError("explicit-set membership is defined for blocklength 1")
-        return self.mask[words[:, 0], received[..., 0, None]]
+        return self.mask[words[:, 0], received[:, 0, None]]
 
 
 def letter_indicators(words: np.ndarray, letters: int) -> np.ndarray:
@@ -743,83 +720,80 @@ def letter_indicators(words: np.ndarray, letters: int) -> np.ndarray:
 class ThresholdMembership:
     """Summed-llr decoder test: word matches iff its score clears tau.
 
-    A row's score depends on the row only through its type against the
+    A word's score depends on the word only through its type against the
     received word: the counts N[a, b] of positions holding word letter a
     where letter b was received.  The counts of letters 1..|A|-1 come from
     one float32 product of the words' ``letter_indicators`` with the
     one-hot received letters of a whole block of received words; they are
     exact integers, so no BLAS summation order changes them, and letter
-    0's counts are the rest of each received letter's positions.  Rows are
-    scored as the sum of N[a, b] * llr[a, b] in a fixed (a, b) order, so
-    each score is the same float for any block and any BLAS.
+    0's counts are the rest of each received letter's positions.  A word
+    scores the sum of N[a, b] * llr[a, b] over the finite cells, in float64
+    and a fixed (a, b) order, so each score is the same float for any
+    block and any BLAS.  A word that meets a non-finite cell (-inf in an
+    ``llr_table``) scores -inf.
     """
 
     def __init__(self, llr: np.ndarray, tau: float):
         self.llr = np.asarray(llr, dtype=float)
         self.tau = float(tau)
-        # 0 * inf is nan in a product, so positions whose received letter
-        # scores non-finite for some word letter are summed by lookup instead
-        self.finite = np.isfinite(self.llr).all(axis=0)
-        self.scored = np.flatnonzero(self.finite)
 
     def matches(self, words: np.ndarray, received: np.ndarray,
                 indicators: np.ndarray | None = None) -> np.ndarray:
-        """Membership of each word against ``received``: a (count,) array for
-        one received word, (trials, count) for a (trials, n) block.
-        ``indicators`` are the words' ``letter_indicators`` at this table's
-        letter count, built here when not given."""
-        (count, n), na = words.shape, self.llr.shape[0]
+        """Membership of each word against each received word of a (trials, n)
+        block, shaped (trials, count).  ``indicators`` are the words'
+        ``letter_indicators`` at this table's letter count, built here when
+        not given."""
+        (count, n), (na, nb) = words.shape, self.llr.shape
         if n >= _EXACT_COUNT_LIMIT:
             raise ValidationError(f"threshold decoding counts letters in float32, "
                                   f"exact below {_EXACT_COUNT_LIMIT} positions, got {n}")
         if indicators is None:
             indicators = letter_indicators(words, na)
-        block = np.atleast_2d(received)
-        trials, scored = block.shape[0], self.scored
-        # onehot[i, t, s] flags received letter scored[s] at position i of trial t
-        onehot = (block.T[:, :, None] == scored).astype(np.float32).reshape(n, -1)
-        # types[a, s, t] holds N[a, scored[s]] of every row against trial t,
+        trials = received.shape[0]
+        # onehot[i, t, b] flags received letter b at position i of trial t
+        onehot = (received.T[:, :, None] == np.arange(nb)).astype(np.float32).reshape(n, -1)
+        # types[a, b, t] holds N[a, b] of every word against trial t,
         # contiguous, and letter 0's counts are exact integer differences
-        types = np.empty((na, scored.size, trials, count))
-        types[1:] = (indicators @ onehot).reshape(count, na - 1, trials, scored.size).transpose(
+        types = np.empty((na, nb, trials, count), dtype=np.float32)
+        types[1:] = (indicators @ onehot).reshape(count, na - 1, trials, nb).transpose(
             1, 3, 2, 0)
-        types[0] = onehot.sum(axis=0).reshape(trials, scored.size).T[:, :, None]
+        types[0] = onehot.sum(axis=0).reshape(trials, nb).T[:, :, None]
         for a in range(1, na):
             types[0] -= types[a]
         scores = np.zeros((trials, count))
-        for a in range(na):
-            for s, b in enumerate(scored):
-                scores += types[a, s] * self.llr[a, b]
-        bad = ~self.finite[block]
-        for t in np.flatnonzero(bad.any(axis=1)):
-            scores[t] += self.llr[words[:, bad[t]], block[t, bad[t]]].sum(axis=1)
-        hits = scores >= self.tau - DECODE_TOL
-        return hits if received.ndim > 1 else hits[0]
+        for (a, b), value in np.ndenumerate(self.llr):
+            if math.isfinite(value):
+                scores += np.multiply(types[a, b], value, dtype=float)
+            else:
+                # a -inf score stays -inf through the finite cells after it
+                scores[types[a, b] > 0] = -np.inf
+        return scores >= self.tau - DECODE_TOL
 
 
 def _decode(codebook: Codebook, side: str, received, membership) -> DecodeResult:
     received = np.asarray(received)
+    if received.ndim != 2:
+        raise ValidationError(f"received words must form a (trials, n) block, "
+                              f"got shape {received.shape}")
     words = getattr(codebook, side)
     if isinstance(membership, ThresholdMembership):
         hits = membership.matches(words, received,
                                   codebook.letter_indicators(side, membership.llr.shape[0]))
     else:
         hits = membership.matches(words, received)
-    if received.ndim == 1:
-        return DecodeResult(np.flatnonzero(hits))
     trial, matched = np.nonzero(hits)
     return DecodeResult(matched, trial)
 
 
 def decode_rows(codebook: Codebook, received: np.ndarray, membership) -> DecodeResult:
-    """Bob's decoder: the rows of ``codebook`` that match ``received``, one
-    received word or a (trials, n) block of them."""
+    """Bob's decoder: the rows of ``codebook`` that match each word of a
+    (trials, n) block of received words."""
     return _decode(codebook, "rows", received, membership)
 
 
 def decode_cols(codebook: Codebook, received: np.ndarray, membership) -> DecodeResult:
-    """Charlie's decoder: the columns of ``codebook`` that match ``received``,
-    one received word or a (trials, n) block of them."""
+    """Charlie's decoder: the columns of ``codebook`` that match each word of
+    a (trials, n) block of received words."""
     return _decode(codebook, "cols", received, membership)
 
 

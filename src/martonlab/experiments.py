@@ -382,12 +382,14 @@ class Scheme:
 
         Trial j's outputs come from the first n uniforms of its stream 102,
         drawn for the whole block by ``first_uniforms`` and mapped through
-        the channel once per input letter over the block.  A fixed codebook
-        decodes each side of the whole block in one ``decode_rows`` /
-        ``decode_cols`` call, with letter indicators it builds once for the
-        run; the threshold decoder's type counts and scores grow as trials
-        times words, which is what a fixed codebook's block size bounds.  A
-        fresh codebook decodes its own trial, and its indicators go with it.
+        the channel once per input letter over the block.  Each side is
+        decoded by ``decode_rows`` / ``decode_cols`` over (codebook, trials)
+        entries: a fixed codebook is one entry over the whole block, with
+        letter indicators it builds once for the run, and the threshold
+        decoder's type counts and scores grow as trials times words, which
+        is what a fixed codebook's block size bounds.  Fresh codebooks are
+        one entry per trial, built as the loop reaches them, so each
+        trial's indicators go with it.
 
         Returns (first, count, hit), shaped (side, trial): the first
         matching word, or word 0 where none matches, so that no match
@@ -396,22 +398,20 @@ class Scheme:
         """
         trials = len(keys)
         received = self.sampler.sample_outputs(x, first_uniforms(keys, (102,), self.n)[:, 0])
-        sides = ((decode_rows, self.mem_b), (decode_cols, self.mem_c))
-        if fixed_cb is not None:
-            found = [decode(fixed_cb, words, mem) for (decode, mem), words in zip(sides, received)]
-            found = [(res.trial, res.matched) for res in found]
-        else:
-            per_trial = ([], [])
-            for j, key in enumerate(keys):
-                cb = Codebook(rows[j], cols[j], params, self.design, key, self.n)
-                for side, ((decode, mem), words) in enumerate(zip(sides, received)):
-                    per_trial[side].append(decode(cb, words[j], mem).matched)
-            found = [(np.repeat(np.arange(trials), [m.size for m in matched]),
-                      np.concatenate(matched)) for matched in per_trial]
+        entries = ([(fixed_cb, 0, trials)] if fixed_cb is not None else
+                   ((Codebook(rows[j], cols[j], params, self.design, key, self.n), j, j + 1)
+                    for j, key in enumerate(keys)))
+        found = ([], [])
+        for cb, start, stop in entries:
+            for parts, decode, mem, words in zip(found, (decode_rows, decode_cols),
+                                                 (self.mem_b, self.mem_c), received):
+                res = decode(cb, words[start:stop], mem)
+                parts.append((res.trial + start, res.matched))
         first = np.zeros(sent.shape, dtype=np.int64)
         count = np.zeros(sent.shape, dtype=np.int64)
         hit = np.zeros(sent.shape, dtype=bool)
-        for side, (trial, matched) in enumerate(found):
+        for side, parts in enumerate(found):
+            trial, matched = (np.concatenate(arrays) for arrays in zip(*parts))
             # matches run trial by trial, so a trial's first sits after the
             # matches of the trials before it
             count[side] = np.bincount(trial, minlength=trials)

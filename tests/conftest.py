@@ -296,11 +296,10 @@ def encode_per_trial(codebook, m1: int, m2: int, evaluator, eps0: float) -> Enco
     all-first-symbol input word.
     """
     thr = 1.0 - 4.0 * float(eps0)
-    band1 = codebook.row_band(m1)
-    band2 = codebook.col_band(m2)
-    l0, l1 = band2.start, band2.stop
+    w1, w2 = 1 << codebook.params.r1, 1 << codebook.params.r2
+    l0, l1 = m2 * w2, (m2 + 1) * w2
     scanned = 0
-    for k in band1:
+    for k in range(m1 * w1, (m1 + 1) * w1):
         alive = np.flatnonzero(codebook.indicator(k, l0, l1))
         scanned += l1 - l0
         for off in alive:
@@ -335,16 +334,17 @@ def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb,
     its codebook with ``generate_codebook`` (seed mix64(seed, t)), its
     messages from stream 101, encodes with ``encode_per_trial``, sends the
     input word through the channel on stream 102 and decodes each side
-    with ``decode_rows`` / ``decode_cols``.  A side decodes to the band of
-    its first match, or to message 0 when nothing matches, and to an index
-    only when exactly one word matches.  ``log_ratio`` goes unused: each
-    codebook computes its own table.
+    with ``decode_rows`` / ``decode_cols``, a block of one received word.
+    A side decodes to the band of its first match, or to message 0 when
+    nothing matches, and to an index only when exactly one word matches.
+    ``log_ratio`` goes unused: each codebook computes its own table.
     """
     counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
                             "index_error"), 0)
     for t in range(trials):
         trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb)
-        rec_b, rec_c = scheme.sampler.sample_outputs(out.x_word, SeededRng(trial_key, 102))
+        rec_b, rec_c = scheme.sampler.sample_outputs(
+            out.x_word[None], SeededRng(trial_key, 102).random((1, scheme.n)))
         match_b = decode_rows(cb, rec_b, scheme.mem_b).matched
         match_c = decode_cols(cb, rec_c, scheme.mem_c).matched
         if out.fallback:

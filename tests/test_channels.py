@@ -110,7 +110,7 @@ class TestClassicalChannel:
     def test_sampling_frequencies(self):
         ch = bsc_pair_channel(0.3, 0.0)
         y, z = ProductClassicalChannel(ch, 1).sample_outputs(
-            np.full(20_000, ch.x_index("00")), SeededRng(5))
+            np.full(20_000, ch.x_index("00")), SeededRng(5).random(20_000))
         assert abs(y.mean() - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 20_000)
         assert not z.any()
 
@@ -289,11 +289,7 @@ class TestProductView:
         view = ProductClassicalChannel(ch, 2)
         x = np.array([ch.x_index("01"), ch.x_index("10")])
         n = 30_000
-        ys = np.empty((n, 2), dtype=np.int64)
-        rng = SeededRng(77)
-        for t in range(n):
-            y, _ = view.sample_outputs(x, rng)
-            ys[t] = y
+        ys, _ = view.sample_outputs(np.broadcast_to(x, (n, 2)), SeededRng(77).random((n, 2)))
         # first symbol sends bit 0 through BSC(0.2)
         assert abs(ys[:, 0].mean() - 0.2) < 3 * np.sqrt(0.2 * 0.8 / n)
         assert abs(ys[:, 1].mean() - 0.8) < 3 * np.sqrt(0.2 * 0.8 / n)
@@ -302,6 +298,6 @@ class TestProductView:
         ch = bsc_pair_channel(0.2, 0.4)
         view = ProductClassicalChannel(ch, 8)
         x = np.zeros(8, dtype=np.int64)
-        y1, z1 = view.sample_outputs(x, SeededRng(9, 4))
-        y2, z2 = view.sample_outputs(x, SeededRng(9, 4))
+        y1, z1 = view.sample_outputs(x, SeededRng(9, 4).random(8))
+        y2, z2 = view.sample_outputs(x, SeededRng(9, 4).random(8))
         assert np.array_equal(y1, y2) and np.array_equal(z1, z2)

@@ -47,7 +47,7 @@ from martonlab.divergences import classical_i_infty, iid_llr_spectrum, llr_table
 from martonlab.errors import InfeasibleRates, SupportOverflowError, ValidationError
 from martonlab.prob import JointPmf
 from martonlab.quantum import DensityOperator
-from martonlab.rng import SeededRng
+from martonlab.rng import SeededRng, mix64
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
 DSBS_40 = np.array([[0.40, 0.10], [0.10, 0.40]])
@@ -405,18 +405,19 @@ class TestCodebook:
             assert cb.indicator(k, 0, cb.n_cols).all()
 
     def test_eta_positional_stability(self):
-        cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=7)
-        full = cb.eta(3, 0, 16)
-        assert np.array_equal(cb.eta(3, 5, 16), full[5:])
-        assert np.array_equal(cb.eta(3, 2, 9), full[2:9])
+        key = mix64(7, 3)
+        full = coding._eta(key, 3, 0, 16)
+        assert np.array_equal(coding._eta(key, 3, 5, 16), full[5:])
+        assert np.array_equal(coding._eta(key, 3, 2, 9), full[2:9])
         # replay is stateless: a second call returns the same values
-        assert np.array_equal(cb.eta(3, 0, 16), full)
+        assert np.array_equal(coding._eta(key, 3, 0, 16), full)
 
     def test_acceptance_matches_scalar_formula(self):
         cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=9)
         table = llr_table(dsbs_joint(DSBS_45))
         for k in range(cb.n_rows):
-            got = cb.acceptance(k, 0, cb.n_cols)
+            got = coding._acceptance(cb.log_ratio, cb.rows[k][None, :], cb.cols,
+                                     cb.params.i_infty)
             for l in range(cb.n_cols):
                 s = table[cb.rows[k, 0], cb.cols[l, 0]]
                 want = 2.0 ** min(s - cb.params.i_infty, 0.0)
@@ -436,29 +437,23 @@ class TestCodebook:
         assert abs(mean - 0.625) < 5 * math.sqrt(0.625 * 0.375 / total)
 
     def test_band_layout(self):
-        cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=7)
-        seen = []
-        for m1 in range(1 << cb.params.R1):
-            band = cb.row_band(m1)
-            assert len(band) == 1 << cb.params.r1
-            seen.extend(band)
-            for k in band:
-                assert k >> cb.params.r1 == m1
-        assert seen == list(range(cb.n_rows))
-        for m2 in range(1 << cb.params.R2):
-            for l in cb.col_band(m2):
-                assert l >> cb.params.r2 == m2
+        # message m1 owns rows [m1 * 2^r1, (m1 + 1) * 2^r1), m2 the columns
+        # [m2 * 2^r2, (m2 + 1) * 2^r2): the encoder picks its cell there
+        params = small_params(i_infty=0.0)
+        cb = generate_codebook(pair_design(DSBS_45), params, seed=7)
+        ev = ClassicalSetEvaluator(copy_pair_channel(), cb.design, np.ones((2, 2), dtype=bool),
+                                   np.ones((2, 2), dtype=bool))
+        for m1 in range(1 << params.R1):
+            for m2 in range(1 << params.R2):
+                row, col, _ = encode(cb, m1, m2, ev, 0.01)
+                assert (row >> params.r1, col >> params.r2) == (m1, m2)
 
     def test_message_range_checked(self):
         cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=7)
-        with pytest.raises(ValidationError):
-            cb.row_band(2)
-        with pytest.raises(ValidationError):
-            cb.col_band(-1)
         ev = ClassicalSetEvaluator(copy_pair_channel(), cb.design, np.eye(2, dtype=bool),
                                    np.eye(2, dtype=bool))
-        for m1, m2 in ((2, 0), (0, -1)):
-            with pytest.raises(ValidationError, match="outside"):
+        for m1, m2, name in ((2, 0, "m1 = 2"), (0, -1, "m2 = -1")):
+            with pytest.raises(ValidationError, match=f"message {name} outside"):
                 encode(cb, m1, m2, ev, 0.01)
 
     def test_shape_mismatch_rejected(self):
@@ -521,7 +516,7 @@ class TestEncode:
         out = encode_per_trial(cb, 1, 0, ev, 0.01)
         self.assert_encode_agrees(cb, 1, 0, ev, 0.01, out)
         assert not out.fallback
-        assert out.row in cb.row_band(1) and out.col in cb.col_band(0)
+        assert (out.row >> params.r1, out.col >> params.r2) == (1, 0)
         assert out.alpha == 1.0 and out.beta == 1.0
         # the chosen pair is on the diagonal and maps to the paired symbol
         u, v = cb.rows[out.row, 0], cb.cols[out.col, 0]
@@ -568,9 +563,10 @@ class TestEncode:
     @staticmethod
     def rescan(cb, m1, m2, ev, eps0, table):
         thr = 1 - 4 * eps0
-        for k in cb.row_band(m1):
-            for l in cb.col_band(m2):
-                eta = cb.eta(k, l, l + 1)[0]
+        w1, w2 = 1 << cb.params.r1, 1 << cb.params.r2
+        for k in range(m1 * w1, (m1 + 1) * w1):
+            for l in range(m2 * w2, (m2 + 1) * w2):
+                eta = coding._eta(mix64(cb.seed, 3), k, l, l + 1)[0]
                 s = sum(table[cb.rows[k, t], cb.cols[l, t]] for t in range(cb.n))
                 if eta <= 2.0 ** min(s - cb.params.i_infty, 0.0):
                     a, b = ev.alpha_beta(cb.rows[k], cb.cols[l])
@@ -718,43 +714,43 @@ class TestClassicalDecoders:
 
     def test_unique_match(self):
         cb = handmade_codebook([0, 0, 0, 0, 0, 0, 1, 0], [0] * 8)
-        res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [6]
 
     def test_no_match_defaults_to_zero(self):
         # no word matches: the run reads message 0 from the empty match
         cb = handmade_codebook([0] * 8, [0] * 8)
-        res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
         assert res.matched.size == 0
 
     def test_smallest_band_wins_and_ambiguity_flagged(self):
         # matches in two bands come in ascending order, the smallest band first
         cb = handmade_codebook([0, 1, 0, 0, 0, 0, 1, 0], [0] * 8)
-        res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [1, 6]
 
     def test_same_band_multiple_matches_not_ambiguous(self):
         cb = handmade_codebook([1, 1, 0, 0, 0, 0, 0, 0], [0] * 8)
-        res = decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [0, 1]
 
     def test_column_decoder_uses_col_bands(self):
         cb = handmade_codebook([0] * 8, [0, 0, 0, 0, 0, 1, 0, 0])
-        res = decode_cols(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_cols(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [5]
-        assert decode_rows(cb, np.array([1]), SetMembership(np.eye(2, dtype=bool))).matched.size == 0
+        assert decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool))).matched.size == 0
 
     def test_threshold_membership_scores(self):
         joint = dsbs_joint(DSBS_45)
         table = llr_table(joint)
         words = np.array([[0, 0], [0, 1], [1, 1]])
-        received = np.array([0, 0])
+        received = np.array([[0, 0]])
         hit = table[0, 0] * 2
         mem = ThresholdMembership(table, hit)
-        assert list(mem.matches(words, received)) == [True, False, False]
+        assert mem.matches(words, received).tolist() == [[True, False, False]]
         # slack: a threshold within DECODE_TOL above the score still matches
-        assert ThresholdMembership(table, hit + 1e-7).matches(words, received)[0]
-        assert not ThresholdMembership(table, hit + 1e-4).matches(words, received)[0]
+        assert ThresholdMembership(table, hit + 1e-7).matches(words, received)[0, 0]
+        assert not ThresholdMembership(table, hit + 1e-4).matches(words, received)[0, 0]
 
     @pytest.mark.parametrize("probs", [
         [[0.5, 0.0], [0.0, 0.5]],                 # noiseless: -inf off the diagonal
@@ -769,13 +765,13 @@ class TestClassicalDecoders:
             received = np_rng.integers(probs.shape[1], size=12)
             received[received < 2] = words[17][received < 2]
             for tau in (np_rng.uniform(-6.0, 12.0), 12.0, -1e300):
-                got = ThresholdMembership(table, tau).matches(words, received)
+                got = ThresholdMembership(table, tau).matches(words, received[None])[0]
                 assert np.array_equal(got, gather_sum_matches(table, tau, words, received))
         if np.isneginf(table).any():
             # a row with a -inf position never matches, however low the threshold
             scores = table[words, received[None, :]].sum(axis=1)
-            assert not ThresholdMembership(table, -1e300).matches(words, received)[
-                np.isneginf(scores)].any()
+            assert not ThresholdMembership(table, -1e300).matches(words, received[None])[
+                0, np.isneginf(scores)].any()
 
     @pytest.mark.parametrize("nb", [2, 3, 4, 5])
     @pytest.mark.parametrize("na", [2, 3, 4, 5])
@@ -799,7 +795,7 @@ class TestClassicalDecoders:
                                for b in received] for _ in range(24)])
             words = np.vstack([given, rng.integers(na, size=(24, n))]).astype(np.uint8)
             for tau in taus:
-                got = ThresholdMembership(table, tau).matches(words, received)
+                got = ThresholdMembership(table, tau).matches(words, received[None])[0]
                 assert np.array_equal(got, gemv_threshold_matches(table, tau, words, received))
 
     def test_threshold_membership_wide_table_and_long_words(self):
@@ -807,17 +803,18 @@ class TestClassicalDecoders:
         table = np.zeros((300, 2))
         table[0, 0], table[44, 0] = 1.0, -5.0
         words = np.array([[0, 0], [44, 0], [1, 1]], dtype=np.uint8)
-        got = ThresholdMembership(table, 1.5).matches(words, np.array([0, 0]))
-        assert list(got) == [True, False, False]
+        got = ThresholdMembership(table, 1.5).matches(words, np.array([[0, 0]]))
+        assert got.tolist() == [[True, False, False]]
         # float32 letter counts are exact only below 2^24 positions
         long_words = np.zeros((0, 1 << 24), dtype=np.uint8)
         with pytest.raises(ValidationError, match="exact below"):
-            ThresholdMembership(table, 0.0).matches(long_words, np.broadcast_to(0, (1 << 24,)))
+            ThresholdMembership(table, 0.0).matches(long_words,
+                                                    np.broadcast_to(0, (1, 1 << 24)))
 
     def test_set_membership_blocklength_guard(self):
         mem = SetMembership(np.eye(2, dtype=bool))
         with pytest.raises(ValidationError):
-            mem.matches(np.zeros((4, 2), dtype=np.int64), np.array([0, 0]))
+            mem.matches(np.zeros((4, 2), dtype=np.int64), np.array([[0, 0]]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -837,8 +834,8 @@ class TestBlockDecoders:
     def assert_block_matches(cb, block, mem, *oracles):
         for decode, words in ((decode_rows, cb.rows), (decode_cols, cb.cols)):
             got = decode(cb, block, mem)
-            per_word = [decode(cb, word, mem) for word in block]
-            assert all(res.trial is None for res in per_word)
+            per_word = [decode(cb, word[None], mem) for word in block]
+            assert all(not res.trial.any() for res in per_word)
             per_word = [res.matched for res in per_word]
             assert np.array_equal(got.matched, np.concatenate(per_word))
             assert np.array_equal(got.trial, np.repeat(np.arange(len(block)),
@@ -889,6 +886,36 @@ class TestBlockDecoders:
                 cb, block, ThresholdMembership(table, tau),
                 lambda words, word: gather_sum_matches(table, tau, words, word))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("table", ["every column", "whole row"])
+    def test_inf_cells_veto_their_words(self, table, dtype):
+        # every received letter scores -inf for some word letter, so no
+        # column is free of -inf; or word letter 1 scores -inf against every
+        # received letter, so no word that holds it ever matches
+        rng = np.random.default_rng(7)
+        llr = rng.normal(size=(3, 4))
+        if table == "every column":
+            llr[[2, 0, 1, 2], np.arange(4)] = -np.inf
+        else:
+            llr[1] = -np.inf
+        n = 3
+        rows = rng.integers(3, size=(64, n)).astype(dtype)
+        cols = rng.integers(3, size=(32, n)).astype(dtype)
+        rows[:8] = 0
+        cb = self.codebook(rows, cols, n)
+        for trials in (1, 9):
+            block = rng.integers(4, size=(trials, n))
+            for tau in (-1.0, 0.0, 2.0, -1e300):
+                self.assert_block_matches(
+                    cb, block, ThresholdMembership(llr, tau),
+                    lambda words, word: gather_sum_matches(llr, tau, words, word))
+
+    def test_single_received_word_refused(self):
+        cb = self.codebook(np.zeros((16, 2), dtype=np.uint8), np.zeros((8, 2), dtype=np.uint8), 2)
+        for mem in (ThresholdMembership(np.zeros((2, 2)), 0.0), SetMembership(np.eye(2))):
+            with pytest.raises(ValidationError, match=r"\(trials, n\) block"):
+                decode_rows(cb, np.array([0, 1]), mem)
+
     def test_set_blocks_match_mask_gather(self):
         rng = np.random.default_rng(4)
         cb = self.codebook(rng.integers(3, size=(16, 1)), rng.integers(3, size=(8, 1)), 1)
@@ -934,7 +961,7 @@ class TestCompactWords:
                 row, col, x = encode(cb, m1, m2, ev, params.eps0)
                 want = encode(wide, m1, m2, ev_wide, params.eps0)
                 assert (row, col) == want[:2] and np.array_equal(x, want[2])
-                rec_b, rec_c = sampler.sample_outputs(x, SeededRng(m1, m2))
+                rec_b, rec_c = sampler.sample_outputs(x[None], SeededRng(m1, m2).random((1, n)))
                 assert np.array_equal(decode_rows(cb, rec_b, mem_b).matched,
                                       decode_rows(wide, rec_b, mem_b).matched)
                 assert np.array_equal(decode_cols(cb, rec_c, mem_c).matched,

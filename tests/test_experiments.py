@@ -342,7 +342,7 @@ class TestDeskClassical:
             m1 = min(int(u[0] * 2), 1)
             m2 = min(int(u[1] * 2), 1)
             out = encode_per_trial(cb, m1, m2, evaluator, params.eps0)
-            y, z = sampler.sample_outputs(out.x_word, SeededRng(key, 102))
+            y, z = sampler.sample_outputs(out.x_word[None], SeededRng(key, 102).random((1, 1)))
             rb = decode_rows(cb, y, mem_b).matched
             rc = decode_cols(cb, z, mem_c).matched
             if out.fallback:

@@ -7,6 +7,7 @@ name: the functions ``generate_codebook``, ``encode``, ``decode_rows``,
 ``ClassicalThresholdEvaluator`` and ``QuantumPairEvaluator`` (each class's
 own), ``SeededRng.__init__``, ``random`` and ``choice_index``, and the
 public functions of the other layers.  It reads ``fx`` of the evaluators,
+``n_rows`` / ``n_cols`` of the codebooks ``generate_codebook`` returns,
 ``.rows`` / ``.cols`` of the first argument of ``decode_rows`` /
 ``decode_cols`` and ``.matched`` of what they return: the indices of the
 matched words, which for a block of received words hold the matches of
@@ -51,7 +52,7 @@ def small_params(channel, design, n=1):
                       eps_infty=0.25, **achieved)
 
 
-def desk_simulate(tmp_path):
+def desk_simulate(tmp_path, **extra):
     channel = tmp_path / "channel.json"
     design = tmp_path / "design.json"
     channel.write_text(json.dumps(bsc_pair_channel(0.1, 0.1).to_json()))
@@ -60,7 +61,7 @@ def desk_simulate(tmp_path):
     config.write_text(json.dumps({
         "channel": str(channel), "design": str(design), "eps": 1.0, "eps0": 0.1,
         "eps_tilde": 0.125, "eps_infty": 0.25, "rates": [1, 1], "bands": [2, 2],
-        "trials": 10, "seed": 3, "n": 1, "mode": "free"}))
+        "trials": 10, "seed": 3, "n": 1, "mode": "free", **extra}))
     code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 0
 
@@ -79,6 +80,10 @@ def test_tracer_counts_every_layer(tracer_module, tmp_path, capsys):
             qubit, indep, small_params(qubit, indep), 20, seed=3),
          "coding.pgm_calls"),
         ("simulate", lambda: desk_simulate(tmp_path), "coding.decode_calls"),
+        # a fixed codebook is drawn by generate_codebook, which the tracer
+        # counts through the codebook's n_rows and n_cols
+        ("simulate fixed", lambda: desk_simulate(tmp_path, resample_codebook=False),
+         "coding.codebooks"),
     ]
     original = experiments.run_experiment
     tr = tracer_module.Tracer()
