@@ -375,20 +375,9 @@ class CoveringEstimate:
         return min(1.0, self.bound_raw)
 
     def to_json(self) -> dict:
-        return {
-            "r": self.params.r,
-            "s": self.params.s,
-            "q": self.params.q,
-            "alpha": self.params.alpha,
-            "trials": self.trials,
-            "hits": self.hits,
-            "estimate": self.estimate,
-            "upper95": self.upper95,
-            "lower95": self.lower95,
-            "bound_raw": self.bound_raw,
-            "bound": self.bound,
-            "violation": self.violation,
-        }
+        doc = {**vars(self.params), **vars(self), "bound": self.bound}
+        del doc["params"]
+        return doc
 
 
 def _estimate(params: CoveringParams, hits: int, trials: int) -> CoveringEstimate:
@@ -596,15 +585,7 @@ class RateRegion:
         return self.sum_max is None or R1 + R2 <= self.sum_max + tol
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "r1_max": self.r1_max,
-            "r2_max": self.r2_max,
-            "sum_max": self.sum_max,
-            "error_budget": self.error_budget,
-            "empty": self.empty,
-            "vertices": [list(p) for p in self.vertices],
-        }
+        return dict(vars(self))
 
 
 def marton_region(i0b: float, i0c: float, i_infty: float, eps_tilde: float,
@@ -679,14 +660,7 @@ class ConvergenceCurve:
     target_i_infty: float
 
     def to_json(self) -> dict:
-        return {
-            "points": [
-                {"n": p.n, "i0_rate": p.i0_rate, "i_infty_rate": p.i_infty_rate}
-                for p in self.points
-            ],
-            "target_i0": self.target_i0,
-            "target_i_infty": self.target_i_infty,
-        }
+        return {**vars(self), "points": [dict(vars(p)) for p in self.points]}
 
     def to_csv_rows(self) -> list:
         rows = [("n", "i0_rate", "i_infty_rate", "target_i0", "target_i_infty")]

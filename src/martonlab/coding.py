@@ -41,7 +41,6 @@ __all__ = [
     "encode",
     "encode_block",
     "DecodeResult",
-    "SetMembership",
     "ThresholdMembership",
     "decode_rows",
     "decode_cols",
@@ -65,9 +64,6 @@ THRESHOLD_ATOM_CAP = 100_000
 # joint types whose tail masses one threshold evaluator keeps, about 215
 # bytes each; criterion 1's inputs at n = 56 meet about 3,900 in 6,400 trials
 _TAIL_MEMO_CAP = 1 << 15
-# letters Codebook.content_digest widens to int64 at a time: a 128 KB slice
-# in place of a copy of the whole codebook, 3.9 MB at criterion 1's n = 56
-_DIGEST_LETTERS = 1 << 14
 _FEAS_TOL = 1e-9
 
 
@@ -189,10 +185,8 @@ class RateParams:
         if self.eps_infty > 0.25 + _FEAS_TOL:
             raise InfeasibleRates(
                 f"thinning budget: eps_infty = {self.eps_infty} exceeds 1/4")
-        for c in band_constraints(self.R1, self.R2, self.r1, self.r2, self.i0b, self.i0c,
-                                  self.i_infty, self.eps_tilde):
-            if c.violated:
-                raise InfeasibleRates(c.message())
+        _require(self.R1, self.R2, self.r1, self.r2, self.i0b, self.i0c, self.i_infty,
+                 self.eps_tilde)
 
 
 def select_band_exponents(R1: int, R2: int, i0b: float, i0c: float, i_infty: float,
@@ -202,7 +196,7 @@ def select_band_exponents(R1: int, R2: int, i0b: float, i0c: float, i_infty: flo
     Both start at ceil(log2(1/eps_tilde)); r1 grows toward its budget
     cap first, then r2, until the pair sums to
     ceil(i_infty + 3 log2(1/eps_tilde)).  Raises InfeasibleRates naming
-    the binding cap if the sum target is out of reach.
+    the first ``band_constraints`` entry the pair violates.
     """
     if not 0.0 < float(eps_tilde) <= 0.125 + _FEAS_TOL:
         raise InfeasibleRates(
@@ -216,22 +210,17 @@ def select_band_exponents(R1: int, R2: int, i0b: float, i0c: float, i_infty: flo
     target = band_sum_target(i_infty, eps_tilde)
     cap1 = int(math.floor(i0b - R1 - 4 * ell - 1 + _FEAS_TOL))
     cap2 = int(math.floor(i0c - R2 - 4 * ell - 1 + _FEAS_TOL))
-    if cap1 < floor_r:
-        raise InfeasibleRates(
-            f"row budget: cap floor(i0b - R1 - 4 log2(1/eps_tilde) - 1) = {cap1} "
-            f"is below the band floor {floor_r}")
-    if cap2 < floor_r:
-        raise InfeasibleRates(
-            f"column budget: cap floor(i0c - R2 - 4 log2(1/eps_tilde) - 1) = {cap2} "
-            f"is below the band floor {floor_r}")
-    r1, r2 = floor_r, floor_r
-    r1 = min(cap1, r1 + max(0, target - r1 - r2))
-    r2 = min(cap2, r2 + max(0, target - r1 - r2))
-    if r1 + r2 != target:
-        raise InfeasibleRates(
-            f"band sum: caps ({cap1}, {cap2}) cannot reach "
-            f"ceil(i_infty + 3 log2(1/eps_tilde)) = {target} from floor {floor_r}")
+    r1 = max(floor_r, min(cap1, target - floor_r))
+    r2 = max(floor_r, min(cap2, target - r1))
+    _require(R1, R2, r1, r2, i0b, i0c, i_infty, eps_tilde)
     return r1, r2
+
+
+def _require(*args) -> None:
+    """Raise InfeasibleRates naming the first violated ``band_constraints(*args)``."""
+    for c in band_constraints(*args):
+        if c.violated:
+            raise InfeasibleRates(c.message())
 
 
 @dataclass(frozen=True)
@@ -294,13 +283,10 @@ class Codebook:
         return got
 
     def content_digest(self) -> str:
-        """sha256 of the rows, then the columns, as C-ordered int64 letters,
-        widened ``_DIGEST_LETTERS`` letters at a time."""
+        """sha256 of the rows, then the columns, as C-ordered int64 letters."""
         h = hashlib.sha256()
         for words in (self.rows, self.cols):
-            letters = words.reshape(-1)
-            for start in range(0, letters.size, _DIGEST_LETTERS):
-                h.update(letters[start:start + _DIGEST_LETTERS].astype(np.int64))
+            h.update(np.ascontiguousarray(words, dtype=np.int64))
         return h.hexdigest()
 
 
@@ -690,20 +676,6 @@ class DecodeResult:
     trial: np.ndarray
 
 
-class SetMembership:
-    """Explicit-set decoder test: word u matches output y iff (u, y) is flagged."""
-
-    def __init__(self, mask):
-        self.mask = np.asarray(mask, dtype=bool)
-
-    def matches(self, words: np.ndarray, received: np.ndarray) -> np.ndarray:
-        """Membership of each word against each received word of a (trials, 1)
-        block, shaped (trials, count)."""
-        if words.shape[1] != 1:
-            raise ValidationError("explicit-set membership is defined for blocklength 1")
-        return self.mask[words[:, 0], received[:, 0, None]]
-
-
 def letter_indicators(words: np.ndarray, letters: int) -> np.ndarray:
     """Float32 flags of word letters 1..letters-1, shaped (count * (letters - 1), n).
 
@@ -720,9 +692,14 @@ def letter_indicators(words: np.ndarray, letters: int) -> np.ndarray:
 class ThresholdMembership:
     """Summed-llr decoder test: word matches iff its score clears tau.
 
-    A word's score depends on the word only through its type against the
-    received word: the counts N[a, b] of positions holding word letter a
-    where letter b was received.  The counts of letters 1..|A|-1 come from
+    An explicit decoding set is this test at n = 1 on a table of 0 inside
+    the set and -inf outside, with tau = 0.  A one-letter word scores its
+    table entry at the received letter, looked up: the float the type
+    counts below give, one count of 1 times the entry.
+
+    A longer word's score depends on the word only through its type against
+    the received word: the counts N[a, b] of positions holding word letter
+    a where letter b was received.  The counts of letters 1..|A|-1 come from
     one float32 product of the words' ``letter_indicators`` with the
     one-hot received letters of a whole block of received words; they are
     exact integers, so no BLAS summation order changes them, and letter
@@ -742,8 +719,10 @@ class ThresholdMembership:
         """Membership of each word against each received word of a (trials, n)
         block, shaped (trials, count).  ``indicators`` are the words'
         ``letter_indicators`` at this table's letter count, built here when
-        not given."""
+        not given; one-letter words need none."""
         (count, n), (na, nb) = words.shape, self.llr.shape
+        if n == 1:
+            return self.llr[words[:, 0], received[:, 0, None]] >= self.tau - DECODE_TOL
         if n >= _EXACT_COUNT_LIMIT:
             raise ValidationError(f"threshold decoding counts letters in float32, "
                                   f"exact below {_EXACT_COUNT_LIMIT} positions, got {n}")
@@ -775,13 +754,9 @@ def _decode(codebook: Codebook, side: str, received, membership) -> DecodeResult
     if received.ndim != 2:
         raise ValidationError(f"received words must form a (trials, n) block, "
                               f"got shape {received.shape}")
-    words = getattr(codebook, side)
-    if isinstance(membership, ThresholdMembership):
-        hits = membership.matches(words, received,
-                                  codebook.letter_indicators(side, membership.llr.shape[0]))
-    else:
-        hits = membership.matches(words, received)
-    trial, matched = np.nonzero(hits)
+    indicators = (codebook.letter_indicators(side, membership.llr.shape[0])
+                  if codebook.n > 1 else None)
+    trial, matched = np.nonzero(membership.matches(getattr(codebook, side), received, indicators))
     return DecodeResult(matched, trial)
 
 

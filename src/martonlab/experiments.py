@@ -18,7 +18,7 @@ from __future__ import annotations
 import datetime
 import functools
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .coding import (
     Codebook,
     QuantumPairEvaluator,
     RateParams,
-    SetMembership,
     ThresholdMembership,
     codebook_block,
     decode_cols,
@@ -143,20 +142,13 @@ class ExperimentReport:
         return any(e.violation for e in self.events)
 
     def to_json(self) -> dict:
-        doc = asdict(self)
-        doc["events"] = [e.to_json() for e in self.events]
-        doc["any_violation"] = self.any_violation
-        return doc
+        return {**vars(self), "events": [e.to_json() for e in self.events],
+                "any_violation": self.any_violation}
 
     def to_csv_rows(self) -> list:
-        rows = [("event", "hits", "trials", "rate", "lower95", "upper95",
-                 "bound", "bound_name", "violation")]
-        for e in self.events:
-            rows.append((e.name, e.hits, e.trials, e.rate, e.lower95, e.upper95,
-                         "" if e.bound is None else e.bound,
-                         "" if e.bound_name is None else e.bound_name,
-                         e.violation))
-        return rows
+        header = ("event", *(f.name for f in fields(EventStats)[1:]))
+        return [header] + [tuple("" if v is None else v for v in vars(e).values())
+                           for e in self.events]
 
 
 def _digests(channel, design: InputDesign) -> tuple:
@@ -229,10 +221,10 @@ class Scheme:
     """The decoding machinery of one channel, design and smoothing pair, built once.
 
     The smooth order-zero and max divergences and their witnesses fix the
-    decoders: explicit sets for single-letter classical runs, llr
-    thresholds for blocklength-n classical runs, Neyman-Pearson test
-    operators measured by the pretty good measurement for single-letter cq
-    runs.  ``achieved`` holds the divergence values they reach, so
+    decoders: explicit sets for single-letter classical runs, tested as
+    llr thresholds on a 0 / -inf table, llr thresholds for blocklength-n
+    classical runs, Neyman-Pearson test operators measured by the pretty
+    good measurement for single-letter cq runs.  ``achieved`` holds the divergence values they reach, so
     RateParams built from them pass the consistency gate of ``run``;
     ``describe`` is the report's ``scheme`` entry.
 
@@ -246,7 +238,7 @@ class Scheme:
     hold ``_BLOCK_LETTERS`` / 16 words of the larger side over their
     trials, which bounds the decoders' scratch.  A classical block then
     sends every trial's input word through the channel at once and decodes
-    each side by set or threshold membership: a fixed codebook decodes the
+    each side by threshold membership: a fixed codebook decodes the
     whole block in one call per side, and fresh codebooks one trial at a
     time.
     ``decode_pgm`` measures each side of a whole cq block in one pass,
@@ -305,7 +297,7 @@ class Scheme:
                 a1 = _mask_from_cells(uy, res_b.witness["cells"])
                 a2 = _mask_from_cells(vz, res_c.witness["cells"])
                 self.evaluator = ClassicalSetEvaluator(channel, design, a1, a2)
-                self.mem_b, self.mem_c = SetMembership(a1), SetMembership(a2)
+                tests = [(np.where(a, 0.0, -np.inf), 0.0) for a in (a1, a2)]
                 self.describe = {"kind": "classical-set", "i0_method": i0_method}
             else:
                 res_b = spectrum_i0(iid_llr_spectrum(uy, n), eps0, method="thresholded")
@@ -314,9 +306,9 @@ class Scheme:
                 llr1, llr2 = llr_table(uy), llr_table(vz)
                 self.evaluator = ClassicalThresholdEvaluator(channel, design, llr1, llr2,
                                                              tau1, tau2)
-                self.mem_b = ThresholdMembership(llr1, tau1)
-                self.mem_c = ThresholdMembership(llr2, tau2)
+                tests = [(llr1, tau1), (llr2, tau2)]
                 self.describe = {"kind": "classical-threshold", "tau1": tau1, "tau2": tau2}
+            self.mem_b, self.mem_c = (ThresholdMembership(llr, tau) for llr, tau in tests)
             self.describe.update(a1_mass=res_b.witness["mass"], a2_mass=res_c.witness["mass"])
             self.sampler = ProductClassicalChannel(channel, n)
         res_inf = (classical_i_infty(design.joint, eps_infty) if n == 1
@@ -486,7 +478,7 @@ class Scheme:
             seed=seed,
             resample_codebook=resample_codebook,
             i0_method=self.i0_method,
-            params=asdict(params),
+            params=dict(vars(params)),
             achieved=dict(self.achieved),
             scheme=dict(self.describe),
             channel_digest=self.channel_digest,

@@ -25,6 +25,7 @@ import pytest
 from martonlab.channels import ClassicalBroadcastChannel, CqBroadcastChannel, InputDesign
 from martonlab.coding import (
     DECODE_TOL,
+    ThresholdMembership,
     decode_cols,
     decode_rows,
     generate_codebook,
@@ -396,6 +397,13 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ra
         counts["message_error"] += 1 if (out.fallback or msg_wrong) else 0
         counts["index_error"] += 1 if (out.fallback or idx_wrong) else 0
     return counts
+
+
+def set_membership(mask) -> ThresholdMembership:
+    """The decoder test of the explicit set ``mask`` flags, as a run builds it:
+    the threshold test at tau = 0 on a table of 0 inside the set and -inf
+    outside."""
+    return ThresholdMembership(np.where(mask, 0.0, -np.inf), 0.0)
 
 
 def gemv_threshold_matches(llr, tau: float, words, received):

@@ -1,5 +1,6 @@
 """Band-exponent selection, codebook sampling, encoding, and decoding."""
 
+import functools
 import hashlib
 import math
 
@@ -22,7 +23,6 @@ from martonlab.coding import (
     Codebook,
     QuantumPairEvaluator,
     RateParams,
-    SetMembership,
     ThresholdMembership,
     _raw_cuts,
     _raw_symbols,
@@ -41,6 +41,7 @@ from conftest import (
     gemv_threshold_matches,
     pgm_one_trial,
     rand_joint,
+    set_membership,
     uncached_pgm_probabilities,
 )
 from martonlab.divergences import classical_i_infty, iid_llr_spectrum, llr_table, spectrum_i0
@@ -293,14 +294,9 @@ class TestCodebook:
         b = generate_codebook(design, small_params(), seed=8)
         assert a.content_digest() != b.content_digest()
 
-    @pytest.mark.parametrize("slice_letters", [None, 5])
     @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_digest_in_slices_is_the_one_piece_sha256(self, n, slice_letters, monkeypatch):
-        # 2^12 words a side: 4,096, 12,288 and 28,672 letters, a part of
-        # one default slice, 0.75 and 1.75 slices; slices of 5 letters
-        # leave a remainder on every side
-        if slice_letters is not None:
-            monkeypatch.setattr(coding, "_DIGEST_LETTERS", slice_letters)
+    def test_digest_is_the_one_piece_sha256(self, n):
+        # the rows' then the columns' letters as int64, whatever the word type
         params = small_params(r1=11, r2=11)
         words = np.random.default_rng(n).integers(0, 2, size=(2, params.n_rows, n), dtype=np.uint8)
         cb = Codebook(words[0], words[1], params, pair_design(DSBS_45), 7, n)
@@ -714,31 +710,31 @@ class TestClassicalDecoders:
 
     def test_unique_match(self):
         cb = handmade_codebook([0, 0, 0, 0, 0, 0, 1, 0], [0] * 8)
-        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), set_membership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [6]
 
     def test_no_match_defaults_to_zero(self):
         # no word matches: the run reads message 0 from the empty match
         cb = handmade_codebook([0] * 8, [0] * 8)
-        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), set_membership(np.eye(2, dtype=bool)))
         assert res.matched.size == 0
 
     def test_smallest_band_wins_and_ambiguity_flagged(self):
         # matches in two bands come in ascending order, the smallest band first
         cb = handmade_codebook([0, 1, 0, 0, 0, 0, 1, 0], [0] * 8)
-        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), set_membership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [1, 6]
 
     def test_same_band_multiple_matches_not_ambiguous(self):
         cb = handmade_codebook([1, 1, 0, 0, 0, 0, 0, 0], [0] * 8)
-        res = decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_rows(cb, np.array([[1]]), set_membership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [0, 1]
 
     def test_column_decoder_uses_col_bands(self):
         cb = handmade_codebook([0] * 8, [0, 0, 0, 0, 0, 1, 0, 0])
-        res = decode_cols(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool)))
+        res = decode_cols(cb, np.array([[1]]), set_membership(np.eye(2, dtype=bool)))
         assert res.matched.tolist() == [5]
-        assert decode_rows(cb, np.array([[1]]), SetMembership(np.eye(2, dtype=bool))).matched.size == 0
+        assert decode_rows(cb, np.array([[1]]), set_membership(np.eye(2, dtype=bool))).matched.size == 0
 
     def test_threshold_membership_scores(self):
         joint = dsbs_joint(DSBS_45)
@@ -810,11 +806,6 @@ class TestClassicalDecoders:
         with pytest.raises(ValidationError, match="exact below"):
             ThresholdMembership(table, 0.0).matches(long_words,
                                                     np.broadcast_to(0, (1, 1 << 24)))
-
-    def test_set_membership_blocklength_guard(self):
-        mem = SetMembership(np.eye(2, dtype=bool))
-        with pytest.raises(ValidationError):
-            mem.matches(np.zeros((4, 2), dtype=np.int64), np.array([[0, 0]]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -911,10 +902,13 @@ class TestBlockDecoders:
                     lambda words, word: gather_sum_matches(llr, tau, words, word))
 
     def test_single_received_word_refused(self):
-        cb = self.codebook(np.zeros((16, 2), dtype=np.uint8), np.zeros((8, 2), dtype=np.uint8), 2)
-        for mem in (ThresholdMembership(np.zeros((2, 2)), 0.0), SetMembership(np.eye(2))):
+        # a bare word in place of a block, at n = 2 and for an explicit set at n = 1
+        for n, mem in ((2, ThresholdMembership(np.zeros((2, 2)), 0.0)),
+                       (1, set_membership(np.eye(2)))):
+            cb = self.codebook(np.zeros((16, n), dtype=np.uint8),
+                               np.zeros((8, n), dtype=np.uint8), n)
             with pytest.raises(ValidationError, match=r"\(trials, n\) block"):
-                decode_rows(cb, np.array([0, 1]), mem)
+                decode_rows(cb, np.array([0, 1][:n]), mem)
 
     def test_set_blocks_match_mask_gather(self):
         rng = np.random.default_rng(4)
@@ -922,8 +916,33 @@ class TestBlockDecoders:
         for _ in range(10):
             mask = rng.random((3, 4)) < 0.5
             block = rng.integers(4, size=(7, 1))
-            self.assert_block_matches(cb, block, SetMembership(mask),
+            self.assert_block_matches(cb, block, set_membership(mask),
                                       lambda words, word: mask[words[:, 0], word[0]])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("inf_cells", [0, 4])
+    @pytest.mark.parametrize("na, nb", [(3, 3), (3, 4)])
+    def test_one_letter_lookup_matches_gather_sum(self, na, nb, inf_cells, dtype):
+        # one-letter words score by a table lookup, which must match as the
+        # gathered sum does: taus at each finite entry, above it by less and
+        # by more than DECODE_TOL, below it, and one no finite score misses
+        rng = np.random.default_rng(100 * na + 10 * nb + inf_cells)
+        llr = rng.normal(size=(na, nb))
+        llr.flat[rng.choice(llr.size, inf_cells, replace=False)] = -np.inf
+        rows = np.resize(np.arange(na), (16, 1)).astype(dtype)
+        cols = rng.integers(na, size=(8, 1)).astype(dtype)
+        cb = self.codebook(rows, cols, 1)
+        finite = llr[np.isfinite(llr)]
+        taus = np.concatenate([finite, finite + DECODE_TOL / 2, finite + 2 * DECODE_TOL,
+                               finite - DECODE_TOL, [-1e300]])
+        for trials in (1, 9):
+            block = rng.integers(nb, size=(trials, 1))
+            for tau in taus:
+                mem = ThresholdMembership(llr, tau)
+                oracle = functools.partial(gather_sum_matches, llr, tau)
+                assert np.array_equal(mem.matches(rows, block),
+                                      np.stack([oracle(rows, word) for word in block]))
+                self.assert_block_matches(cb, block, mem, oracle)
 
 
 class TestCompactWords:

@@ -18,6 +18,7 @@ from conftest import (
     encode_per_trial,
     event_counts,
     event_of,
+    set_membership,
     uncached_pgm_probabilities,
 )
 from test_acceptance import QUBIT_POINTS, _pair_design, _qubit_cq
@@ -33,7 +34,6 @@ from martonlab.channels import (
 from martonlab.coding import (
     ClassicalSetEvaluator,
     RateParams,
-    SetMembership,
     decode_cols,
     decode_rows,
     generate_codebook,
@@ -331,7 +331,7 @@ class TestDeskClassical:
         for v, z in res_c.witness["cells"]:
             a2[vz.row_labels.index(v), vz.col_labels.index(z)] = True
         evaluator = ClassicalSetEvaluator(ch, design, a1, a2)
-        mem_b, mem_c = SetMembership(a1), SetMembership(a2)
+        mem_b, mem_c = set_membership(a1), set_membership(a2)
         sampler = ProductClassicalChannel(ch, 1)
 
         counts = {k: 0 for k in event_counts(report)}
@@ -730,7 +730,7 @@ class TestClassicalBlocks:
         # Bob's set is empty, so no row ever matches and Bob decodes message 0
         channel, design, n, params = _case("desk")
         scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
-        monkeypatch.setattr(scheme, "mem_b", SetMembership(np.zeros_like(scheme.mem_b.mask)))
+        monkeypatch.setattr(scheme, "mem_b", set_membership(np.zeros(scheme.mem_b.llr.shape, bool)))
         got = event_counts(scheme.run(params, 200, 5))
         assert got["e2b"] == 200 - got["e1"] and got["index_error"] == 200
         # right where m1 = 0 and all else goes well

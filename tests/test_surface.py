@@ -3,16 +3,19 @@ and the library itself use.
 
 Every name a ``src/martonlab`` module exports through ``__all__`` must be
 used somewhere outside ``tests/``: in a Python or shell file other than
-its own module and the package ``__init__``.  A class may be used in its
-own module too, since callers hold its instances without naming it.
-Every public method and property of an exported class must be used as
-well, in any of these files, its own module included.  Code that only
-tests call belongs in ``tests/``.
+its own module and the package ``__init__``.  A function or constant
+counts only where it is reached through its own module, so that a method
+or a str method of the same name does not stand in for it.  A class may
+be used by name anywhere, its own module too, since callers hold its
+instances without naming it.  Every public method and property of an
+exported class must be used as well, in any of these files, its own
+module included.  Code that only tests call belongs in ``tests/``.
 
 numpy is the library's only runtime dependency: scipy serves the tests
 alone.
 """
 
+import ast
 import importlib
 import inspect
 import io
@@ -28,6 +31,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "martonlab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _source_files() -> list:
@@ -57,9 +61,42 @@ def _uses(path: Path) -> list:
     return names
 
 
+def _reached(path: Path) -> set:
+    """(qualifier, name) pairs a Python file reaches: ``from martonlab.<module>
+    import <name>`` and ``from .<module> import <name>`` give (module, name),
+    ``from martonlab import <name>`` gives ("martonlab", name), an attribute
+    ``<a>.<b>.<name>`` gives (b, name), and in the tracer ``fn(<module>,
+    "<name>", ...)`` gives (module, name)."""
+    if path.suffix != ".py":
+        return set()
+    pairs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or "martonlab" in str(node.module)):
+            module = (node.module or "martonlab").split(".")[-1]
+            pairs.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            if owner:
+                pairs.add((owner, node.attr))
+        elif (path == TRACER and isinstance(node, ast.Call) and len(node.args) > 1
+              and getattr(node.func, "id", None) == "fn"
+              and isinstance(node.args[0], ast.Name) and isinstance(node.args[1], ast.Constant)):
+            pairs.add((node.args[0].id, node.args[1].value))
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def uses() -> dict:
     return {path: set(_uses(path)) for path in _source_files()}
+
+
+@pytest.fixture(scope="module")
+def reached() -> dict:
+    """Each source file's (module, name) pairs, with the package's re-exports
+    credited to the module they come from."""
+    owner = {name: module for module, name in _reached(PACKAGE / "__init__.py")}
+    return {path: {(owner.get(name, "?") if module == "martonlab" else module, name)
+                   for module, name in _reached(path)} for path in _source_files()}
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +105,30 @@ def used(uses) -> set:
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_every_exported_name_is_used_outside_tests(module, uses):
+def test_every_exported_name_is_used_outside_tests(module, used, reached):
     mod = importlib.import_module(f"martonlab.{module}")
     own = PACKAGE / f"{module}.py"
-    elsewhere = set().union(*(names for path, names in uses.items() if path != own))
-    unused = sorted(name for name in mod.__all__ if name not in elsewhere
-                    and not (inspect.isclass(getattr(mod, name)) and name in uses[own]))
+    reached_elsewhere = set().union(*(pairs for path, pairs in reached.items() if path != own))
+    unused = sorted(name for name in mod.__all__
+                    if not (name in used if inspect.isclass(getattr(mod, name))
+                            else (module, name) in reached_elsewhere))
     assert not unused, f"martonlab.{module} exports names only tests use: {unused}"
+
+
+def test_functions_are_reached_through_their_module(tmp_path):
+    # a same-named method, a str method or a bare name reach no module's
+    # function; an import from the module, the module's attribute and the
+    # package re-export do
+    caller = tmp_path / "caller.py"
+    caller.write_text("from martonlab.coding import decode_rows\n"
+                      "from .channels import bob_ensemble as ensemble\n"
+                      "from martonlab import covering_bound\n"
+                      "mem.matches(words)\n'text'.encode()\nencode\nexperiments.Scheme.shared\n",
+                      encoding="utf-8")
+    assert _reached(caller) == {("coding", "decode_rows"), ("channels", "bob_ensemble"),
+                                ("martonlab", "covering_bound"), ("mem", "matches"),
+                                ("experiments", "Scheme"), ("Scheme", "shared")}
+    assert ("coding", "encode") in _reached(TRACER)
 
 
 def _public_methods(cls) -> set:
