@@ -331,7 +331,9 @@ class ProductClassicalChannel:
         x_indices = np.asarray(x_indices)
         u = np.asarray(uniforms)
         flat = np.empty(x_indices.shape, dtype=np.int64)
-        for xi in np.unique(x_indices):
+        # the letters present, ascending: np.unique's values, without the
+        # masked-array check through which np.unique imports numpy.ma
+        for xi in np.flatnonzero(np.bincount(x_indices.ravel())):
             mask = x_indices == xi
             flat[mask] = np.searchsorted(self._cdf[xi], u[mask], side="right")
         return flat // self._nz, flat % self._nz

@@ -247,13 +247,16 @@ class Scheme:
     words of each side.  The streams of a block, each trial's messages,
     its channel uniforms for classical runs and its two outcome uniforms
     for cq, are drawn once for the block by ``first_uniforms``, which
-    computes short ones in one Philox array pass for large blocks: the
-    draws of ``SeededRng``, bit for bit.
+    computes short ones in one Philox array pass for large blocks.  The
+    codebook words of small sides and the encoder's rejection rows are
+    drawn many streams to a ``stream_uniforms`` call.  Both give the draws
+    of ``SeededRng``, bit for bit.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers and the tail masses it memoizes by joint type, which
     depend only on the Scheme, so one Scheme may serve many runs, also in
-    several threads at once.
+    several threads at once: every draw goes through the calling thread's
+    own scratch generator and state dict.
     """
 
     def __init__(self, channel, design: InputDesign, eps0: float, eps_infty: float,
@@ -512,7 +515,11 @@ class _PairEncodings:
 
     def __call__(self, m1: np.ndarray, m2: np.ndarray) -> tuple:
         codes = m1 * self.n_m2 + m2
-        new = np.setdiff1d(codes, self.codes)
+        # np.setdiff1d's values, without the masked-array check through which
+        # its np.unique imports numpy.ma: the distinct codes, ascending, not met yet
+        new = np.sort(codes)
+        new = new[np.diff(new, prepend=-1) != 0]
+        new = new[~np.isin(new, self.codes, assume_unique=True)]
         if new.size:
             cb, shape = self.codebook, (new.size,)
             got = encode_block(np.broadcast_to(cb.rows, shape + cb.rows.shape),

@@ -24,16 +24,22 @@ state back.  The key must be a uint64 array: a tuple or list key goes
 through float64, which rounds entries of 2^63 and up.
 
 Opening a stream costs one type-and-range check for the in-range Python
-ints that ``mix64`` and the harness produce, and a draw reaches its
-thread's scratch generator with one attribute lookup, so what a short
-stream costs is mostly numpy's state setter and the draw itself.
+ints that ``mix64`` and the harness produce.  Placing the scratch
+generator at a stream costs about 1 us in numpy's state setter, and a
+``SeededRng`` draw adds its own Python work and a new array.
+``stream_uniforms`` draws many short streams, row by row into one array,
+in one loop that places the scratch generator at each and opens no
+stream: from 200 streams, 2.0 us a stream of two uniforms and 2.8 us one
+of 128, against 3.1 and 4.3 us through ``SeededRng`` (medians of 15
+alternated timeit batches, 2-vCPU VM, numpy 2.4).
 
 ``first_uniforms`` gives the first uniforms of many streams at once.
-From ``_ARRAY_PASS_STREAMS`` short streams up it skips the scratch generator:
-Philox4x64-10 is a function of (key, counter), so ``_philox_blocks``
-computes the outputs of all the streams in one pass of uint64 array
-arithmetic, bit for bit the outputs ``SeededRng`` draws.  Below that,
-and for long streams, the scratch generator is faster.
+From ``_ARRAY_PASS_STREAMS`` streams of fewer than ``_ARRAY_PASS_COUNT``
+uniforms up it skips the scratch generator: Philox4x64-10 is a function
+of (key, counter), so ``_philox_blocks`` computes the outputs of all the
+streams in one pass of uint64 array arithmetic, bit for bit the outputs
+``SeededRng`` draws.  Below that, and for longer streams,
+``stream_uniforms`` is faster.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["mix64", "SeededRng", "first_uniforms"]
+__all__ = ["mix64", "SeededRng", "stream_uniforms", "first_uniforms"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -57,10 +63,17 @@ class _Scratch(threading.local):
     """One scratch generator per thread, so concurrent draws from distinct
     streams never share a Philox state; every draw sets its stream's key and
     counter first, so nothing carries over from one stream to the next.
-    A thread's first access builds its generator."""
+    ``state`` is the dict ``_place`` fills in and hands to the state setter,
+    kept per thread so that threads never write one dict at once.  A
+    thread's first access builds its generator and its dict."""
 
     def __init__(self):
         self.generator = np.random.Generator(np.random.Philox(key=0))
+        self.bit_generator = self.generator.bit_generator
+        # _place sets the counter and key; the buffer stays empty
+        self.inner = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        self.state = {"bit_generator": "Philox", "state": self.inner,
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 _scratch = _Scratch()
@@ -73,16 +86,19 @@ _PHILOX_ROUNDS = 10
 _LO32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LO32, _PHILOX_MUL >> _U32
 # streams at and above which first_uniforms computes its draws in one array
-# pass.  The pass has a fixed cost of about 0.3 ms: two uniforms from each
-# of 16 streams take 326 us in it against 85 us through SeededRng, from 64
-# streams 339 against 328 us, from 128 streams 371 against 667 us, and from
-# 600 streams 0.54 against 3.2 ms (medians of 5 rotated timeit batches,
-# 2-vCPU VM, numpy 2.4).
+# pass.  The pass has a fixed cost of about 0.2 ms, and stream_uniforms
+# costs about 1.7 us a short stream: two uniforms from each of 16 streams
+# take 183 us in the pass against 30 us in the loop, from 96 streams 215
+# against 166 us, from 128 streams 212 against 223 us, and from 600 streams
+# 331 against 1,022 us (medians of 7 alternated timeit batches, 2-vCPU VM,
+# numpy 2.4)
 _ARRAY_PASS_STREAMS = 128
-# draws a stream from which first_uniforms opens each stream instead: at 128
-# outputs a stream the pass is no faster than SeededRng, at 256 it is 1.5
-# times as slow
-_ARRAY_PASS_COUNT = 128
+# draws a stream from which first_uniforms uses the loop instead: the pass
+# costs about 40 ns an output, the loop a few.  From 128 streams, 24 draws a
+# stream take 339 us in the pass against 243 us in the loop, 64 draws 807
+# against 518 us; from 256 streams 32 draws take 544 against 487 us; from
+# 512 streams the two are about even at 32 and at 64 draws
+_ARRAY_PASS_COUNT = 32
 
 
 def mix64(a, b=0):
@@ -121,6 +137,21 @@ def _checked_key(name: str, value) -> int:
     if not 0 <= int(value) < 2**64:
         raise ValidationError(f"{name} must lie in [0, 2**64), got {value}")
     return int(value)
+
+
+def _place(scratch: _Scratch, key: int, stream_id: int, drawn: int) -> None:
+    """Put ``scratch``'s generator at output ``drawn`` of stream (key, stream_id)."""
+    # Philox steps its counter before filling the buffer, so counter
+    # drawn // 4 and an empty buffer resume at output 4 * (drawn // 4), and
+    # the discarded outputs bring it to drawn.  The state setter copies each
+    # entry into the generator, so plain ints and one reused dict will do.
+    # random_raw's output=False path sums its size through numpy and takes
+    # about three times as long as returning a small array
+    scratch.inner["counter"] = (drawn >> 2, 0, 0, 0)
+    scratch.inner["key"] = (key, stream_id)
+    scratch.bit_generator.state = scratch.state
+    if drawn & 3:
+        scratch.bit_generator.random_raw(drawn & 3)
 
 
 class SeededRng:
@@ -162,24 +193,9 @@ class SeededRng:
 
     def _seek(self):
         """The calling thread's scratch generator, at this stream's next output."""
-        gen = _scratch.generator
-        bitgen = gen.bit_generator
-        # the state setter copies each entry into the generator, so plain
-        # ints will do; Philox steps its counter before filling the buffer,
-        # so counter drawn // 4 and an empty buffer resume at output
-        # 4 * (drawn // 4), and the discarded outputs bring it to drawn
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (self._drawn >> 2, 0, 0, 0),
-                      "key": (self.master_seed, self.stream_id)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        if self._drawn & 3:
-            bitgen.random_raw(self._drawn & 3)
-        return gen
+        scratch = _scratch
+        _place(scratch, self.master_seed, self.stream_id, self._drawn)
+        return scratch.generator
 
     def _random(self, size):
         gen = self._seek()
@@ -224,6 +240,25 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(master_seed={self.master_seed}, stream_id={self.stream_id})"
+
+
+def stream_uniforms(out: np.ndarray, keys, stream_ids, firsts) -> np.ndarray:
+    """Fill row i of ``out`` with uniforms of stream (keys[i], stream_ids[i])
+    from output firsts[i] on, and return ``out``.
+
+    ``out`` is a C-ordered float64 array shaped (streams, count); row i is
+    ``SeededRng(keys[i], stream_ids[i]).skip(firsts[i]).random(count)``, bit
+    for bit.  Keys, stream ids and firsts are ints, keys and ids in [0, 2^64).
+    The calling thread's scratch generator is placed at each stream in turn
+    and draws straight into its row, so no stream object and no temporary
+    array is built.
+    """
+    scratch = _scratch
+    draw = scratch.generator.random
+    for row, key, stream_id, first in zip(out, keys, stream_ids, firsts):
+        _place(scratch, key, stream_id, first)
+        draw(out=row)
+    return out
 
 
 def _philox_blocks(key0, key1, first_block: int, count: int) -> np.ndarray:
@@ -273,12 +308,15 @@ def first_uniforms(keys, stream_ids, count: int) -> np.ndarray:
     ``SeededRng(keys[j], stream_ids[s]).random(count)``, bit for bit.  With
     ``_ARRAY_PASS_STREAMS`` streams or more and fewer than
     ``_ARRAY_PASS_COUNT`` draws a stream, one ``_philox_blocks`` pass
-    computes them all; otherwise each stream is opened as a ``SeededRng``.
+    computes them all; otherwise ``stream_uniforms`` draws them.
     Keys and ids must lie in [0, 2^64).
     """
     if len(keys) * len(stream_ids) < _ARRAY_PASS_STREAMS or count >= _ARRAY_PASS_COUNT:
-        return np.array([[SeededRng(key, sid).random(count) for sid in stream_ids]
-                         for key in keys])
+        out = np.empty((len(keys), len(stream_ids), count))
+        streams = out.shape[0] * out.shape[1]
+        stream_uniforms(out.reshape(streams, count), [key for key in keys for _ in stream_ids],
+                        list(stream_ids) * len(keys), [0] * streams)
+        return out
     raw = _philox_blocks(np.repeat(np.asarray(keys, dtype=np.uint64), len(stream_ids)),
                          np.tile(np.asarray(stream_ids, dtype=np.uint64), len(keys)),
                          0, -(-count // 4))[:, :count]

@@ -27,6 +27,7 @@ from martonlab.coding import (
     _raw_cuts,
     _raw_symbols,
     _side_words,
+    _uniform_cuts,
     codebook_block,
     decode_cols,
     decode_pgm,
@@ -311,28 +312,40 @@ class TestCodebook:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_sampler_matches_searchsorted_oracle(self, pmf, seed):
         pmf = np.asarray(pmf)
-        (got,) = _side_words(pmf, 300, 7, [SeededRng(seed, 1)])
-        want = searchsorted_words(pmf, 300, 7, SeededRng(seed, 1))
-        assert want.dtype == np.int64 and got.dtype == np.uint8
-        assert np.array_equal(got, want)
+        # 2,100 outputs map raw, 700 as uniforms
+        for count in (300, 100):
+            (got,) = _side_words(pmf, count, 7, [seed], [1], [0])
+            want = searchsorted_words(pmf, count, 7, SeededRng(seed, 1))
+            assert want.dtype == np.int64 and got.dtype == np.uint8
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("count, n", [(4681, 7), (4096, 8), (10923, 3), (8192, 56)])
     @pytest.mark.parametrize("resume", [0, 1, 2, 3])
     def test_raw_sampler_matches_searchsorted_across_chunks(self, count, n, resume):
         # count * n is 2^15 - 1, 2^15 and 2^15 + 1 outputs, then a criterion-1
-        # row side.  The first stream resumes at each draw count mod 4; the
-        # sides of three streams share chunks, or split at other offsets
+        # row side, all drawn raw.  The first stream starts at each first
+        # output mod 4; a side fills one chunk, or splits into several
         for pmf in (np.array([0.5, 0.5]), np.array([0.2, 0.0, 0.3, 0.5])):
-            got_rngs = [SeededRng(2**63 + 3, s) for s in range(3)]
-            want_rngs = [SeededRng(2**63 + 3, s) for s in range(3)]
-            got_rngs[0].random(resume)
-            want_rngs[0].random(resume)
-            got = _side_words(pmf, count, n, got_rngs)
+            firsts = [resume, 0, 0]
+            got = _side_words(pmf, count, n, [2**63 + 3] * 3, [0, 1, 2], firsts)
             assert got.shape == (3, count, n) and got.dtype == np.uint8
-            for words, got_rng, want_rng in zip(got, got_rngs, want_rngs):
+            for s, (words, first) in enumerate(zip(got, firsts)):
+                want_rng = SeededRng(2**63 + 3, s).skip(first)
                 assert np.array_equal(words, searchsorted_words(pmf, count, n, want_rng))
-                # both streams drew count * n outputs
-                assert np.array_equal(got_rng.random(3), want_rng.random(3))
+
+    @pytest.mark.parametrize("count, n", [(1, 1), (3, 1), (341, 3), (128, 8)])
+    def test_uniform_sides_match_searchsorted_across_pieces(self, count, n):
+        # sides of 1, 3, 1,023 and 1,024 outputs, up to _UNIFORM_SIDE, from 40
+        # streams, so 1,024-output sides fill one piece and spill into a
+        # second; the streams start at every first output mod 4
+        assert count * n <= coding._UNIFORM_SIDE
+        firsts = [s % 7 for s in range(40)]
+        for pmf in (np.array([0.5, 0.5]), np.array([0.2, 0.0, 0.3, 0.5])):
+            got = _side_words(pmf, count, n, [2**64 - 1] * 40, list(range(40)), firsts)
+            assert got.shape == (40, count, n) and got.dtype == np.uint8
+            for s, (words, first) in enumerate(zip(got, firsts)):
+                want_rng = SeededRng(2**64 - 1, s).skip(first)
+                assert np.array_equal(words, searchsorted_words(pmf, count, n, want_rng))
 
     @pytest.mark.parametrize("pmf", [
         [0.5, 0.5], [0.25, 0.25, 0.5], [0.0, 0.0, 0.25, 0.75], [0.0, 0.5, 0.0, 0.5],
@@ -351,7 +364,12 @@ class TestCodebook:
         raw = ((m << 11)[:, None] | np.array([0, 2047], dtype=np.uint64)).ravel()
         got = _raw_symbols(_raw_cuts(pmf), raw, np.empty(raw.size, dtype=np.uint8))
         cdf[-1] = 1.0
-        assert np.array_equal(got, np.searchsorted(cdf, (raw >> 11) * 2**-53, side="right"))
+        want = np.searchsorted(cdf, (raw >> 11) * 2**-53, side="right")
+        assert np.array_equal(got, want)
+        # the same symbols from the uniforms, as small sides draw them
+        got = _raw_symbols(_uniform_cuts(pmf), (raw >> 11) * 2**-53,
+                           np.empty(raw.size, dtype=np.uint8))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("pmf", [[0.7, 0.3, 1e-17], [0.5, 0.5 + 2**-52, 1e-17]])
     def test_raw_cuts_past_one_are_dropped(self, pmf):
@@ -360,7 +378,7 @@ class TestCodebook:
         pmf = np.asarray(pmf)
         assert np.cumsum(pmf)[-2] >= 1.0
         assert _raw_cuts(pmf).size == 1
-        (words,) = _side_words(pmf, 4096, 8, [SeededRng(11, 1)])
+        (words,) = _side_words(pmf, 4096, 8, [11], [1], [0])
         assert words.max() == 1
         assert np.array_equal(words, searchsorted_words(pmf, 4096, 8, SeededRng(11, 1)))
 

@@ -20,7 +20,14 @@ from martonlab import (
     mix64,
     mutual_information,
 )
-from martonlab.rng import _ARRAY_PASS_COUNT, _ARRAY_PASS_STREAMS, _philox_blocks, first_uniforms
+from martonlab import rng as rng_module
+from martonlab.rng import (
+    _ARRAY_PASS_COUNT,
+    _ARRAY_PASS_STREAMS,
+    _philox_blocks,
+    first_uniforms,
+    stream_uniforms,
+)
 
 # Frozen first draws of the (42, 0) and (42, 1) streams.  These pin the
 # counter-based generator choice: any change to the bit generator or the
@@ -249,13 +256,12 @@ class TestPhiloxArrayPass:
         ids = (101, 2**64 - 1) if streams % 2 == 0 else (103,)
         keys = (self.KEYS + mix64(9, np.arange(streams, dtype=np.uint64)).tolist())[
             :streams // len(ids)]
-        opened = []
-        init = SeededRng.__init__
-        monkeypatch.setattr(SeededRng, "__init__",
-                            lambda self, *key: opened.append(key) or init(self, *key))
+        spy = DrawSpy(monkeypatch)
         got = first_uniforms(keys, ids, count)
-        # one stream per key and id below the cut-over, none in the array pass
-        assert len(opened) == (streams if streams < _ARRAY_PASS_STREAMS else 0)
+        # one loop row per key and id below the cut-over, one array pass at it
+        below = streams < _ARRAY_PASS_STREAMS
+        assert spy.loop_rows == [streams] * below and spy.passes == [streams] * (not below)
+        assert spy.opened == 0
         monkeypatch.undo()
         assert got.shape == (len(keys), len(ids), count)
         for j, k in enumerate(keys):
@@ -264,16 +270,122 @@ class TestPhiloxArrayPass:
 
     @pytest.mark.parametrize("count", [_ARRAY_PASS_COUNT - 1, _ARRAY_PASS_COUNT])
     def test_long_draws_open_their_streams(self, count, monkeypatch):
+        # from _ARRAY_PASS_COUNT draws a stream the loop places every stream
         keys = mix64(5, np.arange(_ARRAY_PASS_STREAMS, dtype=np.uint64)).tolist()
-        opened = []
-        init = SeededRng.__init__
-        monkeypatch.setattr(SeededRng, "__init__",
-                            lambda self, *key: opened.append(key) or init(self, *key))
+        spy = DrawSpy(monkeypatch)
         got = first_uniforms(keys, (102,), count)
-        assert len(opened) == (0 if count < _ARRAY_PASS_COUNT else len(keys))
+        long = count >= _ARRAY_PASS_COUNT
+        assert spy.loop_rows == [len(keys)] * long and spy.passes == [len(keys)] * (not long)
+        assert spy.opened == 0
         monkeypatch.undo()
         for j in (0, len(keys) - 1):
             assert np.array_equal(got[j, 0], SeededRng(keys[j], 102).random(count))
+
+
+class DrawSpy:
+    """Counts how ``first_uniforms`` draws: the rows of each ``stream_uniforms``
+    call, the streams of each ``_philox_blocks`` pass, and the ``SeededRng``
+    streams opened."""
+
+    def __init__(self, monkeypatch):
+        self.loop_rows, self.passes, self.opened = [], [], 0
+        loop, blocks, init = stream_uniforms, _philox_blocks, SeededRng.__init__
+
+        def counted_loop(out, *args):
+            self.loop_rows.append(len(out))
+            return loop(out, *args)
+
+        def counted_pass(key0, *args):
+            self.passes.append(len(key0))
+            return blocks(key0, *args)
+
+        def counted_init(rng, *key):
+            self.opened += 1
+            init(rng, *key)
+
+        monkeypatch.setattr(rng_module, "stream_uniforms", counted_loop)
+        monkeypatch.setattr(rng_module, "_philox_blocks", counted_pass)
+        monkeypatch.setattr(SeededRng, "__init__", counted_init)
+
+
+def skipped_oracle(key: int, stream_id: int, first: int) -> np.random.Generator:
+    """``philox_oracle`` of the stream, past its first ``first`` outputs."""
+    oracle = philox_oracle(key, stream_id)
+    oracle.bit_generator.random_raw(first)
+    return oracle
+
+
+class TestStreamUniforms:
+    """``stream_uniforms`` against each stream's own Philox generator."""
+
+    EDGE = [0, 1, 2**63, 2**64 - 1]
+    FIRSTS = [0, 1, 2, 3, 4, 7, 10, 4097]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 64, 129])
+    def test_rows_are_the_streams_from_their_firsts(self, count):
+        # every edge key against every edge id, each row starting at a first
+        # of its own, so the firsts differ row to row and reach every first % 4
+        rows = [(k, s, self.FIRSTS[i % len(self.FIRSTS)])
+                for i, (k, s) in enumerate((k, s) for k in self.EDGE for s in self.EDGE * 2)]
+        assert {f % 4 for _, _, f in rows} == {0, 1, 2, 3}
+        out = np.full((len(rows), count), np.nan)
+        got = stream_uniforms(out, *zip(*rows))
+        assert got is out
+        for row, (k, s, f) in zip(out, rows):
+            assert np.array_equal(row, skipped_oracle(k, s, f).random(count))
+            assert np.array_equal(row, SeededRng(k, s).skip(f).random(count))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+                              st.integers(0, 600)), max_size=9),
+           st.integers(0, 40))
+    def test_matches_philox_oracle(self, rows, count):
+        out = np.empty((len(rows), count))
+        stream_uniforms(out, [k for k, _, _ in rows], [s for _, s, _ in rows],
+                        [f for _, _, f in rows])
+        for row, (k, s, f) in zip(out, rows):
+            assert np.array_equal(row, skipped_oracle(k, s, f).random(count))
+
+    def test_open_streams_resume_where_they_were(self):
+        # the loop and SeededRng share the thread's scratch generator; a
+        # stream drawing on both sides of a loop resumes at its own count
+        rng = SeededRng(2**64 - 1, 3)
+        first = rng.random(5)
+        stream_uniforms(np.empty((3, 6)), [2**64 - 1] * 3, [3, 4, 5], [1, 2, 3])
+        assert np.array_equal(np.concatenate([first, rng.random(6)]),
+                              philox_oracle(2**64 - 1, 3).random(11))
+
+    def test_threads_on_distinct_streams_match_sequential_draws(self, np_rng):
+        # modelled on SeededRng's test of the same name: more threads than
+        # cores and a short switch interval, so the loops of the threads interleave
+        plans = [[(int(np_rng.integers(1, 5)), int(np_rng.integers(0, 12))) for _ in range(200)]
+                 for _ in range(6)]
+        # row r of a call reads stream 10 t + r of key 7 from output count + r
+        want = [[np.array([skipped_oracle(7, 10 * t + r, count + r).random(count)
+                           for r in range(rows)]) for rows, count in plan]
+                for t, plan in enumerate(plans)]
+        got = [[] for _ in plans]
+
+        def work(t):
+            for rows, count in plans[t]:
+                got[t].append(stream_uniforms(
+                    np.empty((rows, count)), [7] * rows, [10 * t + r for r in range(rows)],
+                    [count + r for r in range(rows)]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(plans))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
 
 class TestMix64:

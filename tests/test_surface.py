@@ -19,6 +19,7 @@ import ast
 import importlib
 import inspect
 import io
+import json
 import os
 import re
 import subprocess
@@ -188,3 +189,26 @@ def test_library_imports_no_scipy():
         timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("resample", [True, False])
+def test_classical_simulate_imports_no_numpy_ma(resample, tmp_path):
+    # plain np.unique and np.setdiff1d import numpy.ma for a masked-array
+    # check, which takes about 10 ms in a fresh interpreter; the desk config
+    # runs both the fresh-codebook and the fixed-codebook encoder
+    data = ROOT / "tests" / "data"
+    cfg = json.loads((data / "config_desk.json").read_text(encoding="utf-8"))
+    cfg.update(channel=str(data / cfg["channel"]), design=str(data / cfg["design"]),
+               resample_codebook=resample)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, martonlab.cli; "
+         f"code = martonlab.cli.main(['simulate', '--config', {str(config)!r}, "
+         f"'--out', {str(tmp_path / 'out')!r}]); "
+         "print(code, 'numpy.ma' in sys.modules)"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-2:] == ["0", "False"]
