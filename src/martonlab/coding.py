@@ -117,7 +117,7 @@ class BandConstraint:
 
 
 def band_constraints(R1: int, R2: int, r1: int, r2: int, i0b: float, i0c: float,
-                     i_infty: float, eps_tilde: float) -> tuple:
+                     i_infty: float, eps_tilde: float) -> tuple[BandConstraint, ...]:
     """The five constraints the closed-form bounds place on rates and bands."""
     ell = math.log2(1.0 / eps_tilde)
     budget = "4 log2(1/eps_tilde) - 1"
@@ -445,8 +445,9 @@ def _table_alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple
     single-letter cells.
 
     ``row_word`` and ``col_word`` are 1-D arrays of letters, one per cell.
-    Each table evaluator binds this as its own ``alpha_beta``, since
-    perfbench's tracer patches each class's.
+    ``encode_block`` asks once per call, for every letter pair with an
+    input.  Each table evaluator binds this as its own ``alpha_beta``,
+    since perfbench's tracer patches each class's.
     """
     x = self.x_of_pair(row_word, col_word)
     return self.alpha_table[row_word, x], self.beta_table[col_word, x]
@@ -607,15 +608,17 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     the all-first-symbol input word when there is none.  Each step draws
     the rejection uniforms of one row of every trial still searching, from
     that row's own stream, all in one ``stream_uniforms`` call, which opens
-    no stream.  With a single-letter table evaluator (explicit
-    sets, cq tests) the step then looks up alpha and beta of all surviving
-    cells in one ``alpha_beta`` call, and each trial takes its first
-    passing column.  The llr-threshold evaluator, whose tail masses cost
-    far more than a lookup, tests each trial's surviving cells in column
-    order up to the first pass.  A surviving cell whose pair has no input
-    raises when it comes before its trial's first pass.  Returns (row, col,
-    x): the chosen indices, -1 where the trial falls back, and the input
-    words, all first symbols there.
+    no stream.  A single-letter table evaluator (explicit sets, cq tests)
+    is asked once per call, in one ``alpha_beta`` call over the letter
+    pairs with an input: per (u, v), the acceptance probability and
+    whether the pair clears the threshold are then tables, and each step
+    takes each trial's first surviving, passing column by lookup.  The
+    llr-threshold evaluator, whose tail masses cost far more than a
+    lookup, tests each trial's surviving cells in column order up to the
+    first pass.  A surviving cell whose pair has no input raises when it
+    comes before its trial's first pass.  Returns (row, col, x): the
+    chosen indices, -1 where the trial falls back, and the input words,
+    all first symbols there.
     """
     thr = 1.0 - 4.0 * float(eps0)
     w1, w2 = 1 << params.r1, 1 << params.r2
@@ -624,8 +627,15 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     row = np.full(len(seeds), -1, dtype=np.int64)
     col = np.full(len(seeds), -1, dtype=np.int64)
     x = np.zeros((len(seeds), rows.shape[2]), dtype=np.int64)
-    first_pass = (_first_pass_by_cell if isinstance(evaluator, ClassicalThresholdEvaluator)
-                  else _first_pass_by_table)
+    by_table = not isinstance(evaluator, ClassicalThresholdEvaluator)
+    if by_table:
+        # _acceptance of one-letter pairs, and which defined pairs pass
+        accept = np.exp2(np.minimum(log_ratio - params.i_infty, 0.0))
+        defined = evaluator.fx >= 0
+        gate = np.zeros_like(defined)
+        alpha, beta = evaluator.alpha_beta(*np.nonzero(defined))
+        gate[defined] = (alpha > thr) & (beta > thr)
+        undefined = ~defined if not defined.all() else None
     searching = np.arange(len(seeds))
     for i in range(w1):
         if searching.size == 0:
@@ -636,9 +646,19 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
         col_words = cols[searching[:, None], l]
         eta = stream_uniforms(np.empty((searching.size, w2)), eta_keys[searching].tolist(),
                               k.tolist(), l[:, 0].tolist())
-        alive = eta <= _acceptance(log_ratio, row_words[:, None, :], col_words,
-                                   params.i_infty)
-        found, off = first_pass(evaluator, row_words, col_words, alive, thr)
+        if by_table:
+            u, v = row_words[:, :1], col_words[:, :, 0]
+            alive = eta <= accept[u, v]
+            ok = alive & gate[u, v]
+            if undefined is not None and (
+                    alive & undefined[u, v] & ~np.logical_or.accumulate(ok, axis=1)).any():
+                raise ValidationError("input map undefined for a sampled pair")
+            found = np.flatnonzero(ok.any(axis=1))
+            off = ok[found].argmax(axis=1)
+        else:
+            alive = eta <= _acceptance(log_ratio, row_words[:, None, :], col_words,
+                                       params.i_infty)
+            found, off = _first_pass_by_cell(evaluator, row_words, col_words, alive, thr)
         j = searching[found]
         row[j], col[j] = k[found], l[found, off]
         # a passing cell went through alpha_beta, so its input is defined
@@ -661,28 +681,6 @@ def _first_pass_by_cell(evaluator, row_words, col_words, alive, thr) -> tuple:
                 offs.append(off)
                 break
     return np.array(found, dtype=np.intp), np.array(offs, dtype=np.intp)
-
-
-def _first_pass_by_table(evaluator, row_words, col_words, alive, thr) -> tuple:
-    """``_first_pass_by_cell`` for single-letter table evaluators: all the
-    step's surviving cells with a defined input are looked up in one
-    ``alpha_beta`` call, and each trial takes the first passing column.
-
-    A surviving cell whose pair has no input raises when it comes before
-    its row's first pass, and no cell without an input is looked up.
-    """
-    u, v = row_words[:, 0], col_words[:, :, 0]
-    defined = evaluator.fx[u[:, None], v] >= 0
-    ok = np.zeros_like(alive)
-    s, c = np.nonzero(alive & defined)
-    if s.size:
-        alpha, beta = evaluator.alpha_beta(u[s], v[s, c])
-        ok[s, c] = (alpha > thr) & (beta > thr)
-    undefined = alive & ~defined
-    if (undefined & ~np.logical_or.accumulate(ok, axis=1)).any():
-        raise ValidationError("input map undefined for a sampled pair")
-    found = np.flatnonzero(ok.any(axis=1))
-    return found, ok[found].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -853,8 +851,9 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
     the sum of the row's test operators; the last entry is the completion
     outcome off the support of S.  Identical words share an element, so
     the tables run per alphabet label, one per distinct (label counts,
-    sent input) of the block, cached by content.  Each row is divided by
-    its total, which must lie within 1e-6 of 1.
+    sent input) of the block, found by a dict in order of first use and
+    cached by content, keyed by the int64 label counts.  Each row is
+    divided by its total, which must lie within 1e-6 of 1.
     """
     labels = np.asarray(labels)
     tests = np.asarray(tests)
@@ -866,23 +865,23 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
     if labels.size and not 0 <= labels.min() <= labels.max() < n_labels:
         raise ValidationError(f"labels must lie in [0, {n_labels})")
     sent = np.asarray(sent, dtype=np.int64)
-    # label counts of every trial at once: trial j counts into bins
-    # [j * n_labels, (j + 1) * n_labels)
-    offsets = np.arange(trials, dtype=np.int64)[:, None] * n_labels
-    counts = np.bincount((labels + offsets).ravel(),
-                         minlength=trials * n_labels).reshape(trials, n_labels)
-    _, first, inverse = np.unique(np.column_stack([counts, sent]), axis=0,
-                                 return_index=True, return_inverse=True)
+    counts = np.empty((trials, n_labels), dtype=np.int64)
+    for a in range(n_labels):
+        counts[:, a] = np.count_nonzero(labels == a, axis=1)
+    # the distinct (label counts, sent input) rows, in order of first use
+    index = {}
+    inverse = np.array([index.setdefault((*c, x), len(index))
+                        for c, x in zip(counts.tolist(), sent.tolist())], dtype=np.intp)
     tests_key = _frozen(tests)
     rho_keys = {}
-    q = np.empty((len(first), n_labels))
-    p_fail = np.empty(len(first))
-    for i, j in enumerate(first):
-        x = int(sent[j])
+    q = np.empty((len(index), n_labels))
+    p_fail = np.empty(len(index))
+    for i, key in enumerate(index):
+        x = key[-1]
         if x not in rho_keys:
             rho_keys[x] = _frozen(np.asarray(states[x]))
-        q[i], p_fail[i] = _pgm_table(tests_key, _frozen(counts[j]), rho_keys[x])
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as (trials, 1)
+        q[i], p_fail[i] = _pgm_table(tests_key, _frozen(np.array(key[:-1], dtype=np.int64)),
+                                     rho_keys[x])
     vec = np.empty((trials, words + 1))
     vec[:, :-1] = q[inverse[:, None], labels]
     vec[:, -1] = p_fail[inverse]

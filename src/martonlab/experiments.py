@@ -133,7 +133,7 @@ class ExperimentReport:
     codebook_digest: str | None
     theorem_valid: bool
     bounds: dict
-    events: tuple
+    events: tuple[EventStats, ...]
     started_at: str
     wall_clock_s: float
 
@@ -231,7 +231,9 @@ class Scheme:
     ``run`` plays trials in blocks.  Under fresh codebooks a block holds as
     many trials as fit ``_BLOCK_LETTERS`` codebook letters: the block's
     codebooks and messages are drawn as arrays, and ``encode_block`` scans
-    all its trials one row offset at a time.  A fixed codebook's trials
+    all its trials one row offset at a time; a single-letter table
+    evaluator is asked once per ``encode_block`` call, for a (u, v) table
+    that each step reads by lookup.  A fixed codebook's trials
     share its words, and each trial's encoding depends on its message pair
     alone, so a run encodes each distinct pair once, when a block first
     draws it, and gathers every trial's input word from those; its blocks
@@ -242,6 +244,7 @@ class Scheme:
     whole block in one call per side, and fresh codebooks one trial at a
     time.
     ``decode_pgm`` measures each side of a whole cq block in one pass,
+    one PGM table per distinct (label counts, sent input) of the block,
     picking each trial's outcome with one uniform from that trial's own
     stream.  The events of the block are then counted from the decoded
     words of each side.  The streams of a block, each trial's messages,
@@ -333,7 +336,7 @@ class Scheme:
                               _ByContent(design, design_digest),
                               eps0, eps_infty, n, i0_method)
 
-    def _counts(self, params, trials, seed, fixed_cb, log_ratio) -> dict:
+    def _counts(self, params: RateParams, trials, seed, fixed_cb, log_ratio) -> dict:
         classical = self.setting == "classical"
         n_m1, n_m2 = 1 << params.R1, 1 << params.R2
         if fixed_cb is None:
@@ -415,7 +418,7 @@ class Scheme:
             hit[side] = np.bincount(trial[matched == sent[side, trial]], minlength=trials) > 0
         return first, count, hit
 
-    def _decode_cq(self, params, rows, cols, x, sent, uniforms):
+    def _decode_cq(self, params: RateParams, rows, cols, x, sent, uniforms):
         """Both sides of the block measured, as ``_decode_classical`` returns them.
 
         ``uniforms`` holds each trial's first uniform of streams 103 (Bob)

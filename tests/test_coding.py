@@ -1093,6 +1093,26 @@ class TestPgmDecoder:
             assert got[-1] > 0.01
             assert np.array_equal(got, uncached_pgm_probabilities(words, tests, state))
 
+    @pytest.mark.parametrize("n_labels", [1, 2, 3])
+    def test_blocks_sharing_label_counts_match_one_trial(self, n_labels, np_rng):
+        # 90 trials over four label-count vectors and three sent inputs: many
+        # trials share a (label counts, sent) table, each with its own word order
+        from tests.conftest import rand_psd, rand_state
+
+        tests = [rand_psd(np_rng, 3, rank=2) for _ in range(n_labels)]
+        tests = [t / (np.linalg.eigvalsh(t).max() + 0.1) for t in tests]
+        states = [rand_state(np_rng, 3) for _ in range(3)]
+        bases = np_rng.integers(n_labels, size=(4, 12))
+        labels = np.array([np_rng.permutation(bases[t % 4]) for t in range(90)])
+        sent = np.arange(90) // 4 % 3
+        got = pgm_outcome_probabilities(labels, tests, states, sent)
+        assert len({(tuple(np.bincount(w, minlength=n_labels)), x)
+                    for w, x in zip(labels, sent)}) < 90
+        for j in range(90):
+            words, state = labels[j][:, None], states[sent[j]]
+            assert np.array_equal(got[j], pgm_one_trial(words, tests, state))
+            assert np.array_equal(got[j], uncached_pgm_probabilities(words, tests, state))
+
     def test_table_cache_keys_on_content(self):
         # equal contents in new objects hit the cache; changed contents miss it
         tests = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]

@@ -33,6 +33,7 @@ from martonlab.channels import (
 )
 from martonlab.coding import (
     ClassicalSetEvaluator,
+    QuantumPairEvaluator,
     RateParams,
     decode_cols,
     decode_rows,
@@ -892,6 +893,76 @@ class TestEncodeBlockTables:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
             assert g.dtype == np.int64
+
+    @staticmethod
+    def _gated_evaluator(kind):
+        """A table evaluator under the DSBS_45 design whose alpha clears
+        1 - 4 * 0.01 on the row letter 1 only (it is 0.9 on the letter 0),
+        so about half the surviving cells fail the threshold."""
+        design = pair_design(DSBS_45)
+        if kind == "set":
+            # Bob's set keeps both outputs of u = 1 but only y = 0 of u = 0
+            return ClassicalSetEvaluator(bsc_pair_channel(0.1, 0.1), design,
+                                         np.array([[1, 0], [1, 1]], bool), np.ones((2, 2), bool))
+        return QuantumPairEvaluator(qubit_cq_channel(), design,
+                                    [0.9 * np.eye(2), np.eye(2)], [np.eye(2)] * 2)
+
+    def _gated_block(self, ev, resample, seed=9):
+        """encode_block's arguments for 200 trials under the gated evaluator
+        ``ev``, and the trials' codebooks."""
+        design = pair_design(DSBS_45)
+        # i_infty 0.85 accepts the diagonal pairs with probability 0.9986 and
+        # the others with 0.11
+        params = desk_params(eps0=0.01)
+        keys = [mix64(seed, t) for t in range(200)]
+        picks = np.random.default_rng(seed)
+        m1 = picks.integers(1 << params.R1, size=200)
+        m2 = picks.integers(1 << params.R2, size=200)
+        rows, cols, seeds, codebooks = self._block(design, params, keys, resample)
+        return (rows, cols, seeds, m1, m2, params, llr_table(design.joint), ev, 0.01), codebooks
+
+    @pytest.mark.parametrize("kind", ["set", "quantum"])
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_cells_failing_the_threshold_are_skipped(self, kind, resample):
+        # a fixed codebook encodes four message pairs, so it takes several
+        found_cells = skipped = 0
+        for seed in range(1 if resample else 8):
+            args, codebooks = self._gated_block(self._gated_evaluator(kind), resample, seed)
+            rows, _, _, m1, m2, params, _, ev, eps0 = args
+            got = coding.encode_block(*args)
+            for g, w in zip(got, _encode_per_trial(codebooks, m1, m2, ev, eps0)):
+                assert np.array_equal(g, w)
+            # every chosen cell has row letter 1; count the cells before it
+            # that survived rejection but failed the threshold
+            row, col = got[0], got[1]
+            found = np.flatnonzero(row >= 0)
+            assert (rows[found, row[found], 0] == 1).all()
+            found_cells += found.size
+            for j in found:
+                cb, k, l = codebooks[j], int(row[j]), int(col[j])
+                l0 = int(m2[j]) << params.r2
+                for kk in range(int(m1[j]) << params.r1, k + 1):
+                    alive = cb.indicator(kk, l0, l0 + (1 << params.r2))
+                    skipped += int(alive[:l - l0 if kk == k else None].sum())
+        assert found_cells and skipped
+
+    @pytest.mark.parametrize("kind", ["set", "quantum"])
+    def test_one_alpha_beta_call_per_block(self, kind, monkeypatch):
+        ev = self._gated_evaluator(kind)
+        args, _ = self._gated_block(ev, True)
+        calls = []
+        original = type(ev).alpha_beta
+
+        def counting(self, row_word, col_word):
+            calls.append(len(row_word))
+            return original(self, row_word, col_word)
+
+        monkeypatch.setattr(type(ev), "alpha_beta", counting)
+        row = coding.encode_block(*args)[0]
+        # the trials stop at several row offsets, yet the evaluator is asked
+        # once, for every pair with an input
+        assert len(set((row[row >= 0] % 4).tolist())) > 1
+        assert calls == [int((ev.fx >= 0).sum())]
 
     @pytest.mark.parametrize("resample", [True, False])
     def test_undefined_pair_run_matches_per_trial_loop(self, resample, monkeypatch):

@@ -9,13 +9,17 @@ or a str method of the same name does not stand in for it.  A class may
 be used by name anywhere, its own module too, since callers hold its
 instances without naming it.  Every public method and property of an
 exported class must be used as well, in any of these files, its own
-module included.  Code that only tests call belongs in ``tests/``.
+module included, on a value of that class: a method counts where its
+receiver's class can be read from the source (see ``_method_credits``),
+so another class's method of the same name does not stand in for it.
+Code that only tests call belongs in ``tests/``.
 
 numpy is the library's only runtime dependency: scipy serves the tests
 alone.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import io
@@ -132,6 +136,214 @@ def test_functions_are_reached_through_their_module(tmp_path):
     assert ("coding", "encode") in _reached(TRACER)
 
 
+def _library_classes() -> dict:
+    """Every class a martonlab module defines, private ones included, by name."""
+    return {name: value for module in MODULES
+            for name, value in vars(importlib.import_module(f"martonlab.{module}")).items()
+            if inspect.isclass(value) and value.__module__ == f"martonlab.{module}"}
+
+
+CLASSES = _library_classes()
+
+
+def _named(annotation) -> set:
+    """The martonlab classes an annotation names: a class, a string, an
+    ast node, or a container of them such as ``tuple[EventStats, ...]``."""
+    if isinstance(annotation, ast.AST):
+        annotation = ast.unparse(annotation)
+    return set(re.findall(r"\w+", str(annotation))) & CLASSES.keys()
+
+
+def _returns(obj) -> set:
+    """The classes a martonlab callable or property gives: a class itself,
+    or the classes its return annotation names."""
+    if inspect.isclass(obj):
+        return {obj.__name__} & CLASSES.keys()
+    fn = getattr(obj, "fget", None) or getattr(obj, "func", None) or getattr(obj, "__func__", obj)
+    return _named(inspect.get_annotations(fn).get("return", "")) if callable(fn) else set()
+
+
+def _attribute_classes(cls, attr: str) -> set:
+    """The classes an attribute of a martonlab class holds, read from its
+    field annotation or its property's return annotation."""
+    for klass in cls.__mro__:
+        if attr in vars(klass).get("__annotations__", {}):
+            return _named(vars(klass)["__annotations__"][attr])
+        if attr in vars(klass):
+            value = vars(klass)[attr]
+            return _returns(value) if isinstance(value, (property, functools.cached_property)) \
+                else set()
+    return set()
+
+
+class _Receivers:
+    """The classes of the values in one Python file, as far as the source
+    tells them, flow-insensitively: a name takes the classes of everything
+    bound to it in its function or the module (parameter annotations,
+    assigned values, loop targets, whose iterables count as their
+    elements), ``self`` is the enclosing class, ``self.<attr>`` takes what
+    the class's methods assign to it, and a call gives the classes its
+    callee's return annotation names.  Names and attributes that lead to
+    martonlab modules, classes and functions resolve through the imports."""
+
+    def __init__(self, tree: ast.Module, module: str | None = None):
+        # local name -> martonlab module, class or function; a library
+        # module's own file starts from the module's globals
+        self.objects = {} if module is None else {
+            name: value for name, value in vars(importlib.import_module(f"martonlab.{module}"))
+            .items() if inspect.ismodule(value) or inspect.isclass(value) or callable(value)}
+        self.defs = {}  # name -> FunctionDef of the file
+        self.bindings = {}  # (scope, name) -> [(kind, node, scope)]
+        self.fields = {}  # (class name, attr) -> [(kind, node, scope)]
+        self.scope_of = {}  # node -> its innermost function or the module
+        self.outer = {}  # scope -> enclosing scope
+        self._walk(tree, tree, None)
+
+    def _bind(self, cls, target, kind, node, scope):
+        if isinstance(target, ast.Name):
+            self.bindings.setdefault((scope, target.id), []).append((kind, node, scope))
+        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+                and target.value.id == "self" and cls is not None:
+            self.fields.setdefault((cls, target.attr), []).append((kind, node, scope))
+
+    def _walk(self, node, scope, cls, method=False):
+        """Record what ``node`` binds; ``cls`` is the class whose methods
+        enclose it, and ``method`` whether it sits right in the class body."""
+        self.scope_of[node] = scope
+        if isinstance(node, ast.ImportFrom) and (node.level or "martonlab" in str(node.module)):
+            module = importlib.import_module(
+                f"martonlab.{node.module}" if node.level and node.module else
+                node.module or "martonlab")
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                if obj is None:
+                    obj = importlib.import_module(f"{module.__name__}.{alias.name}")
+                self.objects[alias.asname or alias.name] = obj
+        elif isinstance(node, ast.FunctionDef):
+            self.defs[node.name] = node
+            self.outer[node] = scope
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for i, arg in enumerate(args):
+                if i == 0 and method:
+                    self._bind(None, ast.Name(arg.arg), "self", cls, node)
+                elif arg.annotation is not None:
+                    self._bind(None, ast.Name(arg.arg), "ann", arg.annotation, node)
+            for child in node.body:
+                self._walk(child, node, cls)
+            return
+        elif isinstance(node, ast.ClassDef):
+            for child in node.body:
+                self._walk(child, scope, node.name, True)
+            return
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                self._bind(cls, target, "value", node.value, scope)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            self._bind(cls, node.target, "value", node.iter, scope)
+        for child in ast.iter_child_nodes(node):
+            self._walk(child, scope, cls)
+
+    def _object(self, node):
+        """The martonlab module, class or function an expression names, or None."""
+        if isinstance(node, ast.Name):
+            return self.objects.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = self._object(node.value)
+            if inspect.ismodule(owner) or inspect.isclass(owner):
+                return inspect.getattr_static(owner, node.attr, None)
+        return None
+
+    def _of_bindings(self, entries, depth) -> set:
+        out = set()
+        for kind, node, scope in entries:
+            if kind == "self":
+                out.add(node)
+            elif kind == "ann":
+                out |= _named(node)
+            else:
+                out |= self.classes(node, depth + 1, scope)
+        return out
+
+    def classes(self, node, depth=0, scope=None) -> set:
+        """The classes the value of ``node`` may have; the names of the
+        file's own classes are kept, for their ``self.<attr>`` fields."""
+        if depth > 8:
+            return set()
+        scope = self.scope_of.get(node, scope)
+        obj = self._object(node)
+        if obj is not None:
+            return {obj.__name__} if inspect.isclass(obj) else set()
+        if isinstance(node, ast.Name):
+            while scope is not None:
+                if (scope, node.id) in self.bindings:
+                    return self._of_bindings(self.bindings[scope, node.id], depth)
+                scope = self.outer.get(scope)
+            return set()
+        if isinstance(node, ast.Attribute):
+            out = set()
+            for name in self.classes(node.value, depth + 1, scope):
+                out |= self._of_bindings(self.fields.get((name, node.attr), []), depth)
+                if name in CLASSES:
+                    out |= _attribute_classes(CLASSES[name], node.attr)
+            return out
+        if isinstance(node, ast.Call):
+            callee = self._object(node.func)
+            if callee is not None:
+                return _returns(callee)
+            if isinstance(node.func, ast.Name) and node.func.id in self.defs:
+                return _named(self.defs[node.func.id].returns or "")
+            if isinstance(node.func, ast.Attribute):
+                return set().union(*(_returns(inspect.getattr_static(CLASSES[name], node.func.attr,
+                                                                     None))
+                                     for name in self.classes(node.func.value, depth + 1, scope)
+                                     if name in CLASSES))
+            return set()
+        return set()
+
+
+def _definer(cls, attr: str):
+    return next(klass for klass in cls.__mro__ if attr in vars(klass))
+
+
+def _method_credits(path: Path) -> set:
+    """(class, method) pairs a Python file uses: each ``<receiver>.<method>``
+    credits the classes ``_Receivers`` reads for its receiver.  Where it
+    reads none, the use credits the classes that define a method of that
+    name, if they are one, or else those of them that the file names or
+    defines."""
+    if path.suffix != ".py":
+        return set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    receivers = _Receivers(tree, path.stem if path.parent == PACKAGE else None)
+    methods = {}
+    for cls in CLASSES.values():
+        for attr in _public_methods(cls):
+            methods.setdefault(attr, set()).add(_definer(cls, attr))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    names |= set(receivers.objects)
+    credits = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or node.attr not in methods:
+            continue
+        owners = receivers.classes(node.value) & CLASSES.keys()
+        if not owners:
+            definers = methods[node.attr]
+            owners = {d.__name__ for d in definers} if len(definers) == 1 else \
+                {d.__name__ for d in definers if d.__name__ in names}
+        credits.update((owner, node.attr) for owner in owners)
+    return credits
+
+
+def _credited(cls, attr: str, credits: set) -> bool:
+    """A use on a value of class C may run ``cls.attr`` when cls is C or a
+    subclass of it, or when C's ``attr`` is the same definition."""
+    return any(a == attr and (issubclass(cls, CLASSES[c])
+                              or _definer(CLASSES[c], attr) is _definer(cls, attr))
+               for c, a in credits if hasattr(CLASSES[c], attr))
+
+
 def _public_methods(cls) -> set:
     """Public methods and properties a martonlab class defines or inherits
     from a martonlab base; dataclass fields are data, not methods."""
@@ -141,13 +353,42 @@ def _public_methods(cls) -> set:
             if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))}
 
 
+@pytest.fixture(scope="module")
+def credits() -> set:
+    return set().union(*map(_method_credits, _source_files()))
+
+
+def _unused_methods(classes, credits: set, used: set) -> list:
+    return sorted(f"{cls.__name__}.{attr}" for cls in classes for attr in _public_methods(cls)
+                  if not (attr in used and _credited(cls, attr, credits)))
+
+
 @pytest.mark.parametrize("module", MODULES)
-def test_every_public_method_is_used_outside_tests(module, used):
+def test_every_public_method_is_used_outside_tests(module, used, credits):
     mod = importlib.import_module(f"martonlab.{module}")
-    unused = sorted(f"{name}.{attr}" for name in mod.__all__
-                    if inspect.isclass(cls := getattr(mod, name))
-                    for attr in _public_methods(cls) - used)
+    classes = [cls for name in mod.__all__ if inspect.isclass(cls := getattr(mod, name))]
+    unused = _unused_methods(classes, credits, used)
     assert not unused, f"martonlab.{module} classes have methods only tests use: {unused}"
+
+
+def test_methods_are_matched_by_owner(tmp_path, credits, used):
+    # a use credits the class its receiver holds, read from a return or a
+    # parameter annotation, not every class defining the name
+    caller = tmp_path / "caller.py"
+    caller.write_text("from martonlab.analysis import marton_region\n"
+                      "from martonlab.coding import RateParams\n"
+                      "region = marton_region(1.0, 1.0, 0.5, 0.125, 0.05)\n"
+                      "region.to_json()\n"
+                      "def rows(params: RateParams):\n"
+                      "    return params.n_rows\n", encoding="utf-8")
+    assert _method_credits(caller) == {("RateRegion", "to_json"), ("RateParams", "n_rows")}
+    # a class whose to_json only tests call is unused, though the sources
+    # call other classes' to_json and n_rows
+    mutant = type("Mutant", (), {"__module__": "martonlab.coding", "to_json": lambda self: {},
+                                 "n_rows": property(lambda self: 0)})
+    assert {"to_json", "n_rows"} <= used
+    assert _unused_methods([mutant], credits, used) == ["Mutant.n_rows", "Mutant.to_json"]
+    assert not _unused_methods([CLASSES["RateRegion"], CLASSES["Codebook"]], credits, used)
 
 
 def test_scan_sees_the_callers():
