@@ -413,34 +413,38 @@ def synthetic_covering(p: CoveringParams, trials: int, seed: int,
     variables, so huge bands never materialize a full cell array.  The
     paired family reads its row and column bits off raw 64-bit stream
     outputs (below 2^63 exactly when the uniform ``random`` would make of
-    the output is below 1/2), in trial chunks of at most
-    ``coding.CODEBOOK_BYTE_BUDGET`` bytes; ValidationError if one trial's
-    bits exceed it.
+    the output is below 1/2).  Every draw goes in trial chunks of at most
+    ``coding.CODEBOOK_BYTE_BUDGET`` bytes, each stream continuing where the
+    previous chunk stopped, so the outcomes are those of one draw per
+    stream; ValidationError if one trial's paired bits exceed the budget,
+    or, before any draw, if numpy could not hold the trials' uniforms in
+    one array.
     """
     if trials < 1:
         raise ValidationError("trials must be positive")
+    if trials > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"cannot draw {trials} uniforms: no numpy array holds them")
     rng = SeededRng(seed, 0)
     cell = p.alpha * p.q
     if family == "independent":
         p_zero = (1.0 - cell) ** (p.r * p.s)
-        hits = int(np.count_nonzero(rng.random(trials) < p_zero))
+        chunk = coding.CODEBOOK_BYTE_BUDGET // 8
+        hits = sum(int(np.count_nonzero(rng.random(min(chunk, trials - start)) < p_zero))
+                   for start in range(0, trials, chunk))
     elif family == "paired":
         if 2.0 * cell > 1.0:
             raise ValidationError("paired family needs alpha * q <= 1/2")
         _check_uniforms("the row and column uniforms of one trial", p.r + p.s)
-        row_rng, col_rng = rng.derive(1), rng.derive(2)
-        z_draws = rng.derive(3).random(trials)
-        # trial chunks within the byte budget; each stream continues where
-        # the previous chunk stopped, so the bits are those of one big draw
+        row_rng, col_rng, z_rng = rng.derive(1), rng.derive(2), rng.derive(3)
         chunk = coding.CODEBOOK_BYTE_BUDGET // (8 * (p.r + p.s))
         hits = 0
         for start in range(0, trials, chunk):
             size = min(chunk, trials - start)
-            ones_u = (row_rng.raw((size, p.r)) < _HALF_RAW).sum(axis=1)
-            ones_v = (col_rng.raw((size, p.s)) < _HALF_RAW).sum(axis=1)
+            ones_u = np.count_nonzero(row_rng.raw((size, p.r)) < _HALF_RAW, axis=1)
+            ones_v = np.count_nonzero(col_rng.raw((size, p.s)) < _HALF_RAW, axis=1)
             matches = ones_u * ones_v + (p.r - ones_u) * (p.s - ones_v)
             p_zero = (1.0 - 2.0 * cell) ** matches
-            hits += int(np.count_nonzero(z_draws[start:start + size] < p_zero))
+            hits += int(np.count_nonzero(z_rng.random(size) < p_zero))
     else:
         raise ValidationError(f"unknown synthetic family {family!r}")
     return _estimate(p, hits, trials)

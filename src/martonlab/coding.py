@@ -298,11 +298,17 @@ def _eta(stream_key: int, k: int, l0: int, l1: int) -> np.ndarray:
     return stream_uniforms(np.empty((1, l1 - l0)), (stream_key,), (k,), (l0,))[0]
 
 
+def _pair_code(row_words: np.ndarray, col_words: np.ndarray, n_cols: int) -> np.ndarray:
+    """Flat index u * n_cols + v of index pairs into a C-ordered table with
+    n_cols columns, in intp: u * n_cols would wrap in a compact word type."""
+    return row_words.astype(np.intp) * n_cols + col_words
+
+
 def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndarray,
                 i_infty: float) -> np.ndarray:
     """min(1, ratio / 2^i_infty) of word pairs; the words broadcast against
     each other over all but their last (letter) axis."""
-    s = log_ratio[row_words, col_words].sum(axis=-1)
+    s = log_ratio.take(_pair_code(row_words, col_words, log_ratio.shape[1])).sum(axis=-1)
     return np.exp2(np.minimum(s - i_infty, 0.0))
 
 
@@ -605,24 +611,30 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     ``cols[j]`` (shaped (trials, count, n)) and seed ``seeds[j]``: it picks
     the first cell of its band pair, in (row, column) order, that survives
     rejection and whose alpha and beta clear 1 - 4 eps0, and falls back to
-    the all-first-symbol input word when there is none.  Each step draws
-    the rejection uniforms of one row of every trial still searching, from
-    that row's own stream, all in one ``stream_uniforms`` call, which opens
-    no stream.  A single-letter table evaluator (explicit sets, cq tests)
-    is asked once per call, in one ``alpha_beta`` call over the letter
-    pairs with an input: per (u, v), the acceptance probability and
-    whether the pair clears the threshold are then tables, and each step
-    takes each trial's first surviving, passing column by lookup.  The
-    llr-threshold evaluator, whose tail masses cost far more than a
-    lookup, tests each trial's surviving cells in column order up to the
-    first pass.  A surviving cell whose pair has no input raises when it
-    comes before its trial's first pass.  Returns (row, col, x): the
-    chosen indices, -1 where the trial falls back, and the input words,
+    the all-first-symbol input word when there is none.  Each step reads
+    the searching trials' column bands as blocks of a view of ``cols``, and
+    their cells' acceptance by one ``take``.  A single-letter table
+    evaluator (explicit sets, cq tests) is asked once per call, in one
+    ``alpha_beta`` call over the letter pairs with an input, so that per
+    (u, v) the acceptance and the threshold's outcome are tables.  The
+    llr-threshold evaluator, whose tail masses cost far more than a lookup,
+    tests each trial's surviving cells in column order up to the first pass.
+    A cell of acceptance 1 survives whatever its uniform, as every uniform
+    is below 1.  So a row draws its rejection uniforms only when it has a
+    cell of acceptance below 1, on the table path one before its first sure
+    pass (acceptance 1 and a passing table entry): any uniforms give the
+    other rows the same outcome.  The drawing rows take theirs from their
+    own streams at their own positions, in one ``stream_uniforms`` call,
+    which opens no stream.  A surviving cell whose pair has no input raises
+    when it comes before its trial's first pass.  Returns (row, col, x):
+    the chosen indices, -1 where the trial falls back, and the input words,
     all first symbols there.
     """
     thr = 1.0 - 4.0 * float(eps0)
     w1, w2 = 1 << params.r1, 1 << params.r2
     k0, l0 = m1 * w1, m2 * w2
+    # bands[j, m2] is the column band of message m2 in trial j, a view of cols
+    bands = cols.reshape(len(seeds), -1, w2, cols.shape[2])
     eta_keys = mix64(np.asarray(seeds, dtype=np.uint64), 3)
     row = np.full(len(seeds), -1, dtype=np.int64)
     col = np.full(len(seeds), -1, dtype=np.int64)
@@ -641,26 +653,35 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
         if searching.size == 0:
             break
         k = k0[searching] + i
-        l = l0[searching, None] + np.arange(w2)
         row_words = rows[searching, k]
-        col_words = cols[searching[:, None], l]
-        eta = stream_uniforms(np.empty((searching.size, w2)), eta_keys[searching].tolist(),
-                              k.tolist(), l[:, 0].tolist())
+        col_words = bands[searching, m2[searching]]
         if by_table:
-            u, v = row_words[:, :1], col_words[:, :, 0]
-            alive = eta <= accept[u, v]
-            ok = alive & gate[u, v]
-            if undefined is not None and (
-                    alive & undefined[u, v] & ~np.logical_or.accumulate(ok, axis=1)).any():
+            code = _pair_code(row_words, col_words[:, :, 0], log_ratio.shape[1])
+            acc, passes = accept.take(code), gate.take(code)
+        else:
+            acc = _acceptance(log_ratio, row_words[:, None, :], col_words, params.i_infty)
+        # acceptance 1 survives any uniform; only the other cells need one,
+        # and on the table path only those before the first sure pass
+        alive = acc >= 1.0
+        unsure = ~alive
+        if by_table and unsure.any():
+            unsure &= ~np.logical_or.accumulate(alive & passes, axis=1)
+        drawn = np.flatnonzero(unsure.any(axis=1))
+        if drawn.size:
+            eta = stream_uniforms(np.empty((drawn.size, w2)), eta_keys[searching[drawn]].tolist(),
+                                  k[drawn].tolist(), l0[searching[drawn]].tolist())
+            alive[drawn] = eta <= acc[drawn]
+        if by_table:
+            ok = alive & passes
+            if undefined is not None and (alive & undefined.take(code)
+                                          & ~np.logical_or.accumulate(ok, axis=1)).any():
                 raise ValidationError("input map undefined for a sampled pair")
             found = np.flatnonzero(ok.any(axis=1))
             off = ok[found].argmax(axis=1)
         else:
-            alive = eta <= _acceptance(log_ratio, row_words[:, None, :], col_words,
-                                       params.i_infty)
             found, off = _first_pass_by_cell(evaluator, row_words, col_words, alive, thr)
         j = searching[found]
-        row[j], col[j] = k[found], l[found, off]
+        row[j], col[j] = k[found], l0[j] + off
         # a passing cell went through alpha_beta, so its input is defined
         x[j] = evaluator.fx[row_words[found], col_words[found, off]]
         searching = np.delete(searching, found)
@@ -805,14 +826,14 @@ def _thawed(key: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4096)
-def _pgm_elements(tests_key: tuple, counts_key: tuple) -> tuple:
+def _pgm_elements(tests_key: tuple, counts: tuple) -> tuple:
     """Per-label elements S^{-1/2} T_u S^{-1/2} and the completion I - P_supp(S).
 
     S is the sum of the words' test operators.  Keyed by the test operators
-    and the label-count vector, so the states of all channel inputs share
-    one eigendecomposition of S.
+    and the tuple of label counts, so the states of all channel inputs
+    share one eigendecomposition of S.
     """
-    tests, counts = _thawed(tests_key), _thawed(counts_key)
+    tests = _thawed(tests_key)
     dim = tests.shape[1]
     total = np.zeros((dim, dim), dtype=complex)
     for u, c in enumerate(counts):
@@ -823,11 +844,11 @@ def _pgm_elements(tests_key: tuple, counts_key: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _pgm_table(tests_key: tuple, counts_key: tuple, rho_key: tuple) -> tuple:
+def _pgm_table(tests_key: tuple, counts: tuple, rho_key: tuple) -> tuple:
     """Per-label element probabilities q, clipped at 0, and the completion probability.
 
     Keyed by content, not identity: the table depends only on the test
-    operators, the label-count vector and the state.  Both caches are sized
+    operators, the tuple of label counts and the state.  Both caches are sized
     for a sweep that comes back to its points, not for one run: the ten
     criterion-2 qubit points at 200 trials a run need 916 tables and 426
     element sets in one pass over the points, 1,377 and 561 over 100 runs,
@@ -835,7 +856,7 @@ def _pgm_table(tests_key: tuple, counts_key: tuple, rho_key: tuple) -> tuple:
     cache dropped each point's tables before the sweep came back to it,
     and 100 runs missed 11,487 times instead of 1,377.
     """
-    elements, completion = _pgm_elements(tests_key, counts_key)
+    elements, completion = _pgm_elements(tests_key, counts)
     rho = _thawed(rho_key)
     q = np.clip([real_trace(e, rho) for e in elements], 0.0, None)
     q.setflags(write=False)
@@ -852,8 +873,8 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
     outcome off the support of S.  Identical words share an element, so
     the tables run per alphabet label, one per distinct (label counts,
     sent input) of the block, found by a dict in order of first use and
-    cached by content, keyed by the int64 label counts.  Each row is
-    divided by its total, which must lie within 1e-6 of 1.
+    cached by content, keyed by the row's tuple of label counts.  Each row
+    is divided by its total, which must lie within 1e-6 of 1.
     """
     labels = np.asarray(labels)
     tests = np.asarray(tests)
@@ -880,10 +901,9 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
         x = key[-1]
         if x not in rho_keys:
             rho_keys[x] = _frozen(np.asarray(states[x]))
-        q[i], p_fail[i] = _pgm_table(tests_key, _frozen(np.array(key[:-1], dtype=np.int64)),
-                                     rho_keys[x])
+        q[i], p_fail[i] = _pgm_table(tests_key, key[:-1], rho_keys[x])
     vec = np.empty((trials, words + 1))
-    vec[:, :-1] = q[inverse[:, None], labels]
+    vec[:, :-1] = q.take(_pair_code(inverse[:, None], labels, n_labels))
     vec[:, -1] = p_fail[inverse]
     total = vec.sum(axis=1)
     bad = np.abs(total - 1.0) > 1e-6

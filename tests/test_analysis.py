@@ -382,6 +382,39 @@ class TestCoveringBudget:
         assert synthetic_covering(p, trials, seed=4, family="paired") == whole
         assert max(math.prod(s) for s in sizes if isinstance(s, tuple)) <= 3 * 2
 
+    @pytest.mark.parametrize("family", ["independent", "paired"])
+    @pytest.mark.parametrize("trials", [1, 3, 50])
+    def test_outcome_draws_in_budget_chunks(self, monkeypatch, family, trials):
+        # the outcome uniforms come in pieces of at most three trials, and
+        # the hits are those of one draw per stream
+        p = CoveringParams(2, 2, 0.5, 0.5)
+        whole = synthetic_covering(p, trials, seed=6, family=family)
+        if family == "independent":
+            p_zero = (1.0 - p.alpha * p.q) ** (p.r * p.s)
+            assert whole.hits == np.count_nonzero(SeededRng(6, 0).random(trials) < p_zero)
+        else:
+            assert whole.hits == float_paired_hits(p, trials, 6)
+        sizes = []
+        draw = SeededRng.random
+        monkeypatch.setattr(SeededRng, "random",
+                            lambda rng, size=None: sizes.append(size) or draw(rng, size))
+        # three trials: of outcome uniforms, or of the paired row and column bits
+        per_trial = 1 if family == "independent" else p.r + p.s
+        monkeypatch.setattr(coding, "CODEBOOK_BYTE_BUDGET", 3 * 8 * per_trial)
+        assert synthetic_covering(p, trials, seed=6, family=family) == whole
+        assert sum(sizes) == trials and max(sizes) <= 3
+
+    @pytest.mark.parametrize("family", ["independent", "paired"])
+    def test_trials_numpy_cannot_hold_refused_before_drawing(self, no_draws, family):
+        # (2^63 - 1) // 8 doubles is the largest array numpy allows; one
+        # more trial is refused, and that count itself reaches the draws
+        p = CoveringParams(8, 8, 0.1, 0.5)
+        limit = np.iinfo(np.intp).max // 8
+        with pytest.raises(ValidationError, match="^cannot draw"):
+            synthetic_covering(p, limit + 1, seed=0, family=family)
+        with pytest.raises(AssertionError, match="drew"):
+            synthetic_covering(p, limit, seed=0, family=family)
+
     def test_paired_trial_over_budget(self, no_draws):
         p = CoveringParams(coding.CODEBOOK_BYTE_BUDGET // 8, 1, 2.0**-30, 0.5)
         with pytest.raises(ValidationError, match="exceeds the budget"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 import json
 import math
 import sys
@@ -851,48 +852,143 @@ def _encode_per_trial(codebooks, m1, m2, evaluator, eps0):
     return np.array(row), np.array(col), np.array([out.x_word for out in outs])
 
 
+class StreamSpy:
+    """Records the rejection rows ``encode_block`` draws, one (key, row,
+    first output) triple per row, at ``coding.stream_uniforms``, as
+    ``DrawSpy`` of test_prob records ``first_uniforms``."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        draw = coding.stream_uniforms
+
+        def recorded(out, keys, stream_ids, firsts):
+            self.rows += zip(keys, stream_ids, firsts)
+            return draw(out, keys, stream_ids, firsts)
+
+        monkeypatch.setattr(coding, "stream_uniforms", recorded)
+
+
+def _searched_rows(args, row) -> dict:
+    """The rows an ``encode_block`` call with arguments ``args`` and chosen
+    rows ``row`` searched, keyed by (key, row, first output), each with the
+    cell acceptances and pass flags of its band: every row offset up to the
+    chosen row, or the whole band where the trial fell back.  Acceptances
+    and passes are looked up one cell at a time."""
+    rows, cols, seeds, m1, m2, params, log_ratio, ev, eps0 = args
+    w1, w2, thr = 1 << params.r1, 1 << params.r2, 1.0 - 4.0 * eps0
+    searched = {}
+    for j, seed in enumerate(seeds):
+        key, l0 = mix64(seed, 3), int(m2[j]) * w2
+        last = int(row[j]) if row[j] >= 0 else (int(m1[j]) + 1) * w1 - 1
+        for k in range(int(m1[j]) * w1, last + 1):
+            accept, passes = [], []
+            for l in range(l0, l0 + w2):
+                s = sum(log_ratio[a, b] for a, b in zip(rows[j, k], cols[j, l]))
+                accept.append(2.0 ** min(s - params.i_infty, 0.0))
+                if isinstance(ev, coding.ClassicalThresholdEvaluator):
+                    passes.append(None)
+                else:
+                    alpha, beta = ev.alpha_beta(rows[j, k], cols[j, l])
+                    passes.append(bool(alpha[0] > thr and beta[0] > thr))
+            searched.setdefault((key, k, l0), []).append((accept, passes))
+    return searched
+
+
+def _rule_rows(searched) -> tuple:
+    """All searched rows, which a scan that draws every row draws, and the
+    rows the draw rule keeps, as multisets of (key, row, first output): a
+    row draws when a cell of acceptance below 1 comes before its first cell
+    of acceptance 1 that passes, on the llr-threshold path anywhere in it."""
+    parent, rule = Counter(), Counter()
+    for triple, bands in searched.items():
+        for accept, passes in bands:
+            parent[triple] += 1
+            sure = [a == 1.0 and p is True for a, p in zip(accept, passes)]
+            first = sure.index(True) if True in sure else len(sure)
+            rule[triple] += any(a < 1.0 for a in accept[:first])
+    return parent, +rule
+
+
 class TestEncodeBlockTables:
     """The table evaluators' one-lookup-per-offset scan against per-trial ``encode``."""
 
-    @staticmethod
-    def _case(kind):
+    # qubit points by acceptance pattern: every pair at 1 (points 0-4,
+    # "quantum"), the diagonal at 1 and the rest below (5-7), every pair
+    # below 1 under an i_infty override (8-9); every pair passes the threshold
+    QUBIT_KINDS = {"quantum": 3, "quantum mixed": 6, "quantum below 1": 8}
+
+    @classmethod
+    def _case(cls, kind):
         if kind == "set":
             # the desk config: explicit sets at n = 1
             scheme = Scheme(bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), 0.1, 0.25)
             return scheme, desk_params()
-        scheme, r1, r2, achieved, _ = _qubit_point(3)
+        scheme, r1, r2, achieved, _ = _qubit_point(cls.QUBIT_KINDS[kind])
         return scheme, RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
                                   eps_infty=0.25, **achieved)
 
     @staticmethod
-    def _block(design, params, keys, resample):
+    def _block(design, params, keys, resample, n=1):
         """Word arrays, seeds and per-trial codebooks of a block."""
         if resample:
-            rows, cols = coding.codebook_block(design, params, keys)
-            codebooks = [generate_codebook(design, params, key) for key in keys]
+            rows, cols = coding.codebook_block(design, params, keys, n)
+            codebooks = [generate_codebook(design, params, key, n) for key in keys]
             return rows, cols, keys, codebooks
-        cb = generate_codebook(design, params, mix64(keys[0], 0xC0DEB00C))
+        cb = generate_codebook(design, params, mix64(keys[0], 0xC0DEB00C), n)
         rows = np.broadcast_to(cb.rows, (len(keys),) + cb.rows.shape)
         cols = np.broadcast_to(cb.cols, (len(keys),) + cb.cols.shape)
         return rows, cols, [cb.seed] * len(keys), [cb] * len(keys)
 
-    @pytest.mark.parametrize("kind", ["set", "quantum"])
-    @pytest.mark.parametrize("resample", [True, False])
-    @pytest.mark.parametrize("block", [1, 7, 200])
-    def test_matches_encode(self, kind, resample, block):
+    def _args(self, kind, resample, block):
+        """encode_block's arguments for ``block`` trials of ``kind``, and the
+        trials' codebooks."""
         scheme, params = self._case(kind)
-        design, log_ratio = scheme.design, llr_table(scheme.design.joint)
         keys = [mix64(block, t) for t in range(block)]
         picks = np.random.default_rng(block)
         m1 = picks.integers(1 << params.R1, size=block)
         m2 = picks.integers(1 << params.R2, size=block)
-        rows, cols, seeds, codebooks = self._block(design, params, keys, resample)
-        got = coding.encode_block(rows, cols, seeds, m1, m2, params, log_ratio,
-                                  scheme.evaluator, params.eps0)
-        want = _encode_per_trial(codebooks, m1, m2, scheme.evaluator, params.eps0)
+        rows, cols, seeds, codebooks = self._block(scheme.design, params, keys, resample)
+        return (rows, cols, seeds, m1, m2, params, llr_table(scheme.design.joint),
+                scheme.evaluator, params.eps0), codebooks
+
+    @pytest.mark.parametrize("kind", ["set", "quantum", "quantum mixed", "quantum below 1"])
+    @pytest.mark.parametrize("resample", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, 200])
+    def test_matches_encode(self, kind, resample, block):
+        # encode_per_trial draws every row through Codebook.indicator
+        args, codebooks = self._args(kind, resample, block)
+        got = coding.encode_block(*args)
+        want = _encode_per_trial(codebooks, *args[3:5], *args[7:])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
             assert g.dtype == np.int64
+
+    @pytest.mark.parametrize("kind", ["quantum", "quantum mixed", "quantum below 1"])
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_rows_draw_by_the_rule(self, kind, resample, monkeypatch):
+        args, _ = self._args(kind, resample, 200)
+        params, log_ratio = args[5], args[6]
+        accept = np.exp2(np.minimum(log_ratio - params.i_infty, 0.0))
+        ones = {"quantum": 4, "quantum mixed": 2, "quantum below 1": 0}[kind]
+        assert np.count_nonzero(accept == 1.0) == ones
+        spy = StreamSpy(monkeypatch)
+        row = coding.encode_block(*args)[0]
+        parent, rule = _rule_rows(_searched_rows(args, row))
+        assert Counter(spy.rows) == rule
+        if kind == "quantum":
+            assert not rule
+        elif kind == "quantum below 1":
+            assert rule == parent
+        else:
+            assert rule and rule != parent
+
+    def test_band_view_of_a_fixed_codebook_shares_its_memory(self):
+        # the view encode_block reads the column bands through
+        scheme, params = self._case("quantum")
+        rows, cols, _, _ = self._block(scheme.design, params, [1] * 200, False)
+        bands = cols.reshape(200, -1, 1 << params.r2, cols.shape[2])
+        assert bands.strides[0] == 0 and np.shares_memory(bands, cols)
+        assert np.array_equal(bands[199, 1], cols[0, 1 << params.r2:2 << params.r2])
 
     @staticmethod
     def _gated_evaluator(kind):
@@ -1021,6 +1117,22 @@ class TestEncodeBlockTables:
             coding.encode_block(rows, cols, seeds, m1, m2, params, zero, scheme.evaluator, 0.05)
 
 
+    def test_undefined_pair_of_acceptance_one_raises_undrawn(self, monkeypatch):
+        # the set-up above: every cell, the undefined pair's too, has
+        # acceptance 1, so no row draws; a trial whose undefined pair comes
+        # before its first pass still raises
+        design = _partial_design()
+        scheme = Scheme(qubit_cq_channel(), design, 0.05, 0.25)
+        params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **dict(scheme.achieved, i_infty=0.0))
+        keys = [mix64(5, t) for t in range(40)]
+        rows, cols = coding.codebook_block(design, params, keys)
+        spy = StreamSpy(monkeypatch)
+        with pytest.raises(ValidationError, match="^input map undefined for a sampled pair$"):
+            coding.encode_block(rows, cols, keys, np.arange(40) % 2, np.arange(40) // 2 % 2,
+                                params, np.zeros((2, 2)), scheme.evaluator, 0.05)
+        assert spy.rows == []
+
     def test_fixed_codebook_runs_raise_and_fall_back_by_pair(self, monkeypatch):
         # whole runs in the set-up above: every llr at 0, so the cells of the
         # undefined pair survive rejection as often as any other.  A run keeps
@@ -1065,6 +1177,59 @@ class TestEncodeBlockTables:
             assert event_counts(got)["e1"] == sum(fallback[pair] for pair in drawn)
             outcomes.add("fell back" if any(fallback.values()) else "found")
         assert outcomes == {"raised", "fell back", "found"}
+
+
+class TestEncodeBlockThreshold:
+    """The llr-threshold path's draw rule against per-trial ``encode``: pass
+    or fail is known only after ``alpha_beta``, so a row draws when any of
+    its cells has acceptance below 1."""
+
+    # (joint, i_infty override) at n = 4: independent inputs put every cell
+    # at acceptance 1, DSBS_45 at its achieved i_infty mixes 1 and below 1,
+    # and at i_infty 40 every cell lies below 1
+    PATTERNS = {"all 1": (np.full((2, 2), 0.25), None), "mixed": (DSBS_45, None),
+                "all below 1": (DSBS_45, 40.0)}
+
+    def _pattern_block(self, pattern, resample, block):
+        joint, i_infty = self.PATTERNS[pattern]
+        design = pair_design(joint)
+        scheme = Scheme(bsc_pair_channel(0.05, 0.05), design, 0.05, 0.25, n=4)
+        achieved = dict(scheme.achieved)
+        if i_infty is not None:
+            achieved["i_infty"] = i_infty
+        params = RateParams(R1=1, R2=1, r1=2, r2=2, eps_tilde=1 / 8, eps0=0.05,
+                            eps_infty=0.25, **achieved)
+        keys = [mix64(88 + block, t) for t in range(block)]
+        picks = np.random.default_rng(block)
+        m1, m2 = picks.integers(2, size=(2, block))
+        rows, cols, seeds, codebooks = TestEncodeBlockTables._block(design, params, keys,
+                                                                    resample, n=4)
+        return (rows, cols, seeds, m1, m2, params, llr_table(design.joint), scheme.evaluator,
+                0.05), codebooks
+
+    @pytest.mark.parametrize("pattern", ["all 1", "mixed", "all below 1"])
+    @pytest.mark.parametrize("resample", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_draw_rule_matches_encode(self, pattern, resample, block):
+        args, codebooks = self._pattern_block(pattern, resample, block)
+        got = coding.encode_block(*args)
+        for g, w in zip(got, _encode_per_trial(codebooks, *args[3:5], args[7], args[8])):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("pattern", ["all 1", "mixed", "all below 1"])
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_rows_draw_by_the_rule(self, pattern, resample, monkeypatch):
+        args, _ = self._pattern_block(pattern, resample, 40)
+        spy = StreamSpy(monkeypatch)
+        row = coding.encode_block(*args)[0]
+        searched = _searched_rows(args, row)
+        parent, rule = _rule_rows(searched)
+        assert Counter(spy.rows) == rule
+        accepts = [a for bands in searched.values() for accept, _ in bands for a in accept]
+        ones = sum(a == 1.0 for a in accepts)
+        assert {"all 1": ones == len(accepts), "mixed": 0 < ones < len(accepts),
+                "all below 1": ones == 0}[pattern]
+        assert rule == (Counter() if pattern == "all 1" else parent)
 
 
 class TestCodebookBudget:
