@@ -358,11 +358,10 @@ def _word_type(pmf_probs: np.ndarray) -> np.dtype:
     return np.min_scalar_type(len(pmf_probs) - 1)
 
 
-def _side_words(pmf_probs: np.ndarray, count: int, n: int, keys, stream_ids,
-                firsts) -> np.ndarray:
-    """``count`` words of n letters iid from the pmf per stream, shaped
-    (streams, count, n), from the count * n outputs of stream
-    (keys[i], stream_ids[i]) from output firsts[i] on.
+def _side_words(pmf_probs: np.ndarray, count: int, n: int, keys, stream_id: int) -> np.ndarray:
+    """``count`` words of n letters iid from the pmf per key, shaped
+    (keys, count, n), from the first count * n outputs of stream
+    (keys[i], stream_id).
 
     A side of at most _UNIFORM_SIDE outputs is drawn as uniforms by
     ``stream_uniforms``, the sides of several streams in one piece of at
@@ -378,14 +377,14 @@ def _side_words(pmf_probs: np.ndarray, count: int, n: int, keys, stream_ids,
         cuts = _uniform_cuts(pmf_probs)
         per = _RAW_CHUNK // size
         u = np.empty((min(per, len(keys)), size))
+        ids, firsts = [stream_id] * len(u), [0] * len(u)
         for j in range(0, len(keys), per):
-            group = stream_uniforms(u[:len(keys) - j], keys[j:j + per], stream_ids[j:j + per],
-                                    firsts[j:j + per])
+            group = stream_uniforms(u[:len(keys) - j], keys[j:j + per], ids, firsts)
             _raw_symbols(cuts, group, words[j:j + len(group)])
     else:
         cuts = _raw_cuts(pmf_probs)
-        for word, key, stream_id, first in zip(words, keys, stream_ids, firsts):
-            stream = SeededRng(key, stream_id).skip(first)
+        for word, key in zip(words, keys):
+            stream = SeededRng(key, stream_id)
             for start in range(0, size, _RAW_CHUNK):
                 piece = word[start:start + _RAW_CHUNK]
                 _raw_symbols(cuts, stream.raw(piece.size), piece)
@@ -419,7 +418,7 @@ def codebook_block(design: InputDesign, params: RateParams, seeds, n: int = 1) -
     codebook_bytes(params, n)
     pu, pv = design.joint.marginals()
     keys = mix64(np.asarray(seeds, dtype=np.uint64), 0).tolist()
-    return tuple(_side_words(probs, count, n, keys, [stream] * len(keys), [0] * len(keys))
+    return tuple(_side_words(probs, count, n, keys, stream)
                  for probs, count, stream in ((pu, params.n_rows, 1), (pv, params.n_cols, 2)))
 
 
@@ -566,23 +565,19 @@ class QuantumPairEvaluator(_PairEvaluator):
     """Desk-scale acceptance tables Tr[test_u rho_b(x)] and Tr[test_v rho_c(x)].
 
     The per-label test operators come from the order-zero divergence
-    witnesses on the Bob and Charlie sides.
+    witnesses on the Bob and Charlie sides.  ``rho_b`` and ``rho_c`` stack
+    each side's states by input symbol, read-only, for the decoders too.
     """
 
     def __init__(self, channel, design: InputDesign, bob_tests, charlie_tests):
         super().__init__(channel, design)
-        joint = design.joint
-        nx = len(channel.x_alphabet)
-        rho_b = [channel.rho_b(x) for x in channel.x_alphabet]
-        rho_c = [channel.rho_c(x) for x in channel.x_alphabet]
-        self.alpha_table = np.zeros((joint.shape[0], nx))
-        self.beta_table = np.zeros((joint.shape[1], nx))
-        for u, test in enumerate(bob_tests):
-            for x in range(nx):
-                self.alpha_table[u, x] = real_trace(test, rho_b[x])
-        for v, test in enumerate(charlie_tests):
-            for x in range(nx):
-                self.beta_table[v, x] = real_trace(test, rho_c[x])
+        self.rho_b, self.rho_c = (np.stack([state(x) for x in channel.x_alphabet])
+                                  for state in (channel.rho_b, channel.rho_c))
+        self.rho_b.setflags(write=False)
+        self.rho_c.setflags(write=False)
+        self.alpha_table, self.beta_table = (
+            np.array([[real_trace(test, rho) for rho in states] for test in tests])
+            for tests, states in ((bob_tests, self.rho_b), (charlie_tests, self.rho_c)))
 
     alpha_beta = _table_alpha_beta
 
@@ -793,9 +788,12 @@ class ThresholdMembership:
 
 def _decode(codebook: Codebook, side: str, received, membership) -> DecodeResult:
     received = np.asarray(received)
-    if received.ndim != 2:
-        raise ValidationError(f"received words must form a (trials, n) block, "
-                              f"got shape {received.shape}")
+    if received.ndim != 2 or received.shape[1] != codebook.n:
+        raise ValidationError(f"received words must form a (trials, n) block with "
+                              f"n = {codebook.n}, got shape {received.shape}")
+    letters = membership.llr.shape[1]
+    if received.size and not 0 <= received.min() <= received.max() < letters:
+        raise ValidationError(f"received letters must lie in [0, {letters})")
     indicators = (codebook.letter_indicators(side, membership.llr.shape[0])
                   if codebook.n > 1 else None)
     trial, matched = np.nonzero(membership.matches(getattr(codebook, side), received, indicators))
@@ -826,41 +824,31 @@ def _thawed(key: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4096)
-def _pgm_elements(tests_key: tuple, counts: tuple) -> tuple:
-    """Per-label elements S^{-1/2} T_u S^{-1/2} and the completion I - P_supp(S).
+def _pgm_table(tests_key: tuple, states_key: tuple, counts: tuple) -> np.ndarray:
+    """The outcome probabilities of every state, clipped at 0: row x holds
+    q[x, u] of each label u's element, then p_fail[x] of the completion.
 
-    S is the sum of the words' test operators.  Keyed by the test operators
-    and the tuple of label counts, so the states of all channel inputs
-    share one eigendecomposition of S.
+    The element of label u is S^{-1/2} T_u S^{-1/2}, and the completion
+    I - P_supp(S), with S the sum of the words' test operators: one
+    eigendecomposition of S serves every state.  Keyed by content, not
+    identity: the table depends only on the test operators, the stacked
+    states and the tuple of label counts.  The cache is sized for a sweep
+    that comes back to its points, not for one run: the ten criterion-2
+    qubit points of the benchmark's ``qubit-sweep``, 200 trials a run, need
+    514 tables in one pass over the points, 680 over 100 runs and 789 over
+    600 (seed 1).  4096 entries hold them all.
     """
-    tests = _thawed(tests_key)
+    tests, states = _thawed(tests_key), _thawed(states_key)
     dim = tests.shape[1]
     total = np.zeros((dim, dim), dtype=complex)
     for u, c in enumerate(counts):
         if c:
             total += c * tests[u]
     inv_sqrt, supp = pinv_sqrt(total)
-    return [inv_sqrt @ t @ inv_sqrt for t in tests], np.eye(dim) - supp
-
-
-@functools.lru_cache(maxsize=4096)
-def _pgm_table(tests_key: tuple, counts: tuple, rho_key: tuple) -> tuple:
-    """Per-label element probabilities q, clipped at 0, and the completion probability.
-
-    Keyed by content, not identity: the table depends only on the test
-    operators, the tuple of label counts and the state.  Both caches are sized
-    for a sweep that comes back to its points, not for one run: the ten
-    criterion-2 qubit points at 200 trials a run need 916 tables and 426
-    element sets in one pass over the points, 1,377 and 561 over 100 runs,
-    and 1,653 and 650 over 600.  4096 entries hold them all; at 256 the
-    cache dropped each point's tables before the sweep came back to it,
-    and 100 runs missed 11,487 times instead of 1,377.
-    """
-    elements, completion = _pgm_elements(tests_key, counts)
-    rho = _thawed(rho_key)
-    q = np.clip([real_trace(e, rho) for e in elements], 0.0, None)
-    q.setflags(write=False)
-    return q, max(real_trace(completion, rho), 0.0)
+    ops = [inv_sqrt @ t @ inv_sqrt for t in tests] + [np.eye(dim) - supp]
+    table = np.clip([[real_trace(op, rho) for op in ops] for rho in states], 0.0, None)
+    table.setflags(write=False)
+    return table
 
 
 def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.ndarray:
@@ -871,40 +859,41 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
     array).  Word k's element is S^{-1/2} T_{labels[j, k]} S^{-1/2} with S
     the sum of the row's test operators; the last entry is the completion
     outcome off the support of S.  Identical words share an element, so
-    the tables run per alphabet label, one per distinct (label counts,
-    sent input) of the block, found by a dict in order of first use and
-    cached by content, keyed by the row's tuple of label counts.  Each row
-    is divided by its total, which must lie within 1e-6 of 1.
+    the tables run per state and alphabet label, one per distinct label
+    counts of the block, found by a dict in order of first use and cached
+    by content.  ``sent`` must be an integer array of one state index per
+    trial.  Each row is divided by its total, which must lie within 1e-6
+    of 1.
     """
-    labels = np.asarray(labels)
-    tests = np.asarray(tests)
+    labels, tests, states = map(np.asarray, (labels, tests, states))
     if labels.ndim != 2:
         raise ValidationError("measurement decoding is defined for blocklength 1: "
                               f"labels must be a (trials, words) array, got shape {labels.shape}")
     trials, words = labels.shape
-    n_labels = len(tests)
+    n_labels, n_states = len(tests), len(states)
     if labels.size and not 0 <= labels.min() <= labels.max() < n_labels:
         raise ValidationError(f"labels must lie in [0, {n_labels})")
-    sent = np.asarray(sent, dtype=np.int64)
+    sent = np.asarray(sent)
+    if sent.shape != (trials,) or sent.dtype.kind not in "iu" or (
+            trials and not 0 <= sent.min() <= sent.max() < n_states):
+        raise ValidationError(f"sent must be {trials} integer state indices in [0, {n_states}), "
+                              f"got shape {sent.shape} and dtype {sent.dtype}")
     counts = np.empty((trials, n_labels), dtype=np.int64)
     for a in range(n_labels):
         counts[:, a] = np.count_nonzero(labels == a, axis=1)
-    # the distinct (label counts, sent input) rows, in order of first use
+    # the distinct label counts, in order of first use
     index = {}
-    inverse = np.array([index.setdefault((*c, x), len(index))
-                        for c, x in zip(counts.tolist(), sent.tolist())], dtype=np.intp)
-    tests_key = _frozen(tests)
-    rho_keys = {}
-    q = np.empty((len(index), n_labels))
-    p_fail = np.empty(len(index))
+    inverse = np.array([index.setdefault(c, len(index)) for c in map(tuple, counts.tolist())],
+                       dtype=np.intp)
+    tests_key, states_key = _frozen(tests), _frozen(states)
+    tables = np.empty((len(index), n_states, n_labels + 1))
     for i, key in enumerate(index):
-        x = key[-1]
-        if x not in rho_keys:
-            rho_keys[x] = _frozen(np.asarray(states[x]))
-        q[i], p_fail[i] = _pgm_table(tests_key, key[:-1], rho_keys[x])
+        tables[i] = _pgm_table(tests_key, states_key, key)
+    # the start of each trial's row, (label counts, sent state), in the flat tables
+    at = (inverse * n_states + sent.astype(np.intp)) * (n_labels + 1)
     vec = np.empty((trials, words + 1))
-    vec[:, :-1] = q.take(_pair_code(inverse[:, None], labels, n_labels))
-    vec[:, -1] = p_fail[inverse]
+    vec[:, :-1] = tables.take(at[:, None] + labels)
+    vec[:, -1] = tables.take(at + n_labels)
     total = vec.sum(axis=1)
     bad = np.abs(total - 1.0) > 1e-6
     if bad.any():
@@ -926,8 +915,11 @@ def decode_pgm(labels: np.ndarray, tests, states, sent, uniforms) -> np.ndarray:
     decodes to no message.
     """
     cdf = pgm_outcome_probabilities(labels, tests, states, sent)
+    uniforms = np.asarray(uniforms)
+    if uniforms.shape != cdf.shape[:1]:
+        raise ValidationError(f"uniforms must have shape {cdf.shape[:1]}, got {uniforms.shape}")
     np.cumsum(cdf, axis=1, out=cdf)
     cdf[:, -1] = 1.0
     # the number of cut points at or below u: searchsorted(cdf, u, "right")
     # on a row whose cut points before the last ascend and whose last is 1 > u
-    return (cdf <= np.asarray(uniforms)[:, None]).sum(axis=1)
+    return (cdf <= uniforms[:, None]).sum(axis=1)

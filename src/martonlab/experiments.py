@@ -224,9 +224,11 @@ class Scheme:
     decoders: explicit sets for single-letter classical runs, tested as
     llr thresholds on a 0 / -inf table, llr thresholds for blocklength-n
     classical runs, Neyman-Pearson test operators measured by the pretty
-    good measurement for single-letter cq runs.  ``achieved`` holds the divergence values they reach, so
-    RateParams built from them pass the consistency gate of ``run``;
-    ``describe`` is the report's ``scheme`` entry.
+    good measurement for single-letter cq runs.  ``achieved`` holds the
+    divergence values they reach, so RateParams built from them pass the
+    consistency gate of ``run``; ``describe`` is the report's ``scheme``
+    entry, and ``log_ratio`` the ``llr_table`` of the design's joint, which
+    the encoder reads.
 
     ``run`` plays trials in blocks.  Under fresh codebooks a block holds as
     many trials as fit ``_BLOCK_LETTERS`` codebook letters: the block's
@@ -244,9 +246,10 @@ class Scheme:
     whole block in one call per side, and fresh codebooks one trial at a
     time.
     ``decode_pgm`` measures each side of a whole cq block in one pass,
-    one PGM table per distinct (label counts, sent input) of the block,
-    picking each trial's outcome with one uniform from that trial's own
-    stream.  The events of the block are then counted from the decoded
+    against the side's states, stacked once per Scheme, with one PGM table
+    of every state per distinct label counts of the block, picking each
+    trial's outcome with one uniform from that trial's own stream.  The
+    events of the block are then counted from the decoded
     words of each side.  The streams of a block, each trial's messages,
     its channel uniforms for classical runs and its two outcome uniforms
     for cq, are drawn once for the block by ``first_uniforms``, which
@@ -280,10 +283,12 @@ class Scheme:
             p_v, rho_cv = charlie_ensemble(channel, design)
             res_b = quantum_i0_cq(p_u, rho_bu, eps0)
             res_c = quantum_i0_cq(p_v, rho_cv, eps0)
-            # stacked, so that each decode keys its PGM tables without a copy
+            # tests and states stacked once, read-only, so that each decode
+            # keys its PGM tables without a copy
             self.bob_tests, self.charlie_tests = res_b.operators, res_c.operators
             self.evaluator = QuantumPairEvaluator(channel, design, self.bob_tests,
                                                   self.charlie_tests)
+            self.bob_states, self.charlie_states = self.evaluator.rho_b, self.evaluator.rho_c
             self.describe = {
                 "kind": "quantum-pgm",
                 "lambda_b": res_b.witness["lambda"],
@@ -320,6 +325,7 @@ class Scheme:
         res_inf = (classical_i_infty(design.joint, eps_infty) if n == 1
                    else spectrum_i_infty(iid_llr_spectrum(design.joint, n), eps_infty))
         self.achieved = {"i0b": res_b.value, "i0c": res_c.value, "i_infty": res_inf.value}
+        self.log_ratio = llr_table(design.joint)
 
     @classmethod
     def shared(cls, channel, design: InputDesign, eps0: float, eps_infty: float,
@@ -336,14 +342,14 @@ class Scheme:
                               _ByContent(design, design_digest),
                               eps0, eps_infty, n, i0_method)
 
-    def _counts(self, params: RateParams, trials, seed, fixed_cb, log_ratio) -> dict:
+    def _counts(self, params: RateParams, trials, seed, fixed_cb) -> dict:
         classical = self.setting == "classical"
         n_m1, n_m2 = 1 << params.R1, 1 << params.R2
         if fixed_cb is None:
             block = max(1, _BLOCK_LETTERS // ((params.n_rows + params.n_cols) * self.n))
         else:
             block = max(1, (_BLOCK_LETTERS >> 4) // max(params.n_rows, params.n_cols))
-            encode_pairs = _PairEncodings(fixed_cb, log_ratio, self.evaluator)
+            encode_pairs = _PairEncodings(fixed_cb, self.log_ratio, self.evaluator)
         names = ("e1", "e2b", "e2c", "e3b", "e3c") if classical else ("e1", "e2", "e3")
         hits = np.zeros(len(names) + 2, dtype=np.int64)
         for start in range(0, trials, block):
@@ -359,7 +365,7 @@ class Scheme:
             m1 = np.minimum((u[:, 0, 0] * n_m1).astype(np.int64), n_m1 - 1)
             m2 = np.minimum((u[:, 0, 1] * n_m2).astype(np.int64), n_m2 - 1)
             if fixed_cb is None:
-                row, col, x = encode_block(rows, cols, keys, m1, m2, params, log_ratio,
+                row, col, x = encode_block(rows, cols, keys, m1, m2, params, self.log_ratio,
                                            self.evaluator, params.eps0)
             else:
                 row, col, x = encode_pairs(m1, m2)
@@ -428,11 +434,10 @@ class Scheme:
         message's band and matches no word.
         """
         first = np.stack([
-            decode_pgm(words[:, :, 0], tests, [state(label) for label in self.channel.x_alphabet],
-                       x[:, 0], side_uniforms)
-            for words, tests, state, side_uniforms in (
-                (rows, self.bob_tests, self.channel.rho_b, uniforms[:, 0]),
-                (cols, self.charlie_tests, self.channel.rho_c, uniforms[:, 1]))])
+            decode_pgm(words[:, :, 0], tests, states, x[:, 0], side_uniforms)
+            for words, tests, states, side_uniforms in (
+                (rows, self.bob_tests, self.bob_states, uniforms[:, 0]),
+                (cols, self.charlie_tests, self.charlie_states, uniforms[:, 1]))])
         count = (first < np.array([[params.n_rows], [params.n_cols]])).astype(np.int64)
         return first, count, first == sent
 
@@ -466,13 +471,12 @@ class Scheme:
         except InfeasibleRates:
             theorem_valid = False
 
-        log_ratio = llr_table(self.design.joint)
         fixed_cb: Codebook | None = None
         codebook_digest = None
         if not resample_codebook:
             fixed_cb = generate_codebook(self.design, params, mix64(seed, 0xC0DEB00C), self.n)
             codebook_digest = fixed_cb.content_digest()
-        counts = self._counts(params, trials, seed, fixed_cb, log_ratio)
+        counts = self._counts(params, trials, seed, fixed_cb)
 
         bounds = event_bounds(params, setting)
         events = _event_rows(setting, counts, trials, bounds, theorem_valid)

@@ -15,9 +15,8 @@ to drawn // 4 with an empty buffer, discards drawn % 4 outputs, draws,
 and adds the number of outputs drawn.  A double takes one output r and
 is (r >> 11) * 2^-53, so ``random`` and ``raw`` advance a stream alike,
 and ``raw`` hands out the outputs themselves, for callers that compare
-them with integer cut points instead of building doubles.  ``skip``
-moves the next draw past outputs nobody reads.  The draws are those of
-``Generator(Philox(key=np.array([master_seed, stream_id], dtype=np.uint64)))``,
+them with integer cut points instead of building doubles.  The draws
+are those of ``Generator(Philox(key=np.array([master_seed, stream_id], dtype=np.uint64)))``,
 without building a Philox per stream, which costs several times more
 than the few draws most streams make, and without reading the advanced
 state back.  The key must be a uint64 array: a tuple or list key goes
@@ -221,11 +220,6 @@ class SeededRng:
         self._drawn += r.size
         return r
 
-    def skip(self, count: int) -> "SeededRng":
-        """Advance the stream past its next ``count`` outputs without drawing them."""
-        self._drawn += count
-        return self
-
     def random(self, size=None):
         """Uniform doubles in [0, 1)."""
         return self._random(size)
@@ -247,8 +241,8 @@ def stream_uniforms(out: np.ndarray, keys, stream_ids, firsts) -> np.ndarray:
     from output firsts[i] on, and return ``out``.
 
     ``out`` is a C-ordered float64 array shaped (streams, count); row i is
-    ``SeededRng(keys[i], stream_ids[i]).skip(firsts[i]).random(count)``, bit
-    for bit.  Keys, stream ids and firsts are ints, keys and ids in [0, 2^64).
+    ``SeededRng(keys[i], stream_ids[i]).random(firsts[i] + count)[firsts[i]:]``,
+    bit for bit.  Keys, stream ids and firsts are ints, keys and ids in [0, 2^64).
     The calling thread's scratch generator is placed at each stream in turn
     and draws straight into its row, so no stream object and no temporary
     array is built.
@@ -261,12 +255,10 @@ def stream_uniforms(out: np.ndarray, keys, stream_ids, firsts) -> np.ndarray:
     return out
 
 
-def _philox_blocks(key0, key1, first_block: int, count: int) -> np.ndarray:
-    """Output blocks ``first_block`` to ``first_block + count - 1`` of many streams.
+def _philox_blocks(key0, key1, count: int) -> np.ndarray:
+    """The first ``count`` output blocks of many streams.
 
-    Row i holds the 4 * count 64-bit outputs from output
-    4 * first_block on of the stream with Philox key (key0[i], key1[i]),
-    the outputs ``SeededRng(key0[i], key1[i]).skip(4 * first_block).raw(4 * count)``
+    Row i holds the outputs ``SeededRng(key0[i], key1[i]).raw(4 * count)``
     draws.  Block j is Philox4x64-10 at counter (j + 1, 0, 0, 0), since
     numpy steps the counter before it fills its buffer.  Every stream's
     rounds run at once on uint64 arrays, which wrap modulo 2^64, with the
@@ -274,12 +266,11 @@ def _philox_blocks(key0, key1, first_block: int, count: int) -> np.ndarray:
     No generator and no shared state is involved.
     """
     # lane 0 holds counter word 0 and key word 0, lane 1 counter word 2 and
-    # key word 1; column i * count + j is block first_block + j of stream i
+    # key word 1; column i * count + j is block j of stream i
     key = np.repeat(np.array([key0, key1], dtype=np.uint64), count, axis=1)
     round_keys = key + np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None, None] * _PHILOX_BUMP
     mul = np.zeros_like(key)
-    mul[0] = np.tile(np.arange(first_block + 1, first_block + count + 1, dtype=np.uint64),
-                     len(key0))
+    mul[0] = np.tile(np.arange(1, count + 1, dtype=np.uint64), len(key0))
     xor = np.zeros_like(key)  # counter words 1 and 3
     for keys in round_keys:
         mul_lo, hi = mul & _LO32, mul >> _U32
@@ -319,6 +310,6 @@ def first_uniforms(keys, stream_ids, count: int) -> np.ndarray:
         return out
     raw = _philox_blocks(np.repeat(np.asarray(keys, dtype=np.uint64), len(stream_ids)),
                          np.tile(np.asarray(stream_ids, dtype=np.uint64), len(keys)),
-                         0, -(-count // 4))[:, :count]
+                         -(-count // 4))[:, :count]
     # numpy's double of output r: (r >> 11) * 2^-53
     return ((raw >> _U11) * 2.0**-53).reshape(len(keys), len(stream_ids), count)

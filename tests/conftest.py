@@ -327,8 +327,7 @@ def draw_trial(scheme, params, t: int, seed: int, fixed_cb) -> tuple:
     return trial_key, cb, m1, m2, encode_per_trial(cb, m1, m2, scheme.evaluator, params.eps0)
 
 
-def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb,
-                               log_ratio) -> dict:
+def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb) -> dict:
     """Event counts of a classical run, one trial after another.
 
     A drop-in for ``Scheme._counts`` of a classical Scheme: trial t draws
@@ -338,7 +337,8 @@ def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb,
     with ``decode_rows`` / ``decode_cols``, a block of one received word.
     A side decodes to the band of its first match, or to message 0 when
     nothing matches, and to an index only when exactly one word matches.
-    ``log_ratio`` goes unused: each codebook computes its own table.
+    Each codebook's rejection indicator reads the codebook's own
+    ``log_ratio``, a table equal to ``scheme.log_ratio``.
     """
     counts = dict.fromkeys(("e1", "e2b", "e2c", "e3b", "e3c", "message_error",
                             "index_error"), 0)
@@ -366,7 +366,7 @@ def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb,
     return counts
 
 
-def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ratio) -> dict:
+def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb) -> dict:
     """Event counts of a cq run, one trial after another.
 
     A drop-in for ``Scheme._counts`` of a cq Scheme: trial t draws its
@@ -374,7 +374,8 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb, log_ra
     from stream 101, encodes with ``encode_per_trial`` and measures each
     side with ``decode_pgm_per_trial`` on streams 103 and 104.  A side
     whose completion outcome fires decodes to no message and matches no
-    word.  ``log_ratio`` goes unused, as in ``classical_counts_per_trial``.
+    word.  Rejection reads each codebook's ``log_ratio``, as in
+    ``classical_counts_per_trial``.
     """
     counts = dict.fromkeys(("e1", "e2", "e3", "message_error", "index_error"), 0)
     for t in range(trials):

@@ -314,37 +314,37 @@ class TestCodebook:
         pmf = np.asarray(pmf)
         # 2,100 outputs map raw, 700 as uniforms
         for count in (300, 100):
-            (got,) = _side_words(pmf, count, 7, [seed], [1], [0])
+            (got,) = _side_words(pmf, count, 7, [seed], 1)
             want = searchsorted_words(pmf, count, 7, SeededRng(seed, 1))
             assert want.dtype == np.int64 and got.dtype == np.uint8
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("count, n", [(4681, 7), (4096, 8), (10923, 3), (8192, 56)])
-    @pytest.mark.parametrize("resume", [0, 1, 2, 3])
-    def test_raw_sampler_matches_searchsorted_across_chunks(self, count, n, resume):
+    @pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
+    def test_raw_sampler_matches_searchsorted_across_chunks(self, count, n, stream_id):
         # count * n is 2^15 - 1, 2^15 and 2^15 + 1 outputs, then a criterion-1
-        # row side, all drawn raw.  The first stream starts at each first
-        # output mod 4; a side fills one chunk, or splits into several
+        # row side, all drawn raw from stream stream_id of three keys; a side
+        # fills one chunk, or splits into several
+        keys = [0, 2**63 + 3, 2**64 - 1]
         for pmf in (np.array([0.5, 0.5]), np.array([0.2, 0.0, 0.3, 0.5])):
-            firsts = [resume, 0, 0]
-            got = _side_words(pmf, count, n, [2**63 + 3] * 3, [0, 1, 2], firsts)
+            got = _side_words(pmf, count, n, keys, stream_id)
             assert got.shape == (3, count, n) and got.dtype == np.uint8
-            for s, (words, first) in enumerate(zip(got, firsts)):
-                want_rng = SeededRng(2**63 + 3, s).skip(first)
+            for words, key in zip(got, keys):
+                want_rng = SeededRng(key, stream_id)
                 assert np.array_equal(words, searchsorted_words(pmf, count, n, want_rng))
 
     @pytest.mark.parametrize("count, n", [(1, 1), (3, 1), (341, 3), (128, 8)])
     def test_uniform_sides_match_searchsorted_across_pieces(self, count, n):
         # sides of 1, 3, 1,023 and 1,024 outputs, up to _UNIFORM_SIDE, from 40
         # streams, so 1,024-output sides fill one piece and spill into a
-        # second; the streams start at every first output mod 4
+        # second
         assert count * n <= coding._UNIFORM_SIDE
-        firsts = [s % 7 for s in range(40)]
+        keys = [2**64 - 1 - s for s in range(40)]
         for pmf in (np.array([0.5, 0.5]), np.array([0.2, 0.0, 0.3, 0.5])):
-            got = _side_words(pmf, count, n, [2**64 - 1] * 40, list(range(40)), firsts)
+            got = _side_words(pmf, count, n, keys, 2)
             assert got.shape == (40, count, n) and got.dtype == np.uint8
-            for s, (words, first) in enumerate(zip(got, firsts)):
-                want_rng = SeededRng(2**64 - 1, s).skip(first)
+            for words, key in zip(got, keys):
+                want_rng = SeededRng(key, 2)
                 assert np.array_equal(words, searchsorted_words(pmf, count, n, want_rng))
 
     @pytest.mark.parametrize("pmf", [
@@ -378,7 +378,7 @@ class TestCodebook:
         pmf = np.asarray(pmf)
         assert np.cumsum(pmf)[-2] >= 1.0
         assert _raw_cuts(pmf).size == 1
-        (words,) = _side_words(pmf, 4096, 8, [11], [1], [0])
+        (words,) = _side_words(pmf, 4096, 8, [11], 1)
         assert words.max() == 1
         assert np.array_equal(words, searchsorted_words(pmf, 4096, 8, SeededRng(11, 1)))
 
@@ -928,6 +928,24 @@ class TestBlockDecoders:
             with pytest.raises(ValidationError, match=r"\(trials, n\) block"):
                 decode_rows(cb, np.array([0, 1][:n]), mem)
 
+    @pytest.mark.parametrize("n, block", [
+        (3, [[0, 0, 2]]), (3, [[1, 0, 1], [0, -1, 0]]), (1, [[-1]]), (1, [[0], [2]])])
+    def test_received_letters_outside_the_alphabet_refused(self, n, block):
+        # a letter past |B| would drop out of the type counts, and a negative
+        # one would wrap to the last column of a one-letter lookup
+        cb = self.codebook(np.zeros((16, n), dtype=np.uint8), np.zeros((8, n), dtype=np.uint8), n)
+        for decode in (decode_rows, decode_cols):
+            with pytest.raises(ValidationError, match=r"^received letters must lie in \[0, 2\)$"):
+                decode(cb, np.array(block), ThresholdMembership(np.zeros((2, 2)), 0.0))
+
+    @pytest.mark.parametrize("n, letters", [(3, 2), (3, 4), (1, 2), (2, 1)])
+    def test_received_block_of_another_length_refused(self, n, letters):
+        cb = self.codebook(np.zeros((16, n), dtype=np.uint8), np.zeros((8, n), dtype=np.uint8), n)
+        for decode in (decode_rows, decode_cols):
+            with pytest.raises(ValidationError, match=rf"\(trials, n\) block with n = {n}, "):
+                decode(cb, np.zeros((5, letters), dtype=np.int64),
+                       ThresholdMembership(np.zeros((2, 2)), 0.0))
+
     def test_set_blocks_match_mask_gather(self):
         rng = np.random.default_rng(4)
         cb = self.codebook(rng.integers(3, size=(16, 1)), rng.integers(3, size=(8, 1)), 1)
@@ -1064,6 +1082,25 @@ class TestPgmDecoder:
             pgm_outcome_probabilities(np.zeros((1, 2, 3), dtype=np.int64),
                                       [np.eye(2)], [np.diag([1.0, 0.0])], [0])
 
+    @pytest.mark.parametrize("sent", [[-1], [2], [0, 1], [], [[0]], [0.0], [True]])
+    def test_sent_must_index_the_states(self, sent):
+        # one trial and two states: -1 would measure the last state, 2 would
+        # read another row of the flat tables, and entries past the trials
+        # would be dropped
+        tests = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
+        states = [np.diag([0.6, 0.4]), np.diag([0.1, 0.9])]
+        for call in (lambda: pgm_outcome_probabilities(np.array([[0, 1]]), tests, states, sent),
+                     lambda: decode_pgm(np.array([[0, 1]]), tests, states, sent, [0.5])):
+            with pytest.raises(ValidationError, match=r"^sent must be 1 integer state indices "
+                                                      r"in \[0, 2\)"):
+                call()
+
+    @pytest.mark.parametrize("uniforms", [[0.1, 0.9], [], [[0.5]], 0.5])
+    def test_uniforms_must_be_one_per_trial(self, uniforms):
+        tests = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
+        with pytest.raises(ValidationError, match=r"^uniforms must have shape \(1,\)"):
+            decode_pgm(np.array([[0, 1]]), tests, [np.diag([0.6, 0.4])], [0], uniforms)
+
     def test_cached_tables_match_uncached_oracle(self, np_rng):
         from tests.conftest import rand_psd, rand_state
 
@@ -1096,7 +1133,8 @@ class TestPgmDecoder:
     @pytest.mark.parametrize("n_labels", [1, 2, 3])
     def test_blocks_sharing_label_counts_match_one_trial(self, n_labels, np_rng):
         # 90 trials over four label-count vectors and three sent inputs: many
-        # trials share a (label counts, sent) table, each with its own word order
+        # trials share a (label counts, sent) row of one table, each with its
+        # own word order
         from tests.conftest import rand_psd, rand_state
 
         tests = [rand_psd(np_rng, 3, rank=2) for _ in range(n_labels)]

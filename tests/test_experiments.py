@@ -138,6 +138,30 @@ def _case(case):
 
 
 class TestScheme:
+    @pytest.mark.parametrize("resample", [True, False])
+    @pytest.mark.parametrize("case", ["desk", "n=4", "qubit"])
+    def test_runs_read_what_the_scheme_built(self, case, resample, monkeypatch):
+        # the design's llr table and a cq channel's reduced states are built
+        # with the Scheme, once: its runs read them and build neither again
+        channel, design, n, params = _case(case)
+        scheme = Scheme(channel, design, params.eps0, 0.25, n=n)
+        assert np.array_equal(scheme.log_ratio, llr_table(design.joint))
+        if case == "qubit":
+            for states, state in ((scheme.bob_states, channel.rho_b),
+                                  (scheme.charlie_states, channel.rho_c)):
+                assert not states.flags.writeable
+                assert np.array_equal(states, [state(x) for x in channel.x_alphabet])
+        want = scheme.run(params, 20, 4, resample_codebook=resample)
+
+        def refused(*args):
+            raise AssertionError("built during a run")
+
+        monkeypatch.setattr(experiments, "llr_table", refused)
+        for name in ("rho_b", "rho_c"):
+            monkeypatch.setattr(type(channel), name, refused, raising=False)
+        got = scheme.run(params, 20, 4, resample_codebook=resample)
+        assert _scrubbed_digest(got) == _scrubbed_digest(want)
+
     @pytest.mark.parametrize("case", ["desk", "n=4", "qubit"])
     def test_achieved_divergences_is_scheme_achieved(self, case):
         channel, design, n, params = _case(case)
@@ -289,9 +313,8 @@ class TestSharedScheme:
 
     def test_sweep_pgm_tables_stay_cached(self):
         # the tables are keyed by content, so clearing them changes no result
-        tables, elements = coding._pgm_table, coding._pgm_elements
+        tables = coding._pgm_table
         tables.cache_clear()
-        elements.cache_clear()
 
         def sweep():
             for point in range(10):
@@ -299,11 +322,11 @@ class TestSharedScheme:
                 params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
                                     eps_infty=0.25, **achieved)
                 scheme.run(params, 40, seed)
-            return tables.cache_info().misses, elements.cache_info().misses
+            return tables.cache_info().misses
 
         first = sweep()
         # more tables than a 256-entry cache holds
-        assert first[0] > 256
+        assert first > 256
         assert sweep() == first
 
 
@@ -755,7 +778,7 @@ class TestClassicalBlocks:
         monkeypatch.setattr(coding.ClassicalThresholdEvaluator, "alpha_beta", counting)
         scheme.run(params, 40, 3)
         got, asked[:] = sorted(asked), []
-        classical_counts_per_trial(scheme, params, 40, 3, None, llr_table(design.joint))
+        classical_counts_per_trial(scheme, params, 40, 3, None)
         assert got == sorted(asked)
         scanned = sum(draw_trial(scheme, params, t, 3, None)[4].scanned
                       for t in range(40))
@@ -1144,7 +1167,7 @@ class TestEncodeBlockTables:
                             eps_infty=0.25, **scheme.achieved)
         zero = np.zeros((2, 2))
         monkeypatch.setattr(coding, "llr_table", lambda joint: zero)
-        monkeypatch.setattr(experiments, "llr_table", lambda joint: zero)
+        monkeypatch.setattr(scheme, "log_ratio", zero)
         message = "input map undefined for a sampled pair"
         outcomes = set()
         for seed in (0, 1, 51):

@@ -91,6 +91,10 @@ def test_tracer_counts_every_layer(tracer_module, tmp_path, capsys):
     try:
         for label, run, decode_counter in runs:
             before = dict(tr.counters)
+            # a run's divergences are those of its Scheme: each run builds
+            # its own, so that a Scheme shared with an earlier run leaves no
+            # layer untouched
+            experiments._shared_scheme.cache_clear()
             tr.begin_op()
             run()
             for counter in ("coding.alpha_beta_calls", decode_counter, "divergences.calls"):

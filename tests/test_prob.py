@@ -165,11 +165,16 @@ class TestSeededRng:
                 assert np.array_equal(got, want)
 
     def test_skip_starts_the_next_draw_past_the_skipped_outputs(self):
+        # a stream drawn past its first outputs, by a draw of its own or by
+        # stream_uniforms' first output, goes on where they end
         for skipped in range(9):
             full = SeededRng(2**63 + 1, 9).random(skipped + 10)
-            rng = SeededRng(2**63 + 1, 9).skip(skipped)
+            rng = SeededRng(2**63 + 1, 9)
+            rng.raw(skipped)
             assert np.array_equal(rng.random(4), full[skipped:skipped + 4])
             assert np.array_equal(rng.raw(6) >> 11, (full[skipped + 4:] * 2**53).astype(np.uint64))
+            row = stream_uniforms(np.empty((1, 10)), [2**63 + 1], [9], [skipped])[0]
+            assert np.array_equal(row[:10 - skipped], full[skipped:10])
 
     def test_choice_index_draws_without_calling_random(self, monkeypatch):
         # instrumentation wrapping random() must not count choice_index's draws twice
@@ -244,10 +249,12 @@ class TestPhiloxArrayPass:
         pairs = [(k, s) for k in self.KEYS + extra for s in self.IDS]
         key0 = np.array([k for k, _ in pairs], dtype=np.uint64)
         key1 = np.array([s for _, s in pairs], dtype=np.uint64)
-        got = _philox_blocks(key0, key1, first_block, count)
+        # the blocks from first_block on, of the first first_block + count
+        got = _philox_blocks(key0, key1, first_block + count)[:, 4 * first_block:]
         assert got.dtype == np.uint64 and got.shape == (len(pairs), 4 * count)
         for row, (k, s) in zip(got, pairs):
-            assert np.array_equal(row, SeededRng(k, s).skip(4 * first_block).raw(4 * count))
+            assert np.array_equal(row, SeededRng(k, s).raw(4 * (first_block + count))[
+                4 * first_block:])
 
     @pytest.mark.parametrize("streams", [_ARRAY_PASS_STREAMS - 1, _ARRAY_PASS_STREAMS])
     @pytest.mark.parametrize("count", [1, 2, 5])
@@ -333,7 +340,7 @@ class TestStreamUniforms:
         assert got is out
         for row, (k, s, f) in zip(out, rows):
             assert np.array_equal(row, skipped_oracle(k, s, f).random(count))
-            assert np.array_equal(row, SeededRng(k, s).skip(f).random(count))
+            assert np.array_equal(row, SeededRng(k, s).random(f + count)[f:])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),

@@ -153,20 +153,22 @@ class TestPovmAndPgm:
 
     def test_pgm_one_eigendecomposition_for_all_states(self, np_rng, monkeypatch):
         # S^{-1/2} depends on the tests and the label counts only, so the
-        # four states of a two-qubit-input channel share one pinv_sqrt; the
-        # probabilities equal the per-state formula bit for bit
+        # four states of a two-qubit-input channel, listed in one call, share
+        # one pinv_sqrt, and a repeat call finds the table; the probabilities
+        # equal the per-state formula bit for bit
         tests = [rand_psd(np_rng, 2, rank=1), rand_psd(np_rng, 2)]
         tests = [t / np.linalg.eigvalsh(t)[-1] for t in tests]
         words = np_rng.integers(2, size=(64, 1))
         states = [rand_state(np_rng, 2) for _ in range(4)]
+        labels = np.repeat(words[:, 0][None], 4, axis=0)
         calls = []
         monkeypatch.setattr(coding, "pinv_sqrt", lambda m: calls.append(1) or pinv_sqrt(m))
-        coding._pgm_elements.cache_clear()
         coding._pgm_table.cache_clear()
-        for rho in states:
-            assert np.array_equal(pgm_one_trial(words, tests, rho),
-                                  uncached_pgm_probabilities(words, tests, rho))
-        assert len(calls) == 1
+        for _ in range(2):
+            got = coding.pgm_outcome_probabilities(labels, tests, states, np.arange(4))
+            assert len(calls) == 1
+            for row, rho in zip(got, states):
+                assert np.array_equal(row, uncached_pgm_probabilities(words, tests, rho))
 
     def test_pgm_rejects_negative_operator(self):
         with pytest.raises(AssertionError):
