@@ -12,14 +12,12 @@ channels serialize to JSON losslessly.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError, PositivityError, ValidationError
-from .prob import DEFAULT_ATOL, JointPmf
+from .errors import ValidationError
+from .prob import DEFAULT_ATOL, JointPmf, _check_labels, _check_mass, _Digested
 from .quantum import DensityOperator, matrix_from_json, matrix_to_json, partial_trace
 
 __all__ = [
@@ -34,36 +32,21 @@ __all__ = [
 ]
 
 
-def json_digest(payload) -> str:
-    """Canonical sha256 of a JSON-serializable object."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+class _BroadcastChannel(_Digested):
+    """What both channel kinds share: an input alphabet ``x_alphabet``."""
+
+    def x_index(self, x: str) -> int:
+        try:
+            return self.x_alphabet.index(x)
+        except ValueError:
+            raise ValidationError(f"unknown input symbol {x!r}") from None
 
 
-class _Digested:
-    """A frozen object whose content digest is computed once."""
-
-    @functools.cached_property
-    def digest(self) -> str:
-        """``json_digest`` of ``to_json()``; the object is frozen and its
-        arrays are read-only, so the first value holds for its lifetime."""
-        return json_digest(self.to_json())
-
-
-def _check_alphabet(labels, what: str) -> tuple:
-    labels = tuple(labels)
-    if not labels:
-        raise ValidationError(f"{what} alphabet is empty")
-    if any(not isinstance(x, str) for x in labels):
-        raise ValidationError(f"{what} alphabet labels must be strings")
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"{what} alphabet has duplicate labels")
-    return labels
-
-
-@dataclass(frozen=True)
-class ClassicalBroadcastChannel(_Digested):
+@dataclass(frozen=True, eq=False)
+class ClassicalBroadcastChannel(_BroadcastChannel):
     """One sender, two receivers, transition p(y, z | x)."""
+
+    _json_keys = ("x_alphabet", "y_alphabet", "z_alphabet", "p")
 
     x_alphabet: tuple
     y_alphabet: tuple
@@ -71,29 +54,16 @@ class ClassicalBroadcastChannel(_Digested):
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_alphabet", _check_alphabet(self.x_alphabet, "X"))
-        object.__setattr__(self, "y_alphabet", _check_alphabet(self.y_alphabet, "Y"))
-        object.__setattr__(self, "z_alphabet", _check_alphabet(self.z_alphabet, "Z"))
-        arr = np.asarray(self.probs, dtype=float)
+        for name in ("x_alphabet", "y_alphabet", "z_alphabet"):
+            object.__setattr__(self, name, _check_labels(getattr(self, name), name))
+        arr = np.array(self.probs, dtype=float)
         shape = (len(self.x_alphabet), len(self.y_alphabet), len(self.z_alphabet))
         if arr.shape != shape:
             raise ValidationError(f"transition shape {arr.shape} does not match alphabets {shape}")
-        if float(arr.min(initial=0.0)) < -DEFAULT_ATOL:
-            raise PositivityError(f"negative transition probability {arr.min():.3e}")
-        sums = arr.sum(axis=(1, 2))
-        bad = np.abs(sums - 1.0) > DEFAULT_ATOL
-        if np.any(bad):
-            x = self.x_alphabet[int(np.argmax(bad))]
-            raise NormalizationError(f"p(y,z|x={x}) sums to {sums[np.argmax(bad)]!r}")
-        arr = arr.copy()
+        for x, plane in zip(self.x_alphabet, arr):
+            _check_mass(plane, DEFAULT_ATOL, f"p(y,z|x={x})")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-
-    def x_index(self, x: str) -> int:
-        try:
-            return self.x_alphabet.index(x)
-        except ValueError:
-            raise ValidationError(f"unknown input symbol {x!r}") from None
 
     def marginal_y(self) -> np.ndarray:
         """p(y | x) as an (X, Y) matrix."""
@@ -111,18 +81,12 @@ class ClassicalBroadcastChannel(_Digested):
             "p": [[[float(v) for v in row] for row in plane] for plane in self.probs],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ClassicalBroadcastChannel":
-        needed = {"x_alphabet", "y_alphabet", "z_alphabet", "p"}
-        if not isinstance(data, dict) or not needed.issubset(data):
-            raise ValidationError("classical channel JSON needs x/y/z alphabets and 'p'")
-        return cls(tuple(data["x_alphabet"]), tuple(data["y_alphabet"]), tuple(data["z_alphabet"]),
-                   np.asarray(data["p"], dtype=float))
 
-
-@dataclass(frozen=True)
-class CqBroadcastChannel(_Digested):
+@dataclass(frozen=True, eq=False)
+class CqBroadcastChannel(_BroadcastChannel):
     """One classical input, a bipartite quantum state on B tensor C per symbol."""
+
+    _json_keys = ("x_alphabet", "dim_b", "dim_c", "states")
 
     x_alphabet: tuple
     dim_b: int
@@ -130,7 +94,7 @@ class CqBroadcastChannel(_Digested):
     states: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x_alphabet", _check_alphabet(self.x_alphabet, "X"))
+        object.__setattr__(self, "x_alphabet", _check_labels(self.x_alphabet, "x_alphabet"))
         db, dc = int(self.dim_b), int(self.dim_c)
         if db < 1 or dc < 1:
             raise ValidationError("dim_b and dim_c must be positive")
@@ -143,12 +107,6 @@ class CqBroadcastChannel(_Digested):
             if s.dim != db * dc:
                 raise ValidationError(f"state for {x!r} has dim {s.dim}, expected {db * dc}")
         object.__setattr__(self, "states", states)
-
-    def x_index(self, x: str) -> int:
-        try:
-            return self.x_alphabet.index(x)
-        except ValueError:
-            raise ValidationError(f"unknown input symbol {x!r}") from None
 
     def rho_b(self, x: str) -> np.ndarray:
         """Reduced state on B for input ``x``; read-only, shared by all callers."""
@@ -179,16 +137,13 @@ class CqBroadcastChannel(_Digested):
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CqBroadcastChannel":
-        needed = {"x_alphabet", "dim_b", "dim_c", "states"}
-        if not isinstance(data, dict) or not needed.issubset(data):
-            raise ValidationError("cq channel JSON needs 'x_alphabet', 'dim_b', 'dim_c', 'states'")
-        xs = tuple(data["x_alphabet"])
+    def _from_json(cls, data: dict) -> "CqBroadcastChannel":
+        xs = _check_labels(data["x_alphabet"], "x_alphabet")
         missing = [x for x in xs if x not in data["states"]]
         if missing:
             raise ValidationError(f"states missing for symbols {missing}")
         states = tuple(DensityOperator(matrix_from_json(data["states"][x])) for x in xs)
-        return cls(xs, int(data["dim_b"]), int(data["dim_c"]), states)
+        return cls(xs, data["dim_b"], data["dim_c"], states)
 
 
 def channel_from_json(data: dict):
@@ -202,9 +157,11 @@ def channel_from_json(data: dict):
     raise ValidationError(f"unknown channel type {data['type']!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputDesign(_Digested):
     """Auxiliary joint p(u, v) and deterministic input map f(u, v)."""
+
+    _json_keys = ("uv", "f")
 
     joint: JointPmf
     f: dict
@@ -243,9 +200,7 @@ class InputDesign(_Digested):
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "InputDesign":
-        if not isinstance(data, dict) or "uv" not in data or "f" not in data:
-            raise ValidationError("design JSON needs 'uv' and 'f'")
+    def _from_json(cls, data: dict) -> "InputDesign":
         fmap = {}
         for key, x in data["f"].items():
             parts = key.split(",")
@@ -255,23 +210,24 @@ class InputDesign(_Digested):
         return cls(JointPmf.from_json(data["uv"]), fmap)
 
 
+def _mix(probs: np.ndarray, fx: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Row i holds sum_j probs[i, j] * kernel[fx[i, j]], added over the
+    positive cells of row i in ascending j."""
+    out = np.zeros((probs.shape[0],) + kernel.shape[1:], dtype=kernel.dtype)
+    for i, j in np.argwhere(probs > 0.0):
+        out[i] += probs[i, j] * kernel[fx[i, j]]
+    return out
+
+
 def build_classical_joints(channel: ClassicalBroadcastChannel, design: InputDesign):
     """Joints p(u, y) and p(v, z) induced by a design on a classical channel."""
     joint = design.joint
     fx = design.x_indices(channel)
-    py_x = channel.marginal_y()
-    pz_x = channel.marginal_z()
-    p_uy = np.zeros((joint.shape[0], py_x.shape[1]))
-    p_vz = np.zeros((joint.shape[1], pz_x.shape[1]))
-    for i in range(joint.shape[0]):
-        for j in range(joint.shape[1]):
-            mass = joint.probs[i, j]
-            if mass > 0.0:
-                p_uy[i] += mass * py_x[fx[i, j]]
-                p_vz[j] += mass * pz_x[fx[i, j]]
     return (
-        JointPmf(joint.row_labels, channel.y_alphabet, p_uy, atol=1e-9),
-        JointPmf(joint.col_labels, channel.z_alphabet, p_vz, atol=1e-9),
+        JointPmf(joint.row_labels, channel.y_alphabet,
+                 _mix(joint.probs, fx, channel.marginal_y()), atol=1e-9),
+        JointPmf(joint.col_labels, channel.z_alphabet,
+                 _mix(joint.probs.T, fx.T, channel.marginal_z()), atol=1e-9),
     )
 
 
@@ -286,16 +242,8 @@ def _ensemble(channel: CqBroadcastChannel, design: InputDesign, side: int):
     if side:
         probs, fx = probs.T, fx.T
     reduced = channel.rho_c if side else channel.rho_b
-    rho = [reduced(x) for x in channel.x_alphabet]
-    dim = (channel.dim_b, channel.dim_c)[side]
-    states = []
-    for i in range(probs.shape[0]):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for j in range(probs.shape[1]):
-            if probs[i, j] > 0.0:
-                acc += probs[i, j] * rho[fx[i, j]]
-        states.append(acc / marginal[i] if marginal[i] > 0.0 else acc)
-    return marginal, states
+    mixed = _mix(probs, fx, np.stack([reduced(x) for x in channel.x_alphabet]))
+    return marginal, [acc / m if m > 0.0 else acc for acc, m in zip(mixed, marginal)]
 
 
 def bob_ensemble(channel: CqBroadcastChannel, design: InputDesign):

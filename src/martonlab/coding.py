@@ -223,7 +223,7 @@ def _require(*args) -> None:
             raise InfeasibleRates(c.message())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Sampled words plus the lazily evaluated rejection indicator.
 
@@ -586,7 +586,7 @@ class QuantumPairEvaluator(_PairEvaluator):
 # encoding
 
 
-def encode(codebook: Codebook, m1: int, m2: int, evaluator, eps0: float) -> tuple:
+def encode(codebook: Codebook, m1: int, m2: int, evaluator) -> tuple:
     """``encode_block`` of one trial: (row, col, x) of (m1, m2) in
     ``codebook``, with row and col -1 where it falls back."""
     for name, m, R in (("m1", m1, codebook.params.R1), ("m2", m2, codebook.params.R2)):
@@ -594,12 +594,12 @@ def encode(codebook: Codebook, m1: int, m2: int, evaluator, eps0: float) -> tupl
             raise ValidationError(f"message {name} = {m} outside [0, 2^{R})")
     row, col, x = encode_block(codebook.rows[None], codebook.cols[None], [codebook.seed],
                                np.array([m1]), np.array([m2]), codebook.params,
-                               codebook.log_ratio, evaluator, eps0)
+                               codebook.log_ratio, evaluator)
     return int(row[0]), int(col[0]), x[0]
 
 
 def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: np.ndarray,
-                 params: RateParams, log_ratio: np.ndarray, evaluator, eps0: float) -> tuple:
+                 params: RateParams, log_ratio: np.ndarray, evaluator) -> tuple:
     """Encode a block of trials, one row offset at a time.
 
     Trial j encodes (m1[j], m2[j]) into the codebook with words ``rows[j]``,
@@ -625,7 +625,7 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
     the chosen indices, -1 where the trial falls back, and the input words,
     all first symbols there.
     """
-    thr = 1.0 - 4.0 * float(eps0)
+    thr = 1.0 - 4.0 * float(params.eps0)
     w1, w2 = 1 << params.r1, 1 << params.r2
     k0, l0 = m1 * w1, m2 * w2
     # bands[j, m2] is the column band of message m2 in trial j, a view of cols
@@ -703,7 +703,7 @@ def _first_pass_by_cell(evaluator, row_words, col_words, alive, thr) -> tuple:
 # decoding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """The words that match each received word of a (trials, n) block:
     ``matched`` runs trial by trial, ascending within each trial, and
@@ -861,14 +861,26 @@ def pgm_outcome_probabilities(labels: np.ndarray, tests, states, sent) -> np.nda
     outcome off the support of S.  Identical words share an element, so
     the tables run per state and alphabet label, one per distinct label
     counts of the block, found by a dict in order of first use and cached
-    by content.  ``sent`` must be an integer array of one state index per
-    trial.  Each row is divided by its total, which must lie within 1e-6
-    of 1.
+    by content.  ``tests`` must stack (labels, d, d) operators and
+    ``states`` (states, d, d) ones, and ``sent`` must be an integer array
+    of one state index per trial.  Each row is divided by its total,
+    which must lie within 1e-6 of 1.
     """
-    labels, tests, states = map(np.asarray, (labels, tests, states))
+    labels, tests = np.asarray(labels), np.asarray(tests)
     if labels.ndim != 2:
         raise ValidationError("measurement decoding is defined for blocklength 1: "
                               f"labels must be a (trials, words) array, got shape {labels.shape}")
+    if tests.ndim != 3 or tests.shape[1] != tests.shape[2]:
+        raise ValidationError(f"tests must be a (labels, d, d) array, got shape {tests.shape}")
+    d = tests.shape[1]
+    try:
+        states = np.asarray(states)
+    except ValueError:  # a ragged list
+        raise ValidationError(f"states must be a (states, {d}, {d}) array, "
+                              "got matrices of several shapes") from None
+    if states.shape[1:] != (d, d):
+        raise ValidationError(
+            f"states must be a (states, {d}, {d}) array, got shape {states.shape}")
     trials, words = labels.shape
     n_labels, n_states = len(tests), len(states)
     if labels.size and not 0 <= labels.min() <= labels.max() < n_labels:

@@ -344,7 +344,7 @@ def quantum_i0_cq(p_u, rho_u, eps: float) -> DivergenceResult:
 # log likelihood ratio spectra of iid products
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LlrSpectrum:
     """Distribution of the log2 joint-to-product ratio, atoms ascending."""
 

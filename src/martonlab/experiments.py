@@ -151,26 +151,10 @@ class ExperimentReport:
                            for e in self.events]
 
 
-def _digests(channel, design: InputDesign) -> tuple:
-    """Content digests of the channel and the design, for supported channels only."""
+def _check_channel(channel) -> None:
+    """Schemes exist for the classical and the cq broadcast channel only."""
     if not isinstance(channel, (ClassicalBroadcastChannel, CqBroadcastChannel)):
         raise ValidationError(f"unsupported channel type {type(channel).__name__}")
-    return channel.digest, design.digest
-
-
-class _ByContent:
-    """A channel or design that hashes and compares by its content digest."""
-
-    __slots__ = ("value", "digest")
-
-    def __init__(self, value, digest: str):
-        self.value, self.digest = value, digest
-
-    def __hash__(self) -> int:
-        return hash(self.digest)
-
-    def __eq__(self, other) -> bool:
-        return self.digest == other.digest
 
 
 def _mask_from_cells(joint, cells) -> np.ndarray:
@@ -272,7 +256,7 @@ class Scheme:
         if i0_method not in I0_METHODS:
             raise ValidationError(
                 f"i0 method must be one of {', '.join(I0_METHODS)}, got {i0_method!r}")
-        self.channel_digest, self.design_digest = _digests(channel, design)
+        _check_channel(channel)
         self.channel, self.design, self.n, self.i0_method = channel, design, n, i0_method
         self.eps0, self.eps_infty = eps0, eps_infty
         if isinstance(channel, CqBroadcastChannel):
@@ -337,10 +321,8 @@ class Scheme:
         is not kept.  Every draw of ``run`` comes from its seed, so a reused
         Scheme reports what a fresh one would.
         """
-        channel_digest, design_digest = _digests(channel, design)
-        return _shared_scheme(_ByContent(channel, channel_digest),
-                              _ByContent(design, design_digest),
-                              eps0, eps_infty, n, i0_method)
+        _check_channel(channel)
+        return _shared_scheme(channel, design, eps0, eps_infty, n, i0_method)
 
     def _counts(self, params: RateParams, trials, seed, fixed_cb) -> dict:
         classical = self.setting == "classical"
@@ -366,7 +348,7 @@ class Scheme:
             m2 = np.minimum((u[:, 0, 1] * n_m2).astype(np.int64), n_m2 - 1)
             if fixed_cb is None:
                 row, col, x = encode_block(rows, cols, keys, m1, m2, params, self.log_ratio,
-                                           self.evaluator, params.eps0)
+                                           self.evaluator)
             else:
                 row, col, x = encode_pairs(m1, m2)
             sent = np.stack([row, col])
@@ -491,8 +473,8 @@ class Scheme:
             params=dict(vars(params)),
             achieved=dict(self.achieved),
             scheme=dict(self.describe),
-            channel_digest=self.channel_digest,
-            design_digest=self.design_digest,
+            channel_digest=self.channel.digest,
+            design_digest=self.design.digest,
             codebook_digest=codebook_digest,
             theorem_valid=theorem_valid,
             bounds=bounds,
@@ -515,7 +497,7 @@ class _PairEncodings:
 
     def __init__(self, codebook: Codebook, log_ratio, evaluator):
         self.codebook, self.n_m2 = codebook, 1 << codebook.params.R2
-        self.args = (codebook.params, log_ratio, evaluator, codebook.params.eps0)
+        self.args = (codebook.params, log_ratio, evaluator)
         # the codes m1 * 2^R2 + m2 met so far, ascending, and their (row, col, x)
         self.codes = np.empty(0, dtype=np.int64)
         self.encoded = (self.codes, self.codes, np.empty((0, codebook.n), dtype=np.int64))
@@ -563,8 +545,8 @@ def _event_hits(classical, params, m1, m2, sent, first, count, hit) -> list:
 
 
 @functools.lru_cache(maxsize=32)
-def _shared_scheme(channel: _ByContent, design: _ByContent, eps0, eps_infty, n, i0_method):
-    return Scheme(channel.value, design.value, eps0, eps_infty, n=n, i0_method=i0_method)
+def _shared_scheme(channel, design: InputDesign, eps0, eps_infty, n, i0_method):
+    return Scheme(channel, design, eps0, eps_infty, n=n, i0_method=i0_method)
 
 
 def achieved_divergences(channel, design: InputDesign, eps0: float, eps_infty: float,

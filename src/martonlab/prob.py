@@ -1,4 +1,5 @@
-"""Joint probability mass functions on two finite alphabets.
+"""Joint probability mass functions on two finite alphabets, and the base
+of the values (joints, channels, designs) that compare by their JSON.
 
 A joint's labels are strings so it round-trips through JSON unchanged;
 its marginals are plain read-only arrays.  Validation tolerances are
@@ -9,6 +10,8 @@ level of float rounding.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +21,60 @@ from .errors import NormalizationError, PositivityError, ValidationError
 __all__ = ["JointPmf", "mutual_information", "DEFAULT_ATOL"]
 
 DEFAULT_ATOL = 1e-12
+# what converting a malformed JSON field raises: tuple(5), int("x"), int(Infinity)
+MALFORMED_JSON = (TypeError, ValueError, AttributeError, KeyError, IndexError, OverflowError)
 
 
-def _check_labels(labels, count: int, what: str) -> tuple:
+def json_digest(payload) -> str:
+    """Canonical sha256 of a JSON-serializable object."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class _Digested:
+    """A frozen value equal to another of its type with the same ``digest``.
+
+    A subclass gives ``to_json`` and ``_json_keys``, the keys its JSON object
+    must carry, in the order of its constructor's arguments unless it has
+    its own ``_from_json``.
+    """
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """``json_digest`` of ``to_json()``, computed once: the value is frozen."""
+        return json_digest(self.to_json())
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.digest == other.digest
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    @classmethod
+    def from_json(cls, data: dict):
+        """The value a JSON object describes; a malformed one raises ValidationError."""
+        if not isinstance(data, dict) or not set(cls._json_keys) <= data.keys():
+            raise ValidationError(f"{cls.__name__} JSON must be an object with "
+                                  + ", ".join(map(repr, cls._json_keys)))
+        try:
+            return cls._from_json(data)
+        except ValidationError:
+            raise
+        except MALFORMED_JSON as exc:
+            raise ValidationError(f"{cls.__name__} JSON: malformed field ({exc})") from None
+
+    @classmethod
+    def _from_json(cls, data: dict):
+        return cls(*(data[key] for key in cls._json_keys))
+
+
+def _check_labels(labels, what: str, count: int | None = None) -> tuple:
+    """``labels`` as a tuple of distinct strings, at least one, ``count`` if given."""
     labels = tuple(labels)
-    if len(labels) != count:
+    if count is not None and len(labels) != count:
         raise ValidationError(f"{what}: {len(labels)} labels for {count} probabilities")
-    if any(not isinstance(x, str) for x in labels):
-        raise ValidationError(f"{what}: labels must be strings")
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"{what}: duplicate labels")
+    if not labels or not all(isinstance(x, str) for x in labels) or len(set(labels)) < len(labels):
+        raise ValidationError(f"{what}: labels must be distinct strings, at least one")
     return labels
 
 
@@ -35,16 +82,18 @@ def _check_mass(arr: np.ndarray, atol: float, what: str) -> None:
     if float(arr.min(initial=0.0)) < -atol:
         raise PositivityError(f"{what}: negative probability {arr.min():.3e}")
     total = float(arr.sum())
-    if abs(total - 1.0) > atol:
+    if not abs(total - 1.0) <= atol:  # a nan total fails too
         raise NormalizationError(f"{what}: total mass {total!r} differs from 1 by more than {atol}")
 
 
-@dataclass(frozen=True)
-class JointPmf:
+@dataclass(frozen=True, eq=False)
+class JointPmf(_Digested):
     """Joint distribution on a product of two labelled alphabets.
 
     ``probs[i, j]`` is the mass on ``(row_labels[i], col_labels[j])``.
     """
+
+    _json_keys = ("row_labels", "col_labels", "probs")
 
     row_labels: tuple
     col_labels: tuple
@@ -57,8 +106,8 @@ class JointPmf:
             raise ValidationError(f"probabilities must be 2-dimensional, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "row_labels", _check_labels(self.row_labels, arr.shape[0], "JointPmf rows"))
-        object.__setattr__(self, "col_labels", _check_labels(self.col_labels, arr.shape[1], "JointPmf cols"))
+        object.__setattr__(self, "row_labels", _check_labels(self.row_labels, "JointPmf rows", arr.shape[0]))
+        object.__setattr__(self, "col_labels", _check_labels(self.col_labels, "JointPmf cols", arr.shape[1]))
         _check_mass(arr, self.atol, "JointPmf")
 
     @property
@@ -87,13 +136,6 @@ class JointPmf:
             "col_labels": list(self.col_labels),
             "probs": [[float(p) for p in row] for row in self.probs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JointPmf":
-        needed = {"row_labels", "col_labels", "probs"}
-        if not isinstance(data, dict) or not needed.issubset(data):
-            raise ValidationError("JointPmf JSON must be an object with 'row_labels', 'col_labels', 'probs'")
-        return cls(tuple(data["row_labels"]), tuple(data["col_labels"]), np.asarray(data["probs"], dtype=float))
 
 
 def mutual_information(joint: JointPmf) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HermiticityError, NormalizationError, PositivityError, ValidationError
+from .prob import MALFORMED_JSON
 
 __all__ = [
     "DensityOperator",
@@ -43,7 +44,7 @@ def real_trace(a, b=None) -> float:
     return float(np.einsum("ij,ji->", a, np.asarray(b)).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated quantum state: Hermitian, PSD, unit trace."""
 
@@ -128,14 +129,15 @@ def matrix_to_json(matrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
+    """The complex matrix ``matrix_to_json`` wrote; a missing key or a field
+    of the wrong type raises ValidationError."""
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValidationError("matrix JSON must carry 'dim' and 'entries'")
-    dim = int(data["dim"])
-    rows = data["entries"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValidationError(f"matrix entries do not form a {dim}x{dim} grid")
     try:
+        dim, rows = int(data["dim"]), data["entries"]
         arr = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except (TypeError, IndexError) as exc:
-        raise ValidationError(f"matrix entries must be [re, im] pairs: {exc}") from None
+    except MALFORMED_JSON as exc:
+        raise ValidationError(f"matrix JSON: malformed field ({exc})") from None
+    if arr.shape != (dim, dim):
+        raise ValidationError(f"matrix entries do not form a {dim}x{dim} grid")
     return arr

@@ -38,7 +38,6 @@ from martonlab.channels import (
     ClassicalBroadcastChannel,
     CqBroadcastChannel,
     InputDesign,
-    json_digest,
 )
 from martonlab.coding import (
     RateParams,
@@ -47,7 +46,7 @@ from martonlab.coding import (
 )
 from martonlab.divergences import classical_i0, classical_i_infty, quantum_i0_cq
 from martonlab.experiments import Scheme, achieved_divergences, run_experiment
-from martonlab.prob import JointPmf
+from martonlab.prob import JointPmf, json_digest
 from martonlab.rng import SeededRng, mix64
 
 DATA = Path(__file__).parent / "data"

@@ -1,5 +1,6 @@
 """Channels, input designs, induced joints, and iid products."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -301,3 +302,59 @@ class TestProductView:
         y1, z1 = view.sample_outputs(x, SeededRng(9, 4).random(8))
         y2, z2 = view.sample_outputs(x, SeededRng(9, 4).random(8))
         assert np.array_equal(y1, y2) and np.array_equal(z1, z2)
+
+
+def _shift(probs):
+    """Move 0.05 of mass from the first cell of a pmf's first row to the second."""
+    probs[0][0] -= 0.05
+    probs[0][1] += 0.05
+
+
+def _swap_state(doc):
+    doc["states"]["0"] = doc["states"]["1"]
+
+
+def _rename_input(doc):
+    doc["x_alphabet"][1] = "2"
+    doc["states"]["2"] = doc["states"].pop("1")
+
+
+# each value type: its class, one value, an edit of one probability (of a
+# state, for the cq channel) and an edit of one label
+VALUES = {
+    "joint": (JointPmf, lambda: simple_cq_design().joint, lambda d: _shift(d["probs"]),
+              lambda d: d["col_labels"].__setitem__(1, "2")),
+    "classical": (ClassicalBroadcastChannel, lambda: bsc_pair_channel(0.1, 0.2),
+                  lambda d: _shift(d["p"][0]), lambda d: d["y_alphabet"].__setitem__(1, "2")),
+    "cq": (CqBroadcastChannel, qubit_cq_channel, _swap_state, _rename_input),
+    "design": (InputDesign, simple_cq_design, lambda d: _shift(d["uv"]["probs"]),
+               lambda d: d["f"].__setitem__("1,1", "0")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+class TestContentValues:
+    """Joints, channels and designs compare and hash by their JSON content."""
+
+    def test_copies_read_from_json_are_equal(self, kind):
+        cls, build, _, _ = VALUES[kind]
+        text = json.dumps(build().to_json())
+        a, b = (cls.from_json(json.loads(text)) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: "first"}[b] == "first"
+
+    @pytest.mark.parametrize("edit", ["probability", "label"])
+    def test_one_edit_compares_unequal(self, kind, edit):
+        cls, build, *edits = VALUES[kind]
+        doc = build().to_json()
+        changed = copy.deepcopy(doc)
+        edits[edit == "label"](changed)
+        a, b = cls.from_json(doc), cls.from_json(changed)
+        assert a != b and len({a, b}) == 2
+
+    def test_another_type_compares_unequal(self, kind):
+        cls, build, _, _ = VALUES[kind]
+        doc = build().to_json()
+        other = type(f"Other{cls.__name__}", (cls,), {})
+        a, b = cls.from_json(doc), other.from_json(doc)
+        assert a.digest == b.digest and a != b and b != a and len({a, b}) == 2

@@ -551,6 +551,58 @@ class TestConfigErrors:
               3 if error is ValidationError else 2)
 
 
+def _set(doc: dict, path: tuple, value) -> dict:
+    """``doc`` with the field at ``path`` (a tuple of keys) set to ``value``."""
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+# input files of simulate with one field of a wrong JSON type: the file, the
+# path to the field and its value
+MALFORMED_INPUTS = [
+    ("channel", qubit_cq_doc, ("states",), 5),
+    ("channel", qubit_cq_doc, ("dim_b",), "x"),
+    ("channel", qubit_cq_doc, ("x_alphabet",), 5),
+    ("channel", qubit_cq_doc, ("states", "00", "entries"), 3),
+    ("channel", qubit_cq_doc, ("states", "00", "dim"), "a"),
+    ("channel", lambda: bsc_pair_doc(0.1, 0.1), ("p",), "abc"),
+    ("channel", lambda: bsc_pair_doc(0.1, 0.1), ("x_alphabet",), 7),
+    ("design", design_doc, ("f",), [1, 2]),
+    ("design", design_doc, ("uv", "probs"), [["a"]]),
+]
+
+# joint files with one malformed field, a nan mass among them
+MALFORMED_JOINTS = [(("probs",), [["a", "b"], ["c", "d"]]), (("row_labels",), 3),
+                    (("probs",), [[float("nan"), 0.5], [0.25, 0.25]])]
+
+
+class TestMalformedInputFiles:
+    """A field of the wrong JSON type in a channel, design or joint file is
+    a parse error (exit 3), reported on one line, not a traceback."""
+
+    @staticmethod
+    def assert_parse_error(argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, doc, path, value", MALFORMED_INPUTS)
+    def test_simulate(self, tmp_path, capsys, name, doc, path, value):
+        cfg = desk_config(tmp_path)
+        write_json(tmp_path / f"{name}.json", _set(doc(), path, value))
+        self.assert_parse_error(["simulate", "--config", cfg], capsys)
+
+    @pytest.mark.parametrize("path, value", MALFORMED_JOINTS)
+    @pytest.mark.parametrize("command", [["divergence", "--kind", "i0", "--eps", "0.1", "--joint"],
+                                         ["iid-curve", "--eps", "0.05", "--n", "1,2", "--base"]])
+    def test_joint(self, tmp_path, outdir, capsys, command, path, value):
+        joint = write_json(tmp_path / "j.json", _set(json.loads(json.dumps(DSBS45)), path, value))
+        self.assert_parse_error(command + [joint], capsys)
+
+
 class TestParserBehavior:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

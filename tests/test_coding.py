@@ -459,7 +459,7 @@ class TestCodebook:
                                    np.ones((2, 2), dtype=bool))
         for m1 in range(1 << params.R1):
             for m2 in range(1 << params.R2):
-                row, col, _ = encode(cb, m1, m2, ev, 0.01)
+                row, col, _ = encode(cb, m1, m2, ev)
                 assert (row >> params.r1, col >> params.r2) == (m1, m2)
 
     def test_message_range_checked(self):
@@ -468,7 +468,7 @@ class TestCodebook:
                                    np.eye(2, dtype=bool))
         for m1, m2, name in ((2, 0, "m1 = 2"), (0, -1, "m2 = -1")):
             with pytest.raises(ValidationError, match=f"message {name} outside"):
-                encode(cb, m1, m2, ev, 0.01)
+                encode(cb, m1, m2, ev)
 
     def test_shape_mismatch_rejected(self):
         design = pair_design(DSBS_45)
@@ -510,8 +510,8 @@ class TestEncode:
     """The cell-by-cell scan of ``conftest``, and ``encode`` against it."""
 
     @staticmethod
-    def assert_encode_agrees(cb, m1, m2, ev, eps0, out):
-        row, col, x = encode(cb, m1, m2, ev, eps0)
+    def assert_encode_agrees(cb, m1, m2, ev, out):
+        row, col, x = encode(cb, m1, m2, ev)
         assert (row, col) == ((-1, -1) if out.fallback else (out.row, out.col))
         assert np.array_equal(x, out.x_word)
 
@@ -528,7 +528,7 @@ class TestEncode:
         design, params, ch, ev = self.correlated_setup()
         cb = generate_codebook(design, params, seed=11)
         out = encode_per_trial(cb, 1, 0, ev, 0.01)
-        self.assert_encode_agrees(cb, 1, 0, ev, 0.01, out)
+        self.assert_encode_agrees(cb, 1, 0, ev, out)
         assert not out.fallback
         assert (out.row >> params.r1, out.col >> params.r2) == (1, 0)
         assert out.alpha == 1.0 and out.beta == 1.0
@@ -542,7 +542,7 @@ class TestEncode:
         dead = small_params(r1=2, r2=2, i0b=5.0, i0c=5.0, i_infty=60.0)
         cb = generate_codebook(design, dead, seed=11)
         out = encode_per_trial(cb, 0, 1, ev, 0.01)
-        self.assert_encode_agrees(cb, 0, 1, ev, 0.01, out)
+        self.assert_encode_agrees(cb, 0, 1, ev, out)
         assert out.fallback
         assert out.row is None and out.col is None
         assert out.scanned == 16
@@ -554,7 +554,7 @@ class TestEncode:
         cb = generate_codebook(design, params, seed=11)
         low = ClassicalSetEvaluator(ch, design, np.zeros((2, 2), bool), np.eye(2, dtype=bool))
         out = encode_per_trial(cb, 1, 0, low, 0.01)
-        self.assert_encode_agrees(cb, 1, 0, low, 0.01, out)
+        self.assert_encode_agrees(cb, 1, 0, low, out)
         assert out.fallback
 
     def test_matches_scalar_rescan(self):
@@ -572,7 +572,7 @@ class TestEncode:
                     got = encode_per_trial(cb, m1, m2, ev, 0.05)
                     want = self.rescan(cb, m1, m2, ev, 0.05, table)
                     assert (got.row, got.col, got.fallback) == want
-                    self.assert_encode_agrees(cb, m1, m2, ev, 0.05, got)
+                    self.assert_encode_agrees(cb, m1, m2, ev, got)
 
     @staticmethod
     def rescan(cb, m1, m2, ev, eps0, table):
@@ -1013,8 +1013,8 @@ class TestCompactWords:
         mem_b, mem_c = ThresholdMembership(llr1, tau), ThresholdMembership(llr2, tau)
         for m1 in range(2):
             for m2 in range(2):
-                row, col, x = encode(cb, m1, m2, ev, params.eps0)
-                want = encode(wide, m1, m2, ev_wide, params.eps0)
+                row, col, x = encode(cb, m1, m2, ev)
+                want = encode(wide, m1, m2, ev_wide)
                 assert (row, col) == want[:2] and np.array_equal(x, want[2])
                 rec_b, rec_c = sampler.sample_outputs(x[None], SeededRng(m1, m2).random((1, n)))
                 assert np.array_equal(decode_rows(cb, rec_b, mem_b).matched,

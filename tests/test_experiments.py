@@ -30,7 +30,7 @@ from martonlab.channels import (
     InputDesign,
     ProductClassicalChannel,
     build_classical_joints,
-    json_digest,
+    channel_from_json,
 )
 from martonlab.coding import (
     ClassicalSetEvaluator,
@@ -49,7 +49,7 @@ from martonlab.experiments import (
     achieved_divergences,
     run_experiment,
 )
-from martonlab.prob import JointPmf
+from martonlab.prob import JointPmf, json_digest
 from martonlab.rng import _ARRAY_PASS_STREAMS, SeededRng, mix64
 
 DSBS_45 = np.array([[0.45, 0.05], [0.05, 0.45]])
@@ -239,6 +239,22 @@ class TestSharedScheme:
             Scheme.shared(channel, design, 0.05, 0.25)
         assert experiments._shared_scheme.cache_info()[:2] == (2, 1)  # (hits, misses)
         assert calls == [CqBroadcastChannel, InputDesign]
+
+    @pytest.mark.parametrize("case", ["desk", "qubit"])
+    def test_copies_read_back_from_json_files_hit(self, case, tmp_path):
+        # the lookup keys on the objects, which compare by their JSON content
+        channel, design, _, _ = _case(case)
+        for name, value in (("channel", channel), ("design", design)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(value.to_json()))
+
+        def read(name):
+            return json.loads((tmp_path / f"{name}.json").read_text())
+
+        first = Scheme.shared(channel, design, 0.05, 0.25)
+        read_back = channel_from_json(read("channel")), InputDesign.from_json(read("design"))
+        assert read_back[0] is not channel and read_back[1] is not design
+        assert Scheme.shared(*read_back, 0.05, 0.25) is first
+        assert experiments._shared_scheme.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_cache_is_bounded(self):
         channel, design = bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45)
@@ -673,7 +689,7 @@ class TestCqBlocks:
         m1, m2 = np.arange(40) % 2, np.arange(40) // 2 % 2
         rows, cols = coding.codebook_block(design, params, keys, n)
         row, col, x = coding.encode_block(rows, cols, keys, m1, m2, params,
-                                          llr_table(design.joint), scheme.evaluator, 0.05)
+                                          llr_table(design.joint), scheme.evaluator)
         for j, key in enumerate(keys):
             cb = generate_codebook(design, params, key, n)
             assert np.array_equal(cb.rows, rows[j]) and np.array_equal(cb.cols, cols[j])
@@ -897,8 +913,8 @@ def _searched_rows(args, row) -> dict:
     cell acceptances and pass flags of its band: every row offset up to the
     chosen row, or the whole band where the trial fell back.  Acceptances
     and passes are looked up one cell at a time."""
-    rows, cols, seeds, m1, m2, params, log_ratio, ev, eps0 = args
-    w1, w2, thr = 1 << params.r1, 1 << params.r2, 1.0 - 4.0 * eps0
+    rows, cols, seeds, m1, m2, params, log_ratio, ev = args
+    w1, w2, thr = 1 << params.r1, 1 << params.r2, 1.0 - 4.0 * params.eps0
     searched = {}
     for j, seed in enumerate(seeds):
         key, l0 = mix64(seed, 3), int(m2[j]) * w2
@@ -972,7 +988,7 @@ class TestEncodeBlockTables:
         m2 = picks.integers(1 << params.R2, size=block)
         rows, cols, seeds, codebooks = self._block(scheme.design, params, keys, resample)
         return (rows, cols, seeds, m1, m2, params, llr_table(scheme.design.joint),
-                scheme.evaluator, params.eps0), codebooks
+                scheme.evaluator), codebooks
 
     @pytest.mark.parametrize("kind", ["set", "quantum", "quantum mixed", "quantum below 1"])
     @pytest.mark.parametrize("resample", [True, False])
@@ -981,7 +997,7 @@ class TestEncodeBlockTables:
         # encode_per_trial draws every row through Codebook.indicator
         args, codebooks = self._args(kind, resample, block)
         got = coding.encode_block(*args)
-        want = _encode_per_trial(codebooks, *args[3:5], *args[7:])
+        want = _encode_per_trial(codebooks, *args[3:5], args[7], args[5].eps0)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
             assert g.dtype == np.int64
@@ -1038,7 +1054,7 @@ class TestEncodeBlockTables:
         m1 = picks.integers(1 << params.R1, size=200)
         m2 = picks.integers(1 << params.R2, size=200)
         rows, cols, seeds, codebooks = self._block(design, params, keys, resample)
-        return (rows, cols, seeds, m1, m2, params, llr_table(design.joint), ev, 0.01), codebooks
+        return (rows, cols, seeds, m1, m2, params, llr_table(design.joint), ev), codebooks
 
     @pytest.mark.parametrize("kind", ["set", "quantum"])
     @pytest.mark.parametrize("resample", [True, False])
@@ -1047,9 +1063,9 @@ class TestEncodeBlockTables:
         found_cells = skipped = 0
         for seed in range(1 if resample else 8):
             args, codebooks = self._gated_block(self._gated_evaluator(kind), resample, seed)
-            rows, _, _, m1, m2, params, _, ev, eps0 = args
+            rows, _, _, m1, m2, params, _, ev = args
             got = coding.encode_block(*args)
-            for g, w in zip(got, _encode_per_trial(codebooks, m1, m2, ev, eps0)):
+            for g, w in zip(got, _encode_per_trial(codebooks, m1, m2, ev, params.eps0)):
                 assert np.array_equal(g, w)
             # every chosen cell has row letter 1; count the cells before it
             # that survived rejection but failed the threshold
@@ -1114,7 +1130,7 @@ class TestEncodeBlockTables:
         for j in range(40):
             one = slice(j, j + 1)
             args = (rows[one], cols[one], seeds[one], m1[one], m2[one], params, zero,
-                    scheme.evaluator, 0.05)
+                    scheme.evaluator)
             try:
                 want = _encode_per_trial(codebooks[one], m1[one], m2[one], scheme.evaluator, 0.05)
             except ValidationError as e:
@@ -1137,7 +1153,7 @@ class TestEncodeBlockTables:
         assert {"raised", "undefined after"} <= set(outcomes)
         # the whole block raises as soon as one trial would
         with pytest.raises(ValidationError, match="undefined"):
-            coding.encode_block(rows, cols, seeds, m1, m2, params, zero, scheme.evaluator, 0.05)
+            coding.encode_block(rows, cols, seeds, m1, m2, params, zero, scheme.evaluator)
 
 
     def test_undefined_pair_of_acceptance_one_raises_undrawn(self, monkeypatch):
@@ -1153,7 +1169,7 @@ class TestEncodeBlockTables:
         spy = StreamSpy(monkeypatch)
         with pytest.raises(ValidationError, match="^input map undefined for a sampled pair$"):
             coding.encode_block(rows, cols, keys, np.arange(40) % 2, np.arange(40) // 2 % 2,
-                                params, np.zeros((2, 2)), scheme.evaluator, 0.05)
+                                params, np.zeros((2, 2)), scheme.evaluator)
         assert spy.rows == []
 
     def test_fixed_codebook_runs_raise_and_fall_back_by_pair(self, monkeypatch):
@@ -1227,8 +1243,8 @@ class TestEncodeBlockThreshold:
         m1, m2 = picks.integers(2, size=(2, block))
         rows, cols, seeds, codebooks = TestEncodeBlockTables._block(design, params, keys,
                                                                     resample, n=4)
-        return (rows, cols, seeds, m1, m2, params, llr_table(design.joint), scheme.evaluator,
-                0.05), codebooks
+        return (rows, cols, seeds, m1, m2, params, llr_table(design.joint),
+                scheme.evaluator), codebooks
 
     @pytest.mark.parametrize("pattern", ["all 1", "mixed", "all below 1"])
     @pytest.mark.parametrize("resample", [True, False])
@@ -1236,7 +1252,7 @@ class TestEncodeBlockThreshold:
     def test_draw_rule_matches_encode(self, pattern, resample, block):
         args, codebooks = self._pattern_block(pattern, resample, block)
         got = coding.encode_block(*args)
-        for g, w in zip(got, _encode_per_trial(codebooks, *args[3:5], args[7], args[8])):
+        for g, w in zip(got, _encode_per_trial(codebooks, *args[3:5], args[7], args[5].eps0)):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("pattern", ["all 1", "mixed", "all below 1"])

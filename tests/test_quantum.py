@@ -197,6 +197,24 @@ class TestMeasure:
         stat, pval = chisquare(counts, n * np.array([0.5, 0.3, 0.2]))
         assert pval > 1e-3
 
+    def test_a_single_state_matrix_is_rejected(self):
+        # one d x d matrix, not a stack of states, names the expected shape
+        rho = np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match=r"\(states, 3, 3\) array, got shape \(3, 3\)"):
+            coding.pgm_outcome_probabilities(self.WORDS.T, self.TESTS, rho, np.zeros(1, int))
+
+    def test_states_of_another_dimension_are_rejected(self):
+        states = [np.diag([1.0, 0.0, 0.0]), np.eye(2) / 2]
+        with pytest.raises(ValidationError, match=r"\(states, 3, 3\) array, got matrices"):
+            coding.pgm_outcome_probabilities(self.WORDS.T, self.TESTS, states, np.zeros(1, int))
+        with pytest.raises(ValidationError, match=r"\(states, 3, 3\) array, got shape \(1, 2, 2\)"):
+            decode_pgm(self.WORDS.T, self.TESTS, [np.eye(2) / 2], np.zeros(1, int), [0.5])
+
+    def test_tests_must_stack_square_operators(self):
+        with pytest.raises(ValidationError, match=r"\(labels, d, d\) array, got shape \(3, 3\)"):
+            coding.pgm_outcome_probabilities(self.WORDS.T, self.TESTS[0], [np.eye(3) / 3],
+                                             np.zeros(1, int))
+
     def test_probability_sum_enforced(self):
         bad = np.diag([2.0, 0.0, 0.0])  # trace 2, not a state; bypass the wrapper on purpose
         with pytest.raises(ValidationError):

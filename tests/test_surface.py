@@ -19,6 +19,7 @@ alone.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -415,6 +416,21 @@ def test_every_lru_cache_is_bounded():
                 caches += 1
                 assert value.cache_parameters()["maxsize"] is not None, f"{module}.{name}"
     assert caches
+
+
+def test_no_dataclass_compares_arrays_by_a_generated_eq():
+    # a generated __eq__ compares the fields as tuples, and == on two
+    # distinct arrays of more than one element raises: a dataclass with an
+    # array field sets eq=False, or compares by content as the values of
+    # prob._Digested do
+    offenders = sorted(name for name, cls in CLASSES.items()
+                       if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.eq
+                       and any(f.compare and "ndarray" in str(f.type)
+                               for f in dataclasses.fields(cls)))
+    assert not offenders, f"generated __eq__ over array fields: {offenders}"
+    assert {"DensityOperator", "LlrSpectrum", "Codebook", "DecodeResult", "JointPmf"} <= {
+        name for name, cls in CLASSES.items()
+        if dataclasses.is_dataclass(cls) and not cls.__dataclass_params__.eq}
 
 
 def test_library_imports_no_scipy():
