@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .prob import DEFAULT_ATOL, JointPmf, _check_labels, _check_mass, _Digested
+from .prob import (
+    DEFAULT_ATOL,
+    JointPmf,
+    _check_count,
+    _check_labels,
+    _check_mass,
+    _Digested,
+    _float_array,
+)
 from .quantum import DensityOperator, matrix_from_json, matrix_to_json, partial_trace
 
 __all__ = [
@@ -56,7 +64,7 @@ class ClassicalBroadcastChannel(_BroadcastChannel):
     def __post_init__(self):
         for name in ("x_alphabet", "y_alphabet", "z_alphabet"):
             object.__setattr__(self, name, _check_labels(getattr(self, name), name))
-        arr = np.array(self.probs, dtype=float)
+        arr = _float_array(self.probs, "transition probabilities")
         shape = (len(self.x_alphabet), len(self.y_alphabet), len(self.z_alphabet))
         if arr.shape != shape:
             raise ValidationError(f"transition shape {arr.shape} does not match alphabets {shape}")
@@ -95,9 +103,7 @@ class CqBroadcastChannel(_BroadcastChannel):
 
     def __post_init__(self):
         object.__setattr__(self, "x_alphabet", _check_labels(self.x_alphabet, "x_alphabet"))
-        db, dc = int(self.dim_b), int(self.dim_c)
-        if db < 1 or dc < 1:
-            raise ValidationError("dim_b and dim_c must be positive")
+        db, dc = _check_count(self.dim_b, "dim_b"), _check_count(self.dim_c, "dim_c")
         object.__setattr__(self, "dim_b", db)
         object.__setattr__(self, "dim_c", dc)
         states = tuple(s if isinstance(s, DensityOperator) else DensityOperator(s) for s in self.states)
@@ -169,8 +175,12 @@ class InputDesign(_Digested):
     def __post_init__(self):
         fmap = {}
         for key, x in dict(self.f).items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValidationError(f"f keys must be (u, v) pairs, got {key!r}")
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(label, str) for label in key)):
+                raise ValidationError(f"f keys must be (u, v) pairs of labels, got {key!r}")
+            if "," in key[0] or "," in key[1]:
+                # the JSON keys 'u,v' cannot hold it, and a design needs its JSON for its digest
+                raise ValidationError("labels containing ',' cannot use the 'u,v' key encoding")
             if not isinstance(x, str):
                 raise ValidationError(f"f values must be input symbols, got {x!r}")
             fmap[key] = x
@@ -191,9 +201,6 @@ class InputDesign(_Digested):
         return out
 
     def to_json(self) -> dict:
-        for u, v in self.f:
-            if "," in u or "," in v:
-                raise ValidationError("labels containing ',' cannot use the 'u,v' key encoding")
         return {
             "uv": self.joint.to_json(),
             "f": {f"{u},{v}": x for (u, v), x in self.f.items()},

@@ -219,16 +219,15 @@ class Scheme:
     codebooks and messages are drawn as arrays, and ``encode_block`` scans
     all its trials one row offset at a time; a single-letter table
     evaluator is asked once per ``encode_block`` call, for a (u, v) table
-    that each step reads by lookup.  A fixed codebook's trials
-    share its words, and each trial's encoding depends on its message pair
-    alone, so a run encodes each distinct pair once, when a block first
-    draws it, and gathers every trial's input word from those; its blocks
-    hold ``_BLOCK_LETTERS`` / 16 words of the larger side over their
-    trials, which bounds the decoders' scratch.  A classical block then
-    sends every trial's input word through the channel at once and decodes
-    each side by threshold membership: a fixed codebook decodes the
-    whole block in one call per side, and fresh codebooks one trial at a
-    time.
+    that each step reads by lookup.  A fixed codebook's trials share its
+    words, and each trial's encoding depends on its message pair alone, so
+    a block encodes each of its distinct pairs once and gathers every
+    trial's input word from those; its blocks hold ``_BLOCK_LETTERS`` / 16
+    words of the larger side over their trials, which bounds the decoders'
+    scratch.  A classical block then sends every trial's input word through
+    the channel at once and decodes each side by threshold membership: a
+    fixed codebook decodes the whole block in one call per side, and fresh
+    codebooks one trial at a time.
     ``decode_pgm`` measures each side of a whole cq block in one pass,
     against the side's states, stacked once per Scheme, with one PGM table
     of every state per distinct label counts of the block, picking each
@@ -331,7 +330,6 @@ class Scheme:
             block = max(1, _BLOCK_LETTERS // ((params.n_rows + params.n_cols) * self.n))
         else:
             block = max(1, (_BLOCK_LETTERS >> 4) // max(params.n_rows, params.n_cols))
-            encode_pairs = _PairEncodings(fixed_cb, self.log_ratio, self.evaluator)
         names = ("e1", "e2b", "e2c", "e3b", "e3c") if classical else ("e1", "e2", "e3")
         hits = np.zeros(len(names) + 2, dtype=np.int64)
         for start in range(0, trials, block):
@@ -350,7 +348,19 @@ class Scheme:
                 row, col, x = encode_block(rows, cols, keys, m1, m2, params, self.log_ratio,
                                            self.evaluator)
             else:
-                row, col, x = encode_pairs(m1, m2)
+                # every trial scans the codebook's words with the same rejection
+                # streams, (mix64(codebook seed, 3), row), so an encoding depends
+                # on the message pair alone: the block's distinct pairs, ascending
+                # (np.unique's values, without the masked-array check through
+                # which np.unique imports numpy.ma), are encoded once each
+                codes = m1 * n_m2 + m2
+                pairs = np.sort(codes)
+                pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+                encoded = encode_block(rows[:pairs.size], cols[:pairs.size],
+                                       [fixed_cb.seed] * pairs.size, pairs // n_m2,
+                                       pairs % n_m2, params, self.log_ratio, self.evaluator)
+                at = np.searchsorted(pairs, codes)
+                row, col, x = (part[at] for part in encoded)
             sent = np.stack([row, col])
             if classical:
                 first, count, hit = self._decode_classical(params, rows, cols, keys, fixed_cb,
@@ -482,46 +492,6 @@ class Scheme:
             started_at=started,
             wall_clock_s=time.monotonic() - t0,
         )
-
-
-class _PairEncodings:
-    """``encode_block`` over one fixed codebook, each message pair encoded once a run.
-
-    Every trial of a fixed codebook scans the same words with the same
-    rejection streams, (mix64(codebook seed, 3), row), so its (row, col, x)
-    depends on its messages alone.  A call encodes the distinct pairs of
-    its trials that no earlier call has met, over the codebook broadcast
-    to those pairs, and gathers every trial's encoding from the pairs met
-    so far.
-    """
-
-    def __init__(self, codebook: Codebook, log_ratio, evaluator):
-        self.codebook, self.n_m2 = codebook, 1 << codebook.params.R2
-        self.args = (codebook.params, log_ratio, evaluator)
-        # the codes m1 * 2^R2 + m2 met so far, ascending, and their (row, col, x)
-        self.codes = np.empty(0, dtype=np.int64)
-        self.encoded = (self.codes, self.codes, np.empty((0, codebook.n), dtype=np.int64))
-
-    def __call__(self, m1: np.ndarray, m2: np.ndarray) -> tuple:
-        codes = m1 * self.n_m2 + m2
-        # np.setdiff1d's values, without the masked-array check through which
-        # its np.unique imports numpy.ma: the distinct codes, ascending, not met yet
-        new = np.sort(codes)
-        new = new[np.diff(new, prepend=-1) != 0]
-        new = new[~np.isin(new, self.codes, assume_unique=True)]
-        if new.size:
-            cb, shape = self.codebook, (new.size,)
-            got = encode_block(np.broadcast_to(cb.rows, shape + cb.rows.shape),
-                               np.broadcast_to(cb.cols, shape + cb.cols.shape),
-                               [cb.seed] * new.size, new // self.n_m2, new % self.n_m2,
-                               *self.args)
-            merged = np.concatenate([self.codes, new])
-            order = np.argsort(merged)
-            self.codes = merged[order]
-            self.encoded = tuple(np.concatenate([old, add])[order]
-                                 for old, add in zip(self.encoded, got))
-        at = np.searchsorted(self.codes, codes)
-        return tuple(part[at] for part in self.encoded)
 
 
 def _event_hits(classical, params, m1, m2, sent, first, count, hit) -> list:

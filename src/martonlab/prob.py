@@ -69,13 +69,33 @@ class _Digested:
 
 
 def _check_labels(labels, what: str, count: int | None = None) -> tuple:
-    """``labels`` as a tuple of distinct strings, at least one, ``count`` if given."""
+    """``labels``, a list or tuple of distinct strings, at least one, ``count``
+    if given, as a tuple; a string is refused, not split into its letters."""
+    if not isinstance(labels, (list, tuple)):
+        raise ValidationError(f"{what}: labels must be a list, got {type(labels).__name__}")
     labels = tuple(labels)
     if count is not None and len(labels) != count:
         raise ValidationError(f"{what}: {len(labels)} labels for {count} probabilities")
     if not labels or not all(isinstance(x, str) for x in labels) or len(set(labels)) < len(labels):
         raise ValidationError(f"{what}: labels must be distinct strings, at least one")
     return labels
+
+
+def _check_count(value, what: str) -> int:
+    """``value`` as a positive int; a float, a bool or a string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """A new float array of ``values``, which must be numbers: numpy would
+    parse numeric strings, so values it holds as strings, bools or objects
+    are refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numbers, got {arr.dtype} values")
+    return arr.astype(float)
 
 
 def _check_mass(arr: np.ndarray, atol: float, what: str) -> None:
@@ -101,7 +121,7 @@ class JointPmf(_Digested):
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float).copy()
+        arr = _float_array(self.probs, "JointPmf probabilities")
         if arr.ndim != 2:
             raise ValidationError(f"probabilities must be 2-dimensional, got shape {arr.shape}")
         arr.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HermiticityError, NormalizationError, PositivityError, ValidationError
-from .prob import MALFORMED_JSON
+from .prob import MALFORMED_JSON, _check_count, _float_array
 
 __all__ = [
     "DensityOperator",
@@ -133,11 +133,11 @@ def matrix_from_json(data: dict) -> np.ndarray:
     of the wrong type raises ValidationError."""
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValidationError("matrix JSON must carry 'dim' and 'entries'")
+    dim = _check_count(data["dim"], "matrix dim")
     try:
-        dim, rows = int(data["dim"]), data["entries"]
-        arr = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except MALFORMED_JSON as exc:
+        parts = _float_array(data["entries"], "matrix entries")
+    except MALFORMED_JSON as exc:  # a ragged grid
         raise ValidationError(f"matrix JSON: malformed field ({exc})") from None
-    if arr.shape != (dim, dim):
-        raise ValidationError(f"matrix entries do not form a {dim}x{dim} grid")
-    return arr
+    if parts.shape != (dim, dim, 2):
+        raise ValidationError(f"matrix entries do not form a {dim}x{dim} grid of [re, im] pairs")
+    return parts.view(complex)[..., 0]

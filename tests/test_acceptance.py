@@ -10,10 +10,14 @@ that honestly instead of loosening the assertion.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import (
     ACCEPTANCE_LINES,
@@ -50,6 +54,7 @@ from martonlab.prob import JointPmf, json_digest
 from martonlab.rng import SeededRng, mix64
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -503,3 +508,36 @@ def test_simulate_golden_replays_after_warm_run(tmp_path, capsys):
     doc["report"].pop("wall_clock_s")
     golden = json.loads((DATA / "golden_simulate.json").read_text())
     assert json.dumps(doc, indent=2, sort_keys=True) == json.dumps(golden, indent=2, sort_keys=True)
+
+
+REPLAY_TESTS = ("test_qubit_runs_replay_golden_counts_and_report",
+                "test_classical_runs_replay_golden_counts_and_report",
+                "test_criterion_8_simulate_replay_matches_golden",
+                "test_simulate_golden_replays_after_warm_run")
+# numpy 2.4's x86 dispatch targets above its X86_V2 baseline
+SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.parametrize("setting, off", [
+    ({"OPENBLAS_CORETYPE": "Prescott"}, ()),
+    ({"NPY_DISABLE_CPU_FEATURES": ",".join(SIMD_TARGETS)}, SIMD_TARGETS),
+], ids=["openblas-prescott", "numpy-no-simd-dispatch"])
+def test_replays_hold_under_other_blas_kernels_and_simd_levels(setting, off):
+    # the replay tests rerun in a fresh interpreter under the setting, which
+    # picks OpenBLAS's kernel or numpy's SIMD loops there; that interpreter
+    # first checks that the features the setting switches off read as off
+    dispatch = pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__
+    if not set(off) <= set(dispatch):
+        pytest.skip(f"numpy here dispatches to {dispatch}, not {off}")
+    args = ["-q", "-p", "no:cacheprovider",
+            *(f"{Path(__file__).resolve()}::{name}" for name in REPLAY_TESTS)]
+    script = ("import sys, pytest\n"
+              "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+              f"assert not any(on[f] for f in {off!r}), on\n"
+              f"sys.exit(pytest.main({args!r}))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=path, **setting),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"{len(REPLAY_TESTS)} passed" in run.stdout

@@ -144,6 +144,14 @@ class TestCqChannel:
         with pytest.raises(ValidationError):
             CqBroadcastChannel(("0",), 2, 2, (DensityOperator(np.eye(2) / 2),))
 
+    @pytest.mark.parametrize("dim", [2.9, 2.0, "2", True, 0])
+    def test_dimensions_must_be_positive_integers(self, dim):
+        # a float is refused, not truncated; numpy integers pass
+        state = (DensityOperator(np.eye(4) / 4),)
+        with pytest.raises(ValidationError, match="dim_b must be a positive integer"):
+            CqBroadcastChannel(("0",), dim, 2, state)
+        assert CqBroadcastChannel(("0",), np.int64(2), 2, state).dim_b == 2
+
     def test_json_round_trip(self):
         ch = qubit_cq_channel()
         back = channel_from_json(json.loads(json.dumps(ch.to_json())))
@@ -171,11 +179,24 @@ class TestInputDesign:
         assert back.f == d.f
         assert_allclose(back.joint.probs, d.joint.probs, atol=0)
 
-    def test_comma_labels_rejected_at_serialization(self):
-        joint = JointPmf(("a,b",), ("0",), [[1.0]])
-        d = InputDesign(joint, {("a,b", "0"): "x"})
-        with pytest.raises(ValidationError):
-            d.to_json()
+    def test_comma_labels_rejected_at_construction(self):
+        # a design that could not be written as JSON would have no digest,
+        # so hash() and == would raise on it later
+        with pytest.raises(ValidationError, match="','"):
+            InputDesign(JointPmf(("a,b",), ("0",), [[1.0]]), {("a,b", "0"): "x"})
+        with pytest.raises(ValidationError, match="','"):
+            InputDesign(JointPmf(("a",), ("0,1",), [[1.0]]), {("a", "0,1"): "x"})
+        # labels with other punctuation pass, and hash and compare by content
+        joint = JointPmf(("a;b",), ("0 1",), [[1.0]])
+        d, e = (InputDesign(joint, {("a;b", "0 1"): "x"}) for _ in range(2))
+        assert d == e and hash(d) == hash(e) and len({d, e}) == 1
+        assert InputDesign.from_json(json.loads(json.dumps(d.to_json()))) == d
+
+    def test_f_keys_must_be_label_pairs(self):
+        joint = JointPmf(("0",), ("0",), [[1.0]])
+        for key in (("0",), ("0", 0), "00"):
+            with pytest.raises(ValidationError, match="f keys"):
+                InputDesign(joint, {key: "x", ("0", "0"): "x"})
 
 
 class TestInducedJoints:

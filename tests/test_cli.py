@@ -1,5 +1,6 @@
 """Exit-code contract, flag parsing, and golden replay for the command line."""
 
+import copy
 import json
 import math
 
@@ -552,7 +553,9 @@ class TestConfigErrors:
 
 
 def _set(doc: dict, path: tuple, value) -> dict:
-    """``doc`` with the field at ``path`` (a tuple of keys) set to ``value``."""
+    """A copy of ``doc`` with the field at ``path`` (a tuple of keys) set to
+    ``value``; ``doc`` may share its parts with module constants such as INDEP."""
+    doc = copy.deepcopy(doc)
     inner = doc
     for key in path[:-1]:
         inner = inner[key]
@@ -572,11 +575,20 @@ MALFORMED_INPUTS = [
     ("channel", lambda: bsc_pair_doc(0.1, 0.1), ("x_alphabet",), 7),
     ("design", design_doc, ("f",), [1, 2]),
     ("design", design_doc, ("uv", "probs"), [["a"]]),
+    # values a reader would otherwise coerce: a string alphabet split into its
+    # letters, numeric strings parsed as floats, non-integer dimensions truncated
+    ("design", design_doc, ("uv", "row_labels"), "01"),
+    ("channel", lambda: bsc_pair_doc(0.1, 0.1), ("p",),
+     json.loads(json.dumps(bsc_pair_doc(0.1, 0.1)["p"]), parse_float=str)),
+    ("channel", qubit_cq_doc, ("dim_b",), 2.9),
+    ("channel", qubit_cq_doc, ("states", "00", "dim"), 4.5),
+    ("channel", qubit_cq_doc, ("states", "00", "entries", 0, 1), [0.0, 0.0, 7.0]),
 ]
 
 # joint files with one malformed field, a nan mass among them
 MALFORMED_JOINTS = [(("probs",), [["a", "b"], ["c", "d"]]), (("row_labels",), 3),
-                    (("probs",), [[float("nan"), 0.5], [0.25, 0.25]])]
+                    (("probs",), [[float("nan"), 0.5], [0.25, 0.25]]),
+                    (("row_labels",), "01"), (("probs",), [["0.45", "0.05"], ["0.05", "0.45"]])]
 
 
 class TestMalformedInputFiles:
@@ -590,7 +602,7 @@ class TestMalformedInputFiles:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("name, doc, path, value", MALFORMED_INPUTS)
-    def test_simulate(self, tmp_path, capsys, name, doc, path, value):
+    def test_simulate(self, tmp_path, outdir, capsys, name, doc, path, value):
         cfg = desk_config(tmp_path)
         write_json(tmp_path / f"{name}.json", _set(doc(), path, value))
         self.assert_parse_error(["simulate", "--config", cfg], capsys)
@@ -599,7 +611,7 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("command", [["divergence", "--kind", "i0", "--eps", "0.1", "--joint"],
                                          ["iid-curve", "--eps", "0.05", "--n", "1,2", "--base"]])
     def test_joint(self, tmp_path, outdir, capsys, command, path, value):
-        joint = write_json(tmp_path / "j.json", _set(json.loads(json.dumps(DSBS45)), path, value))
+        joint = write_json(tmp_path / "j.json", _set(DSBS45, path, value))
         self.assert_parse_error(command + [joint], capsys)
 
 

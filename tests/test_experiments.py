@@ -570,16 +570,11 @@ def _recording_encoder(calls: list, monkeypatch) -> None:
     monkeypatch.setattr(experiments, "encode_block", encode)
 
 
-def _assert_new_pairs_only(calls: list, pairs: list, block: int) -> None:
-    """A fixed-codebook run encodes, block by block, the distinct pairs
-    that no earlier block drew, each once."""
-    want, seen = [], set()
-    for start in range(0, len(pairs), block):
-        new = set(pairs[start:start + block]) - seen
-        seen |= new
-        if new:
-            want.append(new)
-    assert [set(call) for call in calls] == want
+def _assert_block_pairs_once(calls: list, pairs: list, block: int) -> None:
+    """A fixed-codebook run makes one ``encode_block`` call per block, which
+    holds exactly that block's distinct pairs, each once."""
+    assert [set(call) for call in calls] == [set(pairs[start:start + block])
+                                             for start in range(0, len(pairs), block)]
     assert all(len(call) == len(set(call)) for call in calls)
 
 
@@ -623,7 +618,7 @@ class TestCqBlocks:
             assert [len(call) for call in calls] == [7] * 5 + [2]
         else:
             assert 37 // _fixed_block(params) > 1
-            _assert_new_pairs_only(calls, _messages(params, 37, seed), _fixed_block(params))
+            _assert_block_pairs_once(calls, _messages(params, 37, seed), _fixed_block(params))
         monkeypatch.setattr(Scheme, "_counts", cq_counts_per_trial)
         want = scheme.run(params, 37, seed, resample_codebook=resample)
         assert event_counts(got) == event_counts(want)
@@ -720,7 +715,7 @@ class TestClassicalBlocks:
         else:
             # a fixed codebook's blocks follow its own rule: 1, 3 and 18
             # trials (n = 4), 1, 1 and 4 (desk)
-            _assert_new_pairs_only(calls, _messages(params, 37, 11), _fixed_block(params))
+            _assert_block_pairs_once(calls, _messages(params, 37, 11), _fixed_block(params))
         assert sum(event_counts(got).values()) > 0
         monkeypatch.setattr(Scheme, "_counts", classical_counts_per_trial)
         want = scheme.run(params, 37, 11, resample_codebook=resample)

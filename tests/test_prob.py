@@ -55,6 +55,16 @@ class TestPmf:
         with pytest.raises(ValidationError):
             JointPmf(("a",), ("x", "x"), [[0.5, 0.5]])
 
+    def test_mistyped_values_are_refused_not_coerced(self):
+        # numpy would parse "0.5", and tuple() would split "ab" into its letters
+        for probs in ([["0.5"], ["0.5"]], [[True], [False]], [[0.5], [None]]):
+            with pytest.raises(ValidationError, match="must be numbers"):
+                JointPmf(("a", "b"), ("x",), probs)
+        with pytest.raises(ValidationError, match="must be a list"):
+            JointPmf("ab", ("x",), [[0.5], [0.5]])
+        ok = JointPmf(["a", "b"], ("x",), np.array([[1], [0]]))
+        assert ok.row_labels == ("a", "b") and ok.probs.dtype == float
+
     def test_tolerance_is_configurable(self):
         probs = [[0.5 + 1e-9, 0.5]]
         with pytest.raises(NormalizationError):
