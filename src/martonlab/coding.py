@@ -223,6 +223,10 @@ def _require(*args) -> None:
             raise InfeasibleRates(c.message())
 
 
+# letters Codebook.content_digest widens to int64 at a time
+_DIGEST_LETTERS = 1 << 14
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Sampled words plus the lazily evaluated rejection indicator.
@@ -283,10 +287,19 @@ class Codebook:
         return got
 
     def content_digest(self) -> str:
-        """sha256 of the rows, then the columns, as C-ordered int64 letters."""
+        """sha256 of the rows, then the columns, as C-ordered int64 letters.
+
+        Each side is widened to int64 ``_DIGEST_LETTERS`` letters at a time
+        through one reused buffer, so no int64 copy of a whole side is made.
+        """
         h = hashlib.sha256()
+        step = max(1, _DIGEST_LETTERS // max(1, self.n))
+        buffer = np.empty((min(step, max(self.n_rows, self.n_cols)), self.n), dtype=np.int64)
         for words in (self.rows, self.cols):
-            h.update(np.ascontiguousarray(words, dtype=np.int64))
+            for start in range(0, len(words), step):
+                piece = buffer[:min(step, len(words) - start)]
+                np.copyto(piece, words[start:start + step], casting="unsafe")
+                h.update(piece)
         return h.hexdigest()
 
 
@@ -600,87 +613,169 @@ def encode(codebook: Codebook, m1: int, m2: int, evaluator) -> tuple:
 
 def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: np.ndarray,
                  params: RateParams, log_ratio: np.ndarray, evaluator) -> tuple:
-    """Encode a block of trials, one row offset at a time.
+    """Encode a block of trials by a rejection scan of their band pairs.
 
     Trial j encodes (m1[j], m2[j]) into the codebook with words ``rows[j]``,
     ``cols[j]`` (shaped (trials, count, n)) and seed ``seeds[j]``: it picks
     the first cell of its band pair, in (row, column) order, that survives
     rejection and whose alpha and beta clear 1 - 4 eps0, and falls back to
-    the all-first-symbol input word when there is none.  Each step reads
-    the searching trials' column bands as blocks of a view of ``cols``, and
-    their cells' acceptance by one ``take``.  A single-letter table
-    evaluator (explicit sets, cq tests) is asked once per call, in one
-    ``alpha_beta`` call over the letter pairs with an input, so that per
-    (u, v) the acceptance and the threshold's outcome are tables.  The
-    llr-threshold evaluator, whose tail masses cost far more than a lookup,
-    tests each trial's surviving cells in column order up to the first pass.
+    the all-first-symbol input word when there is none.  Each trial's row
+    and column bands are gathered once.  A single-letter table evaluator
+    (explicit sets, cq tests) is scanned in windows of rows by
+    ``_scan_by_table``; the llr-threshold evaluator, whose tail masses cost
+    far more than a lookup, one row offset at a time by ``_scan_by_cell``.
     A cell of acceptance 1 survives whatever its uniform, as every uniform
-    is below 1.  So a row draws its rejection uniforms only when it has a
-    cell of acceptance below 1, on the table path one before its first sure
-    pass (acceptance 1 and a passing table entry): any uniforms give the
-    other rows the same outcome.  The drawing rows take theirs from their
-    own streams at their own positions, in one ``stream_uniforms`` call,
-    which opens no stream.  A surviving cell whose pair has no input raises
-    when it comes before its trial's first pass.  Returns (row, col, x):
-    the chosen indices, -1 where the trial falls back, and the input words,
-    all first symbols there.
+    is below 1, so a row draws its rejection uniforms only when one can
+    change its outcome.  The drawing rows take theirs from their own
+    streams at their own positions, by ``stream_uniforms``, which opens no
+    stream.  Returns (row, col, x): the chosen indices, -1 where the trial
+    falls back, and the input words, all first symbols there.
+    """
+    trials, w1, w2 = len(seeds), 1 << params.r1, 1 << params.r2
+    k0, l0 = m1 * w1, m2 * w2
+    # each trial's row and column band, (trials, band, n)
+    every = np.arange(trials)
+    row_band = rows.reshape(trials, -1, w1, rows.shape[2])[every, m1]
+    col_band = cols.reshape(trials, -1, w2, cols.shape[2])[every, m2]
+    eta_keys = mix64(np.asarray(seeds, dtype=np.uint64), 3)
+    row = np.full(trials, -1, dtype=np.int64)
+    col = np.full(trials, -1, dtype=np.int64)
+    x = np.zeros((trials, rows.shape[2]), dtype=np.int64)
+    scan = _scan_by_cell if isinstance(evaluator, ClassicalThresholdEvaluator) else _scan_by_table
+    for j, i, off in scan(row_band, col_band, eta_keys, k0, l0, params, log_ratio, evaluator):
+        row[j], col[j] = k0[j] + i, l0[j] + off
+        # a passing cell went through alpha_beta, so its input is defined
+        x[j] = evaluator.fx[row_band[j, i], col_band[j, off]]
+    return row, col, x
+
+
+def _eta_rows(eta_keys, k, first, w2: int) -> np.ndarray:
+    """Rejection uniforms of codebook rows k, columns first to first + w2,
+    one row per entry of the uint64 keys ``eta_keys`` and the int arrays
+    ``k`` and ``first``."""
+    return stream_uniforms(np.empty((len(k), w2)), eta_keys.tolist(), k.tolist(),
+                           first.tolist())
+
+
+# cells a window of the table scan looks up after its first row: a window
+# holds about this many over (searching trials x band width) rows, and at
+# least one.  On the qubit sweep's sparse points the scan takes the same
+# time from 2^17 to 2^20 and about an eighth longer at 2^14
+_WINDOW_CELLS = 1 << 18
+
+
+def _scan_by_table(row_band, col_band, eta_keys, k0, l0, params, log_ratio, evaluator):
+    """Yield (trials, row offsets, column offsets) of the trials that find
+    their cell, under a single-letter table evaluator.
+
+    The evaluator is asked once, in one ``alpha_beta`` call over the letter
+    pairs with an input, so per (u, v) the acceptance and the threshold's
+    outcome are tables.  The scan works through windows of row offsets:
+    the first row alone, where every trial finds its cell when acceptance is
+    dense, then rows of about ``_WINDOW_CELLS`` cells over (searching trials
+    x band width).  A row's cells are its letter u against its trial's
+    column band, so a window summarises each of its rows, or each (u, trial)
+    where there are fewer letters than rows, once: its first sure pass
+    (acceptance 1 and passing), whether it needs uniforms (a cell of
+    acceptance below 1 comes before its first sure pass), and whether a
+    pair with no input comes before that.  Each trial then stops at its
+    first row that finds a sure pass with no draw, unless a row before it
+    that needs uniforms finds its cell first; those rows are stepped through
+    in order, each drawn only while its trial is still searching, so the
+    rows drawn are those of a one-row scan.  A surviving cell whose pair has
+    no input raises when it comes before its trial's first pass, at the row
+    where a one-row scan would.
     """
     thr = 1.0 - 4.0 * float(params.eps0)
-    w1, w2 = 1 << params.r1, 1 << params.r2
-    k0, l0 = m1 * w1, m2 * w2
-    # bands[j, m2] is the column band of message m2 in trial j, a view of cols
-    bands = cols.reshape(len(seeds), -1, w2, cols.shape[2])
-    eta_keys = mix64(np.asarray(seeds, dtype=np.uint64), 3)
-    row = np.full(len(seeds), -1, dtype=np.int64)
-    col = np.full(len(seeds), -1, dtype=np.int64)
-    x = np.zeros((len(seeds), rows.shape[2]), dtype=np.int64)
-    by_table = not isinstance(evaluator, ClassicalThresholdEvaluator)
-    if by_table:
-        # _acceptance of one-letter pairs, and which defined pairs pass
-        accept = np.exp2(np.minimum(log_ratio - params.i_infty, 0.0))
-        defined = evaluator.fx >= 0
-        gate = np.zeros_like(defined)
-        alpha, beta = evaluator.alpha_beta(*np.nonzero(defined))
-        gate[defined] = (alpha > thr) & (beta > thr)
-        undefined = ~defined if not defined.all() else None
-    searching = np.arange(len(seeds))
-    for i in range(w1):
+    trials, w1 = row_band.shape[:2]
+    w2 = col_band.shape[1]
+    letters, n_cols = log_ratio.shape
+    accept = np.exp2(np.minimum(log_ratio - params.i_infty, 0.0))
+    defined = evaluator.fx >= 0
+    gate = np.zeros_like(defined)
+    alpha, beta = evaluator.alpha_beta(*np.nonzero(defined))
+    gate[defined] = (alpha > thr) & (beta > thr)
+    # per (u, v): 0 below acceptance 1, 1 at acceptance 1 and failing, 2 a
+    # sure pass; and the acceptance where the pair passes, else -1, which a
+    # uniform reaches exactly when the cell survives and passes
+    kinds = ((accept >= 1.0) * (1 + gate)).astype(np.int8)
+    gated = np.where(gate, accept, -1.0)
+    undefined = ~defined if not defined.all() else None
+    searching, i = np.arange(trials), 0
+    while searching.size and i < w1:
+        s = searching.size
+        h = 1 if i == 0 else min(w1 - i, max(1, _WINDOW_CELLS // (s * w2)))
+        words, band = row_band[searching, i:i + h, 0].astype(np.intp), col_band[searching, :, 0]
+        # summary row at[j, r] holds row i + r of trial searching[j]: one
+        # summary per window row, or per letter where that is fewer
+        if h <= letters:
+            code = (words[:, :, None] * n_cols + band[:, None, :]).reshape(-1, w2)
+            at = np.arange(s * h).reshape(s, h)
+        else:
+            code = (np.arange(letters)[:, None, None] * n_cols + band).reshape(-1, w2)
+            at = words * s + np.arange(s)[:, None]
+        kind = kinds.take(code)
+        # the first sure pass and the first cell below acceptance 1, w2 if none
+        sure, below = kind == 2, kind == 0
+        first_sure = np.where(sure.any(axis=1), sure.argmax(axis=1), w2)
+        need = below.any(axis=1) & (below.argmax(axis=1) < first_sure)
+        # a trial stops at its first row with a sure pass and no draw, unless
+        # a drawing row before it finds its cell
+        free = ((first_sure < w2) & ~need).take(at)
+        stop = np.where(free.any(axis=1), free.argmax(axis=1), h)
+        off = first_sure.take(at[np.arange(s), np.minimum(stop, h - 1)])
+        steps = np.arange(h)
+        draws = need.take(at) & (steps < stop[:, None])
+        visit = draws.any(axis=0)
+        if undefined is not None:
+            # a row with no draw has acceptance 1 before its first sure pass
+            bad = undefined.take(code)
+            bad = (bad.any(axis=1) & (bad.argmax(axis=1) < first_sure) & ~need).take(at)
+            bad &= steps <= stop[:, None]
+            visit |= bad.any(axis=0)
+        visit = visit.nonzero()[0]
+        passing = gated.take(code) if visit.size else None
+        for r in visit:
+            d = (draws[:, r] & (stop > r)).nonzero()[0]
+            if d.size:
+                cells, j = at[d, r], searching[d]
+                eta = _eta_rows(eta_keys[j], k0[j] + (i + r), l0[j], w2)
+                ok = eta <= passing[cells]
+                first = ok.argmax(axis=1)
+                hit = ok[np.arange(d.size), first]
+                if undefined is not None and (
+                        (eta <= accept.take(code[cells])) & undefined.take(code[cells])
+                        & ~np.logical_or.accumulate(ok, axis=1)).any():
+                    raise ValidationError("input map undefined for a sampled pair")
+                stop[d[hit]], off[d[hit]] = r, first[hit]
+            if undefined is not None and (bad[:, r] & (stop >= r)).any():
+                raise ValidationError("input map undefined for a sampled pair")
+        found = stop < h
+        yield searching[found], i + stop[found], off[found]
+        searching, i = searching[~found], i + h
+
+
+def _scan_by_cell(row_band, col_band, eta_keys, k0, l0, params, log_ratio, evaluator):
+    """Yield (trials, row offset, column offsets) of the trials that find
+    their cell, one row offset at a time, under the llr-threshold evaluator:
+    its surviving cells are tested in column order up to each trial's first
+    pass, so a row draws its uniforms when any of its cells has acceptance
+    below 1."""
+    thr = 1.0 - 4.0 * float(params.eps0)
+    searching, w2 = np.arange(len(row_band)), col_band.shape[1]
+    for i in range(row_band.shape[1]):
         if searching.size == 0:
             break
-        k = k0[searching] + i
-        row_words = rows[searching, k]
-        col_words = bands[searching, m2[searching]]
-        if by_table:
-            code = _pair_code(row_words, col_words[:, :, 0], log_ratio.shape[1])
-            acc, passes = accept.take(code), gate.take(code)
-        else:
-            acc = _acceptance(log_ratio, row_words[:, None, :], col_words, params.i_infty)
-        # acceptance 1 survives any uniform; only the other cells need one,
-        # and on the table path only those before the first sure pass
+        row_words, col_words = row_band[searching, i], col_band[searching]
+        acc = _acceptance(log_ratio, row_words[:, None, :], col_words, params.i_infty)
         alive = acc >= 1.0
-        unsure = ~alive
-        if by_table and unsure.any():
-            unsure &= ~np.logical_or.accumulate(alive & passes, axis=1)
-        drawn = np.flatnonzero(unsure.any(axis=1))
+        drawn = np.flatnonzero(~alive.all(axis=1))
         if drawn.size:
-            eta = stream_uniforms(np.empty((drawn.size, w2)), eta_keys[searching[drawn]].tolist(),
-                                  k[drawn].tolist(), l0[searching[drawn]].tolist())
-            alive[drawn] = eta <= acc[drawn]
-        if by_table:
-            ok = alive & passes
-            if undefined is not None and (alive & undefined.take(code)
-                                          & ~np.logical_or.accumulate(ok, axis=1)).any():
-                raise ValidationError("input map undefined for a sampled pair")
-            found = np.flatnonzero(ok.any(axis=1))
-            off = ok[found].argmax(axis=1)
-        else:
-            found, off = _first_pass_by_cell(evaluator, row_words, col_words, alive, thr)
-        j = searching[found]
-        row[j], col[j] = k[found], l0[j] + off
-        # a passing cell went through alpha_beta, so its input is defined
-        x[j] = evaluator.fx[row_words[found], col_words[found, off]]
+            j = searching[drawn]
+            alive[drawn] = _eta_rows(eta_keys[j], k0[j] + i, l0[j], w2) <= acc[drawn]
+        found, off = _first_pass_by_cell(evaluator, row_words, col_words, alive, thr)
+        yield searching[found], i, off
         searching = np.delete(searching, found)
-    return row, col, x
 
 
 def _first_pass_by_cell(evaluator, row_words, col_words, alive, thr) -> tuple:

@@ -217,9 +217,10 @@ class Scheme:
     ``run`` plays trials in blocks.  Under fresh codebooks a block holds as
     many trials as fit ``_BLOCK_LETTERS`` codebook letters: the block's
     codebooks and messages are drawn as arrays, and ``encode_block`` scans
-    all its trials one row offset at a time; a single-letter table
-    evaluator is asked once per ``encode_block`` call, for a (u, v) table
-    that each step reads by lookup.  A fixed codebook's trials share its
+    all its trials at once; a single-letter table evaluator is asked once
+    per ``encode_block`` call, for (u, v) tables from which the scan
+    summarises a window of rows at a time, and the llr-threshold evaluator
+    is scanned one row offset at a time.  A fixed codebook's trials share its
     words, and each trial's encoding depends on its message pair alone, so
     a block encodes each of its distinct pairs once and gathers every
     trial's input word from those; its blocks hold ``_BLOCK_LETTERS`` / 16
@@ -245,7 +246,7 @@ class Scheme:
     convolution powers and the tail masses it memoizes by joint type, which
     depend only on the Scheme, so one Scheme may serve many runs, also in
     several threads at once: every draw goes through the calling thread's
-    own scratch generator and state dict.
+    own scratch generator and placement routine.
     """
 
     def __init__(self, channel, design: InputDesign, eps0: float, eps_infty: float,

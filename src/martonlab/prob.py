@@ -88,13 +88,23 @@ def _check_count(value, what: str) -> int:
     return int(value)
 
 
+def _holds_bool(values) -> bool:
+    """Whether ``values``, nested lists or arrays, holds a bool anywhere."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_)) or getattr(values, "dtype", None) == bool
+
+
 def _float_array(values, what: str) -> np.ndarray:
     """A new float array of ``values``, which must be numbers: numpy would
-    parse numeric strings, so values it holds as strings, bools or objects
-    are refused."""
+    parse numeric strings and read a bool among numbers as 1 or 0, so values
+    it holds as strings, bools or objects, and bools among numbers, are
+    refused."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be numbers, got {arr.dtype} values")
+    if not isinstance(values, np.ndarray) and _holds_bool(values):
+        raise ValidationError(f"{what} must be numbers, got a bool among them")
     return arr.astype(float)
 
 

@@ -27,9 +27,10 @@ ints that ``mix64`` and the harness produce.  Placing the scratch
 generator at a stream costs about 1 us in numpy's state setter, and a
 ``SeededRng`` draw adds its own Python work and a new array.
 ``stream_uniforms`` draws many short streams, row by row into one array,
-in one loop that places the scratch generator at each and opens no
-stream: from 200 streams, 2.0 us a stream of two uniforms and 2.8 us one
-of 128, against 3.1 and 4.3 us through ``SeededRng`` (medians of 15
+in one loop that places the scratch generator at each, through a
+placement routine bound once per call, and opens no stream: from 200
+streams, 1.5 us a stream of two uniforms, 1.9 us one of 64 and 2.3 us one
+of 128, against 2.2, 2.6 and 3.1 us through ``SeededRng`` (medians of 15
 alternated timeit batches, 2-vCPU VM, numpy 2.4).
 
 ``first_uniforms`` gives the first uniforms of many streams at once.
@@ -58,21 +59,48 @@ _U1, _U11, _U27, _U30, _U31 = (np.uint64(v) for v in (1, 11, 27, 30, 31))
 _U_GOLDEN, _U_MIX1, _U_MIX2 = (np.uint64(v) for v in (_GOLDEN, _MIX1, _MIX2))
 
 
+def _placer(generator: np.random.Generator):
+    """The placement routine of a scratch generator: ``place(key, stream_id,
+    drawn)`` puts ``generator`` at output ``drawn`` of stream
+    (key, stream_id) and returns it.
+
+    The routine owns the state dict it hands to the state setter and binds
+    it and the bit generator once, so a placement costs one call and the
+    setter.
+    """
+    # Philox steps its counter before filling the buffer, so counter
+    # drawn // 4 and an empty buffer resume at output 4 * (drawn // 4), and
+    # the discarded outputs bring it to drawn.  The state setter copies each
+    # entry into the generator, so plain ints and one reused dict will do.
+    # random_raw's output=False path sums its size through numpy and takes
+    # about three times as long as returning a small array
+    inner = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen = generator.bit_generator
+
+    def place(key: int, stream_id: int, drawn: int) -> np.random.Generator:
+        inner["counter"] = (drawn >> 2, 0, 0, 0)
+        inner["key"] = (key, stream_id)
+        bitgen.state = state
+        if drawn & 3:
+            bitgen.random_raw(drawn & 3)
+        return generator
+
+    return place
+
+
 class _Scratch(threading.local):
     """One scratch generator per thread, so concurrent draws from distinct
     streams never share a Philox state; every draw sets its stream's key and
     counter first, so nothing carries over from one stream to the next.
-    ``state`` is the dict ``_place`` fills in and hands to the state setter,
-    kept per thread so that threads never write one dict at once.  A
-    thread's first access builds its generator and its dict."""
+    ``place`` is the thread's own ``_placer`` routine, whose state dict no
+    other thread writes.  A thread's first access builds its generator and
+    its routine."""
 
     def __init__(self):
         self.generator = np.random.Generator(np.random.Philox(key=0))
-        self.bit_generator = self.generator.bit_generator
-        # _place sets the counter and key; the buffer stays empty
-        self.inner = {"counter": (0, 0, 0, 0), "key": (0, 0)}
-        self.state = {"bit_generator": "Philox", "state": self.inner,
-                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.place = _placer(self.generator)
 
 
 _scratch = _Scratch()
@@ -138,21 +166,6 @@ def _checked_key(name: str, value) -> int:
     return int(value)
 
 
-def _place(scratch: _Scratch, key: int, stream_id: int, drawn: int) -> None:
-    """Put ``scratch``'s generator at output ``drawn`` of stream (key, stream_id)."""
-    # Philox steps its counter before filling the buffer, so counter
-    # drawn // 4 and an empty buffer resume at output 4 * (drawn // 4), and
-    # the discarded outputs bring it to drawn.  The state setter copies each
-    # entry into the generator, so plain ints and one reused dict will do.
-    # random_raw's output=False path sums its size through numpy and takes
-    # about three times as long as returning a small array
-    scratch.inner["counter"] = (drawn >> 2, 0, 0, 0)
-    scratch.inner["key"] = (key, stream_id)
-    scratch.bit_generator.state = scratch.state
-    if drawn & 3:
-        scratch.bit_generator.random_raw(drawn & 3)
-
-
 class SeededRng:
     """Replayable random stream keyed by ``(master_seed, stream_id)``.
 
@@ -192,9 +205,7 @@ class SeededRng:
 
     def _seek(self):
         """The calling thread's scratch generator, at this stream's next output."""
-        scratch = _scratch
-        _place(scratch, self.master_seed, self.stream_id, self._drawn)
-        return scratch.generator
+        return _scratch.place(self.master_seed, self.stream_id, self._drawn)
 
     def _random(self, size):
         gen = self._seek()
@@ -244,14 +255,12 @@ def stream_uniforms(out: np.ndarray, keys, stream_ids, firsts) -> np.ndarray:
     ``SeededRng(keys[i], stream_ids[i]).random(firsts[i] + count)[firsts[i]:]``,
     bit for bit.  Keys, stream ids and firsts are ints, keys and ids in [0, 2^64).
     The calling thread's scratch generator is placed at each stream in turn
-    and draws straight into its row, so no stream object and no temporary
-    array is built.
+    by its ``_placer`` routine, bound once per call, and draws straight into
+    its row, so no stream object and no temporary array is built.
     """
-    scratch = _scratch
-    draw = scratch.generator.random
+    place = _scratch.place
     for row, key, stream_id, first in zip(out, keys, stream_ids, firsts):
-        _place(scratch, key, stream_id, first)
-        draw(out=row)
+        place(key, stream_id, first).random(out=row)
     return out
 
 

@@ -583,12 +583,19 @@ MALFORMED_INPUTS = [
     ("channel", qubit_cq_doc, ("dim_b",), 2.9),
     ("channel", qubit_cq_doc, ("states", "00", "dim"), 4.5),
     ("channel", qubit_cq_doc, ("states", "00", "entries", 0, 1), [0.0, 0.0, 7.0]),
+    # JSON bools among numbers, which numpy would read as 1 and 0: a cq
+    # entry, a channel's zero mass and a design's joint that sums to 1
+    ("channel", qubit_cq_doc, ("states", "00", "entries", 0, 1), [False, False]),
+    ("channel", qubit_cq_doc, ("states", "00", "entries", 0, 0, 1), False),
+    ("channel", lambda: bsc_pair_doc(0.1, 0.0), ("p", 0, 0, 1), False),
+    ("design", design_doc, ("uv", "probs"), [[0.0, True], [0.0, 0.0]]),
 ]
 
 # joint files with one malformed field, a nan mass among them
 MALFORMED_JOINTS = [(("probs",), [["a", "b"], ["c", "d"]]), (("row_labels",), 3),
                     (("probs",), [[float("nan"), 0.5], [0.25, 0.25]]),
-                    (("row_labels",), "01"), (("probs",), [["0.45", "0.05"], ["0.05", "0.45"]])]
+                    (("row_labels",), "01"), (("probs",), [["0.45", "0.05"], ["0.05", "0.45"]]),
+                    (("probs",), [[0.5, False], [False, 0.5]])]
 
 
 class TestMalformedInputFiles:

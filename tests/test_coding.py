@@ -305,6 +305,26 @@ class TestCodebook:
                                    + words[1].astype(np.int64).tobytes())
         assert cb.content_digest() == one_piece.hexdigest()
 
+    @pytest.mark.parametrize("layout", ["uint8", "int64", "uint16 fortran", "broadcast",
+                                        "strided"])
+    @pytest.mark.parametrize("n", [1, 7, 56])
+    def test_digest_in_pieces_is_the_one_shot_int64_digest(self, layout, n, monkeypatch):
+        # sides of 4,096 and 8 words, widened a few hundred letters at a time
+        monkeypatch.setattr(coding, "_DIGEST_LETTERS", 300)
+        params = small_params(r1=11, r2=2)
+        rng = np.random.default_rng(n)
+        make = {"uint8": lambda a: a.astype(np.uint8), "int64": lambda a: a.astype(np.int64),
+                "uint16 fortran": lambda a: np.asfortranarray(a, dtype=np.uint16),
+                "broadcast": lambda a: np.broadcast_to(a[:1], a.shape),
+                "strided": lambda a: np.repeat(a, 2, axis=0)[::2]}[layout]
+        sides = [make(rng.integers(0, 3, size=(count, n)))
+                 for count in (params.n_rows, params.n_cols)]
+        cb = Codebook(sides[0], sides[1], params, pair_design(DSBS_45), 7, n)
+        one_shot = hashlib.sha256()
+        for side in sides:
+            one_shot.update(np.ascontiguousarray(side, dtype=np.int64))
+        assert cb.content_digest() == one_shot.hexdigest()
+
     @pytest.mark.parametrize("pmf", [
         [0.5, 0.5], [1.0], [0.3, 0.0, 0.7], [0.0, 0.2, 0.8], [0.2, 0.3, 0.5],
         [0.1, 0.2, 0.3, 0.4], [0.25, 0.0, 0.0, 0.75], [0.4, 0.3, 0.3, 0.0], [0.1] * 10,

@@ -1,6 +1,7 @@
 """Trial harness: determinism, event accounting, and bound attachment."""
 
 import dataclasses
+import functools
 import itertools
 from collections import Counter
 import json
@@ -1211,6 +1212,177 @@ class TestEncodeBlockTables:
             assert event_counts(got)["e1"] == sum(fallback[pair] for pair in drawn)
             outcomes.add("fell back" if any(fallback.values()) else "found")
         assert outcomes == {"raised", "fell back", "found"}
+
+
+class WindowSpy:
+    """Records the windows of ``coding._scan_by_table``: one list per window
+    of the row offsets at which its trials found their cell."""
+
+    def __init__(self, monkeypatch):
+        self.windows = []
+        scan = coding._scan_by_table
+
+        def recorded(*args):
+            for j, i, off in scan(*args):
+                self.windows.append(np.atleast_1d(i).tolist())
+                yield j, i, off
+
+        monkeypatch.setattr(coding, "_scan_by_table", recorded)
+
+
+class TestEncodeBlockWindows:
+    """The table scan's windows against per-trial ``encode`` and the draw
+    rule: one row per window, windows whose rows are summarised one by one,
+    and every row after the first in one window give the same encodings and
+    draw the same rows."""
+
+    # _WINDOW_CELLS of a block of `trials` trials and band width w2: one row
+    # per window; two rows a window while more than two thirds of the trials
+    # search, each row summarised on its own as there are two letters, then
+    # wider; and the rest of the band after the first row in one window
+    BUDGETS = {"one row": lambda trials, w2: 0, "two rows": lambda trials, w2: 2 * trials * w2,
+               "whole band": lambda trials, w2: 1 << 40}
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _point(index, resample):
+        """encode_block's arguments for 40 trials at qubit point ``index``,
+        the per-trial encodings, and the rows the draw rule keeps."""
+        scheme, r1, r2, achieved, _ = _qubit_point(index)
+        params = RateParams(R1=1, R2=1, r1=r1, r2=r2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **achieved)
+        keys = [mix64(40 + index, t) for t in range(40)]
+        picks = np.random.default_rng(index)
+        m1, m2 = picks.integers(2, size=(2, 40))
+        rows, cols, seeds, codebooks = TestEncodeBlockTables._block(scheme.design, params, keys,
+                                                                    resample)
+        args = (rows, cols, seeds, m1, m2, params, llr_table(scheme.design.joint),
+                scheme.evaluator)
+        want = _encode_per_trial(codebooks, m1, m2, scheme.evaluator, params.eps0)
+        return args, want, _rule_rows(_searched_rows(args, want[0]))[1]
+
+    @pytest.mark.parametrize("budget", list(BUDGETS))
+    @pytest.mark.parametrize("index", [8, 9])
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_qubit_points_match_encode_and_the_rule(self, budget, index, resample, monkeypatch):
+        args, want, rule = self._point(index, resample)
+        params = args[5]
+        monkeypatch.setattr(coding, "_WINDOW_CELLS", self.BUDGETS[budget](40, 1 << params.r2))
+        spy, windows = StreamSpy(monkeypatch), WindowSpy(monkeypatch)
+        got = coding.encode_block(*args)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert Counter(spy.rows) == rule
+        # the rows scanned: up to each trial's chosen row, or its whole band
+        w1 = 1 << params.r1
+        scanned = int(np.where(want[0] >= 0, want[0] - args[3] * w1, w1 - 1).max()) + 1
+        count = {"one row": scanned, "two rows": None, "whole band": 2}[budget]
+        if count is None:
+            assert 2 < len(windows.windows) < scanned
+        else:
+            assert len(windows.windows) == count
+        if budget == "one row":
+            assert all(set(found) <= {w} for w, found in enumerate(windows.windows))
+
+    def test_trial_found_mid_window_draws_no_later_row(self, monkeypatch):
+        args, want, _ = self._point(9, True)
+        params, w2 = args[5], 1 << args[5].r2
+        monkeypatch.setattr(coding, "_WINDOW_CELLS", 1 << 40)
+        spy = StreamSpy(monkeypatch)
+        row = coding.encode_block(*args)[0]
+        assert np.array_equal(row, want[0])
+        # the second window holds every row after the first; a trial that
+        # stops inside it draws none of the rows after its own
+        offsets = row - args[3] * (1 << params.r1)
+        inside = np.flatnonzero((offsets >= 1) & (offsets < (1 << params.r1) - 1))
+        assert inside.size
+        for j in inside:
+            key = mix64(args[2][j], 3)
+            drawn = sorted(k for kk, k, first in spy.rows if kk == key)
+            assert drawn == list(range(row[j] - offsets[j], row[j] + 1))
+            assert all(first == args[4][j] * w2 for kk, _, first in spy.rows if kk == key)
+
+    @staticmethod
+    def _undefined_block(monkeypatch, i_infty):
+        """_partial_design with every llr at 0, so the undefined pair's cells
+        survive rejection as often as any: its scheme, rate parameters and
+        40 single-trial blocks with their codebooks."""
+        design = _partial_design()
+        scheme = Scheme(qubit_cq_channel(), design, 0.05, 0.25)
+        params = RateParams(R1=1, R2=1, r1=3, r2=2, eps_tilde=0.125, eps0=0.05,
+                            eps_infty=0.25, **dict(scheme.achieved, i_infty=i_infty))
+        monkeypatch.setattr(coding, "llr_table", lambda joint: np.zeros((2, 2)))
+        keys = [mix64(7, t) for t in range(40)]
+        return scheme, params, TestEncodeBlockTables._block(design, params, keys, True)
+
+    @staticmethod
+    def _raise_row(cb, m1, m2, ev, thr):
+        """The row offset at which the one-row scan of one trial raises for
+        an undefined pair, or None: a surviving cell of the undefined pair
+        before the first surviving, passing cell of its row."""
+        w1, w2 = 1 << cb.params.r1, 1 << cb.params.r2
+        for off in range(w1):
+            k = m1 * w1 + off
+            alive = cb.indicator(k, m2 * w2, (m2 + 1) * w2)
+            u, v = cb.rows[k, 0], cb.cols[m2 * w2:(m2 + 1) * w2, 0]
+            defined = ev.fx[u, v] >= 0
+            passes = np.zeros(w2, dtype=bool)
+            alpha, beta = ev.alpha_beta(np.full(defined.sum(), u), v[defined])
+            passes[defined] = (alpha > thr) & (beta > thr)
+            ok = alive & passes
+            first = ok.argmax() if ok.any() else w2
+            if (alive & ~defined)[:first].any():
+                return off
+            if ok.any():
+                return None
+        return None
+
+    @pytest.mark.parametrize("budget", list(BUDGETS))
+    def test_undefined_pair_raises_inside_a_window_where_encode_does(self, budget,
+                                                                      monkeypatch):
+        # i_infty 3 puts every cell at acceptance 1/8, so every row searched
+        # draws, a trial that raises draws exactly its rows up to the one
+        # that raises, and some trials search past their first row
+        scheme, params, (rows, cols, seeds, codebooks) = self._undefined_block(monkeypatch, 3.0)
+        ev, w1, w2 = scheme.evaluator, 1 << params.r1, 1 << params.r2
+        monkeypatch.setattr(coding, "_WINDOW_CELLS", self.BUDGETS[budget](1, w2))
+        zero, message = np.zeros((2, 2)), "input map undefined for a sampled pair"
+        m1, m2 = np.arange(40) % 2, np.arange(40) // 2 % 2
+        spy, outcomes = StreamSpy(monkeypatch), set()
+        for j in range(40):
+            one = slice(j, j + 1)
+            args = (rows[one], cols[one], seeds[one], m1[one], m2[one], params, zero, ev)
+            at = self._raise_row(codebooks[j], int(m1[j]), int(m2[j]), ev, 0.8)
+            if at is not None:
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    _encode_per_trial(codebooks[one], m1[one], m2[one], ev, 0.05)
+                spy.rows.clear()
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    coding.encode_block(*args)
+                key, k0 = mix64(seeds[j], 3), int(m1[j]) * w1
+                assert Counter(spy.rows) == Counter(
+                    (key, k, int(m2[j]) * w2) for k in range(k0, k0 + at + 1))
+                outcomes.add("raised in a window" if at >= 1 else "raised in the first row")
+                continue
+            want = _encode_per_trial(codebooks[one], m1[one], m2[one], ev, 0.05)
+            spy.rows.clear()
+            got = coding.encode_block(*args)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            k, l = int(got[0][0]), int(got[1][0])
+            key, k0 = mix64(seeds[j], 3), int(m1[j]) * w1
+            last = k if k >= 0 else k0 + w1 - 1
+            assert Counter(spy.rows) == Counter(
+                (key, kk, int(m2[j]) * w2) for kk in range(k0, last + 1))
+            if k < 0:
+                outcomes.add("fell back")
+                continue
+            # a surviving cell of the undefined pair after the first pass
+            rest = np.arange(l + 1, (int(m2[j]) + 1) * w2)
+            alive = codebooks[j].indicator(k, l + 1, (int(m2[j]) + 1) * w2)
+            after = (ev.fx[rows[j, k, 0], cols[j, rest, 0]] < 0) & alive
+            outcomes.add("undefined after the pass" if after.any() else "found")
+        assert {"raised in a window", "undefined after the pass"} <= outcomes
 
 
 class TestEncodeBlockThreshold:
