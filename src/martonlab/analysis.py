@@ -464,7 +464,7 @@ def empirical_covering(design, i_inf: float, p: CoveringParams, trials: int,
         raise ValidationError("trials must be positive")
     _check_uniforms("the rejection uniforms of one r x s band", p.r * p.s)
     joint = design.joint
-    accept = np.exp2(np.minimum(llr_table(joint) - i_inf, 0.0))
+    accept = coding.accept_probability(llr_table(joint), i_inf)
     pu, pv = joint.marginals()
     rng = SeededRng(seed, 0)
     row_rng, col_rng, eta_rng = rng.derive(1), rng.derive(2), rng.derive(3)

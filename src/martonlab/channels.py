@@ -73,12 +73,9 @@ class ClassicalBroadcastChannel(_BroadcastChannel):
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    def marginal_y(self) -> np.ndarray:
-        """p(y | x) as an (X, Y) matrix."""
-        return self.probs.sum(axis=2)
-
-    def marginal_z(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
+    def marginals(self) -> tuple:
+        """(p(y | x), p(z | x)) as (X, Y) and (X, Z) matrices."""
+        return self.probs.sum(axis=2), self.probs.sum(axis=1)
 
     def to_json(self) -> dict:
         return {
@@ -217,9 +214,13 @@ class InputDesign(_Digested):
         return cls(JointPmf.from_json(data["uv"]), fmap)
 
 
-def _mix(probs: np.ndarray, fx: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Row i holds sum_j probs[i, j] * kernel[fx[i, j]], added over the
-    positive cells of row i in ascending j."""
+def _mix(channel, design: InputDesign, side: int, kernel: np.ndarray) -> np.ndarray:
+    """Row i holds sum_j p[i, j] * kernel[f[i, j]], added over the positive
+    cells of row i in ascending j, where i is the register of ``side`` (0: u,
+    1: v) and j the other one."""
+    probs, fx = design.joint.probs, design.x_indices(channel)
+    if side:
+        probs, fx = probs.T, fx.T
     out = np.zeros((probs.shape[0],) + kernel.shape[1:], dtype=kernel.dtype)
     for i, j in np.argwhere(probs > 0.0):
         out[i] += probs[i, j] * kernel[fx[i, j]]
@@ -228,28 +229,18 @@ def _mix(probs: np.ndarray, fx: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def build_classical_joints(channel: ClassicalBroadcastChannel, design: InputDesign):
     """Joints p(u, y) and p(v, z) induced by a design on a classical channel."""
-    joint = design.joint
-    fx = design.x_indices(channel)
-    return (
-        JointPmf(joint.row_labels, channel.y_alphabet,
-                 _mix(joint.probs, fx, channel.marginal_y()), atol=1e-9),
-        JointPmf(joint.col_labels, channel.z_alphabet,
-                 _mix(joint.probs.T, fx.T, channel.marginal_z()), atol=1e-9),
-    )
+    sides = zip((design.joint.row_labels, design.joint.col_labels),
+                (channel.y_alphabet, channel.z_alphabet), channel.marginals())
+    return tuple(JointPmf(labels, outputs, _mix(channel, design, side, trans), atol=1e-9)
+                 for side, (labels, outputs, trans) in enumerate(sides))
 
 
 def _ensemble(channel: CqBroadcastChannel, design: InputDesign, side: int):
-    """One receiver's register pmf and conditional states, averaged over the other register.
-
-    Side 0 is Bob (register u, states on B), side 1 Charlie (register v, states on C).
-    """
-    probs = design.joint.probs
-    fx = design.x_indices(channel)
-    marginal = probs.sum(axis=1 - side)
-    if side:
-        probs, fx = probs.T, fx.T
+    """One receiver's register pmf and conditional states, averaged over the
+    other register: side 0 is Bob (u, states on B), side 1 Charlie (v, on C)."""
+    marginal = design.joint.probs.sum(axis=1 - side)
     reduced = channel.rho_c if side else channel.rho_b
-    mixed = _mix(probs, fx, np.stack([reduced(x) for x in channel.x_alphabet]))
+    mixed = _mix(channel, design, side, np.stack([reduced(x) for x in channel.x_alphabet]))
     return marginal, [acc / m if m > 0.0 else acc for acc, m in zip(mixed, marginal)]
 
 

@@ -274,8 +274,9 @@ class Codebook:
 
     def indicator(self, k: int, l0: int, l1: int) -> np.ndarray:
         """Rejection indicator of row k over columns [l0, l1)."""
-        return _eta(mix64(self.seed, 3), k, l0, l1) <= _acceptance(
-            self.log_ratio, self.rows[k][None, :], self.cols[l0:l1], self.params.i_infty)
+        eta = _eta_rows(mix64(np.uint64([self.seed]), 3), np.array([k]), np.array([l0]), l1 - l0)
+        return eta[0] <= _acceptance(self.log_ratio, self.rows[k], self.cols[l0:l1],
+                                     self.params.i_infty)
 
     def letter_indicators(self, side: str, letters: int) -> np.ndarray:
         """``letter_indicators`` of the words of ``side`` ("rows" or "cols"),
@@ -303,26 +304,18 @@ class Codebook:
         return h.hexdigest()
 
 
-def _eta(stream_key: int, k: int, l0: int, l1: int) -> np.ndarray:
-    """Rejection uniforms of row k, columns [l0, l1), of the codebook whose
-    rejection streams hang off ``stream_key`` = mix64(codebook seed, 3).
-    Column l's uniform is output l of the row's stream; the draw starts at
-    output l0.  The one-row case of the draws ``encode_block`` makes."""
-    return stream_uniforms(np.empty((1, l1 - l0)), (stream_key,), (k,), (l0,))[0]
-
-
-def _pair_code(row_words: np.ndarray, col_words: np.ndarray, n_cols: int) -> np.ndarray:
-    """Flat index u * n_cols + v of index pairs into a C-ordered table with
-    n_cols columns, in intp: u * n_cols would wrap in a compact word type."""
-    return row_words.astype(np.intp) * n_cols + col_words
+def accept_probability(s, i_infty: float):
+    """The rejection rule: a cell of llr sum s survives with probability min(1, 2^(s - i_infty))."""
+    return np.exp2(np.minimum(s - i_infty, 0.0))
 
 
 def _acceptance(log_ratio: np.ndarray, row_words: np.ndarray, col_words: np.ndarray,
                 i_infty: float) -> np.ndarray:
-    """min(1, ratio / 2^i_infty) of word pairs; the words broadcast against
-    each other over all but their last (letter) axis."""
-    s = log_ratio.take(_pair_code(row_words, col_words, log_ratio.shape[1])).sum(axis=-1)
-    return np.exp2(np.minimum(s - i_infty, 0.0))
+    """``accept_probability`` of word pairs; the words broadcast against each
+    other over all but their last (letter) axis.  Pairs index the table in
+    intp: u * |V| would wrap in a compact word type."""
+    code = row_words.astype(np.intp) * log_ratio.shape[1] + col_words
+    return accept_probability(log_ratio.take(code).sum(axis=-1), i_infty)
 
 
 # Philox outputs that codebook_block maps to symbols at a time
@@ -459,7 +452,7 @@ class _PairEvaluator:
 
 
 def _table_alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple:
-    """alpha = alpha_table[u, f(u, v)] and beta = beta_table[v, f(u, v)] of
+    """alpha = tables[0][u, f(u, v)] and beta = tables[1][v, f(u, v)] of
     single-letter cells.
 
     ``row_word`` and ``col_word`` are 1-D arrays of letters, one per cell.
@@ -468,43 +461,47 @@ def _table_alpha_beta(self, row_word: np.ndarray, col_word: np.ndarray) -> tuple
     since perfbench's tracer patches each class's.
     """
     x = self.x_of_pair(row_word, col_word)
-    return self.alpha_table[row_word, x], self.beta_table[col_word, x]
+    return self.tables[0][row_word, x], self.tables[1][col_word, x]
+
+
+def _receiver_sides(channel, design: InputDesign, receivers) -> tuple:
+    """(llr table, p(. | x), tau) of Bob's and Charlie's ``ThresholdMembership``."""
+    trans = channel.marginals()
+    shapes = tuple((count, t.shape[1]) for count, t in zip(design.joint.shape, trans))
+    if tuple(r.llr.shape for r in receivers) != shapes:
+        raise ValidationError(f"receiver tables must be (|U|, |Y|) and (|V|, |Z|) = {shapes}")
+    return tuple((r.llr, t, r.tau) for r, t in zip(receivers, trans))
 
 
 class ClassicalSetEvaluator(_PairEvaluator):
-    """Desk-scale acceptance tables from explicit decoding sets.
+    """Desk-scale acceptance tables of explicit decoding sets.
 
-    ``a1_mask[u, y]`` flags membership of (u, y) in Bob's set; alpha of a
-    cell is the chance the channel lands the pair inside it.  Blocklength
-    is fixed to 1: explicit product-alphabet sets are never materialized.
+    ``receivers`` holds Bob's and Charlie's ``ThresholdMembership``, an
+    explicit set being the test at tau = 0 on a 0 / -inf table.
+    ``tables[0][u, x]`` is the chance that x lands Bob's output in the
+    u-section of Bob's set, ``tables[1][v, x]`` Charlie's likewise.
+    Blocklength is fixed to 1: product-alphabet sets are never built.
     """
 
-    def __init__(self, channel, design: InputDesign, a1_mask, a2_mask):
+    def __init__(self, channel, design: InputDesign, receivers):
         super().__init__(channel, design)
-        joint = design.joint
-        a1 = np.asarray(a1_mask, dtype=bool)
-        a2 = np.asarray(a2_mask, dtype=bool)
-        py = channel.marginal_y()
-        pz = channel.marginal_z()
-        if a1.shape != (joint.shape[0], py.shape[1]) or a2.shape != (joint.shape[1], pz.shape[1]):
-            raise ValidationError("set masks must be (|U|, |Y|) and (|V|, |Z|)")
-        # alpha_table[u, x] = sum over y in the u-section of A1 of p(y | x)
-        self.alpha_table = a1.astype(float) @ py.T
-        self.beta_table = a2.astype(float) @ pz.T
+        self.tables = tuple((llr >= tau - DECODE_TOL) @ trans.T
+                            for llr, trans, tau in _receiver_sides(channel, design, receivers))
 
     alpha_beta = _table_alpha_beta
 
 
 class ClassicalThresholdEvaluator(_PairEvaluator):
-    """Blocklength-n acceptance probabilities for llr threshold sets.
+    """Blocklength-n acceptance probabilities of llr threshold receivers.
 
-    alpha is the exact probability, via convolution, that the summed
-    Bob-side llr of (u, Y) clears tau1 - DECODE_TOL when Y flows through
-    the channel driven by x = f(u, v) symbol-wise.
+    ``receivers`` holds Bob's and Charlie's ``ThresholdMembership``.  alpha
+    is the exact probability, via convolution, that Bob's summed llr of
+    (u, Y) clears Bob's tau - DECODE_TOL when Y flows through the channel
+    driven by x = f(u, v) symbol-wise; beta is Charlie's likewise.
 
     Both the llr and the channel act symbol by symbol, so alpha depends on
     (u, x) only through its joint type: position t contributes the step
-    distribution of llr1[u_t, Y] with Y ~ p(y | x_t).  A pair (u, x)
+    distribution of llr[u_t, Y] with Y ~ p(y | x_t).  A pair (u, x)
     occurring k times contributes that step's k-fold convolution, cached
     per pair as a prefix table; the present pairs are convolved in
     ascending pair order.  Every convolution is
@@ -512,17 +509,11 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
     tolerance, raising SupportOverflowError past ``THRESHOLD_ATOM_CAP`` atoms.
     """
 
-    def __init__(self, channel, design: InputDesign, llr1: np.ndarray, llr2: np.ndarray,
-                 tau1: float, tau2: float):
+    def __init__(self, channel, design: InputDesign, receivers):
         super().__init__(channel, design)
-        self.py = channel.marginal_y()
-        self.pz = channel.marginal_z()
-        self.llr1 = np.asarray(llr1, dtype=float)
-        self.llr2 = np.asarray(llr2, dtype=float)
-        self.tau1 = float(tau1)
-        self.tau2 = float(tau2)
         self._sum = functools.partial(convolve_atoms, tol=1e-12, atom_cap=THRESHOLD_ATOM_CAP)
-        self._sides = ((self.llr1, self.py, self.tau1), (self.llr2, self.pz, self.tau2))
+        # per side: (llr table, p(. | x), tau)
+        self._sides = _receiver_sides(channel, design, receivers)
         # (side, u, x) -> (k-fold step distribution for k = 0, 1, ...)
         self._powers = {}
         # (side, pair-count bytes) -> tail mass
@@ -537,7 +528,8 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
         table = self._powers.get((side, u, x), ((np.zeros(1), np.ones(1)),))
         if len(table) <= k:
             llr, trans, _ = self._sides[side]
-            keep = trans[x] > 0.0
+            # an atom at -inf clears no threshold and merges with no finite one
+            keep = (trans[x] > 0.0) & (llr[u] > -np.inf)
             step = (llr[u][keep], trans[x][keep])
             grown = list(table)
             while len(grown) <= k:
@@ -575,22 +567,22 @@ class ClassicalThresholdEvaluator(_PairEvaluator):
 
 
 class QuantumPairEvaluator(_PairEvaluator):
-    """Desk-scale acceptance tables Tr[test_u rho_b(x)] and Tr[test_v rho_c(x)].
+    """Desk-scale acceptance tables Tr[T_u rho_b(x)] and Tr[T_v rho_c(x)].
 
-    The per-label test operators come from the order-zero divergence
-    witnesses on the Bob and Charlie sides.  ``rho_b`` and ``rho_c`` stack
-    each side's states by input symbol, read-only, for the decoders too.
+    ``tests`` holds Bob's and Charlie's stacks of per-label test operators,
+    the order-zero divergence witnesses of each side.  ``states`` stacks
+    each side's reduced states by input symbol, read-only, for the
+    decoders too, and ``tables[s][label, x]`` is side s's acceptance.
     """
 
-    def __init__(self, channel, design: InputDesign, bob_tests, charlie_tests):
+    def __init__(self, channel, design: InputDesign, tests):
         super().__init__(channel, design)
-        self.rho_b, self.rho_c = (np.stack([state(x) for x in channel.x_alphabet])
-                                  for state in (channel.rho_b, channel.rho_c))
-        self.rho_b.setflags(write=False)
-        self.rho_c.setflags(write=False)
-        self.alpha_table, self.beta_table = (
-            np.array([[real_trace(test, rho) for rho in states] for test in tests])
-            for tests, states in ((bob_tests, self.rho_b), (charlie_tests, self.rho_c)))
+        self.states = tuple(np.stack([state(x) for x in channel.x_alphabet])
+                            for state in (channel.rho_b, channel.rho_c))
+        for states in self.states:
+            states.setflags(write=False)
+        self.tables = tuple(np.array([[real_trace(test, rho) for rho in states] for test in side])
+                            for side, states in zip(tests, self.states))
 
     alpha_beta = _table_alpha_beta
 
@@ -651,8 +643,9 @@ def encode_block(rows: np.ndarray, cols: np.ndarray, seeds, m1: np.ndarray, m2: 
 
 def _eta_rows(eta_keys, k, first, w2: int) -> np.ndarray:
     """Rejection uniforms of codebook rows k, columns first to first + w2,
-    one row per entry of the uint64 keys ``eta_keys`` and the int arrays
-    ``k`` and ``first``."""
+    one row per entry of the uint64 keys ``eta_keys`` = mix64(codebook seed,
+    3) and the int arrays ``k`` and ``first``: column l's is output l of
+    stream (key, row)."""
     return stream_uniforms(np.empty((len(k), w2)), eta_keys.tolist(), k.tolist(),
                            first.tolist())
 
@@ -690,7 +683,7 @@ def _scan_by_table(row_band, col_band, eta_keys, k0, l0, params, log_ratio, eval
     trials, w1 = row_band.shape[:2]
     w2 = col_band.shape[1]
     letters, n_cols = log_ratio.shape
-    accept = np.exp2(np.minimum(log_ratio - params.i_infty, 0.0))
+    accept = accept_probability(log_ratio, params.i_infty)
     defined = evaluator.fx >= 0
     gate = np.zeros_like(defined)
     alpha, beta = evaluator.alpha_beta(*np.nonzero(defined))

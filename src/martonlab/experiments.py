@@ -157,11 +157,12 @@ def _check_channel(channel) -> None:
         raise ValidationError(f"unsupported channel type {type(channel).__name__}")
 
 
-def _mask_from_cells(joint, cells) -> np.ndarray:
-    mask = np.zeros(joint.shape, dtype=bool)
+def _set_table(joint, cells) -> np.ndarray:
+    """An explicit set as an llr table: 0 on its cells, -inf elsewhere."""
+    table = np.full(joint.shape, -np.inf)
     for u, v in cells:
-        mask[joint.row_labels.index(u), joint.col_labels.index(v)] = True
-    return mask
+        table[joint.row_labels.index(u), joint.col_labels.index(v)] = 0.0
+    return table
 
 
 def _check_achieved(params: RateParams, achieved: dict) -> None:
@@ -204,43 +205,38 @@ def _event_rows(setting, counts, trials, bounds, theorem_valid):
 class Scheme:
     """The decoding machinery of one channel, design and smoothing pair, built once.
 
-    The smooth order-zero and max divergences and their witnesses fix the
-    decoders: explicit sets for single-letter classical runs, tested as
-    llr thresholds on a 0 / -inf table, llr thresholds for blocklength-n
-    classical runs, Neyman-Pearson test operators measured by the pretty
-    good measurement for single-letter cq runs.  ``achieved`` holds the
-    divergence values they reach, so RateParams built from them pass the
-    consistency gate of ``run``; ``describe`` is the report's ``scheme``
-    entry, and ``log_ratio`` the ``llr_table`` of the design's joint, which
-    the encoder reads.
+    The smooth order-zero and max divergences and their witnesses fix each
+    receiver's test, held as a (Bob, Charlie) pair.  A classical Scheme's
+    ``receivers`` are ``ThresholdMembership`` tests: explicit sets at n = 1,
+    as thresholds at tau = 0 on a 0 / -inf table, and llr thresholds at
+    n > 1.  A cq Scheme's ``tests`` stack Neyman-Pearson test operators,
+    measured by the pretty good measurement against ``evaluator.states``.
+    The pair decodes, and ``evaluator`` gates the encoder with it.
+    ``achieved`` holds the divergence values they reach, so RateParams built
+    from them pass the consistency gate of ``run``; ``describe`` is the
+    report's ``scheme`` entry, and ``log_ratio`` the ``llr_table`` of the
+    design's joint, which the encoder reads.
 
     ``run`` plays trials in blocks.  Under fresh codebooks a block holds as
     many trials as fit ``_BLOCK_LETTERS`` codebook letters: the block's
     codebooks and messages are drawn as arrays, and ``encode_block`` scans
-    all its trials at once; a single-letter table evaluator is asked once
-    per ``encode_block`` call, for (u, v) tables from which the scan
-    summarises a window of rows at a time, and the llr-threshold evaluator
-    is scanned one row offset at a time.  A fixed codebook's trials share its
-    words, and each trial's encoding depends on its message pair alone, so
-    a block encodes each of its distinct pairs once and gathers every
-    trial's input word from those; its blocks hold ``_BLOCK_LETTERS`` / 16
-    words of the larger side over their trials, which bounds the decoders'
-    scratch.  A classical block then sends every trial's input word through
-    the channel at once and decodes each side by threshold membership: a
-    fixed codebook decodes the whole block in one call per side, and fresh
-    codebooks one trial at a time.
-    ``decode_pgm`` measures each side of a whole cq block in one pass,
-    against the side's states, stacked once per Scheme, with one PGM table
-    of every state per distinct label counts of the block, picking each
-    trial's outcome with one uniform from that trial's own stream.  The
-    events of the block are then counted from the decoded
-    words of each side.  The streams of a block, each trial's messages,
-    its channel uniforms for classical runs and its two outcome uniforms
-    for cq, are drawn once for the block by ``first_uniforms``, which
-    computes short ones in one Philox array pass for large blocks.  The
-    codebook words of small sides and the encoder's rejection rows are
-    drawn many streams to a ``stream_uniforms`` call.  Both give the draws
-    of ``SeededRng``, bit for bit.
+    all its trials at once.  A fixed codebook's trials share its words, and
+    each trial's encoding depends on its message pair alone, so a block
+    encodes each of its distinct pairs once and gathers every trial's input
+    word from those; its blocks hold ``_BLOCK_LETTERS`` / 16 words of the
+    larger side over their trials, which bounds the decoders' scratch.
+    Each receiver then decodes the whole block: by its threshold test, on
+    the outputs of a classical block sent through the channel at once, or
+    by its pretty good measurement of a cq block, in one pass with one PGM
+    table of every state per distinct label counts.  The events of the
+    block are counted from the decoded words of each side.  The streams
+    of a block, each trial's messages, its channel uniforms for classical
+    runs and its two outcome uniforms for cq, are drawn once for the block
+    by ``first_uniforms``, which computes short ones in one Philox array
+    pass for large blocks.  The codebook words of small sides and the
+    encoder's rejection rows are drawn many streams to a
+    ``stream_uniforms`` call.  Both give the draws of ``SeededRng``, bit
+    for bit.
 
     A Scheme holds no state between runs except the threshold evaluator's
     convolution powers and the tail masses it memoizes by joint type, which
@@ -263,52 +259,46 @@ class Scheme:
             if n != 1:
                 raise ValidationError("cq runs are single-letter; blocked states are out of reach")
             self.setting = "quantum"
-            p_u, rho_bu = bob_ensemble(channel, design)
-            p_v, rho_cv = charlie_ensemble(channel, design)
-            res_b = quantum_i0_cq(p_u, rho_bu, eps0)
-            res_c = quantum_i0_cq(p_v, rho_cv, eps0)
+            results = [quantum_i0_cq(*ensemble(channel, design), eps0)
+                       for ensemble in (bob_ensemble, charlie_ensemble)]
             # tests and states stacked once, read-only, so that each decode
             # keys its PGM tables without a copy
-            self.bob_tests, self.charlie_tests = res_b.operators, res_c.operators
-            self.evaluator = QuantumPairEvaluator(channel, design, self.bob_tests,
-                                                  self.charlie_tests)
-            self.bob_states, self.charlie_states = self.evaluator.rho_b, self.evaluator.rho_c
-            self.describe = {
-                "kind": "quantum-pgm",
-                "lambda_b": res_b.witness["lambda"],
-                "lambda_c": res_c.witness["lambda"],
-                "constraint_mass_b": res_b.witness["constraint_mass"],
-                "constraint_mass_c": res_c.witness["constraint_mass"],
-            }
+            self.tests = tuple(res.operators for res in results)
+            self.evaluator = QuantumPairEvaluator(channel, design, self.tests)
+            self.describe = {"kind": "quantum-pgm"}
+            described = [("lambda", "lambda_b", "lambda_c"),
+                         ("constraint_mass", "constraint_mass_b", "constraint_mass_c")]
         elif isinstance(channel, ClassicalBroadcastChannel):
             self.setting = "classical"
-            uy, vz = build_classical_joints(channel, design)
+            joints = build_classical_joints(channel, design)
             if n == 1:
-                res_b = classical_i0(uy, eps0, method=i0_method)
-                res_c = classical_i0(vz, eps0, method=i0_method)
-                if "cells" not in res_b.witness:
+                results = [classical_i0(joint, eps0, method=i0_method) for joint in joints]
+                if "cells" not in results[0].witness:
                     raise ValidationError(
                         f"i0 method {i0_method!r} does not produce a deterministic test set")
-                a1 = _mask_from_cells(uy, res_b.witness["cells"])
-                a2 = _mask_from_cells(vz, res_c.witness["cells"])
-                self.evaluator = ClassicalSetEvaluator(channel, design, a1, a2)
-                tests = [(np.where(a, 0.0, -np.inf), 0.0) for a in (a1, a2)]
+                tests = [(_set_table(joint, res.witness["cells"]), 0.0)
+                         for joint, res in zip(joints, results)]
                 self.describe = {"kind": "classical-set", "i0_method": i0_method}
+                described = []
             else:
-                res_b = spectrum_i0(iid_llr_spectrum(uy, n), eps0, method="thresholded")
-                res_c = spectrum_i0(iid_llr_spectrum(vz, n), eps0, method="thresholded")
-                tau1, tau2 = res_b.witness["threshold"], res_c.witness["threshold"]
-                llr1, llr2 = llr_table(uy), llr_table(vz)
-                self.evaluator = ClassicalThresholdEvaluator(channel, design, llr1, llr2,
-                                                             tau1, tau2)
-                tests = [(llr1, tau1), (llr2, tau2)]
-                self.describe = {"kind": "classical-threshold", "tau1": tau1, "tau2": tau2}
-            self.mem_b, self.mem_c = (ThresholdMembership(llr, tau) for llr, tau in tests)
-            self.describe.update(a1_mass=res_b.witness["mass"], a2_mass=res_c.witness["mass"])
+                results = [spectrum_i0(iid_llr_spectrum(joint, n), eps0, method="thresholded")
+                           for joint in joints]
+                tests = [(llr_table(joint), res.witness["threshold"])
+                         for joint, res in zip(joints, results)]
+                self.describe = {"kind": "classical-threshold"}
+                described = [("threshold", "tau1", "tau2")]
+            self.receivers = tuple(ThresholdMembership(llr, tau) for llr, tau in tests)
+            self.evaluator = (ClassicalSetEvaluator if n == 1 else ClassicalThresholdEvaluator)(
+                channel, design, self.receivers)
+            described.append(("mass", "a1_mass", "a2_mass"))
             self.sampler = ProductClassicalChannel(channel, n)
+        # each witness entry under Bob's key, then Charlie's
+        for entry, *keys in described:
+            self.describe.update(zip(keys, (res.witness[entry] for res in results)))
         res_inf = (classical_i_infty(design.joint, eps_infty) if n == 1
                    else spectrum_i_infty(iid_llr_spectrum(design.joint, n), eps_infty))
-        self.achieved = {"i0b": res_b.value, "i0c": res_c.value, "i_infty": res_inf.value}
+        self.achieved = {"i0b": results[0].value, "i0c": results[1].value,
+                         "i_infty": res_inf.value}
         self.log_ratio = llr_table(design.joint)
 
     @classmethod
@@ -400,9 +390,9 @@ class Scheme:
                     for j, key in enumerate(keys)))
         found = ([], [])
         for cb, start, stop in entries:
-            for parts, decode, mem, words in zip(found, (decode_rows, decode_cols),
-                                                 (self.mem_b, self.mem_c), received):
-                res = decode(cb, words[start:stop], mem)
+            for parts, decode, receiver, words in zip(found, (decode_rows, decode_cols),
+                                                      self.receivers, received):
+                res = decode(cb, words[start:stop], receiver)
                 parts.append((res.trial + start, res.matched))
         first = np.zeros(sent.shape, dtype=np.int64)
         count = np.zeros(sent.shape, dtype=np.int64)
@@ -428,9 +418,8 @@ class Scheme:
         """
         first = np.stack([
             decode_pgm(words[:, :, 0], tests, states, x[:, 0], side_uniforms)
-            for words, tests, states, side_uniforms in (
-                (rows, self.bob_tests, self.bob_states, uniforms[:, 0]),
-                (cols, self.charlie_tests, self.charlie_states, uniforms[:, 1]))])
+            for words, tests, states, side_uniforms in zip(
+                (rows, cols), self.tests, self.evaluator.states, uniforms.T)])
         count = (first < np.array([[params.n_rows], [params.n_cols]])).astype(np.int64)
         return first, count, first == sent
 

@@ -346,8 +346,8 @@ def classical_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb)
         trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb)
         rec_b, rec_c = scheme.sampler.sample_outputs(
             out.x_word[None], SeededRng(trial_key, 102).random((1, scheme.n)))
-        match_b = decode_rows(cb, rec_b, scheme.mem_b).matched
-        match_c = decode_cols(cb, rec_c, scheme.mem_c).matched
+        match_b = decode_rows(cb, rec_b, scheme.receivers[0]).matched
+        match_c = decode_cols(cb, rec_c, scheme.receivers[1]).matched
         if out.fallback:
             counts["e1"] += 1
         else:
@@ -381,9 +381,9 @@ def cq_counts_per_trial(scheme, params, trials: int, seed: int, fixed_cb) -> dic
     for t in range(trials):
         trial_key, cb, m1, m2, out = draw_trial(scheme, params, t, seed, fixed_cb)
         label = scheme.channel.x_alphabet[int(out.x_word[0])]
-        got_b = decode_pgm_per_trial(cb.rows, scheme.bob_tests, scheme.channel.rho_b(label),
+        got_b = decode_pgm_per_trial(cb.rows, scheme.tests[0], scheme.channel.rho_b(label),
                                      SeededRng(trial_key, 103).random())
-        got_c = decode_pgm_per_trial(cb.cols, scheme.charlie_tests, scheme.channel.rho_c(label),
+        got_c = decode_pgm_per_trial(cb.cols, scheme.tests[1], scheme.channel.rho_c(label),
                                      SeededRng(trial_key, 104).random())
         match_b = None if got_b == cb.n_rows else got_b
         match_c = None if got_c == cb.n_cols else got_c

@@ -190,8 +190,8 @@ def test_qubit_e2_e3_counts_match_measurement_probabilities():
             continue
         label = channel.x_alphabet[int(out.x_word[0])]
         for name, words, tests, state, sent in (
-                ("e2", cb.rows, scheme.bob_tests, channel.rho_b(label), out.row),
-                ("e3", cb.cols, scheme.charlie_tests, channel.rho_c(label), out.col)):
+                ("e2", cb.rows, scheme.tests[0], channel.rho_b(label), out.row),
+                ("e3", cb.cols, scheme.tests[1], channel.rho_c(label), out.col)):
             p = pgm_one_trial(words, tests, state)[sent]
             mean[name] += 1.0 - p
             var[name] += p * (1.0 - p)

@@ -98,10 +98,11 @@ class TestClassicalChannel:
 
     def test_marginals_consistent_with_joint(self):
         ch = bsc_pair_channel(0.1, 0.2)
+        py, pz = ch.marginals()
         for xi in range(len(ch.x_alphabet)):
             j = ch.probs[xi]
-            assert_allclose(j.sum(axis=1), ch.marginal_y()[xi], atol=1e-12)
-            assert_allclose(j.sum(axis=0), ch.marginal_z()[xi], atol=1e-12)
+            assert_allclose(j.sum(axis=1), py[xi], atol=1e-12)
+            assert_allclose(j.sum(axis=0), pz[xi], atol=1e-12)
 
     def test_branches_are_independent(self):
         ch = bsc_pair_channel(0.1, 0.2)

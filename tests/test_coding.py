@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +59,12 @@ DSBS_40 = np.array([[0.40, 0.10], [0.10, 0.40]])
 
 def dsbs_joint(probs):
     return JointPmf(("0", "1"), ("0", "1"), probs)
+
+
+def set_evaluator(channel, design, bob, charlie):
+    """The ClassicalSetEvaluator of the explicit sets the masks ``bob`` and
+    ``charlie`` flag, each as its threshold receiver."""
+    return ClassicalSetEvaluator(channel, design, (set_membership(bob), set_membership(charlie)))
 
 
 def pair_design(probs):
@@ -439,12 +447,16 @@ class TestCodebook:
             assert cb.indicator(k, 0, cb.n_cols).all()
 
     def test_eta_positional_stability(self):
-        key = mix64(7, 3)
-        full = coding._eta(key, 3, 0, 16)
-        assert np.array_equal(coding._eta(key, 3, 5, 16), full[5:])
-        assert np.array_equal(coding._eta(key, 3, 2, 9), full[2:9])
+        key = mix64(np.uint64([7]), 3)
+
+        def eta(l0, l1):
+            return coding._eta_rows(key, np.array([3]), np.array([l0]), l1 - l0)[0]
+
+        full = eta(0, 16)
+        assert np.array_equal(eta(5, 16), full[5:])
+        assert np.array_equal(eta(2, 9), full[2:9])
         # replay is stateless: a second call returns the same values
-        assert np.array_equal(coding._eta(key, 3, 0, 16), full)
+        assert np.array_equal(eta(0, 16), full)
 
     def test_acceptance_matches_scalar_formula(self):
         cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=9)
@@ -475,8 +487,8 @@ class TestCodebook:
         # [m2 * 2^r2, (m2 + 1) * 2^r2): the encoder picks its cell there
         params = small_params(i_infty=0.0)
         cb = generate_codebook(pair_design(DSBS_45), params, seed=7)
-        ev = ClassicalSetEvaluator(copy_pair_channel(), cb.design, np.ones((2, 2), dtype=bool),
-                                   np.ones((2, 2), dtype=bool))
+        ev = set_evaluator(copy_pair_channel(), cb.design, np.ones((2, 2), dtype=bool),
+                           np.ones((2, 2), dtype=bool))
         for m1 in range(1 << params.R1):
             for m2 in range(1 << params.R2):
                 row, col, _ = encode(cb, m1, m2, ev)
@@ -484,8 +496,8 @@ class TestCodebook:
 
     def test_message_range_checked(self):
         cb = generate_codebook(pair_design(DSBS_45), small_params(), seed=7)
-        ev = ClassicalSetEvaluator(copy_pair_channel(), cb.design, np.eye(2, dtype=bool),
-                                   np.eye(2, dtype=bool))
+        ev = set_evaluator(copy_pair_channel(), cb.design, np.eye(2, dtype=bool),
+                           np.eye(2, dtype=bool))
         for m1, m2, name in ((2, 0, "m1 = 2"), (0, -1, "m2 = -1")):
             with pytest.raises(ValidationError, match=f"message {name} outside"):
                 encode(cb, m1, m2, ev)
@@ -541,7 +553,7 @@ class TestEncode:
         design = InputDesign(joint, {("0", "0"): "00", ("1", "1"): "11"})
         params = small_params(r1=2, r2=2, i0b=5.0, i0c=5.0, i_infty=1.0)
         ch = copy_pair_channel()
-        ev = ClassicalSetEvaluator(ch, design, np.eye(2, dtype=bool), np.eye(2, dtype=bool))
+        ev = set_evaluator(ch, design, np.eye(2, dtype=bool), np.eye(2, dtype=bool))
         return design, params, ch, ev
 
     def test_noiseless_success(self):
@@ -572,7 +584,7 @@ class TestEncode:
     def test_acceptance_threshold_blocks_cells(self):
         design, params, ch, _ = self.correlated_setup()
         cb = generate_codebook(design, params, seed=11)
-        low = ClassicalSetEvaluator(ch, design, np.zeros((2, 2), bool), np.eye(2, dtype=bool))
+        low = set_evaluator(ch, design, np.zeros((2, 2), bool), np.eye(2, dtype=bool))
         out = encode_per_trial(cb, 1, 0, low, 0.01)
         self.assert_encode_agrees(cb, 1, 0, low, out)
         assert out.fallback
@@ -583,7 +595,7 @@ class TestEncode:
         joint = dsbs_joint(DSBS_45)
         i_inf = classical_i_infty(joint, 0.25).value
         params = small_params(r1=2, r2=2, i_infty=i_inf, eps0=0.05)
-        ev = ClassicalSetEvaluator(ch, design, np.eye(2, dtype=bool), np.eye(2, dtype=bool))
+        ev = set_evaluator(ch, design, np.eye(2, dtype=bool), np.eye(2, dtype=bool))
         table = llr_table(joint)
         for seed in (0, 1, 2):
             cb = generate_codebook(design, params, seed=seed)
@@ -600,7 +612,8 @@ class TestEncode:
         w1, w2 = 1 << cb.params.r1, 1 << cb.params.r2
         for k in range(m1 * w1, (m1 + 1) * w1):
             for l in range(m2 * w2, (m2 + 1) * w2):
-                eta = coding._eta(mix64(cb.seed, 3), k, l, l + 1)[0]
+                eta = coding._eta_rows(mix64(np.uint64([cb.seed]), 3), np.array([k]),
+                                       np.array([l]), 1)[0, 0]
                 s = sum(table[cb.rows[k, t], cb.cols[l, t]] for t in range(cb.n))
                 if eta <= 2.0 ** min(s - cb.params.i_infty, 0.0):
                     a, b = ev.alpha_beta(cb.rows[k], cb.cols[l])
@@ -616,11 +629,12 @@ class TestThresholdEvaluator:
         uy, vz = build_classical_joints(ch, design)
         llr1, llr2 = llr_table(uy), llr_table(vz)
         tau = 0.8
-        ev = ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau, tau)
+        ev = ClassicalThresholdEvaluator(
+            ch, design, (ThresholdMembership(llr1, tau), ThresholdMembership(llr2, tau)))
         u = np.array([0, 1, 0])
         v = np.array([1, 1, 0])
         x = ev.x_of_pair(u, v)
-        py = ch.marginal_y()
+        py, _ = ch.marginals()
         alpha_brute = 0.0
         for y0 in range(2):
             for y1 in range(2):
@@ -642,38 +656,39 @@ class TestThresholdEvaluator:
         else:
             llr1, llr2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tau1, tau2 = rng.uniform(-2.0, 2.0, size=2)
-        return ch, ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau1, tau2)
+        receivers = (ThresholdMembership(llr1, tau1), ThresholdMembership(llr2, tau2))
+        return ch, receivers, ClassicalThresholdEvaluator(ch, design, receivers)
 
     def test_tail_mass_matches_positionwise_oracle(self, np_rng):
         for case in range(24):
-            ch, ev = self.ternary_evaluator(np_rng, real_llr=case % 2 == 0)
+            ch, (bob, charlie), ev = self.ternary_evaluator(np_rng, real_llr=case % 2 == 0)
+            py, pz = ch.marginals()
             for _ in range(6):
                 n = int(np_rng.integers(1, 25))
                 u, v = np_rng.integers(2, size=n), np_rng.integers(2, size=n)
                 x = ev.x_of_pair(u, v)
                 alpha, beta = ev.alpha_beta(u, v)
-                want_a = positionwise_tail_mass(u, x, ev.llr1, ch.marginal_y(), ev.tau1)
-                want_b = positionwise_tail_mass(v, x, ev.llr2, ch.marginal_z(), ev.tau2)
+                want_a = positionwise_tail_mass(u, x, bob.llr, py, bob.tau)
+                want_b = positionwise_tail_mass(v, x, charlie.llr, pz, charlie.tau)
                 assert abs(alpha - want_a) <= 1e-12
                 assert abs(beta - want_b) <= 1e-12
 
     def test_position_order_does_not_matter(self, np_rng):
-        ch, ev = self.ternary_evaluator(np_rng, real_llr=False)
+        ch, receivers, ev = self.ternary_evaluator(np_rng, real_llr=False)
         for _ in range(10):
             u, v = np_rng.integers(2, size=30), np_rng.integers(2, size=30)
             perm = np_rng.permutation(30)
             got = ev.alpha_beta(u, v)
             assert ev.alpha_beta(u[perm], v[perm]) == got
             # the cached k-fold tables give what a fresh evaluator computes
-            fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), ev.llr1, ev.llr2,
-                                                ev.tau1, ev.tau2)
+            fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), receivers)
             assert fresh.alpha_beta(u[perm], v[perm]) == got
 
     def test_memoized_tail_masses_match_positionwise_oracle(self, np_rng):
         # each cell comes back, permuted and as it was, so most calls after
         # its first find its joint type in the memo
-        ch, ev = self.ternary_evaluator(np_rng, real_llr=False)
-        py, pz = ch.marginal_y(), ch.marginal_z()
+        ch, receivers, ev = self.ternary_evaluator(np_rng, real_llr=False)
+        (bob, charlie), (py, pz) = receivers, ch.marginals()
         cells = []
         for _ in range(8):
             u, v = np_rng.integers(2, size=12), np_rng.integers(2, size=12)
@@ -682,12 +697,11 @@ class TestThresholdEvaluator:
         for u, v in cells:
             x = ev.x_of_pair(u, v)
             alpha, beta = ev.alpha_beta(u, v)
-            assert abs(alpha - positionwise_tail_mass(u, x, ev.llr1, py, ev.tau1)) <= 1e-12
-            assert abs(beta - positionwise_tail_mass(v, x, ev.llr2, pz, ev.tau2)) <= 1e-12
+            assert abs(alpha - positionwise_tail_mass(u, x, bob.llr, py, bob.tau)) <= 1e-12
+            assert abs(beta - positionwise_tail_mass(v, x, charlie.llr, pz, charlie.tau)) <= 1e-12
         assert len(ev._tails) <= 2 * 8
         # a hit returns the float a fresh evaluator computes
-        fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), ev.llr1, ev.llr2,
-                                            ev.tau1, ev.tau2)
+        fresh = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), receivers)
         for u, v in cells:
             assert ev.alpha_beta(u, v) == fresh.alpha_beta(u, v)
 
@@ -697,34 +711,101 @@ class TestThresholdEvaluator:
         ch = bsc_pair_channel(0.1, 0.2)
         design = pair_design(DSBS_45)
         uy, vz = build_classical_joints(ch, design)
-        ev = ClassicalThresholdEvaluator(ch, design, llr_table(uy), llr_table(vz), 1.5, 1.5)
+        llr1, llr2 = llr_table(uy), llr_table(vz)
+        py, pz = ch.marginals()
+        ev = ClassicalThresholdEvaluator(ch, design, (ThresholdMembership(llr1, 1.5),
+                                                      ThresholdMembership(llr2, 1.5)))
         for word in (np.array([0, 1, 1, 0, 1]), np.array([1, 1, 1, 0, 0, 0])):
             x = ev.x_of_pair(word, word)
-            want_a = positionwise_tail_mass(word, x, ev.llr1, ch.marginal_y(), ev.tau1)
-            want_b = positionwise_tail_mass(word, x, ev.llr2, ch.marginal_z(), ev.tau2)
+            want_a = positionwise_tail_mass(word, x, llr1, py, 1.5)
+            want_b = positionwise_tail_mass(word, x, llr2, pz, 1.5)
             assert abs(want_a - want_b) > 1e-3
             alpha, beta = ev.alpha_beta(word, word)
             assert abs(alpha - want_a) <= 1e-12 and abs(beta - want_b) <= 1e-12
 
     def test_atom_cap_raises(self, np_rng, monkeypatch):
         monkeypatch.setattr(coding, "THRESHOLD_ATOM_CAP", 20)
-        ch, ev = self.ternary_evaluator(np_rng, real_llr=False)
+        ch, (bob, _), ev = self.ternary_evaluator(np_rng, real_llr=False)
         # each of the four (u, x) pairs occurs three times
         u, v = np.arange(12) % 2, np.arange(12) // 2 % 2
         x = ev.x_of_pair(u, v)
         with pytest.raises(SupportOverflowError):
-            positionwise_tail_mass(u, x, ev.llr1, ch.marginal_y(), ev.tau1, atom_cap=20)
+            positionwise_tail_mass(u, x, bob.llr, ch.marginals()[0], bob.tau, atom_cap=20)
         with pytest.raises(SupportOverflowError):
             ev.alpha_beta(u, v)
 
     def test_certain_set_gives_unit_mass(self):
         ch = copy_pair_channel()
         design = pair_design(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        llr = np.zeros((2, 2))
-        ev = ClassicalThresholdEvaluator(ch, design, llr, llr, 0.0, 0.0)
+        certain = ThresholdMembership(np.zeros((2, 2)), 0.0)
+        ev = ClassicalThresholdEvaluator(ch, design, (certain, certain))
         alpha, beta = ev.alpha_beta(np.array([0, 1]), np.array([0, 1]))
         assert alpha == pytest.approx(1.0)
         assert beta == pytest.approx(1.0)
+
+    def test_minus_inf_cells_on_the_support_clear_nothing(self):
+        # Bob's steps at the pairs (0, 00), (0, 01) and (1, 10) are
+        # (0: 1, -inf: 1e-200), (1: 1, -inf: 1e-200) and (0: 0.5, 2: 0.5).
+        # Two -inf atoms of mass 1e-200 meet at mass 0, where 0 * -inf is
+        # NaN: a NaN atom that merged with the atom at 3 would drop its 0.5
+        py = np.array([[1.0, 0.0, 1e-200], [0.0, 1.0, 1e-200], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        ch = ClassicalBroadcastChannel(("00", "01", "10", "11"), ("0", "1", "2"), ("0", "1"),
+                                       py[:, :, None] * np.full((4, 1, 2), 0.5))
+        llr = np.array([[0.0, 1.0, -np.inf], [0.0, 2.0, -np.inf]])
+        tau = 1.0
+        ev = ClassicalThresholdEvaluator(ch, pair_design(DSBS_45), (
+            ThresholdMembership(llr, tau), ThresholdMembership(np.zeros((2, 2)), 0.0)))
+        py = ch.marginals()[0]
+        for u, v in (([0, 0, 1], [0, 1, 0]), ([1, 0, 0, 1], [0, 0, 1, 1])):
+            u, v = np.array(u), np.array(v)
+            x = ev.x_of_pair(u, v)
+            want = 0.0
+            for ys in itertools.product(range(3), repeat=u.size):
+                if sum(llr[u[t], ys[t]] for t in range(u.size)) >= tau - DECODE_TOL:
+                    want += math.prod(py[x[t], ys[t]] for t in range(u.size))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                alpha, beta = ev.alpha_beta(u, v)
+            assert alpha == pytest.approx(want, abs=1e-12) and beta == 1.0
+        assert want > 0.4
+
+
+class TestReceivers:
+    @pytest.mark.parametrize("case", ["desk", "undefined pairs"])
+    def test_set_tables_are_threshold_tail_masses_at_n_1(self, case):
+        # an explicit set is the threshold receiver at tau = 0 on a 0 / -inf
+        # table: on the same receivers, the set evaluator's tables hold the
+        # threshold evaluator's single-letter tail masses
+        if case == "desk":
+            ch, design = bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45)
+        else:
+            ch = bsc_pair_channel(0.1, 0.15)
+            design = InputDesign(dsbs_joint(np.diag([0.5, 0.5])),
+                                 {("0", "0"): "00", ("1", "1"): "11"})
+        masks = [np.array(bits, bool).reshape(2, 2) for bits in itertools.product((0, 1), repeat=4)]
+        for bob, charlie in zip(masks, masks[::-1]):
+            receivers = (set_membership(bob), set_membership(charlie))
+            sets = ClassicalSetEvaluator(ch, design, receivers)
+            thresholds = ClassicalThresholdEvaluator(ch, design, receivers)
+            defined = sets.fx >= 0
+            assert defined.all() == (case == "desk")
+            for u, v in zip(*np.nonzero(defined)):
+                alpha, beta = sets.alpha_beta(np.array([u]), np.array([v]))
+                want_a, want_b = thresholds.alpha_beta(np.array([u]), np.array([v]))
+                assert abs(alpha[0] - want_a) <= 1e-15 and abs(beta[0] - want_b) <= 1e-15
+            for u, v in zip(*np.nonzero(~defined)):
+                for ev in (sets, thresholds):
+                    with pytest.raises(ValidationError, match="undefined"):
+                        ev.alpha_beta(np.array([u]), np.array([v]))
+
+    @pytest.mark.parametrize("cls", [ClassicalSetEvaluator, ClassicalThresholdEvaluator])
+    def test_receiver_of_wrong_shape_raises(self, cls):
+        ch, design = bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45)
+        right = set_membership(np.eye(2, dtype=bool))
+        wrong = set_membership(np.ones((2, 3), bool))
+        for receivers in ((wrong, right), (right, wrong), (right,)):
+            with pytest.raises(ValidationError, match=r"\(\|U\|, \|Y\|\) and \(\|V\|, \|Z\|\)"):
+                cls(ch, design, receivers)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,15 +1103,14 @@ class TestCompactWords:
         assert cb.rows.dtype == cb.cols.dtype == np.uint8 and cb.rows.max() >= 64
         wide = Codebook(cb.rows.astype(np.int64), cb.cols.astype(np.int64), params, design,
                         cb.seed, n)
+        mem_b, mem_c = ThresholdMembership(llr1, tau), ThresholdMembership(llr2, tau)
         # separate evaluators, so that neither reads the other's cached tables
-        ev, ev_wide = (ClassicalThresholdEvaluator(ch, design, llr1, llr2, tau, tau)
-                       for _ in range(2))
+        ev, ev_wide = (ClassicalThresholdEvaluator(ch, design, (mem_b, mem_c)) for _ in range(2))
         for k in range(cb.n_rows):
             for l in range(cb.n_cols):
                 assert ev.alpha_beta(cb.rows[k], cb.cols[l]) == ev_wide.alpha_beta(
                     wide.rows[k], wide.cols[l])
         sampler = ProductClassicalChannel(ch, n)
-        mem_b, mem_c = ThresholdMembership(llr1, tau), ThresholdMembership(llr2, tau)
         for m1 in range(2):
             for m2 in range(2):
                 row, col, x = encode(cb, m1, m2, ev)

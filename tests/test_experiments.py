@@ -148,8 +148,7 @@ class TestScheme:
         scheme = Scheme(channel, design, params.eps0, 0.25, n=n)
         assert np.array_equal(scheme.log_ratio, llr_table(design.joint))
         if case == "qubit":
-            for states, state in ((scheme.bob_states, channel.rho_b),
-                                  (scheme.charlie_states, channel.rho_c)):
+            for states, state in zip(scheme.evaluator.states, (channel.rho_b, channel.rho_c)):
                 assert not states.flags.writeable
                 assert np.array_equal(states, [state(x) for x in channel.x_alphabet])
         want = scheme.run(params, 20, 4, resample_codebook=resample)
@@ -372,8 +371,8 @@ class TestDeskClassical:
         a2 = np.zeros(vz.shape, dtype=bool)
         for v, z in res_c.witness["cells"]:
             a2[vz.row_labels.index(v), vz.col_labels.index(z)] = True
-        evaluator = ClassicalSetEvaluator(ch, design, a1, a2)
         mem_b, mem_c = set_membership(a1), set_membership(a2)
+        evaluator = ClassicalSetEvaluator(ch, design, (mem_b, mem_c))
         sampler = ProductClassicalChannel(ch, 1)
 
         counts = {k: 0 for k in event_counts(report)}
@@ -656,8 +655,8 @@ class TestCqBlocks:
                             eps_infty=0.25, **achieved)
         calls = []
         monkeypatch.setattr(experiments, "decode_pgm", _recording_decoder(calls))
-        on_zero = np.array([np.diag([1.0, 0.0])] * len(scheme.bob_tests), dtype=complex)
-        monkeypatch.setattr(scheme, "bob_tests", on_zero)
+        on_zero = np.array([np.diag([1.0, 0.0])] * len(scheme.tests[0]), dtype=complex)
+        monkeypatch.setattr(scheme, "tests", (on_zero, scheme.tests[1]))
         got = scheme.run(params, 200, seed)
         _assert_decodes_match_oracle(calls)
         fired = calls[0][5] == params.n_rows
@@ -667,7 +666,7 @@ class TestCqBlocks:
             assert event_counts(scheme.run(params, 200, seed)) == event_counts(got)
         # with no support at all the completion fires in every trial, and
         # every trial errs in its message and in its index
-        monkeypatch.setattr(scheme, "bob_tests", np.zeros_like(on_zero))
+        monkeypatch.setattr(scheme, "tests", (np.zeros_like(on_zero), scheme.tests[1]))
         calls.clear()
         counts = event_counts(scheme.run(params, 200, seed))
         assert np.all(calls[0][5] == params.n_rows)
@@ -767,7 +766,8 @@ class TestClassicalBlocks:
         # Bob's set is empty, so no row ever matches and Bob decodes message 0
         channel, design, n, params = _case("desk")
         scheme = Scheme(channel, design, params.eps0, params.eps_infty, n=n)
-        monkeypatch.setattr(scheme, "mem_b", set_membership(np.zeros(scheme.mem_b.llr.shape, bool)))
+        empty = set_membership(np.zeros(scheme.receivers[0].llr.shape, bool))
+        monkeypatch.setattr(scheme, "receivers", (empty, scheme.receivers[1]))
         got = event_counts(scheme.run(params, 200, 5))
         assert got["e2b"] == 200 - got["e1"] and got["index_error"] == 200
         # right where m1 = 0 and all else goes well
@@ -1033,10 +1033,11 @@ class TestEncodeBlockTables:
         design = pair_design(DSBS_45)
         if kind == "set":
             # Bob's set keeps both outputs of u = 1 but only y = 0 of u = 0
-            return ClassicalSetEvaluator(bsc_pair_channel(0.1, 0.1), design,
-                                         np.array([[1, 0], [1, 1]], bool), np.ones((2, 2), bool))
+            return ClassicalSetEvaluator(bsc_pair_channel(0.1, 0.1), design, (
+                set_membership(np.array([[1, 0], [1, 1]], bool)),
+                set_membership(np.ones((2, 2), bool))))
         return QuantumPairEvaluator(qubit_cq_channel(), design,
-                                    [0.9 * np.eye(2), np.eye(2)], [np.eye(2)] * 2)
+                                    ([0.9 * np.eye(2), np.eye(2)], [np.eye(2)] * 2))
 
     def _gated_block(self, ev, resample, seed=9):
         """encode_block's arguments for 200 trials under the gated evaluator

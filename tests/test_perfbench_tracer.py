@@ -12,16 +12,20 @@ public functions of the other layers.  It reads ``fx`` of the evaluators,
 ``decode_cols`` and ``.matched`` of what they return: the indices of the
 matched words, which for a block of received words hold the matches of
 every trial, trial by trial, so one call counts the words it scored once
-however many trials it decodes.  A removed name makes
+however many trials it decodes.  It also wraps ``build_classical_joints``,
+``bob_ensemble`` and ``charlie_ensemble`` of ``martonlab.channels``, whose
+spans make up ``channels.ensemble_s``.  A removed name makes
 ``Tracer.install`` raise; a name that stays but is no longer called leaves
-its counters at zero without an error, so each kind of run here must move
-the counters of its layer.
+its counters and spans at zero without an error, so each kind of run here
+must move the counters of its layer and time the ensemble spans its Scheme
+builds.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from martonlab import cli, experiments
@@ -66,31 +70,40 @@ def desk_simulate(tmp_path, **extra):
     assert code == 0
 
 
+def span_seconds(tr, name: str, since: int) -> float:
+    """Seconds the tracer's spans named ``name`` took, from span ``since`` on."""
+    names = np.frombuffer(tr.span_name, dtype=np.int32)[since:]
+    took = np.frombuffer(tr.span_end)[since:] - np.frombuffer(tr.span_start)[since:]
+    return float(took[names == tr.name_ids.get(name, -1)].sum())
+
+
 def test_tracer_counts_every_layer(tracer_module, tmp_path, capsys):
     qubit, indep = qubit_cq_channel(), independent_design()
     block = bsc_pair_channel(0.05, 0.05)
+    classical = ("build_classical_joints",)
     runs = [
         ("desk", lambda: experiments.run_experiment(
             bsc_pair_channel(0.1, 0.1), pair_design(DSBS_45), desk_params(), 20, seed=1),
-         "coding.decode_calls"),
+         "coding.decode_calls", classical),
         ("n=4", lambda: experiments.run_experiment(
             block, indep, small_params(block, indep, 4), 20, seed=2, n=4),
-         "coding.decode_calls"),
+         "coding.decode_calls", classical),
         ("qubit", lambda: experiments.run_experiment(
             qubit, indep, small_params(qubit, indep), 20, seed=3),
-         "coding.pgm_calls"),
-        ("simulate", lambda: desk_simulate(tmp_path), "coding.decode_calls"),
+         "coding.pgm_calls", ("bob_ensemble", "charlie_ensemble")),
+        ("simulate", lambda: desk_simulate(tmp_path), "coding.decode_calls", classical),
         # a fixed codebook is drawn by generate_codebook, which the tracer
         # counts through the codebook's n_rows and n_cols
         ("simulate fixed", lambda: desk_simulate(tmp_path, resample_codebook=False),
-         "coding.codebooks"),
+         "coding.codebooks", classical),
     ]
     original = experiments.run_experiment
     tr = tracer_module.Tracer()
     tr.install()
     try:
-        for label, run, decode_counter in runs:
+        for label, run, decode_counter, ensembles in runs:
             before = dict(tr.counters)
+            since = len(tr.span_start)
             # a run's divergences are those of its Scheme: each run builds
             # its own, so that a Scheme shared with an earlier run leaves no
             # layer untouched
@@ -99,6 +112,10 @@ def test_tracer_counts_every_layer(tracer_module, tmp_path, capsys):
             run()
             for counter in ("coding.alpha_beta_calls", decode_counter, "divergences.calls"):
                 assert tr.counters[counter] > before[counter], (label, counter)
+            # the Scheme's ensembles are built through the names the tracer
+            # wraps, whose spans make up channels.ensemble_s
+            for name in ensembles:
+                assert span_seconds(tr, name, since) > 0.0, (label, name)
     finally:
         tr.uninstall()
     assert experiments.run_experiment is original
